@@ -184,6 +184,11 @@ class ChartFrame:
                 g[i, j] = g[j, i] = v
                 dg[:, i, j] = dg[:, j, i] = grad
                 d2g[:, :, i, j] = d2g[:, :, j, i] = hess
+        if not (np.isfinite(g).all() and np.isfinite(dg).all() and np.isfinite(d2g).all()):
+            raise GeometryError(
+                f"metric of {self.manifold.name!r} or one of its first two derivatives "
+                f"is not finite at {self.point.tolist()}"
+            )
         return g, dg, d2g
 
     @cached_property

@@ -19,6 +19,9 @@ Three layers live here:
 Hypothesis evaluators never raise: they return reports whose pass flag is
 the material implication "hypothesis holds at every sample implies the
 conclusion holds numerically".
+
+Every evaluator that takes a point also accepts a ``WarpedFrame`` already
+built there, so one frame per sample can serve all of them.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .chart import ChartFrame, FactorManifold, GeometryError
 from .expressions import Expr
-from .warped import BlockVector, SequentialWarpedProduct, WarpedFrame, inner_chart
+from .warped import BlockVector, SequentialWarpedProduct, _as_frame, inner_chart
 
 __all__ = [
     "QEFit",
@@ -363,7 +366,7 @@ def proposition1_residuals(
     Factor Ricci tensors come from the factor charts; warping terms from
     the closed-form frame.  One report per factor.
     """
-    frame = WarpedFrame(product, point)
+    frame = _as_frame(product, point)
     alpha, beta, u = qe
     ub = _as_block(product, u)
     m1, m2, m3 = product.dims
@@ -410,7 +413,7 @@ def proposition1_residuals(
 
 def lambda_at(product: SequentialWarpedProduct, point, alpha: float) -> float:
     """alpha f^2 + f (Lap f on the first factor) + (m2 - 1) |grad f|^2."""
-    frame = WarpedFrame(product, point)
+    frame = _as_frame(product, point)
     m2 = product.m2.dim
     return float(
         alpha * frame.f_value**2
@@ -421,7 +424,7 @@ def lambda_at(product: SequentialWarpedProduct, point, alpha: float) -> float:
 
 def nu_at(product: SequentialWarpedProduct, point, alpha: float) -> float:
     """alpha h^2 + h (Lap h on the inner chart) + (m3 - 1) |grad h|^2."""
-    frame = WarpedFrame(product, point)
+    frame = _as_frame(product, point)
     m3 = product.m3.dim
     return float(
         alpha * frame.h_value**2
@@ -562,7 +565,7 @@ def condition_residuals(
     scalar f^4 is read as its differential; these readings are recorded
     here once and used consistently.
     """
-    frame = WarpedFrame(product, point)
+    frame = _as_frame(product, point)
     alpha, beta, u = qe
     ub = _as_block(product, u)
     m1, m2, m3 = product.dims
@@ -650,7 +653,7 @@ def theorem2_conditions(
     # the rigidity statements concern compact Riemannian factors; indefinite
     # gradient norms would make the hypotheses meaningless
     riemannian = all(fac.signature == "riemannian" for fac in product.factors)
-    rows = [WarpedFrame(product, p) for p in points]
+    rows = [_as_frame(product, p) for p in points]
     n = len(rows)
 
     scal3 = [fr.frame3.scalar for fr in rows]

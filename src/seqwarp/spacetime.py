@@ -29,7 +29,7 @@ import numpy as np
 from .chart import ChartFrame, FactorManifold, SignatureError, validate_factor_at
 from .classify import DEFAULT_FIT_TOL, EINSTEIN_THRESHOLD, IdentityReport, QCCFit, QEFit, fit_quasi_einstein
 from .expressions import Const, Expr, free_variables
-from .warped import SequentialWarpedProduct, WarpedFrame, flatten_to_chart
+from .warped import SequentialWarpedProduct, WarpedFrame, _as_frame, flatten_to_chart
 
 __all__ = [
     "SSSTSpec",
@@ -158,6 +158,8 @@ def ssst_theorem_check(
     qcc: QCCFit,
     tol: float = DEFAULT_FIT_TOL,
     d3_tol: float = D3_TOL,
+    *,
+    flat: ChartFrame | None = None,
 ) -> list[IdentityReport]:
     """Report bundle for the static-form curvature conditions at a point.
 
@@ -165,10 +167,12 @@ def ssst_theorem_check(
     recorded, the two mixed Ricci identities specialized to a
     1-dimensional fiber, the rank-one consequences of a successful
     ambient fit, and the Hessian forms tied to a two-coefficient
-    curvature fit.
+    curvature fit.  ``point`` may be a ``WarpedFrame``; ``flat`` is the
+    flattened-chart frame at the same point, built here when not given.
     """
-    frame = WarpedFrame(product, point)
-    flat = ChartFrame(flatten_to_chart(product), frame.point)
+    frame = _as_frame(product, point)
+    if flat is None:
+        flat = ChartFrame(flatten_to_chart(product), frame.point)
     axis = time_axis(product)
     d1 = product.m1.dim
     h = frame.h_value
@@ -314,16 +318,20 @@ def grw_theorem_check(
     qe: QEFit,
     qcc: QCCFit,
     tol: float = DEFAULT_FIT_TOL,
+    *,
+    flat: ChartFrame | None = None,
 ) -> list[IdentityReport]:
     """Report bundle for the Robertson-Walker-form conditions at a point.
 
     The relation between beta - alpha and the second time derivatives of
     the warpings is printed with conflicting signs in the source
     statements; both variants are evaluated and the supported one is
-    named in the report details.
+    named in the report details.  ``point`` and ``flat`` are as in
+    ``ssst_theorem_check``.
     """
-    frame = WarpedFrame(product, point)
-    flat = ChartFrame(flatten_to_chart(product), frame.point)
+    frame = _as_frame(product, point)
+    if flat is None:
+        flat = ChartFrame(flatten_to_chart(product), frame.point)
     axis = time_axis(product)
     assert axis == 0, "Robertson-Walker form keeps time as the first coordinate"
     d1 = product.m1.dim

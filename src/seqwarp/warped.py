@@ -10,12 +10,14 @@ Two routes to the ambient curvature live side by side:
 
 * ``flatten_to_chart`` assembles the ambient metric as one chart and hands
   it to the brute-force machinery in :mod:`seqwarp.chart`;
-* ``connection_closed`` / ``curvature_closed`` / ``ricci_closed`` build the
-  same objects from factor geometry plus warping corrections, block by
-  block, never touching the ambient chart.
+* ``WarpedFrame`` builds the same objects from factor geometry plus warping
+  corrections, block by block, never touching the ambient chart: the
+  Christoffel and curvature tensors ``christoffel[k, a, b]`` and
+  ``riemann_up[l, a, b, c]``, and the Ricci tensor.  ``connection_closed``
+  / ``curvature_closed`` / ``ricci_closed`` are one-point wrappers.
 
 Disagreement between the routes is a bug by definition; the verification
-suite sweeps all coordinate-basis combinations of both.
+suite compares the closed tensors with the chart's, whole, at every sample.
 
 Note on signs: the closed-form curvature below is written for the
 curvature operator R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z -
@@ -145,6 +147,13 @@ class ProductPoint:
         return np.concatenate([self.p1, self.p2, self.p3]).astype(float)
 
 
+def _embed(dim: int, sl: slice, tensor: np.ndarray) -> np.ndarray:
+    """``tensor`` on the block ``sl`` of every ambient index, zeros elsewhere."""
+    out = np.zeros((dim,) * tensor.ndim)
+    out[(sl,) * tensor.ndim] = tensor
+    return out
+
+
 def _as_ambient(point) -> np.ndarray:
     if isinstance(point, ProductPoint):
         return point.ambient
@@ -243,8 +252,14 @@ class WarpedFrame:
     """Pointwise geometry of a sequential warped product, computed lazily.
 
     Bundles the three factor frames, the inner-chart frame carrying the
-    outer warping, and the warping jets; every closed-form operation at a
-    fixed point reads from here so repeated sweeps stay cheap.
+    outer warping, and the warping jets.  From these it assembles the
+    ambient Christoffel and curvature tensors once, in the index
+    conventions of :mod:`seqwarp.chart`; ``connection`` and ``curvature``
+    contract them with block vectors.
+
+    One frame per sample serves every check: the evaluators in
+    :mod:`seqwarp.classify` and :mod:`seqwarp.spacetime` accept a frame
+    wherever they take a point.
     """
 
     def __init__(self, product: SequentialWarpedProduct, point):
@@ -366,77 +381,85 @@ class WarpedFrame:
 
     # -- closed forms -----------------------------------------------------------
 
+    @cached_property
+    def christoffel(self) -> np.ndarray:
+        """christoffel[k, a, b] = Gamma^k_ab, i.e. (nabla_{e_a} e_b)^k.
+
+        The factor Christoffel symbols on their diagonal blocks, minus
+        f g2(X, Y) grad f and h g3(X, Y) grad h, plus the log-derivative
+        terms X(ln f) Y2 + Y(ln f) X2 and X(ln h) Y3 + Y(ln h) X3.
+        """
+        d = self.product.dim
+        s1, s2, s3 = self.product.block_slices
+        inner = slice(0, s3.start)
+        f, h = self.f_value, self.h_value
+        g2, g3, p2, p3 = self._fiber_blocks
+        out = np.zeros((d, d, d))
+        for sl, fr in zip((s1, s2, s3), (self.frame1, self.frame2, self.frame3)):
+            out[sl, sl, sl] = fr.christoffel
+        out -= np.einsum("k,ab->kab", _embed(d, s1, self.grad_f), f * g2) + np.einsum(
+            "k,ab->kab", _embed(d, inner, self.grad_h), h * g3
+        )
+        # t[k, a, b] = X(ln w) Y^k for X = e_a, Y = e_b; the connection adds t + t(a<->b)
+        t = np.einsum("a,kb->kab", _embed(d, s1, self.df / f), p2) + np.einsum(
+            "a,kb->kab", _embed(d, inner, self.dh / h), p3
+        )
+        return out + (t + t.transpose(0, 2, 1))
+
+    @cached_property
+    def riemann_up(self) -> np.ndarray:
+        """riemann_up[l, a, b, c] = R^l_abc, i.e. (R(e_a, e_b)e_c)^l.
+
+        The factor curvature on its diagonal blocks plus T - T(a<->b), where
+        T[l, a, b, c] collects the warping corrections linear in Y = e_b:
+        (|grad f|^2 g2 + H^f / f)(X, Z) Y2, f g2(X, Z) (nabla grad f)(Y1),
+        (H^h / h + |grad h|^2 g3)(X, Z) Y3 and h g3(X, Z) (nabla grad h)(Y12).
+        """
+        d = self.product.dim
+        s1, s2, s3 = self.product.block_slices
+        inner = slice(0, s3.start)
+        f, h = self.f_value, self.h_value
+        out = np.zeros((d, d, d, d))
+        for sl, fr in zip((s1, s2, s3), (self.frame1, self.frame2, self.frame3)):
+            out[sl, sl, sl, sl] = fr.riemann_up
+        g2, g3, p2, p3 = self._fiber_blocks
+        t = (
+            np.einsum(
+                "ac,lb->labc", self.grad_f_norm2 * g2 + _embed(d, s1, self.hess_f) / f, p2
+            )
+            + np.einsum("ac,lb->labc", f * g2, _embed(d, s1, self.raised_hess_f))
+            + np.einsum(
+                "ac,lb->labc", _embed(d, inner, self.hess_h) / h + self.grad_h_norm2 * g3, p3
+            )
+            + np.einsum("ac,lb->labc", h * g3, _embed(d, inner, self.raised_hess_h))
+        )
+        return out + (t - t.transpose(0, 2, 1, 3))
+
+    @cached_property
+    def _fiber_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """g2 and g3 on their ambient blocks, then the projections onto those blocks."""
+        d = self.product.dim
+        _, s2, s3 = self.product.block_slices
+        m2, m3 = self.product.m2.dim, self.product.m3.dim
+        return (
+            _embed(d, s2, self.frame2.metric),
+            _embed(d, s3, self.frame3.metric),
+            _embed(d, s2, np.eye(m2)),
+            _embed(d, s3, np.eye(m3)),
+        )
+
     def connection(self, x: BlockVector, y: BlockVector) -> BlockVector:
         """Levi-Civita derivative of constant-component block fields."""
-        fr1, fr2, fr3 = self.frame1, self.frame2, self.frame3
-        f, h = self.f_value, self.h_value
-
-        g2xy = float(x.x2 @ fr2.metric @ y.x2)
-        g3xy = float(x.x3 @ fr3.metric @ y.x3)
-        x_lnf = float(self.df @ x.x1) / f
-        y_lnf = float(self.df @ y.x1) / f
-        x_lnh = float(self.dh @ x.inner) / h
-        y_lnh = float(self.dh @ y.inner) / h
-
-        grad_h1, grad_h2 = self.split_inner(self.grad_h)
-
-        out1 = (
-            np.einsum("kij,i,j->k", fr1.christoffel, x.x1, y.x1)
-            - f * g2xy * self.grad_f
-            - h * g3xy * grad_h1
+        return BlockVector.from_ambient(
+            self.product, np.einsum("kab,a,b->k", self.christoffel, x.ambient, y.ambient)
         )
-        out2 = (
-            np.einsum("kij,i,j->k", fr2.christoffel, x.x2, y.x2)
-            + x_lnf * y.x2
-            + y_lnf * x.x2
-            - h * g3xy * grad_h2
-        )
-        out3 = (
-            np.einsum("kij,i,j->k", fr3.christoffel, x.x3, y.x3)
-            + x_lnh * y.x3
-            + y_lnh * x.x3
-        )
-        return BlockVector(out1, out2, out3)
 
     def curvature(self, x: BlockVector, y: BlockVector, z: BlockVector) -> BlockVector:
-        """Curvature operator R(X, Y)Z assembled block by block."""
-        fr1, fr2, fr3 = self.frame1, self.frame2, self.frame3
-        f, h = self.f_value, self.h_value
-        grad_f_n2, grad_h_n2 = self.grad_f_norm2, self.grad_h_norm2
-
-        g2 = fr2.metric
-        g3 = fr3.metric
-        g2xz, g2yz = float(x.x2 @ g2 @ z.x2), float(y.x2 @ g2 @ z.x2)
-        g3xz, g3yz = float(x.x3 @ g3 @ z.x3), float(y.x3 @ g3 @ z.x3)
-
-        hfxz = float(x.x1 @ self.hess_f @ z.x1)
-        hfyz = float(y.x1 @ self.hess_f @ z.x1)
-        hh_xz = float(x.inner @ self.hess_h @ z.inner)
-        hh_yz = float(y.inner @ self.hess_h @ z.inner)
-
-        out1 = np.einsum("labc,a,b,c->l", fr1.riemann_up, x.x1, y.x1, z.x1)
-        out2 = np.einsum("labc,a,b,c->l", fr2.riemann_up, x.x2, y.x2, z.x2)
-        out3 = np.einsum("labc,a,b,c->l", fr3.riemann_up, x.x3, y.x3, z.x3)
-
-        # fiber-of-f block, correction to the factor curvature
-        out2 += grad_f_n2 * (g2xz * y.x2 - g2yz * x.x2)
-        # mixed first/second blocks through the Hessian of f
-        out2 += (hfxz / f) * y.x2 - (hfyz / f) * x.x2
-        out1 += -f * g2yz * (self.raised_hess_f @ x.x1) + f * g2xz * (
-            self.raised_hess_f @ y.x1
+        """Curvature operator R(X, Y)Z."""
+        return BlockVector.from_ambient(
+            self.product,
+            np.einsum("labc,a,b,c->l", self.riemann_up, x.ambient, y.ambient, z.ambient),
         )
-        # third block against the inner chart through the Hessian of h
-        out3 += (hh_xz / h) * y.x3 - (hh_yz / h) * x.x3
-        inner_corr = -h * g3yz * (self.raised_hess_h @ x.inner) + h * g3xz * (
-            self.raised_hess_h @ y.inner
-        )
-        c1, c2 = self.split_inner(inner_corr)
-        out1 += c1
-        out2 += c2
-        # fiber-of-h correction
-        out3 += grad_h_n2 * (g3xz * y.x3 - g3yz * x.x3)
-
-        return BlockVector(out1, out2, out3)
 
     @cached_property
     def ricci(self) -> np.ndarray:
@@ -497,6 +520,19 @@ class WarpedFrame:
             alpha * h**2 + h * self.lap_h + (m3 - 1) * self.grad_h_norm2
         ) * m3 + beta * h**4 * g3u
         return (s1, s2, s3)
+
+
+def _as_frame(product: SequentialWarpedProduct, point) -> WarpedFrame:
+    """``point`` itself when it is an already-built frame, else a new frame there.
+
+    Evaluators that take a point accept a frame through this, so a caller
+    holding one frame per sample shares it across every check.
+    """
+    if isinstance(point, WarpedFrame):
+        if point.product != product:
+            raise GeometryError("frame belongs to a different product")
+        return point
+    return WarpedFrame(product, point)
 
 
 # ---------------------------------------------------------------------------

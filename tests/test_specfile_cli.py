@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from seqwarp.chart import GeometryError
 from seqwarp.cli import catalog_names, catalog_spec, main
 from seqwarp.expressions import Const
 from seqwarp.specfile import SpecError, load_spec, spec_from_dict
@@ -204,6 +205,43 @@ class TestRunVerify:
         assert any("sign: negated" in n for n in report.convention_notes)
 
 
+@pytest.mark.parametrize("name", CATALOG)
+def test_run_verify_builds_one_warped_frame_per_sample(name, monkeypatch):
+    from seqwarp.warped import WarpedFrame
+
+    built = []
+    original = WarpedFrame.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(WarpedFrame, "__init__", counting_init)
+    report = run_verify(catalog_spec(name), points=4)
+    assert report.points == 4
+    assert len(built) == 4
+
+
+def test_evaluators_accept_a_shared_frame():
+    from seqwarp.classify import lambda_at, nu_at, proposition1_residuals
+    from seqwarp.warped import WarpedFrame
+
+    spec = catalog_spec("planted_qe")
+    point = spec.center_point()
+    frame = WarpedFrame(spec.product, point)
+    assert lambda_at(spec.product, frame, 0.7) == lambda_at(spec.product, point, 0.7)
+    assert nu_at(spec.product, frame, 0.7) == nu_at(spec.product, point, 0.7)
+    qe = spec.planted
+    by_frame = [r.max_residual for r in proposition1_residuals(spec.product, frame, qe)]
+    by_point = [r.max_residual for r in proposition1_residuals(spec.product, point, qe)]
+    assert by_frame == by_point
+    other = catalog_spec("planted_qe").product
+    assert other == spec.product and other is not spec.product
+    assert lambda_at(other, frame, 0.7) == lambda_at(spec.product, frame, 0.7)
+    with pytest.raises(GeometryError, match="different product"):
+        lambda_at(catalog_spec("exp_warp").product, frame, 0.7)
+
+
 class TestRunClassify:
     def test_sphere_fiber_factor_fit(self):
         result = run_classify(catalog_spec("sphere_fiber"))
@@ -269,6 +307,19 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert main(["verify", str(path)]) == 2
         assert "degenerate" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_metric_derivatives_exit_code(self, tmp_path, capsys):
+        # f^2 = exp(680 x): its second derivative passes the float range
+        # inside the box, which used to escape as a LinAlgError traceback
+        data = minimal_spec(warpings={"f": "exp(340*x)", "h": "1"})
+        data["sampling"] = {"boxes": {"x": [1.0, 1.04]}}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path)]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert main(["classify", str(path), "--at", "x=1.04"]) == 2
+        assert "not finite" in capsys.readouterr().err
 
     def test_verify_schema_error_exit_code(self, tmp_path, capsys):
         data = minimal_spec(warpings={"f": "exp(x1", "h": "1"})

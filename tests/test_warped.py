@@ -458,3 +458,151 @@ class TestSpecExampleSweeps:
             ).ambient
             expected = np.einsum("labc,a,b,c->l", oracle.riemann_up, x, y, z)
             assert curv == pytest.approx(expected, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form tensors
+# ---------------------------------------------------------------------------
+
+
+def mixed_outer_product() -> SequentialWarpedProduct:
+    """Non-diagonal 2-dim factors and an h mixing M1 and M2, so the mixed
+    M1-M2 block of the Hessian of h is nonzero."""
+    from seqwarp import factor
+
+    m1 = factor("m1", ["x", "y"], [["2", "0.3*sin(x)"], ["0.3*sin(x)", "1.5 + y^2"]])
+    m2 = factor(
+        "m2", ["u", "w"], [["1.5 + 0.2*cos(w)", "0.1*sin(u)"], ["0.1*sin(u)", "2 + 0.3*u^2"]]
+    )
+    m3 = factor("m3", ["r", "s"], [["2", "0.3*sin(r)"], ["0.3*sin(r)", "1.5 + r^2"]])
+    return SequentialWarpedProduct(
+        m1, m2, m3, parse("exp(0.3*x + 0.1*y)", ["x", "y"]), parse("2 + sin(x)*cos(u)", ["x", "u"])
+    )
+
+
+MIXED_BOXES = {c: (-1.0, 1.0) for c in ("x", "y", "u", "w", "r", "s")}
+
+
+def reference_connection(frame: WarpedFrame, x: BlockVector, y: BlockVector) -> np.ndarray:
+    """The per-block connection formula, written out term by term."""
+    fr1, fr2, fr3 = frame.frame1, frame.frame2, frame.frame3
+    f, h = frame.f_value, frame.h_value
+    g2xy = float(x.x2 @ fr2.metric @ y.x2)
+    g3xy = float(x.x3 @ fr3.metric @ y.x3)
+    x_lnf = float(frame.df @ x.x1) / f
+    y_lnf = float(frame.df @ y.x1) / f
+    x_lnh = float(frame.dh @ x.inner) / h
+    y_lnh = float(frame.dh @ y.inner) / h
+    grad_h1, grad_h2 = frame.split_inner(frame.grad_h)
+    out1 = (
+        np.einsum("kij,i,j->k", fr1.christoffel, x.x1, y.x1)
+        - f * g2xy * frame.grad_f
+        - h * g3xy * grad_h1
+    )
+    out2 = (
+        np.einsum("kij,i,j->k", fr2.christoffel, x.x2, y.x2)
+        + x_lnf * y.x2
+        + y_lnf * x.x2
+        - h * g3xy * grad_h2
+    )
+    out3 = np.einsum("kij,i,j->k", fr3.christoffel, x.x3, y.x3) + x_lnh * y.x3 + y_lnh * x.x3
+    return np.concatenate([out1, out2, out3])
+
+
+def reference_curvature(
+    frame: WarpedFrame, x: BlockVector, y: BlockVector, z: BlockVector
+) -> np.ndarray:
+    """The per-block curvature formula R(X, Y)Z, written out term by term."""
+    f, h = frame.f_value, frame.h_value
+    g2, g3 = frame.frame2.metric, frame.frame3.metric
+    g2xz, g2yz = float(x.x2 @ g2 @ z.x2), float(y.x2 @ g2 @ z.x2)
+    g3xz, g3yz = float(x.x3 @ g3 @ z.x3), float(y.x3 @ g3 @ z.x3)
+    hfxz = float(x.x1 @ frame.hess_f @ z.x1)
+    hfyz = float(y.x1 @ frame.hess_f @ z.x1)
+    hh_xz = float(x.inner @ frame.hess_h @ z.inner)
+    hh_yz = float(y.inner @ frame.hess_h @ z.inner)
+    out1 = np.einsum("labc,a,b,c->l", frame.frame1.riemann_up, x.x1, y.x1, z.x1)
+    out2 = np.einsum("labc,a,b,c->l", frame.frame2.riemann_up, x.x2, y.x2, z.x2)
+    out3 = np.einsum("labc,a,b,c->l", frame.frame3.riemann_up, x.x3, y.x3, z.x3)
+    out2 += frame.grad_f_norm2 * (g2xz * y.x2 - g2yz * x.x2)
+    out2 += (hfxz / f) * y.x2 - (hfyz / f) * x.x2
+    out1 += -f * g2yz * (frame.raised_hess_f @ x.x1) + f * g2xz * (frame.raised_hess_f @ y.x1)
+    out3 += (hh_xz / h) * y.x3 - (hh_yz / h) * x.x3
+    inner_corr = -h * g3yz * (frame.raised_hess_h @ x.inner) + h * g3xz * (
+        frame.raised_hess_h @ y.inner
+    )
+    c1, c2 = frame.split_inner(inner_corr)
+    out1 += c1
+    out2 += c2
+    out3 += frame.grad_h_norm2 * (g3xz * y.x3 - g3yz * x.x3)
+    return np.concatenate([out1, out2, out3])
+
+
+def normalized_gap(closed, oracle) -> float:
+    return float(np.max(np.abs(closed - oracle))) / (1.0 + float(np.max(np.abs(oracle))))
+
+
+class TestClosedTensors:
+    def test_tensors_match_flat_chart_with_mixed_hessian(self):
+        product = mixed_outer_product()
+        for point in sweep_points(product, MIXED_BOXES, 4, 41):
+            frame = WarpedFrame(product, point)
+            assert np.max(np.abs(frame.hess_h[:2, 2:])) > 1e-2  # the mixed block is live
+            oracle = ChartFrame(flatten_to_chart(product), point)
+            assert normalized_gap(frame.christoffel, oracle.christoffel) <= 1e-10
+            assert normalized_gap(frame.riemann_up, oracle.riemann_up) <= 1e-10
+
+    def test_contractions_match_per_block_formulas(self):
+        product = mixed_outer_product()
+        rng = np.random.default_rng(5)
+        for point in sweep_points(product, MIXED_BOXES, 3, 43):
+            frame = WarpedFrame(product, point)
+            for _ in range(4):
+                x, y, z = (BlockVector.from_ambient(product, rng.normal(size=6)) for _ in range(3))
+                expected = reference_connection(frame, x, y)
+                got = frame.connection(x, y).ambient
+                assert np.max(np.abs(got - expected)) <= 1e-12 * (1 + np.max(np.abs(expected)))
+                expected = reference_curvature(frame, x, y, z)
+                got = frame.curvature(x, y, z).ambient
+                assert np.max(np.abs(got - expected)) <= 1e-12 * (1 + np.max(np.abs(expected)))
+
+
+GENERIC_OUTER_WARP = {
+    "kind": "swp",
+    "factors": [
+        {"name": "line_x", "coords": ["x"], "metric": [["1"]]},
+        {"name": "line_u", "coords": ["u"], "metric": [["1"]]},
+        {"name": "line_w", "coords": ["w"], "metric": [["1"]]},
+    ],
+    "warpings": {"f": "exp(0.3*x)", "h": "2 + sin(x)*cos(u)"},
+}
+
+
+def _contraction_specs():
+    from seqwarp.cli import catalog_names
+
+    return list(catalog_names()) + [
+        pytest.param(
+            "generic_outer_warp",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP open item 1: the closed Ricci drops the M1-M2 cross block "
+                "-(m3/h) H^h(X1, Y2), which the closed curvature keeps",
+            ),
+        )
+    ]
+
+
+@pytest.mark.parametrize("name", _contraction_specs())
+def test_closed_curvature_contracts_to_closed_ricci(name):
+    from seqwarp.cli import catalog_spec
+    from seqwarp.specfile import spec_from_dict
+
+    if name == "generic_outer_warp":
+        spec = spec_from_dict(GENERIC_OUTER_WARP, name=name)
+    else:
+        spec = catalog_spec(name)
+    for point in spec.sample_points(5):
+        frame = WarpedFrame(spec.product, point)
+        contracted = np.einsum("iijk->jk", frame.riemann_up)
+        assert normalized_gap(frame.ricci, contracted) <= 1e-10, point
