@@ -232,8 +232,15 @@ class ChartFrame:
 
     @cached_property
     def d2inverse(self) -> np.ndarray:
+        """d2inverse[a, b, k, l] = d_a d_b g^kl.
+
+        The mixed term g^-1 dg_a g^-1 dg_b g^-1 reuses the cached
+        ``dinverse`` (= -g^-1 dg_a g^-1): one matmul and one two-operand
+        einsum, O(m^5), where a five-operand einsum without a contraction
+        path cost O(m^9).
+        """
         gi, dg, d2g = self.inverse, self.dmetric, self.d2metric
-        mixed = np.einsum("km,amn,no,bop,pl->abkl", gi, dg, gi, dg, gi)
+        mixed = -np.einsum("ako,bol->abkl", self.dinverse, dg @ gi)
         return mixed + np.transpose(mixed, (1, 0, 2, 3)) - np.einsum(
             "km,abmn,nl->abkl", gi, d2g, gi
         )

@@ -10,7 +10,10 @@ Three layers live here:
   decomposition (``proposition1_residuals``), the scalar fields carrying
   the warping energies (``lambda_at`` / ``nu_at``), and volume-averaged
   forms of those fields over fully periodic factors
-  (``torus_average_identity``);
+  (``torus_average_identity``).  The torus quadrature is the one place that
+  evaluates geometry at thousands of points; it evaluates the grid in
+  blocks of nodes with stacked jets (``seqwarp.jets.eval_jet_stack``) and
+  ``(B, ...)`` arrays instead of one ``ChartFrame`` per node;
 * hypothesis evaluators for the differential conditions under which the
   scalar fields are forced constant (``condition_residuals``) and for the
   rigidity statements that force constant warpings
@@ -32,9 +35,21 @@ from typing import Iterable
 
 import numpy as np
 
-from .chart import ChartFrame, FactorManifold, GeometryError
-from .expressions import Expr
-from .warped import BlockVector, SequentialWarpedProduct, _as_frame, inner_chart
+from .chart import (
+    DEGENERACY_THRESHOLD,
+    DegenerateMetricError,
+    FactorManifold,
+    GeometryError,
+)
+from .expressions import DomainError, Expr, to_string
+from .jets import eval_jet_stack
+from .warped import (
+    BlockVector,
+    PositivityError,
+    SequentialWarpedProduct,
+    _as_frame,
+    inner_chart,
+)
 
 __all__ = [
     "QEFit",
@@ -52,6 +67,9 @@ __all__ = [
 ]
 
 DEFAULT_FIT_TOL = 1e-6
+# Grid nodes per batched torus-quadrature block: bounds the (B, ...) jet and
+# curvature arrays, and so peak memory, whatever the grid size.
+QUADRATURE_BLOCK = 1024
 EINSTEIN_THRESHOLD = 1e-8
 CLUSTER_GAP = 1e-6
 
@@ -447,27 +465,131 @@ def _torus_grid(manifold: FactorManifold, nodes: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _volume_means(
-    manifold: FactorManifold, grid: np.ndarray, fns
-) -> list[float]:
-    """Volume-weighted means of pointwise quantities over a torus grid.
+def _node(manifold: FactorManifold, grid: np.ndarray, i: int) -> str:
+    return f"node {i} {grid[i].tolist()} of the {manifold.name!r} torus grid"
 
-    ``fns`` maps a ChartFrame to a tuple of floats.  Equispaced nodes on a
-    periodic chart make this the tensor-product trapezoid rule, exact in
-    the limit and spectrally accurate for smooth integrands.
+
+def _grid_jets(e: Expr, manifold: FactorManifold, grid: np.ndarray, start: int, stop: int):
+    """Order-2 jets of ``e`` at grid nodes ``start:stop``; a domain error
+    names the grid node."""
+    try:
+        return eval_jet_stack(e, grid[start:stop], manifold.coords)
+    except DomainError as exc:
+        i = start + exc.node
+        raise DomainError(f"{exc.reason} at {_node(manifold, grid, i)}") from None
+
+
+def _block_metric_jets(manifold: FactorManifold, grid: np.ndarray, start: int, stop: int):
+    """``ChartFrame._metric_jets`` at grid nodes ``start:stop``, as
+    ``(B, m, m)``, ``(B, m, m, m)`` and ``(B, m, m, m, m)`` arrays."""
+    m, count = manifold.dim, stop - start
+    g = np.zeros((count, m, m))
+    dg = np.zeros((count, m, m, m))
+    d2g = np.zeros((count, m, m, m, m))
+    for i in range(m):
+        for j in range(i, m):
+            v, grad, hess = _grid_jets(manifold.metric[i][j], manifold, grid, start, stop)
+            g[:, i, j] = g[:, j, i] = v
+            dg[:, :, i, j] = dg[:, :, j, i] = grad
+            d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = hess
+    finite = (
+        np.isfinite(g).all(axis=(1, 2))
+        & np.isfinite(dg).all(axis=(1, 2, 3))
+        & np.isfinite(d2g).all(axis=(1, 2, 3, 4))
+    )
+    if not finite.all():
+        raise GeometryError(
+            f"metric of {manifold.name!r} or one of its first two derivatives is not "
+            f"finite at {_node(manifold, grid, start + int(np.argmin(finite)))}"
+        )
+    return g, dg, d2g
+
+
+def _volume_means(
+    manifold: FactorManifold,
+    grid: np.ndarray,
+    phi: Expr,
+    positive: tuple[tuple[str, Expr], ...],
+    integrand,
+) -> list[float]:
+    """Volume-weighted means of pointwise field quantities over a torus grid.
+
+    Equispaced nodes on a periodic chart make this the tensor-product
+    trapezoid rule, exact in the limit and spectrally accurate for smooth
+    integrands.
+
+    The grid is evaluated in blocks of at most ``QUADRATURE_BLOCK`` nodes.
+    Per block, stacked jet evaluations (``eval_jet_stack``) give the metric
+    and field jets, and the inverse metric, Christoffel symbols, covariant
+    Hessian of ``phi``, its Laplacian, ``|grad phi|^2`` and the weights
+    ``sqrt|det g|`` are ``(B, ...)`` arrays.  Each node gets the arithmetic a
+    ``ChartFrame`` there would do, and the weighted sums are accumulated in
+    node order, so the means equal those of a per-node loop bit for bit
+    (the tests check this on 1- and 2-dimensional charts).
+    ``integrand(value, lap, grad_norm2)`` maps the field data of a block to
+    a tuple of arrays.
+
+    Each node is checked as a ``ChartFrame`` would check it: the metric and
+    its first two derivatives must be finite (``GeometryError``) and
+    ``|det g|`` above ``DEGENERACY_THRESHOLD`` (``DegenerateMetricError``).
+    The jets of ``phi`` must be finite too (``GeometryError``), every
+    warping in ``positive`` (``(label, expr)`` pairs) positive
+    (``PositivityError``), and every expression in its domain
+    (``DomainError``).  The error names the first node that fails.
     """
     sums = None
     weight_total = 0.0
-    for row in grid:
-        frame = ChartFrame(manifold, row)
-        weight = math.sqrt(abs(frame.det))
-        values = fns(frame)
+    for start in range(0, grid.shape[0], QUADRATURE_BLOCK):
+        stop = min(start + QUADRATURE_BLOCK, grid.shape[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, dg, d2g = _block_metric_jets(manifold, grid, start, stop)
+            det = np.linalg.det(g)
+            degenerate = np.abs(det) <= DEGENERACY_THRESHOLD
+            if degenerate.any():
+                k = int(np.argmax(degenerate))
+                raise DegenerateMetricError(manifold.name, grid[start + k], det[k])
+
+            value, dphi, d2phi = _grid_jets(phi, manifold, grid, start, stop)
+            finite = (
+                np.isfinite(value)
+                & np.isfinite(dphi).all(axis=1)
+                & np.isfinite(d2phi).all(axis=(1, 2))
+            )
+            if not finite.all():
+                raise GeometryError(
+                    f"field {to_string(phi)!r} or one of its first two derivatives is not "
+                    f"finite at {_node(manifold, grid, start + int(np.argmin(finite)))}"
+                )
+            for label, w in positive:
+                w_value = value if w is phi else _grid_jets(w, manifold, grid, start, stop)[0]
+                if not (w_value > 0.0).all():
+                    k = int(np.argmin(w_value > 0.0))
+                    raise PositivityError(
+                        f"{label} warping is {float(w_value[k])!r} (must be positive) at "
+                        f"{_node(manifold, grid, start + k)}"
+                    )
+
+        inverse = np.linalg.inv(g)
+        source = np.einsum("nijl->nlij", dg) + np.einsum("njil->nlij", dg) - dg
+        christoffel = 0.5 * np.einsum("nkl,nlij->nkij", inverse, source)
+        hess = d2phi - np.einsum("nkij,nk->nij", christoffel, dphi)
+        lap = np.einsum("nij,nij->n", inverse, hess)
+        grad_norm2 = np.matmul(dphi[:, None, :], np.matmul(inverse, dphi[:, :, None]))[:, 0, 0]
+        weight = np.sqrt(np.abs(det))
+
+        values = integrand(value, lap, grad_norm2)
         if sums is None:
             sums = [0.0] * len(values)
-        for i, v in enumerate(values):
-            sums[i] += weight * v
-        weight_total += weight
+        for k, q in enumerate(values):
+            sums[k] = _running_sum(sums[k], weight * q)
+        weight_total = _running_sum(weight_total, weight)
     return [s / weight_total for s in sums]
+
+
+def _running_sum(total: float, terms: np.ndarray) -> float:
+    """``total + terms[0] + terms[1] + ...`` added left to right, as a loop
+    would (``np.sum`` adds pairwise)."""
+    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
 
 
 def torus_divergence_residual(
@@ -481,12 +603,10 @@ def torus_divergence_residual(
     """
     grid = _torus_grid(manifold, nodes)
 
-    def fields(frame: ChartFrame) -> tuple[float]:
-        value, dphi, _ = frame.field_jets(phi)
-        grad = frame.inverse @ dphi
-        return (value * frame.laplacian(phi) + float(dphi @ grad),)
+    def fields(value, lap, grad_norm2):
+        return (value * lap + grad_norm2,)
 
-    (mean,) = _volume_means(manifold, grid, fields)
+    (mean,) = _volume_means(manifold, grid, phi, (), fields)
     return abs(mean)
 
 
@@ -503,11 +623,17 @@ def torus_average_identity(
     ``alpha mean(w^2) + (d - 2) mean(|grad w|^2)`` where ``w`` is the
     relevant warping and ``d`` the warped fiber dimension; equivalently
     that ``mean(w Lap w + |grad w|^2) = 0`` by the divergence theorem.
+
+    The grid is evaluated in batched blocks (see ``_volume_means``).  The
+    averaged warping must be positive at every node, and for ``nu`` so must
+    ``f``; otherwise ``PositivityError`` names the node.
     """
     if field_name == "lambda":
         manifold, phi, fiber_dim = product.m1, product.f, product.m2.dim
+        positive = (("inner", product.f),)
     elif field_name == "nu":
         manifold, phi, fiber_dim = inner_chart(product), product.h, product.m3.dim
+        positive = (("inner", product.f), ("outer", product.h))
         if product.m1.fully_periodic and product.m2.fully_periodic:
             manifold = FactorManifold(
                 name=manifold.name,
@@ -521,14 +647,11 @@ def torus_average_identity(
 
     grid = _torus_grid(manifold, nodes)
 
-    def fields(frame: ChartFrame) -> tuple[float, float, float]:
-        value, dphi, _ = frame.field_jets(phi)
-        grad_norm2 = float(dphi @ (frame.inverse @ dphi))
-        lap = frame.laplacian(phi)
+    def fields(value, lap, grad_norm2):
         lam = alpha * value**2 + value * lap + (fiber_dim - 1) * grad_norm2
         return (lam, value**2, grad_norm2)
 
-    mean_field, mean_sq, mean_grad = _volume_means(manifold, grid, fields)
+    mean_field, mean_sq, mean_grad = _volume_means(manifold, grid, phi, positive, fields)
     rhs = alpha * mean_sq + (fiber_dim - 2) * mean_grad
     residual = abs(mean_field - rhs)
     return IdentityReport.from_residual(

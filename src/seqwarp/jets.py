@@ -6,8 +6,25 @@ partial derivatives come out exact to rounding.  Curvature work needs
 exact second derivatives of metric entries; finite differences exist in
 the test suite only, as an independent cross-check.
 
-The Hessians produced here are symmetric bitwise: every update is built
-from symmetric outer-product combinations.
+The Hessians produced here are symmetric to rounding: every update is
+built from symmetric outer-product combinations, but a product adds its
+cross term and that term's transpose after the other terms, so entries
+(i, j) and (j, i) can differ in the last bit.
+
+One walker, ``_eval``, serves every jet class.  The steps that depend on
+values (the function table, the domain checks, the analytic power rule for
+``|n| > MAX_UNROLLED_EXPONENT`` and real powers) are methods of the jet
+class, so the same tree walk runs over scalar jets at one point
+(``eval_jet``, the per-point path and the reference evaluator) and over
+``JetStack``, order-2 jets at a stack of N points at once, whose value,
+gradient and Hessian have shapes ``(N,)``, ``(N, n)`` and ``(N, n, n)``
+(``eval_jet_stack``; vector forward mode, Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 3 and 13).  Every stack operation is the scalar
+operation applied elementwise, so sums, products, ``sin``, ``cos`` and small
+integer powers agree with ``eval_jet`` bit for bit; the numpy versions of
+``exp``, ``log``, ``tan``, ``tanh`` and ``**`` may differ from ``math`` in
+the last ulp.  A stack obeys the scalar domain rules and raises at the first
+node that breaks one; overflow gives ``inf`` rather than ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -31,7 +48,7 @@ from .expressions import (
     to_string,
 )
 
-__all__ = ["Dual", "HyperDual", "eval_jet"]
+__all__ = ["Dual", "HyperDual", "JetStack", "eval_jet", "eval_jet_stack"]
 
 
 def _fn_table(name: str, x: float, node: Expr) -> tuple[float, float, float]:
@@ -71,7 +88,44 @@ def _fn_table(name: str, x: float, node: Expr) -> tuple[float, float, float]:
     raise ExpressionError(f"unknown function {name!r}")
 
 
-class Dual:
+class _JetRules:
+    """Value-dependent walker steps whose arithmetic fits a float or a stack.
+
+    Subclasses supply ``fn_table(name, x, node)`` and ``_fail_where(bad,
+    reason, node)``, which raises ``DomainError`` where ``bad`` holds.
+    """
+
+    __slots__ = ()
+
+    def int_power(self, n: int, node: Expr):
+        """Analytic power rule; integer exponents keep negative bases legal."""
+        if n < 0:
+            self._fail_where(self.value == 0.0, "zero raised to a negative power", node)
+        v = self.value
+        return self.chain(v**n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
+
+    def require_positive_base(self, node: Expr) -> None:
+        """A non-integer exponent needs a positive base."""
+        self._fail_where(self.value <= 0.0, "power with non-positive base {!r}", node)
+
+    def real_power(self, c: float):
+        v = self.value
+        return self.chain(v**c, c * v ** (c - 1.0), c * (c - 1.0) * v ** (c - 2.0))
+
+
+class _ScalarJet(_JetRules):
+    """Rules for jets at one point: ``math`` functions, ``if`` checks."""
+
+    __slots__ = ()
+
+    fn_table = staticmethod(_fn_table)
+
+    def _fail_where(self, bad: bool, reason: str, node: Expr) -> None:
+        if bad:
+            raise DomainError(f"{reason.format(self.value)} in {to_string(node)!r}")
+
+
+class Dual(_ScalarJet):
     """First-order jet: value plus gradient with respect to n coordinates."""
 
     __slots__ = ("value", "grad")
@@ -112,8 +166,8 @@ class Dual:
         return Dual(f, df * self.grad)
 
 
-class HyperDual:
-    """Second-order jet: value, gradient, and bitwise-symmetric Hessian."""
+class HyperDual(_ScalarJet):
+    """Second-order jet: value, gradient, and Hessian."""
 
     __slots__ = ("value", "grad", "hess")
 
@@ -164,17 +218,135 @@ class HyperDual:
         )
 
 
-def _int_power(u, n: int, cls, node: Expr, dim: int):
+def _stack_fail(bad: np.ndarray, x: np.ndarray, reason: str, node: Expr) -> None:
+    """Raise ``DomainError`` at the first node of a stack where ``bad`` holds.
+
+    The error carries ``node`` (that index) and ``reason`` (the message
+    without the node), so a caller that evaluated a slice of a larger grid
+    can name the node in its own numbering.
+    """
+    if bad.any():
+        i = int(np.argmax(bad))
+        why = f"{reason.format(float(x[i]))} in {to_string(node)!r}"
+        err = DomainError(f"{why} at node {i}")
+        err.node, err.reason = i, why
+        raise err
+
+
+def _stack_fn_table(
+    name: str, x: np.ndarray, node: Expr
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_fn_table`` over a stack of arguments, with the same domain rules."""
+    if name == "sin":
+        s, c = np.sin(x), np.cos(x)
+        return s, c, -s
+    if name == "cos":
+        s, c = np.sin(x), np.cos(x)
+        return c, -s, -c
+    if name == "tan":
+        t = np.tan(x)
+        d = 1.0 + t * t
+        return t, d, 2.0 * t * d
+    if name == "sinh":
+        s = np.sinh(x)
+        return s, np.cosh(x), s
+    if name == "cosh":
+        c = np.cosh(x)
+        return c, np.sinh(x), c
+    if name == "tanh":
+        t = np.tanh(x)
+        d = 1.0 - t * t
+        return t, d, -2.0 * t * d
+    if name == "exp":
+        e = np.exp(x)
+        return e, e, e
+    if name == "log":
+        _stack_fail(x <= 0.0, x, "log of non-positive value {!r}", node)
+        return np.log(x), 1.0 / x, -1.0 / (x * x)
+    if name == "sqrt":
+        bad = x <= 0.0
+        negative = bad.any() and x[np.argmax(bad)] < 0.0
+        reason = "sqrt of negative value {!r}" if negative else "sqrt derivative at zero"
+        _stack_fail(bad, x, reason, node)
+        r = np.sqrt(x)
+        return r, 0.5 / r, -0.25 / (x * r)
+    raise ExpressionError(f"unknown function {name!r}")
+
+
+class JetStack(_JetRules):
+    """Second-order jets at N points: value ``(N,)``, gradient ``(N, n)``,
+    Hessian ``(N, n, n)``.
+
+    Each operation is the ``HyperDual`` operation applied node by node, in
+    the same order.  ``dim`` is the pair ``(N, n)``.
+    """
+
+    __slots__ = ("value", "grad", "hess")
+
+    fn_table = staticmethod(_stack_fn_table)
+
+    def __init__(self, value: np.ndarray, grad: np.ndarray, hess: np.ndarray):
+        self.value = value
+        self.grad = grad
+        self.hess = hess
+
+    @classmethod
+    def constant(cls, value: float, dim: tuple[int, int]) -> "JetStack":
+        count, n = dim
+        return cls(np.full(count, value), np.zeros((count, n)), np.zeros((count, n, n)))
+
+    @classmethod
+    def seed(cls, values: np.ndarray, index: int, dim: tuple[int, int]) -> "JetStack":
+        count, n = dim
+        g = np.zeros((count, n))
+        g[:, index] = 1.0
+        return cls(values, g, np.zeros((count, n, n)))
+
+    def _fail_where(self, bad: np.ndarray, reason: str, node: Expr) -> None:
+        _stack_fail(bad, self.value, reason, node)
+
+    def __add__(self, o: "JetStack") -> "JetStack":
+        return JetStack(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+
+    def __sub__(self, o: "JetStack") -> "JetStack":
+        return JetStack(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+
+    def __neg__(self) -> "JetStack":
+        return JetStack(-self.value, -self.grad, -self.hess)
+
+    def __mul__(self, o: "JetStack") -> "JetStack":
+        cross = self.grad[:, :, None] * o.grad[:, None, :]
+        a, b = self.value[:, None], o.value[:, None]
+        return JetStack(
+            self.value * o.value,
+            a * o.grad + b * self.grad,
+            a[:, :, None] * o.hess + b[:, :, None] * self.hess + cross + cross.transpose(0, 2, 1),
+        )
+
+    def reciprocal(self, node: Expr) -> "JetStack":
+        self._fail_where(self.value == 0.0, "division by zero", node)
+        v = 1.0 / self.value
+        outer = self.grad[:, :, None] * self.grad[:, None, :]
+        return JetStack(
+            v,
+            (-v * v)[:, None] * self.grad,
+            (-v * v)[:, None, None] * self.hess + (2.0 * v**3)[:, None, None] * outer,
+        )
+
+    def chain(self, f: np.ndarray, df: np.ndarray, d2f: np.ndarray) -> "JetStack":
+        outer = self.grad[:, :, None] * self.grad[:, None, :]
+        return JetStack(
+            f,
+            df[:, None] * self.grad,
+            df[:, None, None] * self.hess + d2f[:, None, None] * outer,
+        )
+
+
+def _int_power(u, n: int, cls, node: Expr, dim):
     if n == 0:
         return cls.constant(1.0, dim)
     if abs(n) > MAX_UNROLLED_EXPONENT:
-        # analytic power rule; integer exponents keep negative bases legal
-        if u.value == 0.0 and n < 0:
-            raise DomainError(f"zero raised to a negative power in {to_string(node)!r}")
-        f = u.value**n
-        df = n * u.value ** (n - 1)
-        d2f = n * (n - 1) * u.value ** (n - 2)
-        return u.chain(f, df, d2f)
+        return u.int_power(n, node)
     out = u
     for _ in range(abs(n) - 1):
         out = out * u
@@ -183,7 +355,9 @@ def _int_power(u, n: int, cls, node: Expr, dim: int):
     return out
 
 
-def _eval(e: Expr, env: dict, cls, dim: int):
+def _eval(e: Expr, env: dict, cls, dim):
+    """Walk ``e`` over jets of class ``cls``; ``dim`` is what ``cls.constant``
+    takes: ``n`` for jets at one point, ``(N, n)`` for a stack."""
     if isinstance(e, Const):
         return cls.constant(e.value, dim)
     if isinstance(e, Var):
@@ -195,25 +369,20 @@ def _eval(e: Expr, env: dict, cls, dim: int):
         return -_eval(e.arg, env, cls, dim)
     if isinstance(e, Call):
         u = _eval(e.arg, env, cls, dim)
-        return u.chain(*_fn_table(e.fn, u.value, e))
+        return u.chain(*u.fn_table(e.fn, u.value, e))
     if isinstance(e, BinOp):
         if e.op == "^":
             u = _eval(e.left, env, cls, dim)
             n = integer_exponent(e.right)
             if n is not None:
                 return _int_power(u, n, cls, node=e, dim=dim)
-            if u.value <= 0.0:
-                raise DomainError(
-                    f"power with non-positive base {u.value!r} in {to_string(e)!r}"
-                )
+            u.require_positive_base(e)
             if isinstance(e.right, Const):
-                c = e.right.value
-                f = u.value**c
-                return u.chain(f, c * u.value ** (c - 1.0), c * (c - 1.0) * u.value ** (c - 2.0))
+                return u.real_power(e.right.value)
             w = _eval(e.right, env, cls, dim)
-            logu = u.chain(*_fn_table("log", u.value, e))
+            logu = u.chain(*u.fn_table("log", u.value, e))
             prod = w * logu
-            return prod.chain(*_fn_table("exp", prod.value, e))
+            return prod.chain(*u.fn_table("exp", prod.value, e))
         a = _eval(e.left, env, cls, dim)
         b = _eval(e.right, env, cls, dim)
         if e.op == "+":
@@ -252,3 +421,17 @@ def eval_jet(
         out = _eval(e, env, HyperDual, n)
         return out.value, out.grad, out.hess
     raise ValueError(f"order must be 1 or 2, got {order!r}")
+
+
+def eval_jet_stack(e: Expr, points: np.ndarray, coords: Sequence[str]):
+    """Order-2 jets of ``e`` at every row of ``points`` (shape ``(N, n)``,
+    columns in ``coords`` order): ``(value (N,), gradient (N, n), hessian
+    (N, n, n))``.
+
+    Raises ``DomainError`` naming the first row that leaves a domain.
+    """
+    points = np.asarray(points, dtype=float)
+    dim = (points.shape[0], len(coords))
+    env = {name: JetStack.seed(points[:, i], i, dim) for i, name in enumerate(coords)}
+    out = _eval(e, env, JetStack, dim)
+    return out.value, out.grad, out.hess

@@ -42,7 +42,7 @@ from .classify import (
     theorem2_conditions,
     torus_average_identity,
 )
-from .expressions import free_variables
+from .expressions import DomainError, free_variables
 from .spacetime import grw_theorem_check, ssst_theorem_check
 from .specfile import ManifoldSpec
 from .warped import WarpedFrame, flatten_to_chart
@@ -451,18 +451,23 @@ def run_verify(
         )
     )
 
-    if product.m1.fully_periodic:
-        identities.append(
-            torus_average_identity(product, alpha_used, TORUS_NODES, "lambda", tol["torus"])
-        )
-    if (
-        product.m1.fully_periodic
-        and product.m2.fully_periodic
-        and product.m1.dim + product.m2.dim <= MAX_TORUS_DIM
-    ):
-        identities.append(
-            torus_average_identity(product, alpha_used, TORUS_NODES, "nu", tol["torus"])
-        )
+    # the torus grid covers whole periods, beyond the sampling boxes that input
+    # validation saw: a warping or metric invalid there is an input error too
+    try:
+        if product.m1.fully_periodic:
+            identities.append(
+                torus_average_identity(product, alpha_used, TORUS_NODES, "lambda", tol["torus"])
+            )
+        if (
+            product.m1.fully_periodic
+            and product.m2.fully_periodic
+            and product.m1.dim + product.m2.dim <= MAX_TORUS_DIM
+        ):
+            identities.append(
+                torus_average_identity(product, alpha_used, TORUS_NODES, "nu", tol["torus"])
+            )
+    except (GeometryError, DomainError) as exc:
+        raise VerificationInputError(str(exc)) from exc
 
     # --- differential conditions and rigidity hypotheses ---------------------------
     qe_used = (alpha_used, beta_used, u_used)

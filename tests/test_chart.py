@@ -199,3 +199,23 @@ class TestValidation:
     def test_metric_shape_checked(self):
         with pytest.raises(MetricValidationError):
             factor("bad", ["x", "y"], [["1", "0"]])
+
+
+def test_d2inverse_matches_five_operand_einsum():
+    # a non-diagonal, position-dependent dim-6 metric, diagonally dominant
+    coords = [f"c{i}" for i in range(6)]
+    entries = [
+        [
+            f"2 + 0.3*sin({ci})^2 + 0.1*{cj}" if i == j else f"0.2*cos({ci}*{cj} + {ci} + {cj})"
+            for j, cj in enumerate(coords)
+        ]
+        for i, ci in enumerate(coords)
+    ]
+    rng = np.random.default_rng(4)
+    frame = ChartFrame(factor("skew6", coords, entries), rng.uniform(-1.0, 1.0, 6))
+    gi, dg, d2g = frame.inverse, frame.dmetric, frame.d2metric
+    mixed = np.einsum("km,amn,no,bop,pl->abkl", gi, dg, gi, dg, gi)
+    old = mixed + np.transpose(mixed, (1, 0, 2, 3)) - np.einsum(
+        "km,abmn,nl->abkl", gi, d2g, gi
+    )
+    assert np.max(np.abs(frame.d2inverse - old)) <= 1e-12 * (1.0 + np.max(np.abs(old)))

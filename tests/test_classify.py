@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import line_factor, sphere_factor
 from seqwarp import SequentialWarpedProduct, factor
-from seqwarp.chart import ChartFrame, GeometryError
+from seqwarp.chart import ChartFrame, DegenerateMetricError, FactorManifold, GeometryError
 from seqwarp.classify import (
     IdentityReport,
     check_quasi_constant_curvature,
@@ -22,8 +22,8 @@ from seqwarp.classify import (
     torus_average_identity,
     torus_divergence_residual,
 )
-from seqwarp.expressions import parse
-from seqwarp.warped import flatten_to_chart
+from seqwarp.expressions import DomainError, parse
+from seqwarp.warped import PositivityError, flatten_to_chart, inner_chart
 
 TWO_PI = 2.0 * math.pi
 
@@ -299,6 +299,145 @@ class TestTorusQuadrature:
         )
         with pytest.raises(GeometryError, match="periodic"):
             torus_average_identity(product, 1.0, 16, "lambda")
+
+
+def torus_1p1_product() -> SequentialWarpedProduct:
+    """Circle x circle with a round-sphere fiber: both torus averages apply."""
+    return SequentialWarpedProduct(
+        factor("circle_x", ["x"], [["1"]], periods={"x": TWO_PI}),
+        factor("circle_u", ["u"], [["1"]], periods={"u": TWO_PI}),
+        sphere_factor(),
+        parse("2 + sin(x)", ["x"]),
+        parse("(2 + sin(x))*(2 + cos(u))", ["x", "u"]),
+    )
+
+
+def skew_torus() -> FactorManifold:
+    """A 2-torus with a non-diagonal, position-dependent metric."""
+    return factor(
+        "skew_torus",
+        ["x", "u"],
+        [["2 + sin(x)", "0.3*cos(x + u)"], ["0.3*cos(x + u)", "2 + cos(u)"]],
+        periods={"x": TWO_PI, "u": TWO_PI},
+    )
+
+
+def per_node_means(manifold, nodes, fns):
+    """The quadrature as one ChartFrame per node, which the batched blocks replaced."""
+    axes = [np.arange(nodes) * (period / nodes) for period in manifold.periods]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=-1)
+    sums = None
+    weight_total = 0.0
+    for row in grid:
+        frame = ChartFrame(manifold, row)
+        weight = math.sqrt(abs(frame.det))
+        values = fns(frame)
+        if sums is None:
+            sums = [0.0] * len(values)
+        for i, v in enumerate(values):
+            sums[i] += weight * v
+        weight_total += weight
+    return [s / weight_total for s in sums]
+
+
+def per_node_average(product, alpha, nodes, field_name):
+    if field_name == "lambda":
+        manifold, phi, fiber_dim = product.m1, product.f, product.m2.dim
+    else:
+        inner = inner_chart(product)
+        phi, fiber_dim = product.h, product.m3.dim
+        manifold = FactorManifold(
+            inner.name, inner.coords, inner.metric, inner.signature,
+            periods=product.m1.periods + product.m2.periods,
+        )
+
+    def fields(frame):
+        value, dphi, _ = frame.field_jets(phi)
+        grad_norm2 = float(dphi @ (frame.inverse @ dphi))
+        lap = frame.laplacian(phi)
+        lam = alpha * value**2 + value * lap + (fiber_dim - 1) * grad_norm2
+        return (lam, value**2, grad_norm2)
+
+    mean_field, mean_sq, mean_grad = per_node_means(manifold, nodes, fields)
+    rhs = alpha * mean_sq + (fiber_dim - 2) * mean_grad
+    return abs(mean_field - rhs), mean_field, rhs
+
+
+class TestBatchedQuadrature:
+    """The blocked quadrature reproduces the per-node ChartFrame loop bit for bit."""
+
+    @pytest.mark.parametrize("field_name,nodes", [("lambda", 128), ("nu", 64), ("nu", 37)])
+    def test_average_identity_matches_per_node_loop(self, field_name, nodes):
+        # 64^2 nodes fill four whole blocks; 37^2 = 1369 ends in a partial one
+        product = torus_1p1_product()
+        rep = torus_average_identity(product, 0.7, nodes, field_name)
+        residual, mean_field, rhs = per_node_average(product, 0.7, nodes, field_name)
+        assert rep.points == (nodes if field_name == "lambda" else nodes**2)
+        assert rep.max_residual == residual
+        assert rep.details["mean_field"] == mean_field
+        assert rep.details["averaged_rhs"] == rhs
+
+    @pytest.mark.parametrize("nodes", [37, 40])
+    def test_divergence_residual_matches_per_node_loop(self, nodes):
+        manifold = skew_torus()
+        phi = parse("sin(x)*cos(u) + cos(x)", ["x", "u"])
+
+        def fields(frame):
+            value, dphi, _ = frame.field_jets(phi)
+            grad = frame.inverse @ dphi
+            return (value * frame.laplacian(phi) + float(dphi @ grad),)
+
+        (mean,) = per_node_means(manifold, nodes, fields)
+        assert torus_divergence_residual(manifold, phi, nodes) == abs(mean)
+
+    def test_degenerate_node_in_a_later_block(self):
+        # g_uu = 1 - cos(x - x30) vanishes on the grid column x = x30 only;
+        # its first node, 30 * 37 = 1110, lies in the second block
+        x30 = 30 * (TWO_PI / 37)
+        manifold = factor(
+            "pinched",
+            ["x", "u"],
+            [["1", "0"], ["0", f"1 - cos(x - {x30!r})"]],
+            periods={"x": TWO_PI, "u": TWO_PI},
+        )
+        with pytest.raises(DegenerateMetricError) as info:
+            torus_divergence_residual(manifold, parse("sin(u)", ["u"]), 37)
+        assert info.value.point == (x30, 0.0)
+
+    def test_nonpositive_warping_names_node(self):
+        product = SequentialWarpedProduct(
+            factor("circle", ["x"], [["1"]], periods={"x": TWO_PI}),
+            line_factor("b", "u"),
+            line_factor("c", "v"),
+            parse("0.5 + sin(x)", ["x"]),
+            parse("1", []),
+        )
+        # 0.5 + sin(x) < 0 first at x = 75 * 2 pi / 128
+        with pytest.raises(PositivityError, match=r"inner warping is .* at node 75 "):
+            torus_average_identity(product, 1.0, 128, "lambda")
+
+    def test_nu_checks_the_inner_warping(self):
+        product = SequentialWarpedProduct(
+            factor("circle_x", ["x"], [["1"]], periods={"x": TWO_PI}),
+            factor("circle_u", ["u"], [["1"]], periods={"u": TWO_PI}),
+            line_factor("c", "v"),
+            parse("0.5 + sin(x)", ["x"]),
+            parse("2 + cos(u)", ["u"]),
+        )
+        with pytest.raises(PositivityError, match="inner warping"):
+            torus_average_identity(product, 1.0, 16, "nu")
+
+    def test_domain_error_names_grid_node(self):
+        product = SequentialWarpedProduct(
+            factor("circle", ["x"], [["1"]], periods={"x": TWO_PI}),
+            line_factor("b", "u"),
+            line_factor("c", "v"),
+            parse("2 + log(0.5 + sin(x))", ["x"]),
+            parse("1", []),
+        )
+        with pytest.raises(DomainError, match=r"log of non-positive .* at node 75 "):
+            torus_average_identity(product, 1.0, 128, "lambda")
 
 
 class TestConditions:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import expr_fn, fd_gradient, fd_hessian
-from seqwarp.expressions import DomainError, parse
-from seqwarp.jets import eval_jet
+from seqwarp.expressions import FUNCTIONS, BinOp, Const, DomainError, Var, parse
+from seqwarp.jets import eval_jet, eval_jet_stack
 
 
 class TestFrozenValues:
@@ -130,3 +130,112 @@ def test_gradient_fd_agreement_on_random_points(case, dx, dy):
     fd = fd_gradient(expr_fn(e, coords), np.array([point[c] for c in coords]))
     scale = 1.0 + float(np.max(np.abs(fd)))
     assert np.max(np.abs(grad - fd)) <= 1e-6 * scale
+
+
+# ---------------------------------------------------------------------------
+# Jets over a stack of points
+# ---------------------------------------------------------------------------
+
+STACK_POINTS = 512
+COORDS = ("x", "y")
+
+# (expression, x range, y range, agrees bitwise with the scalar path)
+STACK_CASES = [
+    ("x + y", (-3.0, 3.0), (-3.0, 3.0), True),
+    ("x - y", (-3.0, 3.0), (-3.0, 3.0), True),
+    ("x * y", (-3.0, 3.0), (-3.0, 3.0), True),
+    ("-x * y + 2", (-3.0, 3.0), (-3.0, 3.0), True),
+    ("x / y", (-3.0, 3.0), (0.5, 3.0), False),
+    ("sin(x * y)", (-3.0, 3.0), (-3.0, 3.0), True),
+    ("cos(x * y)", (-3.0, 3.0), (-3.0, 3.0), True),
+    ("tan(x)", (-1.2, 1.2), (0.0, 1.0), False),
+    ("sinh(x * y)", (-2.0, 2.0), (-1.0, 1.0), False),
+    ("cosh(x * y)", (-2.0, 2.0), (-1.0, 1.0), False),
+    # 1 - tanh^2 cancels for |x| > 1 and magnifies the last-ulp gap of np.tanh
+    ("tanh(x * y)", (-1.0, 1.0), (-1.0, 1.0), False),
+    ("exp(x * y)", (-2.0, 2.0), (-1.0, 1.0), False),
+    ("log(x)", (0.1, 3.0), (0.0, 1.0), False),
+    ("sqrt(x)", (0.1, 3.0), (0.0, 1.0), False),
+    ("x^3 * y^12", (-2.0, 2.0), (-1.2, 1.2), True),
+    ("x^7", (-2.0, 2.0), (0.0, 1.0), True),
+    ("x^-3", (0.5, 2.0), (0.0, 1.0), False),  # parses as a real power of Neg(3)
+    (BinOp("^", Var("x"), Const(-3.0)), (0.5, 2.0), (0.0, 1.0), False),
+    ("x^13", (-2.0, 2.0), (0.0, 1.0), False),
+    (BinOp("^", Var("x"), Const(-13.0)), (0.5, 2.0), (0.0, 1.0), False),
+    ("x^2.5", (0.1, 3.0), (0.0, 1.0), False),
+    ("x^y", (0.5, 2.0), (-2.0, 2.0), False),
+]
+
+
+def _stack_points(x_range, y_range):
+    rng = np.random.default_rng(0)
+    lo = np.array([x_range[0], y_range[0]])
+    hi = np.array([x_range[1], y_range[1]])
+    return lo + (hi - lo) * rng.random((STACK_POINTS, 2))
+
+
+def _scalar_jets(e, points):
+    jets = [eval_jet(e, dict(zip(COORDS, p)), 2, COORDS) for p in points]
+    return (
+        np.array([j[0] for j in jets]),
+        np.array([j[1] for j in jets]),
+        np.array([j[2] for j in jets]),
+    )
+
+
+def test_stack_cases_cover_every_function():
+    texts = [text for text, *_ in STACK_CASES if isinstance(text, str)]
+    assert {name for text in texts for name in FUNCTIONS if f"{name}(" in text} == FUNCTIONS
+
+
+@pytest.mark.parametrize("text,x_range,y_range,bitwise", STACK_CASES)
+def test_stack_agrees_with_scalar_jets(text, x_range, y_range, bitwise):
+    e = text if isinstance(text, BinOp) else parse(text, COORDS)
+    points = _stack_points(x_range, y_range)
+    if isinstance(text, BinOp):
+        points[::2, 0] *= -1.0  # integer exponents keep negative bases legal
+    stack = eval_jet_stack(e, points, COORDS)
+    scalar = _scalar_jets(e, points)
+    for got, want in zip(stack, scalar):
+        assert got.shape == want.shape
+        if bitwise:
+            assert np.array_equal(got, want)
+        else:
+            # relative to the largest entry of the component at the same point:
+            # a Hessian entry that cancels to near zero keeps only absolute digits
+            scale = np.abs(want).reshape(len(want), -1).max(axis=1)
+            gap = np.abs(got - want).reshape(len(want), -1).max(axis=1)
+            assert np.all(gap <= 1e-15 * scale)
+
+
+# (expression, x values with at least one breaking a domain rule)
+DOMAIN_CASES = [
+    ("log(x)", [1.0, 0.5, 0.0, -1.0]),
+    ("log(x)", [2.0, -0.5, 3.0, 0.0]),
+    ("sqrt(x)", [1.0, 0.0, -1.0, 2.0]),
+    ("sqrt(x)", [1.0, -2.0, 0.0, 2.0]),
+    ("1 / x", [1.0, 2.0, 0.0, -3.0]),
+    ("x^0.5", [1.0, -1.0, 2.0, 0.0]),
+    ("x^y", [1.0, 2.0, 0.0, 3.0]),
+    (BinOp("^", Var("x"), Const(-13.0)), [1.0, 2.0, -1.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("text,xs", DOMAIN_CASES)
+def test_stack_domain_rules_match_scalar(text, xs):
+    e = text if isinstance(text, BinOp) else parse(text, COORDS)
+    points = np.array([[x, 0.7] for x in xs])
+    broken = []
+    for i, p in enumerate(points):
+        try:
+            eval_jet(e, dict(zip(COORDS, p)), 2, COORDS)
+        except DomainError as exc:
+            broken.append((i, str(exc)))
+    assert broken, "every case breaks a rule at some node"
+    first, message = broken[0]
+    with pytest.raises(DomainError) as info:
+        eval_jet_stack(e, points, COORDS)
+    assert info.value.node == first
+    assert str(info.value) == f"{message} at node {first}"
+    valid = [i for i in range(len(xs)) if i not in dict(broken)]
+    eval_jet_stack(e, points[valid], COORDS)

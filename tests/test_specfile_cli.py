@@ -1,6 +1,8 @@
 """Spec-file schema, verification runs, reports, and the CLI surface."""
 
 import json
+import math
+import re
 
 import pytest
 
@@ -320,6 +322,29 @@ class TestCli:
         assert "not finite" in capsys.readouterr().err
         assert main(["classify", str(path), "--at", "x=1.04"]) == 2
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "f,box,message,node",
+        [
+            # valid in the sampling box, negative on part of the circle
+            ("0.5 + sin(x)", [0.2, 1.2], "inner warping is -0.0141027441932215", 75),
+            # log(0.5 + sin x) leaves its domain at the same node
+            ("2 + log(0.5 + sin(x))", [0.2, 1.2], "log of non-positive value", 75),
+            # f overflows on the far side of the circle
+            ("exp(120*x)", [0.2, 0.3], "not finite", 119),
+        ],
+    )
+    def test_warping_invalid_on_torus_grid_exit_code(self, tmp_path, capsys, f, box, message, node):
+        data = minimal_spec(warpings={"f": f, "h": "1"})
+        data["factors"][0]["periodic"] = {"x": 2.0 * math.pi}
+        data["sampling"]["boxes"] = {"x": box}
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert re.search(rf"at node {node} \[[0-9.]+\] of the 'a' torus grid", err)
 
     def test_verify_schema_error_exit_code(self, tmp_path, capsys):
         data = minimal_spec(warpings={"f": "exp(x1", "h": "1"})
