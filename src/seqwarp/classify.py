@@ -203,10 +203,13 @@ def fit_quasi_einstein(
     multiplicity >= m - 1 (clustered with relative gap
     ``CLUSTER_GAP * (1 + spectral radius)``); the remainder must be
     rank one within ``tol``.  Works for indefinite g: the causal
-    character of U is reported, not rejected.
+    character of U is reported, not rejected.  Input that is not finite
+    raises ``GeometryError``.
     """
     g = np.asarray(g, dtype=float)
     ric = np.asarray(ric, dtype=float)
+    if not (np.isfinite(g).all() and np.isfinite(ric).all()):
+        raise GeometryError("quasi-Einstein fit input (metric or Ricci tensor) is not finite")
     m = g.shape[0]
     mixed = np.linalg.solve(g, ric)
     eigs = np.linalg.eigvals(mixed)
@@ -317,11 +320,14 @@ def check_quasi_constant_curvature(
                    + b (g_il A_j A_k - g_ik A_j A_l + g_jk A_i A_l - g_jl A_i A_k)
 
     with A taken from the quasi-Einstein fit of the Ricci contraction.
-    Raises on input that lacks curvature symmetries; a failed structure
-    fit is reported, not raised.
+    Raises ``GeometryError`` on input that lacks curvature symmetries, and
+    on a metric or curvature tensor, or a fit basis built from them, that is
+    not finite; a failed structure fit is reported, not raised.
     """
     g = np.asarray(g, dtype=float)
     r = np.asarray(riemann, dtype=float)
+    if not (np.isfinite(g).all() and np.isfinite(r).all()):
+        raise GeometryError("curvature fit input (metric or curvature tensor) is not finite")
     scale = 1.0 + float(np.max(np.abs(r)))
     worst = max(
         float(np.max(np.abs(r + np.einsum("jikl->ijkl", r)))),
@@ -347,7 +353,12 @@ def check_quasi_constant_curvature(
             reason="Ricci contraction admits no rank-one decomposition",
         )
     a_form = ricci_fit.A if ricci_fit.A is not None else np.zeros(g.shape[0])
-    t1, t2 = _qcc_basis(g, a_form)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t1, t2 = _qcc_basis(g, a_form)
+    if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
+        raise GeometryError(
+            "two-coefficient curvature basis (products of metric entries) is not finite"
+        )
     design = np.stack([t1.ravel(), t2.ravel()], axis=1)
     coeffs, *_ = np.linalg.lstsq(design, r.ravel(), rcond=None)
     a_val, b_val = (float(coeffs[0]), float(coeffs[1]))

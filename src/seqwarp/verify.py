@@ -9,6 +9,15 @@ with the factor identities they imply; torus-averaged field identities on
 periodic factors; the differential conditions and rigidity hypotheses;
 and the spacetime bundles for the Lorentzian kinds.
 
+Every check reads one stacked ``WarpedFrame`` and one stacked flat
+``ChartFrame`` over all sample points (see :mod:`seqwarp.chart`): the
+oracle, symmetry, Bianchi, cross-block, reduction and Hessian-divergence
+residuals are reductions over their sample axis, each residual normalized
+per sample as a one-point check would.  The structure fits and the per-point
+evaluators run sample by sample, on ``flat.metric[i]`` and on the one-point
+frames ``warped[i]``, which hold their slice of every stage the stacks
+computed.
+
 The report is a plain dict rendered to JSON with stable ordering and no
 timestamps, so identical spec + seed gives byte-identical output.  The
 overall verdict ignores informational entries (hypothesis evaluators,
@@ -26,6 +35,7 @@ from . import __version__
 from .chart import (
     ChartFrame,
     GeometryError,
+    matvec,
     symmetry_residuals,
     validate_factor_at,
 )
@@ -159,9 +169,112 @@ def _qcc_summary(fits: list[QCCFit]) -> dict:
     }
 
 
-def _normalized_gap(closed, oracle) -> float:
-    """max |closed - oracle|, normalized by 1 + max |oracle|."""
-    return float(np.max(np.abs(closed - oracle))) / (1.0 + float(np.max(np.abs(oracle))))
+def _max_abs(x: np.ndarray, rank: int) -> np.ndarray:
+    """max |x| per sample, over the ``rank`` trailing axes."""
+    return np.max(np.abs(x), axis=tuple(range(-rank, 0)))
+
+
+def _normalized_gap(closed: np.ndarray, oracle: np.ndarray) -> np.ndarray:
+    """max |closed - oracle| per sample, normalized by that sample's 1 + max |oracle|."""
+    rank = oracle.ndim - 1
+    return _max_abs(closed - oracle, rank) / (1.0 + _max_abs(oracle, rank))
+
+
+def _oracle_checks(
+    product, warped: WarpedFrame, flat: ChartFrame, samples: np.ndarray, tol: dict
+) -> list[IdentityReport]:
+    """Closed form vs oracle, curvature symmetries, both Bianchi checks, cross
+    blocks, the constant-warping reduction and the Hessian divergence.
+
+    Each is a reduction over the sample axis of the stacked frames: a
+    residual per sample (an oracle gap normalized by that sample's own
+    1 + max |oracle|), then the worst sample's.  Overflow is not warned
+    about: a residual that is not finite is an input error naming the first
+    such sample.
+    """
+    n_points = len(samples)
+
+    def report(name: str, per_sample: list[np.ndarray], tolerance: float) -> IdentityReport:
+        worst = np.max(np.stack(per_sample), axis=0)
+        bad = ~np.isfinite(worst)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise VerificationInputError(
+                f"{name} residual is not finite at sample {i} {samples[i].tolist()}: "
+                "the metric or its derivatives overflow there"
+            )
+        return IdentityReport.from_residual(
+            name, float(np.max(worst)), tolerance, points=n_points
+        )
+
+    dim = product.dim
+    s1, s2, s3 = product.block_slices
+    cross_mask = np.ones((dim, dim), dtype=bool)
+    for sl in (s1, s2, s3):
+        cross_mask[sl, sl] = False
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, closed, oracle in (
+            ("oracle_lemma1_connection", warped.christoffel, flat.christoffel),
+            ("oracle_lemma2_curvature", warped.riemann_up, flat.riemann_up),
+            ("oracle_lemma3_ricci", warped.ricci, flat.ricci),
+            ("oracle_scalar_curvature", warped.scalar, flat.scalar),
+        ):
+            out.append(report(name, [_normalized_gap(closed, oracle)], tol["oracle"]))
+
+        out.append(
+            report(
+                "curvature_symmetries",
+                list(symmetry_residuals(flat).values()),
+                tol["symmetry"],
+            )
+        )
+        out.append(
+            report(
+                "bianchi_contracted",
+                [
+                    _max_abs(fr.div_ricci - 0.5 * fr.dscalar, 1)
+                    for fr in (flat, warped.frame1, warped.frame2, warped.frame3)
+                ],
+                tol["bianchi"],
+            )
+        )
+        out.append(
+            report("ricci_cross_blocks", [_max_abs(flat.ricci[:, cross_mask], 1)], tol["cross_ricci"])
+        )
+
+        if not free_variables(product.f) and not free_variables(product.h):
+            block = np.zeros((n_points, dim, dim))
+            block[:, s1, s1] = warped.frame1.ricci
+            block[:, s2, s2] = warped.frame2.ricci
+            block[:, s3, s3] = warped.frame3.ricci
+            out.append(
+                report(
+                    "trivial_warping_reduction",
+                    [_max_abs(flat.ricci - block, 2), _max_abs(warped.ricci - block, 2)],
+                    tol["reduction"],
+                )
+            )
+
+        divergence = []
+        for fr, phi in ((warped.frame1, product.f), (warped.inner_frame, product.h)):
+            lhs = fr.div_hessian(phi)
+            rhs = matvec(fr.ricci, fr.gradient(phi)) + fr.grad_laplacian(phi)
+            divergence.append(_max_abs(lhs - rhs, 1))
+        out.append(report("hessian_divergence", divergence, tol["bianchi"]))
+    return out
+
+
+def _fit_each(fit, metric, tensor, tol: float, samples: np.ndarray) -> list:
+    """``fit(metric[i], tensor[i], tol)`` at every sample; a fit input that
+    is not finite is an input error naming the sample."""
+    fits = []
+    for i, point in enumerate(samples):
+        try:
+            fits.append(fit(metric[i], tensor[i], tol))
+        except GeometryError as exc:
+            raise VerificationInputError(f"{exc} at sample {i} {point.tolist()}") from exc
+    return fits
 
 
 def _merge_spacetime_reports(per_point: list[list[IdentityReport]]) -> list[IdentityReport]:
@@ -224,131 +337,32 @@ def run_verify(
         for fac, sl in zip(product.factors, product.block_slices):
             validate_factor_at(fac, samples[:, sl])
         validate_factor_at(flat_chart, samples)
-        warped_frames = [WarpedFrame(product, p) for p in samples]
-        for frame in warped_frames:
-            _ = (frame.f_value, frame.h_value)
-        flat_frames = [ChartFrame(flat_chart, p) for p in samples]
+        warped = WarpedFrame(product, samples)
+        _ = (warped.f_value, warped.h_value)
+        flat = ChartFrame(flat_chart, samples)
         # the flat metric carries every factor metric and both warpings, so
         # its jets are where an overflow anywhere in the spec shows
-        for frame in flat_frames:
-            _ = frame.metric
-    except GeometryError as exc:
+        _ = flat.metric
+    except (GeometryError, DomainError) as exc:
         raise VerificationInputError(str(exc)) from exc
 
-    identities: list[IdentityReport] = []
-    notes: list[str] = []
-    dim = product.dim
-    s1, s2, s3 = product.block_slices
-    cross_mask = np.ones((dim, dim), dtype=bool)
-    for sl in (s1, s2, s3):
-        cross_mask[sl, sl] = False
-
-    # --- closed form vs oracle ------------------------------------------------
-    res_conn = res_curv = res_ricci = res_scal = 0.0
-    for wf, ff in zip(warped_frames, flat_frames):
-        res_conn = max(res_conn, _normalized_gap(wf.christoffel, ff.christoffel))
-        res_curv = max(res_curv, _normalized_gap(wf.riemann_up, ff.riemann_up))
-        res_ricci = max(res_ricci, _normalized_gap(wf.ricci, ff.ricci))
-        res_scal = max(res_scal, _normalized_gap(wf.scalar, ff.scalar))
-
-    identities.append(
-        IdentityReport.from_residual(
-            "oracle_lemma1_connection", res_conn, tol["oracle"], points=n_points
-        )
-    )
-    identities.append(
-        IdentityReport.from_residual(
-            "oracle_lemma2_curvature", res_curv, tol["oracle"], points=n_points
-        )
-    )
-    identities.append(
-        IdentityReport.from_residual(
-            "oracle_lemma3_ricci", res_ricci, tol["oracle"], points=n_points
-        )
-    )
-    identities.append(
-        IdentityReport.from_residual(
-            "oracle_scalar_curvature", res_scal, tol["oracle"], points=n_points
-        )
-    )
-
-    # --- symmetries, Bianchi, cross blocks -------------------------------------
-    res_sym = 0.0
-    res_bianchi = 0.0
-    res_cross = 0.0
-    for wf, ff in zip(warped_frames, flat_frames):
-        res_sym = max(res_sym, max(symmetry_residuals(ff).values()))
-        res_bianchi = max(
-            res_bianchi, float(np.max(np.abs(ff.div_ricci - 0.5 * ff.dscalar)))
-        )
-        for fac_frame in (wf.frame1, wf.frame2, wf.frame3):
-            res_bianchi = max(
-                res_bianchi,
-                float(np.max(np.abs(fac_frame.div_ricci - 0.5 * fac_frame.dscalar))),
-            )
-        res_cross = max(res_cross, float(np.max(np.abs(ff.ricci[cross_mask]))))
-    identities.append(
-        IdentityReport.from_residual(
-            "curvature_symmetries", res_sym, tol["symmetry"], points=n_points
-        )
-    )
-    identities.append(
-        IdentityReport.from_residual(
-            "bianchi_contracted", res_bianchi, tol["bianchi"], points=n_points
-        )
-    )
-    identities.append(
-        IdentityReport.from_residual(
-            "ricci_cross_blocks", res_cross, tol["cross_ricci"], points=n_points
-        )
-    )
-
-    # --- constant-warping reduction --------------------------------------------
-    constant_warpings = not free_variables(product.f) and not free_variables(product.h)
-    if constant_warpings:
-        res_red = 0.0
-        for wf, ff in zip(warped_frames, flat_frames):
-            block = np.zeros((dim, dim))
-            block[s1, s1] = wf.frame1.ricci
-            block[s2, s2] = wf.frame2.ricci
-            block[s3, s3] = wf.frame3.ricci
-            res_red = max(res_red, float(np.max(np.abs(ff.ricci - block))))
-            res_red = max(res_red, float(np.max(np.abs(wf.ricci - block))))
-        identities.append(
-            IdentityReport.from_residual(
-                "trivial_warping_reduction", res_red, tol["reduction"], points=n_points
-            )
-        )
-
-    # --- divergence-of-Hessian identity ----------------------------------------
-    res_div = 0.0
-    for wf in warped_frames:
-        fr1 = wf.frame1
-        lhs = fr1.div_hessian(product.f)
-        rhs = fr1.ricci @ fr1.gradient(product.f) + fr1.grad_laplacian(product.f)
-        res_div = max(res_div, float(np.max(np.abs(lhs - rhs))))
-        fri = wf.inner_frame
-        lhs = fri.div_hessian(product.h)
-        rhs = fri.ricci @ fri.gradient(product.h) + fri.grad_laplacian(product.h)
-        res_div = max(res_div, float(np.max(np.abs(lhs - rhs))))
-    identities.append(
-        IdentityReport.from_residual(
-            "hessian_divergence", res_div, tol["bianchi"], points=n_points
-        )
-    )
-    notes.append(
+    identities = _oracle_checks(product, warped, flat, samples, tol)
+    notes = [
         "divergence-of-Hessian identity holds as div(H^phi) = Ric(grad phi, .) + d(Lap phi) "
         "under the trace-Laplacian convention"
-    )
+    ]
+    dim = product.dim
+    constant_warpings = not free_variables(product.f) and not free_variables(product.h)
+
+    # the per-point evaluators below take one frame per sample, each holding
+    # its slice of every stage the stacks computed above
+    warped_frames = [warped[i] for i in range(n_points)]
 
     # --- structure fits ----------------------------------------------------------
-    qe_fits = [
-        fit_quasi_einstein(ff.metric, ff.ricci, tol["fit"]) for ff in flat_frames
-    ]
-    qcc_fits = [
-        check_quasi_constant_curvature(ff.metric, ff.riemann, tol["fit"])
-        for ff in flat_frames
-    ]
+    qe_fits = _fit_each(fit_quasi_einstein, flat.metric, flat.ricci, tol["fit"], samples)
+    qcc_fits = _fit_each(
+        check_quasi_constant_curvature, flat.metric, flat.riemann, tol["fit"], samples
+    )
     fits = {
         "quasi_einstein": _qe_summary(qe_fits),
         "quasi_constant_curvature": _qcc_summary(qcc_fits),
@@ -517,13 +531,17 @@ def run_verify(
     # --- spacetime bundles ----------------------------------------------------------
     if spec.kind in ("ssst", "grw"):
         bundles = []
-        for wf, ff, qe, qcc in zip(warped_frames, flat_frames, qe_fits, qcc_fits):
+        for i, (wf, qe, qcc) in enumerate(zip(warped_frames, qe_fits, qcc_fits)):
             if spec.kind == "ssst":
                 bundles.append(
-                    ssst_theorem_check(product, wf, qe, qcc, tol["fit"], tol["d3"], flat=ff)
+                    ssst_theorem_check(
+                        product, wf, qe, qcc, tol["fit"], tol["d3"], flat=flat[i]
+                    )
                 )
             else:
-                bundles.append(grw_theorem_check(product, wf, qe, qcc, tol["fit"], flat=ff))
+                bundles.append(
+                    grw_theorem_check(product, wf, qe, qcc, tol["fit"], flat=flat[i])
+                )
         merged = _merge_spacetime_reports(bundles)
         identities.extend(merged)
         by_name = {r.name: r for r in merged}
@@ -586,6 +604,8 @@ def run_classify(spec: ManifoldSpec, at: dict | None = None) -> dict:
             }
     except GeometryError as exc:
         raise VerificationInputError(str(exc)) from exc
+    except DomainError as exc:
+        raise VerificationInputError(f"{exc} at {point.tolist()}") from exc
     return {
         "spec": spec.name,
         "point": {c: float(v) for c, v in zip(product.coords, point)},

@@ -18,6 +18,10 @@ Two routes to the ambient curvature live side by side:
 
 Disagreement between the routes is a bug by definition; the verification
 suite compares the closed tensors with the chart's, whole, at every sample.
+Both routes take a stack of sample points as well as one point: a stacked
+``WarpedFrame`` assembles the closed tensors of all N samples at once from
+stacked factor frames, and ``frame[i]`` is its one-point frame at sample
+``i``.
 
 Note on signs: the closed-form curvature below is written for the
 curvature operator R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z -
@@ -35,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chart import ChartFrame, FactorManifold, GeometryError
+from .chart import ChartFrame, FactorManifold, GeometryError, _hand_over, dot, matvec
 from .expressions import BinOp, Const, Expr, free_variables
 
 __all__ = [
@@ -127,11 +131,12 @@ class SequentialWarpedProduct:
         return (slice(0, d1), slice(d1, d1 + d2), slice(d1 + d2, d1 + d2 + d3))
 
     def split(self, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The factor blocks of one point, or of each row of a stack of points."""
         p = np.asarray(point, dtype=float)
-        if p.shape != (self.dim,):
+        if p.ndim not in (1, 2) or p.shape[-1] != self.dim:
             raise GeometryError(f"expected {self.dim} ambient coordinates, got {p.shape}")
         s1, s2, s3 = self.block_slices
-        return p[s1], p[s2], p[s3]
+        return p[..., s1], p[..., s2], p[..., s3]
 
 
 @dataclass(frozen=True)
@@ -147,11 +152,27 @@ class ProductPoint:
         return np.concatenate([self.p1, self.p2, self.p3]).astype(float)
 
 
-def _embed(dim: int, sl: slice, tensor: np.ndarray) -> np.ndarray:
-    """``tensor`` on the block ``sl`` of every ambient index, zeros elsewhere."""
-    out = np.zeros((dim,) * tensor.ndim)
-    out[(sl,) * tensor.ndim] = tensor
+def _embed(dim: int, sl: slice, tensor: np.ndarray, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """``tensor`` on the block ``sl`` of every ambient index, zeros elsewhere;
+    ``lead`` is the shape of the sample axes the tensor carries first."""
+    rank = np.ndim(tensor) - len(lead)
+    out = np.zeros(lead + (dim,) * rank)
+    out[(Ellipsis,) + (sl,) * rank] = tensor
     return out
+
+
+def _per_sample(value, rank: int):
+    """A per-sample scalar (a float, or an ``(N,)`` array on a stack) shaped
+    to broadcast against tensors of ``rank`` trailing axes."""
+    return np.asarray(value)[(Ellipsis,) + (None,) * rank]
+
+
+def _square(value):
+    """``value**2`` with Python's float power, sample by sample: numpy's
+    square can differ from it in the last bit."""
+    if isinstance(value, float):
+        return value**2
+    return np.array([v**2 for v in value.tolist()])
 
 
 def _as_ambient(point) -> np.ndarray:
@@ -249,7 +270,8 @@ def inner_chart(product: SequentialWarpedProduct) -> FactorManifold:
 
 
 class WarpedFrame:
-    """Pointwise geometry of a sequential warped product, computed lazily.
+    """Pointwise geometry of a sequential warped product, computed lazily, at
+    one point or at a stack of sample points.
 
     Bundles the three factor frames, the inner-chart frame carrying the
     outer warping, and the warping jets.  From these it assembles the
@@ -257,15 +279,41 @@ class WarpedFrame:
     conventions of :mod:`seqwarp.chart`; ``connection`` and ``curvature``
     contract them with block vectors.
 
-    One frame per sample serves every check: the evaluators in
-    :mod:`seqwarp.classify` and :mod:`seqwarp.spacetime` accept a frame
-    wherever they take a point.
+    ``point`` is one ambient point, shape ``(d,)`` (or a ``ProductPoint``),
+    or a stack of N samples, shape ``(N, d)``.  On a stack the factor and
+    inner frames are stacked ``ChartFrame``s, built once for all samples, and
+    the warping jets, ``christoffel``, ``riemann_up``, ``ricci`` and
+    ``scalar`` carry the sample axis first.  ``frame[i]`` is the one-point
+    frame at sample ``i``: it receives every stage the stack has computed,
+    the factor and inner frames included, as slices.  A stack checks ``f``
+    and ``h`` positive sample by sample, ``f`` before ``h``, and
+    ``PositivityError`` names the first failing sample.
+
+    The evaluators in :mod:`seqwarp.classify` and :mod:`seqwarp.spacetime`
+    accept a one-point frame wherever they take a point, so one frame per
+    sample serves all of them.
     """
 
     def __init__(self, product: SequentialWarpedProduct, point):
         self.product = product
         self.point = _as_ambient(point)
         self.p1, self.p2, self.p3 = product.split(self.point)
+        self._lead = self.point.shape[:-1]
+
+    @property
+    def stacked(self) -> bool:
+        return self.point.ndim == 2
+
+    def __len__(self) -> int:
+        if not self.stacked:
+            raise TypeError("a one-point frame has no sample axis")
+        return self.point.shape[0]
+
+    def __getitem__(self, i: int) -> "WarpedFrame":
+        """The one-point frame at sample ``i``, holding every computed stage."""
+        one = WarpedFrame(self.product, self.point[i])
+        _hand_over(self, one, i)
+        return one
 
     @cached_property
     def frame1(self) -> ChartFrame:
@@ -281,27 +329,50 @@ class WarpedFrame:
 
     @cached_property
     def inner_frame(self) -> ChartFrame:
-        return ChartFrame(inner_chart(self.product), np.concatenate([self.p1, self.p2]))
+        return ChartFrame(
+            inner_chart(self.product), np.concatenate([self.p1, self.p2], axis=-1)
+        )
 
     # -- warping data ---------------------------------------------------------
 
-    @cached_property
-    def f_value(self) -> float:
-        value = self.frame1.field_jets(self.product.f)[0]
-        if value <= 0.0:
+    def _scalar(self, value):
+        """A per-sample scalar: a Python float at one point."""
+        return value if self.stacked else float(value)
+
+    def _check_positive(self, f, h) -> None:
+        """Raise ``PositivityError`` at the first sample where ``f`` or ``h``
+        is not positive, ``f`` first at a sample; ``None`` skips a warping."""
+        rows = []
+        if f is not None:
+            rows.append((np.reshape(f, -1), "inner", self.p1))
+        if h is not None:
+            rows.append((np.reshape(h, -1), "outer", self.point))
+        bad = np.array([values <= 0.0 for values, _, _ in rows])
+        if bad.any():
+            k = int(np.argmax(bad.any(axis=0)))
+            values, label, points = rows[int(np.argmax(bad[:, k]))]
             raise PositivityError(
-                f"inner warping is {value!r} (must be positive) at {self.p1.tolist()}"
+                f"{label} warping is {float(values[k])!r} (must be positive) at "
+                f"{np.reshape(points, (len(values), -1))[k].tolist()}"
             )
-        return value
 
     @cached_property
-    def h_value(self) -> float:
-        value = self.inner_frame.field_jets(self.product.h)[0]
-        if value <= 0.0:
-            raise PositivityError(
-                f"outer warping is {value!r} (must be positive) at {self.point.tolist()}"
-            )
-        return value
+    def f_value(self) -> float | np.ndarray:
+        f = self.frame1.field_jets(self.product.f)[0]
+        # a stack checks h with f, so that it raises what a loop over the
+        # samples reading f_value, then h_value, would raise first
+        h = self.inner_frame.field_jets(self.product.h)[0] if self.stacked else None
+        self._check_positive(f, h)
+        return f
+
+    @cached_property
+    def h_value(self) -> float | np.ndarray:
+        h = self.inner_frame.field_jets(self.product.h)[0]
+        if self.stacked:
+            self.f_value
+        else:
+            self._check_positive(None, h)
+        return h
 
     @cached_property
     def df(self) -> np.ndarray:
@@ -309,19 +380,19 @@ class WarpedFrame:
 
     @cached_property
     def grad_f(self) -> np.ndarray:
-        return self.frame1.inverse @ self.df
+        return matvec(self.frame1.inverse, self.df)
 
     @cached_property
     def hess_f(self) -> np.ndarray:
         return self.frame1.hessian(self.product.f)
 
     @cached_property
-    def lap_f(self) -> float:
-        return float(np.einsum("ij,ij->", self.frame1.inverse, self.hess_f))
+    def lap_f(self) -> float | np.ndarray:
+        return self._scalar(np.einsum("...ij,...ij->...", self.frame1.inverse, self.hess_f))
 
     @cached_property
-    def grad_f_norm2(self) -> float:
-        return float(self.df @ self.grad_f)
+    def grad_f_norm2(self) -> float | np.ndarray:
+        return self._scalar(dot(self.df, self.grad_f))
 
     @cached_property
     def dh(self) -> np.ndarray:
@@ -329,19 +400,21 @@ class WarpedFrame:
 
     @cached_property
     def grad_h(self) -> np.ndarray:
-        return self.inner_frame.inverse @ self.dh
+        return matvec(self.inner_frame.inverse, self.dh)
 
     @cached_property
     def hess_h(self) -> np.ndarray:
         return self.inner_frame.hessian(self.product.h)
 
     @cached_property
-    def lap_h(self) -> float:
-        return float(np.einsum("ij,ij->", self.inner_frame.inverse, self.hess_h))
+    def lap_h(self) -> float | np.ndarray:
+        return self._scalar(
+            np.einsum("...ij,...ij->...", self.inner_frame.inverse, self.hess_h)
+        )
 
     @cached_property
-    def grad_h_norm2(self) -> float:
-        return float(self.dh @ self.grad_h)
+    def grad_h_norm2(self) -> float | np.ndarray:
+        return self._scalar(dot(self.dh, self.grad_h))
 
     @cached_property
     def raised_hess_f(self) -> np.ndarray:
@@ -358,21 +431,21 @@ class WarpedFrame:
     @cached_property
     def ambient_metric(self) -> np.ndarray:
         d = self.product.dim
-        out = np.zeros((d, d))
+        out = np.zeros(self._lead + (d, d))
         s1, s2, s3 = self.product.block_slices
-        out[s1, s1] = self.frame1.metric
-        out[s2, s2] = self.f_value**2 * self.frame2.metric
-        out[s3, s3] = self.h_value**2 * self.frame3.metric
+        out[..., s1, s1] = self.frame1.metric
+        out[..., s2, s2] = _per_sample(_square(self.f_value), 2) * self.frame2.metric
+        out[..., s3, s3] = _per_sample(_square(self.h_value), 2) * self.frame3.metric
         return out
 
     @cached_property
     def ambient_inverse(self) -> np.ndarray:
         d = self.product.dim
-        out = np.zeros((d, d))
+        out = np.zeros(self._lead + (d, d))
         s1, s2, s3 = self.product.block_slices
-        out[s1, s1] = self.frame1.inverse
-        out[s2, s2] = self.frame2.inverse / self.f_value**2
-        out[s3, s3] = self.frame3.inverse / self.h_value**2
+        out[..., s1, s1] = self.frame1.inverse
+        out[..., s2, s2] = self.frame2.inverse / _per_sample(_square(self.f_value), 2)
+        out[..., s3, s3] = self.frame3.inverse / _per_sample(_square(self.h_value), 2)
         return out
 
     def split_inner(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -389,22 +462,26 @@ class WarpedFrame:
         f g2(X, Y) grad f and h g3(X, Y) grad h, plus the log-derivative
         terms X(ln f) Y2 + Y(ln f) X2 and X(ln h) Y3 + Y(ln h) X3.
         """
-        d = self.product.dim
+        d, lead = self.product.dim, self._lead
         s1, s2, s3 = self.product.block_slices
         inner = slice(0, s3.start)
         f, h = self.f_value, self.h_value
         g2, g3, p2, p3 = self._fiber_blocks
-        out = np.zeros((d, d, d))
+        out = np.zeros(lead + (d, d, d))
         for sl, fr in zip((s1, s2, s3), (self.frame1, self.frame2, self.frame3)):
-            out[sl, sl, sl] = fr.christoffel
-        out -= np.einsum("k,ab->kab", _embed(d, s1, self.grad_f), f * g2) + np.einsum(
-            "k,ab->kab", _embed(d, inner, self.grad_h), h * g3
+            out[..., sl, sl, sl] = fr.christoffel
+        out -= np.einsum(
+            "...k,...ab->...kab", _embed(d, s1, self.grad_f, lead), _per_sample(f, 2) * g2
+        ) + np.einsum(
+            "...k,...ab->...kab", _embed(d, inner, self.grad_h, lead), _per_sample(h, 2) * g3
         )
         # t[k, a, b] = X(ln w) Y^k for X = e_a, Y = e_b; the connection adds t + t(a<->b)
-        t = np.einsum("a,kb->kab", _embed(d, s1, self.df / f), p2) + np.einsum(
-            "a,kb->kab", _embed(d, inner, self.dh / h), p3
+        t = np.einsum(
+            "...a,...kb->...kab", _embed(d, s1, self.df / _per_sample(f, 1), lead), p2
+        ) + np.einsum(
+            "...a,...kb->...kab", _embed(d, inner, self.dh / _per_sample(h, 1), lead), p3
         )
-        return out + (t + t.transpose(0, 2, 1))
+        return out + (t + np.swapaxes(t, -2, -1))
 
     @cached_property
     def riemann_up(self) -> np.ndarray:
@@ -415,37 +492,40 @@ class WarpedFrame:
         (|grad f|^2 g2 + H^f / f)(X, Z) Y2, f g2(X, Z) (nabla grad f)(Y1),
         (H^h / h + |grad h|^2 g3)(X, Z) Y3 and h g3(X, Z) (nabla grad h)(Y12).
         """
-        d = self.product.dim
+        d, lead = self.product.dim, self._lead
         s1, s2, s3 = self.product.block_slices
         inner = slice(0, s3.start)
-        f, h = self.f_value, self.h_value
-        out = np.zeros((d, d, d, d))
+        f, h = _per_sample(self.f_value, 2), _per_sample(self.h_value, 2)
+        gf2, gh2 = _per_sample(self.grad_f_norm2, 2), _per_sample(self.grad_h_norm2, 2)
+        out = np.zeros(lead + (d, d, d, d))
         for sl, fr in zip((s1, s2, s3), (self.frame1, self.frame2, self.frame3)):
-            out[sl, sl, sl, sl] = fr.riemann_up
+            out[..., sl, sl, sl, sl] = fr.riemann_up
         g2, g3, p2, p3 = self._fiber_blocks
         t = (
             np.einsum(
-                "ac,lb->labc", self.grad_f_norm2 * g2 + _embed(d, s1, self.hess_f) / f, p2
+                "...ac,...lb->...labc", gf2 * g2 + _embed(d, s1, self.hess_f, lead) / f, p2
             )
-            + np.einsum("ac,lb->labc", f * g2, _embed(d, s1, self.raised_hess_f))
+            + np.einsum("...ac,...lb->...labc", f * g2, _embed(d, s1, self.raised_hess_f, lead))
             + np.einsum(
-                "ac,lb->labc", _embed(d, inner, self.hess_h) / h + self.grad_h_norm2 * g3, p3
+                "...ac,...lb->...labc", _embed(d, inner, self.hess_h, lead) / h + gh2 * g3, p3
             )
-            + np.einsum("ac,lb->labc", h * g3, _embed(d, inner, self.raised_hess_h))
+            + np.einsum(
+                "...ac,...lb->...labc", h * g3, _embed(d, inner, self.raised_hess_h, lead)
+            )
         )
-        return out + (t - t.transpose(0, 2, 1, 3))
+        return out + (t - np.swapaxes(t, -3, -2))
 
     @cached_property
     def _fiber_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """g2 and g3 on their ambient blocks, then the projections onto those blocks."""
-        d = self.product.dim
+        d, lead = self.product.dim, self._lead
         _, s2, s3 = self.product.block_slices
         m2, m3 = self.product.m2.dim, self.product.m3.dim
         return (
-            _embed(d, s2, self.frame2.metric),
-            _embed(d, s3, self.frame3.metric),
-            _embed(d, s2, np.eye(m2)),
-            _embed(d, s3, np.eye(m3)),
+            _embed(d, s2, self.frame2.metric, lead),
+            _embed(d, s3, self.frame3.metric, lead),
+            np.broadcast_to(_embed(d, s2, np.eye(m2)), lead + (d, d)),
+            np.broadcast_to(_embed(d, s3, np.eye(m3)), lead + (d, d)),
         )
 
     def connection(self, x: BlockVector, y: BlockVector) -> BlockVector:
@@ -464,35 +544,36 @@ class WarpedFrame:
     @cached_property
     def ricci(self) -> np.ndarray:
         m2, m3 = self.product.m2.dim, self.product.m3.dim
-        f, h = self.f_value, self.h_value
+        f, h = _per_sample(self.f_value, 2), _per_sample(self.h_value, 2)
         d1 = self.product.m1.dim
 
         hh = self.hess_h
         b11 = (
             self.frame1.ricci
             - (m2 / f) * self.hess_f
-            - (m3 / h) * hh[:d1, :d1]
+            - (m3 / h) * hh[..., :d1, :d1]
         )
         b22 = (
             self.frame2.ricci
-            - (f * self.lap_f + (m2 - 1) * self.grad_f_norm2) * self.frame2.metric
-            - (m3 / h) * hh[d1:, d1:]
+            - _per_sample(self.f_value * self.lap_f + (m2 - 1) * self.grad_f_norm2, 2)
+            * self.frame2.metric
+            - (m3 / h) * hh[..., d1:, d1:]
         )
-        b33 = self.frame3.ricci - (
-            h * self.lap_h + (m3 - 1) * self.grad_h_norm2
+        b33 = self.frame3.ricci - _per_sample(
+            self.h_value * self.lap_h + (m3 - 1) * self.grad_h_norm2, 2
         ) * self.frame3.metric
 
         d = self.product.dim
-        out = np.zeros((d, d))
+        out = np.zeros(self._lead + (d, d))
         s1, s2, s3 = self.product.block_slices
-        out[s1, s1] = b11
-        out[s2, s2] = b22
-        out[s3, s3] = b33
+        out[..., s1, s1] = b11
+        out[..., s2, s2] = b22
+        out[..., s3, s3] = b33
         return out
 
     @cached_property
-    def scalar(self) -> float:
-        return float(np.einsum("ij,ij->", self.ambient_inverse, self.ricci))
+    def scalar(self) -> float | np.ndarray:
+        return self._scalar(np.einsum("...ij,...ij->...", self.ambient_inverse, self.ricci))
 
     def factor_scalars(self, qe=None) -> tuple[float, float, float]:
         """Factor scalar curvatures by contraction, or the closed rank-one

@@ -2,6 +2,7 @@
 hypothesis evaluators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -528,3 +529,18 @@ def test_identity_report_invariant():
     assert not rep.passed
     rep = IdentityReport.from_residual("thing", 0.5, 1.0)
     assert rep.passed
+
+
+def test_fits_reject_input_that_is_not_finite():
+    g = np.eye(3)
+    ric = np.zeros((3, 3))
+    ric[0, 0] = np.inf
+    with pytest.raises(GeometryError, match="quasi-Einstein fit input .* not finite"):
+        fit_quasi_einstein(g, ric)
+    with pytest.raises(GeometryError, match="curvature fit input .* not finite"):
+        check_quasi_constant_curvature(g, np.full((3, 3, 3, 3), np.nan))
+    # finite input whose g (x) g basis overflows: a flat metric near the float limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="curvature basis .* not finite"):
+            check_quasi_constant_curvature(1e200 * np.eye(3), np.zeros((3, 3, 3, 3)))

@@ -3,7 +3,9 @@
 import json
 import math
 import re
+import warnings
 
+import numpy as np
 import pytest
 
 from seqwarp.chart import GeometryError
@@ -209,19 +211,30 @@ class TestRunVerify:
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_run_verify_builds_one_warped_frame_per_sample(name, monkeypatch):
-    from seqwarp.warped import WarpedFrame
+    """One stack per chart over all samples, then one one-point warped frame
+    per sample (``stack[i]``) for the per-point evaluators."""
+    from seqwarp.chart import ChartFrame
+    from seqwarp.warped import WarpedFrame, flatten_to_chart, inner_chart
 
-    built = []
-    original = WarpedFrame.__init__
+    built = {WarpedFrame: [], ChartFrame: []}
+    for cls in built:
 
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        original(self, *args, **kwargs)
+        def counting_init(self, owner, points, _cls=cls, _original=cls.__init__):
+            built[_cls].append((owner, np.shape(points)))
+            _original(self, owner, points)
 
-    monkeypatch.setattr(WarpedFrame, "__init__", counting_init)
-    report = run_verify(catalog_spec(name), points=4)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    spec = catalog_spec(name)
+    product = spec.product
+    report = run_verify(spec, points=4)
     assert report.points == 4
-    assert len(built) == 4
+    warped_stacks = [shape for _, shape in built[WarpedFrame] if len(shape) == 2]
+    assert warped_stacks == [(4, product.dim)]
+    assert sum(len(shape) == 1 for _, shape in built[WarpedFrame]) == 4
+    chart_stacks = sorted(owner.name for owner, shape in built[ChartFrame] if len(shape) == 2)
+    charts = [flatten_to_chart(product), inner_chart(product), *product.factors]
+    assert chart_stacks == sorted(chart.name for chart in charts)
+    assert all(shape[0] == 4 for _, shape in built[ChartFrame] if len(shape) == 2)
 
 
 def test_evaluators_accept_a_shared_frame():
@@ -345,6 +358,55 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
         assert re.search(rf"at node {node} \[[0-9.]+\] of the 'a' torus grid", err)
+
+    @staticmethod
+    def _lines_spec(tmp_path, f="1", metric_w="1", box=None, sampling=None) -> str:
+        data = minimal_spec(warpings={"f": f, "h": "1"})
+        data["factors"][2] = {"name": "c", "coords": ["w"], "metric": [[metric_w]]}
+        if sampling is not None:
+            data["sampling"] = sampling
+        if box is not None:
+            data["sampling"]["boxes"] = box
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @staticmethod
+    def _one_line_exit_2(capsys, argv) -> str:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_warping_outside_its_domain_exit_code(self, tmp_path, capsys):
+        path = self._lines_spec(tmp_path, f="2 + log(x)", box={"x": [-0.5, 1.0]})
+        err = self._one_line_exit_2(capsys, ["verify", path])
+        assert re.search(r"log of non-positive value -0\.37\d* in 'log\(x\)' at \[-0\.37", err)
+        err = self._one_line_exit_2(capsys, ["classify", path, "--at", "x=-0.3"])
+        assert "log of non-positive value -0.3 in 'log(x)' at [-0.3, 0.0, 0.0]" in err
+
+    def test_factor_metric_outside_its_domain_exit_code(self, tmp_path, capsys):
+        path = self._lines_spec(tmp_path, metric_w="1 + sqrt(w)", box={"w": [-1.0, 1.0]})
+        err = self._one_line_exit_2(capsys, ["verify", path])
+        assert re.search(r"metric of 'c': sqrt of negative value -0\.13\d* in 'sqrt\(w\)' at \[-0\.13", err)
+
+    def test_metric_overflowing_inside_the_fits_exit_code(self, tmp_path, capsys):
+        # finite metric jets (d2g reaches 7e307), but the curvature derivatives
+        # and the g (x) g basis of the two-coefficient fit overflow
+        sampling = {"points": 5, "seed": 3, "boxes": {"x": [1.0, 1.04]}}
+        path = self._lines_spec(tmp_path, f="exp(340*x)", sampling=sampling)
+        err = self._one_line_exit_2(capsys, ["verify", path])
+        assert re.search(r"not finite at sample 1 \[1\.023", err)
+        err = self._one_line_exit_2(capsys, ["verify", path, "--points", "1"])
+        assert "curvature basis (products of metric entries) is not finite at sample 0 [1.003" in err
+
+    def test_metric_overflowing_at_a_sample_exit_code(self, tmp_path, capsys):
+        path = self._lines_spec(tmp_path, f="exp(800*x)", box={"x": [0.2, 1.2]})
+        err = self._one_line_exit_2(capsys, ["verify", path])
+        assert "metric of 'a*b*c' is not finite at [0.78" in err
 
     def test_verify_schema_error_exit_code(self, tmp_path, capsys):
         data = minimal_spec(warpings={"f": "exp(x1", "h": "1"})
