@@ -6,10 +6,10 @@ partial derivatives come out exact to rounding.  Curvature work needs
 exact second derivatives of metric entries; finite differences exist in
 the test suite only, as an independent cross-check.
 
-The Hessians produced here are symmetric to rounding: every update is
-built from symmetric outer-product combinations, but a product adds its
-cross term and that term's transpose after the other terms, so entries
-(i, j) and (j, i) can differ in the last bit.
+The Hessians produced here are bitwise symmetric: every update is built
+from symmetric outer-product combinations, and a product adds its cross
+term and that term's transpose as one group, ``(cross + cross.T)``, whose
+entries (i, j) and (j, i) are the same sum.
 
 One walker, ``_eval``, serves every jet class.  The steps that depend on
 values (the function table, the domain checks, the analytic power rule for
@@ -200,7 +200,7 @@ class HyperDual(_ScalarJet):
         return HyperDual(
             self.value * o.value,
             self.value * o.grad + o.value * self.grad,
-            self.value * o.hess + o.value * self.hess + cross + cross.T,
+            self.value * o.hess + o.value * self.hess + (cross + cross.T),
         )
 
     def reciprocal(self, node: Expr) -> "HyperDual":
@@ -320,7 +320,9 @@ class JetStack(_JetRules):
         return JetStack(
             self.value * o.value,
             a * o.grad + b * self.grad,
-            a[:, :, None] * o.hess + b[:, :, None] * self.hess + cross + cross.transpose(0, 2, 1),
+            a[:, :, None] * o.hess
+            + b[:, :, None] * self.hess
+            + (cross + cross.transpose(0, 2, 1)),
         )
 
     def reciprocal(self, node: Expr) -> "JetStack":

@@ -77,6 +77,20 @@ def test_hessian_bitwise_symmetric(text, point):
     assert np.array_equal(hess, hess.T)
 
 
+def test_hessian_bitwise_symmetric_at_random_points():
+    # a product of two non-trivial factors: its cross term and that term's
+    # transpose must enter the Hessian as one symmetric group
+    coords = ["x", "y"]
+    e = parse("x^y * sin(x*y)", coords)
+    rng = np.random.default_rng(512)
+    points = np.column_stack([rng.uniform(0.5, 2.0, 512), rng.uniform(-2.0, 2.0, 512)])
+    for point in points:
+        _, _, hess = eval_jet(e, dict(zip(coords, point)), 2, coords)
+        assert np.array_equal(hess, hess.T)
+    _, _, hess = eval_jet_stack(e, points, coords)
+    assert np.array_equal(hess, hess.transpose(0, 2, 1))
+
+
 class TestPowers:
     def test_integer_power_negative_base(self):
         value, grad, hess = eval_jet(parse("x^3", ("x",)), {"x": -2.0}, 2)
