@@ -203,11 +203,6 @@ class ChartFrame:
     def stacked(self) -> bool:
         return self.point.ndim == 2
 
-    def __len__(self) -> int:
-        if not self.stacked:
-            raise TypeError("a one-point frame has no sample axis")
-        return self.point.shape[0]
-
     def __getitem__(self, i: int) -> "ChartFrame":
         """The one-point frame at sample ``i``, holding every computed stage."""
         one = ChartFrame(self.manifold, self.point[i])
@@ -220,17 +215,13 @@ class ChartFrame:
         """The point of the first sample where ``bad`` holds."""
         return self.point.reshape(-1, self.manifold.dim)[int(np.argmax(np.reshape(bad, -1)))]
 
-    def _scalar(self, value):
-        """A per-sample scalar: a Python float at one point."""
-        return value if self.stacked else float(value)
-
     def _jets(self, e: Expr):
         """Order-2 jets of ``e``: a value, gradient and Hessian per sample."""
         coords = self.manifold.coords
         if not self.stacked:
             return eval_jet(e, self.point_map, 2, coords)
         try:
-            if len(self) > 1:
+            if self.point.shape[0] > 1:
                 with np.errstate(over="ignore", invalid="ignore"):
                     return eval_jet_stack(e, self.point, coords)
             v, grad, hess = eval_jet(e, self.manifold.point_map(self.point[0]), 2, coords)
@@ -294,7 +285,7 @@ class ChartFrame:
 
     @cached_property
     def det(self) -> float | np.ndarray:
-        return self._scalar(np.linalg.det(self.metric))
+        return per_sample_scalar(np.linalg.det(self.metric))
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -389,7 +380,7 @@ class ChartFrame:
 
     @cached_property
     def scalar(self) -> float | np.ndarray:
-        return self._scalar(np.einsum("...jk,...jk->...", self.inverse, self.ricci))
+        return per_sample_scalar(np.einsum("...jk,...jk->...", self.inverse, self.ricci))
 
     @cached_property
     def driemann_up(self) -> np.ndarray:
@@ -445,11 +436,13 @@ class ChartFrame:
         return d2phi - np.einsum("...kij,...k->...ij", self.christoffel, dphi)
 
     def laplacian(self, phi: Expr) -> float | np.ndarray:
-        return self._scalar(np.einsum("...ij,...ij->...", self.inverse, self.hessian(phi)))
+        return per_sample_scalar(np.einsum("...ij,...ij->...", self.inverse, self.hessian(phi)))
 
     def grad_norm2(self, phi: Expr) -> float | np.ndarray:
         _, dphi, _ = self.field_jets(phi)
-        return self._scalar(dot(np.matmul(dphi[..., None, :], self.inverse)[..., 0, :], dphi))
+        # (dphi @ inverse) @ dphi, in the order a one-point ``@`` chain takes
+        lowered = np.matmul(dphi[..., None, :], self.inverse)[..., 0, :]
+        return per_sample_scalar(dot(lowered, dphi))
 
     def _field_third(self, phi: Expr) -> np.ndarray:
         d3 = self._thirds.get(phi)
@@ -485,7 +478,7 @@ class ChartFrame:
     def div_sym2(self, entries: Sequence[Sequence[Expr]]) -> np.ndarray:
         """Divergence of a symmetric 2-tensor given by expression entries."""
         if self.stacked:
-            return np.stack([self[i].div_sym2(entries) for i in range(len(self))])
+            return np.stack([self[i].div_sym2(entries) for i in range(self.point.shape[0])])
         m = self.manifold.dim
         t = np.zeros((m, m))
         dt = np.zeros((m, m, m))
@@ -511,6 +504,12 @@ def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
 
 
+def per_sample_scalar(value):
+    """A scalar per sample: an ``(N,)`` array on a stack, a Python float at
+    one point."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def _sample(value, i: int):
     """Sample ``i`` of a stacked stage: a float where the stage is a
     per-sample scalar, the one-point frame where it is a stacked frame."""
@@ -518,8 +517,7 @@ def _sample(value, i: int):
         return tuple(_sample(v, i) for v in value)
     if isinstance(value, ChartFrame):
         return value[i]
-    v = value[i]
-    return float(v) if np.ndim(v) == 0 else v
+    return per_sample_scalar(value[i])
 
 
 def _hand_over(stack, one, i: int) -> None:

@@ -240,7 +240,9 @@ def _oracle_checks(
             )
         )
         out.append(
-            report("ricci_cross_blocks", [_max_abs(flat.ricci[:, cross_mask], 1)], tol["cross_ricci"])
+            report(
+                "ricci_cross_blocks", [_max_abs(flat.ricci[:, cross_mask], 1)], tol["cross_ricci"]
+            )
         )
 
         if not free_variables(product.f) and not free_variables(product.h):

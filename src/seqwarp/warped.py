@@ -39,7 +39,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .chart import ChartFrame, FactorManifold, GeometryError, _hand_over, dot, matvec
+from .chart import (
+    ChartFrame,
+    FactorManifold,
+    GeometryError,
+    _hand_over,
+    dot,
+    matvec,
+    per_sample_scalar,
+)
 from .expressions import BinOp, Const, Expr, free_variables
 
 __all__ = [
@@ -304,11 +312,6 @@ class WarpedFrame:
     def stacked(self) -> bool:
         return self.point.ndim == 2
 
-    def __len__(self) -> int:
-        if not self.stacked:
-            raise TypeError("a one-point frame has no sample axis")
-        return self.point.shape[0]
-
     def __getitem__(self, i: int) -> "WarpedFrame":
         """The one-point frame at sample ``i``, holding every computed stage."""
         one = WarpedFrame(self.product, self.point[i])
@@ -334,10 +337,6 @@ class WarpedFrame:
         )
 
     # -- warping data ---------------------------------------------------------
-
-    def _scalar(self, value):
-        """A per-sample scalar: a Python float at one point."""
-        return value if self.stacked else float(value)
 
     def _check_positive(self, f, h) -> None:
         """Raise ``PositivityError`` at the first sample where ``f`` or ``h``
@@ -368,10 +367,7 @@ class WarpedFrame:
     @cached_property
     def h_value(self) -> float | np.ndarray:
         h = self.inner_frame.field_jets(self.product.h)[0]
-        if self.stacked:
-            self.f_value
-        else:
-            self._check_positive(None, h)
+        self._check_positive(self.f_value if self.stacked else None, h)
         return h
 
     @cached_property
@@ -388,11 +384,11 @@ class WarpedFrame:
 
     @cached_property
     def lap_f(self) -> float | np.ndarray:
-        return self._scalar(np.einsum("...ij,...ij->...", self.frame1.inverse, self.hess_f))
+        return per_sample_scalar(np.einsum("...ij,...ij->...", self.frame1.inverse, self.hess_f))
 
     @cached_property
     def grad_f_norm2(self) -> float | np.ndarray:
-        return self._scalar(dot(self.df, self.grad_f))
+        return per_sample_scalar(dot(self.df, self.grad_f))
 
     @cached_property
     def dh(self) -> np.ndarray:
@@ -408,13 +404,13 @@ class WarpedFrame:
 
     @cached_property
     def lap_h(self) -> float | np.ndarray:
-        return self._scalar(
+        return per_sample_scalar(
             np.einsum("...ij,...ij->...", self.inner_frame.inverse, self.hess_h)
         )
 
     @cached_property
     def grad_h_norm2(self) -> float | np.ndarray:
-        return self._scalar(dot(self.dh, self.grad_h))
+        return per_sample_scalar(dot(self.dh, self.grad_h))
 
     @cached_property
     def raised_hess_f(self) -> np.ndarray:
@@ -573,7 +569,7 @@ class WarpedFrame:
 
     @cached_property
     def scalar(self) -> float | np.ndarray:
-        return self._scalar(np.einsum("...ij,...ij->...", self.ambient_inverse, self.ricci))
+        return per_sample_scalar(np.einsum("...ij,...ij->...", self.ambient_inverse, self.ricci))
 
     def factor_scalars(self, qe=None) -> tuple[float, float, float]:
         """Factor scalar curvatures by contraction, or the closed rank-one

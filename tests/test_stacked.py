@@ -267,7 +267,8 @@ def test_degenerate_sample_error_names_the_sample():
     m1 = spec.product.m1
     x = samples[:, :1]
     expected = f"metric of 'a' is degenerate at {[float(x[3, 0])]}: |det g| = 0.000e+00"
-    assert one_point_error(DegenerateMetricError, lambda p: ChartFrame(m1, p).inverse, x) == expected
+    one_point = one_point_error(DegenerateMetricError, lambda p: ChartFrame(m1, p).inverse, x)
+    assert one_point == expected
     with pytest.raises(DegenerateMetricError) as stacked:
         ChartFrame(m1, x).inverse
     assert str(stacked.value) == expected
@@ -306,7 +307,8 @@ def test_positivity_checks_samples_in_order_f_before_h():
     bump1, _ = bump_at_sample(1)
     # f fails at sample 3, h already at sample 1: the h error comes first
     product = spec_from_dict(lines_spec(f=f"0.5 - {bump3}", h=f"0.5 - {bump1}")).product
-    with pytest.raises(PositivityError, match=re.escape(f"outer warping is -0.5 (must be positive) at {samples[1].tolist()}")):
+    expected = f"outer warping is -0.5 (must be positive) at {samples[1].tolist()}"
+    with pytest.raises(PositivityError, match=re.escape(expected)):
         WarpedFrame(product, samples).f_value
     # both fail at sample 3: f is named
     product = spec_from_dict(lines_spec(f=f"0.5 - {bump3}", h=f"0.5 - {bump3}")).product
@@ -317,7 +319,8 @@ def test_positivity_checks_samples_in_order_f_before_h():
 def test_stack_errors_name_the_first_failing_sample():
     chart = factor("a", ["x"], [["2 + log(x)"]])
     points = np.array([[1.0], [0.5], [-0.25], [-0.5]])
-    with pytest.raises(DomainError, match=r"log of non-positive value -0.25 in 'log\(x\)' at \[-0.25\]"):
+    message = r"log of non-positive value -0.25 in 'log\(x\)' at \[-0.25\]"
+    with pytest.raises(DomainError, match=message):
         ChartFrame(chart, points).metric
     overflow = factor("a", ["x"], [["exp(x)^2"]])
     points = np.array([[1.0], [400.0], [500.0]])
