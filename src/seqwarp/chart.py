@@ -190,18 +190,16 @@ class ChartFrame:
             raise GeometryError(
                 f"{manifold.name!r} expects {manifold.dim} coordinates, got shape {self.point.shape}"
             )
-        finite = np.isfinite(self.point).all(axis=-1)
-        if not finite.all():
+        if not np.isfinite(self.point).all():
+            finite = np.isfinite(self.point).all(axis=-1)
             raise GeometryError(f"non-finite point {self._at_first(~finite)!r}")
-        if self.point.ndim == 1:
+        # one point has shape (m,), a stack of samples (N, m)
+        self.stacked = self.point.ndim == 2
+        if not self.stacked:
             self.point_map = manifold.point_map(self.point)
         # field jets and their third derivatives, by expression
         self._fields: dict[Expr, tuple] = {}
         self._thirds: dict[Expr, np.ndarray] = {}
-
-    @property
-    def stacked(self) -> bool:
-        return self.point.ndim == 2
 
     def __getitem__(self, i: int) -> "ChartFrame":
         """The one-point frame at sample ``i``, holding every computed stage."""
@@ -290,7 +288,7 @@ class ChartFrame:
     @cached_property
     def inverse(self) -> np.ndarray:
         degenerate = np.abs(self.det) <= DEGENERACY_THRESHOLD
-        if np.any(degenerate):
+        if degenerate.any():
             k = int(np.argmax(np.reshape(degenerate, -1)))
             raise DegenerateMetricError(
                 self.manifold.name, self._at_first(degenerate), np.reshape(self.det, -1)[k]

@@ -307,10 +307,8 @@ class WarpedFrame:
         self.point = _as_ambient(point)
         self.p1, self.p2, self.p3 = product.split(self.point)
         self._lead = self.point.shape[:-1]
-
-    @property
-    def stacked(self) -> bool:
-        return self.point.ndim == 2
+        # one point has shape (m,), a stack of samples (N, m)
+        self.stacked = self.point.ndim == 2
 
     def __getitem__(self, i: int) -> "WarpedFrame":
         """The one-point frame at sample ``i``, holding every computed stage."""
@@ -341,6 +339,8 @@ class WarpedFrame:
     def _check_positive(self, f, h) -> None:
         """Raise ``PositivityError`` at the first sample where ``f`` or ``h``
         is not positive, ``f`` first at a sample; ``None`` skips a warping."""
+        if all(w is None or (np.asarray(w) > 0.0).all() for w in (f, h)):
+            return
         rows = []
         if f is not None:
             rows.append((np.reshape(f, -1), "inner", self.p1))
