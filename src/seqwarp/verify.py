@@ -334,7 +334,8 @@ def run_verify(
     flat_chart = flatten_to_chart(product)
 
     # input validation: schema problems were caught at load time, domain
-    # problems (degeneracy, signature, positivity) surface here
+    # problems (degeneracy, signature, positivity, an expression outside its
+    # domain, overflow) surface here
     try:
         for fac, sl in zip(product.factors, product.block_slices):
             validate_factor_at(fac, samples[:, sl])
