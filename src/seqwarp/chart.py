@@ -345,17 +345,20 @@ class ChartFrame:
 
     @cached_property
     def d2christoffel(self) -> np.ndarray:
-        d3g = self.d3metric
-        d2T = (
-            np.einsum("...abijl->...ablij", d3g) + np.einsum("...abjil->...ablij", d3g) - d3g
-        )
+        # 0.5 (A + cross + cross(a<->b) + g^-1 d2T), summed in that order in
+        # place: on a stack these are (N, m^5) arrays, and fewer of them live
+        # at once
+        out = np.einsum("...abkl,...lij->...abkij", self.d2inverse, self._gamma_source)
         cross = np.einsum("...akl,...blij->...abkij", self.dinverse, self._dgamma_source)
-        return 0.5 * (
-            np.einsum("...abkl,...lij->...abkij", self.d2inverse, self._gamma_source)
-            + cross
-            + np.swapaxes(cross, -5, -4)
-            + np.einsum("...kl,...ablij->...abkij", self.inverse, d2T)
-        )
+        out += cross
+        out += np.swapaxes(cross, -5, -4)
+        del cross
+        d3g = self.d3metric
+        d2T = np.einsum("...abijl->...ablij", d3g) + np.einsum("...abjil->...ablij", d3g)
+        d2T -= d3g
+        out += np.einsum("...kl,...ablij->...abkij", self.inverse, d2T)
+        out *= 0.5
+        return out
 
     @cached_property
     def riemann_up(self) -> np.ndarray:
@@ -383,14 +386,13 @@ class ChartFrame:
     @cached_property
     def driemann_up(self) -> np.ndarray:
         ga, dga, d2ga = self.christoffel, self.dchristoffel, self.d2christoffel
-        return (
-            np.einsum("...ailjk->...alijk", d2ga)
-            - np.einsum("...ajlik->...alijk", d2ga)
-            + np.einsum("...alim,...mjk->...alijk", dga, ga)
-            + np.einsum("...lim,...amjk->...alijk", ga, dga)
-            - np.einsum("...aljm,...mik->...alijk", dga, ga)
-            - np.einsum("...ljm,...amik->...alijk", ga, dga)
-        )
+        # summed left to right in place, as d2christoffel
+        out = np.einsum("...ailjk->...alijk", d2ga) - np.einsum("...ajlik->...alijk", d2ga)
+        out += np.einsum("...alim,...mjk->...alijk", dga, ga)
+        out += np.einsum("...lim,...amjk->...alijk", ga, dga)
+        out -= np.einsum("...aljm,...mik->...alijk", dga, ga)
+        out -= np.einsum("...ljm,...amik->...alijk", ga, dga)
+        return out
 
     @cached_property
     def dricci(self) -> np.ndarray:
