@@ -23,7 +23,6 @@ tensor above carrying the sample axis first (``christoffel[n, k, i, j]``).
 The stack is vector forward mode (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., ch. 3 and 13): stacked jets and ``...`` einsums do,
 for all N samples at once, the arithmetic a one-point frame does at one.
-``frame[i]`` hands sample ``i`` to code that works one point at a time.
 One point keeps the scalar jets (``eval_jet``); see ``ChartFrame``.
 """
 
@@ -35,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expressions import DomainError, Expr, differentiate, evaluate, parse
+from .expressions import DomainError, Expr, differentiate, parse
 from .jets import eval_jet, eval_jet_stack
 
 __all__ = [
@@ -174,13 +173,10 @@ class ChartFrame:
     over all samples (``eval_jet_stack``); one point, or a stack of one, uses
     the scalar ``eval_jet``, which is the faster of the two at one point.
 
-    ``frame[i]`` is the one-point frame at sample ``i``.  It receives every
-    stage the stack has already computed, as a slice; a stage the stack never
-    computed is computed by the one-point frame when asked for.
-
     A stack raises the error a loop of one-point frames would raise first:
     ``GeometryError`` (non-finite jets), ``DegenerateMetricError`` and
-    ``DomainError`` name the point of the first failing sample.
+    ``DomainError`` name the point of the first failing sample.  ``validate``
+    checks the metric values themselves.
     """
 
     def __init__(self, manifold: FactorManifold, points: Sequence[float] | np.ndarray):
@@ -201,39 +197,43 @@ class ChartFrame:
         self._fields: dict[Expr, tuple] = {}
         self._thirds: dict[Expr, np.ndarray] = {}
 
-    def __getitem__(self, i: int) -> "ChartFrame":
-        """The one-point frame at sample ``i``, holding every computed stage."""
-        one = ChartFrame(self.manifold, self.point[i])
-        _hand_over(self, one, i)
-        one._fields = {phi: _sample(jets, i) for phi, jets in self._fields.items()}
-        one._thirds = {phi: d3[i] for phi, d3 in self._thirds.items()}
-        return one
-
     def _at_first(self, bad) -> np.ndarray:
         """The point of the first sample where ``bad`` holds."""
         return self.point.reshape(-1, self.manifold.dim)[int(np.argmax(np.reshape(bad, -1)))]
 
     def _jets(self, e: Expr):
-        """Order-2 jets of ``e``: a value, gradient and Hessian per sample."""
+        """Order-2 jets of ``e``: a value, gradient and Hessian per sample.
+
+        A ``DomainError`` carries ``node``, the failing sample, and
+        ``reason``; on a stack its message names the sample's point.  Where
+        the scalar walk overflows (``math`` raises), the stacked walk gives
+        ``inf`` instead.
+        """
         coords = self.manifold.coords
-        if not self.stacked:
-            return eval_jet(e, self.point_map, 2, coords)
+        points = self.point.reshape(-1, self.manifold.dim)
         try:
-            if self.point.shape[0] > 1:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    return eval_jet_stack(e, self.point, coords)
-            v, grad, hess = eval_jet(e, self.manifold.point_map(self.point[0]), 2, coords)
-            return np.array([v]), grad[None], hess[None]
+            if len(points) == 1:
+                try:
+                    if not self.stacked:
+                        return eval_jet(e, self.point_map, 2, coords)
+                    v, grad, hess = eval_jet(e, self.manifold.point_map(points[0]), 2, coords)
+                    return np.array([v]), grad[None], hess[None]
+                except OverflowError:
+                    pass
+            with np.errstate(over="ignore", invalid="ignore"):
+                jets = eval_jet_stack(e, points, coords)
+            return jets if self.stacked else tuple(x[0] for x in jets)
         except DomainError as exc:
-            i = getattr(exc, "node", 0)
-            raise DomainError(
-                f"{getattr(exc, 'reason', exc)} at {self.point[i].tolist()}"
-            ) from None
+            i, reason = getattr(exc, "node", 0), getattr(exc, "reason", str(exc))
+            err = DomainError(f"{reason} at {points[i].tolist()}" if self.stacked else reason)
+            err.node, err.reason = i, reason
+            raise err from None
 
     # -- metric jets --------------------------------------------------------
 
     @cached_property
     def _metric_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Order-2 jets of the upper-triangle metric entries, mirrored; unchecked."""
         m = self.manifold.dim
         lead = self.point.shape[:-1]
         g = np.zeros(lead + (m, m))
@@ -245,29 +245,85 @@ class ChartFrame:
                 g[..., i, j] = g[..., j, i] = v
                 dg[..., :, i, j] = dg[..., :, j, i] = grad
                 d2g[..., :, :, i, j] = d2g[..., :, :, j, i] = hess
-        if not (np.isfinite(g).all() and np.isfinite(dg).all() and np.isfinite(d2g).all()):
-            finite = (
-                np.isfinite(g).all(axis=(-2, -1))
-                & np.isfinite(dg).all(axis=(-3, -2, -1))
-                & np.isfinite(d2g).all(axis=(-4, -3, -2, -1))
-            )
+        return g, dg, d2g
+
+    @cached_property
+    def _finite_metric_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        g, dg, d2g = self._metric_jets
+        finite = (
+            np.isfinite(g).all(axis=(-2, -1))
+            & np.isfinite(dg).all(axis=(-3, -2, -1))
+            & np.isfinite(d2g).all(axis=(-4, -3, -2, -1))
+        )
+        if not finite.all():
             raise GeometryError(
                 f"metric of {self.manifold.name!r} or one of its first two derivatives "
                 f"is not finite at {self._at_first(~finite).tolist()}"
             )
         return g, dg, d2g
 
+    def validate(self) -> None:
+        """Check the metric values at every sample: each entry in its domain
+        and finite, the entries symmetric, the metric nondegenerate and of
+        the declared signature.
+
+        The values are the order-0 jets the frame computes anyway; a
+        lower-triangle entry is evaluated only where its expression differs
+        from its mirror.  The error is the one a loop over the samples would
+        raise first, each sample checked in the order above.
+        """
+        m, name, metric = self.manifold.dim, self.manifold.name, self.manifold.metric
+        points = self.point.reshape(-1, m)
+        mirrored = [(i, j) for i in range(m) for j in range(i) if metric[i][j] != metric[j][i]]
+        try:
+            g = self._metric_jets[0].reshape(-1, m, m)
+            lower = [np.reshape(self._jets(metric[i][j])[0], -1) for i, j in mirrored]
+        except DomainError as exc:
+            if exc.node:
+                ChartFrame(self.manifold, points[: exc.node]).validate()
+            raise DomainError(
+                f"metric of {name!r}: {exc.reason} at {points[exc.node].tolist()}"
+            ) from None
+        finite = np.isfinite(g).all(axis=(1, 2))
+        asymmetric = np.zeros(len(points), dtype=bool)
+        for (i, j), values in zip(mirrored, lower):
+            asymmetric |= values != g[:, j, i]
+        safe = np.where(finite[:, None, None], g, np.eye(m))
+        det = np.linalg.det(safe)
+        degenerate = np.abs(det) <= DEGENERACY_THRESHOLD
+        eigs = np.linalg.eigvalsh(safe)
+        negatives = np.sum(eigs < 0.0, axis=1)
+        lorentzian = self.manifold.signature == "lorentzian"
+        bad = ~finite | asymmetric | degenerate | (negatives != int(lorentzian))
+        if not bad.any():
+            return
+        k = int(np.argmax(bad))
+        where = points[k].tolist()
+        if not finite[k]:
+            raise GeometryError(f"metric of {name!r} is not finite at {where}")
+        if asymmetric[k]:
+            raise MetricValidationError(f"{name!r}: metric entries asymmetric at {where}")
+        if degenerate[k]:
+            raise DegenerateMetricError(name, points[k], det[k])
+        if lorentzian:
+            raise SignatureError(
+                f"{name!r}: expected exactly one negative eigenvalue, got {eigs[k]} at {where}"
+            )
+        raise SignatureError(
+            f"{name!r}: expected positive-definite metric, eigenvalues {eigs[k]} at {where}"
+        )
+
     @cached_property
     def metric(self) -> np.ndarray:
-        return self._metric_jets[0]
+        return self._finite_metric_jets[0]
 
     @cached_property
     def dmetric(self) -> np.ndarray:
-        return self._metric_jets[1]
+        return self._finite_metric_jets[1]
 
     @cached_property
     def d2metric(self) -> np.ndarray:
-        return self._metric_jets[2]
+        return self._finite_metric_jets[2]
 
     @cached_property
     def d3metric(self) -> np.ndarray:
@@ -441,8 +497,7 @@ class ChartFrame:
     def grad_norm2(self, phi: Expr) -> float | np.ndarray:
         _, dphi, _ = self.field_jets(phi)
         # (dphi @ inverse) @ dphi, in the order a one-point ``@`` chain takes
-        lowered = np.matmul(dphi[..., None, :], self.inverse)[..., 0, :]
-        return per_sample_scalar(dot(lowered, dphi))
+        return per_sample_scalar(dot(vecmat(dphi, self.inverse), dphi))
 
     def _field_third(self, phi: Expr) -> np.ndarray:
         d3 = self._thirds.get(phi)
@@ -477,16 +532,12 @@ class ChartFrame:
 
     def div_sym2(self, entries: Sequence[Sequence[Expr]]) -> np.ndarray:
         """Divergence of a symmetric 2-tensor given by expression entries."""
-        if self.stacked:
-            return np.stack([self[i].div_sym2(entries) for i in range(self.point.shape[0])])
         m = self.manifold.dim
-        t = np.zeros((m, m))
-        dt = np.zeros((m, m, m))
+        t = np.zeros(self.point.shape[:-1] + (m, m))
+        dt = np.zeros(self.point.shape[:-1] + (m, m, m))
         for i in range(m):
             for j in range(m):
-                v, grad = eval_jet(entries[i][j], self.point_map, 1, self.manifold.coords)
-                t[i, j] = v
-                dt[:, i, j] = grad
+                t[..., i, j], dt[..., :, i, j], _ = self._jets(entries[i][j])
         return self._divergence(dt, t)
 
 
@@ -499,9 +550,24 @@ def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(a, v[..., None])[..., 0]
 
 
+def vecmat(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``v @ a`` per sample, for vectors ``v[..., i]`` and matrices ``a[..., i, j]``."""
+    return np.matmul(v[..., None, :], a)[..., 0, :]
+
+
 def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``u @ v`` per sample, for vectors ``u[..., i]`` and ``v[..., i]``."""
     return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
+
+
+def outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.outer(u, v)`` per sample."""
+    return u[..., :, None] * v[..., None, :]
+
+
+def max_abs(x: np.ndarray, rank: int):
+    """max |x| per sample, over the ``rank`` trailing axes."""
+    return per_sample_scalar(np.max(np.abs(x), axis=tuple(range(-rank, 0))))
 
 
 def per_sample_scalar(value):
@@ -510,23 +576,12 @@ def per_sample_scalar(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _sample(value, i: int):
-    """Sample ``i`` of a stacked stage: a float where the stage is a
-    per-sample scalar, the one-point frame where it is a stacked frame."""
-    if isinstance(value, tuple):
-        return tuple(_sample(v, i) for v in value)
-    if isinstance(value, ChartFrame):
-        return value[i]
-    return per_sample_scalar(value[i])
-
-
-def _hand_over(stack, one, i: int) -> None:
-    """Give the one-point frame ``one`` sample ``i`` of every cached stage
-    that ``stack`` has computed."""
-    cls = type(stack)
-    for name, value in stack.__dict__.items():
-        if isinstance(getattr(cls, name, None), cached_property):
-            one.__dict__[name] = _sample(value, i)
+def per_sample_power(value, n: int):
+    """``value**n`` with Python's float power, sample by sample: numpy's
+    power can differ from it in the last bit."""
+    if np.ndim(value) == 0:
+        return float(value) ** n
+    return np.reshape([v**n for v in np.ravel(value).tolist()], np.shape(value))
 
 
 # ---------------------------------------------------------------------------
@@ -609,59 +664,22 @@ def symmetry_residuals(bundle: CurvatureBundle) -> dict[str, float]:
     ``(N,)`` array, every sample normalized by its own max |R|.
     """
     r = bundle.riemann
-    one_point = r.ndim == 4
-
-    def worst(x: np.ndarray, axes: int):
-        out = np.max(np.abs(x), axis=tuple(range(-axes, 0)))
-        return float(out) if one_point else out
-
-    scale = worst(r, 4) + 1.0
+    scale = max_abs(r, 4) + 1.0
     first_bianchi = r + np.einsum("...iklj->...ijkl", r) + np.einsum("...iljk->...ijkl", r)
     ga, ric = bundle.christoffel, bundle.ricci
     return {
-        "christoffel_symmetry": worst(ga - np.einsum("...kji->...kij", ga), 3) / scale,
-        "antisymmetry_first_pair": worst(r + np.einsum("...jikl->...ijkl", r), 4) / scale,
-        "antisymmetry_second_pair": worst(r + np.einsum("...ijlk->...ijkl", r), 4) / scale,
-        "pair_exchange": worst(r - np.einsum("...klij->...ijkl", r), 4) / scale,
-        "first_bianchi": worst(first_bianchi, 4) / scale,
-        "ricci_symmetry": worst(ric - np.swapaxes(ric, -1, -2), 2) / scale,
+        "christoffel_symmetry": max_abs(ga - np.einsum("...kji->...kij", ga), 3) / scale,
+        "antisymmetry_first_pair": max_abs(r + np.einsum("...jikl->...ijkl", r), 4) / scale,
+        "antisymmetry_second_pair": max_abs(r + np.einsum("...ijlk->...ijkl", r), 4) / scale,
+        "pair_exchange": max_abs(r - np.einsum("...klij->...ijkl", r), 4) / scale,
+        "first_bianchi": max_abs(first_bianchi, 4) / scale,
+        "ricci_symmetry": max_abs(ric - np.swapaxes(ric, -1, -2), 2) / scale,
     }
 
 
 def validate_factor_at(manifold: FactorManifold, points: Iterable[Sequence[float]]) -> None:
     """Check finiteness, symmetry, nondegeneracy, and signature at sample points."""
-    for point in points:
-        pm = manifold.point_map(point)
-        where = list(map(float, point))
-        m = manifold.dim
-        g = np.zeros((m, m))
-        try:
-            for i in range(m):
-                for j in range(m):
-                    g[i, j] = evaluate(manifold.metric[i][j], pm)
-        except DomainError as exc:
-            raise DomainError(f"metric of {manifold.name!r}: {exc} at {where}") from None
-        except OverflowError:
-            g[i, j] = np.inf
-        if not np.isfinite(g).all():
-            raise GeometryError(f"metric of {manifold.name!r} is not finite at {where}")
-        if np.max(np.abs(g - g.T)) != 0.0:
-            raise MetricValidationError(
-                f"{manifold.name!r}: metric entries asymmetric at {where}"
-            )
-        det = np.linalg.det(g)
-        if abs(det) <= DEGENERACY_THRESHOLD:
-            raise DegenerateMetricError(manifold.name, point, det)
-        eigs = np.linalg.eigvalsh(g)
-        negatives = int(np.sum(eigs < 0.0))
-        if manifold.signature == "riemannian" and negatives != 0:
-            raise SignatureError(
-                f"{manifold.name!r}: expected positive-definite metric, eigenvalues {eigs} at {where}"
-            )
-        if manifold.signature == "lorentzian" and negatives != 1:
-            raise SignatureError(
-                f"{manifold.name!r}: expected exactly one negative eigenvalue, got {eigs} at {where}"
-            )
+    ChartFrame(manifold, np.atleast_2d(np.asarray(points, dtype=float))).validate()
 
 
 def sample_box(

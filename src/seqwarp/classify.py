@@ -24,7 +24,9 @@ the material implication "hypothesis holds at every sample implies the
 conclusion holds numerically".
 
 Every evaluator that takes a point also accepts a ``WarpedFrame`` already
-built there, so one frame per sample can serve all of them.
+built there.  Given a stacked frame, an evaluator returns per sample what it
+returns at one point (an ``(N,)`` array, or a list of N results), so one
+stack serves all of them.
 """
 
 from __future__ import annotations
@@ -40,6 +42,13 @@ from .chart import (
     DegenerateMetricError,
     FactorManifold,
     GeometryError,
+    dot,
+    matvec,
+    max_abs,
+    outer,
+    per_sample_power,
+    per_sample_scalar,
+    vecmat,
 )
 from .expressions import DomainError, Expr, to_string
 from .jets import eval_jet_stack
@@ -47,7 +56,9 @@ from .warped import (
     BlockVector,
     PositivityError,
     SequentialWarpedProduct,
+    WarpedFrame,
     _as_frame,
+    _per_sample,
     inner_chart,
 )
 
@@ -377,10 +388,10 @@ def check_quasi_constant_curvature(
 # Factor identities under a rank-one ambient decomposition
 # ---------------------------------------------------------------------------
 
-def _as_block(product: SequentialWarpedProduct, u) -> BlockVector:
-    if isinstance(u, BlockVector):
-        return u
-    return BlockVector.from_ambient(product, u)
+def _per_sample_results(frame: WarpedFrame, build) -> list:
+    """``build(i)`` for each sample ``i`` of a stacked frame; ``build(0)`` at one point."""
+    results = [build(i) for i in range(len(frame.point.reshape(-1, frame.product.dim)))]
+    return results if frame.stacked else results[0]
 
 
 def proposition1_residuals(
@@ -393,11 +404,13 @@ def proposition1_residuals(
     ambient decomposition Ric = alpha g + beta A (x) A.
 
     Factor Ricci tensors come from the factor charts; warping terms from
-    the closed-form frame.  One report per factor.
+    the closed-form frame.  One report per factor; on a stacked frame, one
+    such list per sample, with ``alpha``, ``beta`` and ``U`` given once or
+    per sample.
     """
     frame = _as_frame(product, point)
     alpha, beta, u = qe
-    ub = _as_block(product, u)
+    ub = BlockVector.from_ambient(product, u)
     m1, m2, m3 = product.dims
     f, h = frame.f_value, frame.h_value
     d1 = m1
@@ -405,47 +418,52 @@ def proposition1_residuals(
     g1, g2, g3 = frame.frame1.metric, frame.frame2.metric, frame.frame3.metric
     hh = frame.hess_h
 
-    a1 = g1 @ ub.x1
+    a1 = matvec(g1, ub.x1)
     rhs1 = (
-        alpha * g1
-        + beta * np.outer(a1, a1)
-        + (m2 / f) * frame.hess_f
-        + (m3 / h) * hh[:d1, :d1]
+        _per_sample(alpha, 2) * g1
+        + _per_sample(beta, 2) * outer(a1, a1)
+        + _per_sample(m2 / f, 2) * frame.hess_f
+        + _per_sample(m3 / h, 2) * hh[..., :d1, :d1]
     )
-    res1 = float(np.max(np.abs(frame.frame1.ricci - rhs1)))
+    res1 = max_abs(frame.frame1.ricci - rhs1, 2)
 
-    a2 = g2 @ ub.x2
+    a2 = matvec(g2, ub.x2)
     rhs2 = (
-        (alpha * f**2 + f * frame.lap_f + (m2 - 1) * frame.grad_f_norm2) * g2
-        + beta * f**4 * np.outer(a2, a2)
-        + (m3 / h) * hh[d1:, d1:]
+        _per_sample(
+            alpha * per_sample_power(f, 2) + f * frame.lap_f + (m2 - 1) * frame.grad_f_norm2, 2
+        )
+        * g2
+        + _per_sample(beta * per_sample_power(f, 4), 2) * outer(a2, a2)
+        + _per_sample(m3 / h, 2) * hh[..., d1:, d1:]
     )
-    res2 = float(np.max(np.abs(frame.frame2.ricci - rhs2)))
+    res2 = max_abs(frame.frame2.ricci - rhs2, 2)
 
-    a3 = g3 @ ub.x3
-    rhs3 = (
-        alpha * h**2 + h * frame.lap_h + (m3 - 1) * frame.grad_h_norm2
-    ) * g3 + beta * h**4 * np.outer(a3, a3)
-    res3 = float(np.max(np.abs(frame.frame3.ricci - rhs3)))
+    a3 = matvec(g3, ub.x3)
+    rhs3 = _per_sample(
+        alpha * per_sample_power(h, 2) + h * frame.lap_h + (m3 - 1) * frame.grad_h_norm2, 2
+    ) * g3 + _per_sample(beta * per_sample_power(h, 4), 2) * outer(a3, a3)
+    res3 = max_abs(frame.frame3.ricci - rhs3, 2)
 
-    block_norms = {
-        "U1_norm": float(np.sqrt(abs(ub.x1 @ g1 @ ub.x1))),
-        "U2_norm": float(np.sqrt(abs(ub.x2 @ g2 @ ub.x2))),
-        "U3_norm": float(np.sqrt(abs(ub.x3 @ g3 @ ub.x3))),
-    }
-    return [
-        IdentityReport.from_residual("proposition1_i1", res1, tol, details=block_norms),
-        IdentityReport.from_residual("proposition1_i2", res2, tol, details=block_norms),
-        IdentityReport.from_residual("proposition1_i3", res3, tol, details=block_norms),
-    ]
+    norms = [np.sqrt(abs(dot(vecmat(x, g), x))) for x, g in ((ub.x1, g1), (ub.x2, g2), (ub.x3, g3))]
+    residuals = [np.reshape(r, -1) for r in (res1, res2, res3)]
+    norms = [np.broadcast_to(v, residuals[0].shape) for v in norms]
+
+    def build(i: int) -> list[IdentityReport]:
+        details = {f"U{k}_norm": float(v[i]) for k, v in enumerate(norms, start=1)}
+        return [
+            IdentityReport.from_residual(f"proposition1_i{k}", r[i], tol, details=details)
+            for k, r in enumerate(residuals, start=1)
+        ]
+
+    return _per_sample_results(frame, build)
 
 
 def lambda_at(product: SequentialWarpedProduct, point, alpha: float) -> float:
     """alpha f^2 + f (Lap f on the first factor) + (m2 - 1) |grad f|^2."""
     frame = _as_frame(product, point)
     m2 = product.m2.dim
-    return float(
-        alpha * frame.f_value**2
+    return per_sample_scalar(
+        alpha * per_sample_power(frame.f_value, 2)
         + frame.f_value * frame.lap_f
         + (m2 - 1) * frame.grad_f_norm2
     )
@@ -455,8 +473,8 @@ def nu_at(product: SequentialWarpedProduct, point, alpha: float) -> float:
     """alpha h^2 + h (Lap h on the inner chart) + (m3 - 1) |grad h|^2."""
     frame = _as_frame(product, point)
     m3 = product.m3.dim
-    return float(
-        alpha * frame.h_value**2
+    return per_sample_scalar(
+        alpha * per_sample_power(frame.h_value, 2)
         + frame.h_value * frame.lap_h
         + (m3 - 1) * frame.grad_h_norm2
     )
@@ -697,70 +715,71 @@ def condition_residuals(
     the inner chart.  In the second condition the paired fiber arguments
     are taken equal to the probed direction, and the divergence of the
     scalar f^4 is read as its differential; these readings are recorded
-    here once and used consistently.
+    here once and used consistently.  On a stacked frame ``lam`` may be
+    given per sample, and the result is one pair of reports per sample.
     """
     frame = _as_frame(product, point)
     alpha, beta, u = qe
-    ub = _as_block(product, u)
+    ub = BlockVector.from_ambient(product, u)
     m1, m2, m3 = product.dims
     f, h = frame.f_value, frame.h_value
     inner = frame.inner_frame
     d1 = m1
     dim = d1 + m2
 
-    grad_f_ext = np.concatenate([frame.grad_f, np.zeros(m2)])
-    df_ext = np.concatenate([frame.df, np.zeros(m2)])
-    g1u1 = frame.frame1.metric @ ub.x1
-    g2u2 = frame.frame2.metric @ ub.x2
-    grad_h2 = frame.grad_h[d1:]
+    def extended(x: np.ndarray) -> np.ndarray:
+        """A first-factor vector, padded with zeros on the second factor."""
+        return np.concatenate([x, np.zeros(x.shape[:-1] + (m2,))], axis=-1)
+
+    grad_f_ext, df_ext = extended(frame.grad_f), extended(frame.df)
+    g1u1 = matvec(frame.frame1.metric, ub.x1)
+    g2u2 = matvec(frame.frame2.metric, ub.x2)
+    grad_h2 = frame.grad_h[..., d1:]
 
     div_hess_h = inner.div_hessian(product.h)
     dlap_h = inner.grad_laplacian(product.h)
-    dlap_f = np.concatenate([frame.frame1.grad_laplacian(product.f), np.zeros(m2)])
+    dlap_f = extended(frame.frame1.grad_laplacian(product.f))
     hess_h = frame.hess_h
     dh = frame.dh
+    f_, h_ = _per_sample(f, 1), _per_sample(h, 1)
+    h2 = _per_sample(per_sample_power(h, 2), 1)
 
-    # condition forcing constant lambda
-    res1 = 0.0
-    gradf_u1 = float(frame.df @ ub.x1)
-    div_hh_over_h = div_hess_h / h - (hess_h @ frame.grad_h) / h**2
-    dlap_h_over_h = dlap_h / h - frame.lap_h * dh / h**2
-    for j in range(dim):
-        g1xu = float(g1u1[j]) if j < d1 else 0.0
-        lhs = (
-            (m2 * beta / f) * gradf_u1 * g1xu
-            + (m2 * m3 / (f * h)) * float(grad_f_ext @ hess_h[:, j])
-            + m3 * float(div_hh_over_h[j])
-        )
-        rhs = (m3 / 2.0) * float(dlap_h_over_h[j]) + (2.0 * m2 / f) * float(dlap_f[j])
-        res1 = max(res1, abs(lhs - rhs))
-
-    # condition forcing constant nu
-    res2 = 0.0
-    g2u2u2 = float(ub.x2 @ g2u2)
-    gradh2_u2 = float(grad_h2 @ g2u2)
-    for j in range(dim):
-        g2xu = float(g2u2[j - d1]) if j >= d1 else 0.0
-        df4 = 4.0 * f**3 * float(df_ext[j])
-        lhs = (
-            (m3 / h) * (lam - alpha) * float(dh[j])
-            + beta * df4 * g2xu**2
-            + (m3 * beta / h) * f**4 * gradh2_u2 * g2xu
-        )
-        rhs = (2.0 * m3 / h) * float(dlap_h[j]) + 2.0 * beta * f**3 * float(
-            df_ext[j]
-        ) * g2u2u2
-        res2 = max(res2, abs(lhs - rhs))
-
-    details = {"lambda": lam, "nu": nu, "alpha": alpha, "beta": beta}
-    return (
-        IdentityReport.from_residual(
-            "condition1", res1, tol, informational=True, details=details
-        ),
-        IdentityReport.from_residual(
-            "condition2", res2, tol, informational=True, details=details
-        ),
+    # condition forcing constant lambda, per inner direction j
+    gradf_u1 = _per_sample(dot(frame.df, ub.x1), 1)
+    div_hh_over_h = div_hess_h / h_ - matvec(hess_h, frame.grad_h) / h2
+    dlap_h_over_h = dlap_h / h_ - _per_sample(frame.lap_h, 1) * dh / h2
+    grad_f_hess_h = np.stack([dot(grad_f_ext, hess_h[..., :, j]) for j in range(dim)], axis=-1)
+    lhs = (
+        (m2 * beta / f_) * gradf_u1 * extended(g1u1)
+        + (m2 * m3 / (f_ * h_)) * grad_f_hess_h
+        + m3 * div_hh_over_h
     )
+    rhs = (m3 / 2.0) * dlap_h_over_h + (2.0 * m2 / f_) * dlap_f
+    res1 = np.reshape(max_abs(lhs - rhs, 1), -1)
+
+    # condition forcing constant nu, per inner direction j
+    g2u2u2 = _per_sample(dot(ub.x2, g2u2), 1)
+    gradh2_u2 = _per_sample(dot(grad_h2, g2u2), 1)
+    g2xu = np.concatenate([np.zeros(g2u2.shape[:-1] + (d1,)), g2u2], axis=-1)
+    f3 = _per_sample(per_sample_power(f, 3), 1)
+    df4 = 4.0 * f3 * df_ext
+    lhs = (
+        (m3 / h_) * (_per_sample(lam, 1) - alpha) * dh
+        + beta * df4 * per_sample_power(g2xu, 2)
+        + (m3 * beta / h_) * _per_sample(per_sample_power(f, 4), 1) * gradh2_u2 * g2xu
+    )
+    rhs = (2.0 * m3 / h_) * dlap_h + 2.0 * beta * f3 * df_ext * g2u2u2
+    res2 = np.reshape(max_abs(lhs - rhs, 1), -1)
+    lams = np.broadcast_to(lam, res1.shape)
+
+    def build(i: int) -> tuple[IdentityReport, IdentityReport]:
+        details = {"lambda": float(lams[i]), "nu": nu, "alpha": alpha, "beta": beta}
+        return tuple(
+            IdentityReport.from_residual(name, res[i], tol, informational=True, details=details)
+            for name, res in (("condition1", res1), ("condition2", res2))
+        )
+
+    return _per_sample_results(frame, build)
 
 
 # ---------------------------------------------------------------------------
@@ -772,11 +791,12 @@ def theorem2_conditions(
     qe: tuple[float, float, object] | None,
     lam: float,
     nu: float,
-    points: Iterable,
+    points,
     tol: float = DEFAULT_FIT_TOL,
 ) -> list[IdentityReport]:
     """Evaluate the three constancy-forcing hypothesis bundles over samples.
 
+    ``points`` is a sequence of sample points or a (stacked) ``WarpedFrame``.
     Each report passes when the hypothesis fails somewhere (vacuous) or
     the conclusion - a vanishing warping gradient - holds numerically at
     every sample.  ``qe = None`` marks the rank-one decomposition itself
@@ -787,27 +807,26 @@ def theorem2_conditions(
     # the rigidity statements concern compact Riemannian factors; indefinite
     # gradient norms would make the hypotheses meaningless
     riemannian = all(fac.signature == "riemannian" for fac in product.factors)
-    rows = [_as_frame(product, p) for p in points]
-    n = len(rows)
+    frame = _as_frame(product, points)
+    n = len(frame.point.reshape(-1, product.dim))
 
-    scal3 = [fr.frame3.scalar for fr in rows]
-    lap_h = [fr.lap_h for fr in rows]
-    gradf2 = [fr.grad_f_norm2 for fr in rows]
-    gradh2 = [fr.grad_h_norm2 for fr in rows]
-    fvals = [fr.f_value for fr in rows]
+    scal3 = frame.frame3.scalar
+    lap_h = frame.lap_h
+    gradf2 = frame.grad_f_norm2
+    gradh2 = frame.grad_h_norm2
 
     out = []
 
-    hyp1 = (
+    hyp1 = bool(
         riemannian
         and alpha is not None
         and beta is not None
         and alpha > tol
         and beta > tol
-        and all(s <= tol for s in scal3)
-        and all(v >= -tol for v in lap_h)
+        and np.all(scal3 <= tol)
+        and np.all(lap_h >= -tol)
     )
-    res1 = max(abs(v) for v in gradh2) if hyp1 else 0.0
+    res1 = np.max(np.abs(gradh2)) if hyp1 else 0.0
     out.append(
         IdentityReport.from_residual(
             "theorem2_i",
@@ -819,14 +838,14 @@ def theorem2_conditions(
         )
     )
 
-    gaps = [lam - alpha * f**2 for f in fvals] if alpha is not None else []
+    gaps = lam - alpha * per_sample_power(frame.f_value, 2) if alpha is not None else None
     hyp2 = bool(
         riemannian
         and m2 == 1
-        and gaps
-        and (all(v > tol for v in gaps) or all(v < -tol for v in gaps))
+        and gaps is not None
+        and (np.all(gaps > tol) or np.all(gaps < -tol))
     )
-    res2 = max(abs(v) for v in gradf2) if hyp2 else 0.0
+    res2 = np.max(np.abs(gradf2)) if hyp2 else 0.0
     out.append(
         IdentityReport.from_residual(
             "theorem2_ii",
@@ -838,16 +857,16 @@ def theorem2_conditions(
         )
     )
 
-    hyp3 = (
+    hyp3 = bool(
         riemannian
         and alpha is not None
         and alpha > tol
         and m2 >= 2
         and m3 >= 2
-        and all(v >= lam / (m2 - 1) - tol for v in gradf2)
-        and all(v >= nu / (m3 - 1) - tol for v in gradh2)
+        and np.all(gradf2 >= lam / (m2 - 1) - tol)
+        and np.all(gradh2 >= nu / (m3 - 1) - tol)
     )
-    res3 = max(max(abs(v) for v in gradf2), max(abs(v) for v in gradh2)) if hyp3 else 0.0
+    res3 = max(np.max(np.abs(gradf2)), np.max(np.abs(gradh2))) if hyp3 else 0.0
     out.append(
         IdentityReport.from_residual(
             "theorem2_iii",

@@ -26,10 +26,27 @@ from typing import Sequence
 
 import numpy as np
 
-from .chart import ChartFrame, FactorManifold, SignatureError, validate_factor_at
-from .classify import DEFAULT_FIT_TOL, EINSTEIN_THRESHOLD, IdentityReport, QCCFit, QEFit, fit_quasi_einstein
+from .chart import (
+    ChartFrame,
+    FactorManifold,
+    SignatureError,
+    matvec,
+    max_abs,
+    outer,
+    per_sample_power,
+    validate_factor_at,
+)
+from .classify import (
+    DEFAULT_FIT_TOL,
+    EINSTEIN_THRESHOLD,
+    IdentityReport,
+    QCCFit,
+    QEFit,
+    _per_sample_results,
+    fit_quasi_einstein,
+)
 from .expressions import Const, Expr, free_variables
-from .warped import SequentialWarpedProduct, WarpedFrame, _as_frame, flatten_to_chart
+from .warped import SequentialWarpedProduct, WarpedFrame, _as_frame, _per_sample, flatten_to_chart
 
 __all__ = [
     "SSSTSpec",
@@ -124,15 +141,14 @@ def validate_spacetime_signature(
     product: SequentialWarpedProduct, points: Sequence
 ) -> None:
     """Ambient metric must have exactly one negative eigenvalue, on time."""
-    chart = flatten_to_chart(product)
-    validate_factor_at(chart, points)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    validate_factor_at(flatten_to_chart(product), points)
     axis = time_axis(product)
-    for point in points:
-        frame = WarpedFrame(product, point)
-        if frame.ambient_metric[axis, axis] >= 0.0:
-            raise SignatureError(
-                f"time-time metric entry is non-negative at {np.asarray(point).tolist()}"
-            )
+    spacelike = WarpedFrame(product, points).ambient_metric[:, axis, axis] >= 0.0
+    if spacelike.any():
+        raise SignatureError(
+            f"time-time metric entry is non-negative at {points[np.argmax(spacelike)].tolist()}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +165,35 @@ def _unit_time_component(qe: QEFit, axis: int) -> tuple[bool, str]:
     if abs(u_t - 1.0) <= 1e-6:
         return True, ""
     return False, f"fitted U has time component {u_t:.3e}, expected 1"
+
+
+def _premises(qes, qccs, axis: int, tol: float):
+    """Per sample: whether U has unit time part (with the reason when not),
+    and whether a two-coefficient fit with b != 0 holds on top of that."""
+    premises = [_unit_time_component(qe, axis) for qe in qes]
+    premise = np.array([p for p, _ in premises])
+    qcc_premise = premise & np.array(
+        [q is not None and q.passed and q.b is not None and abs(q.b) > tol for q in qccs]
+    )
+    notes = [
+        "degenerate two-coefficient fit (b = 0): constant-curvature case, conditions vacuous"
+        if qcc is not None and qcc.passed and not (qcc.b and abs(qcc.b) > tol)
+        else "premise not met (need a two-coefficient fit with unit time part of U)"
+        for qcc in qccs
+    ]
+    return premises, premise, qcc_premise, notes
+
+
+def _fit_values(fits, take, where: np.ndarray, default) -> np.ndarray:
+    """``take(fit)`` for each sample where ``where`` holds, ``default`` elsewhere."""
+    return np.array([take(fit) if ok else default for fit, ok in zip(fits, where)])
+
+
+def _factor_fits(frame: ChartFrame, tol: float) -> list[QEFit]:
+    """The quasi-Einstein fit of a factor at each sample."""
+    m = frame.manifold.dim
+    pairs = zip(frame.metric.reshape(-1, m, m), frame.ricci.reshape(-1, m, m))
+    return [fit_quasi_einstein(g, ric, tol) for g, ric in pairs]
 
 
 def ssst_theorem_check(
@@ -169,147 +214,130 @@ def ssst_theorem_check(
     ambient fit, and the Hessian forms tied to a two-coefficient
     curvature fit.  ``point`` may be a ``WarpedFrame``; ``flat`` is the
     flattened-chart frame at the same point, built here when not given.
+    On a stacked frame ``qe`` and ``qcc`` are lists of per-sample fits,
+    and the result is one bundle per sample.
     """
     frame = _as_frame(product, point)
     if flat is None:
         flat = ChartFrame(flatten_to_chart(product), frame.point)
+    qes, qccs = (qe, qcc) if frame.stacked else ([qe], [qcc])
     axis = time_axis(product)
     d1 = product.m1.dim
-    h = frame.h_value
-    reports: list[IdentityReport] = []
+    s1, s2, _ = product.block_slices
+    f, h = frame.f_value, frame.h_value
+    h2, h4 = per_sample_power(h, 2), per_sample_power(h, 4)
+    flat_ricci, closed = flat.ricci, frame.ricci
 
     # time-time identity against the oracle, with recorded sign
-    ric_tt = float(flat.ricci[axis, axis])
+    ric_tt = flat_ricci[..., axis, axis]
     rhs = h * frame.lap_h
     res_d3 = abs(abs(ric_tt) - abs(rhs))
-    sign = 0
-    if abs(rhs) > 1e-12:
-        sign = 1 if ric_tt * rhs > 0 else -1
-    reports.append(
-        IdentityReport.from_residual(
-            "ssst_d3",
-            res_d3,
-            d3_tol,
-            details={"ricci_tt": ric_tt, "h_lap_h": rhs, "recorded_sign": sign},
-        )
-    )
+    sign = np.where(abs(rhs) > 1e-12, np.where(ric_tt * rhs > 0, 1, -1), 0)
 
     # mixed Ricci identities with a 1-dimensional fiber: closed vs oracle blocks
-    closed = frame.ricci
-    s1, s2, _ = product.block_slices
-    res_d1 = float(np.max(np.abs(flat.ricci[s1, s1] - closed[s1, s1])))
-    res_d2 = float(np.max(np.abs(flat.ricci[s2, s2] - closed[s2, s2])))
-    scale = 1.0 + float(np.max(np.abs(flat.ricci)))
-    reports.append(IdentityReport.from_residual("ssst_d1", res_d1 / scale, 1e-7))
-    reports.append(IdentityReport.from_residual("ssst_d2", res_d2 / scale, 1e-7))
+    scale = 1.0 + max_abs(flat_ricci, 2)
+    res_d1 = max_abs(flat_ricci[..., s1, s1] - closed[..., s1, s1], 2) / scale
+    res_d2 = max_abs(flat_ricci[..., s2, s2] - closed[..., s2, s2], 2) / scale
 
     # rank-one consequences at the time direction
-    premise, why = _unit_time_component(qe, axis)
-    if premise:
-        alpha, beta = float(qe.alpha), float(qe.beta)
-        res_d4 = abs(ric_tt - (-alpha * h**2 + beta * h**4))
-        res_i = abs(alpha - beta * h**2 + frame.lap_h / h)
-    else:
-        res_d4 = res_i = 0.0
-    reports.append(
-        IdentityReport.from_residual(
-            "ssst_d4",
-            res_d4,
-            tol * (1.0 + h**4),
-            informational=not premise,
-            details={"premise_met": premise, "note": why},
-        )
-    )
-    reports.append(
-        IdentityReport.from_residual(
-            "ssst_condition_i",
-            res_i,
-            tol * (1.0 + h**2),
-            informational=not premise,
-            details={"premise_met": premise, "note": why},
-        )
-    )
+    premises, premise, qcc_premise, notes = _premises(qes, qccs, axis, tol)
+    alpha = _fit_values(qes, lambda q: float(q.alpha), premise, 0.0)
+    beta = _fit_values(qes, lambda q: float(q.beta), premise, 0.0)
+    res_d4 = np.where(premise, abs(ric_tt - (-alpha * h2 + beta * h4)), 0.0)
+    res_i = np.where(premise, abs(alpha - beta * h2 + frame.lap_h / h), 0.0)
 
     # Hessian forms under a two-coefficient curvature fit whose direction
     # field has unit time part
-    qcc_premise = (
-        qcc is not None
-        and qcc.passed
-        and qcc.b is not None
-        and abs(qcc.b) > tol
-        and premise
-    )
-    if qcc_premise:
-        u1 = qe.U[s1] if (qe is not None and qe.U is not None) else np.zeros(d1)
-        g1 = frame.frame1.metric
-        g1u = g1 @ u1
-        g2 = frame.frame2.metric
-        f = frame.f_value
+    a = _fit_values(qccs, lambda q: float(q.a), qcc_premise, 0.0)
+    b = _fit_values(qccs, lambda q: float(q.b), qcc_premise, 0.0)
+    zeros = np.zeros(d1)
+    u1 = _fit_values(qes, lambda q: zeros if q.U is None else q.U[s1], qcc_premise, zeros)
+    g1, g2 = frame.frame1.metric, frame.frame2.metric
+    g1u = matvec(g1, u1)
+    g1uu = outer(g1u, g1u)
 
-        def _forms(a_val: float, b_val: float) -> float:
-            form_f = a_val * f * g1 + b_val * f * np.outer(g1u, g1u)
-            form_h = (-a_val + h**2) * h * g1 - b_val * h * np.outer(g1u, g1u)
-            form_h2 = (-a_val + h**2) * f**2 * h * g2
-            return (
-                float(np.max(np.abs(frame.hess_f - form_f))),
-                float(np.max(np.abs(frame.hess_h[:d1, :d1] - form_h))),
-                float(np.max(np.abs(frame.hess_h[d1:, d1:] - form_h2))),
-            )
+    def _forms(a_val, b_val) -> np.ndarray:
+        form_f = _per_sample(a_val * f, 2) * g1 + _per_sample(b_val * f, 2) * g1uu
+        form_h = _per_sample((-a_val + h2) * h, 2) * g1 - _per_sample(b_val * h, 2) * g1uu
+        form_h2 = _per_sample((-a_val + h2) * per_sample_power(f, 2) * h, 2) * g2
+        return np.stack([
+            max_abs(frame.hess_f - form_f, 2),
+            max_abs(frame.hess_h[..., :d1, :d1] - form_h, 2),
+            max_abs(frame.hess_h[..., d1:, d1:] - form_h2, 2),
+        ], axis=-1)
 
-        plain = _forms(float(qcc.a), float(qcc.b))
-        negated = _forms(-float(qcc.a), -float(qcc.b))
-        coefficient_sign = "as-printed" if max(plain) <= max(negated) else "negated"
-        residuals = plain if coefficient_sign == "as-printed" else negated
-        note = ""
-    else:
-        residuals = (0.0, 0.0, 0.0)
-        coefficient_sign = None
-        note = (
-            "degenerate two-coefficient fit (b = 0): constant-curvature case, conditions vacuous"
-            if qcc is not None and qcc.passed and not (qcc.b and abs(qcc.b) > tol)
-            else "premise not met (need a two-coefficient fit with unit time part of U)"
-        )
-    for name, res in (
-        ("ssst_hessian_form_f", residuals[0]),
-        ("ssst_hessian_form_h_base", residuals[1]),
-        ("ssst_hessian_form_h_fiber", residuals[2]),
-    ):
-        reports.append(
-            IdentityReport.from_residual(
-                name,
-                res,
-                tol * (1.0 + h**2),
-                informational=not qcc_premise,
-                details={
-                    "premise_met": qcc_premise,
-                    "note": note,
-                    "coefficient_sign": coefficient_sign,
-                },
-            )
-        )
+    plain, negated = _forms(a, b), _forms(-a, -b)
+    as_printed = np.max(plain, axis=-1) <= np.max(negated, axis=-1)
+    residuals = np.where(qcc_premise[:, None], np.where(as_printed[:, None], plain, negated), 0.0)
 
     # factor conclusions
-    fit1 = fit_quasi_einstein(frame.frame1.metric, frame.frame1.ricci, tol)
-    fit2 = fit_quasi_einstein(frame.frame2.metric, frame.frame2.ricci, tol)
-    reports.append(
-        IdentityReport.from_residual(
-            "ssst_m1_quasi_einstein",
-            0.0 if fit1.succeeded else 1.0,
-            0.5,
-            informational=not qcc_premise,
-            details={"fit": fit1.summary(), "premise_met": qcc_premise},
-        )
-    )
-    reports.append(
-        IdentityReport.from_residual(
-            "ssst_m2_einstein",
-            fit2.beta_part if fit2.succeeded else 1.0,
-            max(tol, EINSTEIN_THRESHOLD * 10),
-            informational=not qcc_premise,
-            details={"fit": fit2.summary(), "premise_met": qcc_premise},
-        )
-    )
-    return reports
+    fit1s, fit2s = _factor_fits(frame.frame1, tol), _factor_fits(frame.frame2, tol)
+    columns = np.broadcast_arrays(ric_tt, rhs, res_d3, sign, res_d1, res_d2, h2, h4)
+    ric_tt, rhs, res_d3, sign, res_d1, res_d2, h2, h4 = (np.reshape(c, -1) for c in columns)
+
+    def build(i: int) -> list[IdentityReport]:
+        met, why = premises[i]
+        qcc_met = bool(qcc_premise[i])
+        coefficient_sign = None
+        if qcc_met:
+            coefficient_sign = "as-printed" if as_printed[i] else "negated"
+        hessian = {
+            "premise_met": qcc_met,
+            "note": "" if qcc_met else notes[i],
+            "coefficient_sign": coefficient_sign,
+        }
+        rank_one = {"premise_met": met, "note": why}
+        fit1, fit2 = fit1s[i], fit2s[i]
+        return [
+            IdentityReport.from_residual(
+                "ssst_d3",
+                res_d3[i],
+                d3_tol,
+                details={
+                    "ricci_tt": float(ric_tt[i]),
+                    "h_lap_h": float(rhs[i]),
+                    "recorded_sign": int(sign[i]),
+                },
+            ),
+            IdentityReport.from_residual("ssst_d1", res_d1[i], 1e-7),
+            IdentityReport.from_residual("ssst_d2", res_d2[i], 1e-7),
+            IdentityReport.from_residual(
+                "ssst_d4", res_d4[i], tol * (1.0 + h4[i]), informational=not met, details=rank_one
+            ),
+            IdentityReport.from_residual(
+                "ssst_condition_i",
+                res_i[i],
+                tol * (1.0 + h2[i]),
+                informational=not met,
+                details=dict(rank_one),
+            ),
+            *(
+                IdentityReport.from_residual(
+                    f"ssst_hessian_form_{name}",
+                    res,
+                    tol * (1.0 + h2[i]),
+                    informational=not qcc_met,
+                    details=dict(hessian),
+                )
+                for name, res in zip(("f", "h_base", "h_fiber"), residuals[i])
+            ),
+            IdentityReport.from_residual(
+                "ssst_m1_quasi_einstein",
+                0.0 if fit1.succeeded else 1.0,
+                0.5,
+                informational=not qcc_met,
+                details={"fit": fit1.summary(), "premise_met": qcc_met},
+            ),
+            IdentityReport.from_residual(
+                "ssst_m2_einstein",
+                fit2.beta_part if fit2.succeeded else 1.0,
+                max(tol, EINSTEIN_THRESHOLD * 10),
+                informational=not qcc_met,
+                details={"fit": fit2.summary(), "premise_met": qcc_met},
+            ),
+        ]
+
+    return _per_sample_results(frame, build)
 
 
 def grw_theorem_check(
@@ -326,149 +354,129 @@ def grw_theorem_check(
     The relation between beta - alpha and the second time derivatives of
     the warpings is printed with conflicting signs in the source
     statements; both variants are evaluated and the supported one is
-    named in the report details.  ``point`` and ``flat`` are as in
-    ``ssst_theorem_check``.
+    named in the report details.  ``point``, ``flat``, and the per-sample
+    ``qe`` and ``qcc`` of a stacked frame are as in ``ssst_theorem_check``.
     """
     frame = _as_frame(product, point)
     if flat is None:
         flat = ChartFrame(flatten_to_chart(product), frame.point)
+    qes, qccs = (qe, qcc) if frame.stacked else ([qe], [qcc])
     axis = time_axis(product)
     assert axis == 0, "Robertson-Walker form keeps time as the first coordinate"
     d1 = product.m1.dim
     m2, m3 = product.m2.dim, product.m3.dim
+    s2 = product.block_slices[1]
     f, h = frame.f_value, frame.h_value
-    reports: list[IdentityReport] = []
 
-    f_tt = float(frame.frame1.field_jets(product.f)[2][0, 0])
-    h_tt = float(frame.inner_frame.field_jets(product.h)[2][0, 0])
+    f_tt = frame.frame1.field_jets(product.f)[2][..., 0, 0]
+    h_tt = frame.inner_frame.field_jets(product.h)[2][..., 0, 0]
     term_f = (m2 / f) * f_tt
     term_h = (m3 / h) * h_tt
 
     # global-sign adjudication of the time-time curvature formula
-    ric_tt = float(flat.ricci[axis, axis])
+    ric_tt = flat.ricci[..., axis, axis]
     res_plus = abs(ric_tt - (term_f + term_h))
     res_minus = abs(ric_tt + (term_f + term_h))
-    supported_sign = "negated" if res_minus < res_plus else "as-printed"
-    reports.append(
-        IdentityReport.from_residual(
-            "grw_e1_sign",
-            min(res_plus, res_minus),
-            1e-7 * (1.0 + abs(ric_tt)),
-            details={
-                "ricci_tt": ric_tt,
-                "formula": term_f + term_h,
-                "supported_sign": supported_sign,
-            },
-        )
-    )
 
     # beta - alpha relation: gate on the exact time-time identity, and
     # report both printed sign variants of the warping formula.
-    premise, why = _unit_time_component(qe, axis)
+    premises, premise, qcc_premise, notes = _premises(qes, qccs, axis, tol)
+    beta_alpha = _fit_values(qes, lambda q: float(q.beta) - float(q.alpha), premise, 0.0)
     variant_statement = term_f - term_h
     variant_proof = term_f + term_h
-    if premise:
-        beta_alpha = float(qe.beta) - float(qe.alpha)
-        gate = abs(beta_alpha - ric_tt)
-        res_statement = abs(beta_alpha - variant_statement)
-        res_proof = abs(beta_alpha - variant_proof)
-        distinguishable = abs(variant_statement - variant_proof) > 2.0 * tol
-        stat_ok, proof_ok = res_statement <= tol, res_proof <= tol
-        if stat_ok and proof_ok:
-            supported = "both"
-        elif stat_ok:
-            supported = "statement"
-        elif proof_ok:
-            supported = "proof"
-        else:
-            supported = "neither"
-    else:
-        beta_alpha = None
-        gate = res_statement = res_proof = 0.0
-        supported = "not-applicable"
-        distinguishable = False
-    reports.append(
-        IdentityReport.from_residual(
-            "grw_beta_alpha",
-            gate,
-            tol,
-            informational=not premise,
-            details={
-                "premise_met": premise,
-                "note": why,
-                "beta_alpha": beta_alpha,
-                "residual_statement_variant": res_statement,
-                "residual_proof_variant": res_proof,
-                "supported_variant": supported,
-                "distinguishable": distinguishable,
-            },
-        )
+    gate = np.where(premise, abs(beta_alpha - ric_tt), 0.0)
+    res_statement = np.where(premise, abs(beta_alpha - variant_statement), 0.0)
+    res_proof = np.where(premise, abs(beta_alpha - variant_proof), 0.0)
+    distinguishable = premise & (abs(variant_statement - variant_proof) > 2.0 * tol)
+    stat_ok, proof_ok = res_statement <= tol, res_proof <= tol
+    supported = np.select(
+        [~premise, stat_ok & proof_ok, stat_ok, proof_ok],
+        ["not-applicable", "both", "statement", "proof"],
+        "neither",
     )
 
     # Hessian form on the middle-factor pairs
-    qcc_premise = (
-        qcc is not None
-        and qcc.passed
-        and qcc.b is not None
-        and abs(qcc.b) > tol
-        and premise
-    )
-    if qcc_premise:
-        u2 = qe.U[product.block_slices[1]] if (qe is not None and qe.U is not None) else np.zeros(m2)
-        g2 = frame.frame2.metric
-        g2u = g2 @ u2
-        hess_block = frame.hess_h[d1:, d1:]
+    a = _fit_values(qccs, lambda q: float(q.a), qcc_premise, 0.0)
+    b = _fit_values(qccs, lambda q: float(q.b), qcc_premise, 0.0)
+    zeros = np.zeros(m2)
+    u2 = _fit_values(qes, lambda q: zeros if q.U is None else q.U[s2], qcc_premise, zeros)
+    g2 = frame.frame2.metric
+    g2u = matvec(g2, u2)
+    g2uu = outer(g2u, g2u)
+    hess_block = frame.hess_h[..., d1:, d1:]
+    f2, f4 = per_sample_power(f, 2), per_sample_power(f, 4)
 
-        def _e5(a_val: float, b_val: float) -> float:
-            form = a_val * h * f**2 * g2 + b_val * h * f**4 * np.outer(g2u, g2u)
-            return float(np.max(np.abs(hess_block - form)))
+    def _e5(a_val, b_val) -> np.ndarray:
+        form = _per_sample(a_val * h * f2, 2) * g2 + _per_sample(b_val * h * f4, 2) * g2uu
+        return max_abs(hess_block - form, 2)
 
-        plain = _e5(float(qcc.a), float(qcc.b))
-        negated = _e5(-float(qcc.a), -float(qcc.b))
-        coefficient_sign = "as-printed" if plain <= negated else "negated"
-        res_e5 = min(plain, negated)
-        note = ""
-    else:
-        res_e5 = 0.0
-        coefficient_sign = None
-        note = (
-            "degenerate two-coefficient fit (b = 0): constant-curvature case, conditions vacuous"
-            if qcc is not None and qcc.passed and not (qcc.b and abs(qcc.b) > tol)
-            else "premise not met (need a two-coefficient fit with unit time part of U)"
-        )
-    reports.append(
-        IdentityReport.from_residual(
-            "grw_e5_hessian_form",
-            res_e5,
-            tol * (1.0 + h * f**4),
-            informational=not qcc_premise,
-            details={
-                "premise_met": qcc_premise,
-                "note": note,
-                "coefficient_sign": coefficient_sign,
-            },
-        )
-    )
+    plain, negated = _e5(a, b), _e5(-a, -b)
+    res_e5 = np.where(qcc_premise, np.minimum(plain, negated), 0.0)
+    e5_tol = tol * (1.0 + h * f4)
 
     # factor conclusions
-    fit2 = fit_quasi_einstein(frame.frame2.metric, frame.frame2.ricci, tol)
-    fit3 = fit_quasi_einstein(frame.frame3.metric, frame.frame3.ricci, tol)
-    reports.append(
-        IdentityReport.from_residual(
-            "grw_m2_quasi_einstein",
-            0.0 if fit2.succeeded else 1.0,
-            0.5,
-            informational=not qcc_premise,
-            details={"fit": fit2.summary(), "premise_met": qcc_premise},
-        )
-    )
-    reports.append(
-        IdentityReport.from_residual(
-            "grw_m3_einstein",
-            fit3.beta_part if fit3.succeeded else 1.0,
-            max(tol, EINSTEIN_THRESHOLD * 10),
-            informational=not qcc_premise,
-            details={"fit": fit3.summary(), "premise_met": qcc_premise},
-        )
-    )
-    return reports
+    fit2s, fit3s = _factor_fits(frame.frame2, tol), _factor_fits(frame.frame3, tol)
+    columns = np.broadcast_arrays(ric_tt, term_f + term_h, res_plus, res_minus, e5_tol)
+    ric_tt, formula, res_plus, res_minus, e5_tol = (np.reshape(c, -1) for c in columns)
+
+    def build(i: int) -> list[IdentityReport]:
+        met, why = premises[i]
+        qcc_met = bool(qcc_premise[i])
+        coefficient_sign = None
+        if qcc_met:
+            coefficient_sign = "as-printed" if plain[i] <= negated[i] else "negated"
+        fit2, fit3 = fit2s[i], fit3s[i]
+        return [
+            IdentityReport.from_residual(
+                "grw_e1_sign",
+                min(res_plus[i], res_minus[i]),
+                1e-7 * (1.0 + abs(ric_tt[i])),
+                details={
+                    "ricci_tt": float(ric_tt[i]),
+                    "formula": float(formula[i]),
+                    "supported_sign": "negated" if res_minus[i] < res_plus[i] else "as-printed",
+                },
+            ),
+            IdentityReport.from_residual(
+                "grw_beta_alpha",
+                gate[i],
+                tol,
+                informational=not met,
+                details={
+                    "premise_met": met,
+                    "note": why,
+                    "beta_alpha": float(beta_alpha[i]) if met else None,
+                    "residual_statement_variant": float(res_statement[i]),
+                    "residual_proof_variant": float(res_proof[i]),
+                    "supported_variant": str(supported[i]),
+                    "distinguishable": bool(distinguishable[i]),
+                },
+            ),
+            IdentityReport.from_residual(
+                "grw_e5_hessian_form",
+                res_e5[i],
+                e5_tol[i],
+                informational=not qcc_met,
+                details={
+                    "premise_met": qcc_met,
+                    "note": "" if qcc_met else notes[i],
+                    "coefficient_sign": coefficient_sign,
+                },
+            ),
+            IdentityReport.from_residual(
+                "grw_m2_quasi_einstein",
+                0.0 if fit2.succeeded else 1.0,
+                0.5,
+                informational=not qcc_met,
+                details={"fit": fit2.summary(), "premise_met": qcc_met},
+            ),
+            IdentityReport.from_residual(
+                "grw_m3_einstein",
+                fit3.beta_part if fit3.succeeded else 1.0,
+                max(tol, EINSTEIN_THRESHOLD * 10),
+                informational=not qcc_met,
+                details={"fit": fit3.summary(), "premise_met": qcc_met},
+            ),
+        ]
+
+    return _per_sample_results(frame, build)

@@ -10,13 +10,13 @@ periodic factors; the differential conditions and rigidity hypotheses;
 and the spacetime bundles for the Lorentzian kinds.
 
 Every check reads one stacked ``WarpedFrame`` and one stacked flat
-``ChartFrame`` over all sample points (see :mod:`seqwarp.chart`): the
-oracle, symmetry, Bianchi, cross-block, reduction and Hessian-divergence
-residuals are reductions over their sample axis, each residual normalized
-per sample as a one-point check would.  The structure fits and the per-point
-evaluators run sample by sample, on ``flat.metric[i]`` and on the one-point
-frames ``warped[i]``, which hold their slice of every stage the stacks
-computed.
+``ChartFrame`` over all sample points (see :mod:`seqwarp.chart`), and the
+input validation reads the metric values their jets hold.  The oracle,
+symmetry, Bianchi, cross-block, reduction and Hessian-divergence residuals
+are reductions over the sample axis, each residual normalized per sample as
+a one-point check would.  The evaluators take the stacked frames and return
+per-sample results, which are reduced over the samples each check covers;
+the structure fits run sample by sample on ``flat.metric[i]``.
 
 The report is a plain dict rendered to JSON with stable ordering and no
 timestamps, so identical spec + seed gives byte-identical output.  The
@@ -36,8 +36,8 @@ from .chart import (
     ChartFrame,
     GeometryError,
     matvec,
+    max_abs,
     symmetry_residuals,
-    validate_factor_at,
 )
 from .classify import (
     IdentityReport,
@@ -169,15 +169,10 @@ def _qcc_summary(fits: list[QCCFit]) -> dict:
     }
 
 
-def _max_abs(x: np.ndarray, rank: int) -> np.ndarray:
-    """max |x| per sample, over the ``rank`` trailing axes."""
-    return np.max(np.abs(x), axis=tuple(range(-rank, 0)))
-
-
 def _normalized_gap(closed: np.ndarray, oracle: np.ndarray) -> np.ndarray:
     """max |closed - oracle| per sample, normalized by that sample's 1 + max |oracle|."""
     rank = oracle.ndim - 1
-    return _max_abs(closed - oracle, rank) / (1.0 + _max_abs(oracle, rank))
+    return max_abs(closed - oracle, rank) / (1.0 + max_abs(oracle, rank))
 
 
 def _oracle_checks(
@@ -233,7 +228,7 @@ def _oracle_checks(
             report(
                 "bianchi_contracted",
                 [
-                    _max_abs(fr.div_ricci - 0.5 * fr.dscalar, 1)
+                    max_abs(fr.div_ricci - 0.5 * fr.dscalar, 1)
                     for fr in (flat, warped.frame1, warped.frame2, warped.frame3)
                 ],
                 tol["bianchi"],
@@ -241,7 +236,7 @@ def _oracle_checks(
         )
         out.append(
             report(
-                "ricci_cross_blocks", [_max_abs(flat.ricci[:, cross_mask], 1)], tol["cross_ricci"]
+                "ricci_cross_blocks", [max_abs(flat.ricci[:, cross_mask], 1)], tol["cross_ricci"]
             )
         )
 
@@ -253,7 +248,7 @@ def _oracle_checks(
             out.append(
                 report(
                     "trivial_warping_reduction",
-                    [_max_abs(flat.ricci - block, 2), _max_abs(warped.ricci - block, 2)],
+                    [max_abs(flat.ricci - block, 2), max_abs(warped.ricci - block, 2)],
                     tol["reduction"],
                 )
             )
@@ -262,7 +257,7 @@ def _oracle_checks(
         for fr, phi in ((warped.frame1, product.f), (warped.inner_frame, product.h)):
             lhs = fr.div_hessian(phi)
             rhs = matvec(fr.ricci, fr.gradient(phi)) + fr.grad_laplacian(phi)
-            divergence.append(_max_abs(lhs - rhs, 1))
+            divergence.append(max_abs(lhs - rhs, 1))
         out.append(report("hessian_divergence", divergence, tol["bianchi"]))
     return out
 
@@ -280,23 +275,15 @@ def _fit_each(fit, metric, tensor, tol: float, samples: np.ndarray) -> list:
 
 
 def _merge_spacetime_reports(per_point: list[list[IdentityReport]]) -> list[IdentityReport]:
-    """Aggregate per-point report bundles by name.
+    """Aggregate per-point report bundles, which name the same identities in
+    the same order.
 
     Residuals are expressed as residual/tolerance ratios so points with
     different scale factors merge cleanly; an identity gates the overall
     verdict as soon as its premise held at one point.
     """
-    by_name: dict[str, list[IdentityReport]] = {}
-    order: list[str] = []
-    for bundle in per_point:
-        for rep in bundle:
-            if rep.name not in by_name:
-                by_name[rep.name] = []
-                order.append(rep.name)
-            by_name[rep.name].append(rep)
     merged = []
-    for name in order:
-        reps = by_name[name]
+    for reps in zip(*per_point):
         gating = [r for r in reps if not r.informational]
         ratio = max((r.max_residual / r.tolerance for r in gating), default=0.0)
         sample = gating[0] if gating else reps[0]
@@ -305,7 +292,7 @@ def _merge_spacetime_reports(per_point: list[list[IdentityReport]]) -> list[Iden
         details["scaled_residual"] = True
         merged.append(
             IdentityReport.from_residual(
-                name,
+                sample.name,
                 ratio,
                 1.0,
                 points=len(reps),
@@ -331,18 +318,16 @@ def run_verify(
 
     product = spec.product
     samples = spec.sample_points(n_points, seed_used)
-    flat_chart = flatten_to_chart(product)
 
     # input validation: schema problems were caught at load time, domain
     # problems (degeneracy, signature, positivity, an expression outside its
     # domain, overflow) surface here
     try:
-        for fac, sl in zip(product.factors, product.block_slices):
-            validate_factor_at(fac, samples[:, sl])
-        validate_factor_at(flat_chart, samples)
         warped = WarpedFrame(product, samples)
+        flat = ChartFrame(flatten_to_chart(product), samples)
+        for frame in (warped.frame1, warped.frame2, warped.frame3, flat):
+            frame.validate()
         _ = (warped.f_value, warped.h_value)
-        flat = ChartFrame(flat_chart, samples)
         # the flat metric carries every factor metric and both warpings, so
         # its jets are where an overflow anywhere in the spec shows
         _ = flat.metric
@@ -356,10 +341,6 @@ def run_verify(
     ]
     dim = product.dim
     constant_warpings = not free_variables(product.f) and not free_variables(product.h)
-
-    # the per-point evaluators below take one frame per sample, each holding
-    # its slice of every stage the stacks computed above
-    warped_frames = [warped[i] for i in range(n_points)]
 
     # --- structure fits ----------------------------------------------------------
     qe_fits = _fit_each(fit_quasi_einstein, flat.metric, flat.ricci, tol["fit"], samples)
@@ -384,16 +365,21 @@ def run_verify(
     )
 
     # --- factor identities from the rank-one decomposition -----------------------
+    # per-sample (alpha, beta, U), zeros where the fit failed
+    fitted = np.array([fit.succeeded for fit in qe_fits])
+    decomposition = (
+        np.array([fit.alpha if fit.succeeded else 0.0 for fit in qe_fits]),
+        np.array([fit.beta if fit.succeeded else 0.0 for fit in qe_fits]),
+        np.array([fit.U if fit.U is not None else np.zeros(dim) for fit in qe_fits]),
+    )
+    prop_points = int(fitted.sum())
     prop_residuals = [0.0, 0.0, 0.0]
-    prop_points = 0
-    for wf, fit in zip(warped_frames, qe_fits):
-        if not fit.succeeded:
-            continue
-        u = fit.U if fit.U is not None else np.zeros(dim)
-        reports = proposition1_residuals(product, wf, (fit.alpha, fit.beta, u), tol["fit"])
-        for i, rep in enumerate(reports):
-            prop_residuals[i] = max(prop_residuals[i], rep.max_residual)
-        prop_points += 1
+    if prop_points:
+        bundles = proposition1_residuals(product, warped, decomposition, tol["fit"])
+        prop_residuals = [
+            max(reports[i].max_residual for reports, ok in zip(bundles, fitted) if ok)
+            for i in range(3)
+        ]
     for i, label in enumerate(("i1", "i2", "i3")):
         identities.append(
             IdentityReport.from_residual(
@@ -412,17 +398,11 @@ def run_verify(
     res_cor = 0.0
     cor_points = 0
     if cor_applicable:
-        for wf, fit in zip(warped_frames, qe_fits):
-            qe = spec.planted
-            if qe is None and fit.succeeded:
-                u = fit.U if fit.U is not None else np.zeros(dim)
-                qe = (fit.alpha, fit.beta, u)
-            if qe is None:
-                continue
-            direct = wf.factor_scalars()
-            stated = wf.factor_scalars(qe)
-            res_cor = max(res_cor, max(abs(a - b) for a, b in zip(direct, stated)))
-            cor_points += 1
+        covered = fitted if spec.planted is None else np.ones(n_points, dtype=bool)
+        stated = warped.factor_scalars(decomposition if spec.planted is None else spec.planted)
+        gaps = [abs(a - b) for a, b in zip(warped.factor_scalars(), stated)]
+        res_cor = max(np.maximum(np.maximum(*gaps[:2]), gaps[2])[covered].tolist())
+        cor_points = int(covered.sum())
     identities.append(
         IdentityReport.from_residual(
             "corollary1_scalars",
@@ -445,14 +425,12 @@ def run_verify(
         alpha_used, beta_used = spec.planted[0], spec.planted[1]
         u_used = spec.planted[2]
     else:
-        fitted = [f for f in qe_fits if f.succeeded]
-        alpha_used = (
-            sum(f.alpha for f in fitted) / len(fitted) if fitted else 0.0
-        )
-        beta_used = sum(f.beta for f in fitted) / len(fitted) if fitted else 0.0
-        u_used = next((f.U for f in fitted if f.U is not None), np.zeros(dim))
-    lambda_values = [lambda_at(product, wf, alpha_used) for wf in warped_frames]
-    nu_values = [nu_at(product, wf, alpha_used) for wf in warped_frames]
+        ok = [f for f in qe_fits if f.succeeded]
+        alpha_used = sum(f.alpha for f in ok) / len(ok) if ok else 0.0
+        beta_used = sum(f.beta for f in ok) / len(ok) if ok else 0.0
+        u_used = next((f.U for f in ok if f.U is not None), np.zeros(dim))
+    lambda_values = lambda_at(product, warped, alpha_used)
+    nu_values = nu_at(product, warped, alpha_used)
     identities.append(
         IdentityReport.from_residual(
             "lambda_nu_fields",
@@ -488,35 +466,26 @@ def run_verify(
 
     # --- differential conditions and rigidity hypotheses ---------------------------
     qe_used = (alpha_used, beta_used, u_used)
-    res_c1 = res_c2 = 0.0
-    sat_c1 = sat_c2 = True
-    for wf, lam in zip(warped_frames[:5], lambda_values[:5]):
-        rep1, rep2 = condition_residuals(product, wf, qe_used, lam, None, tol["fit"])
-        res_c1 = max(res_c1, rep1.max_residual)
-        res_c2 = max(res_c2, rep2.max_residual)
-        sat_c1 = sat_c1 and rep1.passed
-        sat_c2 = sat_c2 and rep2.passed
-    for name, res, sat in (
-        ("condition1", res_c1, sat_c1),
-        ("condition2", res_c2, sat_c2),
-    ):
+    # the conditions are probed at the first five samples
+    pairs = condition_residuals(product, warped, qe_used, lambda_values, None, tol["fit"])[:5]
+    for name, reports in zip(("condition1", "condition2"), zip(*pairs)):
         identities.append(
             IdentityReport.from_residual(
                 name,
-                res,
+                max(r.max_residual for r in reports),
                 tol["fit"],
-                points=min(5, n_points),
+                points=len(reports),
                 informational=True,
                 details={
-                    "condition_satisfied": bool(sat),
+                    "condition_satisfied": all(r.passed for r in reports),
                     "note": "hypothesis evaluator: a nonzero residual means the "
                     "displayed condition does not hold on this manifold",
                 },
             )
         )
 
-    lam_mean = sum(lambda_values) / len(lambda_values)
-    nu_mean = sum(nu_values) / len(nu_values)
+    lam_mean = sum(lambda_values.tolist()) / n_points
+    nu_mean = sum(nu_values.tolist()) / n_points
     decomposition_available = spec.planted is not None or any(
         f.succeeded for f in qe_fits
     )
@@ -526,25 +495,19 @@ def run_verify(
             qe_used if decomposition_available else None,
             lam_mean,
             nu_mean,
-            warped_frames,
+            warped,
             tol["fit"],
         )
     )
 
     # --- spacetime bundles ----------------------------------------------------------
     if spec.kind in ("ssst", "grw"):
-        bundles = []
-        for i, (wf, qe, qcc) in enumerate(zip(warped_frames, qe_fits, qcc_fits)):
-            if spec.kind == "ssst":
-                bundles.append(
-                    ssst_theorem_check(
-                        product, wf, qe, qcc, tol["fit"], tol["d3"], flat=flat[i]
-                    )
-                )
-            else:
-                bundles.append(
-                    grw_theorem_check(product, wf, qe, qcc, tol["fit"], flat=flat[i])
-                )
+        if spec.kind == "ssst":
+            bundles = ssst_theorem_check(
+                product, warped, qe_fits, qcc_fits, tol["fit"], tol["d3"], flat=flat
+            )
+        else:
+            bundles = grw_theorem_check(product, warped, qe_fits, qcc_fits, tol["fit"], flat=flat)
         merged = _merge_spacetime_reports(bundles)
         identities.extend(merged)
         by_name = {r.name: r for r in merged}

@@ -20,8 +20,7 @@ Disagreement between the routes is a bug by definition; the verification
 suite compares the closed tensors with the chart's, whole, at every sample.
 Both routes take a stack of sample points as well as one point: a stacked
 ``WarpedFrame`` assembles the closed tensors of all N samples at once from
-stacked factor frames, and ``frame[i]`` is its one-point frame at sample
-``i``.
+stacked factor frames.
 
 Note on signs: the closed-form curvature below is written for the
 curvature operator R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z -
@@ -43,10 +42,11 @@ from .chart import (
     ChartFrame,
     FactorManifold,
     GeometryError,
-    _hand_over,
     dot,
     matvec,
+    per_sample_power,
     per_sample_scalar,
+    vecmat,
 )
 from .expressions import BinOp, Const, Expr, free_variables
 
@@ -175,14 +175,6 @@ def _per_sample(value, rank: int):
     return np.asarray(value)[(Ellipsis,) + (None,) * rank]
 
 
-def _square(value):
-    """``value**2`` with Python's float power, sample by sample: numpy's
-    square can differ from it in the last bit."""
-    if isinstance(value, float):
-        return value**2
-    return np.array([v**2 for v in value.tolist()])
-
-
 def _as_ambient(point) -> np.ndarray:
     if isinstance(point, ProductPoint):
         return point.ambient
@@ -210,9 +202,12 @@ class BlockVector:
 
     @classmethod
     def from_ambient(cls, product: SequentialWarpedProduct, vec) -> "BlockVector":
+        """``vec`` split per block, on its last axis; a ``BlockVector`` as is."""
+        if isinstance(vec, BlockVector):
+            return vec
         v = np.asarray(vec, dtype=float)
         s1, s2, s3 = product.block_slices
-        return cls(v[s1].copy(), v[s2].copy(), v[s3].copy())
+        return cls(v[..., s1].copy(), v[..., s2].copy(), v[..., s3].copy())
 
     @property
     def ambient(self) -> np.ndarray:
@@ -291,15 +286,14 @@ class WarpedFrame:
     or a stack of N samples, shape ``(N, d)``.  On a stack the factor and
     inner frames are stacked ``ChartFrame``s, built once for all samples, and
     the warping jets, ``christoffel``, ``riemann_up``, ``ricci`` and
-    ``scalar`` carry the sample axis first.  ``frame[i]`` is the one-point
-    frame at sample ``i``: it receives every stage the stack has computed,
-    the factor and inner frames included, as slices.  A stack checks ``f``
-    and ``h`` positive sample by sample, ``f`` before ``h``, and
-    ``PositivityError`` names the first failing sample.
+    ``scalar`` carry the sample axis first.  A stack checks ``f`` and ``h``
+    positive sample by sample, ``f`` before ``h``, and ``PositivityError``
+    names the first failing sample.
 
     The evaluators in :mod:`seqwarp.classify` and :mod:`seqwarp.spacetime`
-    accept a one-point frame wherever they take a point, so one frame per
-    sample serves all of them.
+    accept a frame wherever they take a point; given a stack, they return
+    per sample what they return at one point, so one stack serves all of
+    them.
     """
 
     def __init__(self, product: SequentialWarpedProduct, point):
@@ -309,12 +303,6 @@ class WarpedFrame:
         self._lead = self.point.shape[:-1]
         # one point has shape (m,), a stack of samples (N, m)
         self.stacked = self.point.ndim == 2
-
-    def __getitem__(self, i: int) -> "WarpedFrame":
-        """The one-point frame at sample ``i``, holding every computed stage."""
-        one = WarpedFrame(self.product, self.point[i])
-        _hand_over(self, one, i)
-        return one
 
     @cached_property
     def frame1(self) -> ChartFrame:
@@ -430,8 +418,8 @@ class WarpedFrame:
         out = np.zeros(self._lead + (d, d))
         s1, s2, s3 = self.product.block_slices
         out[..., s1, s1] = self.frame1.metric
-        out[..., s2, s2] = _per_sample(_square(self.f_value), 2) * self.frame2.metric
-        out[..., s3, s3] = _per_sample(_square(self.h_value), 2) * self.frame3.metric
+        out[..., s2, s2] = _per_sample(per_sample_power(self.f_value, 2), 2) * self.frame2.metric
+        out[..., s3, s3] = _per_sample(per_sample_power(self.h_value, 2), 2) * self.frame3.metric
         return out
 
     @cached_property
@@ -440,8 +428,8 @@ class WarpedFrame:
         out = np.zeros(self._lead + (d, d))
         s1, s2, s3 = self.product.block_slices
         out[..., s1, s1] = self.frame1.inverse
-        out[..., s2, s2] = self.frame2.inverse / _per_sample(_square(self.f_value), 2)
-        out[..., s3, s3] = self.frame3.inverse / _per_sample(_square(self.h_value), 2)
+        out[..., s2, s2] = self.frame2.inverse / _per_sample(per_sample_power(self.f_value, 2), 2)
+        out[..., s3, s3] = self.frame3.inverse / _per_sample(per_sample_power(self.h_value, 2), 2)
         return out
 
     def split_inner(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -573,37 +561,34 @@ class WarpedFrame:
 
     def factor_scalars(self, qe=None) -> tuple[float, float, float]:
         """Factor scalar curvatures by contraction, or the closed rank-one
-        decomposition values when ``qe = (alpha, beta, U)`` is supplied."""
+        decomposition values when ``qe = (alpha, beta, U)`` is supplied; on a
+        stack ``alpha``, ``beta`` and ``U`` may be given per sample."""
         if qe is None:
             return (self.frame1.scalar, self.frame2.scalar, self.frame3.scalar)
         alpha, beta, u = qe
-        u = (
-            u
-            if isinstance(u, BlockVector)
-            else BlockVector.from_ambient(self.product, u)
-        )
+        u = BlockVector.from_ambient(self.product, u)
         m1, m2, m3 = self.product.dims
         f, h = self.f_value, self.h_value
-        g1u = float(u.x1 @ self.frame1.metric @ u.x1)
-        g2u = float(u.x2 @ self.frame2.metric @ u.x2)
-        g3u = float(u.x3 @ self.frame3.metric @ u.x3)
+        g1u = dot(vecmat(u.x1, self.frame1.metric), u.x1)
+        g2u = dot(vecmat(u.x2, self.frame2.metric), u.x2)
+        g3u = dot(vecmat(u.x3, self.frame3.metric), u.x3)
         s1 = alpha * m1 + beta * g1u + (m2 / f) * self.lap_f + (m3 / h) * self.lap_h
         s2 = (
-            (alpha * f**2 + f * self.lap_f + (m2 - 1) * self.grad_f_norm2) * m2
-            + beta * f**4 * g2u
+            (alpha * per_sample_power(f, 2) + f * self.lap_f + (m2 - 1) * self.grad_f_norm2) * m2
+            + beta * per_sample_power(f, 4) * g2u
             + (m3 / h) * self.lap_h
         )
         s3 = (
-            alpha * h**2 + h * self.lap_h + (m3 - 1) * self.grad_h_norm2
-        ) * m3 + beta * h**4 * g3u
-        return (s1, s2, s3)
+            alpha * per_sample_power(h, 2) + h * self.lap_h + (m3 - 1) * self.grad_h_norm2
+        ) * m3 + beta * per_sample_power(h, 4) * g3u
+        return tuple(per_sample_scalar(s) for s in (s1, s2, s3))
 
 
 def _as_frame(product: SequentialWarpedProduct, point) -> WarpedFrame:
     """``point`` itself when it is an already-built frame, else a new frame there.
 
     Evaluators that take a point accept a frame through this, so a caller
-    holding one frame per sample shares it across every check.
+    holding one stacked frame shares it across every check.
     """
     if isinstance(point, WarpedFrame):
         if point.product != product:

@@ -211,8 +211,8 @@ class TestRunVerify:
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_run_verify_builds_one_warped_frame_per_sample(name, monkeypatch):
-    """One stack per chart over all samples, then one one-point warped frame
-    per sample (``stack[i]``) for the per-point evaluators."""
+    """One stacked warped frame and one stacked frame per chart over all
+    samples serve every check: no one-point frame is built."""
     from seqwarp.chart import ChartFrame
     from seqwarp.warped import WarpedFrame, flatten_to_chart, inner_chart
 
@@ -228,13 +228,11 @@ def test_run_verify_builds_one_warped_frame_per_sample(name, monkeypatch):
     product = spec.product
     report = run_verify(spec, points=4)
     assert report.points == 4
-    warped_stacks = [shape for _, shape in built[WarpedFrame] if len(shape) == 2]
-    assert warped_stacks == [(4, product.dim)]
-    assert sum(len(shape) == 1 for _, shape in built[WarpedFrame]) == 4
-    chart_stacks = sorted(owner.name for owner, shape in built[ChartFrame] if len(shape) == 2)
+    assert [shape for _, shape in built[WarpedFrame]] == [(4, product.dim)]
     charts = [flatten_to_chart(product), inner_chart(product), *product.factors]
-    assert chart_stacks == sorted(chart.name for chart in charts)
-    assert all(shape[0] == 4 for _, shape in built[ChartFrame] if len(shape) == 2)
+    assert sorted((owner.name, shape) for owner, shape in built[ChartFrame]) == sorted(
+        (chart.name, (4, chart.dim)) for chart in charts
+    )
 
 
 def test_evaluators_accept_a_shared_frame():

@@ -8,7 +8,6 @@ ulp.
 """
 
 import re
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -162,73 +161,6 @@ def test_stacked_warped_frame_matches_one_point_frames(name):
         one = WarpedFrame(product, point)
         for stage in WARPED_STAGES:
             assert_agree(getattr(stack, stage)[i], getattr(one, stage), bitwise, f"{stage} {i}")
-
-
-def counting_stage(monkeypatch, cls, stage: str, calls: list):
-    original = cls.__dict__[stage].func
-
-    def counted(self):
-        calls.append(np.shape(self.point))
-        return original(self)
-
-    prop = cached_property(counted)
-    prop.__set_name__(cls, stage)
-    monkeypatch.setattr(cls, stage, prop)
-
-
-def test_sample_frame_holds_the_stack_stages(monkeypatch):
-    spec = catalog_spec("planted_qe")
-    chart = flatten_to_chart(spec.product)
-    points = spec.sample_points(SAMPLES, 0)
-    calls = []
-    counting_stage(monkeypatch, ChartFrame, "christoffel", calls)
-    stack = ChartFrame(chart, points)
-    _ = stack.ricci, stack.field_jets(spec.product.h)
-    assert calls == [points.shape]
-    one, fresh = stack[2], ChartFrame(chart, points[2])
-    assert "driemann_up" not in stack.__dict__
-    for stage in STAGES:
-        assert_agree(getattr(one, stage), getattr(fresh, stage), True, stage)
-    for method in FIELD_METHODS:
-        s, o = getattr(one, method)(spec.product.h), getattr(fresh, method)(spec.product.h)
-        assert_agree(s, o, True, method)
-    # only the fresh frame computed its Christoffel symbols; the sample frame
-    # computed driemann_up, which the stack never had, from the handed-over stages
-    assert calls == [points.shape, (chart.dim,)]
-    assert "driemann_up" not in stack.__dict__
-    assert type(one.scalar) is type(one.det) is float
-    assert one.point.tolist() == points[2].tolist()
-
-
-def test_warped_sample_frame_holds_factor_and_inner_frames(monkeypatch):
-    import seqwarp.warped as warped_module
-
-    spec = catalog_spec("planted_qe")
-    product, points = spec.product, spec.sample_points(SAMPLES, 0)
-    inner_calls = []
-    original_inner = warped_module.inner_chart
-
-    def counting_inner(p):
-        inner_calls.append(p)
-        return original_inner(p)
-
-    monkeypatch.setattr(warped_module, "inner_chart", counting_inner)
-    calls = []
-    counting_stage(monkeypatch, ChartFrame, "riemann_up", calls)
-    stack = WarpedFrame(product, points)
-    _ = stack.riemann_up, stack.ricci, stack.inner_frame.riemann_up
-    assert len(inner_calls) == 1 and len(calls) == 4
-    one = stack[4]
-    for name in ("frame1", "frame2", "frame3", "inner_frame"):
-        frame = getattr(one, name)
-        assert not frame.stacked
-        _ = frame.riemann_up  # a slice of the stack's: computing it would count a call
-    _ = one.riemann_up, one.ricci, one.h_value
-    assert len(inner_calls) == 1 and len(calls) == 4
-    fresh = WarpedFrame(product, points[4])
-    for stage in WARPED_STAGES:
-        assert_agree(getattr(one, stage), getattr(fresh, stage), True, stage)
-    assert len(inner_calls) == 2
 
 
 # ---------------------------------------------------------------------------
