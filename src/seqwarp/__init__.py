@@ -22,23 +22,11 @@ from .expressions import (
 from .jets import eval_jet
 from .chart import (
     ChartFrame,
-    CurvatureBundle,
     DegenerateMetricError,
     FactorManifold,
     GeometryError,
     SignatureError,
-    christoffel_at,
-    curvature_bundle_at,
-    div_hessian_at,
-    div_sym2_at,
     factor,
-    grad_laplacian_at,
-    gradient_at,
-    hessian_at,
-    laplacian_at,
-    ricci_at,
-    riemann_at,
-    scalar_at,
     symmetry_residuals,
 )
 from .warped import (
@@ -47,14 +35,8 @@ from .warped import (
     ProductPoint,
     SequentialWarpedProduct,
     WarpedFrame,
-    ambient_metric_at,
-    connection_closed,
-    curvature_closed,
-    factor_scalars_closed,
     flatten_to_chart,
     inner_chart,
-    ricci_closed,
-    scalar_closed,
 )
 from .classify import (
     IdentityReport,

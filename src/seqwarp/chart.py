@@ -39,29 +39,18 @@ from .jets import eval_jet, eval_jet_stack
 
 __all__ = [
     "FactorManifold",
-    "CurvatureBundle",
     "ChartFrame",
     "GeometryError",
     "DegenerateMetricError",
     "SignatureError",
     "MetricValidationError",
     "factor",
-    "christoffel_at",
-    "riemann_at",
-    "ricci_at",
-    "scalar_at",
-    "gradient_at",
-    "hessian_at",
-    "laplacian_at",
-    "div_sym2_at",
-    "div_hessian_at",
-    "grad_laplacian_at",
-    "curvature_bundle_at",
     "symmetry_residuals",
     "validate_factor_at",
     "sample_box",
 ]
 
+# |det g| / prod_i ||row_i|| at or below this marks a metric degenerate (``is_degenerate``)
 DEGENERACY_THRESHOLD = 1e-12
 
 
@@ -290,7 +279,7 @@ class ChartFrame:
             asymmetric |= values != g[:, j, i]
         safe = np.where(finite[:, None, None], g, np.eye(m))
         det = np.linalg.det(safe)
-        degenerate = np.abs(det) <= DEGENERACY_THRESHOLD
+        degenerate = is_degenerate(safe, det)
         eigs = np.linalg.eigvalsh(safe)
         negatives = np.sum(eigs < 0.0, axis=1)
         lorentzian = self.manifold.signature == "lorentzian"
@@ -343,7 +332,7 @@ class ChartFrame:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        degenerate = np.abs(self.det) <= DEGENERACY_THRESHOLD
+        degenerate = is_degenerate(self.metric, self.det)
         if degenerate.any():
             k = int(np.argmax(np.reshape(degenerate, -1)))
             raise DegenerateMetricError(
@@ -541,6 +530,21 @@ class ChartFrame:
         return self._divergence(dt, t)
 
 
+def is_degenerate(metric: np.ndarray, det) -> np.ndarray:
+    """Whether ``|det g| <= DEGENERACY_THRESHOLD * prod_i ||row_i||``, per sample.
+
+    By Hadamard's inequality the ratio ``|det g| / prod_i ||row_i||`` lies in
+    [0, 1]; it is 1 for a diagonal metric and does not change when the
+    metric is rescaled, so neither does the verdict.  The row norms come
+    from ``hypot`` and the two sides are compared as logarithms, so nothing
+    overflows below the float range; a zero row makes both sides ``-inf``
+    and the metric degenerate.
+    """
+    with np.errstate(divide="ignore"):
+        log_rows = np.sum(np.log(np.hypot.reduce(np.abs(metric), axis=-1)), axis=-1)
+        return np.log(np.abs(det)) <= np.log(DEGENERACY_THRESHOLD) + log_rows
+
+
 def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``a @ v`` per sample, for matrices ``a[..., i, j]`` and vectors ``v[..., j]``.
 
@@ -584,89 +588,16 @@ def per_sample_power(value, n: int):
     return np.reshape([v**n for v in np.ravel(value).tolist()], np.shape(value))
 
 
-# ---------------------------------------------------------------------------
-# Module-level operations (thin wrappers over ChartFrame)
-# ---------------------------------------------------------------------------
-
-def christoffel_at(manifold: FactorManifold, point: Sequence[float]) -> np.ndarray:
-    return ChartFrame(manifold, point).christoffel
-
-
-def riemann_at(manifold: FactorManifold, point: Sequence[float]) -> np.ndarray:
-    """Lowered curvature tensor R[i, j, k, l] = g(R(e_i, e_j)e_k, e_l)."""
-    return ChartFrame(manifold, point).riemann
-
-
-def ricci_at(manifold: FactorManifold, point: Sequence[float]) -> np.ndarray:
-    return ChartFrame(manifold, point).ricci
-
-
-def scalar_at(manifold: FactorManifold, point: Sequence[float]) -> float:
-    return ChartFrame(manifold, point).scalar
-
-
-def gradient_at(manifold: FactorManifold, point: Sequence[float], phi: Expr) -> np.ndarray:
-    return ChartFrame(manifold, point).gradient(phi)
-
-
-def hessian_at(manifold: FactorManifold, point: Sequence[float], phi: Expr) -> np.ndarray:
-    return ChartFrame(manifold, point).hessian(phi)
-
-
-def laplacian_at(manifold: FactorManifold, point: Sequence[float], phi: Expr) -> float:
-    return ChartFrame(manifold, point).laplacian(phi)
-
-
-def div_sym2_at(
-    manifold: FactorManifold, point: Sequence[float], entries: Sequence[Sequence[Expr]]
-) -> np.ndarray:
-    return ChartFrame(manifold, point).div_sym2(entries)
-
-
-def div_hessian_at(manifold: FactorManifold, point: Sequence[float], phi: Expr) -> np.ndarray:
-    return ChartFrame(manifold, point).div_hessian(phi)
-
-
-def grad_laplacian_at(manifold: FactorManifold, point: Sequence[float], phi: Expr) -> np.ndarray:
-    return ChartFrame(manifold, point).grad_laplacian(phi)
-
-
-@dataclass(frozen=True)
-class CurvatureBundle:
-    """Pointwise metric and curvature data for one chart."""
-
-    point: tuple[float, ...]
-    metric: np.ndarray
-    inverse: np.ndarray
-    christoffel: np.ndarray
-    riemann: np.ndarray
-    ricci: np.ndarray
-    scalar: float
-
-
-def curvature_bundle_at(manifold: FactorManifold, point: Sequence[float]) -> CurvatureBundle:
-    frame = ChartFrame(manifold, point)
-    return CurvatureBundle(
-        point=tuple(float(v) for v in frame.point),
-        metric=frame.metric,
-        inverse=frame.inverse,
-        christoffel=frame.christoffel,
-        riemann=frame.riemann,
-        ricci=frame.ricci,
-        scalar=frame.scalar,
-    )
-
-
-def symmetry_residuals(bundle: CurvatureBundle) -> dict[str, float]:
+def symmetry_residuals(frame: ChartFrame) -> dict[str, float]:
     """Curvature symmetry residuals, normalized by (max |R| + 1).
 
-    ``bundle`` may be a ``ChartFrame``; on a stack each residual is an
-    ``(N,)`` array, every sample normalized by its own max |R|.
+    On a stack each residual is an ``(N,)`` array, every sample normalized
+    by its own max |R|.
     """
-    r = bundle.riemann
+    r = frame.riemann
     scale = max_abs(r, 4) + 1.0
     first_bianchi = r + np.einsum("...iklj->...ijkl", r) + np.einsum("...iljk->...ijkl", r)
-    ga, ric = bundle.christoffel, bundle.ricci
+    ga, ric = frame.christoffel, frame.ricci
     return {
         "christoffel_symmetry": max_abs(ga - np.einsum("...kji->...kij", ga), 3) / scale,
         "antisymmetry_first_pair": max_abs(r + np.einsum("...jikl->...ijkl", r), 4) / scale,

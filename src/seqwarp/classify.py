@@ -38,11 +38,11 @@ from typing import Iterable
 import numpy as np
 
 from .chart import (
-    DEGENERACY_THRESHOLD,
     DegenerateMetricError,
     FactorManifold,
     GeometryError,
     dot,
+    is_degenerate,
     matvec,
     max_abs,
     outer,
@@ -559,8 +559,8 @@ def _volume_means(
     a tuple of arrays.
 
     Each node is checked as a ``ChartFrame`` would check it: the metric and
-    its first two derivatives must be finite (``GeometryError``) and
-    ``|det g|`` above ``DEGENERACY_THRESHOLD`` (``DegenerateMetricError``).
+    its first two derivatives must be finite (``GeometryError``) and the
+    metric nondegenerate (``is_degenerate``, ``DegenerateMetricError``).
     The jets of ``phi`` must be finite too (``GeometryError``), every
     warping in ``positive`` (``(label, expr)`` pairs) positive
     (``PositivityError``), and every expression in its domain
@@ -573,7 +573,7 @@ def _volume_means(
         with np.errstate(over="ignore", invalid="ignore"):
             g, dg, d2g = _block_metric_jets(manifold, grid, start, stop)
             det = np.linalg.det(g)
-            degenerate = np.abs(det) <= DEGENERACY_THRESHOLD
+            degenerate = is_degenerate(g, det)
             if degenerate.any():
                 k = int(np.argmax(degenerate))
                 raise DegenerateMetricError(manifold.name, grid[start + k], det[k])

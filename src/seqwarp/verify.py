@@ -557,6 +557,13 @@ def run_classify(spec: ManifoldSpec, at: dict | None = None) -> dict:
         flat = ChartFrame(flatten_to_chart(product), point)
         wf = WarpedFrame(product, point)
         _ = (wf.f_value, wf.h_value)
+        _ = (flat.ricci, flat.riemann, wf.frame1.ricci, wf.frame2.ricci, wf.frame3.ricci)
+    except GeometryError as exc:
+        raise VerificationInputError(str(exc)) from exc
+    except DomainError as exc:
+        raise VerificationInputError(f"{exc} at {point.tolist()}") from exc
+    # a fit raises on input it cannot take, with no point in the message
+    try:
         qe = fit_quasi_einstein(flat.metric, flat.ricci, spec.tolerances.get("fit", 1e-6))
         qcc = check_quasi_constant_curvature(
             flat.metric, flat.riemann, spec.tolerances.get("fit", 1e-6)
@@ -569,8 +576,6 @@ def run_classify(spec: ManifoldSpec, at: dict | None = None) -> dict:
                 **fit.summary(),
             }
     except GeometryError as exc:
-        raise VerificationInputError(str(exc)) from exc
-    except DomainError as exc:
         raise VerificationInputError(f"{exc} at {point.tolist()}") from exc
     return {
         "spec": spec.name,

@@ -13,8 +13,7 @@ Two routes to the ambient curvature live side by side:
 * ``WarpedFrame`` builds the same objects from factor geometry plus warping
   corrections, block by block, never touching the ambient chart: the
   Christoffel and curvature tensors ``christoffel[k, a, b]`` and
-  ``riemann_up[l, a, b, c]``, and the Ricci tensor.  ``connection_closed``
-  / ``curvature_closed`` / ``ricci_closed`` are one-point wrappers.
+  ``riemann_up[l, a, b, c]``, and the Ricci tensor.
 
 Disagreement between the routes is a bug by definition; the verification
 suite compares the closed tensors with the chart's, whole, at every sample.
@@ -57,14 +56,8 @@ __all__ = [
     "PositivityError",
     "CoordinateCollisionError",
     "WarpedFrame",
-    "ambient_metric_at",
     "flatten_to_chart",
     "inner_chart",
-    "connection_closed",
-    "curvature_closed",
-    "ricci_closed",
-    "scalar_closed",
-    "factor_scalars_closed",
 ]
 
 
@@ -595,37 +588,3 @@ def _as_frame(product: SequentialWarpedProduct, point) -> WarpedFrame:
             raise GeometryError("frame belongs to a different product")
         return point
     return WarpedFrame(product, point)
-
-
-# ---------------------------------------------------------------------------
-# Module-level operations
-# ---------------------------------------------------------------------------
-
-def ambient_metric_at(product: SequentialWarpedProduct, point) -> np.ndarray:
-    return WarpedFrame(product, point).ambient_metric
-
-
-def connection_closed(
-    product: SequentialWarpedProduct, point, x: BlockVector, y: BlockVector
-) -> BlockVector:
-    return WarpedFrame(product, point).connection(x, y)
-
-
-def curvature_closed(
-    product: SequentialWarpedProduct, point, x: BlockVector, y: BlockVector, z: BlockVector
-) -> BlockVector:
-    return WarpedFrame(product, point).curvature(x, y, z)
-
-
-def ricci_closed(product: SequentialWarpedProduct, point) -> np.ndarray:
-    return WarpedFrame(product, point).ricci
-
-
-def scalar_closed(product: SequentialWarpedProduct, point) -> float:
-    return WarpedFrame(product, point).scalar
-
-
-def factor_scalars_closed(
-    product: SequentialWarpedProduct, point, qe=None
-) -> tuple[float, float, float]:
-    return WarpedFrame(product, point).factor_scalars(qe)

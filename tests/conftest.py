@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from seqwarp import factor
-from seqwarp.chart import FactorManifold, christoffel_at
+from seqwarp.chart import ChartFrame, FactorManifold
 from seqwarp.expressions import Expr, evaluate
 
 
@@ -107,15 +107,15 @@ def fd_riemann_up(manifold: FactorManifold, point, step: float = 1e-6) -> np.nda
     """Curvature from finite differences of exact Christoffel symbols."""
     x = np.asarray(point, dtype=float)
     m = manifold.dim
-    gamma = christoffel_at(manifold, x)
+    gamma = ChartFrame(manifold, x).christoffel
     dgamma = np.zeros((m, m, m, m))
     for a in range(m):
         hi, lo = x.copy(), x.copy()
         hi[a] += step
         lo[a] -= step
-        dgamma[a] = (christoffel_at(manifold, hi) - christoffel_at(manifold, lo)) / (
-            2.0 * step
-        )
+        dgamma[a] = (
+            ChartFrame(manifold, hi).christoffel - ChartFrame(manifold, lo).christoffel
+        ) / (2.0 * step)
     return (
         np.einsum("iljk->lijk", dgamma)
         - np.einsum("jlik->lijk", dgamma)

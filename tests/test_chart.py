@@ -19,15 +19,7 @@ from seqwarp.chart import (
     DegenerateMetricError,
     MetricValidationError,
     SignatureError,
-    christoffel_at,
-    curvature_bundle_at,
-    div_sym2_at,
-    gradient_at,
-    hessian_at,
-    laplacian_at,
-    ricci_at,
     sample_box,
-    scalar_at,
     symmetry_residuals,
     validate_factor_at,
 )
@@ -40,17 +32,17 @@ HALF_BOX = {"p": (-1.0, 1.0), "q": (0.6, 2.4)}
 class TestChristoffel:
     def test_euclidean_plane_flat(self):
         plane = factor("plane", ["x", "y"], [["1", "0"], ["0", "1"]])
-        assert not christoffel_at(plane, (0.3, -0.7)).any()
+        assert not ChartFrame(plane, (0.3, -0.7)).christoffel.any()
 
     def test_sphere_hand_values(self):
-        gamma = christoffel_at(sphere_factor(), (math.pi / 3, 0.0))
+        gamma = ChartFrame(sphere_factor(), (math.pi / 3, 0.0)).christoffel
         expected_tpp = -math.sin(math.pi / 3) * math.cos(math.pi / 3)
         assert gamma[0, 1, 1] == pytest.approx(expected_tpp, abs=1e-12)
         assert gamma[1, 0, 1] == pytest.approx(1.0 / math.tan(math.pi / 3), abs=1e-12)
         assert gamma[1, 1, 0] == gamma[1, 0, 1]
 
     def test_halfplane_hand_values(self):
-        gamma = christoffel_at(halfplane_factor(), (0.0, 2.0))
+        gamma = ChartFrame(halfplane_factor(), (0.0, 2.0)).christoffel
         assert gamma[0, 0, 1] == pytest.approx(-0.5, abs=1e-12)
         assert gamma[1, 0, 0] == pytest.approx(0.5, abs=1e-12)
         assert gamma[1, 1, 1] == pytest.approx(-0.5, abs=1e-12)
@@ -59,7 +51,7 @@ class TestChristoffel:
         for manifold, box in ((sphere_factor(), SPHERE_BOX), (halfplane_factor(), HALF_BOX)):
             for point in sample_box(box, manifold.coords, 5, rng):
                 fd = fd_christoffel(manifold, point)
-                exact = christoffel_at(manifold, point)
+                exact = ChartFrame(manifold, point).christoffel
                 assert exact == pytest.approx(fd, abs=5e-9)
 
 
@@ -79,7 +71,7 @@ class TestCurvature:
             assert frame.scalar == pytest.approx(2.0, abs=1e-12)
 
     def test_halfplane_scalar(self):
-        assert scalar_at(halfplane_factor(), (1.0, 1.0)) == pytest.approx(-2.0, abs=1e-12)
+        assert ChartFrame(halfplane_factor(), (1.0, 1.0)).scalar == pytest.approx(-2.0, abs=1e-12)
 
     def test_riemann_matches_finite_difference_variant(self, rng):
         sphere = sphere_factor()
@@ -95,14 +87,14 @@ class TestCurvature:
             [["-cosh(x)^2", "0"], ["0", "1"]],
             signature="lorentzian",
         )
-        ric = ricci_at(chart, (0.0, 0.4))
+        ric = ChartFrame(chart, (0.0, 0.4)).ricci
         assert ric[0, 0] == pytest.approx(math.cosh(0.4) ** 2, rel=1e-12)
 
     def test_symmetries_on_catalog_charts(self, rng):
         for manifold, box in ((sphere_factor(), SPHERE_BOX), (halfplane_factor(), HALF_BOX)):
             for point in sample_box(box, manifold.coords, 30, rng):
-                bundle = curvature_bundle_at(manifold, point)
-                assert max(symmetry_residuals(bundle).values()) <= 1e-9
+                frame = ChartFrame(manifold, point)
+                assert max(symmetry_residuals(frame).values()) <= 1e-9
 
     def test_contracted_bianchi(self, rng):
         wavy = factor(
@@ -125,34 +117,39 @@ class TestScalarFields:
     def test_flat_line_exponential(self):
         line = line_factor("l", "x")
         phi = parse("exp(x)", ["x"])
-        assert gradient_at(line, (0.0,), phi).tolist() == [1.0]
-        assert hessian_at(line, (0.0,), phi).tolist() == [[1.0]]
-        assert laplacian_at(line, (0.0,), phi) == 1.0
+        frame = ChartFrame(line, (0.0,))
+        assert frame.gradient(phi).tolist() == [1.0]
+        assert frame.hessian(phi).tolist() == [[1.0]]
+        assert frame.laplacian(phi) == 1.0
 
     def test_sphere_eigenfunction(self):
         sphere = sphere_factor()
         phi = parse("cos(theta)", sphere.coords)
-        assert laplacian_at(sphere, (math.pi / 2, 0.0), phi) == pytest.approx(0.0, abs=1e-12)
-        assert laplacian_at(sphere, (math.pi / 3, 0.0), phi) == pytest.approx(-1.0, rel=1e-12)
+        equator = ChartFrame(sphere, (math.pi / 2, 0.0))
+        assert equator.laplacian(phi) == pytest.approx(0.0, abs=1e-12)
+        assert ChartFrame(sphere, (math.pi / 3, 0.0)).laplacian(phi) == pytest.approx(
+            -1.0, rel=1e-12
+        )
 
     def test_constant_field(self):
         sphere = sphere_factor()
         phi = parse("4", sphere.coords)
-        assert not gradient_at(sphere, (1.0, 2.0), phi).any()
-        assert not hessian_at(sphere, (1.0, 2.0), phi).any()
-        assert laplacian_at(sphere, (1.0, 2.0), phi) == 0.0
+        frame = ChartFrame(sphere, (1.0, 2.0))
+        assert not frame.gradient(phi).any()
+        assert not frame.hessian(phi).any()
+        assert frame.laplacian(phi) == 0.0
 
     def test_divergence_of_metric_vanishes(self, rng):
         for manifold, box in ((sphere_factor(), SPHERE_BOX), (halfplane_factor(), HALF_BOX)):
             for point in sample_box(box, manifold.coords, 5, rng):
-                div = div_sym2_at(manifold, point, manifold.metric)
+                div = ChartFrame(manifold, point).div_sym2(manifold.metric)
                 assert np.max(np.abs(div)) <= 1e-12
 
     def test_flat_divergence_is_plain(self):
         plane = factor("plane", ["x", "y"], [["1", "0"], ["0", "1"]])
         entries = [[parse("x", plane.coords), parse("0", plane.coords)],
                    [parse("0", plane.coords), parse("0", plane.coords)]]
-        assert div_sym2_at(plane, (0.7, -0.2), entries).tolist() == [1.0, 0.0]
+        assert ChartFrame(plane, (0.7, -0.2)).div_sym2(entries).tolist() == [1.0, 0.0]
 
     def test_divergence_of_sphere_ricci_vanishes(self, rng):
         # constant curvature: div Ric = d(scal)/2 = 0
@@ -160,7 +157,7 @@ class TestScalarFields:
         entries = [[parse("1", sphere.coords), parse("0", sphere.coords)],
                    [parse("0", sphere.coords), parse("sin(theta)^2", sphere.coords)]]
         for point in sample_box(SPHERE_BOX, sphere.coords, 5, rng):
-            assert np.max(np.abs(div_sym2_at(sphere, point, entries))) <= 1e-12
+            assert np.max(np.abs(ChartFrame(sphere, point).div_sym2(entries))) <= 1e-12
 
     def test_hessian_divergence_identity_on_sphere(self, rng):
         # frozen convention: div(H^phi) = Ric(grad phi, .) + d(Lap phi)

@@ -401,10 +401,56 @@ class TestCli:
         err = self._one_line_exit_2(capsys, ["verify", path, "--points", "1"])
         assert "curvature basis (products of metric entries) is not finite at sample 0 [1.003" in err
 
+    def test_fit_failure_in_classify_names_the_point(self, tmp_path, capsys):
+        sampling = {"points": 5, "seed": 3, "boxes": {"x": [1.0, 1.04]}}
+        path = self._lines_spec(tmp_path, f="exp(340*x)", sampling=sampling)
+        err = self._one_line_exit_2(capsys, ["classify", path, "--at", "x=1.0034"])
+        assert err.endswith(
+            "curvature basis (products of metric entries) is not finite at [1.0034, 0.0, 0.0]\n"
+        )
+
+    @staticmethod
+    def _scaled_lines(tmp_path, scale: str) -> str:
+        data = minimal_spec(warpings={"f": "exp(0.3*x)", "h": "exp(x)"})
+        for fac in data["factors"]:
+            fac["metric"] = [[scale]]
+        data["sampling"] = {"points": 10}
+        path = tmp_path / f"scaled{scale}.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_rescaled_metric_is_not_degenerate_exit_code(self, tmp_path, capsys):
+        # |det g| of the flattened metric is about 2e-15 at the scale 1e-5:
+        # degeneracy is judged relative to the row norms, so the rescaled
+        # metric verifies as the unscaled one does
+        scaled = self._scaled_lines(tmp_path, "1e-5")
+        assert main(["verify", scaled]) == 0
+        reports = [run_verify(load_spec(p)) for p in (scaled, self._scaled_lines(tmp_path, "1"))]
+        scaled_verdicts, verdicts = (
+            [(r.name, r.passed) for r in report.identities if not r.informational]
+            for report in reports
+        )
+        assert scaled_verdicts == verdicts
+
+    def test_zero_metric_is_degenerate_exit_code(self, tmp_path, capsys):
+        data = minimal_spec()
+        data["factors"][0]["metric"] = [["x"]]
+        data["sampling"]["boxes"] = {"x": [0.5, 1.5]}
+        path = tmp_path / "linear.json"
+        path.write_text(json.dumps(data))
+        err = self._one_line_exit_2(capsys, ["classify", str(path), "--at", "x=0"])
+        assert err.endswith("is degenerate at [0.0, 0.0, 0.0]: |det g| = 0.000e+00\n")
+
     def test_metric_overflowing_at_a_sample_exit_code(self, tmp_path, capsys):
         path = self._lines_spec(tmp_path, f="exp(800*x)", box={"x": [0.2, 1.2]})
         err = self._one_line_exit_2(capsys, ["verify", path])
         assert "metric of 'a*b*c' is not finite at [0.78" in err
+        # at one point the jets use math.exp, which raises where numpy's gives inf
+        err = self._one_line_exit_2(capsys, ["classify", path, "--at", "x=1.0"])
+        assert "is not finite at [1.0, 0.0, 0.0]" in err
+        path = self._lines_spec(tmp_path, f="exp(800*x)", box={"x": [0.9, 1.2]})
+        err = self._one_line_exit_2(capsys, ["verify", path, "--points", "1"])
+        assert "metric of 'a*b*c' is not finite at [0.9" in err
 
     def test_verify_schema_error_exit_code(self, tmp_path, capsys):
         data = minimal_spec(warpings={"f": "exp(x1", "h": "1"})

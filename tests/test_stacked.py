@@ -14,8 +14,20 @@ import pytest
 
 from seqwarp import factor
 from seqwarp.chart import ChartFrame, DegenerateMetricError, GeometryError
+from seqwarp.classify import (
+    QCCFit,
+    QEFit,
+    check_quasi_constant_curvature,
+    condition_residuals,
+    fit_quasi_einstein,
+    lambda_at,
+    nu_at,
+    proposition1_residuals,
+    theorem2_conditions,
+)
 from seqwarp.cli import catalog_names, catalog_spec
 from seqwarp.expressions import BinOp, Call, Const, DomainError, Neg, Var, integer_exponent
+from seqwarp.spacetime import grw_theorem_check, ssst_theorem_check, time_axis
 from seqwarp.specfile import spec_from_dict
 from seqwarp.verify import VerificationInputError, run_verify
 from seqwarp.warped import PositivityError, WarpedFrame, flatten_to_chart
@@ -47,10 +59,31 @@ GENERIC_SPEC = {
 }
 SPECS = (*catalog_names(), "generic_outer_warp")
 
+# Two-dimensional factors with non-diagonal metrics, h mixing both of them
+NON_DIAGONAL_SPEC = {
+    "kind": "swp",
+    "factors": [
+        {
+            "name": "base",
+            "coords": ["p", "q"],
+            "metric": [["2 + sin(p)^2", "0.3*cos(p*q)"], ["0.3*cos(p*q)", "2 + cos(q)^2"]],
+        },
+        {
+            "name": "mid",
+            "coords": ["r", "s"],
+            "metric": [["1.5 + 0.2*sin(s)", "0.1*sin(r + s)"], ["0.1*sin(r + s)", "1.5"]],
+        },
+        {"name": "fib", "coords": ["w"], "metric": [["1"]]},
+    ],
+    "warpings": {"f": "2 + sin(p)*cos(q)", "h": "(2 + cos(p))*(2 + sin(r*s))"},
+}
+
 
 def load(name: str):
     if name == "generic_outer_warp":
         return spec_from_dict(GENERIC_SPEC, name=name)
+    if name == "non_diagonal":
+        return spec_from_dict(NON_DIAGONAL_SPEC, name=name)
     return catalog_spec(name)
 
 
@@ -161,6 +194,93 @@ def test_stacked_warped_frame_matches_one_point_frames(name):
         one = WarpedFrame(product, point)
         for stage in WARPED_STAGES:
             assert_agree(getattr(stack, stage)[i], getattr(one, stage), bitwise, f"{stage} {i}")
+
+
+def assert_reports_agree(stacked, single, bitwise: bool, what: str) -> None:
+    assert [r.name for r in stacked] == [r.name for r in single], what
+    for s, o in zip(stacked, single):
+        where = f"{what} {o.name}"
+        assert (s.passed, s.informational, s.points) == (o.passed, o.informational, o.points), where
+        assert_agree(s.max_residual, o.max_residual, bitwise, where)
+        assert_agree(s.tolerance, o.tolerance, bitwise, where)
+        assert s.details.keys() == o.details.keys(), where
+        for key, value in o.details.items():
+            if isinstance(value, float):
+                assert_agree(s.details[key], value, bitwise, f"{where} {key}")
+            else:
+                assert s.details[key] == value, f"{where} {key}"
+
+
+def premise_fits(product, count: int) -> tuple[list, list]:
+    """Made-up fits, different at every sample, whose premises (a unit time
+    part of U, a two-coefficient fit with b != 0) hold except at every third
+    sample, where the quasi-Einstein fit failed."""
+    qes, qccs = [], []
+    for i in range(count):
+        u = np.linspace(0.1, 0.3, product.dim) * (i + 1)
+        u[time_axis(product)] = 1.0
+        if i % 3:
+            qes.append(QEFit("quasi-einstein", 0.2 * i - 0.5, 0.1 * i + 0.3, u, u, 1, 0.0, 1.0, ()))
+        else:
+            qes.append(QEFit("neither", None, None, None, None, None, 1.0, float("inf"), ()))
+        qccs.append(QCCFit(True, 0.4 - 0.1 * i, 0.2 + 0.05 * i, u, 0.0, None))
+    return qes, qccs
+
+
+@pytest.mark.parametrize("name", (*catalog_names(), "non_diagonal"))
+def test_evaluators_on_a_stack_match_one_point_calls(name):
+    spec = load(name)
+    product = spec.product
+    bitwise = all(chart_bitwise(fac) for fac in product.factors) and all(
+        bitwise_safe(phi) for phi in (product.f, product.h)
+    )
+    points = spec.sample_points(SAMPLES, 0)
+    stack = WarpedFrame(product, points)
+    flat = ChartFrame(flatten_to_chart(product), points)
+    ones = [WarpedFrame(product, point) for point in points]
+    qe_fits = [fit_quasi_einstein(g, ric) for g, ric in zip(flat.metric, flat.ricci)]
+    qcc_fits = [check_quasi_constant_curvature(g, r) for g, r in zip(flat.metric, flat.riemann)]
+    # per-sample decompositions, and a made-up one where the fit failed
+    decompositions = [
+        (fit.alpha, fit.beta, fit.U if fit.U is not None else np.zeros(product.dim))
+        if fit.succeeded
+        else (0.5, -0.25, np.linspace(0.1, 0.4, product.dim))
+        for fit in qe_fits
+    ]
+    per_sample = tuple(np.array(column) for column in zip(*decompositions))
+
+    for evaluator in (lambda_at, nu_at):
+        s = evaluator(product, stack, 0.7)
+        assert_agree(s, [evaluator(product, one, 0.7) for one in ones], bitwise, evaluator.__name__)
+    for qe, qe_of in ((None, lambda i: None), (per_sample, lambda i: decompositions[i])):
+        for k, s in enumerate(stack.factor_scalars(qe)):
+            o = [one.factor_scalars(qe_of(i))[k] for i, one in enumerate(ones)]
+            assert_agree(s, o, bitwise, f"factor_scalars[{k}]")
+
+    lam = lambda_at(product, stack, 0.7)
+    shared = decompositions[0]
+    bundles = zip(
+        proposition1_residuals(product, stack, per_sample),
+        condition_residuals(product, stack, shared, lam, 0.3),
+    )
+    for i, (one, (prop, conditions)) in enumerate(zip(ones, bundles)):
+        single = proposition1_residuals(product, one, decompositions[i])
+        assert_reports_agree(prop, single, bitwise, f"proposition1 {i}")
+        single = condition_residuals(product, one, shared, float(lam[i]), 0.3)
+        assert_reports_agree(conditions, single, bitwise, f"conditions {i}")
+
+    for qe in (None, (1.0, 0.5, None), (-1.0, 0.0, None)):
+        reports = theorem2_conditions(product, qe, float(lam[0]), 0.3, stack)
+        single = theorem2_conditions(product, qe, float(lam[0]), 0.3, list(points))
+        assert_reports_agree(reports, single, True, "theorem2")
+
+    if spec.kind in ("ssst", "grw"):
+        check = ssst_theorem_check if spec.kind == "ssst" else grw_theorem_check
+        for qes, qccs in ((qe_fits, qcc_fits), premise_fits(product, SAMPLES)):
+            bundles = check(product, stack, qes, qccs, flat=flat)
+            for i, one in enumerate(ones):
+                single = check(product, one, qes[i], qccs[i])
+                assert_reports_agree(bundles[i], single, bitwise, f"{spec.kind} {i}")
 
 
 # ---------------------------------------------------------------------------

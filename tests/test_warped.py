@@ -12,14 +12,8 @@ from seqwarp import (
     ProductPoint,
     SequentialWarpedProduct,
     WarpedFrame,
-    ambient_metric_at,
-    connection_closed,
-    curvature_closed,
-    factor_scalars_closed,
     flatten_to_chart,
     inner_chart,
-    ricci_closed,
-    scalar_closed,
 )
 from seqwarp.chart import ChartFrame, sample_box
 from seqwarp.expressions import evaluate, parse
@@ -87,11 +81,11 @@ class TestAmbientMetric:
         product = trivially_warped(
             line_factor("a", "x"), line_factor("b", "u"), line_factor("c", "v")
         )
-        assert ambient_metric_at(product, np.zeros(3)).tolist() == np.eye(3).tolist()
+        assert WarpedFrame(product, np.zeros(3)).ambient_metric.tolist() == np.eye(3).tolist()
 
     def test_exponential_scaling(self):
         product = exp_warp_product()
-        g = ambient_metric_at(product, np.array([1.0, 0.0, 0.0]))
+        g = WarpedFrame(product, np.array([1.0, 0.0, 0.0])).ambient_metric
         e2 = math.e**2
         assert np.diag(g) == pytest.approx([1.0, e2, e2], rel=1e-14)
 
@@ -106,7 +100,7 @@ class TestAmbientMetric:
         boxes = {"x": (-1, 1), "u": (-1, 1), "theta": (0.4, 2.7), "phi": (0.1, 6.2)}
         chart = flatten_to_chart(product)
         for point in sweep_points(product, boxes, 20, 7):
-            direct = ambient_metric_at(product, point)
+            direct = WarpedFrame(product, point).ambient_metric
             pm = chart.point_map(point)
             via_chart = np.array(
                 [[evaluate(chart.metric[i][j], pm) for j in range(4)] for i in range(4)]
@@ -134,7 +128,7 @@ class TestFlatten:
         product = exp_warp_product()
         for point in sweep_points(product, {"x": (-0.75, 0.75), "u": (-1, 1), "v": (-1, 1)}, 10, 3):
             oracle = ChartFrame(flatten_to_chart(product), point).scalar
-            assert abs(scalar_closed(product, point) - oracle) <= 1e-7 * (1 + abs(oracle))
+            assert abs(WarpedFrame(product, point).scalar - oracle) <= 1e-7 * (1 + abs(oracle))
 
 
 class TestConnection:
@@ -143,7 +137,7 @@ class TestConnection:
         point = np.array([0.3, 0.1, -0.2])
         dx = BlockVector.basis(product, 0)
         du = BlockVector.basis(product, 1)
-        out = connection_closed(product, point, dx, du)
+        out = WarpedFrame(product, point).connection(dx, du)
         # X1(ln f) Y2 with f = exp(x): coefficient 1 on the u direction
         assert out.ambient == pytest.approx([0.0, 1.0, 0.0], abs=1e-14)
 
@@ -151,7 +145,7 @@ class TestConnection:
         product = exp_warp_product()
         x = 0.4
         du = BlockVector.basis(product, 1)
-        out = connection_closed(product, np.array([x, 0.0, 0.0]), du, du)
+        out = WarpedFrame(product, np.array([x, 0.0, 0.0])).connection(du, du)
         assert out.ambient == pytest.approx([-math.exp(2 * x), 0.0, 0.0], rel=1e-12)
 
     def test_trivial_warping_kills_mixed_cases(self):
@@ -161,8 +155,8 @@ class TestConnection:
         point = np.array([1.1, 0.4, 0.2, -0.3])
         for i in range(2):
             for j in (2, 3):
-                out = connection_closed(
-                    product, point, BlockVector.basis(product, i), BlockVector.basis(product, j)
+                out = WarpedFrame(product, point).connection(
+                    BlockVector.basis(product, i), BlockVector.basis(product, j)
                 )
                 assert np.max(np.abs(out.ambient)) == 0.0
 
@@ -173,8 +167,8 @@ class TestConnection:
             oracle = ChartFrame(flatten_to_chart(product), point)
             for a in range(3):
                 for b in range(3):
-                    closed = connection_closed(
-                        product, point, BlockVector.basis(product, a), BlockVector.basis(product, b)
+                    closed = WarpedFrame(product, point).connection(
+                        BlockVector.basis(product, a), BlockVector.basis(product, b)
                     )
                     assert closed.ambient == pytest.approx(
                         oracle.christoffel[:, a, b], abs=1e-12
@@ -192,9 +186,7 @@ class TestCurvature:
             parse("exp(x)*(2 + sin(u))", ["x", "u"]),
         )
         point = np.array([0.2, -0.4, 1.2, 0.5])
-        out = curvature_closed(
-            product,
-            point,
+        out = WarpedFrame(product, point).curvature(
             BlockVector.basis(product, 0),
             BlockVector.basis(product, 1),
             BlockVector.basis(product, 2),
@@ -209,9 +201,7 @@ class TestCurvature:
         for a in range(3):
             for b in range(3):
                 for c in range(3):
-                    out = curvature_closed(
-                        product,
-                        point,
+                    out = WarpedFrame(product, point).curvature(
                         BlockVector.basis(product, a),
                         BlockVector.basis(product, b),
                         BlockVector.basis(product, c),
@@ -223,9 +213,7 @@ class TestCurvature:
         product = exp_warp_product()
         x = 0.3
         point = np.array([x, 0.0, 0.0])
-        out = curvature_closed(
-            product,
-            point,
+        out = WarpedFrame(product, point).curvature(
             BlockVector.basis(product, 0),
             BlockVector.basis(product, 1),
             BlockVector.basis(product, 1),
@@ -250,9 +238,7 @@ class TestCurvature:
             for a in range(4):
                 for b in range(4):
                     for c in range(4):
-                        closed = curvature_closed(
-                            product,
-                            point,
+                        closed = WarpedFrame(product, point).curvature(
                             BlockVector.basis(product, a),
                             BlockVector.basis(product, b),
                             BlockVector.basis(product, c),
@@ -267,7 +253,7 @@ class TestCurvature:
 class TestRicci:
     def test_cross_blocks_exactly_zero(self):
         product = exp_warp_product()
-        ric = ricci_closed(product, np.array([0.2, 0.4, -0.1]))
+        ric = WarpedFrame(product, np.array([0.2, 0.4, -0.1])).ricci
         assert ric[0, 1] == 0.0 and ric[0, 2] == 0.0 and ric[1, 2] == 0.0
 
     def test_trivial_warping_block_diagonal(self):
@@ -288,7 +274,7 @@ class TestRicci:
         boxes = {"x": (-0.75, 0.75), "u": (-1, 1), "v": (-1, 1)}
         for point in sweep_points(product, boxes, 30, 5):
             oracle = ChartFrame(flatten_to_chart(product), point).ricci
-            closed = ricci_closed(product, point)
+            closed = WarpedFrame(product, point).ricci
             assert np.max(np.abs(closed - oracle)) <= 1e-7 * (1 + np.max(np.abs(oracle)))
 
     def test_hyperbolic_three_space(self):
@@ -306,15 +292,15 @@ class TestFactorScalars:
             line_factor("a", "x"), line_factor("b", "u"), line_factor("c", "v")
         )
         point = np.zeros(3)
-        assert factor_scalars_closed(product, point) == (0.0, 0.0, 0.0)
-        stated = factor_scalars_closed(product, point, (0.0, 0.0, np.zeros(3)))
+        assert WarpedFrame(product, point).factor_scalars() == (0.0, 0.0, 0.0)
+        stated = WarpedFrame(product, point).factor_scalars((0.0, 0.0, np.zeros(3)))
         assert stated == (0.0, 0.0, 0.0)
 
     def test_sphere_fiber_scalar(self):
         product = trivially_warped(
             line_factor("a", "x"), line_factor("b", "u"), sphere_factor()
         )
-        scalars = factor_scalars_closed(product, np.array([0.0, 0.0, 1.2, 0.3]))
+        scalars = WarpedFrame(product, np.array([0.0, 0.0, 1.2, 0.3])).factor_scalars()
         assert scalars[2] == pytest.approx(2.0, abs=1e-12)
 
     def test_inner_chart_carries_inner_warping(self):
@@ -335,8 +321,8 @@ class TestSpecExampleSweeps:
     def test_product_point_accepted_by_operations(self):
         product = exp_warp_product()
         point = ProductPoint((0.3,), (-0.2,), (0.5,))
-        direct = ricci_closed(product, point)
-        via_array = ricci_closed(product, np.array([0.3, -0.2, 0.5]))
+        direct = WarpedFrame(product, point).ricci
+        via_array = WarpedFrame(product, np.array([0.3, -0.2, 0.5])).ricci
         assert np.array_equal(direct, via_array)
 
     def test_catalog_ambient_metric_structure(self):
@@ -355,7 +341,7 @@ class TestSpecExampleSweeps:
             for sl in (s1, s2, s3):
                 off_mask[sl, sl] = False
             for point in spec.sample_points(20):
-                direct = ambient_metric_at(product, point)
+                direct = WarpedFrame(product, point).ambient_metric
                 assert np.array_equal(direct, direct.T), name
                 assert not direct[off_mask].any(), name
                 pm = chart.point_map(point)
@@ -406,7 +392,7 @@ class TestSpecExampleSweeps:
         boxes = {"x": (-1, 1), "u": (-1, 1), "r": (-1, 1), "s": (-1, 1)}
         for point in sweep_points(product, boxes, 4, 31):
             oracle = ChartFrame(flatten_to_chart(product), point)
-            assert np.max(np.abs(ricci_closed(product, point) - oracle.ricci)) <= 1e-7 * (
+            assert np.max(np.abs(WarpedFrame(product, point).ricci - oracle.ricci)) <= 1e-7 * (
                 1 + np.max(np.abs(oracle.ricci))
             )
             scale = 1.0 + np.max(np.abs(oracle.riemann_up))
@@ -414,9 +400,7 @@ class TestSpecExampleSweeps:
             for a in range(4):
                 for b in range(4):
                     for c in range(4):
-                        closed = curvature_closed(
-                            product,
-                            point,
+                        closed = WarpedFrame(product, point).curvature(
                             BlockVector.basis(product, a),
                             BlockVector.basis(product, b),
                             BlockVector.basis(product, c),
@@ -441,17 +425,13 @@ class TestSpecExampleSweeps:
         oracle = ChartFrame(flatten_to_chart(product), point)
         for _ in range(5):
             x, y, z = (rng.normal(size=4) for _ in range(3))
-            conn = connection_closed(
-                product,
-                point,
+            conn = WarpedFrame(product, point).connection(
                 BlockVector.from_ambient(product, x),
                 BlockVector.from_ambient(product, y),
             ).ambient
             expected = np.einsum("kab,a,b->k", oracle.christoffel, x, y)
             assert conn == pytest.approx(expected, abs=1e-11)
-            curv = curvature_closed(
-                product,
-                point,
+            curv = WarpedFrame(product, point).curvature(
                 BlockVector.from_ambient(product, x),
                 BlockVector.from_ambient(product, y),
                 BlockVector.from_ambient(product, z),
