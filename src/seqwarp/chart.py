@@ -238,6 +238,7 @@ class ChartFrame:
 
     @cached_property
     def _finite_metric_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_metric_jets``, once every sample's jets are known to be finite."""
         g, dg, d2g = self._metric_jets
         finite = (
             np.isfinite(g).all(axis=(-2, -1))

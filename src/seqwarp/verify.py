@@ -401,7 +401,7 @@ def run_verify(
         covered = fitted if spec.planted is None else np.ones(n_points, dtype=bool)
         stated = warped.factor_scalars(decomposition if spec.planted is None else spec.planted)
         gaps = [abs(a - b) for a, b in zip(warped.factor_scalars(), stated)]
-        res_cor = max(np.maximum(np.maximum(*gaps[:2]), gaps[2])[covered].tolist())
+        res_cor = float(np.max(np.max(gaps, axis=0)[covered]))
         cor_points = int(covered.sum())
     identities.append(
         IdentityReport.from_residual(
