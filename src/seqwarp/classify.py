@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -56,9 +55,9 @@ from .warped import (
     BlockVector,
     PositivityError,
     SequentialWarpedProduct,
-    WarpedFrame,
     _as_frame,
     _per_sample,
+    _per_sample_results,
     inner_chart,
 )
 
@@ -387,12 +386,6 @@ def check_quasi_constant_curvature(
 # ---------------------------------------------------------------------------
 # Factor identities under a rank-one ambient decomposition
 # ---------------------------------------------------------------------------
-
-def _per_sample_results(frame: WarpedFrame, build) -> list:
-    """``build(i)`` for each sample ``i`` of a stacked frame; ``build(0)`` at one point."""
-    results = [build(i) for i in range(len(frame.point.reshape(-1, frame.product.dim)))]
-    return results if frame.stacked else results[0]
-
 
 def proposition1_residuals(
     product: SequentialWarpedProduct,

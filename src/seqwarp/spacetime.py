@@ -42,11 +42,17 @@ from .classify import (
     IdentityReport,
     QCCFit,
     QEFit,
-    _per_sample_results,
     fit_quasi_einstein,
 )
 from .expressions import Const, Expr, free_variables
-from .warped import SequentialWarpedProduct, WarpedFrame, _as_frame, _per_sample, flatten_to_chart
+from .warped import (
+    SequentialWarpedProduct,
+    WarpedFrame,
+    _as_frame,
+    _per_sample,
+    _per_sample_results,
+    flatten_to_chart,
+)
 
 __all__ = [
     "SSSTSpec",

@@ -588,3 +588,9 @@ def _as_frame(product: SequentialWarpedProduct, point) -> WarpedFrame:
             raise GeometryError("frame belongs to a different product")
         return point
     return WarpedFrame(product, point)
+
+
+def _per_sample_results(frame: WarpedFrame, build) -> list:
+    """``build(i)`` for each sample ``i`` of a stacked frame; ``build(0)`` at one point."""
+    results = [build(i) for i in range(len(frame.point.reshape(-1, frame.product.dim)))]
+    return results if frame.stacked else results[0]
