@@ -64,6 +64,7 @@ from .warped import (
 __all__ = [
     "QEFit",
     "QCCFit",
+    "FitInputError",
     "IdentityReport",
     "fit_quasi_einstein",
     "check_quasi_constant_curvature",
@@ -193,194 +194,197 @@ class QCCFit:
         }
 
 
-def _clusters(values: np.ndarray, gap: float) -> list[list[int]]:
-    order = np.argsort(values)
-    groups: list[list[int]] = [[int(order[0])]]
-    for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] <= gap:
-            groups[-1].append(int(idx))
-        else:
-            groups.append([int(idx)])
-    return groups
+class FitInputError(GeometryError):
+    """Input a structure fit cannot take; ``sample`` is its index in the stack."""
+
+    def __init__(self, message: str, sample: int):
+        super().__init__(message)
+        self.sample = sample
 
 
-def fit_quasi_einstein(
-    g: np.ndarray, ric: np.ndarray, tol: float = DEFAULT_FIT_TOL
-) -> QEFit:
-    """Fit ric = alpha g + beta A (x) A.
+def _first_bad(*stacks: np.ndarray) -> int:
+    """Index of the first sample at which one of the ``(N, ...)`` stacks is not finite."""
+    finite = [np.isfinite(x).all(axis=tuple(range(1, x.ndim))) for x in stacks]
+    return int(np.argmin(np.logical_and.reduce(finite)))
+
+
+def fit_quasi_einstein(g: np.ndarray, ric: np.ndarray, tol: float = DEFAULT_FIT_TOL):
+    """Fit ric = alpha g + beta A (x) A, at one point or at each sample of a stack.
+
+    ``g`` and ``ric`` are ``(m, m)``, giving one ``QEFit``, or ``(N, m, m)``,
+    giving a list of N fits.  The linear algebra runs batched over the
+    samples; only the verdict of each sample is picked in Python.
 
     alpha is the eigenvalue of the mixed endomorphism g^-1 ric carrying
     multiplicity >= m - 1 (clustered with relative gap
     ``CLUSTER_GAP * (1 + spectral radius)``); the remainder must be
     rank one within ``tol``.  Works for indefinite g: the causal
     character of U is reported, not rejected.  Input that is not finite
-    raises ``GeometryError``.
+    raises ``FitInputError`` naming the first such sample.
     """
     g = np.asarray(g, dtype=float)
     ric = np.asarray(ric, dtype=float)
+    single, m = g.ndim == 2, g.shape[-1]
+    g, ric = g.reshape(-1, m, m), ric.reshape(-1, m, m)
     if not (np.isfinite(g).all() and np.isfinite(ric).all()):
-        raise GeometryError("quasi-Einstein fit input (metric or Ricci tensor) is not finite")
-    m = g.shape[0]
-    mixed = np.linalg.solve(g, ric)
-    eigs = np.linalg.eigvals(mixed)
-    radius = float(np.max(np.abs(eigs))) if m else 0.0
-    scale = 1.0 + radius
-
-    def failure(reason: str) -> QEFit:
-        return QEFit(
-            verdict="neither",
-            alpha=None,
-            beta=None,
-            A=None,
-            U=None,
-            unit_sign=None,
-            residual=float(np.max(np.abs(ric))),
-            beta_part=float("inf"),
-            eigenvalues=tuple(sorted(float(v) for v in eigs.real)),
-            reason=reason,
+        raise FitInputError(
+            "quasi-Einstein fit input (metric or Ricci tensor) is not finite", _first_bad(g, ric)
         )
+    eigs = np.linalg.eigvals(np.linalg.solve(g, ric))
+    scale = 1.0 + np.abs(eigs).max(axis=-1)
+    scales, ric_sizes = scale.tolist(), np.abs(ric).max(axis=(1, 2)).tolist()
 
-    if float(np.max(np.abs(eigs.imag))) > 1e-8 * scale:
-        return failure("mixed Ricci endomorphism has a complex eigenvalue pair")
+    # cluster ids of the sorted real parts, a new cluster wherever a gap
+    # exceeds the threshold; alpha is the mean of the first largest cluster
+    values = np.sort(eigs.real, axis=-1)
+    ids = (values[:, 1:] - values[:, :-1] > CLUSTER_GAP * scale[:, None]).cumsum(axis=-1)
+    sizes = (ids[:, :, None] == np.arange(m)).sum(axis=1)
+    sizes[:, 0] += 1  # the smallest value, in cluster 0
+    multiplicity, top = sizes.max(axis=-1), sizes.argmax(axis=-1)
 
-    values = np.sort(eigs.real)
-    groups = _clusters(values, CLUSTER_GAP * scale)
-    groups.sort(key=len, reverse=True)
-    top = groups[0]
-    if len(top) < m - 1:
-        return failure(
-            f"largest eigenvalue cluster has multiplicity {len(top)} < {m - 1}"
+    # why each sample fails ("" while it has not); each later stage runs on
+    # the whole stack when some sample reaches it
+    reasons = [
+        "mixed Ricci endomorphism has a complex eigenvalue pair" if imag > 1e-8 * sc
+        else f"largest eigenvalue cluster has multiplicity {mu} < {m - 1}" if mu < m - 1
+        else ""
+        for imag, sc, mu in zip(
+            np.abs(eigs.imag).max(axis=-1).tolist(), scales, multiplicity.tolist()
         )
-    alpha = float(np.mean(values[top]))
+    ]
+    if "" in reasons:
+        alpha = values.sum(axis=-1) / m
+        short = multiplicity == m - 1  # such a cluster spans [0, m - 1) or [1, m)
+        if short.any():
+            partial = np.where(top == 1, values[:, 1:].sum(axis=-1), values[:, :-1].sum(axis=-1))
+            alpha = np.where(short, partial / (m - 1), alpha)
+        rest = ric - alpha[:, None, None] * g
+        w, vecs = np.linalg.eigh(rest)
+        samples, k = np.arange(len(g)), np.abs(w).argmax(axis=-1)
+        sigma, direction = w[samples, k], vecs[samples, :, k]
+        residual = np.abs(rest - sigma[:, None, None] * outer(direction, direction)).max(axis=(1, 2))
+        sigmas, residuals = sigma.tolist(), residual.tolist()
+        for i, (res, size) in enumerate(zip(residuals, ric_sizes)):
+            if not reasons[i] and res > tol * (1.0 + size):
+                reasons[i] = "remainder after removing alpha g is not rank one"
+        einstein = [abs(s) <= EINSTEIN_THRESHOLD * sc for s, sc in zip(sigmas, scales)]
+        if any(not why and flat for why, flat in zip(reasons, einstein)):
+            rest_sizes = np.abs(rest).max(axis=(1, 2)).tolist()
+        if any(not why and not flat for why, flat in zip(reasons, einstein)):
+            u_raw = np.linalg.solve(g, direction[..., None])[..., 0]
+            causal = dot(direction, u_raw).tolist()  # g(U_raw, U_raw) for A_raw = direction
+            u_sizes = np.abs(u_raw).max(axis=-1).tolist()
+        alphas, value_lists = alpha.tolist(), values.tolist()
 
-    rest = ric - alpha * g
-    w, vecs = np.linalg.eigh(rest)
-    k = int(np.argmax(np.abs(w)))
-    sigma, direction = float(w[k]), vecs[:, k]
-    rank_one = sigma * np.outer(direction, direction)
-    rank_residual = float(np.max(np.abs(rest - rank_one)))
-    if rank_residual > tol * (1.0 + float(np.max(np.abs(ric)))):
-        return failure("remainder after removing alpha g is not rank one")
-
-    eig_tuple = tuple(float(v) for v in values)
-    if abs(sigma) <= EINSTEIN_THRESHOLD * scale:
-        return QEFit(
-            verdict="einstein",
-            alpha=alpha,
-            beta=0.0,
-            A=np.zeros(m),
-            U=None,
-            unit_sign=None,
-            residual=float(np.max(np.abs(rest))),
-            beta_part=abs(sigma),
-            eigenvalues=eig_tuple,
-        )
-
-    u_raw = np.linalg.solve(g, direction)
-    causal = float(direction @ u_raw)  # g(U_raw, U_raw) for A_raw = direction
-    residual = float(np.max(np.abs(rest - rank_one)))
-    if abs(causal) <= 1e-10 * (1.0 + float(np.max(np.abs(u_raw))) ** 2):
-        # A is null for g; report the unnormalized direction
-        return QEFit(
-            verdict="quasi-einstein",
-            alpha=alpha,
-            beta=sigma,
-            A=direction,
-            U=None,
-            unit_sign=0,
-            residual=residual,
-            beta_part=abs(sigma),
-            eigenvalues=eig_tuple,
-            reason="U direction is null; no unit normalization exists",
-        )
-    sign = 1 if causal > 0 else -1
-    u = u_raw / math.sqrt(abs(causal))
-    a_form = g @ u
-    beta = sigma * abs(causal)
-    return QEFit(
-        verdict="quasi-einstein",
-        alpha=alpha,
-        beta=beta,
-        A=a_form,
-        U=u,
-        unit_sign=sign,
-        residual=residual,
-        beta_part=abs(sigma),
-        eigenvalues=eig_tuple,
-    )
+    fits = []
+    for i, reason in enumerate(reasons):
+        if reason:
+            eigenvalues = tuple(sorted(eigs[i].real.tolist()))
+            fits.append(QEFit("neither", None, None, None, None, None, ric_sizes[i],
+                              float("inf"), eigenvalues, reason))
+            continue
+        s, tail = sigmas[i], (abs(sigmas[i]), tuple(value_lists[i]))
+        if einstein[i]:
+            fits.append(QEFit("einstein", alphas[i], 0.0, np.zeros(m), None, None,
+                              rest_sizes[i], *tail))
+        elif abs(causal[i]) <= 1e-10 * (1.0 + u_sizes[i]) ** 2:
+            # A is null for g; report the unnormalized direction
+            fits.append(QEFit("quasi-einstein", alphas[i], s, direction[i], None, 0,
+                              residuals[i], *tail,
+                              "U direction is null; no unit normalization exists"))
+        else:
+            c = causal[i]
+            u = u_raw[i] / math.sqrt(abs(c))
+            fits.append(QEFit("quasi-einstein", alphas[i], s * abs(c), g[i] @ u, u,
+                              1 if c > 0 else -1, residuals[i], *tail))
+    return fits[0] if single else fits
 
 
 def _qcc_basis(g: np.ndarray, a_form: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t1 = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
+    t1 = np.einsum("...jk,...il->...ijkl", g, g) - np.einsum("...ik,...jl->...ijkl", g, g)
     t2 = (
-        np.einsum("il,j,k->ijkl", g, a_form, a_form)
-        - np.einsum("ik,j,l->ijkl", g, a_form, a_form)
-        + np.einsum("jk,i,l->ijkl", g, a_form, a_form)
-        - np.einsum("jl,i,k->ijkl", g, a_form, a_form)
+        np.einsum("...il,...j,...k->...ijkl", g, a_form, a_form)
+        - np.einsum("...ik,...j,...l->...ijkl", g, a_form, a_form)
+        + np.einsum("...jk,...i,...l->...ijkl", g, a_form, a_form)
+        - np.einsum("...jl,...i,...k->...ijkl", g, a_form, a_form)
     )
     return t1, t2
 
 
 def check_quasi_constant_curvature(
     g: np.ndarray, riemann: np.ndarray, tol: float = DEFAULT_FIT_TOL
-) -> QCCFit:
+):
     """Least-squares fit of the lowered curvature tensor to the ansatz
 
         R[i,j,k,l] = a (g_jk g_il - g_ik g_jl)
                    + b (g_il A_j A_k - g_ik A_j A_l + g_jk A_i A_l - g_jl A_i A_k)
 
     with A taken from the quasi-Einstein fit of the Ricci contraction.
-    Raises ``GeometryError`` on input that lacks curvature symmetries, and
-    on a metric or curvature tensor, or a fit basis built from them, that is
-    not finite; a failed structure fit is reported, not raised.
+
+    ``g`` and ``riemann`` are one point's ``(m, m)`` and ``(m, m, m, m)``
+    tensors, giving one ``QCCFit``, or ``(N, ...)`` stacks, giving a list of
+    N fits.  Everything but the two-column least-squares solve of each
+    sample runs batched.  Raises ``FitInputError`` at the first sample whose
+    metric or curvature tensor is not finite, that lacks curvature
+    symmetries, or whose Ricci contraction or fit basis is not finite (each
+    sample checked in that order); a failed structure fit is reported, not
+    raised.
     """
     g = np.asarray(g, dtype=float)
     r = np.asarray(riemann, dtype=float)
+    single, m = g.ndim == 2, g.shape[-1]
+    g, r = g.reshape(-1, m, m), r.reshape(-1, m, m, m, m)
+    # each check runs on the samples before the first one an earlier check failed
+    n = stop = len(g)
     if not (np.isfinite(g).all() and np.isfinite(r).all()):
-        raise GeometryError("curvature fit input (metric or curvature tensor) is not finite")
-    scale = 1.0 + float(np.max(np.abs(r)))
-    worst = max(
-        float(np.max(np.abs(r + np.einsum("jikl->ijkl", r)))),
-        float(np.max(np.abs(r + np.einsum("ijlk->ijkl", r)))),
-        float(np.max(np.abs(r - np.einsum("klij->ijkl", r)))),
-    )
-    if worst > 1e-6 * scale:
-        raise GeometryError(
-            f"input tensor lacks curvature symmetries (residual {worst:.3e})"
-        )
+        stop = _first_bad(g, r)
+        error = "curvature fit input (metric or curvature tensor) is not finite"
+        g, r = g[:stop], r[:stop]
+    scale = 1.0 + np.abs(r).max(axis=(1, 2, 3, 4))
+    swaps = (r + r.swapaxes(1, 2), r + r.swapaxes(3, 4), r - r.transpose(0, 3, 4, 1, 2))
+    worst = np.abs(np.concatenate(swaps, axis=1)).max(axis=(1, 2, 3, 4))
+    asymmetric = worst > 1e-6 * scale
+    if asymmetric.any():
+        stop = int(np.argmax(asymmetric))
+        error = f"input tensor lacks curvature symmetries (residual {worst[stop]:.3e})"
+        g, r = g[:stop], r[:stop]
+    ricci = np.einsum("nil,nijkl->njk", np.linalg.inv(g), r)
+    if not np.isfinite(ricci).all():
+        stop = _first_bad(ricci)
+        error = "quasi-Einstein fit input (metric or Ricci tensor) is not finite"
+        g, r, ricci = g[:stop], r[:stop], ricci[:stop]
+    ricci_fits = fit_quasi_einstein(g, ricci, tol) if stop else []
 
-    ginv = np.linalg.inv(g)
-    ricci = np.einsum("il,ijkl->jk", ginv, r)
-    ricci_fit = fit_quasi_einstein(g, ricci, tol)
-    if not ricci_fit.succeeded:
-        return QCCFit(
-            passed=False,
-            a=None,
-            b=None,
-            A=None,
-            residual=float(np.max(np.abs(r))),
-            ricci_fit=ricci_fit,
-            reason="Ricci contraction admits no rank-one decomposition",
-        )
-    a_form = ricci_fit.A if ricci_fit.A is not None else np.zeros(g.shape[0])
+    ok = np.array([fit.succeeded for fit in ricci_fits], dtype=bool)
+    a_form = np.array([fit.A if fit.succeeded else np.zeros(m) for fit in ricci_fits])
+    # a failed fit gets a zero basis, so its residual is max |R|
     with np.errstate(over="ignore", invalid="ignore"):
-        t1, t2 = _qcc_basis(g, a_form)
+        t1, t2 = _qcc_basis(np.where(ok[:, None, None], g, 0.0), a_form.reshape(stop, m))
     if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
-        raise GeometryError(
-            "two-coefficient curvature basis (products of metric entries) is not finite"
+        raise FitInputError(
+            "two-coefficient curvature basis (products of metric entries) is not finite",
+            _first_bad(t1, t2),
         )
-    design = np.stack([t1.ravel(), t2.ravel()], axis=1)
-    coeffs, *_ = np.linalg.lstsq(design, r.ravel(), rcond=None)
-    a_val, b_val = (float(coeffs[0]), float(coeffs[1]))
-    residual = float(np.max(np.abs(r - a_val * t1 - b_val * t2)))
-    return QCCFit(
-        passed=bool(residual <= tol * scale),
-        a=a_val,
-        b=b_val,
-        A=a_form,
-        residual=residual,
-        ricci_fit=ricci_fit,
-    )
+    if stop < n:
+        raise FitInputError(error, stop)
+
+    coeffs = np.zeros((stop, 2))
+    design = np.stack([t1.reshape(stop, -1), t2.reshape(stop, -1)], axis=-1)
+    for i, fit in enumerate(ricci_fits):
+        if fit.succeeded:
+            coeffs[i] = np.linalg.lstsq(design[i], r[i].ravel(), rcond=None)[0]
+    a, b = coeffs[:, 0].reshape(-1, 1, 1, 1, 1), coeffs[:, 1].reshape(-1, 1, 1, 1, 1)
+    residual = np.abs(r - a * t1 - b * t2).max(axis=(1, 2, 3, 4)).tolist()
+    fits = [
+        QCCFit(res <= tol * sc, a_i, b_i, a_form[i], res, fit)
+        if fit.succeeded
+        else QCCFit(False, None, None, None, res, fit,
+                    "Ricci contraction admits no rank-one decomposition")
+        for i, (fit, (a_i, b_i), res, sc) in enumerate(
+            zip(ricci_fits, coeffs.tolist(), residual, scale.tolist())
+        )
+    ]
+    return fits[0] if single else fits
 
 
 # ---------------------------------------------------------------------------

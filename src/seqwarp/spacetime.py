@@ -198,8 +198,7 @@ def _fit_values(fits, take, where: np.ndarray, default) -> np.ndarray:
 def _factor_fits(frame: ChartFrame, tol: float) -> list[QEFit]:
     """The quasi-Einstein fit of a factor at each sample."""
     m = frame.manifold.dim
-    pairs = zip(frame.metric.reshape(-1, m, m), frame.ricci.reshape(-1, m, m))
-    return [fit_quasi_einstein(g, ric, tol) for g, ric in pairs]
+    return fit_quasi_einstein(frame.metric.reshape(-1, m, m), frame.ricci.reshape(-1, m, m), tol)
 
 
 def ssst_theorem_check(

@@ -16,7 +16,8 @@ symmetry, Bianchi, cross-block, reduction and Hessian-divergence residuals
 are reductions over the sample axis, each residual normalized per sample as
 a one-point check would.  The evaluators take the stacked frames and return
 per-sample results, which are reduced over the samples each check covers;
-the structure fits run sample by sample on ``flat.metric[i]``.
+the structure fits take the stacked flat metric and curvature too, and
+return one fit per sample.
 
 The report is a plain dict rendered to JSON with stable ordering and no
 timestamps, so identical spec + seed gives byte-identical output.  The
@@ -40,6 +41,7 @@ from .chart import (
     symmetry_residuals,
 )
 from .classify import (
+    FitInputError,
     IdentityReport,
     QCCFit,
     QEFit,
@@ -262,18 +264,6 @@ def _oracle_checks(
     return out
 
 
-def _fit_each(fit, metric, tensor, tol: float, samples: np.ndarray) -> list:
-    """``fit(metric[i], tensor[i], tol)`` at every sample; a fit input that
-    is not finite is an input error naming the sample."""
-    fits = []
-    for i, point in enumerate(samples):
-        try:
-            fits.append(fit(metric[i], tensor[i], tol))
-        except GeometryError as exc:
-            raise VerificationInputError(f"{exc} at sample {i} {point.tolist()}") from exc
-    return fits
-
-
 def _merge_spacetime_reports(per_point: list[list[IdentityReport]]) -> list[IdentityReport]:
     """Aggregate per-point report bundles, which name the same identities in
     the same order.
@@ -343,10 +333,13 @@ def run_verify(
     constant_warpings = not free_variables(product.f) and not free_variables(product.h)
 
     # --- structure fits ----------------------------------------------------------
-    qe_fits = _fit_each(fit_quasi_einstein, flat.metric, flat.ricci, tol["fit"], samples)
-    qcc_fits = _fit_each(
-        check_quasi_constant_curvature, flat.metric, flat.riemann, tol["fit"], samples
-    )
+    # a fit input error names the sample; all quasi-Einstein errors come first
+    try:
+        qe_fits = fit_quasi_einstein(flat.metric, flat.ricci, tol["fit"])
+        qcc_fits = check_quasi_constant_curvature(flat.metric, flat.riemann, tol["fit"])
+    except FitInputError as exc:
+        i = exc.sample
+        raise VerificationInputError(f"{exc} at sample {i} {samples[i].tolist()}") from exc
     fits = {
         "quasi_einstein": _qe_summary(qe_fits),
         "quasi_constant_curvature": _qcc_summary(qcc_fits),
