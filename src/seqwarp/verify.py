@@ -70,7 +70,7 @@ __all__ = [
 DEFAULT_TOLERANCES = {
     "oracle": 1e-7,  # closed form vs chart oracle, normalized by max-abs + 1
     "symmetry": 1e-9,  # curvature symmetries and first Bianchi, normalized
-    "bianchi": 1e-7,  # contracted second Bianchi, absolute
+    "bianchi": 1e-7,  # contracted Bianchi and Hessian divergence, normalized
     "cross_ricci": 1e-10,  # off-block ambient Ricci entries, absolute
     "reduction": 1e-12,  # constant-warping block reduction, absolute
     "fit": 1e-6,  # structure fits and derived factor identities
@@ -177,6 +177,13 @@ def _normalized_gap(closed: np.ndarray, oracle: np.ndarray) -> np.ndarray:
     return max_abs(closed - oracle, rank) / (1.0 + max_abs(oracle, rank))
 
 
+def _balance_gap(lhs: np.ndarray, *terms: np.ndarray) -> np.ndarray:
+    """max |lhs - sum(terms)| per sample of a vector identity, normalized by that
+    sample's 1 + max |.| over lhs and every term."""
+    scale = np.max([max_abs(t, 1) for t in (lhs, *terms)], axis=0)
+    return max_abs(lhs - sum(terms), 1) / (1.0 + scale)
+
+
 def _oracle_checks(
     product, warped: WarpedFrame, flat: ChartFrame, samples: np.ndarray, tol: dict
 ) -> list[IdentityReport]:
@@ -230,7 +237,7 @@ def _oracle_checks(
             report(
                 "bianchi_contracted",
                 [
-                    max_abs(fr.div_ricci - 0.5 * fr.dscalar, 1)
+                    _balance_gap(fr.div_ricci, 0.5 * fr.dscalar)
                     for fr in (flat, warped.frame1, warped.frame2, warped.frame3)
                 ],
                 tol["bianchi"],
@@ -257,9 +264,11 @@ def _oracle_checks(
 
         divergence = []
         for fr, phi in ((warped.frame1, product.f), (warped.inner_frame, product.h)):
-            lhs = fr.div_hessian(phi)
-            rhs = matvec(fr.ricci, fr.gradient(phi)) + fr.grad_laplacian(phi)
-            divergence.append(max_abs(lhs - rhs, 1))
+            divergence.append(
+                _balance_gap(
+                    fr.div_hessian(phi), matvec(fr.ricci, fr.gradient(phi)), fr.grad_laplacian(phi)
+                )
+            )
         out.append(report("hessian_divergence", divergence, tol["bianchi"]))
     return out
 

@@ -401,6 +401,19 @@ class TestCli:
         err = self._one_line_exit_2(capsys, ["verify", path, "--points", "1"])
         assert "curvature basis (products of metric entries) is not finite at sample 0 [1.003" in err
 
+    def test_large_warping_verifies_exit_code(self, tmp_path, capsys):
+        # with h = exp(170 x) the terms of div(H^h) = Ric(grad h, .) + d(Lap h)
+        # reach 2.6e83 and their rounding gap 3.4e66: the residual is relative
+        # to the terms, as the oracle gaps are, so the valid metric passes
+        data = minimal_spec(warpings={"f": "exp(0.3*x)", "h": "exp(170*x)"})
+        data["sampling"] = {"points": 10, "boxes": {"x": [1.0, 1.04]}}
+        path = tmp_path / "large_warping.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", str(path)]) == 0
+        assert "PASS  hessian_divergence" in capsys.readouterr().out
+
     def test_fit_failure_in_classify_names_the_point(self, tmp_path, capsys):
         sampling = {"points": 5, "seed": 3, "boxes": {"x": [1.0, 1.04]}}
         path = self._lines_spec(tmp_path, f="exp(340*x)", sampling=sampling)
