@@ -222,14 +222,12 @@ def fit_quasi_einstein(g: np.ndarray, ric: np.ndarray, tol: float = DEFAULT_FIT_
     character of U is reported, not rejected.  Input that is not finite
     raises ``FitInputError`` naming the first such sample.
     """
-    g = np.asarray(g, dtype=float)
-    ric = np.asarray(ric, dtype=float)
+    g, ric = np.asarray(g, dtype=float), np.asarray(ric, dtype=float)
     single, m = g.ndim == 2, g.shape[-1]
     g, ric = g.reshape(-1, m, m), ric.reshape(-1, m, m)
     if not (np.isfinite(g).all() and np.isfinite(ric).all()):
-        raise FitInputError(
-            "quasi-Einstein fit input (metric or Ricci tensor) is not finite", _first_bad(g, ric)
-        )
+        message = "quasi-Einstein fit input (metric or Ricci tensor) is not finite"
+        raise FitInputError(message, _first_bad(g, ric))
     eigs = np.linalg.eigvals(np.linalg.solve(g, ric))
     scale = 1.0 + np.abs(eigs).max(axis=-1)
     scales, ric_sizes = scale.tolist(), np.abs(ric).max(axis=(1, 2)).tolist()
@@ -244,13 +242,12 @@ def fit_quasi_einstein(g: np.ndarray, ric: np.ndarray, tol: float = DEFAULT_FIT_
 
     # why each sample fails ("" while it has not); each later stage runs on
     # the whole stack when some sample reaches it
+    imag_sizes = np.abs(eigs.imag).max(axis=-1).tolist()
     reasons = [
         "mixed Ricci endomorphism has a complex eigenvalue pair" if imag > 1e-8 * sc
         else f"largest eigenvalue cluster has multiplicity {mu} < {m - 1}" if mu < m - 1
         else ""
-        for imag, sc, mu in zip(
-            np.abs(eigs.imag).max(axis=-1).tolist(), scales, multiplicity.tolist()
-        )
+        for imag, sc, mu in zip(imag_sizes, scales, multiplicity.tolist())
     ]
     if "" in reasons:
         alpha = values.sum(axis=-1) / m
@@ -268,8 +265,6 @@ def fit_quasi_einstein(g: np.ndarray, ric: np.ndarray, tol: float = DEFAULT_FIT_
             if not reasons[i] and res > tol * (1.0 + size):
                 reasons[i] = "remainder after removing alpha g is not rank one"
         einstein = [abs(s) <= EINSTEIN_THRESHOLD * sc for s, sc in zip(sigmas, scales)]
-        if any(not why and flat for why, flat in zip(reasons, einstein)):
-            rest_sizes = np.abs(rest).max(axis=(1, 2)).tolist()
         if any(not why and not flat for why, flat in zip(reasons, einstein)):
             u_raw = np.linalg.solve(g, direction[..., None])[..., 0]
             causal = dot(direction, u_raw).tolist()  # g(U_raw, U_raw) for A_raw = direction
@@ -286,15 +281,14 @@ def fit_quasi_einstein(g: np.ndarray, ric: np.ndarray, tol: float = DEFAULT_FIT_
         s, tail = sigmas[i], (abs(sigmas[i]), tuple(value_lists[i]))
         if einstein[i]:
             fits.append(QEFit("einstein", alphas[i], 0.0, np.zeros(m), None, None,
-                              rest_sizes[i], *tail))
+                              float(np.abs(rest[i]).max()), *tail))
         elif abs(causal[i]) <= 1e-10 * (1.0 + u_sizes[i]) ** 2:
             # A is null for g; report the unnormalized direction
             fits.append(QEFit("quasi-einstein", alphas[i], s, direction[i], None, 0,
                               residuals[i], *tail,
                               "U direction is null; no unit normalization exists"))
         else:
-            c = causal[i]
-            u = u_raw[i] / math.sqrt(abs(c))
+            c, u = causal[i], u_raw[i] / math.sqrt(abs(causal[i]))
             fits.append(QEFit("quasi-einstein", alphas[i], s * abs(c), g[i] @ u, u,
                               1 if c > 0 else -1, residuals[i], *tail))
     return fits[0] if single else fits
@@ -330,8 +324,7 @@ def check_quasi_constant_curvature(
     sample checked in that order); a failed structure fit is reported, not
     raised.
     """
-    g = np.asarray(g, dtype=float)
-    r = np.asarray(riemann, dtype=float)
+    g, r = np.asarray(g, dtype=float), np.asarray(riemann, dtype=float)
     single, m = g.ndim == 2, g.shape[-1]
     g, r = g.reshape(-1, m, m), r.reshape(-1, m, m, m, m)
     # each check runs on the samples before the first one an earlier check failed
@@ -361,10 +354,8 @@ def check_quasi_constant_curvature(
     with np.errstate(over="ignore", invalid="ignore"):
         t1, t2 = _qcc_basis(np.where(ok[:, None, None], g, 0.0), a_form.reshape(stop, m))
     if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
-        raise FitInputError(
-            "two-coefficient curvature basis (products of metric entries) is not finite",
-            _first_bad(t1, t2),
-        )
+        basis = "two-coefficient curvature basis (products of metric entries) is not finite"
+        raise FitInputError(basis, _first_bad(t1, t2))
     if stop < n:
         raise FitInputError(error, stop)
 

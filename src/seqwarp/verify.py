@@ -273,6 +273,16 @@ def _oracle_checks(
     return out
 
 
+def _structure_fits(flat: ChartFrame, samples: np.ndarray, tol: float) -> tuple[list, list]:
+    """Both fits of the flat stack, all quasi-Einstein ones first; input errors name the sample."""
+    try:
+        qe_fits = fit_quasi_einstein(flat.metric, flat.ricci, tol)
+        return qe_fits, check_quasi_constant_curvature(flat.metric, flat.riemann, tol)
+    except FitInputError as exc:
+        i = exc.sample
+        raise VerificationInputError(f"{exc} at sample {i} {samples[i].tolist()}") from exc
+
+
 def _merge_spacetime_reports(per_point: list[list[IdentityReport]]) -> list[IdentityReport]:
     """Aggregate per-point report bundles, which name the same identities in
     the same order.
@@ -342,13 +352,7 @@ def run_verify(
     constant_warpings = not free_variables(product.f) and not free_variables(product.h)
 
     # --- structure fits ----------------------------------------------------------
-    # a fit input error names the sample; all quasi-Einstein errors come first
-    try:
-        qe_fits = fit_quasi_einstein(flat.metric, flat.ricci, tol["fit"])
-        qcc_fits = check_quasi_constant_curvature(flat.metric, flat.riemann, tol["fit"])
-    except FitInputError as exc:
-        i = exc.sample
-        raise VerificationInputError(f"{exc} at sample {i} {samples[i].tolist()}") from exc
+    qe_fits, qcc_fits = _structure_fits(flat, samples, tol["fit"])
     fits = {
         "quasi_einstein": _qe_summary(qe_fits),
         "quasi_constant_curvature": _qcc_summary(qcc_fits),

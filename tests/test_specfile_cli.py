@@ -401,6 +401,14 @@ class TestCli:
         err = self._one_line_exit_2(capsys, ["verify", path, "--points", "1"])
         assert "curvature basis (products of metric entries) is not finite at sample 0 [1.003" in err
 
+    def test_fit_input_error_at_a_later_sample_exit_code(self, tmp_path, capsys):
+        # the g (x) g basis overflows where f^4 = exp(1360 x) does, for x > 0.52;
+        # samples 0-2 of seed 2 lie below that
+        sampling = {"points": 5, "seed": 2, "boxes": {"x": [0.3, 1.0]}}
+        path = self._lines_spec(tmp_path, f="exp(340*x)", sampling=sampling)
+        err = self._one_line_exit_2(capsys, ["verify", path])
+        assert re.search(r"basis \(products of metric entries\) is not finite at sample 3 \[0\.76", err)
+
     def test_large_warping_verifies_exit_code(self, tmp_path, capsys):
         # with h = exp(170 x) the terms of div(H^h) = Ric(grad h, .) + d(Lap h)
         # reach 2.6e83 and their rounding gap 3.4e66: the residual is relative

@@ -7,7 +7,10 @@ sample: bit for bit where the stacked jets do (``+ - *``, integer powers
 ulp.
 """
 
+import dataclasses
+import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ import pytest
 from seqwarp import factor
 from seqwarp.chart import ChartFrame, DegenerateMetricError, GeometryError
 from seqwarp.classify import (
+    FitInputError,
     QCCFit,
     QEFit,
     check_quasi_constant_curvature,
@@ -29,7 +33,7 @@ from seqwarp.cli import catalog_names, catalog_spec
 from seqwarp.expressions import BinOp, Call, Const, DomainError, Neg, Var, integer_exponent
 from seqwarp.spacetime import grw_theorem_check, ssst_theorem_check, time_axis
 from seqwarp.specfile import spec_from_dict
-from seqwarp.verify import VerificationInputError, run_verify
+from seqwarp.verify import VerificationInputError, _structure_fits, run_verify
 from seqwarp.warped import PositivityError, WarpedFrame, flatten_to_chart
 
 STAGES = (
@@ -392,6 +396,300 @@ def test_one_sample_stack_uses_the_scalar_jets():
     stack, one = ChartFrame(chart, point), ChartFrame(chart, point[0])
     for stage in STAGES:
         assert_agree(getattr(stack, stage)[0], getattr(one, stage), True, stage)
+
+
+# ---------------------------------------------------------------------------
+# Structure fits: a stack agrees bit for bit with the per-point fits
+# ---------------------------------------------------------------------------
+# The reference is the per-point implementation the batched fits replaced,
+# kept here because a one-point call now runs the batched code.
+
+def reference_qe(g: np.ndarray, ric: np.ndarray, tol: float = 1e-6) -> QEFit:
+    if not (np.isfinite(g).all() and np.isfinite(ric).all()):
+        raise GeometryError("quasi-Einstein fit input (metric or Ricci tensor) is not finite")
+    m = g.shape[0]
+    eigs = np.linalg.eigvals(np.linalg.solve(g, ric))
+    scale = 1.0 + float(np.max(np.abs(eigs)))
+
+    def failure(reason: str) -> QEFit:
+        eigenvalues = tuple(sorted(float(v) for v in eigs.real))
+        return QEFit("neither", None, None, None, None, None, float(np.max(np.abs(ric))),
+                     float("inf"), eigenvalues, reason)
+
+    if float(np.max(np.abs(eigs.imag))) > 1e-8 * scale:
+        return failure("mixed Ricci endomorphism has a complex eigenvalue pair")
+    values = np.sort(eigs.real)
+    order = np.argsort(values)
+    groups = [[int(order[0])]]
+    for idx in order[1:]:
+        if values[idx] - values[groups[-1][-1]] <= 1e-6 * scale:
+            groups[-1].append(int(idx))
+        else:
+            groups.append([int(idx)])
+    top = sorted(groups, key=len, reverse=True)[0]
+    if len(top) < m - 1:
+        return failure(f"largest eigenvalue cluster has multiplicity {len(top)} < {m - 1}")
+    alpha = float(np.mean(values[top]))
+    rest = ric - alpha * g
+    w, vecs = np.linalg.eigh(rest)
+    k = int(np.argmax(np.abs(w)))
+    sigma, direction = float(w[k]), vecs[:, k]
+    rank_one = sigma * np.outer(direction, direction)
+    residual = float(np.max(np.abs(rest - rank_one)))
+    if residual > tol * (1.0 + float(np.max(np.abs(ric)))):
+        return failure("remainder after removing alpha g is not rank one")
+    eigenvalues = tuple(float(v) for v in values)
+    if abs(sigma) <= 1e-8 * scale:
+        return QEFit("einstein", alpha, 0.0, np.zeros(m), None, None,
+                     float(np.max(np.abs(rest))), abs(sigma), eigenvalues)
+    u_raw = np.linalg.solve(g, direction)
+    causal = float(direction @ u_raw)
+    if abs(causal) <= 1e-10 * (1.0 + float(np.max(np.abs(u_raw)))) ** 2:
+        return QEFit("quasi-einstein", alpha, sigma, direction, None, 0, residual, abs(sigma),
+                     eigenvalues, "U direction is null; no unit normalization exists")
+    u = u_raw / math.sqrt(abs(causal))
+    return QEFit("quasi-einstein", alpha, sigma * abs(causal), g @ u, u,
+                 1 if causal > 0 else -1, residual, abs(sigma), eigenvalues)
+
+
+def reference_qcc(g: np.ndarray, r: np.ndarray, tol: float = 1e-6) -> QCCFit:
+    if not (np.isfinite(g).all() and np.isfinite(r).all()):
+        raise GeometryError("curvature fit input (metric or curvature tensor) is not finite")
+    scale = 1.0 + float(np.max(np.abs(r)))
+    worst = max(
+        float(np.max(np.abs(r + np.einsum("jikl->ijkl", r)))),
+        float(np.max(np.abs(r + np.einsum("ijlk->ijkl", r)))),
+        float(np.max(np.abs(r - np.einsum("klij->ijkl", r)))),
+    )
+    if worst > 1e-6 * scale:
+        raise GeometryError(f"input tensor lacks curvature symmetries (residual {worst:.3e})")
+    ricci_fit = reference_qe(g, np.einsum("il,ijkl->jk", np.linalg.inv(g), r), tol)
+    if not ricci_fit.succeeded:
+        return QCCFit(False, None, None, None, float(np.max(np.abs(r))), ricci_fit,
+                      "Ricci contraction admits no rank-one decomposition")
+    a_form = ricci_fit.A
+    with np.errstate(over="ignore", invalid="ignore"):
+        t1 = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
+        t2 = (
+            np.einsum("il,j,k->ijkl", g, a_form, a_form)
+            - np.einsum("ik,j,l->ijkl", g, a_form, a_form)
+            + np.einsum("jk,i,l->ijkl", g, a_form, a_form)
+            - np.einsum("jl,i,k->ijkl", g, a_form, a_form)
+        )
+    if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
+        raise GeometryError(
+            "two-coefficient curvature basis (products of metric entries) is not finite"
+        )
+    design = np.stack([t1.ravel(), t2.ravel()], axis=1)
+    coeffs, *_ = np.linalg.lstsq(design, r.ravel(), rcond=None)
+    a, b = float(coeffs[0]), float(coeffs[1])
+    residual = float(np.max(np.abs(r - a * t1 - b * t2)))
+    return QCCFit(bool(residual <= tol * scale), a, b, a_form, residual, ricci_fit)
+
+
+def assert_same_fit(stacked, reference, what: str) -> None:
+    """Every field equal and of the same type; floats and arrays bit for bit."""
+    assert type(stacked) is type(reference), what
+    for fld in dataclasses.fields(reference):
+        x, y = getattr(stacked, fld.name), getattr(reference, fld.name)
+        where = f"{what}.{fld.name}"
+        if isinstance(y, QEFit):
+            assert_same_fit(x, y, where)
+        elif isinstance(y, (float, tuple, np.ndarray)):
+            assert type(x) is type(y) and np.shape(x) == np.shape(y), where
+            assert np.asarray(x, float).tobytes() == np.asarray(y, float).tobytes(), where
+        else:
+            assert type(x) is type(y) and x == y, where
+
+
+def assert_fits_match_reference(fit, reference, g, tensor, tol, what: str) -> None:
+    """``fit(g, tensor, tol)`` on the stack against ``reference`` sample by sample,
+    and a one-point call against the reference at the first sample."""
+    for i, stacked in enumerate(fit(g, tensor, tol)):
+        assert_same_fit(stacked, reference(g[i], tensor[i], tol), f"{what} sample {i}")
+    assert_same_fit(fit(g[0], tensor[0], tol), reference(g[0], tensor[0], tol), f"{what} one point")
+
+
+@pytest.mark.parametrize("name", (*SPECS, "non_diagonal"))
+def test_stacked_fits_match_the_per_point_fits(name):
+    spec = load(name)
+    points = spec.sample_points(spec.points, 0)
+    flat = ChartFrame(flatten_to_chart(spec.product), points)
+    warped = WarpedFrame(spec.product, points)
+    assert_fits_match_reference(
+        fit_quasi_einstein, reference_qe, flat.metric, flat.ricci, 1e-6, f"{name} ambient"
+    )
+    assert_fits_match_reference(
+        check_quasi_constant_curvature, reference_qcc, flat.metric, flat.riemann, 1e-6, name
+    )
+    for frame in (warped.frame1, warped.frame2, warped.frame3):
+        m = frame.manifold.dim
+        g, ric = frame.metric.reshape(-1, m, m), frame.ricci.reshape(-1, m, m)
+        assert_fits_match_reference(
+            fit_quasi_einstein, reference_qe, g, ric, 1e-6, f"{name} {frame.manifold.name}"
+        )
+
+
+LORENTZ = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
+def qe_branch_stack() -> tuple[np.ndarray, np.ndarray, list]:
+    """Samples that reach every quasi-Einstein branch, and the verdict, unit
+    sign and failure reason each reaches with the tolerance 1e-8."""
+    spacelike, timelike = np.array([0.0, 1.0, 0.3, 0.0]), np.array([1.0, 0.2, 0.0, 0.0])
+    null = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
+    pair = np.diag([0.0, 0.0, 2.0, 2.0])
+    pair[0, 1] = pair[1, 0] = 1.0  # g^-1 ric rotates the (t, x) plane
+    euclid = np.diag([1.0, 2.0, 0.5, 1.5])
+    tilted = np.array([0.2, -0.5, 0.1, 0.3])
+    cases = [
+        (euclid, -1.3 * euclid, ("einstein", None, "")),
+        (LORENTZ, 0.5 * LORENTZ + 2.0 * np.outer(spacelike, spacelike), ("quasi-einstein", 1, "")),
+        (LORENTZ, 0.5 * LORENTZ + 0.7 * np.outer(timelike, timelike), ("quasi-einstein", -1, "")),
+        (LORENTZ, 1.5 * LORENTZ + 0.7 * np.outer(null, null), ("quasi-einstein", 0, "null")),
+        (LORENTZ, pair, ("neither", None, "complex")),
+        (np.eye(4), np.diag([1.0, 2.0, 3.0, 4.0]), ("neither", None, "multiplicity 1 < 3")),
+        (np.eye(4), np.diag([1.0, 1.0, 1.0 + 2e-6, 3.0]), ("neither", None, "not rank one")),
+        # the largest cluster above the smallest value: alpha from [1, m)
+        (np.eye(4), np.diag([-2.0, 1.0, 1.0, 1.0]), ("quasi-einstein", 1, "")),
+        (euclid, np.zeros((4, 4)), ("einstein", None, "")),
+        # just inside the Einstein threshold, and a gap just beyond the cluster one
+        (euclid, 0.9 * euclid + 5e-8 * np.outer(tilted, tilted), ("einstein", None, "")),
+        (np.eye(4), np.diag([1.0, 1.0, 1.0, 1.0 + 3e-6]), ("quasi-einstein", 1, "")),
+    ]
+    g, ric, expected = zip(*cases)
+    return np.array(g), np.array(ric), list(expected)
+
+
+def test_stacked_fits_match_the_per_point_fits_on_every_branch():
+    g, ric, expected = qe_branch_stack()
+    fits = fit_quasi_einstein(g, ric, 1e-8)
+    for fit, (verdict, sign, reason) in zip(fits, expected):
+        assert (fit.verdict, fit.unit_sign) == (verdict, sign) and reason in fit.reason
+    assert_fits_match_reference(fit_quasi_einstein, reference_qe, g, ric, 1e-8, "QE branches")
+    for order in (slice(None, None, -1), [4, 0, 6, 3, 1]):
+        assert_fits_match_reference(
+            fit_quasi_einstein, reference_qe, g[order], ric[order], 1e-8, "reordered"
+        )
+    # m = 2: two clusters of m - 1 values, of which the first is the largest
+    g = np.array([np.eye(2), np.diag([1.0, 2.0]), np.eye(2)])
+    ric = np.array([np.diag([1.0, 3.0]), np.diag([3.0, 1.0]), 2.0 * np.eye(2)])
+    assert_fits_match_reference(fit_quasi_einstein, reference_qe, g, ric, 1e-8, "m = 2")
+    g, ric = np.array([[[2.0]], [[-0.5]]]), np.array([[[0.6]], [[1.0]]])
+    assert_fits_match_reference(fit_quasi_einstein, reference_qe, g, ric, 1e-8, "m = 1")
+
+
+def diagonal_curvature(weights: np.ndarray) -> np.ndarray:
+    """R_ijkl = w_ij (d_jk d_il - d_ik d_jl) on the identity metric: curvature
+    symmetries hold and the Ricci contraction is diag(row sums of w)."""
+    eye = np.eye(len(weights))
+    t1 = np.einsum("jk,il->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
+    return weights[:, :, None, None] * t1
+
+
+def qcc_branch_stack() -> tuple[np.ndarray, np.ndarray, list]:
+    """Curvature samples for every two-coefficient branch, and whether each passes."""
+    g = np.diag([1.0, 2.0, 0.5, 1.5])
+    u = np.array([0.3, 0.4, -0.2, 0.5])
+    u = u / math.sqrt(u @ g @ u)
+    t1 = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
+    a_form = g @ u
+    t2 = (
+        np.einsum("il,j,k->ijkl", g, a_form, a_form)
+        - np.einsum("ik,j,l->ijkl", g, a_form, a_form)
+        + np.einsum("jk,i,l->ijkl", g, a_form, a_form)
+        - np.einsum("jl,i,k->ijkl", g, a_form, a_form)
+    )
+    equal_rows = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], dtype=float)
+    distinct_rows = np.array([[0, 1, 2, 4], [1, 0, 3, 5], [2, 3, 0, 7], [4, 5, 7, 0]], dtype=float)
+    cases = [
+        (g, 2.0 * t1 - 0.5 * t2, True),  # two coefficients
+        (g, -0.7 * t1, True),  # constant curvature: an Einstein Ricci fit, b = 0
+        (np.eye(4), diagonal_curvature(equal_rows), False),  # Einstein Ricci, no fit
+        (np.eye(4), diagonal_curvature(distinct_rows), False),  # the Ricci fit fails
+        (LORENTZ, np.zeros((4, 4, 4, 4)), True),
+    ]
+    g, r, expected = zip(*cases)
+    return np.array(g), np.array(r), list(expected)
+
+
+def test_stacked_curvature_fits_match_the_per_point_fits_on_every_branch():
+    g, r, expected = qcc_branch_stack()
+    fits = check_quasi_constant_curvature(g, r)
+    assert [fit.passed for fit in fits] == expected
+    assert [fit.ricci_fit.succeeded for fit in fits] == [True, True, True, False, True]
+    assert_fits_match_reference(check_quasi_constant_curvature, reference_qcc, g, r, 1e-6, "QCC")
+    assert_fits_match_reference(
+        check_quasi_constant_curvature, reference_qcc, g[::-1], r[::-1], 1e-6, "reordered"
+    )
+
+
+def first_reference_error(reference, g, tensor) -> tuple[int, str]:
+    """The sample and message of the first error a loop of per-point fits raises."""
+    for i in range(len(g)):
+        try:
+            reference(g[i], tensor[i])
+        except GeometryError as exc:
+            return i, str(exc)
+    raise AssertionError("no sample fails")
+
+
+def assert_raises_like_the_loop(fit, reference, g, tensor, sample: int) -> str:
+    expected = first_reference_error(reference, g, tensor)
+    assert expected[0] == sample
+    with pytest.raises(FitInputError) as raised:
+        fit(g, tensor)
+    assert (raised.value.sample, str(raised.value)) == expected
+    return expected[1]
+
+
+def test_fit_input_errors_name_the_first_failing_sample():
+    g, ric, _ = qe_branch_stack()
+    bad = ric.copy()
+    bad[3, 0, 1] = bad[6, 2, 2] = np.nan
+    message = assert_raises_like_the_loop(fit_quasi_einstein, reference_qe, g, bad, 3)
+    assert message == "quasi-Einstein fit input (metric or Ricci tensor) is not finite"
+
+    g, r, _ = qcc_branch_stack()
+    not_finite, asymmetric, huge, huge_r = r.copy(), r.copy(), g.copy(), r.copy()
+    not_finite[2, 0, 1, 0, 1] = np.inf
+    asymmetric[1, 0, 1, 0, 1] += 1.0
+    # finite, but g (x) g overflows; at sample 3 the Ricci fit fails, so no
+    # basis is built there
+    huge[3:] *= 1e200
+    huge_r[3] *= 1e200
+    for metric, tensor, sample, text in (
+        (g, not_finite, 2, "curvature fit input (metric or curvature tensor) is not finite"),
+        (g, asymmetric, 1, "input tensor lacks curvature symmetries (residual 1.000e+00)"),
+        (huge, huge_r, 4, "two-coefficient curvature basis (products of metric entries) is not finite"),
+    ):
+        message = assert_raises_like_the_loop(
+            check_quasi_constant_curvature, reference_qcc, metric, tensor, sample
+        )
+        assert message == text
+    # each sample is checked in full before the next: a basis overflow at
+    # sample 1 comes before a tensor that is not finite at sample 2
+    early = g.copy()
+    early[1] *= 1e200
+    assert_raises_like_the_loop(check_quasi_constant_curvature, reference_qcc, early, not_finite, 1)
+
+
+def test_quasi_einstein_input_errors_come_before_curvature_ones():
+    g, r, _ = qcc_branch_stack()
+    ric = np.einsum("nil,nijkl->njk", np.linalg.inv(g), r)
+    ric[3, 0, 0] = np.nan
+    r = r.copy()
+    r[1, 0, 1, 0, 1] += 1.0
+    samples = np.arange(10.0).reshape(5, 2)
+    flat = SimpleNamespace(metric=g, ricci=ric, riemann=r)
+    with pytest.raises(VerificationInputError) as raised:
+        _structure_fits(flat, samples, 1e-6)
+    assert str(raised.value) == (
+        "quasi-Einstein fit input (metric or Ricci tensor) is not finite at sample 3 [6.0, 7.0]"
+    )
+    flat.ricci[3, 0, 0] = 0.0
+    with pytest.raises(VerificationInputError, match=r"symmetries \(residual 1\.000e\+00\) at sample 1 \[2\.0, 3\.0\]$"):
+        _structure_fits(flat, samples, 1e-6)
 
 
 # ---------------------------------------------------------------------------
