@@ -5,7 +5,7 @@ Three layers live here:
 * pointwise algebraic fits: Einstein / quasi-Einstein structure of a
   Ricci tensor (``fit_quasi_einstein``) and the two-coefficient
   quasi-constant-curvature ansatz for a full curvature tensor
-  (``check_quasi_constant_curvature``);
+  (``check_quasi_constant_curvature``), batched: a stack in, one fit per sample out;
 * identity evaluators tying factor curvature to a rank-one ambient
   decomposition (``proposition1_residuals``), the scalar fields carrying
   the warping energies (``lambda_at`` / ``nu_at``), and volume-averaged
@@ -212,8 +212,7 @@ def fit_quasi_einstein(g: np.ndarray, ric: np.ndarray, tol: float = DEFAULT_FIT_
     """Fit ric = alpha g + beta A (x) A, at one point or at each sample of a stack.
 
     ``g`` and ``ric`` are ``(m, m)``, giving one ``QEFit``, or ``(N, m, m)``,
-    giving a list of N fits.  The linear algebra runs batched over the
-    samples; only the verdict of each sample is picked in Python.
+    giving a list of N fits; the linear algebra runs batched, verdicts in Python.
 
     alpha is the eigenvalue of the mixed endomorphism g^-1 ric carrying
     multiplicity >= m - 1 (clustered with relative gap
@@ -232,40 +231,39 @@ def fit_quasi_einstein(g: np.ndarray, ric: np.ndarray, tol: float = DEFAULT_FIT_
     scale = 1.0 + np.abs(eigs).max(axis=-1)
     scales, ric_sizes = scale.tolist(), np.abs(ric).max(axis=(1, 2)).tolist()
 
-    # cluster ids of the sorted real parts, a new cluster wherever a gap
-    # exceeds the threshold; alpha is the mean of the first largest cluster
+    # cluster ids of the sorted real parts after the smallest (in cluster 0), a new
+    # one wherever a gap exceeds the threshold; alpha is the first largest one's mean
     values = np.sort(eigs.real, axis=-1)
     ids = (values[:, 1:] - values[:, :-1] > CLUSTER_GAP * scale[:, None]).cumsum(axis=-1)
-    sizes = (ids[:, :, None] == np.arange(m)).sum(axis=1)
-    sizes[:, 0] += 1  # the smallest value, in cluster 0
+    sizes = (ids[:, :, None] == np.arange(m)).sum(axis=1) + (np.arange(m) == 0)
     multiplicity, top = sizes.max(axis=-1), sizes.argmax(axis=-1)
+    mults = multiplicity.tolist()
 
     # why each sample fails ("" while it has not); each later stage runs on
     # the whole stack when some sample reaches it
-    imag_sizes = np.abs(eigs.imag).max(axis=-1).tolist()
+    imag = np.abs(eigs.imag).max(axis=-1).tolist() if np.iscomplexobj(eigs) else [0.0] * len(g)
     reasons = [
-        "mixed Ricci endomorphism has a complex eigenvalue pair" if imag > 1e-8 * sc
+        "mixed Ricci endomorphism has a complex eigenvalue pair" if im > 1e-8 * sc
         else f"largest eigenvalue cluster has multiplicity {mu} < {m - 1}" if mu < m - 1
         else ""
-        for imag, sc, mu in zip(imag_sizes, scales, multiplicity.tolist())
+        for im, sc, mu in zip(imag, scales, mults)
     ]
     if "" in reasons:
-        alpha = values.sum(axis=-1) / m
-        short = multiplicity == m - 1  # such a cluster spans [0, m - 1) or [1, m)
-        if short.any():
+        alpha = values.sum(axis=-1) / m  # np.mean's own arithmetic
+        if m - 1 in mults:  # such a cluster spans [0, m - 1) or [1, m)
             partial = np.where(top == 1, values[:, 1:].sum(axis=-1), values[:, :-1].sum(axis=-1))
-            alpha = np.where(short, partial / (m - 1), alpha)
+            alpha = np.where(multiplicity == m - 1, partial / (m - 1), alpha)
         rest = ric - alpha[:, None, None] * g
         w, vecs = np.linalg.eigh(rest)
         samples, k = np.arange(len(g)), np.abs(w).argmax(axis=-1)
         sigma, direction = w[samples, k], vecs[samples, :, k]
-        residual = np.abs(rest - sigma[:, None, None] * outer(direction, direction)).max(axis=(1, 2))
+        residual = max_abs(rest - sigma[:, None, None] * outer(direction, direction), 2)
         sigmas, residuals = sigma.tolist(), residual.tolist()
         for i, (res, size) in enumerate(zip(residuals, ric_sizes)):
             if not reasons[i] and res > tol * (1.0 + size):
                 reasons[i] = "remainder after removing alpha g is not rank one"
         einstein = [abs(s) <= EINSTEIN_THRESHOLD * sc for s, sc in zip(sigmas, scales)]
-        if any(not why and not flat for why, flat in zip(reasons, einstein)):
+        if any(not why and not zero for why, zero in zip(reasons, einstein)):
             u_raw = np.linalg.solve(g, direction[..., None])[..., 0]
             causal = dot(direction, u_raw).tolist()  # g(U_raw, U_raw) for A_raw = direction
             u_sizes = np.abs(u_raw).max(axis=-1).tolist()
@@ -317,12 +315,11 @@ def check_quasi_constant_curvature(
 
     ``g`` and ``riemann`` are one point's ``(m, m)`` and ``(m, m, m, m)``
     tensors, giving one ``QCCFit``, or ``(N, ...)`` stacks, giving a list of
-    N fits.  Everything but the two-column least-squares solve of each
-    sample runs batched.  Raises ``FitInputError`` at the first sample whose
-    metric or curvature tensor is not finite, that lacks curvature
-    symmetries, or whose Ricci contraction or fit basis is not finite (each
-    sample checked in that order); a failed structure fit is reported, not
-    raised.
+    N fits; all but each sample's two-column ``lstsq`` runs batched.  Raises
+    ``FitInputError`` at the first sample whose metric or curvature tensor is
+    not finite, that lacks curvature symmetries, or whose Ricci contraction
+    or fit basis is not finite, checked in that order sample by sample; a
+    failed structure fit is reported, not raised.
     """
     g, r = np.asarray(g, dtype=float), np.asarray(riemann, dtype=float)
     single, m = g.ndim == 2, g.shape[-1]
@@ -333,9 +330,13 @@ def check_quasi_constant_curvature(
         stop = _first_bad(g, r)
         error = "curvature fit input (metric or curvature tensor) is not finite"
         g, r = g[:stop], r[:stop]
-    scale = 1.0 + np.abs(r).max(axis=(1, 2, 3, 4))
-    swaps = (r + r.swapaxes(1, 2), r + r.swapaxes(3, 4), r - r.transpose(0, 3, 4, 1, 2))
-    worst = np.abs(np.concatenate(swaps, axis=1)).max(axis=(1, 2, 3, 4))
+    r_size = np.abs(r).max(axis=(1, 2, 3, 4))
+    scale = 1.0 + r_size
+    worst = np.max([  # one temporary at a time: large ones cost page faults
+        np.abs(r + r.swapaxes(1, 2)).max(axis=(1, 2, 3, 4)),
+        np.abs(r + r.swapaxes(3, 4)).max(axis=(1, 2, 3, 4)),
+        np.abs(r - r.transpose(0, 3, 4, 1, 2)).max(axis=(1, 2, 3, 4)),
+    ], axis=0)
     asymmetric = worst > 1e-6 * scale
     if asymmetric.any():
         stop = int(np.argmax(asymmetric))
@@ -348,31 +349,31 @@ def check_quasi_constant_curvature(
         g, r, ricci = g[:stop], r[:stop], ricci[:stop]
     ricci_fits = fit_quasi_einstein(g, ricci, tol) if stop else []
 
+    # a failed Ricci fit is reported with max |R|; the basis is built, with
+    # zeros for those samples, only if some sample's fit succeeded
     ok = np.array([fit.succeeded for fit in ricci_fits], dtype=bool)
     a_form = np.array([fit.A if fit.succeeded else np.zeros(m) for fit in ricci_fits])
-    # a failed fit gets a zero basis, so its residual is max |R|
-    with np.errstate(over="ignore", invalid="ignore"):
-        t1, t2 = _qcc_basis(np.where(ok[:, None, None], g, 0.0), a_form.reshape(stop, m))
-    if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
-        basis = "two-coefficient curvature basis (products of metric entries) is not finite"
-        raise FitInputError(basis, _first_bad(t1, t2))
+    coeffs, residual = np.zeros((stop, 2)), r_size[:stop]
+    if ok.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            t1, t2 = _qcc_basis(np.where(ok[:, None, None], g, 0.0), a_form)
+        if not (np.isfinite(t1).all() and np.isfinite(t2).all()):
+            basis = "two-coefficient curvature basis (products of metric entries) is not finite"
+            raise FitInputError(basis, _first_bad(t1, t2))
+        design = np.stack([t1.reshape(stop, -1), t2.reshape(stop, -1)], axis=-1)
+        for i in np.flatnonzero(ok):
+            coeffs[i] = np.linalg.lstsq(design[i], r[i].ravel(), rcond=None)[0]
+        a, b = coeffs[:, 0].reshape(-1, 1, 1, 1, 1), coeffs[:, 1].reshape(-1, 1, 1, 1, 1)
+        residual = np.abs(r - a * t1 - b * t2).max(axis=(1, 2, 3, 4))
     if stop < n:
         raise FitInputError(error, stop)
-
-    coeffs = np.zeros((stop, 2))
-    design = np.stack([t1.reshape(stop, -1), t2.reshape(stop, -1)], axis=-1)
-    for i, fit in enumerate(ricci_fits):
-        if fit.succeeded:
-            coeffs[i] = np.linalg.lstsq(design[i], r[i].ravel(), rcond=None)[0]
-    a, b = coeffs[:, 0].reshape(-1, 1, 1, 1, 1), coeffs[:, 1].reshape(-1, 1, 1, 1, 1)
-    residual = np.abs(r - a * t1 - b * t2).max(axis=(1, 2, 3, 4)).tolist()
     fits = [
         QCCFit(res <= tol * sc, a_i, b_i, a_form[i], res, fit)
         if fit.succeeded
         else QCCFit(False, None, None, None, res, fit,
                     "Ricci contraction admits no rank-one decomposition")
         for i, (fit, (a_i, b_i), res, sc) in enumerate(
-            zip(ricci_fits, coeffs.tolist(), residual, scale.tolist())
+            zip(ricci_fits, coeffs.tolist(), residual.tolist(), scale.tolist())
         )
     ]
     return fits[0] if single else fits

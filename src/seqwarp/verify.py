@@ -178,8 +178,7 @@ def _normalized_gap(closed: np.ndarray, oracle: np.ndarray) -> np.ndarray:
 
 
 def _balance_gap(lhs: np.ndarray, *terms: np.ndarray) -> np.ndarray:
-    """max |lhs - sum(terms)| per sample of a vector identity, normalized by that
-    sample's 1 + max |.| over lhs and every term."""
+    """max |lhs - sum(terms)| per sample, over 1 + that sample's largest |lhs| or |term|."""
     scale = np.max([max_abs(t, 1) for t in (lhs, *terms)], axis=0)
     return max_abs(lhs - sum(terms), 1) / (1.0 + scale)
 
