@@ -567,19 +567,19 @@ def run_classify(spec: ManifoldSpec, at: dict | None = None) -> dict:
         raise VerificationInputError(str(exc)) from exc
     except DomainError as exc:
         raise VerificationInputError(f"{exc} at {point.tolist()}") from exc
-    # a fit raises on input it cannot take, with no point in the message
+    # factors of one dimension are fitted as one stack; a fit error gets the point here
     try:
-        qe = fit_quasi_einstein(flat.metric, flat.ricci, spec.tolerances.get("fit", 1e-6))
-        qcc = check_quasi_constant_curvature(
-            flat.metric, flat.riemann, spec.tolerances.get("fit", 1e-6)
-        )
-        factor_fits = {}
-        for label, frame in (("m1", wf.frame1), ("m2", wf.frame2), ("m3", wf.frame3)):
-            fit = fit_quasi_einstein(frame.metric, frame.ricci)
-            factor_fits[label] = {
-                "manifold": frame.manifold.name,
-                **fit.summary(),
-            }
+        tol = spec.tolerances.get("fit", 1e-6)
+        qe = fit_quasi_einstein(flat.metric, flat.ricci, tol)
+        qcc = check_quasi_constant_curvature(flat.metric, flat.riemann, tol)
+        frames, fits = {"m1": wf.frame1, "m2": wf.frame2, "m3": wf.frame3}, {}
+        for m in sorted({frame.manifold.dim for frame in frames.values()}):
+            same = [k for k, frame in frames.items() if frame.manifold.dim == m]
+            g, ric = (np.array([getattr(frames[k], t) for k in same]) for t in ("metric", "ricci"))
+            fits.update(zip(same, fit_quasi_einstein(g, ric)))
+        factor_fits = {
+            k: {"manifold": f.manifold.name, **fits[k].summary()} for k, f in frames.items()
+        }
     except GeometryError as exc:
         raise VerificationInputError(f"{exc} at {point.tolist()}") from exc
     return {
