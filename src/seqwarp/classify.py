@@ -244,8 +244,7 @@ def fit_quasi_einstein(g: np.ndarray, ric: np.ndarray, tol: float = DEFAULT_FIT_
     imag = np.abs(eigs.imag).max(axis=-1).tolist() if np.iscomplexobj(eigs) else [0.0] * len(g)
     reasons = [
         "mixed Ricci endomorphism has a complex eigenvalue pair" if im > 1e-8 * sc
-        else f"largest eigenvalue cluster has multiplicity {mu} < {m - 1}" if mu < m - 1
-        else ""
+        else f"largest eigenvalue cluster has multiplicity {mu} < {m - 1}" if mu < m - 1 else ""
         for im, sc, mu in zip(imag, scales, mults)
     ]
     if "" in reasons:
@@ -265,28 +264,29 @@ def fit_quasi_einstein(g: np.ndarray, ric: np.ndarray, tol: float = DEFAULT_FIT_
         einstein = [abs(s) <= EINSTEIN_THRESHOLD * sc for s, sc in zip(sigmas, scales)]
         if any(not why and not zero for why, zero in zip(reasons, einstein)):
             u_raw = np.linalg.solve(g, direction[..., None])[..., 0]
-            causal = dot(direction, u_raw).tolist()  # g(U_raw, U_raw) for A_raw = direction
             u_sizes = np.abs(u_raw).max(axis=-1).tolist()
-        alphas, value_lists = alpha.tolist(), values.tolist()
+        alphas, value_lists, ks = alpha.tolist(), values.tolist(), k.tolist()
 
     fits = []
     for i, reason in enumerate(reasons):
         if reason:
-            eigenvalues = tuple(sorted(eigs[i].real.tolist()))
             fits.append(QEFit("neither", None, None, None, None, None, ric_sizes[i],
-                              float("inf"), eigenvalues, reason))
+                              float("inf"), tuple(sorted(eigs[i].real.tolist())), reason))
             continue
         s, tail = sigmas[i], (abs(sigmas[i]), tuple(value_lists[i]))
         if einstein[i]:
             fits.append(QEFit("einstein", alphas[i], 0.0, np.zeros(m), None, None,
                               float(np.abs(rest[i]).max()), *tail))
-        elif abs(causal[i]) <= 1e-10 * (1.0 + u_sizes[i]) ** 2:
+            continue
+        # g(U_raw, U_raw), dotted over the strided column: BLAS rounds a copy differently
+        c = float(vecs[i, :, ks[i]] @ u_raw[i])
+        if abs(c) <= 1e-10 * (1.0 + u_sizes[i] ** 2):
             # A is null for g; report the unnormalized direction
             fits.append(QEFit("quasi-einstein", alphas[i], s, direction[i], None, 0,
                               residuals[i], *tail,
                               "U direction is null; no unit normalization exists"))
         else:
-            c, u = causal[i], u_raw[i] / math.sqrt(abs(causal[i]))
+            u = u_raw[i] / math.sqrt(abs(c))
             fits.append(QEFit("quasi-einstein", alphas[i], s * abs(c), g[i] @ u, u,
                               1 if c > 0 else -1, residuals[i], *tail))
     return fits[0] if single else fits

@@ -444,7 +444,7 @@ def reference_qe(g: np.ndarray, ric: np.ndarray, tol: float = 1e-6) -> QEFit:
                      float(np.max(np.abs(rest))), abs(sigma), eigenvalues)
     u_raw = np.linalg.solve(g, direction)
     causal = float(direction @ u_raw)
-    if abs(causal) <= 1e-10 * (1.0 + float(np.max(np.abs(u_raw)))) ** 2:
+    if abs(causal) <= 1e-10 * (1.0 + float(np.max(np.abs(u_raw))) ** 2):
         return QEFit("quasi-einstein", alpha, sigma, direction, None, 0, residual, abs(sigma),
                      eigenvalues, "U direction is null; no unit normalization exists")
     u = u_raw / math.sqrt(abs(causal))
@@ -542,6 +542,7 @@ def qe_branch_stack() -> tuple[np.ndarray, np.ndarray, list]:
     pair[0, 1] = pair[1, 0] = 1.0  # g^-1 ric rotates the (t, x) plane
     euclid = np.diag([1.0, 2.0, 0.5, 1.5])
     tilted = np.array([0.2, -0.5, 0.1, 0.3])
+    near_null = np.array([math.cos(math.pi / 4 + 2e-10), math.sin(math.pi / 4 + 2e-10), 0.0, 0.0])
     cases = [
         (euclid, -1.3 * euclid, ("einstein", None, "")),
         (LORENTZ, 0.5 * LORENTZ + 2.0 * np.outer(spacelike, spacelike), ("quasi-einstein", 1, "")),
@@ -553,9 +554,11 @@ def qe_branch_stack() -> tuple[np.ndarray, np.ndarray, list]:
         # the largest cluster above the smallest value: alpha from [1, m)
         (np.eye(4), np.diag([-2.0, 1.0, 1.0, 1.0]), ("quasi-einstein", 1, "")),
         (euclid, np.zeros((4, 4)), ("einstein", None, "")),
-        # just inside the Einstein threshold, and a gap just beyond the cluster one
+        # just inside the Einstein threshold, a gap just beyond the cluster one,
+        # and g(U, U) = 2e-10 just beyond the null one, 1e-10 (1 + max |U|^2)
         (euclid, 0.9 * euclid + 5e-8 * np.outer(tilted, tilted), ("einstein", None, "")),
         (np.eye(4), np.diag([1.0, 1.0, 1.0, 1.0 + 3e-6]), ("quasi-einstein", 1, "")),
+        (LORENTZ, 0.5 * LORENTZ + 0.7 * np.outer(near_null, near_null), ("quasi-einstein", 1, "")),
     ]
     g, ric, expected = zip(*cases)
     return np.array(g), np.array(ric), list(expected)
