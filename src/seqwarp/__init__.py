@@ -32,7 +32,6 @@ from .chart import (
 from .warped import (
     BlockVector,
     PositivityError,
-    ProductPoint,
     SequentialWarpedProduct,
     WarpedFrame,
     flatten_to_chart,

@@ -18,12 +18,12 @@ Index conventions, fixed once for the whole package:
 
 Under these conventions the unit sphere has Ric = +g.
 
-A ``ChartFrame`` holds one point, or a stack of N sample points with every
-tensor above carrying the sample axis first (``christoffel[n, k, i, j]``).
-The stack is vector forward mode (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., ch. 3 and 13): stacked jets and ``...`` einsums do,
-for all N samples at once, the arithmetic a one-point frame does at one.
-One point keeps the scalar jets (``eval_jet``); see ``ChartFrame``.
+A ``ChartFrame`` holds a stack of N sample points, with every tensor above
+carrying the sample axis first (``christoffel[n, k, i, j]``); one point is a
+stack of one.  The stack is vector forward mode (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 3 and 13): batched jets and ``...``
+einsums do, for all N samples at once, the arithmetic of one sample at each.
+A stack of one evaluates the scalar jets (``eval_jet``); see ``ChartFrame``.
 """
 
 from __future__ import annotations
@@ -146,75 +146,72 @@ def _derived(e: Expr, coord: str) -> Expr:
 
 
 class ChartFrame:
-    """All pointwise geometry of one chart, computed lazily, at one point or
-    at a stack of sample points.
+    """All pointwise geometry of one chart at a stack of sample points,
+    computed lazily.
 
-    ``points`` has shape ``(m,)`` for one point or ``(N, m)`` for a stack of
-    N samples.  On a stack every stage and field method carries the sample
-    axis first: ``metric`` is ``(N, m, m)``, ``christoffel`` ``(N, m, m, m)``,
-    ``det``, ``scalar`` and ``laplacian`` are ``(N,)`` arrays.  Each sample
-    gets the arithmetic a one-point frame would do (``...`` einsums, batched
-    ``inv`` / ``det`` / ``matmul``), so the two agree bit for bit wherever the
-    jets do.  A one-point frame is unchanged: the same shapes, and Python
-    floats from ``det``, ``scalar`` and ``laplacian``.
+    ``points`` has shape ``(N, m)``; one point is a stack of one, and a
+    1-D point raises ``GeometryError``.  Every stage and field method carries
+    the sample axis first: ``metric`` is ``(N, m, m)``, ``christoffel``
+    ``(N, m, m, m)``, ``det``, ``scalar`` and ``laplacian`` are ``(N,)``
+    arrays.  Each sample gets its own arithmetic (``...`` einsums, batched
+    ``inv`` / ``det`` / ``matmul``), so a stack of N agrees bit for bit with
+    N stacks of one wherever the jets do.
 
     Jets: a stack of N > 1 points evaluates each metric entry and field once
-    over all samples (``eval_jet_stack``); one point, or a stack of one, uses
-    the scalar ``eval_jet``, which is the faster of the two at one point.
+    over all samples (``eval_jet_stack``); a stack of one uses the scalar
+    ``eval_jet``, which is the faster of the two at one point.
 
-    A stack raises the error a loop of one-point frames would raise first:
+    A stack raises the error a loop over its samples would raise first:
     ``GeometryError`` (non-finite jets), ``DegenerateMetricError`` and
     ``DomainError`` name the point of the first failing sample.  ``validate``
     checks the metric values themselves.
     """
 
-    def __init__(self, manifold: FactorManifold, points: Sequence[float] | np.ndarray):
+    def __init__(self, manifold: FactorManifold, points: Sequence[Sequence[float]] | np.ndarray):
         self.manifold = manifold
         self.point = np.asarray(points, dtype=float)
-        if self.point.ndim not in (1, 2) or self.point.shape[-1] != manifold.dim:
+        if self.point.ndim != 2 or self.point.shape[-1] != manifold.dim:
             raise GeometryError(
-                f"{manifold.name!r} expects {manifold.dim} coordinates, got shape {self.point.shape}"
+                f"{manifold.name!r} expects points of shape (N, {manifold.dim}), "
+                f"got shape {self.point.shape}"
             )
         if not np.isfinite(self.point).all():
             finite = np.isfinite(self.point).all(axis=-1)
-            raise GeometryError(f"non-finite point {self._at_first(~finite)!r}")
-        # one point has shape (m,), a stack of samples (N, m)
-        self.stacked = self.point.ndim == 2
-        if not self.stacked:
-            self.point_map = manifold.point_map(self.point)
+            raise GeometryError(f"non-finite point {self._at_first(~finite).tolist()}")
         # field jets and their third derivatives, by expression
         self._fields: dict[Expr, tuple] = {}
         self._thirds: dict[Expr, np.ndarray] = {}
 
     def _at_first(self, bad) -> np.ndarray:
         """The point of the first sample where ``bad`` holds."""
-        return self.point.reshape(-1, self.manifold.dim)[int(np.argmax(np.reshape(bad, -1)))]
+        return self.point[int(np.argmax(bad))]
+
+    @cached_property
+    def _coordinate_map(self) -> dict[str, float]:
+        """The coordinates of a stack of one, by name: the scalar jets' input."""
+        return self.manifold.point_map(self.point[0])
 
     def _jets(self, e: Expr):
         """Order-2 jets of ``e``: a value, gradient and Hessian per sample.
 
         A ``DomainError`` carries ``node``, the failing sample, and
-        ``reason``; on a stack its message names the sample's point.  Where
-        the scalar walk overflows (``math`` raises), the stacked walk gives
-        ``inf`` instead.
+        ``reason``; its message names the sample's point.  Where the scalar
+        walk overflows (``math`` raises), the batched walk gives ``inf``
+        instead.
         """
         coords = self.manifold.coords
-        points = self.point.reshape(-1, self.manifold.dim)
         try:
-            if len(points) == 1:
+            if len(self.point) == 1:
                 try:
-                    if not self.stacked:
-                        return eval_jet(e, self.point_map, 2, coords)
-                    v, grad, hess = eval_jet(e, self.manifold.point_map(points[0]), 2, coords)
+                    v, grad, hess = eval_jet(e, self._coordinate_map, 2, coords)
                     return np.array([v]), grad[None], hess[None]
                 except OverflowError:
                     pass
             with np.errstate(over="ignore", invalid="ignore"):
-                jets = eval_jet_stack(e, points, coords)
-            return jets if self.stacked else tuple(x[0] for x in jets)
+                return eval_jet_stack(e, self.point, coords)
         except DomainError as exc:
             i, reason = getattr(exc, "node", 0), getattr(exc, "reason", str(exc))
-            err = DomainError(f"{reason} at {points[i].tolist()}" if self.stacked else reason)
+            err = DomainError(f"{reason} at {self.point[i].tolist()}")
             err.node, err.reason = i, reason
             raise err from None
 
@@ -263,11 +260,11 @@ class ChartFrame:
         raise first, each sample checked in the order above.
         """
         m, name, metric = self.manifold.dim, self.manifold.name, self.manifold.metric
-        points = self.point.reshape(-1, m)
+        points = self.point
         mirrored = [(i, j) for i in range(m) for j in range(i) if metric[i][j] != metric[j][i]]
         try:
-            g = self._metric_jets[0].reshape(-1, m, m)
-            lower = [np.reshape(self._jets(metric[i][j])[0], -1) for i, j in mirrored]
+            g = self._metric_jets[0]
+            lower = [self._jets(metric[i][j])[0] for i, j in mirrored]
         except DomainError as exc:
             if exc.node:
                 ChartFrame(self.manifold, points[: exc.node]).validate()
@@ -328,17 +325,15 @@ class ChartFrame:
         return d3g
 
     @cached_property
-    def det(self) -> float | np.ndarray:
-        return per_sample_scalar(np.linalg.det(self.metric))
+    def det(self) -> np.ndarray:
+        return np.linalg.det(self.metric)
 
     @cached_property
     def inverse(self) -> np.ndarray:
         degenerate = is_degenerate(self.metric, self.det)
         if degenerate.any():
-            k = int(np.argmax(np.reshape(degenerate, -1)))
-            raise DegenerateMetricError(
-                self.manifold.name, self._at_first(degenerate), np.reshape(self.det, -1)[k]
-            )
+            k = int(np.argmax(degenerate))
+            raise DegenerateMetricError(self.manifold.name, self.point[k], self.det[k])
         return np.linalg.inv(self.metric)
 
     @cached_property
@@ -426,8 +421,8 @@ class ChartFrame:
         return np.einsum("...iijk->...jk", self.riemann_up)
 
     @cached_property
-    def scalar(self) -> float | np.ndarray:
-        return per_sample_scalar(np.einsum("...jk,...jk->...", self.inverse, self.ricci))
+    def scalar(self) -> np.ndarray:
+        return np.einsum("...jk,...jk->...", self.inverse, self.ricci)
 
     @cached_property
     def driemann_up(self) -> np.ndarray:
@@ -467,7 +462,7 @@ class ChartFrame:
 
     # -- scalar fields -------------------------------------------------------
 
-    def field_jets(self, phi: Expr) -> tuple[float, np.ndarray, np.ndarray]:
+    def field_jets(self, phi: Expr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         jets = self._fields.get(phi)
         if jets is None:
             jets = self._fields[phi] = self._jets(phi)
@@ -481,13 +476,13 @@ class ChartFrame:
         _, dphi, d2phi = self.field_jets(phi)
         return d2phi - np.einsum("...kij,...k->...ij", self.christoffel, dphi)
 
-    def laplacian(self, phi: Expr) -> float | np.ndarray:
-        return per_sample_scalar(np.einsum("...ij,...ij->...", self.inverse, self.hessian(phi)))
+    def laplacian(self, phi: Expr) -> np.ndarray:
+        return np.einsum("...ij,...ij->...", self.inverse, self.hessian(phi))
 
-    def grad_norm2(self, phi: Expr) -> float | np.ndarray:
+    def grad_norm2(self, phi: Expr) -> np.ndarray:
         _, dphi, _ = self.field_jets(phi)
-        # (dphi @ inverse) @ dphi, in the order a one-point ``@`` chain takes
-        return per_sample_scalar(dot(vecmat(dphi, self.inverse), dphi))
+        # (dphi @ inverse) @ dphi per sample, in the order an ``@`` chain takes
+        return dot(vecmat(dphi, self.inverse), dphi)
 
     def _field_third(self, phi: Expr) -> np.ndarray:
         d3 = self._thirds.get(phi)
@@ -550,7 +545,7 @@ def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``a @ v`` per sample, for matrices ``a[..., i, j]`` and vectors ``v[..., j]``.
 
     Each sample gets the BLAS call that ``a[i] @ v[i]`` makes, so a stack
-    agrees bit for bit with a loop over one-point frames.
+    agrees bit for bit with a loop over stacks of one.
     """
     return np.matmul(a, v[..., None])[..., 0]
 
@@ -572,28 +567,20 @@ def outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def max_abs(x: np.ndarray, rank: int):
     """max |x| per sample, over the ``rank`` trailing axes."""
-    return per_sample_scalar(np.max(np.abs(x), axis=tuple(range(-rank, 0))))
+    return np.max(np.abs(x), axis=tuple(range(-rank, 0)))
 
 
-def per_sample_scalar(value):
-    """A scalar per sample: an ``(N,)`` array on a stack, a Python float at
-    one point."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
-def per_sample_power(value, n: int):
+def per_sample_power(value: np.ndarray, n: int) -> np.ndarray:
     """``value**n`` with Python's float power, sample by sample: numpy's
     power can differ from it in the last bit."""
-    if np.ndim(value) == 0:
-        return float(value) ** n
     return np.reshape([v**n for v in np.ravel(value).tolist()], np.shape(value))
 
 
 def symmetry_residuals(frame: ChartFrame) -> dict[str, float]:
     """Curvature symmetry residuals, normalized by (max |R| + 1).
 
-    On a stack each residual is an ``(N,)`` array, every sample normalized
-    by its own max |R|.
+    Each residual is an ``(N,)`` array, every sample normalized by its own
+    max |R|.
     """
     r = frame.riemann
     scale = max_abs(r, 4) + 1.0

@@ -5,15 +5,16 @@ Three layers live here:
 * pointwise algebraic fits: Einstein / quasi-Einstein structure of a
   Ricci tensor (``fit_quasi_einstein``) and the two-coefficient
   quasi-constant-curvature ansatz for a full curvature tensor
-  (``check_quasi_constant_curvature``), batched: a stack in, one fit per sample out;
+  (``check_quasi_constant_curvature``), batched: an ``(N, ...)`` stack in,
+  one fit per sample out;
 * identity evaluators tying factor curvature to a rank-one ambient
   decomposition (``proposition1_residuals``), the scalar fields carrying
   the warping energies (``lambda_at`` / ``nu_at``), and volume-averaged
   forms of those fields over fully periodic factors
   (``torus_average_identity``).  The torus quadrature is the one place that
   evaluates geometry at thousands of points; it evaluates the grid in
-  blocks of nodes with stacked jets (``seqwarp.jets.eval_jet_stack``) and
-  ``(B, ...)`` arrays instead of one ``ChartFrame`` per node;
+  blocks of nodes with batched jets (``seqwarp.jets.eval_jet_stack``) and
+  ``(B, ...)`` arrays instead of one ``ChartFrame`` per block;
 * hypothesis evaluators for the differential conditions under which the
   scalar fields are forced constant (``condition_residuals``) and for the
   rigidity statements that force constant warpings
@@ -23,10 +24,10 @@ Hypothesis evaluators never raise: they return reports whose pass flag is
 the material implication "hypothesis holds at every sample implies the
 conclusion holds numerically".
 
-Every evaluator that takes a point also accepts a ``WarpedFrame`` already
-built there.  Given a stacked frame, an evaluator returns per sample what it
-returns at one point (an ``(N,)`` array, or a list of N results), so one
-stack serves all of them.
+Every evaluator that takes sample points, shape ``(N, d)``, also accepts a
+``WarpedFrame`` already built there, and returns per sample an ``(N,)``
+array or a list of N results; one frame serves all of them, and one point
+is a stack of one.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .chart import (
     max_abs,
     outer,
     per_sample_power,
-    per_sample_scalar,
     vecmat,
 )
 from .expressions import DomainError, Expr, to_string
@@ -208,11 +208,13 @@ def _first_bad(*stacks: np.ndarray) -> int:
     return int(np.argmin(np.logical_and.reduce(finite)))
 
 
-def fit_quasi_einstein(g: np.ndarray, ric: np.ndarray, tol: float = DEFAULT_FIT_TOL):
-    """Fit ric = alpha g + beta A (x) A, at one point or at each sample of a stack.
+def fit_quasi_einstein(
+    g: np.ndarray, ric: np.ndarray, tol: float = DEFAULT_FIT_TOL
+) -> list[QEFit]:
+    """Fit ric = alpha g + beta A (x) A at each sample of a stack.
 
-    ``g`` and ``ric`` are ``(m, m)``, giving one ``QEFit``, or ``(N, m, m)``,
-    giving a list of N fits; the linear algebra runs batched, verdicts in Python.
+    ``g`` and ``ric`` are ``(N, m, m)`` stacks, giving a list of N fits; the
+    linear algebra runs batched, verdicts in Python.
 
     alpha is the eigenvalue of the mixed endomorphism g^-1 ric carrying
     multiplicity >= m - 1 (clustered with relative gap
@@ -222,8 +224,7 @@ def fit_quasi_einstein(g: np.ndarray, ric: np.ndarray, tol: float = DEFAULT_FIT_
     raises ``FitInputError`` naming the first such sample.
     """
     g, ric = np.asarray(g, dtype=float), np.asarray(ric, dtype=float)
-    single, m = g.ndim == 2, g.shape[-1]
-    g, ric = g.reshape(-1, m, m), ric.reshape(-1, m, m)
+    m = g.shape[-1]
     if not (np.isfinite(g).all() and np.isfinite(ric).all()):
         message = "quasi-Einstein fit input (metric or Ricci tensor) is not finite"
         raise FitInputError(message, _first_bad(g, ric))
@@ -289,7 +290,7 @@ def fit_quasi_einstein(g: np.ndarray, ric: np.ndarray, tol: float = DEFAULT_FIT_
             u = u_raw[i] / math.sqrt(abs(c))
             fits.append(QEFit("quasi-einstein", alphas[i], s * abs(c), g[i] @ u, u,
                               1 if c > 0 else -1, residuals[i], *tail))
-    return fits[0] if single else fits
+    return fits
 
 
 def _qcc_basis(g: np.ndarray, a_form: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,7 +306,7 @@ def _qcc_basis(g: np.ndarray, a_form: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def check_quasi_constant_curvature(
     g: np.ndarray, riemann: np.ndarray, tol: float = DEFAULT_FIT_TOL
-):
+) -> list[QCCFit]:
     """Least-squares fit of the lowered curvature tensor to the ansatz
 
         R[i,j,k,l] = a (g_jk g_il - g_ik g_jl)
@@ -313,17 +314,15 @@ def check_quasi_constant_curvature(
 
     with A taken from the quasi-Einstein fit of the Ricci contraction.
 
-    ``g`` and ``riemann`` are one point's ``(m, m)`` and ``(m, m, m, m)``
-    tensors, giving one ``QCCFit``, or ``(N, ...)`` stacks, giving a list of
-    N fits; all but each sample's two-column ``lstsq`` runs batched.  Raises
-    ``FitInputError`` at the first sample whose metric or curvature tensor is
-    not finite, that lacks curvature symmetries, or whose Ricci contraction
-    or fit basis is not finite, checked in that order sample by sample; a
-    failed structure fit is reported, not raised.
+    ``g`` and ``riemann`` are ``(N, m, m)`` and ``(N, m, m, m, m)`` stacks,
+    giving a list of N fits; all but each sample's two-column ``lstsq`` runs
+    batched.  Raises ``FitInputError`` at the first sample whose metric or
+    curvature tensor is not finite, that lacks curvature symmetries, or whose
+    Ricci contraction or fit basis is not finite, checked in that order
+    sample by sample; a failed structure fit is reported, not raised.
     """
     g, r = np.asarray(g, dtype=float), np.asarray(riemann, dtype=float)
-    single, m = g.ndim == 2, g.shape[-1]
-    g, r = g.reshape(-1, m, m), r.reshape(-1, m, m, m, m)
+    m = g.shape[-1]
     # each check runs on the samples before the first one an earlier check failed
     n = stop = len(g)
     if not (np.isfinite(g).all() and np.isfinite(r).all()):
@@ -367,7 +366,7 @@ def check_quasi_constant_curvature(
         residual = np.abs(r - a * t1 - b * t2).max(axis=(1, 2, 3, 4))
     if stop < n:
         raise FitInputError(error, stop)
-    fits = [
+    return [
         QCCFit(res <= tol * sc, a_i, b_i, a_form[i], res, fit)
         if fit.succeeded
         else QCCFit(False, None, None, None, res, fit,
@@ -376,7 +375,6 @@ def check_quasi_constant_curvature(
             zip(ricci_fits, coeffs.tolist(), residual.tolist(), scale.tolist())
         )
     ]
-    return fits[0] if single else fits
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +391,8 @@ def proposition1_residuals(
     ambient decomposition Ric = alpha g + beta A (x) A.
 
     Factor Ricci tensors come from the factor charts; warping terms from
-    the closed-form frame.  One report per factor; on a stacked frame, one
-    such list per sample, with ``alpha``, ``beta`` and ``U`` given once or
-    per sample.
+    the closed-form frame.  One list of reports, one per factor, for each
+    sample, with ``alpha``, ``beta`` and ``U`` given once or per sample.
     """
     frame = _as_frame(product, point)
     alpha, beta, u = qe
@@ -434,35 +431,33 @@ def proposition1_residuals(
     res3 = max_abs(frame.frame3.ricci - rhs3, 2)
 
     norms = [np.sqrt(abs(dot(vecmat(x, g), x))) for x, g in ((ub.x1, g1), (ub.x2, g2), (ub.x3, g3))]
-    residuals = [np.reshape(r, -1) for r in (res1, res2, res3)]
-    norms = [np.broadcast_to(v, residuals[0].shape) for v in norms]
 
     def build(i: int) -> list[IdentityReport]:
         details = {f"U{k}_norm": float(v[i]) for k, v in enumerate(norms, start=1)}
         return [
             IdentityReport.from_residual(f"proposition1_i{k}", r[i], tol, details=details)
-            for k, r in enumerate(residuals, start=1)
+            for k, r in enumerate((res1, res2, res3), start=1)
         ]
 
     return _per_sample_results(frame, build)
 
 
-def lambda_at(product: SequentialWarpedProduct, point, alpha: float) -> float:
-    """alpha f^2 + f (Lap f on the first factor) + (m2 - 1) |grad f|^2."""
-    frame = _as_frame(product, point)
+def lambda_at(product: SequentialWarpedProduct, points, alpha: float) -> np.ndarray:
+    """alpha f^2 + f (Lap f on the first factor) + (m2 - 1) |grad f|^2, per sample."""
+    frame = _as_frame(product, points)
     m2 = product.m2.dim
-    return per_sample_scalar(
+    return (
         alpha * per_sample_power(frame.f_value, 2)
         + frame.f_value * frame.lap_f
         + (m2 - 1) * frame.grad_f_norm2
     )
 
 
-def nu_at(product: SequentialWarpedProduct, point, alpha: float) -> float:
-    """alpha h^2 + h (Lap h on the inner chart) + (m3 - 1) |grad h|^2."""
-    frame = _as_frame(product, point)
+def nu_at(product: SequentialWarpedProduct, points, alpha: float) -> np.ndarray:
+    """alpha h^2 + h (Lap h on the inner chart) + (m3 - 1) |grad h|^2, per sample."""
+    frame = _as_frame(product, points)
     m3 = product.m3.dim
-    return per_sample_scalar(
+    return (
         alpha * per_sample_power(frame.h_value, 2)
         + frame.h_value * frame.lap_h
         + (m3 - 1) * frame.grad_h_norm2
@@ -537,7 +532,7 @@ def _volume_means(
     integrands.
 
     The grid is evaluated in blocks of at most ``QUADRATURE_BLOCK`` nodes.
-    Per block, stacked jet evaluations (``eval_jet_stack``) give the metric
+    Per block, batched jet evaluations (``eval_jet_stack``) give the metric
     and field jets, and the inverse metric, Christoffel symbols, covariant
     Hessian of ``phi``, its Laplacian, ``|grad phi|^2`` and the weights
     ``sqrt|det g|`` are ``(B, ...)`` arrays.  Each node gets the arithmetic a
@@ -704,8 +699,8 @@ def condition_residuals(
     the inner chart.  In the second condition the paired fiber arguments
     are taken equal to the probed direction, and the divergence of the
     scalar f^4 is read as its differential; these readings are recorded
-    here once and used consistently.  On a stacked frame ``lam`` may be
-    given per sample, and the result is one pair of reports per sample.
+    here once and used consistently.  ``lam`` may be given once or per
+    sample, and the result is one pair of reports per sample.
     """
     frame = _as_frame(product, point)
     alpha, beta, u = qe
@@ -744,7 +739,7 @@ def condition_residuals(
         + m3 * div_hh_over_h
     )
     rhs = (m3 / 2.0) * dlap_h_over_h + (2.0 * m2 / f_) * dlap_f
-    res1 = np.reshape(max_abs(lhs - rhs, 1), -1)
+    res1 = max_abs(lhs - rhs, 1)
 
     # condition forcing constant nu, per inner direction j
     g2u2u2 = _per_sample(dot(ub.x2, g2u2), 1)
@@ -758,7 +753,7 @@ def condition_residuals(
         + (m3 * beta / h_) * _per_sample(per_sample_power(f, 4), 1) * gradh2_u2 * g2xu
     )
     rhs = (2.0 * m3 / h_) * dlap_h + 2.0 * beta * f3 * df_ext * g2u2u2
-    res2 = np.reshape(max_abs(lhs - rhs, 1), -1)
+    res2 = max_abs(lhs - rhs, 1)
     lams = np.broadcast_to(lam, res1.shape)
 
     def build(i: int) -> tuple[IdentityReport, IdentityReport]:
@@ -785,7 +780,7 @@ def theorem2_conditions(
 ) -> list[IdentityReport]:
     """Evaluate the three constancy-forcing hypothesis bundles over samples.
 
-    ``points`` is a sequence of sample points or a (stacked) ``WarpedFrame``.
+    ``points`` is a stack of sample points or a ``WarpedFrame`` built there.
     Each report passes when the hypothesis fails somewhere (vacuous) or
     the conclusion - a vanishing warping gradient - holds numerically at
     every sample.  ``qe = None`` marks the rank-one decomposition itself
@@ -797,7 +792,7 @@ def theorem2_conditions(
     # gradient norms would make the hypotheses meaningless
     riemannian = all(fac.signature == "riemannian" for fac in product.factors)
     frame = _as_frame(product, points)
-    n = len(frame.point.reshape(-1, product.dim))
+    n = len(frame.point)
 
     scal3 = frame.frame3.scalar
     lap_h = frame.lap_h

@@ -20,7 +20,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .specfile import ManifoldSpec, SpecError, load_spec
+from .specfile import ManifoldSpec, SpecError, check_run_parameter, load_spec
 from .verify import VerificationInputError, run_classify, run_verify
 
 __all__ = ["main", "catalog_names", "catalog_spec"]
@@ -49,9 +49,10 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
         if not sep:
             raise SpecError("--tol", f"expected KEY=VALUE, got {pair!r}")
         try:
-            out[key] = float(value)
+            number = float(value)
         except ValueError:
             raise SpecError("--tol", f"{value!r} is not a number") from None
+        out[key] = check_run_parameter(f"tolerances.{key}", number, "--tol")
     return out
 
 

@@ -9,9 +9,11 @@ Two spacetime families are assembled as sequential warped products:
 
 The chart and closed-form machinery is signature-agnostic, so the only
 Lorentzian-specific work is signature validation plus the condition
-evaluators below.  Condition evaluators return reports: where a premise
-(a successful structure fit, a unit time component of U) fails at the
-probed point, the report is marked informational rather than failed.
+evaluators below.  Condition evaluators take a stack of sample points (or a
+``WarpedFrame`` built there) with one structure fit per sample, and return
+one report bundle per sample: where a premise (a successful structure fit,
+a unit time component of U) fails at a sample, its report is marked
+informational rather than failed.
 
 The time-time curvature identities are adjudicated against the oracle,
 and the verdicts are recorded in the reports: residuals of both printed
@@ -197,35 +199,33 @@ def _fit_values(fits, take, where: np.ndarray, default) -> np.ndarray:
 
 def _factor_fits(frame: ChartFrame, tol: float) -> list[QEFit]:
     """The quasi-Einstein fit of a factor at each sample."""
-    m = frame.manifold.dim
-    return fit_quasi_einstein(frame.metric.reshape(-1, m, m), frame.ricci.reshape(-1, m, m), tol)
+    return fit_quasi_einstein(frame.metric, frame.ricci, tol)
 
 
 def ssst_theorem_check(
     product: SequentialWarpedProduct,
-    point,
-    qe: QEFit,
-    qcc: QCCFit,
+    points,
+    qes: list[QEFit | None],
+    qccs: list[QCCFit | None],
     tol: float = DEFAULT_FIT_TOL,
     d3_tol: float = D3_TOL,
     *,
     flat: ChartFrame | None = None,
 ) -> list[IdentityReport]:
-    """Report bundle for the static-form curvature conditions at a point.
+    """Report bundle for the static-form curvature conditions at each sample.
 
     Includes the time-time identity Ric(dt, dt) = h Lap h with its sign
     recorded, the two mixed Ricci identities specialized to a
     1-dimensional fiber, the rank-one consequences of a successful
     ambient fit, and the Hessian forms tied to a two-coefficient
-    curvature fit.  ``point`` may be a ``WarpedFrame``; ``flat`` is the
-    flattened-chart frame at the same point, built here when not given.
-    On a stacked frame ``qe`` and ``qcc`` are lists of per-sample fits,
-    and the result is one bundle per sample.
+    curvature fit.  ``points`` may be a ``WarpedFrame``; ``flat`` is the
+    flattened-chart frame at the same samples, built here when not given.
+    ``qes`` and ``qccs`` hold each sample's fits (``None`` for no fit), and
+    the result is one bundle per sample.
     """
-    frame = _as_frame(product, point)
+    frame = _as_frame(product, points)
     if flat is None:
         flat = ChartFrame(flatten_to_chart(product), frame.point)
-    qes, qccs = (qe, qcc) if frame.stacked else ([qe], [qcc])
     axis = time_axis(product)
     d1 = product.m1.dim
     s1, s2, _ = product.block_slices
@@ -277,8 +277,6 @@ def ssst_theorem_check(
 
     # factor conclusions
     fit1s, fit2s = _factor_fits(frame.frame1, tol), _factor_fits(frame.frame2, tol)
-    columns = np.broadcast_arrays(ric_tt, rhs, res_d3, sign, res_d1, res_d2, h2, h4)
-    ric_tt, rhs, res_d3, sign, res_d1, res_d2, h2, h4 = (np.reshape(c, -1) for c in columns)
 
     def build(i: int) -> list[IdentityReport]:
         met, why = premises[i]
@@ -347,25 +345,24 @@ def ssst_theorem_check(
 
 def grw_theorem_check(
     product: SequentialWarpedProduct,
-    point,
-    qe: QEFit,
-    qcc: QCCFit,
+    points,
+    qes: list[QEFit | None],
+    qccs: list[QCCFit | None],
     tol: float = DEFAULT_FIT_TOL,
     *,
     flat: ChartFrame | None = None,
 ) -> list[IdentityReport]:
-    """Report bundle for the Robertson-Walker-form conditions at a point.
+    """Report bundle for the Robertson-Walker-form conditions at each sample.
 
     The relation between beta - alpha and the second time derivatives of
     the warpings is printed with conflicting signs in the source
     statements; both variants are evaluated and the supported one is
-    named in the report details.  ``point``, ``flat``, and the per-sample
-    ``qe`` and ``qcc`` of a stacked frame are as in ``ssst_theorem_check``.
+    named in the report details.  ``points``, ``flat``, ``qes`` and
+    ``qccs`` are as in ``ssst_theorem_check``.
     """
-    frame = _as_frame(product, point)
+    frame = _as_frame(product, points)
     if flat is None:
         flat = ChartFrame(flatten_to_chart(product), frame.point)
-    qes, qccs = (qe, qcc) if frame.stacked else ([qe], [qcc])
     axis = time_axis(product)
     assert axis == 0, "Robertson-Walker form keeps time as the first coordinate"
     d1 = product.m1.dim
@@ -421,8 +418,7 @@ def grw_theorem_check(
 
     # factor conclusions
     fit2s, fit3s = _factor_fits(frame.frame2, tol), _factor_fits(frame.frame3, tol)
-    columns = np.broadcast_arrays(ric_tt, term_f + term_h, res_plus, res_minus, e5_tol)
-    ric_tt, formula, res_plus, res_minus, e5_tol = (np.reshape(c, -1) for c in columns)
+    formula = term_f + term_h
 
     def build(i: int) -> list[IdentityReport]:
         met, why = premises[i]

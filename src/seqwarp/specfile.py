@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,12 +41,29 @@ from .expressions import Expr, ExpressionError, parse
 from .spacetime import GRWSpec, SSSTSpec, build_grw, build_ssst
 from .warped import SequentialWarpedProduct
 
-__all__ = ["ManifoldSpec", "SpecError", "load_spec", "spec_from_dict"]
+__all__ = [
+    "DEFAULT_TOLERANCES",
+    "ManifoldSpec",
+    "SpecError",
+    "check_run_parameter",
+    "load_spec",
+    "spec_from_dict",
+]
 
 KINDS = ("swp", "ssst", "grw")
 DEFAULT_POINTS = 30
 DEFAULT_SEED = 0
 DEFAULT_BOX = (-1.0, 1.0)
+DEFAULT_TOLERANCES = {
+    "oracle": 1e-7,  # closed form vs chart oracle, normalized by max-abs + 1
+    "symmetry": 1e-9,  # curvature symmetries and first Bianchi, normalized
+    "bianchi": 1e-7,  # contracted Bianchi and Hessian divergence, normalized
+    "cross_ricci": 1e-10,  # off-block ambient Ricci entries, absolute
+    "reduction": 1e-12,  # constant-warping block reduction, absolute
+    "fit": 1e-6,  # structure fits and derived factor identities
+    "torus": 1e-10,  # torus-averaged field identities
+    "d3": 1e-7,  # time-time curvature identity of the static form
+}
 
 
 class SpecError(ValueError):
@@ -81,6 +99,29 @@ class ManifoldSpec:
         return np.array(
             [0.5 * (self.boxes[c][0] + self.boxes[c][1]) for c in self.product.coords]
         )
+
+
+def check_run_parameter(name: str, value, path: str):
+    """``value`` as the run parameter ``name``, or ``SpecError(path)``.
+
+    ``points`` is a positive integer and ``seed`` a non-negative one;
+    ``tolerances.<key>`` names a key of ``DEFAULT_TOLERANCES`` and takes a
+    positive finite number.  Spec files, ``--tol`` and ``run_verify`` all
+    check their run parameters here; a bool is not a number.
+    """
+    group, _, key = name.partition(".")
+    if group == "tolerances":
+        if key not in DEFAULT_TOLERANCES:
+            known = ", ".join(sorted(DEFAULT_TOLERANCES))
+            raise SpecError(path, f"unknown tolerance {key!r}; expected one of {known}")
+        if not _finite_number(value) or value <= 0:
+            raise SpecError(path, f"expected a positive finite number, got {value!r}")
+        return float(value)
+    least = 1 if name == "points" else 0
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise SpecError(path, f"expected a {kind} integer, got {value!r}")
+    return int(value)
 
 
 def _expect(data: dict, key: str, kind, path: str, default=None, required: bool = False):
@@ -148,12 +189,22 @@ def _parse_factor(data, index: int) -> FactorManifold:
         raise SpecError(path, str(exc)) from exc
 
 
+def _finite_number(value) -> bool:
+    """Whether ``value`` is a number within the float range; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _parse_time(data: dict) -> tuple[str, tuple[float, float]]:
     block = _expect(data, "time", dict, "", required=True)
     coord = _expect(block, "coord", str, "time", default="t")
     interval = _expect(block, "interval", list, "time", default=[-1.0, 1.0])
-    if len(interval) != 2 or not all(isinstance(v, (int, float)) for v in interval):
-        raise SpecError("time.interval", "expected [lo, hi]")
+    if len(interval) != 2 or not all(_finite_number(v) for v in interval):
+        raise SpecError("time.interval", "expected [lo, hi] of finite numbers")
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise SpecError("time.interval", "expected lo < hi")
@@ -224,10 +275,10 @@ def spec_from_dict(data: dict, name: str = "spec") -> ManifoldSpec:
         raise SpecError("factors", str(exc)) from exc
 
     sampling = _expect(data, "sampling", dict, "", default={})
-    points = _expect(sampling, "points", int, "sampling", default=DEFAULT_POINTS)
-    if points <= 0:
-        raise SpecError("sampling.points", "must be positive")
-    seed = _expect(sampling, "seed", int, "sampling", default=DEFAULT_SEED)
+    points = check_run_parameter(
+        "points", sampling.get("points", DEFAULT_POINTS), "sampling.points"
+    )
+    seed = check_run_parameter("seed", sampling.get("seed", DEFAULT_SEED), "sampling.seed")
     raw_boxes = _expect(sampling, "boxes", dict, "sampling", default={})
     boxes: dict[str, tuple[float, float]] = {}
     for cname in product.coords:
@@ -236,10 +287,12 @@ def spec_from_dict(data: dict, name: str = "spec") -> ManifoldSpec:
             if (
                 not isinstance(box, list)
                 or len(box) != 2
-                or not all(isinstance(v, (int, float)) for v in box)
+                or not all(_finite_number(v) for v in box)
                 or not box[0] < box[1]
             ):
-                raise SpecError(f"sampling.boxes.{cname}", "expected [lo, hi] with lo < hi")
+                raise SpecError(
+                    f"sampling.boxes.{cname}", "expected [lo, hi] of finite numbers with lo < hi"
+                )
             boxes[cname] = (float(box[0]), float(box[1]))
         elif cname in time_box:
             boxes[cname] = time_box[cname]
@@ -249,12 +302,11 @@ def spec_from_dict(data: dict, name: str = "spec") -> ManifoldSpec:
         if cname not in product.coords:
             raise SpecError(f"sampling.boxes.{cname}", "not a coordinate of any factor")
 
-    tolerances = {}
     raw_tol = _expect(data, "tolerances", dict, "", default={})
-    for key, value in raw_tol.items():
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise SpecError(f"tolerances.{key}", "expected a positive number")
-        tolerances[str(key)] = float(value)
+    tolerances = {
+        key: check_run_parameter(f"tolerances.{key}", value, f"tolerances.{key}")
+        for key, value in raw_tol.items()
+    }
 
     planted = None
     raw_planted = _expect(data, "planted", dict, "", default=None)

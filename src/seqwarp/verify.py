@@ -9,15 +9,15 @@ with the factor identities they imply; torus-averaged field identities on
 periodic factors; the differential conditions and rigidity hypotheses;
 and the spacetime bundles for the Lorentzian kinds.
 
-Every check reads one stacked ``WarpedFrame`` and one stacked flat
-``ChartFrame`` over all sample points (see :mod:`seqwarp.chart`), and the
-input validation reads the metric values their jets hold.  The oracle,
+Every check reads one ``WarpedFrame`` and one flat ``ChartFrame``, each over
+the ``(N, d)`` stack of all sample points (see :mod:`seqwarp.chart`), and
+the input validation reads the metric values their jets hold.  The oracle,
 symmetry, Bianchi, cross-block, reduction and Hessian-divergence residuals
-are reductions over the sample axis, each residual normalized per sample as
-a one-point check would.  The evaluators take the stacked frames and return
-per-sample results, which are reduced over the samples each check covers;
-the structure fits take the stacked flat metric and curvature too, and
-return one fit per sample.
+are reductions over the sample axis, each residual normalized per sample.
+The evaluators take the frames and return per-sample results, which are
+reduced over the samples each check covers; the structure fits take the
+flat metric and curvature stacks too, and return one fit per sample.
+``run_classify`` fits at one point, a stack of one.
 
 The report is a plain dict rendered to JSON with stable ordering and no
 timestamps, so identical spec + seed gives byte-identical output.  The
@@ -56,7 +56,7 @@ from .classify import (
 )
 from .expressions import DomainError, free_variables
 from .spacetime import grw_theorem_check, ssst_theorem_check
-from .specfile import ManifoldSpec
+from .specfile import DEFAULT_TOLERANCES, ManifoldSpec, check_run_parameter
 from .warped import WarpedFrame, flatten_to_chart
 
 __all__ = [
@@ -66,17 +66,6 @@ __all__ = [
     "run_verify",
     "run_classify",
 ]
-
-DEFAULT_TOLERANCES = {
-    "oracle": 1e-7,  # closed form vs chart oracle, normalized by max-abs + 1
-    "symmetry": 1e-9,  # curvature symmetries and first Bianchi, normalized
-    "bianchi": 1e-7,  # contracted Bianchi and Hessian divergence, normalized
-    "cross_ricci": 1e-10,  # off-block ambient Ricci entries, absolute
-    "reduction": 1e-12,  # constant-warping block reduction, absolute
-    "fit": 1e-6,  # structure fits and derived factor identities
-    "torus": 1e-10,  # torus-averaged field identities
-    "d3": 1e-7,  # time-time curvature identity of the static form
-}
 
 TORUS_NODES = 128
 MAX_TORUS_DIM = 2
@@ -189,7 +178,7 @@ def _oracle_checks(
     """Closed form vs oracle, curvature symmetries, both Bianchi checks, cross
     blocks, the constant-warping reduction and the Hessian divergence.
 
-    Each is a reduction over the sample axis of the stacked frames: a
+    Each is a reduction over the sample axis of the frames: a
     residual per sample (an oracle gap normalized by that sample's own
     1 + max |oracle|), then the worst sample's.  Overflow is not warned
     about: a residual that is not finite is an input error naming the first
@@ -317,12 +306,17 @@ def run_verify(
     seed: int | None = None,
     tolerances: dict | None = None,
 ) -> VerificationReport:
-    """Run the full identity suite over deterministic sample points."""
+    """Run the full identity suite over deterministic sample points.
+
+    ``points``, ``seed`` and ``tolerances`` override the spec's; an invalid
+    one raises ``SpecError`` (see ``check_run_parameter``).
+    """
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(spec.tolerances)
-    tol.update(tolerances or {})
-    n_points = spec.points if points is None else points
-    seed_used = spec.seed if seed is None else seed
+    for key, value in (tolerances or {}).items():
+        tol[key] = check_run_parameter(f"tolerances.{key}", value, f"tolerances.{key}")
+    n_points = spec.points if points is None else check_run_parameter("points", points, "points")
+    seed_used = spec.seed if seed is None else check_run_parameter("seed", seed, "seed")
 
     product = spec.product
     samples = spec.sample_points(n_points, seed_used)
@@ -549,7 +543,7 @@ def run_verify(
 
 
 def run_classify(spec: ManifoldSpec, at: dict | None = None) -> dict:
-    """Structure fits at one point: ambient and per factor."""
+    """Structure fits at one point, a stack of one: ambient and per factor."""
     product = spec.product
     point = spec.center_point()
     if at:
@@ -559,23 +553,26 @@ def run_classify(spec: ManifoldSpec, at: dict | None = None) -> dict:
                 raise VerificationInputError(f"--at: unknown coordinate {cname!r}")
             point[coords.index(cname)] = float(value)
     try:
-        flat = ChartFrame(flatten_to_chart(product), point)
-        wf = WarpedFrame(product, point)
+        flat = ChartFrame(flatten_to_chart(product), point[None])
+        wf = WarpedFrame(product, point[None])
         _ = (wf.f_value, wf.h_value)
         _ = (flat.ricci, flat.riemann, wf.frame1.ricci, wf.frame2.ricci, wf.frame3.ricci)
     except GeometryError as exc:
         raise VerificationInputError(str(exc)) from exc
     except DomainError as exc:
-        raise VerificationInputError(f"{exc} at {point.tolist()}") from exc
+        # a factor frame names its own coordinates; name the whole point
+        raise VerificationInputError(f"{exc.reason} at {point.tolist()}") from exc
     # factors of one dimension are fitted as one stack; a fit error gets the point here
     try:
         tol = spec.tolerances.get("fit", 1e-6)
-        qe = fit_quasi_einstein(flat.metric, flat.ricci, tol)
-        qcc = check_quasi_constant_curvature(flat.metric, flat.riemann, tol)
+        qe = fit_quasi_einstein(flat.metric, flat.ricci, tol)[0]
+        qcc = check_quasi_constant_curvature(flat.metric, flat.riemann, tol)[0]
         frames, fits = {"m1": wf.frame1, "m2": wf.frame2, "m3": wf.frame3}, {}
         for m in sorted({frame.manifold.dim for frame in frames.values()}):
             same = [k for k, frame in frames.items() if frame.manifold.dim == m]
-            g, ric = (np.array([getattr(frames[k], t) for k in same]) for t in ("metric", "ricci"))
+            g, ric = (
+                np.concatenate([getattr(frames[k], t) for k in same]) for t in ("metric", "ricci")
+            )
             fits.update(zip(same, fit_quasi_einstein(g, ric)))
         factor_fits = {
             k: {"manifold": f.manifold.name, **fits[k].summary()} for k, f in frames.items()

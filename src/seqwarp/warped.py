@@ -17,9 +17,9 @@ Two routes to the ambient curvature live side by side:
 
 Disagreement between the routes is a bug by definition; the verification
 suite compares the closed tensors with the chart's, whole, at every sample.
-Both routes take a stack of sample points as well as one point: a stacked
-``WarpedFrame`` assembles the closed tensors of all N samples at once from
-stacked factor frames.
+Both routes take a stack of N sample points, shape ``(N, d)``, and one point
+is a stack of one: a ``WarpedFrame`` assembles the closed tensors of all N
+samples at once from factor frames over the same samples.
 
 Note on signs: the closed-form curvature below is written for the
 curvature operator R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z -
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -44,14 +43,12 @@ from .chart import (
     dot,
     matvec,
     per_sample_power,
-    per_sample_scalar,
     vecmat,
 )
 from .expressions import BinOp, Const, Expr, free_variables
 
 __all__ = [
     "SequentialWarpedProduct",
-    "ProductPoint",
     "BlockVector",
     "PositivityError",
     "CoordinateCollisionError",
@@ -131,26 +128,13 @@ class SequentialWarpedProduct:
         d1, d2, d3 = self.dims
         return (slice(0, d1), slice(d1, d1 + d2), slice(d1 + d2, d1 + d2 + d3))
 
-    def split(self, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The factor blocks of one point, or of each row of a stack of points."""
-        p = np.asarray(point, dtype=float)
-        if p.ndim not in (1, 2) or p.shape[-1] != self.dim:
-            raise GeometryError(f"expected {self.dim} ambient coordinates, got {p.shape}")
+    def split(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The factor blocks of each row of a stack of points, shape ``(N, d)``."""
+        p = np.asarray(points, dtype=float)
+        if p.ndim != 2 or p.shape[-1] != self.dim:
+            raise GeometryError(f"expected points of shape (N, {self.dim}), got shape {p.shape}")
         s1, s2, s3 = self.block_slices
-        return p[..., s1], p[..., s2], p[..., s3]
-
-
-@dataclass(frozen=True)
-class ProductPoint:
-    """A point given per factor; ``ambient`` concatenates the blocks."""
-
-    p1: tuple[float, ...]
-    p2: tuple[float, ...]
-    p3: tuple[float, ...]
-
-    @property
-    def ambient(self) -> np.ndarray:
-        return np.concatenate([self.p1, self.p2, self.p3]).astype(float)
+        return p[:, s1], p[:, s2], p[:, s3]
 
 
 def _embed(dim: int, sl: slice, tensor: np.ndarray, lead: tuple[int, ...] = ()) -> np.ndarray:
@@ -163,15 +147,9 @@ def _embed(dim: int, sl: slice, tensor: np.ndarray, lead: tuple[int, ...] = ()) 
 
 
 def _per_sample(value, rank: int):
-    """A per-sample scalar (a float, or an ``(N,)`` array on a stack) shaped
-    to broadcast against tensors of ``rank`` trailing axes."""
+    """A per-sample scalar (an ``(N,)`` array, or one value for all samples)
+    shaped to broadcast against tensors of ``rank`` trailing axes."""
     return np.asarray(value)[(Ellipsis,) + (None,) * rank]
-
-
-def _as_ambient(point) -> np.ndarray:
-    if isinstance(point, ProductPoint):
-        return point.ambient
-    return np.asarray(point, dtype=float)
 
 
 @dataclass
@@ -204,12 +182,12 @@ class BlockVector:
 
     @property
     def ambient(self) -> np.ndarray:
-        return np.concatenate([self.x1, self.x2, self.x3])
+        return np.concatenate([self.x1, self.x2, self.x3], axis=-1)
 
     @property
     def inner(self) -> np.ndarray:
         """Components along the first two blocks (the inner warped product)."""
-        return np.concatenate([self.x1, self.x2])
+        return np.concatenate([self.x1, self.x2], axis=-1)
 
 
 def flatten_to_chart(product: SequentialWarpedProduct) -> FactorManifold:
@@ -266,8 +244,8 @@ def inner_chart(product: SequentialWarpedProduct) -> FactorManifold:
 
 
 class WarpedFrame:
-    """Pointwise geometry of a sequential warped product, computed lazily, at
-    one point or at a stack of sample points.
+    """Pointwise geometry of a sequential warped product at a stack of
+    sample points, computed lazily.
 
     Bundles the three factor frames, the inner-chart frame carrying the
     outer warping, and the warping jets.  From these it assembles the
@@ -275,27 +253,24 @@ class WarpedFrame:
     conventions of :mod:`seqwarp.chart`; ``connection`` and ``curvature``
     contract them with block vectors.
 
-    ``point`` is one ambient point, shape ``(d,)`` (or a ``ProductPoint``),
-    or a stack of N samples, shape ``(N, d)``.  On a stack the factor and
-    inner frames are stacked ``ChartFrame``s, built once for all samples, and
-    the warping jets, ``christoffel``, ``riemann_up``, ``ricci`` and
-    ``scalar`` carry the sample axis first.  A stack checks ``f`` and ``h``
-    positive sample by sample, ``f`` before ``h``, and ``PositivityError``
-    names the first failing sample.
+    ``points`` has shape ``(N, d)``; one point is a stack of one, and a 1-D
+    point raises ``GeometryError``.  The factor and inner frames are
+    ``ChartFrame``s over the same samples, built once, and the warping jets,
+    ``christoffel``, ``riemann_up``, ``ricci`` and ``scalar`` carry the
+    sample axis first.  ``f`` and ``h`` are checked positive together,
+    sample by sample, ``f`` before ``h``, and ``PositivityError`` names the
+    first failing sample.
 
     The evaluators in :mod:`seqwarp.classify` and :mod:`seqwarp.spacetime`
-    accept a frame wherever they take a point; given a stack, they return
-    per sample what they return at one point, so one stack serves all of
-    them.
+    accept a frame wherever they take points and return results per sample,
+    so one frame serves all of them.
     """
 
-    def __init__(self, product: SequentialWarpedProduct, point):
+    def __init__(self, product: SequentialWarpedProduct, points):
         self.product = product
-        self.point = _as_ambient(point)
+        self.point = np.asarray(points, dtype=float)
         self.p1, self.p2, self.p3 = product.split(self.point)
         self._lead = self.point.shape[:-1]
-        # one point has shape (m,), a stack of samples (N, m)
-        self.stacked = self.point.ndim == 2
 
     @cached_property
     def frame1(self) -> ChartFrame:
@@ -317,39 +292,29 @@ class WarpedFrame:
 
     # -- warping data ---------------------------------------------------------
 
-    def _check_positive(self, f, h) -> None:
-        """Raise ``PositivityError`` at the first sample where ``f`` or ``h``
-        is not positive, ``f`` first at a sample; ``None`` skips a warping."""
-        if all(w is None or (np.asarray(w) > 0.0).all() for w in (f, h)):
-            return
-        rows = []
-        if f is not None:
-            rows.append((np.reshape(f, -1), "inner", self.p1))
-        if h is not None:
-            rows.append((np.reshape(h, -1), "outer", self.point))
-        bad = np.array([values <= 0.0 for values, _, _ in rows])
+    @cached_property
+    def _warping_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """``f`` and ``h`` per sample, checked together: ``PositivityError``
+        names the first sample where either is not positive, ``f`` first at
+        a sample, as a loop over the samples reading ``f``, then ``h``, would."""
+        f = self.frame1.field_jets(self.product.f)[0]
+        h = self.inner_frame.field_jets(self.product.h)[0]
+        bad = np.array([f <= 0.0, h <= 0.0])
         if bad.any():
             k = int(np.argmax(bad.any(axis=0)))
-            values, label, points = rows[int(np.argmax(bad[:, k]))]
+            label, value, where = ("inner", f, self.p1) if bad[0, k] else ("outer", h, self.point)
             raise PositivityError(
-                f"{label} warping is {float(values[k])!r} (must be positive) at "
-                f"{np.reshape(points, (len(values), -1))[k].tolist()}"
+                f"{label} warping is {float(value[k])!r} (must be positive) at {where[k].tolist()}"
             )
+        return f, h
 
     @cached_property
-    def f_value(self) -> float | np.ndarray:
-        f = self.frame1.field_jets(self.product.f)[0]
-        # a stack checks h with f, so that it raises what a loop over the
-        # samples reading f_value, then h_value, would raise first
-        h = self.inner_frame.field_jets(self.product.h)[0] if self.stacked else None
-        self._check_positive(f, h)
-        return f
+    def f_value(self) -> np.ndarray:
+        return self._warping_values[0]
 
     @cached_property
-    def h_value(self) -> float | np.ndarray:
-        h = self.inner_frame.field_jets(self.product.h)[0]
-        self._check_positive(self.f_value if self.stacked else None, h)
-        return h
+    def h_value(self) -> np.ndarray:
+        return self._warping_values[1]
 
     @cached_property
     def df(self) -> np.ndarray:
@@ -364,12 +329,12 @@ class WarpedFrame:
         return self.frame1.hessian(self.product.f)
 
     @cached_property
-    def lap_f(self) -> float | np.ndarray:
-        return per_sample_scalar(np.einsum("...ij,...ij->...", self.frame1.inverse, self.hess_f))
+    def lap_f(self) -> np.ndarray:
+        return np.einsum("...ij,...ij->...", self.frame1.inverse, self.hess_f)
 
     @cached_property
-    def grad_f_norm2(self) -> float | np.ndarray:
-        return per_sample_scalar(dot(self.df, self.grad_f))
+    def grad_f_norm2(self) -> np.ndarray:
+        return dot(self.df, self.grad_f)
 
     @cached_property
     def dh(self) -> np.ndarray:
@@ -384,14 +349,12 @@ class WarpedFrame:
         return self.inner_frame.hessian(self.product.h)
 
     @cached_property
-    def lap_h(self) -> float | np.ndarray:
-        return per_sample_scalar(
-            np.einsum("...ij,...ij->...", self.inner_frame.inverse, self.hess_h)
-        )
+    def lap_h(self) -> np.ndarray:
+        return np.einsum("...ij,...ij->...", self.inner_frame.inverse, self.hess_h)
 
     @cached_property
-    def grad_h_norm2(self) -> float | np.ndarray:
-        return per_sample_scalar(dot(self.dh, self.grad_h))
+    def grad_h_norm2(self) -> np.ndarray:
+        return dot(self.dh, self.grad_h)
 
     @cached_property
     def raised_hess_f(self) -> np.ndarray:
@@ -427,7 +390,7 @@ class WarpedFrame:
 
     def split_inner(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d1 = self.product.m1.dim
-        return vec[:d1], vec[d1:]
+        return vec[..., :d1], vec[..., d1:]
 
     # -- closed forms -----------------------------------------------------------
 
@@ -506,16 +469,20 @@ class WarpedFrame:
         )
 
     def connection(self, x: BlockVector, y: BlockVector) -> BlockVector:
-        """Levi-Civita derivative of constant-component block fields."""
+        """Levi-Civita derivative of constant-component block fields, per
+        sample; each vector is one for all samples or one per sample."""
         return BlockVector.from_ambient(
-            self.product, np.einsum("kab,a,b->k", self.christoffel, x.ambient, y.ambient)
+            self.product,
+            np.einsum("...kab,...a,...b->...k", self.christoffel, x.ambient, y.ambient),
         )
 
     def curvature(self, x: BlockVector, y: BlockVector, z: BlockVector) -> BlockVector:
-        """Curvature operator R(X, Y)Z."""
+        """Curvature operator R(X, Y)Z per sample, vectors as in ``connection``."""
         return BlockVector.from_ambient(
             self.product,
-            np.einsum("labc,a,b,c->l", self.riemann_up, x.ambient, y.ambient, z.ambient),
+            np.einsum(
+                "...labc,...a,...b,...c->...l", self.riemann_up, x.ambient, y.ambient, z.ambient
+            ),
         )
 
     @cached_property
@@ -549,13 +516,13 @@ class WarpedFrame:
         return out
 
     @cached_property
-    def scalar(self) -> float | np.ndarray:
-        return per_sample_scalar(np.einsum("...ij,...ij->...", self.ambient_inverse, self.ricci))
+    def scalar(self) -> np.ndarray:
+        return np.einsum("...ij,...ij->...", self.ambient_inverse, self.ricci)
 
-    def factor_scalars(self, qe=None) -> tuple[float, float, float]:
-        """Factor scalar curvatures by contraction, or the closed rank-one
-        decomposition values when ``qe = (alpha, beta, U)`` is supplied; on a
-        stack ``alpha``, ``beta`` and ``U`` may be given per sample."""
+    def factor_scalars(self, qe=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Factor scalar curvatures per sample by contraction, or the closed
+        rank-one decomposition values when ``qe = (alpha, beta, U)`` is
+        supplied, each given once or per sample."""
         if qe is None:
             return (self.frame1.scalar, self.frame2.scalar, self.frame3.scalar)
         alpha, beta, u = qe
@@ -574,14 +541,14 @@ class WarpedFrame:
         s3 = (
             alpha * per_sample_power(h, 2) + h * self.lap_h + (m3 - 1) * self.grad_h_norm2
         ) * m3 + beta * per_sample_power(h, 4) * g3u
-        return tuple(per_sample_scalar(s) for s in (s1, s2, s3))
+        return s1, s2, s3
 
 
 def _as_frame(product: SequentialWarpedProduct, point) -> WarpedFrame:
     """``point`` itself when it is an already-built frame, else a new frame there.
 
-    Evaluators that take a point accept a frame through this, so a caller
-    holding one stacked frame shares it across every check.
+    Evaluators that take points accept a frame through this, so a caller
+    holding one frame shares it across every check.
     """
     if isinstance(point, WarpedFrame):
         if point.product != product:
@@ -591,6 +558,5 @@ def _as_frame(product: SequentialWarpedProduct, point) -> WarpedFrame:
 
 
 def _per_sample_results(frame: WarpedFrame, build) -> list:
-    """``build(i)`` for each sample ``i`` of a stacked frame; ``build(0)`` at one point."""
-    results = [build(i) for i in range(len(frame.point.reshape(-1, frame.product.dim)))]
-    return results if frame.stacked else results[0]
+    """``build(i)`` for each sample ``i`` of the frame."""
+    return [build(i) for i in range(len(frame.point))]

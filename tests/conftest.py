@@ -107,14 +107,14 @@ def fd_riemann_up(manifold: FactorManifold, point, step: float = 1e-6) -> np.nda
     """Curvature from finite differences of exact Christoffel symbols."""
     x = np.asarray(point, dtype=float)
     m = manifold.dim
-    gamma = ChartFrame(manifold, x).christoffel
+    gamma = ChartFrame(manifold, [x]).christoffel[0]
     dgamma = np.zeros((m, m, m, m))
     for a in range(m):
         hi, lo = x.copy(), x.copy()
         hi[a] += step
         lo[a] -= step
         dgamma[a] = (
-            ChartFrame(manifold, hi).christoffel - ChartFrame(manifold, lo).christoffel
+            ChartFrame(manifold, [hi]).christoffel[0] - ChartFrame(manifold, [lo]).christoffel[0]
         ) / (2.0 * step)
     return (
         np.einsum("iljk->lijk", dgamma)

@@ -119,12 +119,12 @@ def test_criterion_4_trivial_warping_reduction(catalog_reports):
     rng = np.random.default_rng(42)
     worst = 0.0
     for point in sample_box(boxes, product.coords, 20, rng):
-        wf = WarpedFrame(product, point)
+        wf = WarpedFrame(product, [point])
         expected = np.zeros((5, 5))
-        expected[:2, :2] = wf.frame1.ricci
-        expected[2:4, 2:4] = wf.frame2.ricci
-        worst = max(worst, float(np.max(np.abs(wf.ricci - expected))))
-        worst = max(worst, float(np.max(np.abs(ChartFrame(chart, point).ricci - expected))))
+        expected[:2, :2] = wf.frame1.ricci[0]
+        expected[2:4, 2:4] = wf.frame2.ricci[0]
+        worst = max(worst, float(np.max(np.abs(wf.ricci[0] - expected))))
+        worst = max(worst, float(np.max(np.abs(ChartFrame(chart, [point]).ricci[0] - expected))))
     assert worst <= 1e-12
     # and the catalog entries with unit warpings agree through the suite
     for name in ("euclidean_product", "planted_qe"):
@@ -150,7 +150,7 @@ def test_criterion_5_quasi_einstein_round_trip():
         u = rng.normal(size=dim)
         u = u / math.sqrt(u @ g @ u)
         a_form = g @ u
-        fit = fit_quasi_einstein(g, alpha * g + beta * np.outer(a_form, a_form))
+        fit = fit_quasi_einstein([g], [alpha * g + beta * np.outer(a_form, a_form)])[0]
         assert fit.verdict == "quasi-einstein", trial
         err = max(abs(fit.alpha - alpha), abs(fit.beta - beta))
         direction = fit.A / np.linalg.norm(fit.A)
@@ -168,7 +168,7 @@ def test_criterion_5_quasi_einstein_round_trip():
         basis = rng.normal(size=(dim, dim))
         q, _ = np.linalg.qr(basis)
         g = q @ np.diag(rng.uniform(0.5, 2.0, size=dim)) @ q.T
-        fit = fit_quasi_einstein(g, float(rng.uniform(-3, 3)) * g)
+        fit = fit_quasi_einstein([g], [float(rng.uniform(-3, 3)) * g])[0]
         assert fit.verdict == "einstein"
         assert fit.beta_part <= 1e-8
         worst_einstein = max(worst_einstein, fit.beta_part)
@@ -195,7 +195,7 @@ def test_criterion_6_qcc_implies_qe(catalog_reports):
         t1, t2 = _qcc_basis(g, g @ u)
         a = float(rng.uniform(-2.0, 2.0))
         b = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0))
-        qcc = check_quasi_constant_curvature(g, a * t1 + b * t2)
+        qcc = check_quasi_constant_curvature([g], [a * t1 + b * t2])[0]
         assert qcc.passed and qcc.ricci_fit.succeeded, trial
         checked += 1
     # over the catalog the implication is checked pointwise by the suite
@@ -225,7 +225,7 @@ def test_criterion_7_torus_quadrature():
         parse("1", []),
     )
     alpha = 1.7
-    value = lambda_at(product, np.array([0.3, 0.0, 0.0]), alpha)
+    value = lambda_at(product, np.array([[0.3, 0.0, 0.0]]), alpha)[0]
     assert value == alpha * 9.0
     announce(
         7,
@@ -263,10 +263,10 @@ def test_criterion_9_rank_one_feedback(catalog_reports):
     points = spec.sample_points()
     worst = 0.0
     for point in points:
-        frame = ChartFrame(flatten_to_chart(spec.product), point)
-        fit = fit_quasi_einstein(frame.metric, frame.ricci)
+        frame = ChartFrame(flatten_to_chart(spec.product), [point])
+        fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
         assert fit.verdict == "quasi-einstein"
-        reports = proposition1_residuals(spec.product, point, (fit.alpha, fit.beta, fit.U))
+        reports = proposition1_residuals(spec.product, [point], (fit.alpha, fit.beta, fit.U))[0]
         for rep in reports:
             assert rep.max_residual <= 1e-6
             worst = max(worst, rep.max_residual)

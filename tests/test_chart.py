@@ -32,17 +32,17 @@ HALF_BOX = {"p": (-1.0, 1.0), "q": (0.6, 2.4)}
 class TestChristoffel:
     def test_euclidean_plane_flat(self):
         plane = factor("plane", ["x", "y"], [["1", "0"], ["0", "1"]])
-        assert not ChartFrame(plane, (0.3, -0.7)).christoffel.any()
+        assert not ChartFrame(plane, [(0.3, -0.7)]).christoffel[0].any()
 
     def test_sphere_hand_values(self):
-        gamma = ChartFrame(sphere_factor(), (math.pi / 3, 0.0)).christoffel
+        gamma = ChartFrame(sphere_factor(), [(math.pi / 3, 0.0)]).christoffel[0]
         expected_tpp = -math.sin(math.pi / 3) * math.cos(math.pi / 3)
         assert gamma[0, 1, 1] == pytest.approx(expected_tpp, abs=1e-12)
         assert gamma[1, 0, 1] == pytest.approx(1.0 / math.tan(math.pi / 3), abs=1e-12)
         assert gamma[1, 1, 0] == gamma[1, 0, 1]
 
     def test_halfplane_hand_values(self):
-        gamma = ChartFrame(halfplane_factor(), (0.0, 2.0)).christoffel
+        gamma = ChartFrame(halfplane_factor(), [(0.0, 2.0)]).christoffel[0]
         assert gamma[0, 0, 1] == pytest.approx(-0.5, abs=1e-12)
         assert gamma[1, 0, 0] == pytest.approx(0.5, abs=1e-12)
         assert gamma[1, 1, 1] == pytest.approx(-0.5, abs=1e-12)
@@ -51,33 +51,34 @@ class TestChristoffel:
         for manifold, box in ((sphere_factor(), SPHERE_BOX), (halfplane_factor(), HALF_BOX)):
             for point in sample_box(box, manifold.coords, 5, rng):
                 fd = fd_christoffel(manifold, point)
-                exact = ChartFrame(manifold, point).christoffel
+                exact = ChartFrame(manifold, [point]).christoffel[0]
                 assert exact == pytest.approx(fd, abs=5e-9)
 
 
 class TestCurvature:
     def test_flat_space_vanishes_exactly(self):
         space = factor("e3", ["x", "y", "z"], [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
-        frame = ChartFrame(space, (0.1, 0.2, 0.3))
+        frame = ChartFrame(space, [(0.1, 0.2, 0.3)])
         assert not frame.riemann.any()
         assert not frame.ricci.any()
-        assert frame.scalar == 0.0
+        assert frame.scalar[0] == 0.0
 
     def test_sphere_is_einstein(self, rng):
         sphere = sphere_factor()
         for point in sample_box(SPHERE_BOX, sphere.coords, 10, rng):
-            frame = ChartFrame(sphere, point)
-            assert frame.ricci == pytest.approx(frame.metric, abs=1e-12)
-            assert frame.scalar == pytest.approx(2.0, abs=1e-12)
+            frame = ChartFrame(sphere, [point])
+            assert frame.ricci[0] == pytest.approx(frame.metric[0], abs=1e-12)
+            assert frame.scalar[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_halfplane_scalar(self):
-        assert ChartFrame(halfplane_factor(), (1.0, 1.0)).scalar == pytest.approx(-2.0, abs=1e-12)
+        scalar = ChartFrame(halfplane_factor(), [(1.0, 1.0)]).scalar[0]
+        assert scalar == pytest.approx(-2.0, abs=1e-12)
 
     def test_riemann_matches_finite_difference_variant(self, rng):
         sphere = sphere_factor()
         for point in sample_box(SPHERE_BOX, sphere.coords, 4, rng):
             fd = fd_riemann_up(sphere, point)
-            assert ChartFrame(sphere, point).riemann_up == pytest.approx(fd, abs=5e-8)
+            assert ChartFrame(sphere, [point]).riemann_up[0] == pytest.approx(fd, abs=5e-8)
 
     def test_lorentzian_static_line(self):
         # metric -cosh(x)^2 dt^2 + dx^2: time-time Ricci equals cosh^2
@@ -87,14 +88,14 @@ class TestCurvature:
             [["-cosh(x)^2", "0"], ["0", "1"]],
             signature="lorentzian",
         )
-        ric = ChartFrame(chart, (0.0, 0.4)).ricci
+        ric = ChartFrame(chart, [(0.0, 0.4)]).ricci[0]
         assert ric[0, 0] == pytest.approx(math.cosh(0.4) ** 2, rel=1e-12)
 
     def test_symmetries_on_catalog_charts(self, rng):
         for manifold, box in ((sphere_factor(), SPHERE_BOX), (halfplane_factor(), HALF_BOX)):
             for point in sample_box(box, manifold.coords, 30, rng):
-                frame = ChartFrame(manifold, point)
-                assert max(symmetry_residuals(frame).values()) <= 1e-9
+                frame = ChartFrame(manifold, [point])
+                assert max(v[0] for v in symmetry_residuals(frame).values()) <= 1e-9
 
     def test_contracted_bianchi(self, rng):
         wavy = factor(
@@ -109,47 +110,47 @@ class TestCurvature:
         )
         for manifold, box in cases:
             for point in sample_box(box, manifold.coords, 10, rng):
-                frame = ChartFrame(manifold, point)
-                assert np.max(np.abs(frame.div_ricci - 0.5 * frame.dscalar)) <= 1e-7
+                frame = ChartFrame(manifold, [point])
+                assert np.max(np.abs(frame.div_ricci[0] - 0.5 * frame.dscalar[0])) <= 1e-7
 
 
 class TestScalarFields:
     def test_flat_line_exponential(self):
         line = line_factor("l", "x")
         phi = parse("exp(x)", ["x"])
-        frame = ChartFrame(line, (0.0,))
-        assert frame.gradient(phi).tolist() == [1.0]
-        assert frame.hessian(phi).tolist() == [[1.0]]
-        assert frame.laplacian(phi) == 1.0
+        frame = ChartFrame(line, [(0.0,)])
+        assert frame.gradient(phi)[0].tolist() == [1.0]
+        assert frame.hessian(phi)[0].tolist() == [[1.0]]
+        assert frame.laplacian(phi)[0] == 1.0
 
     def test_sphere_eigenfunction(self):
         sphere = sphere_factor()
         phi = parse("cos(theta)", sphere.coords)
-        equator = ChartFrame(sphere, (math.pi / 2, 0.0))
-        assert equator.laplacian(phi) == pytest.approx(0.0, abs=1e-12)
-        assert ChartFrame(sphere, (math.pi / 3, 0.0)).laplacian(phi) == pytest.approx(
+        equator = ChartFrame(sphere, [(math.pi / 2, 0.0)])
+        assert equator.laplacian(phi)[0] == pytest.approx(0.0, abs=1e-12)
+        assert ChartFrame(sphere, [(math.pi / 3, 0.0)]).laplacian(phi)[0] == pytest.approx(
             -1.0, rel=1e-12
         )
 
     def test_constant_field(self):
         sphere = sphere_factor()
         phi = parse("4", sphere.coords)
-        frame = ChartFrame(sphere, (1.0, 2.0))
+        frame = ChartFrame(sphere, [(1.0, 2.0)])
         assert not frame.gradient(phi).any()
         assert not frame.hessian(phi).any()
-        assert frame.laplacian(phi) == 0.0
+        assert frame.laplacian(phi)[0] == 0.0
 
     def test_divergence_of_metric_vanishes(self, rng):
         for manifold, box in ((sphere_factor(), SPHERE_BOX), (halfplane_factor(), HALF_BOX)):
             for point in sample_box(box, manifold.coords, 5, rng):
-                div = ChartFrame(manifold, point).div_sym2(manifold.metric)
+                div = ChartFrame(manifold, [point]).div_sym2(manifold.metric)[0]
                 assert np.max(np.abs(div)) <= 1e-12
 
     def test_flat_divergence_is_plain(self):
         plane = factor("plane", ["x", "y"], [["1", "0"], ["0", "1"]])
         entries = [[parse("x", plane.coords), parse("0", plane.coords)],
                    [parse("0", plane.coords), parse("0", plane.coords)]]
-        assert ChartFrame(plane, (0.7, -0.2)).div_sym2(entries).tolist() == [1.0, 0.0]
+        assert ChartFrame(plane, [(0.7, -0.2)]).div_sym2(entries)[0].tolist() == [1.0, 0.0]
 
     def test_divergence_of_sphere_ricci_vanishes(self, rng):
         # constant curvature: div Ric = d(scal)/2 = 0
@@ -157,16 +158,16 @@ class TestScalarFields:
         entries = [[parse("1", sphere.coords), parse("0", sphere.coords)],
                    [parse("0", sphere.coords), parse("sin(theta)^2", sphere.coords)]]
         for point in sample_box(SPHERE_BOX, sphere.coords, 5, rng):
-            assert np.max(np.abs(ChartFrame(sphere, point).div_sym2(entries))) <= 1e-12
+            assert np.max(np.abs(ChartFrame(sphere, [point]).div_sym2(entries)[0])) <= 1e-12
 
     def test_hessian_divergence_identity_on_sphere(self, rng):
         # frozen convention: div(H^phi) = Ric(grad phi, .) + d(Lap phi)
         sphere = sphere_factor()
         phi = parse("cos(theta)", sphere.coords)
         for point in sample_box(SPHERE_BOX, sphere.coords, 10, rng):
-            frame = ChartFrame(sphere, point)
-            lhs = frame.div_hessian(phi)
-            rhs = frame.ricci @ frame.gradient(phi) + frame.grad_laplacian(phi)
+            frame = ChartFrame(sphere, [point])
+            lhs = frame.div_hessian(phi)[0]
+            rhs = frame.ricci[0] @ frame.gradient(phi)[0] + frame.grad_laplacian(phi)[0]
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
@@ -209,10 +210,10 @@ def test_d2inverse_matches_five_operand_einsum():
         for i, ci in enumerate(coords)
     ]
     rng = np.random.default_rng(4)
-    frame = ChartFrame(factor("skew6", coords, entries), rng.uniform(-1.0, 1.0, 6))
-    gi, dg, d2g = frame.inverse, frame.dmetric, frame.d2metric
+    frame = ChartFrame(factor("skew6", coords, entries), [rng.uniform(-1.0, 1.0, 6)])
+    gi, dg, d2g = frame.inverse[0], frame.dmetric[0], frame.d2metric[0]
     mixed = np.einsum("km,amn,no,bop,pl->abkl", gi, dg, gi, dg, gi)
     old = mixed + np.transpose(mixed, (1, 0, 2, 3)) - np.einsum(
         "km,abmn,nl->abkl", gi, d2g, gi
     )
-    assert np.max(np.abs(frame.d2inverse - old)) <= 1e-12 * (1.0 + np.max(np.abs(old)))
+    assert np.max(np.abs(frame.d2inverse[0] - old)) <= 1e-12 * (1.0 + np.max(np.abs(old)))

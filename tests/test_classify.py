@@ -48,7 +48,7 @@ class TestQuasiEinsteinFit:
     def test_planted_identity_metric(self):
         g = np.eye(3)
         ric = 2.0 * g + 3.0 * np.outer([1, 0, 0], [1, 0, 0])
-        fit = fit_quasi_einstein(g, ric)
+        fit = fit_quasi_einstein([g], [ric])[0]
         assert fit.verdict == "quasi-einstein"
         assert fit.alpha == pytest.approx(2.0, abs=1e-12)
         assert fit.beta == pytest.approx(3.0, abs=1e-12)
@@ -60,25 +60,25 @@ class TestQuasiEinsteinFit:
     def test_sphere_is_einstein(self, rng):
         sphere = sphere_factor()
         point = (1.1, 0.4)
-        frame = ChartFrame(sphere, point)
-        fit = fit_quasi_einstein(frame.metric, frame.ricci)
+        frame = ChartFrame(sphere, [point])
+        fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
         assert fit.verdict == "einstein"
         assert fit.alpha == pytest.approx(1.0, abs=1e-12)
         assert fit.beta_part <= 1e-8
 
     def test_two_eigenvalue_groups_is_neither(self):
-        fit = fit_quasi_einstein(np.eye(4), np.diag([1.0, 1.0, 5.0, 5.0]))
+        fit = fit_quasi_einstein([np.eye(4)], [np.diag([1.0, 1.0, 5.0, 5.0])])[0]
         assert fit.verdict == "neither"
 
     def test_non_rank_one_remainder_is_neither(self):
         ric = np.diag([2.0, 2.0, 2.0, 2.0]) + 0.01 * np.diag([1.0, -1.0, 0.0, 0.0])
-        fit = fit_quasi_einstein(np.eye(4), ric, tol=1e-6)
+        fit = fit_quasi_einstein([np.eye(4)], [ric], tol=1e-6)[0]
         assert fit.verdict == "neither"
 
     def test_lorentzian_timelike_direction(self):
         g = np.diag([-1.0, 1.0, 1.0, 1.0])
         a_form = g @ np.array([1.0, 0, 0, 0])
-        fit = fit_quasi_einstein(g, 0.5 * g + 2.0 * np.outer(a_form, a_form))
+        fit = fit_quasi_einstein([g], [0.5 * g + 2.0 * np.outer(a_form, a_form)])[0]
         assert fit.verdict == "quasi-einstein"
         assert fit.unit_sign == -1
         assert abs(fit.U[0]) == pytest.approx(1.0, abs=1e-12)
@@ -87,7 +87,7 @@ class TestQuasiEinsteinFit:
     def test_null_direction_reported_unnormalized(self):
         g = np.diag([-1.0, 1.0, 1.0, 1.0])
         null = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
-        fit = fit_quasi_einstein(g, 1.5 * g + 0.7 * np.outer(null, null))
+        fit = fit_quasi_einstein([g], [1.5 * g + 0.7 * np.outer(null, null)])[0]
         assert fit.verdict == "quasi-einstein"
         assert fit.unit_sign == 0
         assert fit.U is None
@@ -103,7 +103,7 @@ class TestQuasiEinsteinFit:
     def test_round_trip_property(self, dim, alpha, beta, seed):
         rng = np.random.default_rng(seed)
         g, ric, u, a_form = planted_qe_instance(rng, dim, alpha, beta)
-        fit = fit_quasi_einstein(g, ric)
+        fit = fit_quasi_einstein([g], [ric])[0]
         assert fit.verdict == "quasi-einstein"
         assert fit.alpha == pytest.approx(alpha, abs=1e-8)
         assert fit.beta == pytest.approx(beta, abs=1e-8)
@@ -121,15 +121,15 @@ class TestQuasiEinsteinFit:
     def test_scaling_equivariance(self, c, seed):
         rng = np.random.default_rng(seed)
         g, ric, _, _ = planted_qe_instance(rng, 4, 1.5, 0.8)
-        base = fit_quasi_einstein(g, ric)
-        scaled = fit_quasi_einstein(g, c * ric)
+        base = fit_quasi_einstein([g], [ric])[0]
+        scaled = fit_quasi_einstein([g], [c * ric])[0]
         assert scaled.alpha == pytest.approx(c * base.alpha, rel=1e-9)
         assert scaled.beta == pytest.approx(c * base.beta, rel=1e-9)
         assert np.abs(scaled.U) == pytest.approx(np.abs(base.U), abs=1e-9)
 
     def test_einstein_input_beta_part(self, rng):
         g = random_spd(rng, 5)
-        fit = fit_quasi_einstein(g, -1.3 * g)
+        fit = fit_quasi_einstein([g], [-1.3 * g])[0]
         assert fit.verdict == "einstein"
         assert fit.beta_part <= 1e-8
         assert fit.alpha == pytest.approx(-1.3, abs=1e-10)
@@ -137,15 +137,15 @@ class TestQuasiEinsteinFit:
 
 class TestQuasiConstantCurvature:
     def test_unit_sphere(self):
-        frame = ChartFrame(sphere_factor(), (1.2, 0.4))
-        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)
+        frame = ChartFrame(sphere_factor(), [(1.2, 0.4)])
+        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
         assert qcc.passed
         assert qcc.a == pytest.approx(1.0, abs=1e-9)
         assert qcc.b == pytest.approx(0.0, abs=1e-9)
         assert qcc.residual <= 1e-9
 
     def test_flat_space(self):
-        qcc = check_quasi_constant_curvature(np.eye(4), np.zeros((4, 4, 4, 4)))
+        qcc = check_quasi_constant_curvature([np.eye(4)], [np.zeros((4, 4, 4, 4))])[0]
         assert qcc.passed
         assert qcc.a == pytest.approx(0.0, abs=1e-14)
         assert qcc.b == pytest.approx(0.0, abs=1e-14)
@@ -156,7 +156,7 @@ class TestQuasiConstantCurvature:
         g = np.eye(4)
         a_form = np.array([1.0, 0.0, 0.0, 0.0])
         t1, t2 = _qcc_basis(g, a_form)
-        qcc = check_quasi_constant_curvature(g, 2.0 * t1 + 0.5 * t2)
+        qcc = check_quasi_constant_curvature([g], [2.0 * t1 + 0.5 * t2])[0]
         assert qcc.passed
         assert qcc.a == pytest.approx(2.0, abs=1e-10)
         assert qcc.b == pytest.approx(0.5, abs=1e-10)
@@ -166,7 +166,7 @@ class TestQuasiConstantCurvature:
         bad = np.zeros((3, 3, 3, 3))
         bad[0, 1, 0, 1] = 1.0  # no antisymmetric partner entries
         with pytest.raises(GeometryError, match="symmetries"):
-            check_quasi_constant_curvature(np.eye(3), bad)
+            check_quasi_constant_curvature([np.eye(3)], [bad])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -186,7 +186,7 @@ class TestQuasiConstantCurvature:
         u = rng.normal(size=dim)
         u = u / math.sqrt(u @ g @ u)
         t1, t2 = _qcc_basis(g, g @ u)
-        qcc = check_quasi_constant_curvature(g, a * t1 + b * t2)
+        qcc = check_quasi_constant_curvature([g], [a * t1 + b * t2])[0]
         assert qcc.passed
         assert qcc.a == pytest.approx(a, abs=1e-8)
         assert qcc.b == pytest.approx(b, abs=1e-8)
@@ -204,12 +204,12 @@ class TestProposition1:
             parse("1", []),
         )
         point = np.array([1.0, 0.3, 0.8, 5.2, 0.4])
-        frame = ChartFrame(flatten_to_chart(product), point)
-        fit = fit_quasi_einstein(frame.metric, frame.ricci)
+        frame = ChartFrame(flatten_to_chart(product), [point])
+        fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
         assert fit.verdict == "quasi-einstein"
         assert fit.alpha == pytest.approx(1.0, abs=1e-10)
         assert fit.beta == pytest.approx(-1.0, abs=1e-10)
-        reports = proposition1_residuals(product, point, (fit.alpha, fit.beta, fit.U))
+        reports = proposition1_residuals(product, [point], (fit.alpha, fit.beta, fit.U))[0]
         for rep in reports:
             assert rep.passed and rep.max_residual <= 1e-6
         # second factor carries no component of U here
@@ -224,8 +224,8 @@ class TestProposition1:
             parse("1", []),
         )
         reports = proposition1_residuals(
-            product, np.zeros(3), (0.0, 0.0, np.zeros(3))
-        )
+            product, np.zeros((1, 3)), (0.0, 0.0, np.zeros(3))
+        )[0]
         assert all(r.max_residual == 0.0 for r in reports)
 
 
@@ -246,7 +246,7 @@ class TestLambdaNu:
     def test_circle_value(self):
         product = circle_lambda_product()
         point = np.array([0.0, 0.3, 0.6, 0.1])
-        assert lambda_at(product, point, 1.0) == pytest.approx(5.0, abs=1e-14)
+        assert lambda_at(product, [point], 1.0)[0] == pytest.approx(5.0, abs=1e-14)
 
     def test_constant_warping_exact(self):
         product = SequentialWarpedProduct(
@@ -258,8 +258,8 @@ class TestLambdaNu:
         )
         point = np.array([0.7, -0.4, 0.2])
         alpha = 1.25
-        assert lambda_at(product, point, alpha) == alpha * 9.0
-        assert nu_at(product, point, alpha) == alpha * 4.0
+        assert lambda_at(product, [point], alpha)[0] == alpha * 9.0
+        assert nu_at(product, [point], alpha)[0] == alpha * 4.0
 
 
 class TestTorusQuadrature:
@@ -331,8 +331,8 @@ def per_node_means(manifold, nodes, fns):
     sums = None
     weight_total = 0.0
     for row in grid:
-        frame = ChartFrame(manifold, row)
-        weight = math.sqrt(abs(frame.det))
+        frame = ChartFrame(manifold, [row])
+        weight = math.sqrt(abs(frame.det[0]))
         values = fns(frame)
         if sums is None:
             sums = [0.0] * len(values)
@@ -354,9 +354,9 @@ def per_node_average(product, alpha, nodes, field_name):
         )
 
     def fields(frame):
-        value, dphi, _ = frame.field_jets(phi)
-        grad_norm2 = float(dphi @ (frame.inverse @ dphi))
-        lap = frame.laplacian(phi)
+        value, dphi = (jet[0] for jet in frame.field_jets(phi)[:2])
+        grad_norm2 = float(dphi @ (frame.inverse[0] @ dphi))
+        lap = frame.laplacian(phi)[0]
         lam = alpha * value**2 + value * lap + (fiber_dim - 1) * grad_norm2
         return (lam, value**2, grad_norm2)
 
@@ -385,9 +385,9 @@ class TestBatchedQuadrature:
         phi = parse("sin(x)*cos(u) + cos(x)", ["x", "u"])
 
         def fields(frame):
-            value, dphi, _ = frame.field_jets(phi)
-            grad = frame.inverse @ dphi
-            return (value * frame.laplacian(phi) + float(dphi @ grad),)
+            value, dphi = (jet[0] for jet in frame.field_jets(phi)[:2])
+            grad = frame.inverse[0] @ dphi
+            return (value * frame.laplacian(phi)[0] + float(dphi @ grad),)
 
         (mean,) = per_node_means(manifold, nodes, fields)
         assert torus_divergence_residual(manifold, phi, nodes) == abs(mean)
@@ -452,8 +452,8 @@ class TestConditions:
         )
         point = np.array([0.3, 0.1, -0.2])
         rep1, rep2 = condition_residuals(
-            product, point, (1.0, 0.5, np.zeros(3)), lam=4.0
-        )
+            product, [point], (1.0, 0.5, np.zeros(3)), lam=4.0
+        )[0]
         assert rep1.max_residual == 0.0
         assert rep2.max_residual == 0.0
 
@@ -463,8 +463,8 @@ class TestConditions:
         product = circle_lambda_product()
         x = 0.7
         point = np.array([x, 0.2, 0.4, 0.0])
-        lam = lambda_at(product, point, 1.0)
-        rep1, _ = condition_residuals(product, point, (1.0, 0.0, np.zeros(4)), lam)
+        lam = lambda_at(product, [point], 1.0)[0]
+        rep1, _ = condition_residuals(product, [point], (1.0, 0.0, np.zeros(4)), lam)[0]
         expected = abs((2.0 * 2 / (2.0 + math.sin(x))) * (-math.cos(x)))
         assert rep1.max_residual == pytest.approx(expected, rel=1e-12)
         assert not rep1.passed  # condition not satisfied: it is a hypothesis
@@ -475,11 +475,11 @@ class TestConditions:
         product = circle_lambda_product()
         for x in (0.3, 1.2, 2.5):
             point = np.array([x, 0.1, 0.2, 0.0])
-            lam = lambda_at(product, point, 1.0)
+            lam = lambda_at(product, [point], 1.0)[0]
             dlam = abs(
                 2.0 * (2.0 - 2.0 * math.sin(x)) * math.cos(x) / 2.0
             )  # (2 - 2 sin x) cos x
-            rep1, _ = condition_residuals(product, point, (1.0, 0.0, np.zeros(4)), lam)
+            rep1, _ = condition_residuals(product, [point], (1.0, 0.0, np.zeros(4)), lam)[0]
             if dlam > 1e-6:
                 assert rep1.max_residual > 1e-6
 
@@ -497,8 +497,8 @@ class TestTheorem2:
     def test_constant_warpings_pass_all(self):
         product = self.constant_product()
         points = [np.array([1.0, 0.2, 0.9, 0.3, 0.0]), np.array([1.4, 0.5, 1.2, 0.7, 0.4])]
-        lam = lambda_at(product, points[0], 1.0)
-        nu = nu_at(product, points[0], 1.0)
+        lam = lambda_at(product, [points[0]], 1.0)[0]
+        nu = nu_at(product, [points[0]], 1.0)[0]
         reports = theorem2_conditions(product, (1.0, 0.5, None), lam, nu, points)
         assert [r.name for r in reports] == ["theorem2_i", "theorem2_ii", "theorem2_iii"]
         for rep in reports:
@@ -536,11 +536,11 @@ def test_fits_reject_input_that_is_not_finite():
     ric = np.zeros((3, 3))
     ric[0, 0] = np.inf
     with pytest.raises(GeometryError, match="quasi-Einstein fit input .* not finite"):
-        fit_quasi_einstein(g, ric)
+        fit_quasi_einstein([g], [ric])
     with pytest.raises(GeometryError, match="curvature fit input .* not finite"):
-        check_quasi_constant_curvature(g, np.full((3, 3, 3, 3), np.nan))
+        check_quasi_constant_curvature([g], [np.full((3, 3, 3, 3), np.nan)])
     # finite input whose g (x) g basis overflows: a flat metric near the float limit
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(GeometryError, match="curvature basis .* not finite"):
-            check_quasi_constant_curvature(1e200 * np.eye(3), np.zeros((3, 3, 3, 3)))
+            check_quasi_constant_curvature([1e200 * np.eye(3)], [np.zeros((3, 3, 3, 3))])

@@ -66,7 +66,7 @@ class TestBuilders:
                 h=parse("1", []),
             )
         )
-        frame = ChartFrame(flatten_to_chart(product), np.array([0.3, -0.2, 0.9]))
+        frame = ChartFrame(flatten_to_chart(product), np.array([[0.3, -0.2, 0.9]]))
         assert not frame.ricci.any()
 
     def test_static_signature(self, rng):
@@ -77,7 +77,7 @@ class TestBuilders:
         validate_spacetime_signature(product, points)
         assert time_axis(product) == 2
         for point in points:
-            eigs = np.linalg.eigvalsh(WarpedFrame(product, point).ambient_metric)
+            eigs = np.linalg.eigvalsh(WarpedFrame(product, [point]).ambient_metric[0])
             assert int(np.sum(eigs < 0)) == 1
             assert eigs[0] < 0 < eigs[1]
 
@@ -102,11 +102,11 @@ class TestBuilders:
             )
         )
         point = np.array([0.2, 1.1, 0.5, 0.3])
-        frame = ChartFrame(flatten_to_chart(product), point)
-        wf = WarpedFrame(product, point)
+        frame = ChartFrame(flatten_to_chart(product), [point])
+        wf = WarpedFrame(product, [point])
         expected = np.zeros((4, 4))
-        expected[1:3, 1:3] = wf.frame2.ricci
-        assert frame.ricci == pytest.approx(expected, abs=1e-12)
+        expected[1:3, 1:3] = wf.frame2.ricci[0]
+        assert frame.ricci[0] == pytest.approx(expected, abs=1e-12)
 
     def test_grw_inner_warping_must_be_temporal(self):
         with pytest.raises(SignatureError):
@@ -141,8 +141,8 @@ class TestBuilders:
         ):
             chart = flatten_to_chart(product)
             for point in sample_box(boxes, product.coords, 5, rng):
-                frame = ChartFrame(chart, point)
-                assert max(symmetry_residuals(frame).values()) <= 1e-9
+                frame = ChartFrame(chart, [point])
+                assert max(v[0] for v in symmetry_residuals(frame).values()) <= 1e-9
 
     def test_static_cross_block_time_ricci_vanishes(self, rng):
         # h independent of the second factor and constant inner warping
@@ -151,7 +151,7 @@ class TestBuilders:
         for point in sample_box(
             {"x": (-1, 1), "y": (-1, 1), "t": (-1, 1)}, product.coords, 10, rng
         ):
-            ric = ChartFrame(chart, point).ricci
+            ric = ChartFrame(chart, [point]).ricci[0]
             assert abs(ric[2, 0]) <= 1e-12 and abs(ric[2, 1]) <= 1e-12
 
 
@@ -161,7 +161,7 @@ class TestStaticTheorem:
         for point in sample_box(
             {"x": (-1, 1), "y": (-1, 1), "t": (-1, 1)}, product.coords, 10, rng
         ):
-            reports = {r.name: r for r in ssst_theorem_check(product, point, None, None)}
+            reports = {r.name: r for r in ssst_theorem_check(product, [point], [None], [None])[0]}
             d3 = reports["ssst_d3"]
             assert d3.passed and d3.max_residual <= 1e-7
             assert d3.details["recorded_sign"] == 1
@@ -174,15 +174,15 @@ class TestStaticTheorem:
         # Ric = -g + dy (x) dy on this example
         product = basic_static()
         point = np.array([0.4, -0.3, 0.8])
-        frame = ChartFrame(flatten_to_chart(product), point)
-        fit = fit_quasi_einstein(frame.metric, frame.ricci)
+        frame = ChartFrame(flatten_to_chart(product), [point])
+        fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
         assert fit.verdict == "quasi-einstein"
         assert fit.alpha == pytest.approx(-1.0, abs=1e-10)
         assert fit.beta == pytest.approx(1.0, abs=1e-10)
         assert fit.unit_sign == 1
         # U is spacelike, so the time-part premise is not met: informational
-        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)
-        reports = {r.name: r for r in ssst_theorem_check(product, point, fit, qcc)}
+        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
+        reports = {r.name: r for r in ssst_theorem_check(product, [point], [fit], [qcc])[0]}
         assert reports["ssst_d4"].informational
         assert reports["ssst_condition_i"].informational
         assert reports["ssst_hessian_form_f"].informational
@@ -197,11 +197,11 @@ class TestStaticTheorem:
             )
         )
         point = np.array([0.1, 0.2, 0.3])
-        frame = ChartFrame(flatten_to_chart(product), point)
-        fit = fit_quasi_einstein(frame.metric, frame.ricci)
-        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)
+        frame = ChartFrame(flatten_to_chart(product), [point])
+        fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
+        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
         assert fit.verdict == "einstein" and qcc.passed and abs(qcc.b) <= 1e-12
-        reports = {r.name: r for r in ssst_theorem_check(product, point, fit, qcc)}
+        reports = {r.name: r for r in ssst_theorem_check(product, [point], [fit], [qcc])[0]}
         form = reports["ssst_hessian_form_f"]
         assert form.informational
         assert "constant-curvature case" in form.details["note"]
@@ -216,18 +216,18 @@ class TestRobertsonWalkerTheorem:
             5,
             rng,
         ):
-            frame = ChartFrame(flatten_to_chart(product), point)
-            fit = fit_quasi_einstein(frame.metric, frame.ricci)
+            frame = ChartFrame(flatten_to_chart(product), [point])
+            fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
             assert fit.verdict == "einstein"
             assert fit.alpha == pytest.approx(1.0, abs=1e-9)
 
     def test_exactly_one_sign_variant(self):
         product = exponential_grw()
         point = np.array([0.3, 1.2, 0.4, 0.9])
-        frame = ChartFrame(flatten_to_chart(product), point)
-        fit = fit_quasi_einstein(frame.metric, frame.ricci)
-        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)
-        reports = {r.name: r for r in grw_theorem_check(product, point, fit, qcc)}
+        frame = ChartFrame(flatten_to_chart(product), [point])
+        fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
+        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
+        reports = {r.name: r for r in grw_theorem_check(product, [point], [fit], [qcc])[0]}
         rel = reports["grw_beta_alpha"]
         assert rel.passed and not rel.informational
         assert rel.details["supported_variant"] == "statement"
@@ -247,11 +247,11 @@ class TestRobertsonWalkerTheorem:
             )
         )
         point = np.array([0.2, 0.4, -0.1, 0.7])
-        frame = ChartFrame(flatten_to_chart(product), point)
-        assert frame.ricci[0, 0] == pytest.approx(-2.0, rel=1e-10)
-        fit = fit_quasi_einstein(frame.metric, frame.ricci)
-        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)
-        reports = {r.name: r for r in grw_theorem_check(product, point, fit, qcc)}
+        frame = ChartFrame(flatten_to_chart(product), [point])
+        assert frame.ricci[0][0, 0] == pytest.approx(-2.0, rel=1e-10)
+        fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
+        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
+        reports = {r.name: r for r in grw_theorem_check(product, [point], [fit], [qcc])[0]}
         e1 = reports["grw_e1_sign"]
         assert e1.passed
         assert e1.details["supported_sign"] == "negated"
@@ -274,8 +274,8 @@ class TestRobertsonWalkerTheorem:
             8,
             rng,
         ):
-            frame = ChartFrame(chart, point)
-            ratios.append(frame.ricci[0, 0])  # f''/f = 1 for exp
+            frame = ChartFrame(chart, [point])
+            ratios.append(frame.ricci[0][0, 0])  # f''/f = 1 for exp
         assert np.ptp(ratios) <= 1e-9
         assert ratios[0] == pytest.approx(-2.0, rel=1e-10)
 
@@ -291,10 +291,10 @@ class TestRobertsonWalkerTheorem:
             )
         )
         point = np.array([0.1, 0.4, 1.2, 0.3])
-        frame = ChartFrame(flatten_to_chart(product), point)
-        fit = fit_quasi_einstein(frame.metric, frame.ricci)
-        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)
-        reports = {r.name: r for r in grw_theorem_check(product, point, fit, qcc)}
+        frame = ChartFrame(flatten_to_chart(product), [point])
+        fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
+        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
+        reports = {r.name: r for r in grw_theorem_check(product, [point], [fit], [qcc])[0]}
         m3 = reports["grw_m3_einstein"]
         assert m3.details["fit"]["verdict"] == "einstein"
         assert m3.details["fit"]["alpha"] == pytest.approx(1.0, abs=1e-10)
@@ -307,15 +307,15 @@ class TestRobertsonWalkerTheorem:
             {"t": (0.5, 2.5), "u": (-1, 1), "w": (-1, 1)}, product.coords, 5, rng
         ):
             t = point[0]
-            frame = ChartFrame(chart, point)
-            fit = fit_quasi_einstein(frame.metric, frame.ricci)
+            frame = ChartFrame(chart, [point])
+            fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
             assert fit.verdict == "quasi-einstein"
             assert fit.unit_sign == -1  # timelike direction field
             assert fit.alpha == pytest.approx(0.0, abs=1e-10)
             assert fit.beta == pytest.approx(1.0 / (2.0 * t * t), rel=1e-8)
-            qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)
+            qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
             assert qcc.passed and abs(qcc.b) > 1e-3
-            reports = {r.name: r for r in grw_theorem_check(product, point, fit, qcc)}
+            reports = {r.name: r for r in grw_theorem_check(product, [point], [fit], [qcc])[0]}
             rel = reports["grw_beta_alpha"]
             assert rel.passed and not rel.informational
             e5 = reports["grw_e5_hessian_form"]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from seqwarp.chart import GeometryError
-from seqwarp.cli import catalog_names, catalog_spec, main
+from seqwarp.cli import catalog_names, catalog_path, catalog_spec, main
 from seqwarp.expressions import Const
 from seqwarp.specfile import SpecError, load_spec, spec_from_dict
 from seqwarp.verify import VerificationInputError, run_classify, run_verify
@@ -240,17 +240,17 @@ def test_evaluators_accept_a_shared_frame():
     from seqwarp.warped import WarpedFrame
 
     spec = catalog_spec("planted_qe")
-    point = spec.center_point()
+    point = spec.center_point()[None]
     frame = WarpedFrame(spec.product, point)
-    assert lambda_at(spec.product, frame, 0.7) == lambda_at(spec.product, point, 0.7)
-    assert nu_at(spec.product, frame, 0.7) == nu_at(spec.product, point, 0.7)
+    assert lambda_at(spec.product, frame, 0.7)[0] == lambda_at(spec.product, point, 0.7)[0]
+    assert nu_at(spec.product, frame, 0.7)[0] == nu_at(spec.product, point, 0.7)[0]
     qe = spec.planted
-    by_frame = [r.max_residual for r in proposition1_residuals(spec.product, frame, qe)]
-    by_point = [r.max_residual for r in proposition1_residuals(spec.product, point, qe)]
+    by_frame = [r.max_residual for r in proposition1_residuals(spec.product, frame, qe)[0]]
+    by_point = [r.max_residual for r in proposition1_residuals(spec.product, point, qe)[0]]
     assert by_frame == by_point
     other = catalog_spec("planted_qe").product
     assert other == spec.product and other is not spec.product
-    assert lambda_at(other, frame, 0.7) == lambda_at(spec.product, frame, 0.7)
+    assert lambda_at(other, frame, 0.7)[0] == lambda_at(spec.product, frame, 0.7)[0]
     with pytest.raises(GeometryError, match="different product"):
         lambda_at(catalog_spec("exp_warp").product, frame, 0.7)
 
@@ -491,6 +491,52 @@ class TestCli:
         assert data["point"]["x"] == 0.5
         assert "verdict=einstein" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--points", "0"], "points: expected a positive integer, got 0"),
+            (["--points", "-3"], "points: expected a positive integer, got -3"),
+            (["--seed", "-1"], "seed: expected a non-negative integer, got -1"),
+            (["--tol", "oracle=nan"], "--tol: expected a positive finite number, got nan"),
+            (["--tol", "oracle=inf"], "--tol: expected a positive finite number, got inf"),
+            (["--tol", "oracle=-1"], "--tol: expected a positive finite number, got -1.0"),
+            (["--tol", "nosuch=1e-3"], "--tol: unknown tolerance 'nosuch'; expected one of "),
+        ],
+    )
+    def test_invalid_run_parameter_exit_code(self, capsys, options, message):
+        path = str(catalog_path("exp_warp"))
+        err = self._one_line_exit_2(capsys, ["verify", path, *options])
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seed", -1, "sampling.seed: expected a non-negative integer, got -1"),
+            ("points", True, "sampling.points: expected a positive integer, got True"),
+            ("tolerances", {"oracle": math.nan}, "tolerances.oracle: expected a positive finite"),
+            ("tolerances", {"fit": math.inf}, "tolerances.fit: expected a positive finite"),
+            ("tolerances", {"nosuch": 1e-3}, "tolerances.nosuch: unknown tolerance 'nosuch'"),
+            ("boxes", {"x1": [0.0, math.inf]}, "sampling.boxes.x1: expected [lo, hi] of finite"),
+            ("boxes", {"x1": [-math.inf, 0.0]}, "sampling.boxes.x1: expected [lo, hi] of finite"),
+        ],
+    )
+    def test_invalid_spec_run_parameter_exit_code(self, tmp_path, capsys, field, value, message):
+        data = json.loads(catalog_path("exp_warp").read_text())
+        if field == "tolerances":
+            data["tolerances"] = value
+        else:
+            data.setdefault("sampling", {})[field] = value
+        path = tmp_path / "bad_run_parameter.json"
+        path.write_text(json.dumps(data))  # NaN and Infinity as Python's json writes them
+        for command in ("verify", "classify"):
+            err = self._one_line_exit_2(capsys, [command, str(path)])
+            assert err.startswith(f"error: {message}")
+
+    def test_non_finite_point_exit_code(self, tmp_path, capsys):
+        path = str(catalog_path("exp_warp"))
+        err = self._one_line_exit_2(capsys, ["classify", path, "--at", "x1=nan"])
+        assert re.fullmatch(r"error: non-finite point \[nan, [-0-9.e]+, [-0-9.e]+\]\n", err)
+
     def test_cli_report_bytes_deterministic(self, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["examples", "run", "exp_warp", "-o", str(first), "--points", "6"]) == 0
@@ -510,3 +556,15 @@ def test_spec_level_tolerance_override():
     # command-line overrides outrank the file
     report = run_verify(spec_from_dict(data), tolerances={"oracle": 1e-7})
     assert report.overall_pass
+
+
+def test_run_verify_checks_its_run_parameters():
+    spec = spec_from_dict(minimal_spec())
+    for kwargs, message in (
+        ({"points": True}, "points: expected a positive integer, got True"),
+        ({"seed": 2.0}, "seed: expected a non-negative integer, got 2.0"),
+        ({"tolerances": {"fit": 0.0}}, "tolerances.fit: expected a positive finite number"),
+        ({"tolerances": {"nosuch": 1e-3}}, "tolerances.nosuch: unknown tolerance 'nosuch'"),
+    ):
+        with pytest.raises(SpecError, match=re.escape(message)):
+            run_verify(spec, **kwargs)

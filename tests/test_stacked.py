@@ -1,10 +1,10 @@
 """Stacked frames: one ChartFrame or WarpedFrame over N sample points.
 
-Each sample of a stack must agree with a one-point frame built at that
-sample: bit for bit where the stacked jets do (``+ - *``, integer powers
-0-12, ``sin``, ``cos``, ``sqrt``), and within 1e-14 normalized where numpy's
-``exp``, ``cosh``, real powers or the stacked reciprocal may move the last
-ulp.
+Each sample of a stack of N must agree with a stack of one built at that
+sample, which evaluates the scalar jets: bit for bit where the batched jets
+agree with those (``+ - *``, integer powers 0-12, ``sin``, ``cos``,
+``sqrt``), and within 1e-14 normalized where numpy's ``exp``, ``cosh``, real
+powers or the batched reciprocal may move the last ulp.
 """
 
 import dataclasses
@@ -31,10 +31,11 @@ from seqwarp.classify import (
 )
 from seqwarp.cli import catalog_names, catalog_spec
 from seqwarp.expressions import BinOp, Call, Const, DomainError, Neg, Var, integer_exponent
+from seqwarp.jets import eval_jet
 from seqwarp.spacetime import grw_theorem_check, ssst_theorem_check, time_axis
 from seqwarp.specfile import spec_from_dict
 from seqwarp.verify import VerificationInputError, _structure_fits, run_verify
-from seqwarp.warped import PositivityError, WarpedFrame, flatten_to_chart
+from seqwarp.warped import BlockVector, PositivityError, WarpedFrame, flatten_to_chart
 
 STAGES = (
     "metric", "d3metric", "det", "inverse", "dinverse", "d2inverse", "christoffel",
@@ -170,18 +171,17 @@ def test_stacked_chart_frame_matches_one_point_frames(name):
     assert stack.metric.shape == (SAMPLES, m, m)
     assert stack.scalar.shape == stack.det.shape == (SAMPLES,)
     for i, point in enumerate(points):
-        one = ChartFrame(chart, point)
+        one = ChartFrame(chart, point[None])
         for stage in STAGES:
-            assert_agree(getattr(stack, stage)[i], getattr(one, stage), bitwise, f"{stage} {i}")
+            assert_agree(getattr(stack, stage)[i], getattr(one, stage)[0], bitwise, f"{stage} {i}")
         for phi in fields:
             for k, (s, o) in enumerate(zip(stack.field_jets(phi), one.field_jets(phi))):
-                assert_agree(s[i], o, bitwise, f"field_jets[{k}] {i}")
+                assert_agree(s[i], o[0], bitwise, f"field_jets[{k}] {i}")
             for method in FIELD_METHODS:
                 s, o = getattr(stack, method)(phi), getattr(one, method)(phi)
-                assert_agree(s[i], o, bitwise, f"{method} {i}")
+                assert_agree(s[i], o[0], bitwise, f"{method} {i}")
         s, o = stack.div_sym2(chart.metric), one.div_sym2(chart.metric)
-        assert_agree(s[i], o, bitwise, f"div_sym2 {i}")
-        assert type(one.det) is type(one.scalar) is type(one.laplacian(fields[0])) is float
+        assert_agree(s[i], o[0], bitwise, f"div_sym2 {i}")
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -195,9 +195,34 @@ def test_stacked_warped_frame_matches_one_point_frames(name):
     points = spec.sample_points(SAMPLES, 0)
     stack = WarpedFrame(product, points)
     for i, point in enumerate(points):
-        one = WarpedFrame(product, point)
+        one = WarpedFrame(product, point[None])
         for stage in WARPED_STAGES:
-            assert_agree(getattr(stack, stage)[i], getattr(one, stage), bitwise, f"{stage} {i}")
+            assert_agree(getattr(stack, stage)[i], getattr(one, stage)[0], bitwise, f"{stage} {i}")
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_connection_and_curvature_on_a_stack_match_stacks_of_one(name):
+    spec = load(name)
+    product = spec.product
+    bitwise = all(chart_bitwise(fac) for fac in product.factors) and all(
+        bitwise_safe(phi) for phi in (product.f, product.h)
+    )
+    points = spec.sample_points(3, 0)
+    stack = WarpedFrame(product, points)
+    rng = np.random.default_rng(9)
+    # x, y and z differ per sample; the basis vector is one for all samples
+    x, y, z = (BlockVector.from_ambient(product, rng.normal(size=(3, product.dim))) for _ in "xyz")
+    basis = BlockVector.basis(product, product.dim - 1)
+    connection = stack.connection(x, basis).ambient
+    curvature = stack.curvature(x, y, z).ambient
+    assert connection.shape == curvature.shape == (3, product.dim)
+    for i, point in enumerate(points):
+        one = WarpedFrame(product, point[None])
+        xi, yi, zi = (BlockVector.from_ambient(product, v.ambient[i : i + 1]) for v in (x, y, z))
+        o = one.connection(xi, basis).ambient
+        assert_agree(connection[i], o[0], bitwise, f"connection {i}")
+        o = one.curvature(xi, yi, zi).ambient
+        assert_agree(curvature[i], o[0], bitwise, f"curvature {i}")
 
 
 def assert_reports_agree(stacked, single, bitwise: bool, what: str) -> None:
@@ -241,9 +266,12 @@ def test_evaluators_on_a_stack_match_one_point_calls(name):
     points = spec.sample_points(SAMPLES, 0)
     stack = WarpedFrame(product, points)
     flat = ChartFrame(flatten_to_chart(product), points)
-    ones = [WarpedFrame(product, point) for point in points]
-    qe_fits = [fit_quasi_einstein(g, ric) for g, ric in zip(flat.metric, flat.ricci)]
-    qcc_fits = [check_quasi_constant_curvature(g, r) for g, r in zip(flat.metric, flat.riemann)]
+    ones = [WarpedFrame(product, point[None]) for point in points]
+    qe_fits = [fit_quasi_einstein(g[None], ric[None])[0] for g, ric in zip(flat.metric, flat.ricci)]
+    qcc_fits = [
+        check_quasi_constant_curvature(g[None], r[None])[0]
+        for g, r in zip(flat.metric, flat.riemann)
+    ]
     # per-sample decompositions, and a made-up one where the fit failed
     decompositions = [
         (fit.alpha, fit.beta, fit.U if fit.U is not None else np.zeros(product.dim))
@@ -255,10 +283,11 @@ def test_evaluators_on_a_stack_match_one_point_calls(name):
 
     for evaluator in (lambda_at, nu_at):
         s = evaluator(product, stack, 0.7)
-        assert_agree(s, [evaluator(product, one, 0.7) for one in ones], bitwise, evaluator.__name__)
+        o = [evaluator(product, one, 0.7)[0] for one in ones]
+        assert_agree(s, o, bitwise, evaluator.__name__)
     for qe, qe_of in ((None, lambda i: None), (per_sample, lambda i: decompositions[i])):
         for k, s in enumerate(stack.factor_scalars(qe)):
-            o = [one.factor_scalars(qe_of(i))[k] for i, one in enumerate(ones)]
+            o = [one.factor_scalars(qe_of(i))[k][0] for i, one in enumerate(ones)]
             assert_agree(s, o, bitwise, f"factor_scalars[{k}]")
 
     lam = lambda_at(product, stack, 0.7)
@@ -268,9 +297,9 @@ def test_evaluators_on_a_stack_match_one_point_calls(name):
         condition_residuals(product, stack, shared, lam, 0.3),
     )
     for i, (one, (prop, conditions)) in enumerate(zip(ones, bundles)):
-        single = proposition1_residuals(product, one, decompositions[i])
+        single = proposition1_residuals(product, one, decompositions[i])[0]
         assert_reports_agree(prop, single, bitwise, f"proposition1 {i}")
-        single = condition_residuals(product, one, shared, float(lam[i]), 0.3)
+        single = condition_residuals(product, one, shared, float(lam[i]), 0.3)[0]
         assert_reports_agree(conditions, single, bitwise, f"conditions {i}")
 
     for qe in (None, (1.0, 0.5, None), (-1.0, 0.0, None)):
@@ -283,12 +312,12 @@ def test_evaluators_on_a_stack_match_one_point_calls(name):
         for qes, qccs in ((qe_fits, qcc_fits), premise_fits(product, SAMPLES)):
             bundles = check(product, stack, qes, qccs, flat=flat)
             for i, one in enumerate(ones):
-                single = check(product, one, qes[i], qccs[i])
+                single = check(product, one, [qes[i]], [qccs[i]])[0]
                 assert_reports_agree(bundles[i], single, bitwise, f"{spec.kind} {i}")
 
 
 # ---------------------------------------------------------------------------
-# Errors name the first failing sample, as a loop of one-point frames would
+# Errors name the first failing sample, as a loop of stacks of one would
 # ---------------------------------------------------------------------------
 
 def lines_spec(f: str = "1", h: str = "1", a_metric: str = "1") -> dict:
@@ -311,10 +340,10 @@ def bump_at_sample(k: int) -> tuple[str, np.ndarray]:
 
 
 def one_point_error(exc_type, fn, points):
-    """The first error a loop of one-point evaluations raises."""
+    """The first error a loop of evaluations on stacks of one raises."""
     for point in points:
         try:
-            fn(point)
+            fn(point[None])
         except exc_type as exc:
             return str(exc)
     raise AssertionError("no sample fails")
@@ -385,17 +414,40 @@ def test_stack_errors_name_the_first_failing_sample():
     points = np.array([[1.0], [400.0], [500.0]])
     with pytest.raises(GeometryError, match=r"not finite at \[400.0\]"):
         ChartFrame(overflow, points).metric
-    with pytest.raises(GeometryError, match=r"non-finite point array\(\[nan\]\)"):
+    with pytest.raises(GeometryError, match=r"non-finite point \[nan\]$"):
         ChartFrame(overflow, np.array([[1.0], [np.nan]]))
 
 
-def test_one_sample_stack_uses_the_scalar_jets():
+def test_one_sample_stack_uses_the_scalar_jets(monkeypatch):
     spec = catalog_spec("hyperbolic_fiber")
     chart = flatten_to_chart(spec.product)
     point = spec.sample_points(1, 0)
-    stack, one = ChartFrame(chart, point), ChartFrame(chart, point[0])
+    stack = ChartFrame(chart, point)
+    coords = dict(zip(chart.coords, point[0].tolist()))
+    for i, row in enumerate(chart.metric):
+        for j, entry in enumerate(row[i:], start=i):
+            jets = eval_jet(entry, coords, 2, chart.coords)
+            for k, (s, o) in enumerate(zip(stack._metric_jets, jets)):
+                assert_agree(s[0][(Ellipsis, i, j)], o, True, f"jet {k} of entry {i}, {j}")
+
+    def no_batched_jets(*args):
+        raise AssertionError("a stack of one evaluated batched jets")
+
+    monkeypatch.setattr("seqwarp.chart.eval_jet_stack", no_batched_jets)
+    stack = ChartFrame(chart, point)
     for stage in STAGES:
-        assert_agree(getattr(stack, stage)[0], getattr(one, stage), True, stage)
+        assert getattr(stack, stage).shape[0] == 1, stage
+
+
+@pytest.mark.parametrize("build", [ChartFrame, WarpedFrame])
+def test_frames_reject_a_one_dimensional_point(build):
+    product = catalog_spec("exp_warp").product
+    owner = flatten_to_chart(product) if build is ChartFrame else product
+    point = np.zeros(owner.dim)
+    expected = rf"shape \(N, {owner.dim}\), got shape \({owner.dim},\)"
+    with pytest.raises(GeometryError, match=expected):
+        build(owner, point)
+    build(owner, point[None])
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +556,11 @@ def assert_same_fit(stacked, reference, what: str) -> None:
 
 def assert_fits_match_reference(fit, reference, g, tensor, tol, what: str) -> None:
     """``fit(g, tensor, tol)`` on the stack against ``reference`` sample by sample,
-    and a one-point call against the reference at the first sample."""
+    and a stack of one against the reference at the first sample."""
     for i, stacked in enumerate(fit(g, tensor, tol)):
         assert_same_fit(stacked, reference(g[i], tensor[i], tol), f"{what} sample {i}")
-    assert_same_fit(fit(g[0], tensor[0], tol), reference(g[0], tensor[0], tol), f"{what} one point")
+    (one,) = fit(g[:1], tensor[:1], tol)
+    assert_same_fit(one, reference(g[0], tensor[0], tol), f"{what} one point")
 
 
 @pytest.mark.parametrize("name", (*SPECS, "non_diagonal"))

@@ -9,7 +9,6 @@ from conftest import halfplane_factor, line_factor, sphere_factor
 from seqwarp import (
     BlockVector,
     PositivityError,
-    ProductPoint,
     SequentialWarpedProduct,
     WarpedFrame,
     flatten_to_chart,
@@ -69,11 +68,7 @@ class TestConstruction:
             parse("1", []),
         )
         with pytest.raises(PositivityError):
-            WarpedFrame(product, np.array([-0.5, 0.0, 0.0])).f_value
-
-    def test_product_point_concatenates(self):
-        point = ProductPoint((1.0,), (2.0, 3.0), (4.0,))
-        assert point.ambient.tolist() == [1.0, 2.0, 3.0, 4.0]
+            WarpedFrame(product, np.array([[-0.5, 0.0, 0.0]])).f_value
 
 
 class TestAmbientMetric:
@@ -81,11 +76,12 @@ class TestAmbientMetric:
         product = trivially_warped(
             line_factor("a", "x"), line_factor("b", "u"), line_factor("c", "v")
         )
-        assert WarpedFrame(product, np.zeros(3)).ambient_metric.tolist() == np.eye(3).tolist()
+        metric = WarpedFrame(product, np.zeros((1, 3))).ambient_metric[0]
+        assert metric.tolist() == np.eye(3).tolist()
 
     def test_exponential_scaling(self):
         product = exp_warp_product()
-        g = WarpedFrame(product, np.array([1.0, 0.0, 0.0])).ambient_metric
+        g = WarpedFrame(product, np.array([[1.0, 0.0, 0.0]])).ambient_metric[0]
         e2 = math.e**2
         assert np.diag(g) == pytest.approx([1.0, e2, e2], rel=1e-14)
 
@@ -100,7 +96,7 @@ class TestAmbientMetric:
         boxes = {"x": (-1, 1), "u": (-1, 1), "theta": (0.4, 2.7), "phi": (0.1, 6.2)}
         chart = flatten_to_chart(product)
         for point in sweep_points(product, boxes, 20, 7):
-            direct = WarpedFrame(product, point).ambient_metric
+            direct = WarpedFrame(product, [point]).ambient_metric[0]
             pm = chart.point_map(point)
             via_chart = np.array(
                 [[evaluate(chart.metric[i][j], pm) for j in range(4)] for i in range(4)]
@@ -114,8 +110,8 @@ class TestFlatten:
         product = trivially_warped(
             line_factor("a", "x"), line_factor("b", "u"), line_factor("c", "v")
         )
-        frame = ChartFrame(flatten_to_chart(product), np.array([0.3, -0.5, 0.9]))
-        assert frame.metric.tolist() == np.eye(3).tolist()
+        frame = ChartFrame(flatten_to_chart(product), np.array([[0.3, -0.5, 0.9]]))
+        assert frame.metric[0].tolist() == np.eye(3).tolist()
         assert not frame.riemann.any()
 
     def test_exp_warp_metric(self):
@@ -127,8 +123,8 @@ class TestFlatten:
     def test_scalar_equivalence(self):
         product = exp_warp_product()
         for point in sweep_points(product, {"x": (-0.75, 0.75), "u": (-1, 1), "v": (-1, 1)}, 10, 3):
-            oracle = ChartFrame(flatten_to_chart(product), point).scalar
-            assert abs(WarpedFrame(product, point).scalar - oracle) <= 1e-7 * (1 + abs(oracle))
+            oracle = ChartFrame(flatten_to_chart(product), [point]).scalar[0]
+            assert abs(WarpedFrame(product, [point]).scalar[0] - oracle) <= 1e-7 * (1 + abs(oracle))
 
 
 class TestConnection:
@@ -137,16 +133,16 @@ class TestConnection:
         point = np.array([0.3, 0.1, -0.2])
         dx = BlockVector.basis(product, 0)
         du = BlockVector.basis(product, 1)
-        out = WarpedFrame(product, point).connection(dx, du)
+        out = WarpedFrame(product, [point]).connection(dx, du)
         # X1(ln f) Y2 with f = exp(x): coefficient 1 on the u direction
-        assert out.ambient == pytest.approx([0.0, 1.0, 0.0], abs=1e-14)
+        assert out.ambient[0] == pytest.approx([0.0, 1.0, 0.0], abs=1e-14)
 
     def test_fiber_pair_pulls_back_gradient(self):
         product = exp_warp_product()
         x = 0.4
         du = BlockVector.basis(product, 1)
-        out = WarpedFrame(product, np.array([x, 0.0, 0.0])).connection(du, du)
-        assert out.ambient == pytest.approx([-math.exp(2 * x), 0.0, 0.0], rel=1e-12)
+        out = WarpedFrame(product, np.array([[x, 0.0, 0.0]])).connection(du, du)
+        assert out.ambient[0] == pytest.approx([-math.exp(2 * x), 0.0, 0.0], rel=1e-12)
 
     def test_trivial_warping_kills_mixed_cases(self):
         product = trivially_warped(
@@ -155,7 +151,7 @@ class TestConnection:
         point = np.array([1.1, 0.4, 0.2, -0.3])
         for i in range(2):
             for j in (2, 3):
-                out = WarpedFrame(product, point).connection(
+                out = WarpedFrame(product, [point]).connection(
                     BlockVector.basis(product, i), BlockVector.basis(product, j)
                 )
                 assert np.max(np.abs(out.ambient)) == 0.0
@@ -164,14 +160,14 @@ class TestConnection:
         product = exp_warp_product()
         boxes = {"x": (-0.75, 0.75), "u": (-1, 1), "v": (-1, 1)}
         for point in sweep_points(product, boxes, 5, 11):
-            oracle = ChartFrame(flatten_to_chart(product), point)
+            oracle = ChartFrame(flatten_to_chart(product), [point])
             for a in range(3):
                 for b in range(3):
-                    closed = WarpedFrame(product, point).connection(
+                    closed = WarpedFrame(product, [point]).connection(
                         BlockVector.basis(product, a), BlockVector.basis(product, b)
                     )
-                    assert closed.ambient == pytest.approx(
-                        oracle.christoffel[:, a, b], abs=1e-12
+                    assert closed.ambient[0] == pytest.approx(
+                        oracle.christoffel[0][:, a, b], abs=1e-12
                     )
 
 
@@ -186,7 +182,7 @@ class TestCurvature:
             parse("exp(x)*(2 + sin(u))", ["x", "u"]),
         )
         point = np.array([0.2, -0.4, 1.2, 0.5])
-        out = WarpedFrame(product, point).curvature(
+        out = WarpedFrame(product, [point]).curvature(
             BlockVector.basis(product, 0),
             BlockVector.basis(product, 1),
             BlockVector.basis(product, 2),
@@ -201,7 +197,7 @@ class TestCurvature:
         for a in range(3):
             for b in range(3):
                 for c in range(3):
-                    out = WarpedFrame(product, point).curvature(
+                    out = WarpedFrame(product, [point]).curvature(
                         BlockVector.basis(product, a),
                         BlockVector.basis(product, b),
                         BlockVector.basis(product, c),
@@ -213,14 +209,14 @@ class TestCurvature:
         product = exp_warp_product()
         x = 0.3
         point = np.array([x, 0.0, 0.0])
-        out = WarpedFrame(product, point).curvature(
+        out = WarpedFrame(product, [point]).curvature(
             BlockVector.basis(product, 0),
             BlockVector.basis(product, 1),
             BlockVector.basis(product, 1),
         )
-        oracle = ChartFrame(flatten_to_chart(product), point).riemann_up[:, 0, 1, 1]
-        assert out.ambient == pytest.approx(oracle, rel=1e-12)
-        assert abs(out.ambient[0]) == pytest.approx(math.exp(2 * x), rel=1e-12)
+        oracle = ChartFrame(flatten_to_chart(product), [point]).riemann_up[0][:, 0, 1, 1]
+        assert out.ambient[0] == pytest.approx(oracle, rel=1e-12)
+        assert abs(out.ambient[0][0]) == pytest.approx(math.exp(2 * x), rel=1e-12)
 
     def test_oracle_equivalence_all_triples(self):
         product = SequentialWarpedProduct(
@@ -232,20 +228,20 @@ class TestCurvature:
         )
         boxes = {"x": (-1, 1), "u": (-1, 1), "p": (-1, 1), "q": (0.6, 2.4)}
         for point in sweep_points(product, boxes, 3, 23):
-            oracle = ChartFrame(flatten_to_chart(product), point)
+            oracle = ChartFrame(flatten_to_chart(product), [point])
             scale = 1.0 + np.max(np.abs(oracle.riemann_up))
             worst = 0.0
             for a in range(4):
                 for b in range(4):
                     for c in range(4):
-                        closed = WarpedFrame(product, point).curvature(
+                        closed = WarpedFrame(product, [point]).curvature(
                             BlockVector.basis(product, a),
                             BlockVector.basis(product, b),
                             BlockVector.basis(product, c),
-                        ).ambient
+                        ).ambient[0]
                         worst = max(
                             worst,
-                            float(np.max(np.abs(closed - oracle.riemann_up[:, a, b, c]))),
+                            float(np.max(np.abs(closed - oracle.riemann_up[0][:, a, b, c]))),
                         )
             assert worst / scale <= 1e-7
 
@@ -253,7 +249,7 @@ class TestCurvature:
 class TestRicci:
     def test_cross_blocks_exactly_zero(self):
         product = exp_warp_product()
-        ric = WarpedFrame(product, np.array([0.2, 0.4, -0.1])).ricci
+        ric = WarpedFrame(product, np.array([[0.2, 0.4, -0.1]])).ricci[0]
         assert ric[0, 1] == 0.0 and ric[0, 2] == 0.0 and ric[1, 2] == 0.0
 
     def test_trivial_warping_block_diagonal(self):
@@ -263,27 +259,27 @@ class TestRicci:
             halfplane_factor(),
         )
         point = np.array([1.2, 0.3, 0.7, 0.1, 1.4])
-        frame = WarpedFrame(product, point)
+        frame = WarpedFrame(product, [point])
         expected = np.zeros((5, 5))
-        expected[:2, :2] = frame.frame1.ricci
-        expected[3:, 3:] = frame.frame3.ricci
-        assert np.max(np.abs(frame.ricci - expected)) <= 1e-12
+        expected[:2, :2] = frame.frame1.ricci[0]
+        expected[3:, 3:] = frame.frame3.ricci[0]
+        assert np.max(np.abs(frame.ricci[0] - expected)) <= 1e-12
 
     def test_oracle_equivalence(self):
         product = exp_warp_product()
         boxes = {"x": (-0.75, 0.75), "u": (-1, 1), "v": (-1, 1)}
         for point in sweep_points(product, boxes, 30, 5):
-            oracle = ChartFrame(flatten_to_chart(product), point).ricci
-            closed = WarpedFrame(product, point).ricci
+            oracle = ChartFrame(flatten_to_chart(product), [point]).ricci[0]
+            closed = WarpedFrame(product, [point]).ricci[0]
             assert np.max(np.abs(closed - oracle)) <= 1e-7 * (1 + np.max(np.abs(oracle)))
 
     def test_hyperbolic_three_space(self):
         # f = h = exp(x) over three lines is hyperbolic 3-space: Ric = -2g
         product = exp_warp_product()
         point = np.array([0.4, 0.0, 0.0])
-        frame = WarpedFrame(product, point)
-        assert frame.ricci == pytest.approx(-2.0 * frame.ambient_metric, rel=1e-12)
-        assert frame.scalar == pytest.approx(-6.0, rel=1e-12)
+        frame = WarpedFrame(product, [point])
+        assert frame.ricci[0] == pytest.approx(-2.0 * frame.ambient_metric[0], rel=1e-12)
+        assert frame.scalar[0] == pytest.approx(-6.0, rel=1e-12)
 
 
 class TestFactorScalars:
@@ -292,16 +288,16 @@ class TestFactorScalars:
             line_factor("a", "x"), line_factor("b", "u"), line_factor("c", "v")
         )
         point = np.zeros(3)
-        assert WarpedFrame(product, point).factor_scalars() == (0.0, 0.0, 0.0)
-        stated = WarpedFrame(product, point).factor_scalars((0.0, 0.0, np.zeros(3)))
-        assert stated == (0.0, 0.0, 0.0)
+        assert [s[0] for s in WarpedFrame(product, [point]).factor_scalars()] == [0.0, 0.0, 0.0]
+        stated = WarpedFrame(product, [point]).factor_scalars((0.0, 0.0, np.zeros(3)))
+        assert [s[0] for s in stated] == [0.0, 0.0, 0.0]
 
     def test_sphere_fiber_scalar(self):
         product = trivially_warped(
             line_factor("a", "x"), line_factor("b", "u"), sphere_factor()
         )
-        scalars = WarpedFrame(product, np.array([0.0, 0.0, 1.2, 0.3])).factor_scalars()
-        assert scalars[2] == pytest.approx(2.0, abs=1e-12)
+        scalars = WarpedFrame(product, np.array([[0.0, 0.0, 1.2, 0.3]])).factor_scalars()
+        assert scalars[2][0] == pytest.approx(2.0, abs=1e-12)
 
     def test_inner_chart_carries_inner_warping(self):
         product = exp_warp_product()
@@ -315,15 +311,8 @@ class TestSpecExampleSweeps:
         from seqwarp import factor
 
         chart = factor("poly", ["x"], [["1 + x^14"]])
-        frame = ChartFrame(chart, (0.5,))
-        assert frame.metric[0, 0] == pytest.approx(1.0 + 0.5**14, rel=1e-14)
-
-    def test_product_point_accepted_by_operations(self):
-        product = exp_warp_product()
-        point = ProductPoint((0.3,), (-0.2,), (0.5,))
-        direct = WarpedFrame(product, point).ricci
-        via_array = WarpedFrame(product, np.array([0.3, -0.2, 0.5])).ricci
-        assert np.array_equal(direct, via_array)
+        frame = ChartFrame(chart, [(0.5,)])
+        assert frame.metric[0][0, 0] == pytest.approx(1.0 + 0.5**14, rel=1e-14)
 
     def test_catalog_ambient_metric_structure(self):
         # symmetric, block-diagonal, and equal to the flattened chart at
@@ -341,7 +330,7 @@ class TestSpecExampleSweeps:
             for sl in (s1, s2, s3):
                 off_mask[sl, sl] = False
             for point in spec.sample_points(20):
-                direct = WarpedFrame(product, point).ambient_metric
+                direct = WarpedFrame(product, [point]).ambient_metric[0]
                 assert np.array_equal(direct, direct.T), name
                 assert not direct[off_mask].any(), name
                 pm = chart.point_map(point)
@@ -365,13 +354,13 @@ class TestSpecExampleSweeps:
             parse("0.5", []),
         )
         point = np.array([1.1, 0.4, 0.3, 1.2, 0.0])
-        frame = WarpedFrame(product, point)
-        oracle = ChartFrame(flatten_to_chart(product), point)
+        frame = WarpedFrame(product, [point])
+        oracle = ChartFrame(flatten_to_chart(product), [point])
         expected = np.zeros((5, 5))
-        expected[:2, :2] = frame.frame1.ricci
-        expected[2:4, 2:4] = frame.frame2.ricci
-        assert np.max(np.abs(frame.ricci - expected)) <= 1e-12
-        assert np.max(np.abs(oracle.ricci - expected)) <= 1e-12
+        expected[:2, :2] = frame.frame1.ricci[0]
+        expected[2:4, 2:4] = frame.frame2.ricci[0]
+        assert np.max(np.abs(frame.ricci[0] - expected)) <= 1e-12
+        assert np.max(np.abs(oracle.ricci[0] - expected)) <= 1e-12
 
     def test_off_diagonal_factor_metric_sweep(self):
         # nothing in the closed forms may assume diagonal factor metrics
@@ -391,8 +380,8 @@ class TestSpecExampleSweeps:
         )
         boxes = {"x": (-1, 1), "u": (-1, 1), "r": (-1, 1), "s": (-1, 1)}
         for point in sweep_points(product, boxes, 4, 31):
-            oracle = ChartFrame(flatten_to_chart(product), point)
-            assert np.max(np.abs(WarpedFrame(product, point).ricci - oracle.ricci)) <= 1e-7 * (
+            oracle = ChartFrame(flatten_to_chart(product), [point])
+            assert np.max(np.abs(WarpedFrame(product, [point]).ricci - oracle.ricci)) <= 1e-7 * (
                 1 + np.max(np.abs(oracle.ricci))
             )
             scale = 1.0 + np.max(np.abs(oracle.riemann_up))
@@ -400,14 +389,14 @@ class TestSpecExampleSweeps:
             for a in range(4):
                 for b in range(4):
                     for c in range(4):
-                        closed = WarpedFrame(product, point).curvature(
+                        closed = WarpedFrame(product, [point]).curvature(
                             BlockVector.basis(product, a),
                             BlockVector.basis(product, b),
                             BlockVector.basis(product, c),
-                        ).ambient
+                        ).ambient[0]
                         worst = max(
                             worst,
-                            float(np.max(np.abs(closed - oracle.riemann_up[:, a, b, c]))),
+                            float(np.max(np.abs(closed - oracle.riemann_up[0][:, a, b, c]))),
                         )
             assert worst / scale <= 1e-7
 
@@ -422,21 +411,21 @@ class TestSpecExampleSweeps:
         )
         rng = np.random.default_rng(17)
         point = np.array([0.3, -0.5, 1.1, 0.7])
-        oracle = ChartFrame(flatten_to_chart(product), point)
+        oracle = ChartFrame(flatten_to_chart(product), [point])
         for _ in range(5):
             x, y, z = (rng.normal(size=4) for _ in range(3))
-            conn = WarpedFrame(product, point).connection(
+            conn = WarpedFrame(product, [point]).connection(
                 BlockVector.from_ambient(product, x),
                 BlockVector.from_ambient(product, y),
-            ).ambient
-            expected = np.einsum("kab,a,b->k", oracle.christoffel, x, y)
+            ).ambient[0]
+            expected = np.einsum("kab,a,b->k", oracle.christoffel[0], x, y)
             assert conn == pytest.approx(expected, abs=1e-11)
-            curv = WarpedFrame(product, point).curvature(
+            curv = WarpedFrame(product, [point]).curvature(
                 BlockVector.from_ambient(product, x),
                 BlockVector.from_ambient(product, y),
                 BlockVector.from_ambient(product, z),
-            ).ambient
-            expected = np.einsum("labc,a,b,c->l", oracle.riemann_up, x, y, z)
+            ).ambient[0]
+            expected = np.einsum("labc,a,b,c->l", oracle.riemann_up[0], x, y, z)
             assert curv == pytest.approx(expected, abs=1e-10)
 
 
@@ -464,57 +453,59 @@ MIXED_BOXES = {c: (-1.0, 1.0) for c in ("x", "y", "u", "w", "r", "s")}
 
 
 def reference_connection(frame: WarpedFrame, x: BlockVector, y: BlockVector) -> np.ndarray:
-    """The per-block connection formula, written out term by term."""
+    """The per-block connection formula, written out term by term, at a
+    frame's one sample."""
     fr1, fr2, fr3 = frame.frame1, frame.frame2, frame.frame3
-    f, h = frame.f_value, frame.h_value
-    g2xy = float(x.x2 @ fr2.metric @ y.x2)
-    g3xy = float(x.x3 @ fr3.metric @ y.x3)
-    x_lnf = float(frame.df @ x.x1) / f
-    y_lnf = float(frame.df @ y.x1) / f
-    x_lnh = float(frame.dh @ x.inner) / h
-    y_lnh = float(frame.dh @ y.inner) / h
-    grad_h1, grad_h2 = frame.split_inner(frame.grad_h)
+    f, h = frame.f_value[0], frame.h_value[0]
+    g2xy = float(x.x2 @ fr2.metric[0] @ y.x2)
+    g3xy = float(x.x3 @ fr3.metric[0] @ y.x3)
+    x_lnf = float(frame.df[0] @ x.x1) / f
+    y_lnf = float(frame.df[0] @ y.x1) / f
+    x_lnh = float(frame.dh[0] @ x.inner) / h
+    y_lnh = float(frame.dh[0] @ y.inner) / h
+    grad_h1, grad_h2 = frame.split_inner(frame.grad_h[0])
     out1 = (
-        np.einsum("kij,i,j->k", fr1.christoffel, x.x1, y.x1)
-        - f * g2xy * frame.grad_f
+        np.einsum("kij,i,j->k", fr1.christoffel[0], x.x1, y.x1)
+        - f * g2xy * frame.grad_f[0]
         - h * g3xy * grad_h1
     )
     out2 = (
-        np.einsum("kij,i,j->k", fr2.christoffel, x.x2, y.x2)
+        np.einsum("kij,i,j->k", fr2.christoffel[0], x.x2, y.x2)
         + x_lnf * y.x2
         + y_lnf * x.x2
         - h * g3xy * grad_h2
     )
-    out3 = np.einsum("kij,i,j->k", fr3.christoffel, x.x3, y.x3) + x_lnh * y.x3 + y_lnh * x.x3
+    out3 = np.einsum("kij,i,j->k", fr3.christoffel[0], x.x3, y.x3) + x_lnh * y.x3 + y_lnh * x.x3
     return np.concatenate([out1, out2, out3])
 
 
 def reference_curvature(
     frame: WarpedFrame, x: BlockVector, y: BlockVector, z: BlockVector
 ) -> np.ndarray:
-    """The per-block curvature formula R(X, Y)Z, written out term by term."""
-    f, h = frame.f_value, frame.h_value
-    g2, g3 = frame.frame2.metric, frame.frame3.metric
+    """The per-block curvature formula R(X, Y)Z, written out term by term, at
+    a frame's one sample."""
+    f, h = frame.f_value[0], frame.h_value[0]
+    g2, g3 = frame.frame2.metric[0], frame.frame3.metric[0]
     g2xz, g2yz = float(x.x2 @ g2 @ z.x2), float(y.x2 @ g2 @ z.x2)
     g3xz, g3yz = float(x.x3 @ g3 @ z.x3), float(y.x3 @ g3 @ z.x3)
-    hfxz = float(x.x1 @ frame.hess_f @ z.x1)
-    hfyz = float(y.x1 @ frame.hess_f @ z.x1)
-    hh_xz = float(x.inner @ frame.hess_h @ z.inner)
-    hh_yz = float(y.inner @ frame.hess_h @ z.inner)
-    out1 = np.einsum("labc,a,b,c->l", frame.frame1.riemann_up, x.x1, y.x1, z.x1)
-    out2 = np.einsum("labc,a,b,c->l", frame.frame2.riemann_up, x.x2, y.x2, z.x2)
-    out3 = np.einsum("labc,a,b,c->l", frame.frame3.riemann_up, x.x3, y.x3, z.x3)
-    out2 += frame.grad_f_norm2 * (g2xz * y.x2 - g2yz * x.x2)
+    hess_f, hess_h = frame.hess_f[0], frame.hess_h[0]
+    raised_f, raised_h = frame.raised_hess_f[0], frame.raised_hess_h[0]
+    hfxz = float(x.x1 @ hess_f @ z.x1)
+    hfyz = float(y.x1 @ hess_f @ z.x1)
+    hh_xz = float(x.inner @ hess_h @ z.inner)
+    hh_yz = float(y.inner @ hess_h @ z.inner)
+    out1 = np.einsum("labc,a,b,c->l", frame.frame1.riemann_up[0], x.x1, y.x1, z.x1)
+    out2 = np.einsum("labc,a,b,c->l", frame.frame2.riemann_up[0], x.x2, y.x2, z.x2)
+    out3 = np.einsum("labc,a,b,c->l", frame.frame3.riemann_up[0], x.x3, y.x3, z.x3)
+    out2 += frame.grad_f_norm2[0] * (g2xz * y.x2 - g2yz * x.x2)
     out2 += (hfxz / f) * y.x2 - (hfyz / f) * x.x2
-    out1 += -f * g2yz * (frame.raised_hess_f @ x.x1) + f * g2xz * (frame.raised_hess_f @ y.x1)
+    out1 += -f * g2yz * (raised_f @ x.x1) + f * g2xz * (raised_f @ y.x1)
     out3 += (hh_xz / h) * y.x3 - (hh_yz / h) * x.x3
-    inner_corr = -h * g3yz * (frame.raised_hess_h @ x.inner) + h * g3xz * (
-        frame.raised_hess_h @ y.inner
-    )
+    inner_corr = -h * g3yz * (raised_h @ x.inner) + h * g3xz * (raised_h @ y.inner)
     c1, c2 = frame.split_inner(inner_corr)
     out1 += c1
     out2 += c2
-    out3 += frame.grad_h_norm2 * (g3xz * y.x3 - g3yz * x.x3)
+    out3 += frame.grad_h_norm2[0] * (g3xz * y.x3 - g3yz * x.x3)
     return np.concatenate([out1, out2, out3])
 
 
@@ -526,9 +517,9 @@ class TestClosedTensors:
     def test_tensors_match_flat_chart_with_mixed_hessian(self):
         product = mixed_outer_product()
         for point in sweep_points(product, MIXED_BOXES, 4, 41):
-            frame = WarpedFrame(product, point)
-            assert np.max(np.abs(frame.hess_h[:2, 2:])) > 1e-2  # the mixed block is live
-            oracle = ChartFrame(flatten_to_chart(product), point)
+            frame = WarpedFrame(product, [point])
+            assert np.max(np.abs(frame.hess_h[0][:2, 2:])) > 1e-2  # the mixed block is live
+            oracle = ChartFrame(flatten_to_chart(product), [point])
             assert normalized_gap(frame.christoffel, oracle.christoffel) <= 1e-10
             assert normalized_gap(frame.riemann_up, oracle.riemann_up) <= 1e-10
 
@@ -536,14 +527,14 @@ class TestClosedTensors:
         product = mixed_outer_product()
         rng = np.random.default_rng(5)
         for point in sweep_points(product, MIXED_BOXES, 3, 43):
-            frame = WarpedFrame(product, point)
+            frame = WarpedFrame(product, [point])
             for _ in range(4):
                 x, y, z = (BlockVector.from_ambient(product, rng.normal(size=6)) for _ in range(3))
                 expected = reference_connection(frame, x, y)
-                got = frame.connection(x, y).ambient
+                got = frame.connection(x, y).ambient[0]
                 assert np.max(np.abs(got - expected)) <= 1e-12 * (1 + np.max(np.abs(expected)))
                 expected = reference_curvature(frame, x, y, z)
-                got = frame.curvature(x, y, z).ambient
+                got = frame.curvature(x, y, z).ambient[0]
                 assert np.max(np.abs(got - expected)) <= 1e-12 * (1 + np.max(np.abs(expected)))
 
 
@@ -583,6 +574,6 @@ def test_closed_curvature_contracts_to_closed_ricci(name):
     else:
         spec = catalog_spec(name)
     for point in spec.sample_points(5):
-        frame = WarpedFrame(spec.product, point)
-        contracted = np.einsum("iijk->jk", frame.riemann_up)
-        assert normalized_gap(frame.ricci, contracted) <= 1e-10, point
+        frame = WarpedFrame(spec.product, [point])
+        contracted = np.einsum("iijk->jk", frame.riemann_up[0])
+        assert normalized_gap(frame.ricci[0], contracted) <= 1e-10, point
