@@ -23,19 +23,22 @@ carrying the sample axis first (``christoffel[n, k, i, j]``); one point is a
 stack of one.  The stack is vector forward mode (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., ch. 3 and 13): batched jets and ``...``
 einsums do, for all N samples at once, the arithmetic of one sample at each.
-A stack of one evaluates the scalar jets (``eval_jet``); see ``ChartFrame``.
+The jets of a frame come from one ``JetWalker`` per stack, which seeds the
+coordinates once and walks each distinct subexpression of the metric entries,
+their derivatives and the fields once; see ``ChartFrame``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expressions import DomainError, Expr, differentiate, parse
-from .jets import eval_jet, eval_jet_stack
+from .expressions import Const, DomainError, Expr, differentiate, parse
+from .jets import HyperDual, JetWalker
 
 __all__ = [
     "FactorManifold",
@@ -45,6 +48,7 @@ __all__ = [
     "SignatureError",
     "MetricValidationError",
     "factor",
+    "metric_jets",
     "symmetry_residuals",
     "validate_factor_at",
     "sample_box",
@@ -157,9 +161,13 @@ class ChartFrame:
     ``inv`` / ``det`` / ``matmul``), so a stack of N agrees bit for bit with
     N stacks of one wherever the jets do.
 
-    Jets: a stack of N > 1 points evaluates each metric entry and field once
-    over all samples (``eval_jet_stack``); a stack of one uses the scalar
-    ``eval_jet``, which is the faster of the two at one point.
+    Jets: the frame owns one ``JetWalker``, shared by the metric entries,
+    their third derivatives and the fields, so each distinct subexpression
+    is walked once.  A stack of N > 1 points walks ``JetStack`` jets over all
+    samples at once; a stack of one walks the scalar ``HyperDual`` jets, the
+    faster of the two at one point.  A constant expression gives its value
+    and zero derivatives without a walk.  The walker's memo is released once
+    ``d3metric``, the last stage that reads the metric entries, is built.
 
     A stack raises the error a loop over its samples would raise first:
     ``GeometryError`` (non-finite jets), ``DegenerateMetricError`` and
@@ -181,34 +189,38 @@ class ChartFrame:
         # field jets and their third derivatives, by expression
         self._fields: dict[Expr, tuple] = {}
         self._thirds: dict[Expr, np.ndarray] = {}
+        self._walker: JetWalker | None = None
 
     def _at_first(self, bad) -> np.ndarray:
         """The point of the first sample where ``bad`` holds."""
         return self.point[int(np.argmax(bad))]
-
-    @cached_property
-    def _coordinate_map(self) -> dict[str, float]:
-        """The coordinates of a stack of one, by name: the scalar jets' input."""
-        return self.manifold.point_map(self.point[0])
 
     def _jets(self, e: Expr):
         """Order-2 jets of ``e``: a value, gradient and Hessian per sample.
 
         A ``DomainError`` carries ``node``, the failing sample, and
         ``reason``; its message names the sample's point.  Where the scalar
-        walk overflows (``math`` raises), the batched walk gives ``inf``
-        instead.
+        walk overflows (``math`` raises), the expression is walked again as a
+        stack, which gives ``inf`` instead.
         """
+        count, m = self.point.shape
+        if isinstance(e, Const):
+            return np.full(count, e.value), np.zeros((count, m)), np.zeros((count, m, m))
         coords = self.manifold.coords
+        if self._walker is None and count == 1:
+            self._walker = JetWalker.at_point(self.manifold.point_map(self.point[0]), 2, coords)
+        elif self._walker is None:
+            self._walker = JetWalker.over_stack(self.point, coords)
+        walker = self._walker
         try:
-            if len(self.point) == 1:
+            if walker.cls is HyperDual:
                 try:
-                    v, grad, hess = eval_jet(e, self._coordinate_map, 2, coords)
+                    v, grad, hess = walker.jets(e)
                     return np.array([v]), grad[None], hess[None]
                 except OverflowError:
-                    pass
+                    walker = JetWalker.over_stack(self.point, coords)
             with np.errstate(over="ignore", invalid="ignore"):
-                return eval_jet_stack(e, self.point, coords)
+                return walker.jets(e)
         except DomainError as exc:
             i, reason = getattr(exc, "node", 0), getattr(exc, "reason", str(exc))
             err = DomainError(f"{reason} at {self.point[i].tolist()}")
@@ -219,19 +231,8 @@ class ChartFrame:
 
     @cached_property
     def _metric_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Order-2 jets of the upper-triangle metric entries, mirrored; unchecked."""
-        m = self.manifold.dim
-        lead = self.point.shape[:-1]
-        g = np.zeros(lead + (m, m))
-        dg = np.zeros(lead + (m, m, m))
-        d2g = np.zeros(lead + (m, m, m, m))
-        for i in range(m):
-            for j in range(i, m):
-                v, grad, hess = self._jets(self.manifold.metric[i][j])
-                g[..., i, j] = g[..., j, i] = v
-                dg[..., :, i, j] = dg[..., :, j, i] = grad
-                d2g[..., :, :, i, j] = d2g[..., :, :, j, i] = hess
-        return g, dg, d2g
+        """Order-2 jets of the metric entries; unchecked."""
+        return metric_jets(self.manifold, len(self.point), self._jets)
 
     @cached_property
     def _finite_metric_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -320,8 +321,12 @@ class ChartFrame:
         for c, cname in enumerate(self.manifold.coords):
             for i in range(m):
                 for j in range(i, m):
-                    hess = self._jets(_derived(self.manifold.metric[i][j], cname))[2]
-                    d3g[..., :, :, c, i, j] = d3g[..., :, :, c, j, i] = hess
+                    d = _derived(self.manifold.metric[i][j], cname)
+                    if not isinstance(d, Const):
+                        hess = self._jets(d)[2]
+                        d3g[..., :, :, c, i, j] = d3g[..., :, :, c, j, i] = hess
+        # the metric stages are built: release the walker's memo
+        self._walker = None
         return d3g
 
     @cached_property
@@ -490,7 +495,9 @@ class ChartFrame:
             m = self.manifold.dim
             d3 = np.zeros(self.point.shape[:-1] + (m, m, m))
             for c, cname in enumerate(self.manifold.coords):
-                d3[..., :, :, c] = self._jets(_derived(phi, cname))[2]
+                d = _derived(phi, cname)
+                if not isinstance(d, Const):
+                    d3[..., :, :, c] = self._jets(d)[2]
             self._thirds[phi] = d3
         return d3
 
@@ -524,6 +531,32 @@ class ChartFrame:
             for j in range(m):
                 t[..., i, j], dt[..., :, i, j], _ = self._jets(entries[i][j])
         return self._divergence(dt, t)
+
+
+def metric_jets(manifold: FactorManifold, count: int, jets) -> tuple[np.ndarray, ...]:
+    """Order-2 jets of the metric of ``manifold`` at a stack of ``count``
+    points: ``g`` ``(N, m, m)``, ``dg`` ``(N, m, m, m)`` and ``d2g``
+    ``(N, m, m, m, m)``, derivative axes first.
+
+    ``jets(e)`` gives the value, gradient and Hessian of one entry.  Only the
+    upper triangle is evaluated and mirrored; a constant entry sets its
+    value, and its derivatives stay zero.
+    """
+    m = manifold.dim
+    g = np.zeros((count, m, m))
+    dg = np.zeros((count, m, m, m))
+    d2g = np.zeros((count, m, m, m, m))
+    for i in range(m):
+        for j in range(i, m):
+            e = manifold.metric[i][j]
+            if isinstance(e, Const):
+                g[:, i, j] = g[:, j, i] = e.value
+                continue
+            v, grad, hess = jets(e)
+            g[:, i, j] = g[:, j, i] = v
+            dg[:, :, i, j] = dg[:, :, j, i] = grad
+            d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = hess
+    return g, dg, d2g
 
 
 def is_degenerate(metric: np.ndarray, det) -> np.ndarray:
@@ -572,8 +605,16 @@ def max_abs(x: np.ndarray, rank: int):
 
 def per_sample_power(value: np.ndarray, n: int) -> np.ndarray:
     """``value**n`` with Python's float power, sample by sample: numpy's
-    power can differ from it in the last bit."""
-    return np.reshape([v**n for v in np.ravel(value).tolist()], np.shape(value))
+    power can differ from it in the last bit.  A power beyond the float
+    range is ``inf`` with its sign, as numpy's would be, not ``OverflowError``."""
+    return np.reshape([_float_power(v, n) for v in np.ravel(value).tolist()], np.shape(value))
+
+
+def _float_power(v: float, n: int) -> float:
+    try:
+        return v**n
+    except OverflowError:
+        return math.copysign(math.inf, v) if n % 2 else math.inf
 
 
 def symmetry_residuals(frame: ChartFrame) -> dict[str, float]:

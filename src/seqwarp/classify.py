@@ -13,8 +13,8 @@ Three layers live here:
   forms of those fields over fully periodic factors
   (``torus_average_identity``).  The torus quadrature is the one place that
   evaluates geometry at thousands of points; it evaluates the grid in
-  blocks of nodes with batched jets (``seqwarp.jets.eval_jet_stack``) and
-  ``(B, ...)`` arrays instead of one ``ChartFrame`` per block;
+  blocks of nodes with batched jets (one ``seqwarp.jets.JetWalker`` per
+  block) and ``(B, ...)`` arrays instead of one ``ChartFrame`` per block;
 * hypothesis evaluators for the differential conditions under which the
   scalar fields are forced constant (``condition_residuals``) and for the
   rigidity statements that force constant warpings
@@ -45,12 +45,13 @@ from .chart import (
     is_degenerate,
     matvec,
     max_abs,
+    metric_jets,
     outer,
     per_sample_power,
     vecmat,
 )
 from .expressions import DomainError, Expr, to_string
-from .jets import eval_jet_stack
+from .jets import JetWalker
 from .warped import (
     BlockVector,
     PositivityError,
@@ -482,29 +483,26 @@ def _node(manifold: FactorManifold, grid: np.ndarray, i: int) -> str:
     return f"node {i} {grid[i].tolist()} of the {manifold.name!r} torus grid"
 
 
-def _grid_jets(e: Expr, manifold: FactorManifold, grid: np.ndarray, start: int, stop: int):
-    """Order-2 jets of ``e`` at grid nodes ``start:stop``; a domain error
-    names the grid node."""
-    try:
-        return eval_jet_stack(e, grid[start:stop], manifold.coords)
-    except DomainError as exc:
-        i = start + exc.node
-        raise DomainError(f"{exc.reason} at {_node(manifold, grid, i)}") from None
+def _block_jets(manifold: FactorManifold, grid: np.ndarray, start: int, stop: int):
+    """Order-2 jets at grid nodes ``start:stop``, from one ``JetWalker``
+    shared by every expression of the block; a domain error names the grid
+    node."""
+    walker = JetWalker.over_stack(grid[start:stop], manifold.coords)
+
+    def jets(e: Expr):
+        try:
+            return walker.jets(e)
+        except DomainError as exc:
+            raise DomainError(
+                f"{exc.reason} at {_node(manifold, grid, start + exc.node)}"
+            ) from None
+
+    return jets
 
 
-def _block_metric_jets(manifold: FactorManifold, grid: np.ndarray, start: int, stop: int):
-    """``ChartFrame._metric_jets`` at grid nodes ``start:stop``, as
-    ``(B, m, m)``, ``(B, m, m, m)`` and ``(B, m, m, m, m)`` arrays."""
-    m, count = manifold.dim, stop - start
-    g = np.zeros((count, m, m))
-    dg = np.zeros((count, m, m, m))
-    d2g = np.zeros((count, m, m, m, m))
-    for i in range(m):
-        for j in range(i, m):
-            v, grad, hess = _grid_jets(manifold.metric[i][j], manifold, grid, start, stop)
-            g[:, i, j] = g[:, j, i] = v
-            dg[:, :, i, j] = dg[:, :, j, i] = grad
-            d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = hess
+def _block_metric_jets(manifold: FactorManifold, grid: np.ndarray, start: int, stop: int, jets):
+    """``ChartFrame._metric_jets`` at grid nodes ``start:stop``, checked finite."""
+    g, dg, d2g = metric_jets(manifold, stop - start, jets)
     finite = (
         np.isfinite(g).all(axis=(1, 2))
         & np.isfinite(dg).all(axis=(1, 2, 3))
@@ -532,8 +530,9 @@ def _volume_means(
     integrands.
 
     The grid is evaluated in blocks of at most ``QUADRATURE_BLOCK`` nodes.
-    Per block, batched jet evaluations (``eval_jet_stack``) give the metric
-    and field jets, and the inverse metric, Christoffel symbols, covariant
+    Per block, one ``JetWalker`` gives the metric, field and warping jets,
+    walking each distinct subexpression once, and is dropped with the
+    block; the inverse metric, Christoffel symbols, covariant
     Hessian of ``phi``, its Laplacian, ``|grad phi|^2`` and the weights
     ``sqrt|det g|`` are ``(B, ...)`` arrays.  Each node gets the arithmetic a
     ``ChartFrame`` there would do, and the weighted sums are accumulated in
@@ -554,15 +553,16 @@ def _volume_means(
     weight_total = 0.0
     for start in range(0, grid.shape[0], QUADRATURE_BLOCK):
         stop = min(start + QUADRATURE_BLOCK, grid.shape[0])
+        jets = _block_jets(manifold, grid, start, stop)
         with np.errstate(over="ignore", invalid="ignore"):
-            g, dg, d2g = _block_metric_jets(manifold, grid, start, stop)
+            g, dg, d2g = _block_metric_jets(manifold, grid, start, stop, jets)
             det = np.linalg.det(g)
             degenerate = is_degenerate(g, det)
             if degenerate.any():
                 k = int(np.argmax(degenerate))
                 raise DegenerateMetricError(manifold.name, grid[start + k], det[k])
 
-            value, dphi, d2phi = _grid_jets(phi, manifold, grid, start, stop)
+            value, dphi, d2phi = jets(phi)
             finite = (
                 np.isfinite(value)
                 & np.isfinite(dphi).all(axis=1)
@@ -574,13 +574,15 @@ def _volume_means(
                     f"finite at {_node(manifold, grid, start + int(np.argmin(finite)))}"
                 )
             for label, w in positive:
-                w_value = value if w is phi else _grid_jets(w, manifold, grid, start, stop)[0]
+                w_value = jets(w)[0]
                 if not (w_value > 0.0).all():
                     k = int(np.argmin(w_value > 0.0))
                     raise PositivityError(
                         f"{label} warping is {float(w_value[k])!r} (must be positive) at "
                         f"{_node(manifold, grid, start + k)}"
                     )
+            # the block's walker and its memo go before the block's tensors
+            del jets
 
         inverse = np.linalg.inv(g)
         source = np.einsum("nijl->nlij", dg) + np.einsum("njil->nlij", dg) - dg

@@ -76,29 +76,54 @@ class DomainError(ExpressionError):
 
 
 class Expr:
-    """Immutable expression node; concrete kinds are the subclasses below."""
+    """Immutable expression node; concrete kinds are the subclasses below.
 
-    __slots__ = ()
+    Equality and hashing are structural.  A node keeps its hash once
+    computed, so hashing a tree whose subtrees were hashed before costs one
+    step, not a walk: jets are memoized by subtree.
+    """
+
+    __slots__ = ("_hash",)
 
     def __str__(self) -> str:
         return to_string(self)
 
 
+def _keeps_hash(cls):
+    """Cache the structural ``__hash__`` the dataclass generated for ``cls``."""
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_keeps_hash
 @dataclass(frozen=True, slots=True)
 class Const(Expr):
     value: float
 
 
+@_keeps_hash
 @dataclass(frozen=True, slots=True)
 class Var(Expr):
     name: str
 
 
+@_keeps_hash
 @dataclass(frozen=True, slots=True)
 class Neg(Expr):
     arg: Expr
 
 
+@_keeps_hash
 @dataclass(frozen=True, slots=True)
 class BinOp(Expr):
     op: str  # one of "+", "-", "*", "/", "^"
@@ -106,6 +131,7 @@ class BinOp(Expr):
     right: Expr
 
 
+@_keeps_hash
 @dataclass(frozen=True, slots=True)
 class Call(Expr):
     fn: str

@@ -14,17 +14,23 @@ entries (i, j) and (j, i) are the same sum.
 One walker, ``_eval``, serves every jet class.  The steps that depend on
 values (the function table, the domain checks, the analytic power rule for
 ``|n| > MAX_UNROLLED_EXPONENT`` and real powers) are methods of the jet
-class, so the same tree walk runs over scalar jets at one point
-(``eval_jet``, the per-point path and the reference evaluator) and over
-``JetStack``, order-2 jets at a stack of N points at once, whose value,
-gradient and Hessian have shapes ``(N,)``, ``(N, n)`` and ``(N, n, n)``
-(``eval_jet_stack``; vector forward mode, Griewank & Walther, *Evaluating
+class, so the same tree walk runs over scalar jets at one point (``Dual``,
+``HyperDual``) and over ``JetStack``, order-2 jets at a stack of N points at
+once, whose value, gradient and Hessian have shapes ``(N,)``, ``(N, n)`` and
+``(N, n, n)`` (vector forward mode, Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., ch. 3 and 13).  Every stack operation is the scalar
 operation applied elementwise, so sums, products, ``sin``, ``cos`` and small
-integer powers agree with ``eval_jet`` bit for bit; the numpy versions of
+integer powers agree with the scalar jets bit for bit; the numpy versions of
 ``exp``, ``log``, ``tan``, ``tanh`` and ``**`` may differ from ``math`` in
 the last ulp.  A stack obeys the scalar domain rules and raises at the first
 node that breaks one; overflow gives ``inf`` rather than ``OverflowError``.
+
+A ``JetWalker`` holds the coordinate jets of one point or one stack, seeded
+once, and memoizes the jet of every subexpression it walks, keyed by
+structure: the metric entries of a chart, their derivatives and the warping
+fields share many subtrees, and each distinct one is walked once per walker.
+``eval_jet`` (one point, order 1 or 2) and ``eval_jet_stack`` (a stack) are
+one-expression walks on a fresh walker, so there is one code path.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from .expressions import (
     to_string,
 )
 
-__all__ = ["Dual", "HyperDual", "JetStack", "eval_jet", "eval_jet_stack"]
+__all__ = ["Dual", "HyperDual", "JetStack", "JetWalker", "eval_jet", "eval_jet_stack"]
 
 
 def _fn_table(name: str, x: float, node: Expr) -> tuple[float, float, float]:
@@ -344,9 +350,9 @@ class JetStack(_JetRules):
         )
 
 
-def _int_power(u, n: int, cls, node: Expr, dim):
+def _int_power(u, n: int, walk: "JetWalker", node: Expr):
     if n == 0:
-        return cls.constant(1.0, dim)
+        return walk.cls.constant(1.0, walk.dim)
     if abs(n) > MAX_UNROLLED_EXPONENT:
         return u.int_power(n, node)
     out = u
@@ -357,36 +363,36 @@ def _int_power(u, n: int, cls, node: Expr, dim):
     return out
 
 
-def _eval(e: Expr, env: dict, cls, dim):
-    """Walk ``e`` over jets of class ``cls``; ``dim`` is what ``cls.constant``
-    takes: ``n`` for jets at one point, ``(N, n)`` for a stack."""
+def _eval(e: Expr, walk: "JetWalker"):
+    """The jet of ``e`` over ``walk``'s coordinate jets; subtrees go through
+    ``walk.jet``, so each is walked once per walker."""
     if isinstance(e, Const):
-        return cls.constant(e.value, dim)
+        return walk.cls.constant(e.value, walk.dim)
     if isinstance(e, Var):
         try:
-            return env[e.name]
+            return walk.env[e.name]
         except KeyError:
             raise ExpressionError(f"unbound variable {e.name!r}") from None
     if isinstance(e, Neg):
-        return -_eval(e.arg, env, cls, dim)
+        return -walk.jet(e.arg)
     if isinstance(e, Call):
-        u = _eval(e.arg, env, cls, dim)
+        u = walk.jet(e.arg)
         return u.chain(*u.fn_table(e.fn, u.value, e))
     if isinstance(e, BinOp):
         if e.op == "^":
-            u = _eval(e.left, env, cls, dim)
+            u = walk.jet(e.left)
             n = integer_exponent(e.right)
             if n is not None:
-                return _int_power(u, n, cls, node=e, dim=dim)
+                return _int_power(u, n, walk, node=e)
             u.require_positive_base(e)
             if isinstance(e.right, Const):
                 return u.real_power(e.right.value)
-            w = _eval(e.right, env, cls, dim)
+            w = walk.jet(e.right)
             logu = u.chain(*u.fn_table("log", u.value, e))
             prod = w * logu
             return prod.chain(*u.fn_table("exp", prod.value, e))
-        a = _eval(e.left, env, cls, dim)
-        b = _eval(e.right, env, cls, dim)
+        a = walk.jet(e.left)
+        b = walk.jet(e.right)
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -395,6 +401,73 @@ def _eval(e: Expr, env: dict, cls, dim):
             return a * b
         return a * b.reciprocal(e)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class JetWalker:
+    """Jets of any number of expressions over one set of coordinate jets.
+
+    The coordinates are seeded once, at construction, and the jet of every
+    subexpression is memoized by structure (``Expr`` equality), so a
+    subtree shared by several expressions, or met twice in one, is walked
+    once per walker.  A jet is a pure function of its subtree and the
+    seeds, so the results are those of independent walks, bit for bit.  A
+    subtree whose walk raises is not memoized.  The memo lives as long as
+    the walker: drop the walker to release it.
+
+    ``cls`` is the jet class (``Dual``, ``HyperDual`` or ``JetStack``) and
+    ``dim`` what ``cls.constant`` takes.  Build one with ``at_point`` (jets
+    at one point) or ``over_stack`` (order-2 jets at N points).
+    """
+
+    __slots__ = ("cls", "dim", "env", "_memo")
+
+    def __init__(self, cls, dim, env: dict):
+        self.cls, self.dim, self.env = cls, dim, env
+        self._memo: dict[Expr, object] = {}
+
+    @classmethod
+    def at_point(
+        cls, point: Mapping[str, float], order: int, coords: Sequence[str]
+    ) -> "JetWalker":
+        """Jets of order 1 (``Dual``) or 2 (``HyperDual``) at one point."""
+        jet = {1: Dual, 2: HyperDual}.get(order)
+        if jet is None:
+            raise ValueError(f"order must be 1 or 2, got {order!r}")
+        n = len(coords)
+        env = {name: jet.seed(float(point[name]), i, n) for i, name in enumerate(coords)}
+        return cls(jet, n, env)
+
+    @classmethod
+    def over_stack(cls, points: np.ndarray, coords: Sequence[str]) -> "JetWalker":
+        """Order-2 jets (``JetStack``) at every row of ``points``, shape
+        ``(N, n)`` with columns in ``coords`` order."""
+        points = np.asarray(points, dtype=float)
+        dim = (points.shape[0], len(coords))
+        env = {name: JetStack.seed(points[:, i], i, dim) for i, name in enumerate(coords)}
+        return cls(JetStack, dim, env)
+
+    def jet(self, e: Expr):
+        """The jet object of ``e``, walked at most once per walker."""
+        out = self._memo.get(e)
+        if out is None:
+            out = self._memo[e] = _eval(e, self)
+        return out
+
+    def jets(self, e: Expr) -> tuple:
+        """``(value, gradient)`` for ``Dual``, ``(value, gradient, hessian)``
+        otherwise; the arrays are read-only, because the memo shares them."""
+        out = self.jet(e)
+        if self.cls is Dual:
+            return (out.value,) + _read_only(out.grad)
+        if self.cls is HyperDual:
+            return (out.value,) + _read_only(out.grad, out.hess)
+        return _read_only(out.value, out.grad, out.hess)
 
 
 def eval_jet(
@@ -407,33 +480,19 @@ def eval_jet(
 
     Returns ``(value, gradient)`` for order 1 and
     ``(value, gradient, hessian)`` for order 2, with derivative components
-    ordered by ``coords`` (sorted point keys when omitted).
+    ordered by ``coords`` (sorted point keys when omitted).  A one-expression
+    walk on a fresh ``JetWalker``.
     """
     if coords is None:
         coords = sorted(point)
-    n = len(coords)
-    if order == 1:
-        env = {name: Dual.seed(float(point[name]), i, n) for i, name in enumerate(coords)}
-        out = _eval(e, env, Dual, n)
-        return out.value, out.grad
-    if order == 2:
-        env = {
-            name: HyperDual.seed(float(point[name]), i, n) for i, name in enumerate(coords)
-        }
-        out = _eval(e, env, HyperDual, n)
-        return out.value, out.grad, out.hess
-    raise ValueError(f"order must be 1 or 2, got {order!r}")
+    return JetWalker.at_point(point, order, coords).jets(e)
 
 
 def eval_jet_stack(e: Expr, points: np.ndarray, coords: Sequence[str]):
     """Order-2 jets of ``e`` at every row of ``points`` (shape ``(N, n)``,
     columns in ``coords`` order): ``(value (N,), gradient (N, n), hessian
-    (N, n, n))``.
+    (N, n, n))``.  A one-expression walk on a fresh ``JetWalker``.
 
     Raises ``DomainError`` naming the first row that leaves a domain.
     """
-    points = np.asarray(points, dtype=float)
-    dim = (points.shape[0], len(coords))
-    env = {name: JetStack.seed(points[:, i], i, dim) for i, name in enumerate(coords)}
-    out = _eval(e, env, JetStack, dim)
-    return out.value, out.grad, out.hess
+    return JetWalker.over_stack(points, coords).jets(e)

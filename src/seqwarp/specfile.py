@@ -24,6 +24,8 @@ Schema sketch::
       "tolerances": {"oracle": 1e-7, ...},            # optional overrides
       "planted": {"alpha": 1.0, "beta": -1.0, "u": {"w": 1.0}}  # optional
     }
+
+Every ``planted`` value is a finite number; a bool is not a number.
 """
 
 from __future__ import annotations
@@ -199,6 +201,14 @@ def _finite_number(value) -> bool:
         return False
 
 
+def _planted_number(data: dict, key: str, path: str = "planted") -> float:
+    """``data[key]`` as a finite float, or ``SpecError`` naming ``path.key``."""
+    value = _expect(data, key, None, path, required=True)
+    if not _finite_number(value):
+        raise SpecError(f"{path}.{key}", f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _parse_time(data: dict) -> tuple[str, tuple[float, float]]:
     block = _expect(data, "time", dict, "", required=True)
     coord = _expect(block, "coord", str, "time", default="t")
@@ -311,17 +321,15 @@ def spec_from_dict(data: dict, name: str = "spec") -> ManifoldSpec:
     planted = None
     raw_planted = _expect(data, "planted", dict, "", default=None)
     if raw_planted is not None:
-        alpha = _expect(raw_planted, "alpha", (int, float), "planted", required=True)
-        beta = _expect(raw_planted, "beta", (int, float), "planted", required=True)
+        alpha = _planted_number(raw_planted, "alpha")
+        beta = _planted_number(raw_planted, "beta")
         u_map = _expect(raw_planted, "u", dict, "planted", default={})
         u = np.zeros(product.dim)
-        for cname, value in u_map.items():
+        for cname in u_map:
             if cname not in product.coords:
                 raise SpecError(f"planted.u.{cname}", "not a coordinate of any factor")
-            if not isinstance(value, (int, float)):
-                raise SpecError(f"planted.u.{cname}", "expected a number")
-            u[product.coords.index(cname)] = float(value)
-        planted = (float(alpha), float(beta), u)
+            u[product.coords.index(cname)] = _planted_number(u_map, cname, "planted.u")
+        planted = (alpha, beta, u)
 
     digest = hashlib.sha256(
         json.dumps(data, sort_keys=True, separators=(",", ":")).encode()

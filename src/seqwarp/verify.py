@@ -28,6 +28,7 @@ notes); every gating identity must pass.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +171,19 @@ def _balance_gap(lhs: np.ndarray, *terms: np.ndarray) -> np.ndarray:
     """max |lhs - sum(terms)| per sample, over 1 + that sample's largest |lhs| or |term|."""
     scale = np.max([max_abs(t, 1) for t in (lhs, *terms)], axis=0)
     return max_abs(lhs - sum(terms), 1) / (1.0 + scale)
+
+
+def _require_finite(what: str, per_sample, samples: np.ndarray) -> None:
+    """``VerificationInputError`` naming ``what`` and the first sample where
+    ``per_sample`` is not finite: the alpha, beta and U a field or residual
+    is evaluated with (planted or fitted) overflow it there."""
+    bad = ~np.isfinite(np.asarray(per_sample, dtype=float))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise VerificationInputError(
+            f"{what} is not finite at sample {i} {samples[i].tolist()}: "
+            "the alpha, beta and U used overflow there"
+        )
 
 
 def _oracle_checks(
@@ -398,9 +412,11 @@ def run_verify(
     cor_points = 0
     if cor_applicable:
         covered = fitted if spec.planted is None else np.ones(n_points, dtype=bool)
-        stated = warped.factor_scalars(decomposition if spec.planted is None else spec.planted)
-        gaps = [abs(a - b) for a, b in zip(warped.factor_scalars(), stated)]
-        res_cor = float(np.max(np.max(gaps, axis=0)[covered]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            stated = warped.factor_scalars(decomposition if spec.planted is None else spec.planted)
+            gaps = np.max([abs(a - b) for a, b in zip(warped.factor_scalars(), stated)], axis=0)
+        _require_finite("corollary1_scalars residual", np.where(covered, gaps, 0.0), samples)
+        res_cor = float(np.max(gaps[covered]))
         cor_points = int(covered.sum())
     identities.append(
         IdentityReport.from_residual(
@@ -428,8 +444,15 @@ def run_verify(
         alpha_used = sum(f.alpha for f in ok) / len(ok) if ok else 0.0
         beta_used = sum(f.beta for f in ok) / len(ok) if ok else 0.0
         u_used = next((f.U for f in ok if f.U is not None), np.zeros(dim))
-    lambda_values = lambda_at(product, warped, alpha_used)
-    nu_values = nu_at(product, warped, alpha_used)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lambda_values = lambda_at(product, warped, alpha_used)
+        nu_values = nu_at(product, warped, alpha_used)
+    for label, values in (("lambda", lambda_values), ("nu", nu_values)):
+        _require_finite(f"lambda_nu_fields {label}", values, samples)
+        if not math.isfinite(sum(values.tolist())):
+            raise VerificationInputError(
+                f"lambda_nu_fields {label}: the sum over the samples overflows"
+            )
     identities.append(
         IdentityReport.from_residual(
             "lambda_nu_fields",
@@ -447,27 +470,39 @@ def run_verify(
 
     # the torus grid covers whole periods, beyond the sampling boxes that input
     # validation saw: a warping or metric invalid there is an input error too
+    averages = len(identities)
     try:
-        if product.m1.fully_periodic:
-            identities.append(
-                torus_average_identity(product, alpha_used, TORUS_NODES, "lambda", tol["torus"])
-            )
-        if (
-            product.m1.fully_periodic
-            and product.m2.fully_periodic
-            and product.m1.dim + product.m2.dim <= MAX_TORUS_DIM
-        ):
-            identities.append(
-                torus_average_identity(product, alpha_used, TORUS_NODES, "nu", tol["torus"])
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            if product.m1.fully_periodic:
+                identities.append(
+                    torus_average_identity(
+                        product, alpha_used, TORUS_NODES, "lambda", tol["torus"]
+                    )
+                )
+            if (
+                product.m1.fully_periodic
+                and product.m2.fully_periodic
+                and product.m1.dim + product.m2.dim <= MAX_TORUS_DIM
+            ):
+                identities.append(
+                    torus_average_identity(product, alpha_used, TORUS_NODES, "nu", tol["torus"])
+                )
     except (GeometryError, DomainError) as exc:
         raise VerificationInputError(str(exc)) from exc
+    for report in identities[averages:]:
+        if not math.isfinite(report.max_residual):
+            raise VerificationInputError(
+                f"{report.name} residual is not finite on the torus grid: "
+                f"alpha {alpha_used!r} overflows there"
+            )
 
     # --- differential conditions and rigidity hypotheses ---------------------------
     qe_used = (alpha_used, beta_used, u_used)
     # the conditions are probed at the first five samples
-    pairs = condition_residuals(product, warped, qe_used, lambda_values, None, tol["fit"])[:5]
-    for name, reports in zip(("condition1", "condition2"), zip(*pairs)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = condition_residuals(product, warped, qe_used, lambda_values, None, tol["fit"])
+    for name, reports in zip(("condition1", "condition2"), zip(*pairs[:5])):
+        _require_finite(f"{name} residual", [r.max_residual for r in reports], samples)
         identities.append(
             IdentityReport.from_residual(
                 name,
@@ -488,16 +523,17 @@ def run_verify(
     decomposition_available = spec.planted is not None or any(
         f.succeeded for f in qe_fits
     )
-    identities.extend(
-        theorem2_conditions(
-            product,
-            qe_used if decomposition_available else None,
-            lam_mean,
-            nu_mean,
-            warped,
-            tol["fit"],
+    with np.errstate(over="ignore", invalid="ignore"):
+        identities.extend(
+            theorem2_conditions(
+                product,
+                qe_used if decomposition_available else None,
+                lam_mean,
+                nu_mean,
+                warped,
+                tol["fit"],
+            )
         )
-    )
 
     # --- spacetime bundles ----------------------------------------------------------
     if spec.kind in ("ssst", "grw"):

@@ -2,6 +2,7 @@
 and the bitwise Hessian symmetry guarantee."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import expr_fn, fd_gradient, fd_hessian
 from seqwarp.expressions import FUNCTIONS, BinOp, Const, DomainError, Var, parse
-from seqwarp.jets import eval_jet, eval_jet_stack
+from seqwarp import jets
+from seqwarp.jets import JetWalker, eval_jet, eval_jet_stack
 
 
 class TestFrozenValues:
@@ -253,3 +255,89 @@ def test_stack_domain_rules_match_scalar(text, xs):
     assert str(info.value) == f"{message} at node {first}"
     valid = [i for i in range(len(xs)) if i not in dict(broken)]
     eval_jet_stack(e, points[valid], COORDS)
+
+
+# ---------------------------------------------------------------------------
+# One walker, many expressions
+# ---------------------------------------------------------------------------
+
+SHARED = ("sin(x*y)^2 + exp(x)", "sin(x*y)^2 * (2 + cos(y))", "exp(x)/(2 + cos(y))", "7")
+
+
+def _walkers():
+    points = _stack_points((0.5, 2.0), (-2.0, 2.0))[:5]
+    point = dict(zip(COORDS, points[0].tolist()))
+    return (
+        (JetWalker.at_point(point, 1, COORDS), lambda e: eval_jet(e, point, 1, COORDS)),
+        (JetWalker.at_point(point, 2, COORDS), lambda e: eval_jet(e, point, 2, COORDS)),
+        (JetWalker.over_stack(points, COORDS), lambda e: eval_jet_stack(e, points, COORDS)),
+    )
+
+
+def _tree_size(e) -> int:
+    children = [getattr(e, name, None) for name in ("arg", "left", "right")]
+    return 1 + sum(_tree_size(c) for c in children if c is not None)
+
+
+def _spy_walks(monkeypatch) -> Counter:
+    walks = Counter()
+    real_eval = jets._eval
+
+    def spy(e, walk):
+        walks[e] += 1
+        return real_eval(e, walk)
+
+    monkeypatch.setattr(jets, "_eval", spy)
+    return walks
+
+
+@pytest.mark.parametrize("case", range(3), ids=["dual", "hyperdual", "stack"])
+def test_walker_walks_each_distinct_subtree_once(case, monkeypatch):
+    walker, independent = _walkers()[case]
+    exprs = [parse(text, COORDS) for text in SHARED]
+    want = [independent(e) for e in exprs]
+    walks = _spy_walks(monkeypatch)
+    for _ in range(2):
+        for e, expected in zip(exprs, want):
+            for got, o in zip(walker.jets(e), expected):
+                assert np.array_equal(got, o)
+    assert max(walks.values()) == 1
+    # sin(x*y) and its parts, exp(x), 2 + cos(y) and theirs are shared
+    assert walks[parse("sin(x*y)^2", COORDS)] == walks[parse("exp(x)", COORDS)] == 1
+    assert sum(walks.values()) < sum(_tree_size(e) for e in exprs)
+
+
+def test_walker_domain_error_keeps_its_message_and_is_not_memoized(monkeypatch):
+    points = np.array([[1.0, 0.5], [2.0, 0.5], [-1.0, 0.5], [0.0, 0.5]])
+    e = parse("y*y + log(x)", COORDS)
+    with pytest.raises(DomainError) as info:
+        eval_jet_stack(e, points, COORDS)
+    assert info.value.node == 2
+    assert str(info.value) == "log of non-positive value -1.0 in 'log(x)' at node 2"
+    walker = JetWalker.over_stack(points, COORDS)
+    walks = _spy_walks(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(DomainError) as again:
+            walker.jets(e)
+        assert (again.value.node, str(again.value)) == (info.value.node, str(info.value))
+        assert again.value.reason == info.value.reason
+    # the failing subtrees are walked again, the finished y*y is not
+    assert walks[parse("log(x)", COORDS)] == walks[e] == 2
+    assert walks[parse("y*y", COORDS)] == 1
+    scalar = JetWalker.at_point({"x": -1.0, "y": 0.5}, 2, COORDS)
+    with pytest.raises(DomainError, match=r"^log of non-positive value -1.0 in 'log\(x\)'$"):
+        scalar.jets(e)
+
+
+@pytest.mark.parametrize("case", range(3), ids=["dual", "hyperdual", "stack"])
+def test_walker_arrays_are_read_only(case):
+    walker, independent = _walkers()[case]
+    for text in ("sin(x*y) + x", "x"):
+        e = parse(text, COORDS)
+        out = walker.jets(e)
+        arrays = out if case == 2 else out[1:]  # a value at one point is a float
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+        for got, want in zip(walker.jets(e), independent(e)):
+            assert np.array_equal(got, want)

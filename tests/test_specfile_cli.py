@@ -409,6 +409,67 @@ class TestCli:
         err = self._one_line_exit_2(capsys, ["verify", path])
         assert re.search(r"basis \(products of metric entries\) is not finite at sample 3 \[0\.76", err)
 
+    @staticmethod
+    def _planted_spec(tmp_path, name: str, planted: dict) -> str:
+        data = json.loads(catalog_path(name).read_text())
+        data["planted"] = planted
+        path = tmp_path / f"{name}_planted.json"
+        path.write_text(json.dumps(data))  # writes NaN and Infinity as JSON extensions
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "planted, field",
+        [
+            ({"alpha": math.nan, "beta": 0.0}, "planted.alpha"),
+            ({"alpha": 0.0, "beta": math.inf}, "planted.beta"),
+            ({"alpha": -math.inf, "beta": 0.0}, "planted.alpha"),
+            ({"alpha": True, "beta": 0.0}, "planted.alpha"),
+            ({"alpha": 0.0, "beta": 0.0, "u": {"x1": math.nan}}, "planted.u.x1"),
+            ({"alpha": 0.0, "beta": 0.0, "u": {"x2": False}}, "planted.u.x2"),
+        ],
+    )
+    def test_planted_value_not_a_finite_number_exit_code(self, tmp_path, capsys, planted, field):
+        path = self._planted_spec(tmp_path, "exp_warp", planted)
+        err = self._one_line_exit_2(capsys, ["verify", path])
+        assert err.startswith(f"error: {field}: expected a finite number, got ")
+
+    @pytest.mark.parametrize(
+        "name, planted, message",
+        [
+            (
+                "exp_warp",
+                {"alpha": 1e308, "beta": 1e308},
+                r"lambda_nu_fields lambda is not finite at sample 2 \[0\.587",
+            ),
+            (
+                "planted_qe",
+                {"alpha": 1e308, "beta": 1e308},
+                r"corollary1_scalars residual is not finite at sample 0 \[2\.659",
+            ),
+            (
+                "exp_warp",
+                {"alpha": 1.0, "beta": 1.0, "u": {"x1": 1e200, "x2": 1e200, "x3": 1e200}},
+                r"condition1 residual is not finite at sample 0 \[-0\.510",
+            ),
+            (
+                "euclidean_product",
+                {"alpha": 1e308, "beta": 0.0},
+                r"lambda_nu_fields lambda: the sum over the samples overflows$",
+            ),
+            (
+                "circle_lambda",
+                {"alpha": 1e306, "beta": 0.0},
+                r"torus_average_lambda residual is not finite on the torus grid",
+            ),
+        ],
+    )
+    def test_overflowing_planted_field_or_residual_exit_code(
+        self, tmp_path, capsys, name, planted, message
+    ):
+        path = self._planted_spec(tmp_path, name, planted)
+        err = self._one_line_exit_2(capsys, ["verify", path])
+        assert re.search(message, err.rstrip("\n")), err
+
     def test_large_warping_verifies_exit_code(self, tmp_path, capsys):
         # with h = exp(170 x) the terms of div(H^h) = Ric(grad h, .) + d(Lap h)
         # reach 2.6e83 and their rounding gap 3.4e66: the residual is relative

@@ -8,14 +8,16 @@ powers or the batched reciprocal may move the last ulp.
 """
 
 import dataclasses
+import itertools
 import math
 import re
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from seqwarp import factor
+from seqwarp import factor, jets
 from seqwarp.chart import ChartFrame, DegenerateMetricError, GeometryError
 from seqwarp.classify import (
     FitInputError,
@@ -30,8 +32,18 @@ from seqwarp.classify import (
     theorem2_conditions,
 )
 from seqwarp.cli import catalog_names, catalog_spec
-from seqwarp.expressions import BinOp, Call, Const, DomainError, Neg, Var, integer_exponent
-from seqwarp.jets import eval_jet
+from seqwarp.expressions import (
+    BinOp,
+    Call,
+    Const,
+    DomainError,
+    Neg,
+    Var,
+    differentiate,
+    integer_exponent,
+    to_string,
+)
+from seqwarp.jets import eval_jet, eval_jet_stack
 from seqwarp.spacetime import grw_theorem_check, ssst_theorem_check, time_axis
 from seqwarp.specfile import spec_from_dict
 from seqwarp.verify import VerificationInputError, _structure_fits, run_verify
@@ -426,17 +438,98 @@ def test_one_sample_stack_uses_the_scalar_jets(monkeypatch):
     coords = dict(zip(chart.coords, point[0].tolist()))
     for i, row in enumerate(chart.metric):
         for j, entry in enumerate(row[i:], start=i):
-            jets = eval_jet(entry, coords, 2, chart.coords)
-            for k, (s, o) in enumerate(zip(stack._metric_jets, jets)):
+            want = eval_jet(entry, coords, 2, chart.coords)
+            for k, (s, o) in enumerate(zip(stack._metric_jets, want)):
                 assert_agree(s[0][(Ellipsis, i, j)], o, True, f"jet {k} of entry {i}, {j}")
 
     def no_batched_jets(*args):
-        raise AssertionError("a stack of one evaluated batched jets")
+        raise AssertionError("a stack of one walked batched jets")
 
-    monkeypatch.setattr("seqwarp.chart.eval_jet_stack", no_batched_jets)
+    walked = set()
+
+    def spy(e, walk):
+        walked.add(walk.cls)
+        return real_eval(e, walk)
+
+    real_eval = jets._eval
+    monkeypatch.setattr(jets.JetWalker, "over_stack", no_batched_jets)
+    monkeypatch.setattr(jets, "_eval", spy)
     stack = ChartFrame(chart, point)
     for stage in STAGES:
         assert getattr(stack, stage).shape[0] == 1, stage
+    assert walked == {jets.HyperDual}
+
+
+def sweep_spec(k: int) -> dict:
+    """Three k-dimensional factors with non-diagonal metrics: ambient dim 3k."""
+
+    def block(prefix: str, name: str) -> dict:
+        coords = [f"{prefix}{i}" for i in range(k)]
+        metric = [
+            [
+                f"1.5 + 0.3*sin({ci})^2" if i == j else f"0.1*cos({ci} + {cj})"
+                for j, cj in enumerate(coords)
+            ]
+            for i, ci in enumerate(coords)
+        ]
+        return {"name": name, "coords": coords, "metric": metric}
+
+    return {
+        "kind": "swp",
+        "factors": [block("a", "base"), block("b", "middle"), block("c", "fiber")],
+        "warpings": {"f": "exp(0.3*a0)", "h": "exp(0.3*a0)*(2 + sin(b0))"},
+    }
+
+
+def independent_jets(e, chart, points):
+    """Jets of ``e`` from a fresh one-expression walk, shaped as a frame's."""
+    if len(points) == 1:
+        value, grad, hess = eval_jet(e, chart.point_map(points[0]), 2, chart.coords)
+        return np.array([value]), grad[None], hess[None]
+    return eval_jet_stack(e, points, chart.coords)
+
+
+@pytest.mark.parametrize("count", [1, SAMPLES])
+@pytest.mark.parametrize("name", (*SPECS, "sweep_dim6", "sweep_dim9", "sweep_dim12"))
+def test_shared_walk_matches_independent_walks(name, count, monkeypatch):
+    """Every metric entry, every d_c g_ij and the warpings of the ambient,
+    inner and factor frames equal one-expression walks bit for bit, and a
+    walker walks each distinct subtree once."""
+    if name.startswith("sweep_dim"):
+        spec = spec_from_dict(sweep_spec(int(name[len("sweep_dim"):]) // 3), name=name)
+    else:
+        spec = load(name)
+    product = spec.product
+    points = spec.sample_points(count, 0)
+    walks = Counter()
+    walkers = []  # kept alive, so that no two walkers share an id
+
+    def spy(e, walk):
+        walkers.append(walk)
+        walks[id(walk), e] += 1
+        return real_eval(e, walk)
+
+    real_eval = jets._eval
+    monkeypatch.setattr(jets, "_eval", spy)
+    warped = WarpedFrame(product, points)
+    flat = ChartFrame(flatten_to_chart(product), points)
+    frames = (flat, warped.inner_frame, warped.frame1, warped.frame2, warped.frame3)
+    for frame in frames:
+        chart, at = frame.manifold, frame.point
+        g, dg, d2g = frame._metric_jets
+        d3g = frame.d3metric
+        for i, j in itertools.product(range(chart.dim), repeat=2):
+            entry = chart.metric[i][j]
+            for k, (s, o) in enumerate(zip((g, dg, d2g), independent_jets(entry, chart, at))):
+                assert_agree(s[(Ellipsis, i, j)], o, True, f"{chart.name} jet {k} of {i}, {j}")
+            for c, cname in enumerate(chart.coords):
+                o = independent_jets(differentiate(entry, cname), chart, at)[2]
+                assert_agree(d3g[..., c, i, j], o, True, f"{chart.name} d_{cname} g_{i}{j}")
+    for frame, phi in ((warped.frame1, product.f), (warped.inner_frame, product.h)):
+        want = independent_jets(phi, frame.manifold, frame.point)
+        for k, (s, o) in enumerate(zip(frame.field_jets(phi), want)):
+            assert_agree(s, o, True, f"jet {k} of {to_string(phi)}")
+    assert walks and max(walks.values()) == 1
 
 
 @pytest.mark.parametrize("build", [ChartFrame, WarpedFrame])
