@@ -174,9 +174,9 @@ def _balance_gap(lhs: np.ndarray, *terms: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(what: str, per_sample, samples: np.ndarray) -> None:
-    """``VerificationInputError`` naming ``what`` and the first sample where
-    ``per_sample`` is not finite: the alpha, beta and U a field or residual
-    is evaluated with (planted or fitted) overflow it there."""
+    """Raise ``VerificationInputError`` naming ``what`` and the first sample
+    at which ``per_sample``, a field or residual driven by the planted or
+    fitted alpha, beta and U, is not finite."""
     bad = ~np.isfinite(np.asarray(per_sample, dtype=float))
     if bad.any():
         i = int(np.argmax(bad))
