@@ -26,6 +26,15 @@ einsums do, for all N samples at once, the arithmetic of one sample at each.
 The jets of a frame come from one ``JetWalker`` per stack, which seeds the
 coordinates once and walks each distinct subexpression of the metric entries,
 their derivatives and the fields once; see ``ChartFrame``.
+
+The first derivative of the curvature enters the checks only traced, as
+``dricci``, and ``dricci`` takes each trace before the product it enters:
+no stage a check reads costs more than O(m^5) per sample.  The full
+second derivatives ``d2christoffel`` and ``driemann_up``, (N, m^5) arrays
+built with O(m^6) einsums, are reference stages only: nothing in the
+package reads them.  They stay because the tests compare ``dricci`` with
+the trace of ``driemann_up``, and because the benchmark's tracer wraps
+every stage by name.
 """
 
 from __future__ import annotations
@@ -201,7 +210,8 @@ class ChartFrame:
         A ``DomainError`` carries ``node``, the failing sample, and
         ``reason``; its message names the sample's point.  Where the scalar
         walk overflows (``math`` raises), the expression is walked again as a
-        stack, which gives ``inf`` instead.
+        stack, which gives ``inf`` instead.  Neither walk warns about
+        overflow: the stages that read the jets check them for finiteness.
         """
         count, m = self.point.shape
         if isinstance(e, Const):
@@ -213,13 +223,13 @@ class ChartFrame:
             self._walker = JetWalker.over_stack(self.point, coords)
         walker = self._walker
         try:
-            if walker.cls is HyperDual:
-                try:
-                    v, grad, hess = walker.jets(e)
-                    return np.array([v]), grad[None], hess[None]
-                except OverflowError:
-                    walker = JetWalker.over_stack(self.point, coords)
             with np.errstate(over="ignore", invalid="ignore"):
+                if walker.cls is HyperDual:
+                    try:
+                        v, grad, hess = walker.jets(e)
+                        return np.array([v]), grad[None], hess[None]
+                    except OverflowError:
+                        walker = JetWalker.over_stack(self.point, coords)
                 return walker.jets(e)
         except DomainError as exc:
             i, reason = getattr(exc, "node", 0), getattr(exc, "reason", str(exc))
@@ -349,16 +359,17 @@ class ChartFrame:
     def d2inverse(self) -> np.ndarray:
         """d2inverse[a, b, k, l] = d_a d_b g^kl.
 
-        The mixed term g^-1 dg_a g^-1 dg_b g^-1 reuses the cached
-        ``dinverse`` (= -g^-1 dg_a g^-1): one matmul and one two-operand
-        einsum, O(m^5), where a five-operand einsum without a contraction
-        path cost O(m^9).
+        Three batched matmul chains over the (a, b) pairs, O(m^5) per
+        sample: the mixed term g^-1 dg_a g^-1 dg_b g^-1 reuses the cached
+        ``dinverse`` (= -g^-1 dg_a g^-1), and g^-1 d_a d_b g g^-1 takes the
+        inverse broadcast over (a, b).  Written as einsums, the mixed term
+        without a contraction path cost O(m^9) and the last O(m^6).
         """
         gi, dg, d2g = self.inverse, self.dmetric, self.d2metric
-        mixed = -np.einsum("...ako,...bol->...abkl", self.dinverse, dg @ gi[..., None, :, :])
-        return mixed + np.swapaxes(mixed, -4, -3) - np.einsum(
-            "...km,...abmn,...nl->...abkl", gi, d2g, gi
-        )
+        dg_gi = dg @ gi[..., None, :, :]
+        mixed = -(self.dinverse[..., :, None, :, :] @ dg_gi[..., None, :, :, :])
+        gi = gi[..., None, None, :, :]
+        return mixed + np.swapaxes(mixed, -4, -3) - gi @ d2g @ gi
 
     # -- connection and curvature -------------------------------------------
 
@@ -391,6 +402,11 @@ class ChartFrame:
 
     @cached_property
     def d2christoffel(self) -> np.ndarray:
+        """d2christoffel[a, b, k, i, j] = d_a d_b Gamma^k_ij.
+
+        A reference stage: no check reads it.  It and ``driemann_up`` give
+        the tests an untraced route to ``dricci``.
+        """
         # 0.5 (A + cross + cross(a<->b) + g^-1 d2T), summed in that order in
         # place: on a stack these are (N, m^5) arrays, and fewer of them live
         # at once
@@ -431,6 +447,11 @@ class ChartFrame:
 
     @cached_property
     def driemann_up(self) -> np.ndarray:
+        """driemann_up[a, l, i, j, k] = d_a R^l_ijk, from ``d2christoffel``.
+
+        A reference stage, as ``d2christoffel`` is: the tests compare its
+        trace over (l, i) with ``dricci``.
+        """
         ga, dga, d2ga = self.christoffel, self.dchristoffel, self.d2christoffel
         # summed left to right in place, as d2christoffel
         out = np.einsum("...ailjk->...alijk", d2ga) - np.einsum("...ajlik->...alijk", d2ga)
@@ -442,8 +463,47 @@ class ChartFrame:
 
     @cached_property
     def dricci(self) -> np.ndarray:
-        """dricci[a, j, k] = d_a Ric_jk."""
-        return np.einsum("...aiijk->...ajk", self.driemann_up)
+        """dricci[a, j, k] = d_a Ric_jk, each index trace taken before the
+        product it enters:
+
+            d_a Ric_jk = sum_i d_a d_i Gamma^i_jk - sum_i d_a d_j Gamma^i_ik
+                       + (sum_i d_a Gamma^i_im) Gamma^m_jk + (sum_i Gamma^i_im) d_a Gamma^m_jk
+                       - d_a Gamma^i_jm Gamma^m_ik - Gamma^i_jm d_a Gamma^m_ik.
+
+        The two traced second derivatives come from
+        2 d_a d_b Gamma^k_ij = d_a d_b g^kl T_lij + d_a g^kl d_b T_lij
+        + d_b g^kl d_a T_lij + g^kl d_a d_b T_lij (T is ``_gamma_source``);
+        in the second, 2 Gamma^i_ik = g^il d_k g_il, as the other two terms of
+        T cancel against the symmetric g^il.  The third metric derivatives
+        are contracted where they lie, so every einsum has two operands and
+        costs at most O(m^5) per sample, and no (N, m^5) array is formed
+        beyond ``d3metric``.  The last product is the one before it with j
+        and k swapped, Gamma being symmetric in its lower indices.
+        """
+        gi, dgi, d2gi = self.inverse, self.dinverse, self.d2inverse
+        t, dt, d3g = self._gamma_source, self._dgamma_source, self.d3metric
+        ga, dga = self.christoffel, self.dchristoffel
+        # 2 sum_i d_a d_i Gamma^i_jk
+        out = np.einsum("...al,...ljk->...ajk", np.einsum("...aiil->...al", d2gi), t)
+        out += np.einsum("...ail,...iljk->...ajk", dgi, dt)
+        out += np.einsum("...l,...aljk->...ajk", np.einsum("...iil->...l", dgi), dt)
+        d3_traced = np.einsum("...il,...aijkl->...ajk", gi, d3g)
+        out += d3_traced
+        out += np.swapaxes(d3_traced, -2, -1)
+        out -= np.einsum("...il,...ailjk->...ajk", gi, d3g)
+        # - 2 sum_i d_a d_j Gamma^i_ik
+        out -= np.einsum("...ajil,...kil->...ajk", d2gi, self.dmetric)
+        cross = np.einsum("...ail,...jkil->...ajk", dgi, self.d2metric)
+        out -= cross
+        out -= np.swapaxes(cross, -3, -2)
+        out -= np.einsum("...il,...ajkil->...ajk", gi, d3g)
+        out *= 0.5
+        out += np.einsum("...am,...mjk->...ajk", np.einsum("...aiim->...am", dga), ga)
+        out += np.einsum("...m,...amjk->...ajk", np.einsum("...iim->...m", ga), dga)
+        quadratic = np.einsum("...aijm,...mik->...ajk", dga, ga)
+        out -= quadratic
+        out -= np.swapaxes(quadratic, -2, -1)
+        return out
 
     @cached_property
     def dscalar(self) -> np.ndarray:

@@ -388,11 +388,15 @@ def run_verify(
     prop_points = int(fitted.sum())
     prop_residuals = [0.0, 0.0, 0.0]
     if prop_points:
-        bundles = proposition1_residuals(product, warped, decomposition, tol["fit"])
-        prop_residuals = [
-            max(reports[i].max_residual for reports, ok in zip(bundles, fitted) if ok)
-            for i in range(3)
-        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            bundles = proposition1_residuals(product, warped, decomposition, tol["fit"])
+        for i, label in enumerate(("i1", "i2", "i3")):
+            # a residual is never negative: 0 stands in where the fit failed
+            per_sample = [
+                reports[i].max_residual if ok else 0.0 for reports, ok in zip(bundles, fitted)
+            ]
+            _require_finite(f"proposition1_{label} residual", per_sample, samples)
+            prop_residuals[i] = max(per_sample)
     for i, label in enumerate(("i1", "i2", "i3")):
         identities.append(
             IdentityReport.from_residual(
@@ -537,12 +541,15 @@ def run_verify(
 
     # --- spacetime bundles ----------------------------------------------------------
     if spec.kind in ("ssst", "grw"):
-        if spec.kind == "ssst":
-            bundles = ssst_theorem_check(
-                product, warped, qe_fits, qcc_fits, tol["fit"], tol["d3"], flat=flat
-            )
-        else:
-            bundles = grw_theorem_check(product, warped, qe_fits, qcc_fits, tol["fit"], flat=flat)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if spec.kind == "ssst":
+                bundles = ssst_theorem_check(
+                    product, warped, qe_fits, qcc_fits, tol["fit"], tol["d3"], flat=flat
+                )
+            else:
+                bundles = grw_theorem_check(
+                    product, warped, qe_fits, qcc_fits, tol["fit"], flat=flat
+                )
         merged = _merge_spacetime_reports(bundles)
         identities.extend(merged)
         by_name = {r.name: r for r in merged}

@@ -470,6 +470,44 @@ class TestCli:
         err = self._one_line_exit_2(capsys, ["verify", path])
         assert re.search(message, err.rstrip("\n")), err
 
+    @staticmethod
+    def _large_ssst_spec(tmp_path, h: str) -> str:
+        data = json.loads(catalog_path("ssst_basic").read_text())
+        data["warpings"]["h"] = h
+        data["sampling"]["boxes"]["x"] = [1.0, 1.04]
+        path = tmp_path / "large_ssst.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "h, message",
+        [
+            # the fitted beta times h^4 overflows in the M3 identity
+            ("cosh(150*x)", r"proposition1_i3 residual is not finite at sample 0 \[1\.025"),
+            # as above, and the spacetime checks overflow too
+            ("cosh(170*x)", r"proposition1_i3 residual is not finite at sample 1 \[1\.029"),
+        ],
+    )
+    def test_overflowing_proposition1_residual_exit_code(self, tmp_path, capsys, h, message):
+        err = self._one_line_exit_2(capsys, ["verify", self._large_ssst_spec(tmp_path, h)])
+        assert re.search(message, err), err
+
+    def test_overflowing_proposition1_residual_on_lines_exit_code(self, tmp_path, capsys):
+        # the fitted beta times f^4 overflows in the M2 identity
+        data = minimal_spec(warpings={"f": "exp(150*x)", "h": "2"})
+        data["sampling"]["boxes"] = {"x": [1.0, 1.04]}
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps(data))
+        err = self._one_line_exit_2(capsys, ["verify", str(path)])
+        assert re.search(r"proposition1_i2 residual is not finite at sample \d \[1\.0", err), err
+
+    def test_metric_derivative_overflowing_in_the_scalar_jets_exit_code(self, tmp_path, capsys):
+        # at one point the jets are scalars: the value of h^2 stays finite,
+        # its second derivatives overflow in numpy
+        path = self._large_ssst_spec(tmp_path, "exp(340*x)")
+        err = self._one_line_exit_2(capsys, ["verify", path, "--points", "1"])
+        assert "or one of its first two derivatives is not finite at [1.025" in err
+
     def test_large_warping_verifies_exit_code(self, tmp_path, capsys):
         # with h = exp(170 x) the terms of div(H^h) = Ric(grad h, .) + d(Lap h)
         # reach 2.6e83 and their rounding gap 3.4e66: the residual is relative

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from seqwarp import factor, jets
-from seqwarp.chart import ChartFrame, DegenerateMetricError, GeometryError
+from seqwarp.chart import ChartFrame, DegenerateMetricError, GeometryError, max_abs
 from seqwarp.classify import (
     FitInputError,
     QCCFit,
@@ -46,7 +46,7 @@ from seqwarp.expressions import (
 from seqwarp.jets import eval_jet, eval_jet_stack
 from seqwarp.spacetime import grw_theorem_check, ssst_theorem_check, time_axis
 from seqwarp.specfile import spec_from_dict
-from seqwarp.verify import VerificationInputError, _structure_fits, run_verify
+from seqwarp.verify import VerificationInputError, _structure_fits, run_classify, run_verify
 from seqwarp.warped import BlockVector, PositivityError, WarpedFrame, flatten_to_chart
 
 STAGES = (
@@ -97,6 +97,8 @@ NON_DIAGONAL_SPEC = {
 
 
 def load(name: str):
+    if name.startswith("sweep_dim"):
+        return spec_from_dict(sweep_spec(int(name[len("sweep_dim"):]) // 3), name=name)
     if name == "generic_outer_warp":
         return spec_from_dict(GENERIC_SPEC, name=name)
     if name == "non_diagonal":
@@ -495,10 +497,7 @@ def test_shared_walk_matches_independent_walks(name, count, monkeypatch):
     """Every metric entry, every d_c g_ij and the warpings of the ambient,
     inner and factor frames equal one-expression walks bit for bit, and a
     walker walks each distinct subtree once."""
-    if name.startswith("sweep_dim"):
-        spec = spec_from_dict(sweep_spec(int(name[len("sweep_dim"):]) // 3), name=name)
-    else:
-        spec = load(name)
+    spec = load(name)
     product = spec.product
     points = spec.sample_points(count, 0)
     walks = Counter()
@@ -867,3 +866,34 @@ def test_catalog_verdicts_are_pinned(name):
     assert tuple(r.name for r in report.identities if not r.passed) == failing
     assert report.fits["quasi_einstein"]["verdicts"] == verdicts
     assert report.overall_pass
+
+
+@pytest.mark.parametrize("count", [1, SAMPLES])
+@pytest.mark.parametrize("name", (*SPECS, "sweep_dim6", "sweep_dim9", "sweep_dim12"))
+def test_dricci_matches_the_traced_riemann_derivative(name, count):
+    """The contracted ``dricci`` of the ambient, inner and factor frames
+    against the trace of the reference ``driemann_up``, per sample,
+    normalized by 1 + max |reference|."""
+    spec = load(name)
+    points = spec.sample_points(count, 0)
+    warped = WarpedFrame(spec.product, points)
+    flat = ChartFrame(flatten_to_chart(spec.product), points)
+    for frame in (flat, warped.inner_frame, warped.frame1, warped.frame2, warped.frame3):
+        reference = np.einsum("...aiijk->...ajk", frame.driemann_up)
+        gap = max_abs(frame.dricci - reference, 3) / (1.0 + max_abs(reference, 3))
+        assert frame.dricci.shape == reference.shape
+        assert np.max(gap) <= 1e-13, (frame.manifold.name, np.max(gap))
+
+
+def test_verify_and_classify_never_build_the_reference_stages(monkeypatch):
+    """``d2christoffel`` and ``driemann_up`` are reference stages for the
+    tests: no check of ``run_verify`` or ``run_classify`` reads them."""
+
+    def refuse(frame):
+        raise AssertionError(f"a reference stage was built for {frame.manifold.name!r}")
+
+    monkeypatch.setattr(ChartFrame.d2christoffel, "func", refuse)
+    monkeypatch.setattr(ChartFrame.driemann_up, "func", refuse)
+    for name in catalog_names():
+        run_verify(catalog_spec(name))
+        run_classify(catalog_spec(name))
