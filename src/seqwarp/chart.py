@@ -359,8 +359,8 @@ class ChartFrame:
     def d2inverse(self) -> np.ndarray:
         """d2inverse[a, b, k, l] = d_a d_b g^kl.
 
-        Three batched matmul chains over the (a, b) pairs, O(m^5) per
-        sample: the mixed term g^-1 dg_a g^-1 dg_b g^-1 reuses the cached
+        Batched matmuls over the (a, b) pairs, O(m^5) per sample: the
+        mixed term g^-1 dg_a g^-1 dg_b g^-1 reuses the cached
         ``dinverse`` (= -g^-1 dg_a g^-1), and g^-1 d_a d_b g g^-1 takes the
         inverse broadcast over (a, b).  Written as einsums, the mixed term
         without a contraction path cost O(m^9) and the last O(m^6).
