@@ -58,7 +58,6 @@ from .spacetime import (
     build_ssst,
     grw_theorem_check,
     ssst_theorem_check,
-    validate_spacetime_signature,
 )
 from .specfile import ManifoldSpec, SpecError, load_spec, spec_from_dict
 from .verify import (

@@ -72,9 +72,11 @@ class GeometryError(ValueError):
 
 
 class DegenerateMetricError(GeometryError):
-    def __init__(self, name: str, point: Sequence[float], det: float):
+    def __init__(self, name: str, point: Sequence[float], metric: np.ndarray):
+        with np.errstate(over="ignore"):
+            det = abs(float(np.linalg.det(metric)))
         super().__init__(
-            f"metric of {name!r} is degenerate at {list(map(float, point))}: |det g| = {abs(det):.3e}"
+            f"metric of {name!r} is degenerate at {list(map(float, point))}: |det g| = {det:.3e}"
         )
         self.point = tuple(float(v) for v in point)
 
@@ -287,8 +289,7 @@ class ChartFrame:
         for (i, j), values in zip(mirrored, lower):
             asymmetric |= values != g[:, j, i]
         safe = np.where(finite[:, None, None], g, np.eye(m))
-        det = np.linalg.det(safe)
-        degenerate = is_degenerate(safe, det)
+        degenerate = is_degenerate(safe)
         eigs = np.linalg.eigvalsh(safe)
         negatives = np.sum(eigs < 0.0, axis=1)
         lorentzian = self.manifold.signature == "lorentzian"
@@ -302,7 +303,7 @@ class ChartFrame:
         if asymmetric[k]:
             raise MetricValidationError(f"{name!r}: metric entries asymmetric at {where}")
         if degenerate[k]:
-            raise DegenerateMetricError(name, points[k], det[k])
+            raise DegenerateMetricError(name, points[k], safe[k])
         if lorentzian:
             raise SignatureError(
                 f"{name!r}: expected exactly one negative eigenvalue, got {eigs[k]} at {where}"
@@ -345,10 +346,10 @@ class ChartFrame:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        degenerate = is_degenerate(self.metric, self.det)
+        degenerate = is_degenerate(self.metric)
         if degenerate.any():
             k = int(np.argmax(degenerate))
-            raise DegenerateMetricError(self.manifold.name, self.point[k], self.det[k])
+            raise DegenerateMetricError(self.manifold.name, self.point[k], self.metric[k])
         return np.linalg.inv(self.metric)
 
     @cached_property
@@ -619,19 +620,20 @@ def metric_jets(manifold: FactorManifold, count: int, jets) -> tuple[np.ndarray,
     return g, dg, d2g
 
 
-def is_degenerate(metric: np.ndarray, det) -> np.ndarray:
+def is_degenerate(metric: np.ndarray) -> np.ndarray:
     """Whether ``|det g| <= DEGENERACY_THRESHOLD * prod_i ||row_i||``, per sample.
 
     By Hadamard's inequality the ratio ``|det g| / prod_i ||row_i||`` lies in
     [0, 1]; it is 1 for a diagonal metric and does not change when the
-    metric is rescaled, so neither does the verdict.  The row norms come
-    from ``hypot`` and the two sides are compared as logarithms, so nothing
-    overflows below the float range; a zero row makes both sides ``-inf``
-    and the metric degenerate.
+    metric is rescaled, so neither does the verdict.  ``log |det g|`` comes
+    from ``slogdet`` and the row norms from ``hypot``, and the two sides are
+    compared as logarithms, so nothing overflows or underflows for any
+    finite metric; a singular metric or a zero row makes a side ``-inf`` and
+    the metric degenerate.
     """
     with np.errstate(divide="ignore"):
         log_rows = np.sum(np.log(np.hypot.reduce(np.abs(metric), axis=-1)), axis=-1)
-        return np.log(np.abs(det)) <= np.log(DEGENERACY_THRESHOLD) + log_rows
+        return np.linalg.slogdet(metric)[1] <= np.log(DEGENERACY_THRESHOLD) + log_rows
 
 
 def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ Three layers live here:
   (``check_quasi_constant_curvature``), batched: an ``(N, ...)`` stack in,
   one fit per sample out;
 * identity evaluators tying factor curvature to a rank-one ambient
-  decomposition (``proposition1_residuals``), the scalar fields carrying
+  decomposition (``proposition1_residuals``, one ``(N,)`` residual array
+  per factor), the scalar fields carrying
   the warping energies (``lambda_at`` / ``nu_at``), and volume-averaged
   forms of those fields over fully periodic factors
   (``torus_average_identity``).  The torus quadrature is the one place that
@@ -16,13 +17,15 @@ Three layers live here:
   blocks of nodes with batched jets (one ``seqwarp.jets.JetWalker`` per
   block) and ``(B, ...)`` arrays instead of one ``ChartFrame`` per block;
 * hypothesis evaluators for the differential conditions under which the
-  scalar fields are forced constant (``condition_residuals``) and for the
-  rigidity statements that force constant warpings
-  (``theorem2_conditions``).
+  scalar fields are forced constant (``condition_residuals``, one ``(N,)``
+  residual array per condition) and for the rigidity statements that force
+  constant warpings (``theorem2_conditions``).
 
-Hypothesis evaluators never raise: they return reports whose pass flag is
-the material implication "hypothesis holds at every sample implies the
-conclusion holds numerically".
+``theorem2_conditions`` never raises: its reports' pass flag is the
+material implication "hypothesis holds at every sample implies the
+conclusion holds numerically".  ``Residual`` carries one identity's
+per-sample residuals to ``seqwarp.verify``, which reduces each to one
+``IdentityReport``.
 
 Every evaluator that takes sample points, shape ``(N, d)``, also accepts a
 ``WarpedFrame`` already built there, and returns per sample an ``(N,)``
@@ -48,7 +51,6 @@ from .chart import (
     metric_jets,
     outer,
     per_sample_power,
-    vecmat,
 )
 from .expressions import DomainError, Expr, to_string
 from .jets import JetWalker
@@ -58,7 +60,6 @@ from .warped import (
     SequentialWarpedProduct,
     _as_frame,
     _per_sample,
-    _per_sample_results,
     inner_chart,
 )
 
@@ -67,6 +68,7 @@ __all__ = [
     "QCCFit",
     "FitInputError",
     "IdentityReport",
+    "Residual",
     "fit_quasi_einstein",
     "check_quasi_constant_curvature",
     "proposition1_residuals",
@@ -84,6 +86,9 @@ DEFAULT_FIT_TOL = 1e-6
 QUADRATURE_BLOCK = 1024
 EINSTEIN_THRESHOLD = 1e-8
 CLUSTER_GAP = 1e-6
+# what overflows where a residual is not finite (``Residual.cause``)
+METRIC_OVERFLOW = "the metric or its derivatives"
+FIT_OVERFLOW = "the alpha, beta and U used"
 
 
 @dataclass(frozen=True)
@@ -133,6 +138,35 @@ class IdentityReport:
             "informational": self.informational,
             "details": self.details,
         }
+
+
+@dataclass(frozen=True)
+class Residual:
+    """One identity's residuals, one per sample, before they become its report.
+
+    ``tolerance`` is one number or one per sample.  ``over`` marks the
+    samples the report covers, every sample when ``None``: it states the
+    largest residual there and how many samples that is, and is
+    informational when there are none.
+
+    With ``scaled``, ``over`` marks the samples where the identity's premise
+    held.  The report then states the largest residual/tolerance ratio
+    there against a tolerance of 1, counts every sample, and gates the
+    verdict when the premise held somewhere.  Each value of ``details`` is
+    then one entry per sample, and the report takes the entries of the
+    first sample where the premise held, or of sample 0.
+
+    ``cause`` names what overflows where a covered residual is not finite.
+    """
+
+    name: str
+    values: np.ndarray
+    tolerance: float | np.ndarray
+    over: np.ndarray | None = None
+    scaled: bool = False
+    informational: bool = False
+    details: dict = field(default_factory=dict)
+    cause: str = METRIC_OVERFLOW
 
 
 @dataclass(frozen=True)
@@ -386,14 +420,14 @@ def proposition1_residuals(
     product: SequentialWarpedProduct,
     point,
     qe: tuple[float, float, object],
-    tol: float = DEFAULT_FIT_TOL,
-) -> list[IdentityReport]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residuals of the three factor Ricci identities implied by an
     ambient decomposition Ric = alpha g + beta A (x) A.
 
     Factor Ricci tensors come from the factor charts; warping terms from
-    the closed-form frame.  One list of reports, one per factor, for each
-    sample, with ``alpha``, ``beta`` and ``U`` given once or per sample.
+    the closed-form frame.  One ``(N,)`` array per factor, M1, M2, M3: the
+    max |Ric_i - rhs_i| of each sample, with ``alpha``, ``beta`` and ``U``
+    given once or per sample.
     """
     frame = _as_frame(product, point)
     alpha, beta, u = qe
@@ -430,17 +464,7 @@ def proposition1_residuals(
         alpha * per_sample_power(h, 2) + h * frame.lap_h + (m3 - 1) * frame.grad_h_norm2, 2
     ) * g3 + _per_sample(beta * per_sample_power(h, 4), 2) * outer(a3, a3)
     res3 = max_abs(frame.frame3.ricci - rhs3, 2)
-
-    norms = [np.sqrt(abs(dot(vecmat(x, g), x))) for x, g in ((ub.x1, g1), (ub.x2, g2), (ub.x3, g3))]
-
-    def build(i: int) -> list[IdentityReport]:
-        details = {f"U{k}_norm": float(v[i]) for k, v in enumerate(norms, start=1)}
-        return [
-            IdentityReport.from_residual(f"proposition1_i{k}", r[i], tol, details=details)
-            for k, r in enumerate((res1, res2, res3), start=1)
-        ]
-
-    return _per_sample_results(frame, build)
+    return res1, res2, res3
 
 
 def lambda_at(product: SequentialWarpedProduct, points, alpha: float) -> np.ndarray:
@@ -556,11 +580,11 @@ def _volume_means(
         jets = _block_jets(manifold, grid, start, stop)
         with np.errstate(over="ignore", invalid="ignore"):
             g, dg, d2g = _block_metric_jets(manifold, grid, start, stop, jets)
-            det = np.linalg.det(g)
-            degenerate = is_degenerate(g, det)
+            degenerate = is_degenerate(g)
             if degenerate.any():
                 k = int(np.argmax(degenerate))
-                raise DegenerateMetricError(manifold.name, grid[start + k], det[k])
+                raise DegenerateMetricError(manifold.name, grid[start + k], g[k])
+            det = np.linalg.det(g)
 
             value, dphi, d2phi = jets(phi)
             finite = (
@@ -692,9 +716,7 @@ def condition_residuals(
     point,
     qe: tuple[float, float, object],
     lam: float,
-    nu: float | None = None,
-    tol: float = DEFAULT_FIT_TOL,
-) -> tuple[IdentityReport, IdentityReport]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise residuals of the two displayed differential conditions.
 
     Both identities are evaluated against every coordinate direction of
@@ -702,7 +724,9 @@ def condition_residuals(
     are taken equal to the probed direction, and the divergence of the
     scalar f^4 is read as its differential; these readings are recorded
     here once and used consistently.  ``lam`` may be given once or per
-    sample, and the result is one pair of reports per sample.
+    sample.  The result is one ``(N,)`` array per condition, the max over
+    the probed directions at each sample; a nonzero residual means the
+    condition does not hold there.
     """
     frame = _as_frame(product, point)
     alpha, beta, u = qe
@@ -756,16 +780,7 @@ def condition_residuals(
     )
     rhs = (2.0 * m3 / h_) * dlap_h + 2.0 * beta * f3 * df_ext * g2u2u2
     res2 = max_abs(lhs - rhs, 1)
-    lams = np.broadcast_to(lam, res1.shape)
-
-    def build(i: int) -> tuple[IdentityReport, IdentityReport]:
-        details = {"lambda": float(lams[i]), "nu": nu, "alpha": alpha, "beta": beta}
-        return tuple(
-            IdentityReport.from_residual(name, res[i], tol, informational=True, details=details)
-            for name, res in (("condition1", res1), ("condition2", res2))
-        )
-
-    return _per_sample_results(frame, build)
+    return res1, res2
 
 
 # ---------------------------------------------------------------------------

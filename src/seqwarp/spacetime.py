@@ -11,12 +11,13 @@ The chart and closed-form machinery is signature-agnostic, so the only
 Lorentzian-specific work is signature validation plus the condition
 evaluators below.  Condition evaluators take a stack of sample points (or a
 ``WarpedFrame`` built there) with one structure fit per sample, and return
-one report bundle per sample: where a premise (a successful structure fit,
-a unit time component of U) fails at a sample, its report is marked
-informational rather than failed.
+one scaled ``Residual`` per identity: its residuals, tolerances and premise
+mask, one entry per sample, and the per-sample details its report quotes.
+A sample where a premise (a successful structure fit, a unit time
+component of U) fails does not gate the identity.
 
 The time-time curvature identities are adjudicated against the oracle,
-and the verdicts are recorded in the reports: residuals of both printed
+and the verdicts are recorded in the details: residuals of both printed
 sign variants of the GRW relation between beta - alpha and the warping
 second derivatives are reported side by side, never guessed.
 """
@@ -24,7 +25,6 @@ second derivatives are reported side by side, never guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -36,23 +36,21 @@ from .chart import (
     max_abs,
     outer,
     per_sample_power,
-    validate_factor_at,
 )
 from .classify import (
     DEFAULT_FIT_TOL,
     EINSTEIN_THRESHOLD,
-    IdentityReport,
+    FIT_OVERFLOW,
     QCCFit,
     QEFit,
+    Residual,
     fit_quasi_einstein,
 )
 from .expressions import Const, Expr, free_variables
 from .warped import (
     SequentialWarpedProduct,
-    WarpedFrame,
     _as_frame,
     _per_sample,
-    _per_sample_results,
     flatten_to_chart,
 )
 
@@ -62,7 +60,6 @@ __all__ = [
     "build_ssst",
     "build_grw",
     "time_axis",
-    "validate_spacetime_signature",
     "ssst_theorem_check",
     "grw_theorem_check",
 ]
@@ -145,20 +142,6 @@ def time_axis(product: SequentialWarpedProduct) -> int:
     raise SignatureError("product has no Lorentzian factor")
 
 
-def validate_spacetime_signature(
-    product: SequentialWarpedProduct, points: Sequence
-) -> None:
-    """Ambient metric must have exactly one negative eigenvalue, on time."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    validate_factor_at(flatten_to_chart(product), points)
-    axis = time_axis(product)
-    spacelike = WarpedFrame(product, points).ambient_metric[:, axis, axis] >= 0.0
-    if spacelike.any():
-        raise SignatureError(
-            f"time-time metric entry is non-negative at {points[np.argmax(spacelike)].tolist()}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Condition evaluators
 # ---------------------------------------------------------------------------
@@ -176,20 +159,23 @@ def _unit_time_component(qe: QEFit, axis: int) -> tuple[bool, str]:
 
 
 def _premises(qes, qccs, axis: int, tol: float):
-    """Per sample: whether U has unit time part (with the reason when not),
-    and whether a two-coefficient fit with b != 0 holds on top of that."""
+    """Per sample: whether U has unit time part, with its note, and whether
+    a two-coefficient fit with b != 0 holds on top of that, with the note
+    saying why not (empty where it holds)."""
     premises = [_unit_time_component(qe, axis) for qe in qes]
     premise = np.array([p for p, _ in premises])
     qcc_premise = premise & np.array(
         [q is not None and q.passed and q.b is not None and abs(q.b) > tol for q in qccs]
     )
-    notes = [
-        "degenerate two-coefficient fit (b = 0): constant-curvature case, conditions vacuous"
+    qcc_notes = [
+        ""
+        if met
+        else "degenerate two-coefficient fit (b = 0): constant-curvature case, conditions vacuous"
         if qcc is not None and qcc.passed and not (qcc.b and abs(qcc.b) > tol)
         else "premise not met (need a two-coefficient fit with unit time part of U)"
-        for qcc in qccs
+        for qcc, met in zip(qccs, qcc_premise)
     ]
-    return premises, premise, qcc_premise, notes
+    return premise, [why for _, why in premises], qcc_premise, qcc_notes
 
 
 def _fit_values(fits, take, where: np.ndarray, default) -> np.ndarray:
@@ -197,9 +183,28 @@ def _fit_values(fits, take, where: np.ndarray, default) -> np.ndarray:
     return np.array([take(fit) if ok else default for fit, ok in zip(fits, where)])
 
 
-def _factor_fits(frame: ChartFrame, tol: float) -> list[QEFit]:
-    """The quasi-Einstein fit of a factor at each sample."""
-    return fit_quasi_einstein(frame.metric, frame.ricci, tol)
+def _premised(name: str, values, tolerance, premise: np.ndarray, details: dict) -> Residual:
+    """A scaled residual that gates only where its premise on the fits held."""
+    return Residual(
+        name, values, tolerance, over=premise, scaled=True, details=details, cause=FIT_OVERFLOW
+    )
+
+
+def _factor_conclusions(
+    names: tuple[str, str], frames: tuple[ChartFrame, ChartFrame], tol: float, premise
+) -> list[Residual]:
+    """The two factor conclusions under a two-coefficient fit: the first
+    factor quasi-Einstein, the second Einstein, each from its own fit."""
+    fits = [fit_quasi_einstein(frame.metric, frame.ricci, tol) for frame in frames]
+    values = (
+        np.array([0.0 if fit.succeeded else 1.0 for fit in fits[0]]),
+        np.array([fit.beta_part if fit.succeeded else 1.0 for fit in fits[1]]),
+    )
+    tolerances = (0.5, max(tol, EINSTEIN_THRESHOLD * 10))
+    return [
+        _premised(name, value, tolerance, premise, {"fit": fit, "premise_met": premise})
+        for name, value, tolerance, fit in zip(names, values, tolerances, fits)
+    ]
 
 
 def ssst_theorem_check(
@@ -211,8 +216,8 @@ def ssst_theorem_check(
     d3_tol: float = D3_TOL,
     *,
     flat: ChartFrame | None = None,
-) -> list[IdentityReport]:
-    """Report bundle for the static-form curvature conditions at each sample.
+) -> list[Residual]:
+    """Per-sample residuals of the static-form curvature conditions.
 
     Includes the time-time identity Ric(dt, dt) = h Lap h with its sign
     recorded, the two mixed Ricci identities specialized to a
@@ -220,8 +225,11 @@ def ssst_theorem_check(
     ambient fit, and the Hessian forms tied to a two-coefficient
     curvature fit.  ``points`` may be a ``WarpedFrame``; ``flat`` is the
     flattened-chart frame at the same samples, built here when not given.
-    ``qes`` and ``qccs`` hold each sample's fits (``None`` for no fit), and
-    the result is one bundle per sample.
+    ``qes`` and ``qccs`` hold each sample's fits (``None`` for no fit).
+    The result is one scaled ``Residual`` per identity, in report order;
+    its details carry, per sample, ``ricci_tt``, ``h_lap_h`` and
+    ``recorded_sign`` (``ssst_d3``), the premise and its note, the
+    coefficient sign of the Hessian forms and the factor fits.
     """
     frame = _as_frame(product, points)
     if flat is None:
@@ -245,7 +253,7 @@ def ssst_theorem_check(
     res_d2 = max_abs(flat_ricci[..., s2, s2] - closed[..., s2, s2], 2) / scale
 
     # rank-one consequences at the time direction
-    premises, premise, qcc_premise, notes = _premises(qes, qccs, axis, tol)
+    premise, why, qcc_premise, qcc_notes = _premises(qes, qccs, axis, tol)
     alpha = _fit_values(qes, lambda q: float(q.alpha), premise, 0.0)
     beta = _fit_values(qes, lambda q: float(q.beta), premise, 0.0)
     res_d4 = np.where(premise, abs(ric_tt - (-alpha * h2 + beta * h4)), 0.0)
@@ -275,72 +283,32 @@ def ssst_theorem_check(
     as_printed = np.max(plain, axis=-1) <= np.max(negated, axis=-1)
     residuals = np.where(qcc_premise[:, None], np.where(as_printed[:, None], plain, negated), 0.0)
 
-    # factor conclusions
-    fit1s, fit2s = _factor_fits(frame.frame1, tol), _factor_fits(frame.frame2, tol)
-
-    def build(i: int) -> list[IdentityReport]:
-        met, why = premises[i]
-        qcc_met = bool(qcc_premise[i])
-        coefficient_sign = None
-        if qcc_met:
-            coefficient_sign = "as-printed" if as_printed[i] else "negated"
-        hessian = {
-            "premise_met": qcc_met,
-            "note": "" if qcc_met else notes[i],
-            "coefficient_sign": coefficient_sign,
-        }
-        rank_one = {"premise_met": met, "note": why}
-        fit1, fit2 = fit1s[i], fit2s[i]
-        return [
-            IdentityReport.from_residual(
-                "ssst_d3",
-                res_d3[i],
-                d3_tol,
-                details={
-                    "ricci_tt": float(ric_tt[i]),
-                    "h_lap_h": float(rhs[i]),
-                    "recorded_sign": int(sign[i]),
-                },
-            ),
-            IdentityReport.from_residual("ssst_d1", res_d1[i], 1e-7),
-            IdentityReport.from_residual("ssst_d2", res_d2[i], 1e-7),
-            IdentityReport.from_residual(
-                "ssst_d4", res_d4[i], tol * (1.0 + h4[i]), informational=not met, details=rank_one
-            ),
-            IdentityReport.from_residual(
-                "ssst_condition_i",
-                res_i[i],
-                tol * (1.0 + h2[i]),
-                informational=not met,
-                details=dict(rank_one),
-            ),
-            *(
-                IdentityReport.from_residual(
-                    f"ssst_hessian_form_{name}",
-                    res,
-                    tol * (1.0 + h2[i]),
-                    informational=not qcc_met,
-                    details=dict(hessian),
-                )
-                for name, res in zip(("f", "h_base", "h_fiber"), residuals[i])
-            ),
-            IdentityReport.from_residual(
-                "ssst_m1_quasi_einstein",
-                0.0 if fit1.succeeded else 1.0,
-                0.5,
-                informational=not qcc_met,
-                details={"fit": fit1.summary(), "premise_met": qcc_met},
-            ),
-            IdentityReport.from_residual(
-                "ssst_m2_einstein",
-                fit2.beta_part if fit2.succeeded else 1.0,
-                max(tol, EINSTEIN_THRESHOLD * 10),
-                informational=not qcc_met,
-                details={"fit": fit2.summary(), "premise_met": qcc_met},
-            ),
-        ]
-
-    return _per_sample_results(frame, build)
+    coefficient_sign = np.where(qcc_premise, np.where(as_printed, "as-printed", "negated"), None)
+    rank_one = {"premise_met": premise, "note": why}
+    hessian = {"premise_met": qcc_premise, "note": qcc_notes, "coefficient_sign": coefficient_sign}
+    return [
+        Residual(
+            "ssst_d3",
+            res_d3,
+            d3_tol,
+            scaled=True,
+            details={"ricci_tt": ric_tt, "h_lap_h": rhs, "recorded_sign": sign},
+        ),
+        Residual("ssst_d1", res_d1, 1e-7, scaled=True),
+        Residual("ssst_d2", res_d2, 1e-7, scaled=True),
+        _premised("ssst_d4", res_d4, tol * (1.0 + h4), premise, rank_one),
+        _premised("ssst_condition_i", res_i, tol * (1.0 + h2), premise, rank_one),
+        *(
+            _premised(f"ssst_hessian_form_{name}", res, tol * (1.0 + h2), qcc_premise, hessian)
+            for name, res in zip(("f", "h_base", "h_fiber"), residuals.T)
+        ),
+        *_factor_conclusions(
+            ("ssst_m1_quasi_einstein", "ssst_m2_einstein"),
+            (frame.frame1, frame.frame2),
+            tol,
+            qcc_premise,
+        ),
+    ]
 
 
 def grw_theorem_check(
@@ -351,14 +319,17 @@ def grw_theorem_check(
     tol: float = DEFAULT_FIT_TOL,
     *,
     flat: ChartFrame | None = None,
-) -> list[IdentityReport]:
-    """Report bundle for the Robertson-Walker-form conditions at each sample.
+) -> list[Residual]:
+    """Per-sample residuals of the Robertson-Walker-form conditions.
 
     The relation between beta - alpha and the second time derivatives of
     the warpings is printed with conflicting signs in the source
     statements; both variants are evaluated and the supported one is
-    named in the report details.  ``points``, ``flat``, ``qes`` and
-    ``qccs`` are as in ``ssst_theorem_check``.
+    named, per sample, in the details of ``grw_beta_alpha``.  ``points``,
+    ``flat``, ``qes`` and ``qccs`` are as in ``ssst_theorem_check``, and
+    so is the result; the details carry the supported sign of the
+    time-time formula, the coefficient sign of the Hessian form and the
+    factor fits too.
     """
     frame = _as_frame(product, points)
     if flat is None:
@@ -382,7 +353,7 @@ def grw_theorem_check(
 
     # beta - alpha relation: gate on the exact time-time identity, and
     # report both printed sign variants of the warping formula.
-    premises, premise, qcc_premise, notes = _premises(qes, qccs, axis, tol)
+    premise, why, qcc_premise, qcc_notes = _premises(qes, qccs, axis, tol)
     beta_alpha = _fit_values(qes, lambda q: float(q.beta) - float(q.alpha), premise, 0.0)
     variant_statement = term_f - term_h
     variant_proof = term_f + term_h
@@ -414,70 +385,46 @@ def grw_theorem_check(
 
     plain, negated = _e5(a, b), _e5(-a, -b)
     res_e5 = np.where(qcc_premise, np.minimum(plain, negated), 0.0)
-    e5_tol = tol * (1.0 + h * f4)
-
-    # factor conclusions
-    fit2s, fit3s = _factor_fits(frame.frame2, tol), _factor_fits(frame.frame3, tol)
-    formula = term_f + term_h
-
-    def build(i: int) -> list[IdentityReport]:
-        met, why = premises[i]
-        qcc_met = bool(qcc_premise[i])
-        coefficient_sign = None
-        if qcc_met:
-            coefficient_sign = "as-printed" if plain[i] <= negated[i] else "negated"
-        fit2, fit3 = fit2s[i], fit3s[i]
-        return [
-            IdentityReport.from_residual(
-                "grw_e1_sign",
-                min(res_plus[i], res_minus[i]),
-                1e-7 * (1.0 + abs(ric_tt[i])),
-                details={
-                    "ricci_tt": float(ric_tt[i]),
-                    "formula": float(formula[i]),
-                    "supported_sign": "negated" if res_minus[i] < res_plus[i] else "as-printed",
-                },
-            ),
-            IdentityReport.from_residual(
-                "grw_beta_alpha",
-                gate[i],
-                tol,
-                informational=not met,
-                details={
-                    "premise_met": met,
-                    "note": why,
-                    "beta_alpha": float(beta_alpha[i]) if met else None,
-                    "residual_statement_variant": float(res_statement[i]),
-                    "residual_proof_variant": float(res_proof[i]),
-                    "supported_variant": str(supported[i]),
-                    "distinguishable": bool(distinguishable[i]),
-                },
-            ),
-            IdentityReport.from_residual(
-                "grw_e5_hessian_form",
-                res_e5[i],
-                e5_tol[i],
-                informational=not qcc_met,
-                details={
-                    "premise_met": qcc_met,
-                    "note": "" if qcc_met else notes[i],
-                    "coefficient_sign": coefficient_sign,
-                },
-            ),
-            IdentityReport.from_residual(
-                "grw_m2_quasi_einstein",
-                0.0 if fit2.succeeded else 1.0,
-                0.5,
-                informational=not qcc_met,
-                details={"fit": fit2.summary(), "premise_met": qcc_met},
-            ),
-            IdentityReport.from_residual(
-                "grw_m3_einstein",
-                fit3.beta_part if fit3.succeeded else 1.0,
-                max(tol, EINSTEIN_THRESHOLD * 10),
-                informational=not qcc_met,
-                details={"fit": fit3.summary(), "premise_met": qcc_met},
-            ),
-        ]
-
-    return _per_sample_results(frame, build)
+    as_printed = np.where(plain <= negated, "as-printed", "negated")
+    coefficient_sign = np.where(qcc_premise, as_printed, None)
+    return [
+        Residual(
+            "grw_e1_sign",
+            np.minimum(res_plus, res_minus),
+            1e-7 * (1.0 + abs(ric_tt)),
+            scaled=True,
+            details={
+                "ricci_tt": ric_tt,
+                "formula": term_f + term_h,
+                "supported_sign": np.where(res_minus < res_plus, "negated", "as-printed"),
+            },
+        ),
+        _premised(
+            "grw_beta_alpha",
+            gate,
+            tol,
+            premise,
+            {
+                "premise_met": premise,
+                "note": why,
+                "beta_alpha": np.where(premise, beta_alpha, None),
+                "residual_statement_variant": res_statement,
+                "residual_proof_variant": res_proof,
+                "supported_variant": supported,
+                "distinguishable": distinguishable,
+            },
+        ),
+        _premised(
+            "grw_e5_hessian_form",
+            res_e5,
+            tol * (1.0 + h * f4),
+            qcc_premise,
+            {"premise_met": qcc_premise, "note": qcc_notes, "coefficient_sign": coefficient_sign},
+        ),
+        *_factor_conclusions(
+            ("grw_m2_quasi_einstein", "grw_m3_einstein"),
+            (frame.frame2, frame.frame3),
+            tol,
+            qcc_premise,
+        ),
+    ]

@@ -1,35 +1,39 @@
 """Identity-suite orchestration: run every check, emit one report.
 
-``run_verify`` samples deterministic points from the spec's boxes, then
-runs, in a fixed order: closed-form vs oracle equivalence for the
-connection, curvature, Ricci, and scalar; curvature symmetries and both
-Bianchi identities; cross-block Ricci vanishing; the constant-warping
-reduction; the divergence-of-Hessian identity; pointwise structure fits
-with the factor identities they imply; torus-averaged field identities on
-periodic factors; the differential conditions and rigidity hypotheses;
-and the spacetime bundles for the Lorentzian kinds.
+``run_verify`` samples deterministic points from the spec's boxes,
+validates the metric there, and then runs the checks of ``CHECKS`` in
+order: closed-form vs oracle equivalence for the connection, curvature,
+Ricci, and scalar; curvature symmetries and the contracted Bianchi
+identity; cross-block Ricci vanishing; the constant-warping reduction; the
+divergence-of-Hessian identity; pointwise structure fits with the factor
+identities they imply; torus-averaged field identities on periodic
+factors; the differential conditions and rigidity hypotheses; and the
+spacetime conditions for the Lorentzian kinds.
 
-Every check reads one ``WarpedFrame`` and one flat ``ChartFrame``, each over
-the ``(N, d)`` stack of all sample points (see :mod:`seqwarp.chart`), and
-the input validation reads the metric values their jets hold.  The oracle,
-symmetry, Bianchi, cross-block, reduction and Hessian-divergence residuals
-are reductions over the sample axis, each residual normalized per sample.
-The evaluators take the frames and return per-sample results, which are
-reduced over the samples each check covers; the structure fits take the
-flat metric and curvature stacks too, and return one fit per sample.
-``run_classify`` fits at one point, a stack of one.
+Every check reads one context: the ``(N, d)`` stack of sample points, one
+``WarpedFrame`` and one flat ``ChartFrame`` over it (see
+:mod:`seqwarp.chart`), both structure fits of every sample and the fields
+derived from them.  A check returns a ``Residual`` (one residual per
+sample, see :mod:`seqwarp.classify`) for each identity checked sample by
+sample, and an ``IdentityReport`` for one that is a single number over
+the stack.  One reducer, ``_reduce``, turns each ``Residual`` into its
+report: the worst residual over the samples it covers, or the worst
+residual/tolerance ratio where a premise held; a residual that is not
+finite there is an input error naming the first such sample.  So a report
+holds one object per identity, whatever N is.  ``run_classify`` fits at
+one point, a stack of one.
 
 The report is a plain dict rendered to JSON with stable ordering and no
 timestamps, so identical spec + seed gives byte-identical output.  The
 overall verdict ignores informational entries (hypothesis evaluators,
 notes); every gating identity must pass.
 """
-
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,10 +46,12 @@ from .chart import (
     symmetry_residuals,
 )
 from .classify import (
+    FIT_OVERFLOW,
     FitInputError,
     IdentityReport,
     QCCFit,
     QEFit,
+    Residual,
     check_quasi_constant_curvature,
     condition_residuals,
     fit_quasi_einstein,
@@ -173,106 +179,9 @@ def _balance_gap(lhs: np.ndarray, *terms: np.ndarray) -> np.ndarray:
     return max_abs(lhs - sum(terms), 1) / (1.0 + scale)
 
 
-def _require_finite(what: str, per_sample, samples: np.ndarray) -> None:
-    """Raise ``VerificationInputError`` naming ``what`` and the first sample
-    at which ``per_sample``, a field or residual driven by the planted or
-    fitted alpha, beta and U, is not finite."""
-    bad = ~np.isfinite(np.asarray(per_sample, dtype=float))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise VerificationInputError(
-            f"{what} is not finite at sample {i} {samples[i].tolist()}: "
-            "the alpha, beta and U used overflow there"
-        )
-
-
-def _oracle_checks(
-    product, warped: WarpedFrame, flat: ChartFrame, samples: np.ndarray, tol: dict
-) -> list[IdentityReport]:
-    """Closed form vs oracle, curvature symmetries, both Bianchi checks, cross
-    blocks, the constant-warping reduction and the Hessian divergence.
-
-    Each is a reduction over the sample axis of the frames: a
-    residual per sample (an oracle gap normalized by that sample's own
-    1 + max |oracle|), then the worst sample's.  Overflow is not warned
-    about: a residual that is not finite is an input error naming the first
-    such sample.
-    """
-    n_points = len(samples)
-
-    def report(name: str, per_sample: list[np.ndarray], tolerance: float) -> IdentityReport:
-        worst = np.max(np.stack(per_sample), axis=0)
-        bad = ~np.isfinite(worst)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise VerificationInputError(
-                f"{name} residual is not finite at sample {i} {samples[i].tolist()}: "
-                "the metric or its derivatives overflow there"
-            )
-        return IdentityReport.from_residual(
-            name, float(np.max(worst)), tolerance, points=n_points
-        )
-
-    dim = product.dim
-    s1, s2, s3 = product.block_slices
-    cross_mask = np.ones((dim, dim), dtype=bool)
-    for sl in (s1, s2, s3):
-        cross_mask[sl, sl] = False
-    out = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name, closed, oracle in (
-            ("oracle_lemma1_connection", warped.christoffel, flat.christoffel),
-            ("oracle_lemma2_curvature", warped.riemann_up, flat.riemann_up),
-            ("oracle_lemma3_ricci", warped.ricci, flat.ricci),
-            ("oracle_scalar_curvature", warped.scalar, flat.scalar),
-        ):
-            out.append(report(name, [_normalized_gap(closed, oracle)], tol["oracle"]))
-
-        out.append(
-            report(
-                "curvature_symmetries",
-                list(symmetry_residuals(flat).values()),
-                tol["symmetry"],
-            )
-        )
-        out.append(
-            report(
-                "bianchi_contracted",
-                [
-                    _balance_gap(fr.div_ricci, 0.5 * fr.dscalar)
-                    for fr in (flat, warped.frame1, warped.frame2, warped.frame3)
-                ],
-                tol["bianchi"],
-            )
-        )
-        out.append(
-            report(
-                "ricci_cross_blocks", [max_abs(flat.ricci[:, cross_mask], 1)], tol["cross_ricci"]
-            )
-        )
-
-        if not free_variables(product.f) and not free_variables(product.h):
-            block = np.zeros((n_points, dim, dim))
-            block[:, s1, s1] = warped.frame1.ricci
-            block[:, s2, s2] = warped.frame2.ricci
-            block[:, s3, s3] = warped.frame3.ricci
-            out.append(
-                report(
-                    "trivial_warping_reduction",
-                    [max_abs(flat.ricci - block, 2), max_abs(warped.ricci - block, 2)],
-                    tol["reduction"],
-                )
-            )
-
-        divergence = []
-        for fr, phi in ((warped.frame1, product.f), (warped.inner_frame, product.h)):
-            divergence.append(
-                _balance_gap(
-                    fr.div_hessian(phi), matvec(fr.ricci, fr.gradient(phi)), fr.grad_laplacian(phi)
-                )
-            )
-        out.append(report("hessian_divergence", divergence, tol["bianchi"]))
-    return out
+def _worst(per_sample) -> np.ndarray:
+    """The largest of several per-sample residual arrays, at each sample."""
+    return np.max(np.stack(list(per_sample)), axis=0)
 
 
 def _structure_fits(flat: ChartFrame, samples: np.ndarray, tol: float) -> tuple[list, list]:
@@ -285,33 +194,330 @@ def _structure_fits(flat: ChartFrame, samples: np.ndarray, tol: float) -> tuple[
         raise VerificationInputError(f"{exc} at sample {i} {samples[i].tolist()}") from exc
 
 
-def _merge_spacetime_reports(per_point: list[list[IdentityReport]]) -> list[IdentityReport]:
-    """Aggregate per-point report bundles, which name the same identities in
-    the same order.
-
-    Residuals are expressed as residual/tolerance ratios so points with
-    different scale factors merge cleanly; an identity gates the overall
-    verdict as soon as its premise held at one point.
-    """
-    merged = []
-    for reps in zip(*per_point):
-        gating = [r for r in reps if not r.informational]
-        ratio = max((r.max_residual / r.tolerance for r in gating), default=0.0)
-        sample = gating[0] if gating else reps[0]
-        details = dict(sample.details)
-        details["points_with_premise"] = len(gating)
-        details["scaled_residual"] = True
-        merged.append(
-            IdentityReport.from_residual(
-                sample.name,
-                ratio,
-                1.0,
-                points=len(reps),
-                informational=not gating,
-                details=details,
-            )
+def _check_finite(what: str, values, samples: np.ndarray, cause: str, over=True) -> None:
+    """Raise ``VerificationInputError`` naming ``what`` and the first sample
+    among ``over`` at which ``values`` is not finite, and ``cause`` as what
+    overflows there."""
+    bad = ~np.isfinite(values) & over
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise VerificationInputError(
+            f"{what} is not finite at sample {i} {samples[i].tolist()}: {cause} overflow there"
         )
-    return merged
+
+
+def _plain(value):
+    """One sample's entry of a per-sample detail, as the report renders it."""
+    if isinstance(value, QEFit):
+        return value.summary()
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _reduce(residual: Residual, samples: np.ndarray) -> IdentityReport:
+    """The one report of an identity's per-sample residuals (see ``Residual``).
+
+    A residual that is not finite at a covered sample is an input error
+    naming the first such sample.
+    """
+    over = np.ones(len(samples), dtype=bool) if residual.over is None else residual.over
+    values, tolerance, details = residual.values, residual.tolerance, dict(residual.details)
+    covered = int(over.sum())
+    if residual.scaled:
+        values, tolerance = values / tolerance, 1.0
+        k = int(np.argmax(over))
+        details = {key: _plain(value[k]) for key, value in details.items()}
+        details.update(points_with_premise=covered, scaled_residual=True)
+    _check_finite(f"{residual.name} residual", values, samples, residual.cause, over)
+    return IdentityReport.from_residual(
+        residual.name,
+        float(np.max(values[over])) if covered else 0.0,
+        tolerance,
+        points=len(samples) if residual.scaled else covered,
+        informational=residual.informational or not covered,
+        details=details,
+    )
+
+
+@dataclass
+class _Context:
+    """What every check reads, made once per ``run_verify`` call.
+
+    The fits and the values derived from them are computed on first use, so
+    their input errors surface in report order: after every error of the
+    checks before the first one that reads them.
+    """
+
+    spec: ManifoldSpec
+    tol: dict
+    samples: np.ndarray
+    warped: WarpedFrame
+    flat: ChartFrame
+
+    @property
+    def constant_warpings(self) -> bool:
+        product = self.spec.product
+        return not free_variables(product.f) and not free_variables(product.h)
+
+    @cached_property
+    def fits(self) -> tuple[list[QEFit], list[QCCFit]]:
+        """The quasi-Einstein and the quasi-constant-curvature fit of every sample."""
+        # the checks run with numpy's overflow warnings off; the fits keep
+        # theirs, since a valid metric must fit without any
+        with np.errstate(over="warn", invalid="warn"):
+            return _structure_fits(self.flat, self.samples, self.tol["fit"])
+
+    @cached_property
+    def fitted(self) -> np.ndarray:
+        return np.array([fit.succeeded for fit in self.fits[0]])
+
+    @cached_property
+    def decomposition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-sample (alpha, beta, U) of the fits, zeros where the fit failed."""
+        qe_fits, dim = self.fits[0], self.spec.product.dim
+        return (
+            np.array([fit.alpha if fit.succeeded else 0.0 for fit in qe_fits]),
+            np.array([fit.beta if fit.succeeded else 0.0 for fit in qe_fits]),
+            np.array([fit.U if fit.U is not None else np.zeros(dim) for fit in qe_fits]),
+        )
+
+    @cached_property
+    def qe_used(self) -> tuple:
+        """The planted (alpha, beta, U), else the mean fitted alpha and beta
+        and the first fitted U: ``alpha_used`` is its first entry."""
+        if self.spec.planted is not None:
+            return self.spec.planted
+        ok = [f for f in self.fits[0] if f.succeeded]
+        return (
+            sum(f.alpha for f in ok) / len(ok) if ok else 0.0,
+            sum(f.beta for f in ok) / len(ok) if ok else 0.0,
+            next((f.U for f in ok if f.U is not None), np.zeros(self.spec.product.dim)),
+        )
+
+    @cached_property
+    def lambda_values(self) -> np.ndarray:
+        return self._field("lambda", lambda_at)
+
+    @cached_property
+    def nu_values(self) -> np.ndarray:
+        return self._field("nu", nu_at)
+
+    def _field(self, label: str, evaluator) -> np.ndarray:
+        values = evaluator(self.spec.product, self.warped, self.qe_used[0])
+        _check_finite(f"lambda_nu_fields {label}", values, self.samples, FIT_OVERFLOW)
+        if not math.isfinite(sum(values.tolist())):
+            raise VerificationInputError(
+                f"lambda_nu_fields {label}: the sum over the samples overflows"
+            )
+        return values
+
+
+# --- checks ---------------------------------------------------------------------
+# A check reads the context and yields, in report order, a ``Residual`` for each
+# identity checked sample by sample and an ``IdentityReport`` for each one that
+# is one number over the stack.  It computes an entry only after the one before
+# is reduced, so the input error raised is the first in report order.  It calls
+# the evaluators by their module names as it runs, so a wrapper installed on
+# them sees every call.
+
+
+def _oracle_checks(ctx: _Context):
+    """Closed form vs oracle, curvature symmetries, the contracted Bianchi
+    identity, cross blocks, the constant-warping reduction and the Hessian
+    divergence, each residual normalized per sample."""
+    warped, flat, product, tol = ctx.warped, ctx.flat, ctx.spec.product, ctx.tol
+    for name, closed, oracle in (
+        ("oracle_lemma1_connection", warped.christoffel, flat.christoffel),
+        ("oracle_lemma2_curvature", warped.riemann_up, flat.riemann_up),
+        ("oracle_lemma3_ricci", warped.ricci, flat.ricci),
+        ("oracle_scalar_curvature", warped.scalar, flat.scalar),
+    ):
+        yield Residual(name, _normalized_gap(closed, oracle), tol["oracle"])
+    symmetries = _worst(symmetry_residuals(flat).values())
+    yield Residual("curvature_symmetries", symmetries, tol["symmetry"])
+    frames = (flat, warped.frame1, warped.frame2, warped.frame3)
+    bianchi = _worst(_balance_gap(fr.div_ricci, 0.5 * fr.dscalar) for fr in frames)
+    yield Residual("bianchi_contracted", bianchi, tol["bianchi"])
+    cross = np.ones((product.dim, product.dim), dtype=bool)
+    for sl in product.block_slices:
+        cross[sl, sl] = False
+    yield Residual("ricci_cross_blocks", max_abs(flat.ricci[:, cross], 1), tol["cross_ricci"])
+    if ctx.constant_warpings:
+        block = np.zeros_like(flat.ricci)
+        for sl, frame in zip(product.block_slices, (warped.frame1, warped.frame2, warped.frame3)):
+            block[:, sl, sl] = frame.ricci
+        reduction = _worst(max_abs(ricci - block, 2) for ricci in (flat.ricci, warped.ricci))
+        yield Residual("trivial_warping_reduction", reduction, tol["reduction"])
+    divergence = _worst(
+        _balance_gap(
+            fr.div_hessian(phi), matvec(fr.ricci, fr.gradient(phi)), fr.grad_laplacian(phi)
+        )
+        for fr, phi in ((warped.frame1, product.f), (warped.inner_frame, product.h))
+    )
+    yield Residual("hessian_divergence", divergence, tol["bianchi"])
+
+
+def _fit_identities(ctx: _Context):
+    """What the structure fits imply: QCC implies QE wherever it genuinely
+    holds (the residual counts the samples where it does not), the factor
+    identities of each fitted sample's decomposition, and the corollary
+    scalar identities."""
+    (qe_fits, qcc_fits), fitted, spec, tol = ctx.fits, ctx.fitted, ctx.spec, ctx.tol["fit"]
+    n = len(ctx.samples)
+    violations = sum(
+        1
+        for qcc, qe in zip(qcc_fits, qe_fits)
+        if qcc.passed and qcc.b is not None and abs(qcc.b) > tol and not qe.succeeded
+    )
+    yield IdentityReport.from_residual("qcc_implies_qe", float(violations), 0.5, points=n)
+
+    residuals = (np.zeros(n),) * 3
+    if fitted.any():
+        residuals = proposition1_residuals(spec.product, ctx.warped, ctx.decomposition)
+    for k, values in enumerate(residuals, start=1):
+        yield Residual(
+            f"proposition1_i{k}",
+            values,
+            tol,
+            over=fitted,
+            details={"points_with_fit": int(fitted.sum())},
+            cause=FIT_OVERFLOW,
+        )
+
+    # exact only for constant warpings, where the full Laplacian in the
+    # printed formulas agrees with the block traces
+    applicable = ctx.constant_warpings and (spec.planted is not None or bool(fitted.any()))
+    gaps, covered = np.zeros(n), np.zeros(n, dtype=bool)
+    if applicable:
+        covered = fitted if spec.planted is None else np.ones(n, dtype=bool)
+        stated = ctx.warped.factor_scalars(
+            ctx.decomposition if spec.planted is None else spec.planted
+        )
+        gaps = np.max([abs(a - b) for a, b in zip(ctx.warped.factor_scalars(), stated)], axis=0)
+    note = (
+        ""
+        if applicable
+        else "printed scalar identities substitute the full Laplacian for block traces; "
+        "exact only for constant warpings"
+    )
+    yield Residual(
+        "corollary1_scalars",
+        gaps,
+        tol,
+        over=covered,
+        details={"applicable": applicable, "note": note},
+        cause=FIT_OVERFLOW,
+    )
+
+
+def _fields(ctx: _Context):
+    """The lambda and nu fields, and their volume averages over fully
+    periodic factors.
+
+    The torus grid covers whole periods, beyond the sampling boxes that input
+    validation saw: a warping or metric invalid there is an input error too.
+    """
+    product, alpha = ctx.spec.product, ctx.qe_used[0]
+    lambda_values, nu_values = ctx.lambda_values, ctx.nu_values
+    yield IdentityReport.from_residual(
+        "lambda_nu_fields",
+        0.0,
+        1.0,
+        points=len(ctx.samples),
+        informational=True,
+        details={
+            "alpha_used": float(alpha),
+            "lambda": _stats(lambda_values),
+            "nu": _stats(nu_values),
+        },
+    )
+    fields = []
+    if product.m1.fully_periodic:
+        fields.append("lambda")
+        if product.m2.fully_periodic and product.m1.dim + product.m2.dim <= MAX_TORUS_DIM:
+            fields.append("nu")
+    try:
+        reports = [
+            torus_average_identity(product, alpha, TORUS_NODES, name, ctx.tol["torus"])
+            for name in fields
+        ]
+    except (GeometryError, DomainError) as exc:
+        raise VerificationInputError(str(exc)) from exc
+    for report in reports:
+        if not math.isfinite(report.max_residual):
+            raise VerificationInputError(
+                f"{report.name} residual is not finite on the torus grid: "
+                f"alpha {alpha!r} overflows there"
+            )
+        yield report
+
+
+def _hypotheses(ctx: _Context):
+    """The differential conditions, probed at the first five samples, and
+    the rigidity hypotheses."""
+    tol, n = ctx.tol["fit"], len(ctx.samples)
+    conditions = condition_residuals(ctx.spec.product, ctx.warped, ctx.qe_used, ctx.lambda_values)
+    for name, values in zip(("condition1", "condition2"), conditions):
+        yield Residual(
+            name,
+            values,
+            tol,
+            over=np.arange(n) < 5,
+            informational=True,
+            details={
+                "condition_satisfied": bool(np.all(values[:5] <= tol)),
+                "note": "hypothesis evaluator: a nonzero residual means the "
+                "displayed condition does not hold on this manifold",
+            },
+            cause=FIT_OVERFLOW,
+        )
+    available = ctx.spec.planted is not None or bool(ctx.fitted.any())
+    yield from theorem2_conditions(
+        ctx.spec.product,
+        ctx.qe_used if available else None,
+        sum(ctx.lambda_values.tolist()) / n,
+        sum(ctx.nu_values.tolist()) / n,
+        ctx.warped,
+        tol,
+    )
+
+
+def _spacetime(ctx: _Context):
+    """The static or Robertson-Walker conditions of a Lorentzian kind."""
+    (qe_fits, qcc_fits), product, tol = ctx.fits, ctx.spec.product, ctx.tol
+    if ctx.spec.kind == "ssst":
+        yield from ssst_theorem_check(
+            product, ctx.warped, qe_fits, qcc_fits, tol["fit"], tol["d3"], flat=ctx.flat
+        )
+    elif ctx.spec.kind == "grw":
+        yield from grw_theorem_check(
+            product, ctx.warped, qe_fits, qcc_fits, tol["fit"], flat=ctx.flat
+        )
+
+
+CHECKS = (_oracle_checks, _fit_identities, _fields, _hypotheses, _spacetime)
+
+
+def _convention_notes(reports: dict[str, IdentityReport]) -> list[str]:
+    notes = [
+        "divergence-of-Hessian identity holds as div(H^phi) = Ric(grad phi, .) + d(Lap phi) "
+        "under the trace-Laplacian convention"
+    ]
+    if "ssst_d3" in reports:
+        sign = reports["ssst_d3"].details.get("recorded_sign")
+        notes.append(
+            f"static-form time-time identity Ric(dt,dt) = h Lap h holds with sign {sign:+d}"
+        )
+    if "grw_e1_sign" in reports:
+        notes.append(
+            "Robertson-Walker time-time curvature formula supported with sign: "
+            + str(reports["grw_e1_sign"].details.get("supported_sign"))
+        )
+    if "grw_beta_alpha" in reports:
+        notes.append(
+            "beta - alpha warping relation: supported printed variant = "
+            + str(reports["grw_beta_alpha"].details.get("supported_variant"))
+        )
+    return notes
 
 
 def run_verify(
@@ -320,7 +526,7 @@ def run_verify(
     seed: int | None = None,
     tolerances: dict | None = None,
 ) -> VerificationReport:
-    """Run the full identity suite over deterministic sample points.
+    """Run every check of ``CHECKS`` over deterministic sample points.
 
     ``points``, ``seed`` and ``tolerances`` override the spec's; an invalid
     one raises ``SpecError`` (see ``check_run_parameter``).
@@ -350,227 +556,16 @@ def run_verify(
     except (GeometryError, DomainError) as exc:
         raise VerificationInputError(str(exc)) from exc
 
-    identities = _oracle_checks(product, warped, flat, samples, tol)
-    notes = [
-        "divergence-of-Hessian identity holds as div(H^phi) = Ric(grad phi, .) + d(Lap phi) "
-        "under the trace-Laplacian convention"
-    ]
-    dim = product.dim
-    constant_warpings = not free_variables(product.f) and not free_variables(product.h)
-
-    # --- structure fits ----------------------------------------------------------
-    qe_fits, qcc_fits = _structure_fits(flat, samples, tol["fit"])
-    fits = {
-        "quasi_einstein": _qe_summary(qe_fits),
-        "quasi_constant_curvature": _qcc_summary(qcc_fits),
-    }
-
-    # QCC implies the rank-one Ricci structure wherever it genuinely holds
-    qcc_qe_violations = sum(
-        1
-        for qcc, qe in zip(qcc_fits, qe_fits)
-        if qcc.passed and qcc.b is not None and abs(qcc.b) > tol["fit"] and not qe.succeeded
-    )
-    identities.append(
-        IdentityReport.from_residual(
-            "qcc_implies_qe", float(qcc_qe_violations), 0.5, points=n_points
-        )
-    )
-
-    # --- factor identities from the rank-one decomposition -----------------------
-    # per-sample (alpha, beta, U), zeros where the fit failed
-    fitted = np.array([fit.succeeded for fit in qe_fits])
-    decomposition = (
-        np.array([fit.alpha if fit.succeeded else 0.0 for fit in qe_fits]),
-        np.array([fit.beta if fit.succeeded else 0.0 for fit in qe_fits]),
-        np.array([fit.U if fit.U is not None else np.zeros(dim) for fit in qe_fits]),
-    )
-    prop_points = int(fitted.sum())
-    prop_residuals = [0.0, 0.0, 0.0]
-    if prop_points:
-        with np.errstate(over="ignore", invalid="ignore"):
-            bundles = proposition1_residuals(product, warped, decomposition, tol["fit"])
-        for i, label in enumerate(("i1", "i2", "i3")):
-            # a residual is never negative: 0 stands in where the fit failed
-            per_sample = [
-                reports[i].max_residual if ok else 0.0 for reports, ok in zip(bundles, fitted)
-            ]
-            _require_finite(f"proposition1_{label} residual", per_sample, samples)
-            prop_residuals[i] = max(per_sample)
-    for i, label in enumerate(("i1", "i2", "i3")):
-        identities.append(
-            IdentityReport.from_residual(
-                f"proposition1_{label}",
-                prop_residuals[i],
-                tol["fit"],
-                points=prop_points,
-                informational=prop_points == 0,
-                details={"points_with_fit": prop_points},
-            )
-        )
-
-    # corollary scalar identities: exact only for constant warpings, where the
-    # full Laplacian in the printed formulas agrees with the block traces
-    cor_applicable = constant_warpings and (spec.planted is not None or prop_points > 0)
-    res_cor = 0.0
-    cor_points = 0
-    if cor_applicable:
-        covered = fitted if spec.planted is None else np.ones(n_points, dtype=bool)
-        with np.errstate(over="ignore", invalid="ignore"):
-            stated = warped.factor_scalars(decomposition if spec.planted is None else spec.planted)
-            gaps = np.max([abs(a - b) for a, b in zip(warped.factor_scalars(), stated)], axis=0)
-        _require_finite("corollary1_scalars residual", np.where(covered, gaps, 0.0), samples)
-        res_cor = float(np.max(gaps[covered]))
-        cor_points = int(covered.sum())
-    identities.append(
-        IdentityReport.from_residual(
-            "corollary1_scalars",
-            res_cor,
-            tol["fit"],
-            points=cor_points,
-            informational=not cor_applicable or cor_points == 0,
-            details={
-                "applicable": bool(cor_applicable),
-                "note": ""
-                if cor_applicable
-                else "printed scalar identities substitute the full Laplacian for "
-                "block traces; exact only for constant warpings",
-            },
-        )
-    )
-
-    # --- field values and torus averages -----------------------------------------
-    if spec.planted is not None:
-        alpha_used, beta_used = spec.planted[0], spec.planted[1]
-        u_used = spec.planted[2]
-    else:
-        ok = [f for f in qe_fits if f.succeeded]
-        alpha_used = sum(f.alpha for f in ok) / len(ok) if ok else 0.0
-        beta_used = sum(f.beta for f in ok) / len(ok) if ok else 0.0
-        u_used = next((f.U for f in ok if f.U is not None), np.zeros(dim))
+    # an overflow in a check is not warned about: a residual it leaves
+    # non-finite is an input error naming the first such sample
+    ctx = _Context(spec, tol, samples, warped, flat)
     with np.errstate(over="ignore", invalid="ignore"):
-        lambda_values = lambda_at(product, warped, alpha_used)
-        nu_values = nu_at(product, warped, alpha_used)
-    for label, values in (("lambda", lambda_values), ("nu", nu_values)):
-        _require_finite(f"lambda_nu_fields {label}", values, samples)
-        if not math.isfinite(sum(values.tolist())):
-            raise VerificationInputError(
-                f"lambda_nu_fields {label}: the sum over the samples overflows"
-            )
-    identities.append(
-        IdentityReport.from_residual(
-            "lambda_nu_fields",
-            0.0,
-            1.0,
-            points=n_points,
-            informational=True,
-            details={
-                "alpha_used": float(alpha_used),
-                "lambda": _stats(lambda_values),
-                "nu": _stats(nu_values),
-            },
-        )
-    )
-
-    # the torus grid covers whole periods, beyond the sampling boxes that input
-    # validation saw: a warping or metric invalid there is an input error too
-    averages = len(identities)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if product.m1.fully_periodic:
-                identities.append(
-                    torus_average_identity(
-                        product, alpha_used, TORUS_NODES, "lambda", tol["torus"]
-                    )
-                )
-            if (
-                product.m1.fully_periodic
-                and product.m2.fully_periodic
-                and product.m1.dim + product.m2.dim <= MAX_TORUS_DIM
-            ):
-                identities.append(
-                    torus_average_identity(product, alpha_used, TORUS_NODES, "nu", tol["torus"])
-                )
-    except (GeometryError, DomainError) as exc:
-        raise VerificationInputError(str(exc)) from exc
-    for report in identities[averages:]:
-        if not math.isfinite(report.max_residual):
-            raise VerificationInputError(
-                f"{report.name} residual is not finite on the torus grid: "
-                f"alpha {alpha_used!r} overflows there"
-            )
-
-    # --- differential conditions and rigidity hypotheses ---------------------------
-    qe_used = (alpha_used, beta_used, u_used)
-    # the conditions are probed at the first five samples
-    with np.errstate(over="ignore", invalid="ignore"):
-        pairs = condition_residuals(product, warped, qe_used, lambda_values, None, tol["fit"])
-    for name, reports in zip(("condition1", "condition2"), zip(*pairs[:5])):
-        _require_finite(f"{name} residual", [r.max_residual for r in reports], samples)
-        identities.append(
-            IdentityReport.from_residual(
-                name,
-                max(r.max_residual for r in reports),
-                tol["fit"],
-                points=len(reports),
-                informational=True,
-                details={
-                    "condition_satisfied": all(r.passed for r in reports),
-                    "note": "hypothesis evaluator: a nonzero residual means the "
-                    "displayed condition does not hold on this manifold",
-                },
-            )
-        )
-
-    lam_mean = sum(lambda_values.tolist()) / n_points
-    nu_mean = sum(nu_values.tolist()) / n_points
-    decomposition_available = spec.planted is not None or any(
-        f.succeeded for f in qe_fits
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        identities.extend(
-            theorem2_conditions(
-                product,
-                qe_used if decomposition_available else None,
-                lam_mean,
-                nu_mean,
-                warped,
-                tol["fit"],
-            )
-        )
-
-    # --- spacetime bundles ----------------------------------------------------------
-    if spec.kind in ("ssst", "grw"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            if spec.kind == "ssst":
-                bundles = ssst_theorem_check(
-                    product, warped, qe_fits, qcc_fits, tol["fit"], tol["d3"], flat=flat
-                )
-            else:
-                bundles = grw_theorem_check(
-                    product, warped, qe_fits, qcc_fits, tol["fit"], flat=flat
-                )
-        merged = _merge_spacetime_reports(bundles)
-        identities.extend(merged)
-        by_name = {r.name: r for r in merged}
-        if spec.kind == "ssst" and "ssst_d3" in by_name:
-            sign = by_name["ssst_d3"].details.get("recorded_sign")
-            notes.append(
-                f"static-form time-time identity Ric(dt,dt) = h Lap h holds with sign {sign:+d}"
-            )
-        if spec.kind == "grw":
-            if "grw_e1_sign" in by_name:
-                notes.append(
-                    "Robertson-Walker time-time curvature formula supported with sign: "
-                    + str(by_name["grw_e1_sign"].details.get("supported_sign"))
-                )
-            if "grw_beta_alpha" in by_name:
-                notes.append(
-                    "beta - alpha warping relation: supported printed variant = "
-                    + str(by_name["grw_beta_alpha"].details.get("supported_variant"))
-                )
-
-    overall = all(r.passed for r in identities if not r.informational)
+        identities = [
+            _reduce(entry, samples) if isinstance(entry, Residual) else entry
+            for check in CHECKS
+            for entry in check(ctx)
+        ]
+    qe_fits, qcc_fits = ctx.fits
     return VerificationReport(
         spec_name=spec.name,
         kind=spec.kind,
@@ -579,9 +574,12 @@ def run_verify(
         seed=seed_used,
         tolerances=tol,
         identities=identities,
-        fits=fits,
-        convention_notes=notes,
-        overall_pass=overall,
+        fits={
+            "quasi_einstein": _qe_summary(qe_fits),
+            "quasi_constant_curvature": _qcc_summary(qcc_fits),
+        },
+        convention_notes=_convention_notes({r.name: r for r in identities}),
+        overall_pass=all(r.passed for r in identities if not r.informational),
     )
 
 

@@ -555,8 +555,3 @@ def _as_frame(product: SequentialWarpedProduct, point) -> WarpedFrame:
             raise GeometryError("frame belongs to a different product")
         return point
     return WarpedFrame(product, point)
-
-
-def _per_sample_results(frame: WarpedFrame, build) -> list:
-    """``build(i)`` for each sample ``i`` of the frame."""
-    return [build(i) for i in range(len(frame.point))]

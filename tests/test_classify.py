@@ -12,6 +12,7 @@ from conftest import line_factor, sphere_factor
 from seqwarp import SequentialWarpedProduct, factor
 from seqwarp.chart import ChartFrame, DegenerateMetricError, FactorManifold, GeometryError
 from seqwarp.classify import (
+    DEFAULT_FIT_TOL,
     IdentityReport,
     check_quasi_constant_curvature,
     condition_residuals,
@@ -209,11 +210,13 @@ class TestProposition1:
         assert fit.verdict == "quasi-einstein"
         assert fit.alpha == pytest.approx(1.0, abs=1e-10)
         assert fit.beta == pytest.approx(-1.0, abs=1e-10)
-        reports = proposition1_residuals(product, [point], (fit.alpha, fit.beta, fit.U))[0]
-        for rep in reports:
-            assert rep.passed and rep.max_residual <= 1e-6
+        residuals = proposition1_residuals(product, [point], (fit.alpha, fit.beta, fit.U))
+        for residual in residuals:
+            assert residual.shape == (1,) and residual[0] <= 1e-6
         # second factor carries no component of U here
-        assert reports[0].details["U2_norm"] <= 1e-9
+        s2 = product.block_slices[1]
+        u2, g2 = fit.U[s2], ChartFrame(product.m2, [point[s2]]).metric[0]
+        assert math.sqrt(abs(u2 @ g2 @ u2)) <= 1e-9
 
     def test_trivial_flat_zero(self):
         product = SequentialWarpedProduct(
@@ -223,10 +226,8 @@ class TestProposition1:
             parse("1", []),
             parse("1", []),
         )
-        reports = proposition1_residuals(
-            product, np.zeros((1, 3)), (0.0, 0.0, np.zeros(3))
-        )[0]
-        assert all(r.max_residual == 0.0 for r in reports)
+        residuals = proposition1_residuals(product, np.zeros((1, 3)), (0.0, 0.0, np.zeros(3)))
+        assert all(residual[0] == 0.0 for residual in residuals)
 
 
 def circle_lambda_product() -> SequentialWarpedProduct:
@@ -451,11 +452,9 @@ class TestConditions:
             parse("3", []),
         )
         point = np.array([0.3, 0.1, -0.2])
-        rep1, rep2 = condition_residuals(
-            product, [point], (1.0, 0.5, np.zeros(3)), lam=4.0
-        )[0]
-        assert rep1.max_residual == 0.0
-        assert rep2.max_residual == 0.0
+        res1, res2 = condition_residuals(product, [point], (1.0, 0.5, np.zeros(3)), lam=4.0)
+        assert res1[0] == 0.0
+        assert res2[0] == 0.0
 
     def test_circle_reduction_to_laplacian_term(self):
         # with the outer warping constant, the first condition's residual is
@@ -464,11 +463,10 @@ class TestConditions:
         x = 0.7
         point = np.array([x, 0.2, 0.4, 0.0])
         lam = lambda_at(product, [point], 1.0)[0]
-        rep1, _ = condition_residuals(product, [point], (1.0, 0.0, np.zeros(4)), lam)[0]
+        res1, _ = condition_residuals(product, [point], (1.0, 0.0, np.zeros(4)), lam)
         expected = abs((2.0 * 2 / (2.0 + math.sin(x))) * (-math.cos(x)))
-        assert rep1.max_residual == pytest.approx(expected, rel=1e-12)
-        assert not rep1.passed  # condition not satisfied: it is a hypothesis
-        assert rep1.informational
+        assert res1[0] == pytest.approx(expected, rel=1e-12)
+        assert res1[0] > DEFAULT_FIT_TOL  # condition not satisfied: it is a hypothesis
 
     def test_contrapositive_on_circle(self, rng):
         # where the lambda field is non-constant the first condition must fail
@@ -479,9 +477,9 @@ class TestConditions:
             dlam = abs(
                 2.0 * (2.0 - 2.0 * math.sin(x)) * math.cos(x) / 2.0
             )  # (2 - 2 sin x) cos x
-            rep1, _ = condition_residuals(product, [point], (1.0, 0.0, np.zeros(4)), lam)[0]
+            res1, _ = condition_residuals(product, [point], (1.0, 0.0, np.zeros(4)), lam)
             if dlam > 1e-6:
-                assert rep1.max_residual > 1e-6
+                assert res1[0] > 1e-6
 
 
 class TestTheorem2:

@@ -245,8 +245,8 @@ def test_evaluators_accept_a_shared_frame():
     assert lambda_at(spec.product, frame, 0.7)[0] == lambda_at(spec.product, point, 0.7)[0]
     assert nu_at(spec.product, frame, 0.7)[0] == nu_at(spec.product, point, 0.7)[0]
     qe = spec.planted
-    by_frame = [r.max_residual for r in proposition1_residuals(spec.product, frame, qe)[0]]
-    by_point = [r.max_residual for r in proposition1_residuals(spec.product, point, qe)[0]]
+    by_frame = [r[0] for r in proposition1_residuals(spec.product, frame, qe)]
+    by_point = [r[0] for r in proposition1_residuals(spec.product, point, qe)]
     assert by_frame == by_point
     other = catalog_spec("planted_qe").product
     assert other == spec.product and other is not spec.product
@@ -551,6 +551,21 @@ class TestCli:
             for report in reports
         )
         assert scaled_verdicts == verdicts
+
+    def test_large_metric_entries_do_not_overflow_the_degeneracy_test_exit_code(
+        self, tmp_path, capsys
+    ):
+        # with f = 1e100 every metric entry is finite (f^2 = 1e200) but det g
+        # of the flattened metric overflows: the degeneracy test reads
+        # log |det g| and warns about nothing.  The condition residuals are
+        # not scale-aware and overflow, so the run exits 2 there; once they
+        # are scale-aware this valid metric may verify with exit 0
+        data = json.loads(catalog_path("grw_exponential").read_text())
+        data["warpings"]["f"] = "1e100"
+        path = tmp_path / "large_entries.json"
+        path.write_text(json.dumps(data))
+        err = self._one_line_exit_2(capsys, ["verify", str(path)])
+        assert "condition2 residual is not finite at sample 0 [0.85" in err
 
     def test_zero_metric_is_degenerate_exit_code(self, tmp_path, capsys):
         data = minimal_spec()

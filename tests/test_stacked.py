@@ -46,7 +46,13 @@ from seqwarp.expressions import (
 from seqwarp.jets import eval_jet, eval_jet_stack
 from seqwarp.spacetime import grw_theorem_check, ssst_theorem_check, time_axis
 from seqwarp.specfile import spec_from_dict
-from seqwarp.verify import VerificationInputError, _structure_fits, run_classify, run_verify
+from seqwarp.verify import (
+    VerificationInputError,
+    _plain,
+    _structure_fits,
+    run_classify,
+    run_verify,
+)
 from seqwarp.warped import BlockVector, PositivityError, WarpedFrame, flatten_to_chart
 
 STAGES = (
@@ -254,6 +260,25 @@ def assert_reports_agree(stacked, single, bitwise: bool, what: str) -> None:
                 assert s.details[key] == value, f"{where} {key}"
 
 
+def assert_residuals_agree(stacked, i: int, single, bitwise: bool, what: str) -> None:
+    """Sample ``i`` of the stacked ``Residual`` list against the one sample of ``single``."""
+    assert [r.name for r in stacked] == [r.name for r in single], what
+    for s, o in zip(stacked, single):
+        where = f"{what} {o.name}"
+        assert (s.scaled, s.informational, s.cause) == (o.scaled, o.informational, o.cause), where
+        assert (s.over is None or s.over[i]) == (o.over is None or o.over[0]), where
+        assert_agree(s.values[i], o.values[0], bitwise, where)
+        tolerance = np.broadcast_to(s.tolerance, s.values.shape)[i]
+        assert_agree(tolerance, np.broadcast_to(o.tolerance, o.values.shape)[0], bitwise, where)
+        assert s.details.keys() == o.details.keys(), where
+        for key, value in o.details.items():
+            mine, theirs = _plain(s.details[key][i]), _plain(value[0])
+            if isinstance(theirs, float):
+                assert_agree(mine, theirs, bitwise, f"{where} {key}")
+            else:
+                assert mine == theirs, f"{where} {key}"
+
+
 def premise_fits(product, count: int) -> tuple[list, list]:
     """Made-up fits, different at every sample, whose premises (a unit time
     part of U, a two-coefficient fit with b != 0) hold except at every third
@@ -306,15 +331,13 @@ def test_evaluators_on_a_stack_match_one_point_calls(name):
 
     lam = lambda_at(product, stack, 0.7)
     shared = decompositions[0]
-    bundles = zip(
-        proposition1_residuals(product, stack, per_sample),
-        condition_residuals(product, stack, shared, lam, 0.3),
-    )
-    for i, (one, (prop, conditions)) in enumerate(zip(ones, bundles)):
-        single = proposition1_residuals(product, one, decompositions[i])[0]
-        assert_reports_agree(prop, single, bitwise, f"proposition1 {i}")
-        single = condition_residuals(product, one, shared, float(lam[i]), 0.3)[0]
-        assert_reports_agree(conditions, single, bitwise, f"conditions {i}")
+    prop = proposition1_residuals(product, stack, per_sample)
+    conditions = condition_residuals(product, stack, shared, lam)
+    for i, one in enumerate(ones):
+        single = proposition1_residuals(product, one, decompositions[i])
+        assert_agree([r[i] for r in prop], [r[0] for r in single], bitwise, f"proposition1 {i}")
+        single = condition_residuals(product, one, shared, float(lam[i]))
+        assert_agree([r[i] for r in conditions], [r[0] for r in single], bitwise, f"conditions {i}")
 
     for qe in (None, (1.0, 0.5, None), (-1.0, 0.0, None)):
         reports = theorem2_conditions(product, qe, float(lam[0]), 0.3, stack)
@@ -324,10 +347,10 @@ def test_evaluators_on_a_stack_match_one_point_calls(name):
     if spec.kind in ("ssst", "grw"):
         check = ssst_theorem_check if spec.kind == "ssst" else grw_theorem_check
         for qes, qccs in ((qe_fits, qcc_fits), premise_fits(product, SAMPLES)):
-            bundles = check(product, stack, qes, qccs, flat=flat)
+            stacked = check(product, stack, qes, qccs, flat=flat)
             for i, one in enumerate(ones):
-                single = check(product, one, [qes[i]], [qccs[i]])[0]
-                assert_reports_agree(bundles[i], single, bitwise, f"{spec.kind} {i}")
+                single = check(product, one, [qes[i]], [qccs[i]])
+                assert_residuals_agree(stacked, i, single, bitwise, f"{spec.kind} {i}")
 
 
 # ---------------------------------------------------------------------------
