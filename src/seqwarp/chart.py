@@ -23,9 +23,9 @@ carrying the sample axis first (``christoffel[n, k, i, j]``); one point is a
 stack of one.  The stack is vector forward mode (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., ch. 3 and 13): batched jets and ``...``
 einsums do, for all N samples at once, the arithmetic of one sample at each.
-The jets of a frame come from one ``JetWalker`` per stack, which seeds the
-coordinates once and walks each distinct subexpression of the metric entries,
-their derivatives and the fields once; see ``ChartFrame``.
+The jets of a frame, at every N, come from one ``JetWalker`` per stack, which
+seeds the coordinates once and walks each distinct subexpression of the metric
+entries, their derivatives and the fields once; see ``ChartFrame``.
 
 The first derivative of the curvature enters the checks only traced, as
 ``dricci``, and ``dricci`` takes each trace before the product it enters:
@@ -47,7 +47,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .expressions import Const, DomainError, Expr, differentiate, parse
-from .jets import HyperDual, JetWalker
+from .jets import JetWalker
 
 __all__ = [
     "FactorManifold",
@@ -170,15 +170,14 @@ class ChartFrame:
     ``(N, m, m, m)``, ``det``, ``scalar`` and ``laplacian`` are ``(N,)``
     arrays.  Each sample gets its own arithmetic (``...`` einsums, batched
     ``inv`` / ``det`` / ``matmul``), so a stack of N agrees bit for bit with
-    N stacks of one wherever the jets do.
+    N stacks of one.
 
     Jets: the frame owns one ``JetWalker``, shared by the metric entries,
     their third derivatives and the fields, so each distinct subexpression
-    is walked once.  A stack of N > 1 points walks ``JetStack`` jets over all
-    samples at once; a stack of one walks the scalar ``HyperDual`` jets, the
-    faster of the two at one point.  A constant expression gives its value
-    and zero derivatives without a walk.  The walker's memo is released once
-    ``d3metric``, the last stage that reads the metric entries, is built.
+    is walked once, with ``JetStack`` jets over all samples at once.  A
+    constant expression gives its value and zero derivatives without a walk.
+    The walker's memo is released once ``d3metric``, the last stage that
+    reads the metric entries, is built.
 
     A stack raises the error a loop over its samples would raise first:
     ``GeometryError`` (non-finite jets), ``DegenerateMetricError`` and
@@ -210,33 +209,21 @@ class ChartFrame:
         """Order-2 jets of ``e``: a value, gradient and Hessian per sample.
 
         A ``DomainError`` carries ``node``, the failing sample, and
-        ``reason``; its message names the sample's point.  Where the scalar
-        walk overflows (``math`` raises), the expression is walked again as a
-        stack, which gives ``inf`` instead.  Neither walk warns about
-        overflow: the stages that read the jets check them for finiteness.
+        ``reason``; its message names the sample's point.  An overflow gives
+        ``inf`` without a warning: the stages that read the jets check them
+        for finiteness.
         """
         count, m = self.point.shape
         if isinstance(e, Const):
             return np.full(count, e.value), np.zeros((count, m)), np.zeros((count, m, m))
-        coords = self.manifold.coords
-        if self._walker is None and count == 1:
-            self._walker = JetWalker.at_point(self.manifold.point_map(self.point[0]), 2, coords)
-        elif self._walker is None:
-            self._walker = JetWalker.over_stack(self.point, coords)
-        walker = self._walker
+        if self._walker is None:
+            self._walker = JetWalker(self.point, self.manifold.coords)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                if walker.cls is HyperDual:
-                    try:
-                        v, grad, hess = walker.jets(e)
-                        return np.array([v]), grad[None], hess[None]
-                    except OverflowError:
-                        walker = JetWalker.over_stack(self.point, coords)
-                return walker.jets(e)
+                return self._walker.jets(e)
         except DomainError as exc:
-            i, reason = getattr(exc, "node", 0), getattr(exc, "reason", str(exc))
-            err = DomainError(f"{reason} at {self.point[i].tolist()}")
-            err.node, err.reason = i, reason
+            err = DomainError(f"{exc.reason} at {self.point[exc.node].tolist()}")
+            err.node, err.reason = exc.node, exc.reason
             raise err from None
 
     # -- metric jets --------------------------------------------------------

@@ -511,7 +511,7 @@ def _block_jets(manifold: FactorManifold, grid: np.ndarray, start: int, stop: in
     """Order-2 jets at grid nodes ``start:stop``, from one ``JetWalker``
     shared by every expression of the block; a domain error names the grid
     node."""
-    walker = JetWalker.over_stack(grid[start:stop], manifold.coords)
+    walker = JetWalker(grid[start:stop], manifold.coords)
 
     def jets(e: Expr):
         try:

@@ -69,10 +69,9 @@ class ParseError(ExpressionError):
 class DomainError(ExpressionError):
     """Evaluation left a function's domain (log of a negative, 1/0, ...).
 
-    Raised over a stack of points (a ``seqwarp.jets.JetWalker`` built with
-    ``over_stack``, as in ``eval_jet_stack``), it also carries ``node``, the
-    index of the first offending point, and ``reason``, the message without
-    that index.
+    Raised by a jet walk (``seqwarp.jets``), it always carries ``node``, the
+    index of the first offending point of the stack, and ``reason``, the
+    message without that index.
     """
 
 

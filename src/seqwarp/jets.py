@@ -1,41 +1,36 @@
 """Forward-mode differentiation of expressions: exact gradients and Hessians.
 
-Expressions are evaluated over dual numbers (value + gradient) or
-hyper-dual numbers (value + gradient + Hessian), so first and second
-partial derivatives come out exact to rounding.  Curvature work needs
-exact second derivatives of metric entries; finite differences exist in
-the test suite only, as an independent cross-check.
+Expressions are evaluated over ``JetStack``, order-2 jets (value, gradient
+and Hessian) at a stack of N points at once, whose value, gradient and
+Hessian have shapes ``(N,)``, ``(N, n)`` and ``(N, n, n)`` (vector forward
+mode, Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 3 and 13),
+so first and second partial derivatives come out exact to rounding.
+Curvature work needs exact second derivatives of metric entries; finite
+differences and the symbolic derivatives of ``expressions`` serve in the
+test suite only, as independent cross-checks.  One point is a stack of
+one.  Each point gets its own elementwise arithmetic, so row i of a stack
+equals a stack of one at that row, bit for bit.
 
 The Hessians produced here are bitwise symmetric: every update is built
 from symmetric outer-product combinations, and a product adds its cross
 term and that term's transpose as one group, ``(cross + cross.T)``, whose
 entries (i, j) and (j, i) are the same sum.
 
-One walker, ``_eval``, serves every jet class.  The steps that depend on
-values (the function table, the domain checks, the analytic power rule for
-``|n| > MAX_UNROLLED_EXPONENT`` and real powers) are methods of the jet
-class, so the same tree walk runs over scalar jets at one point (``Dual``,
-``HyperDual``) and over ``JetStack``, order-2 jets at a stack of N points at
-once, whose value, gradient and Hessian have shapes ``(N,)``, ``(N, n)`` and
-``(N, n, n)`` (vector forward mode, Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., ch. 3 and 13).  Every stack operation is the scalar
-operation applied elementwise, so sums, products, ``sin``, ``cos`` and small
-integer powers agree with the scalar jets bit for bit; the numpy versions of
-``exp``, ``log``, ``tan``, ``tanh`` and ``**`` may differ from ``math`` in
-the last ulp.  A stack obeys the scalar domain rules and raises at the first
-node that breaks one; overflow gives ``inf`` rather than ``OverflowError``.
+A walk obeys the domain rules (``log`` and ``sqrt`` of non-positive values,
+division by zero, zero to a negative integer power, a non-positive base
+under a non-integer power) and raises ``DomainError`` at the first point
+that breaks one; overflow gives ``inf``, which the callers check for.
 
-A ``JetWalker`` holds the coordinate jets of one point or one stack, seeded
-once, and memoizes the jet of every subexpression it walks, keyed by
-structure: the metric entries of a chart, their derivatives and the warping
-fields share many subtrees, and each distinct one is walked once per walker.
-``eval_jet`` (one point, order 1 or 2) and ``eval_jet_stack`` (a stack) are
+A ``JetWalker`` holds the coordinate jets of one stack, seeded once, and
+memoizes the jet of every subexpression it walks, keyed by structure: the
+metric entries of a chart, their derivatives and the warping fields share
+many subtrees, and each distinct one is walked once per walker.
+``eval_jet_stack`` (a stack) and ``eval_jet`` (one point, order 1 or 2) are
 one-expression walks on a fresh walker, so there is one code path.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -54,174 +49,7 @@ from .expressions import (
     to_string,
 )
 
-__all__ = ["Dual", "HyperDual", "JetStack", "JetWalker", "eval_jet", "eval_jet_stack"]
-
-
-def _fn_table(name: str, x: float, node: Expr) -> tuple[float, float, float]:
-    """Value and first two derivatives of a unary function at ``x``."""
-    if name == "sin":
-        s, c = math.sin(x), math.cos(x)
-        return s, c, -s
-    if name == "cos":
-        s, c = math.sin(x), math.cos(x)
-        return c, -s, -c
-    if name == "tan":
-        t = math.tan(x)
-        d = 1.0 + t * t
-        return t, d, 2.0 * t * d
-    if name == "sinh":
-        return math.sinh(x), math.cosh(x), math.sinh(x)
-    if name == "cosh":
-        return math.cosh(x), math.sinh(x), math.cosh(x)
-    if name == "tanh":
-        t = math.tanh(x)
-        d = 1.0 - t * t
-        return t, d, -2.0 * t * d
-    if name == "exp":
-        e = math.exp(x)
-        return e, e, e
-    if name == "log":
-        if x <= 0.0:
-            raise DomainError(f"log of non-positive value {x!r} in {to_string(node)!r}")
-        return math.log(x), 1.0 / x, -1.0 / (x * x)
-    if name == "sqrt":
-        if x < 0.0:
-            raise DomainError(f"sqrt of negative value {x!r} in {to_string(node)!r}")
-        if x == 0.0:
-            raise DomainError(f"sqrt derivative at zero in {to_string(node)!r}")
-        r = math.sqrt(x)
-        return r, 0.5 / r, -0.25 / (x * r)
-    raise ExpressionError(f"unknown function {name!r}")
-
-
-class _JetRules:
-    """Value-dependent walker steps whose arithmetic fits a float or a stack.
-
-    Subclasses supply ``fn_table(name, x, node)`` and ``_fail_where(bad,
-    reason, node)``, which raises ``DomainError`` where ``bad`` holds.
-    """
-
-    __slots__ = ()
-
-    def int_power(self, n: int, node: Expr):
-        """Analytic power rule; integer exponents keep negative bases legal."""
-        if n < 0:
-            self._fail_where(self.value == 0.0, "zero raised to a negative power", node)
-        v = self.value
-        return self.chain(v**n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
-
-    def require_positive_base(self, node: Expr) -> None:
-        """A non-integer exponent needs a positive base."""
-        self._fail_where(self.value <= 0.0, "power with non-positive base {!r}", node)
-
-    def real_power(self, c: float):
-        v = self.value
-        return self.chain(v**c, c * v ** (c - 1.0), c * (c - 1.0) * v ** (c - 2.0))
-
-
-class _ScalarJet(_JetRules):
-    """Rules for jets at one point: ``math`` functions, ``if`` checks."""
-
-    __slots__ = ()
-
-    fn_table = staticmethod(_fn_table)
-
-    def _fail_where(self, bad: bool, reason: str, node: Expr) -> None:
-        if bad:
-            raise DomainError(f"{reason.format(self.value)} in {to_string(node)!r}")
-
-
-class Dual(_ScalarJet):
-    """First-order jet: value plus gradient with respect to n coordinates."""
-
-    __slots__ = ("value", "grad")
-
-    def __init__(self, value: float, grad: np.ndarray):
-        self.value = value
-        self.grad = grad
-
-    @classmethod
-    def constant(cls, value: float, n: int) -> "Dual":
-        return cls(value, np.zeros(n))
-
-    @classmethod
-    def seed(cls, value: float, index: int, n: int) -> "Dual":
-        g = np.zeros(n)
-        g[index] = 1.0
-        return cls(value, g)
-
-    def __add__(self, o: "Dual") -> "Dual":
-        return Dual(self.value + o.value, self.grad + o.grad)
-
-    def __sub__(self, o: "Dual") -> "Dual":
-        return Dual(self.value - o.value, self.grad - o.grad)
-
-    def __neg__(self) -> "Dual":
-        return Dual(-self.value, -self.grad)
-
-    def __mul__(self, o: "Dual") -> "Dual":
-        return Dual(self.value * o.value, self.value * o.grad + o.value * self.grad)
-
-    def reciprocal(self, node: Expr) -> "Dual":
-        if self.value == 0.0:
-            raise DomainError(f"division by zero in {to_string(node)!r}")
-        v = 1.0 / self.value
-        return Dual(v, -v * v * self.grad)
-
-    def chain(self, f: float, df: float, _d2f: float) -> "Dual":
-        return Dual(f, df * self.grad)
-
-
-class HyperDual(_ScalarJet):
-    """Second-order jet: value, gradient, and Hessian."""
-
-    __slots__ = ("value", "grad", "hess")
-
-    def __init__(self, value: float, grad: np.ndarray, hess: np.ndarray):
-        self.value = value
-        self.grad = grad
-        self.hess = hess
-
-    @classmethod
-    def constant(cls, value: float, n: int) -> "HyperDual":
-        return cls(value, np.zeros(n), np.zeros((n, n)))
-
-    @classmethod
-    def seed(cls, value: float, index: int, n: int) -> "HyperDual":
-        g = np.zeros(n)
-        g[index] = 1.0
-        return cls(value, g, np.zeros((n, n)))
-
-    def __add__(self, o: "HyperDual") -> "HyperDual":
-        return HyperDual(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
-
-    def __sub__(self, o: "HyperDual") -> "HyperDual":
-        return HyperDual(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
-
-    def __neg__(self) -> "HyperDual":
-        return HyperDual(-self.value, -self.grad, -self.hess)
-
-    def __mul__(self, o: "HyperDual") -> "HyperDual":
-        cross = np.outer(self.grad, o.grad)
-        return HyperDual(
-            self.value * o.value,
-            self.value * o.grad + o.value * self.grad,
-            self.value * o.hess + o.value * self.hess + (cross + cross.T),
-        )
-
-    def reciprocal(self, node: Expr) -> "HyperDual":
-        if self.value == 0.0:
-            raise DomainError(f"division by zero in {to_string(node)!r}")
-        v = 1.0 / self.value
-        outer = np.outer(self.grad, self.grad)
-        return HyperDual(v, -v * v * self.grad, -v * v * self.hess + 2.0 * v**3 * outer)
-
-    def chain(self, f: float, df: float, d2f: float) -> "HyperDual":
-        return HyperDual(
-            f,
-            df * self.grad,
-            df * self.hess + d2f * np.outer(self.grad, self.grad),
-        )
+__all__ = ["JetStack", "JetWalker", "eval_jet", "eval_jet_stack"]
 
 
 def _stack_fail(bad: np.ndarray, x: np.ndarray, reason: str, node: Expr) -> None:
@@ -242,7 +70,8 @@ def _stack_fail(bad: np.ndarray, x: np.ndarray, reason: str, node: Expr) -> None
 def _stack_fn_table(
     name: str, x: np.ndarray, node: Expr
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_fn_table`` over a stack of arguments, with the same domain rules."""
+    """Value and first two derivatives of a unary function at each entry of
+    ``x``; raises ``DomainError`` at the first entry outside its domain."""
     if name == "sin":
         s, c = np.sin(x), np.cos(x)
         return s, c, -s
@@ -279,17 +108,11 @@ def _stack_fn_table(
     raise ExpressionError(f"unknown function {name!r}")
 
 
-class JetStack(_JetRules):
+class JetStack:
     """Second-order jets at N points: value ``(N,)``, gradient ``(N, n)``,
-    Hessian ``(N, n, n)``.
-
-    Each operation is the ``HyperDual`` operation applied node by node, in
-    the same order.  ``dim`` is the pair ``(N, n)``.
-    """
+    Hessian ``(N, n, n)``.  ``dim`` is the pair ``(N, n)``."""
 
     __slots__ = ("value", "grad", "hess")
-
-    fn_table = staticmethod(_stack_fn_table)
 
     def __init__(self, value: np.ndarray, grad: np.ndarray, hess: np.ndarray):
         self.value = value
@@ -307,9 +130,6 @@ class JetStack(_JetRules):
         g = np.zeros((count, n))
         g[:, index] = 1.0
         return cls(values, g, np.zeros((count, n, n)))
-
-    def _fail_where(self, bad: np.ndarray, reason: str, node: Expr) -> None:
-        _stack_fail(bad, self.value, reason, node)
 
     def __add__(self, o: "JetStack") -> "JetStack":
         return JetStack(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
@@ -332,7 +152,7 @@ class JetStack(_JetRules):
         )
 
     def reciprocal(self, node: Expr) -> "JetStack":
-        self._fail_where(self.value == 0.0, "division by zero", node)
+        _stack_fail(self.value == 0.0, self.value, "division by zero", node)
         v = 1.0 / self.value
         outer = self.grad[:, :, None] * self.grad[:, None, :]
         return JetStack(
@@ -349,10 +169,25 @@ class JetStack(_JetRules):
             df[:, None, None] * self.hess + d2f[:, None, None] * outer,
         )
 
+    def int_power(self, n: int, node: Expr) -> "JetStack":
+        """Analytic power rule; integer exponents keep negative bases legal."""
+        if n < 0:
+            _stack_fail(self.value == 0.0, self.value, "zero raised to a negative power", node)
+        v = self.value
+        return self.chain(v**n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
 
-def _int_power(u, n: int, walk: "JetWalker", node: Expr):
+    def require_positive_base(self, node: Expr) -> None:
+        """A non-integer exponent needs a positive base."""
+        _stack_fail(self.value <= 0.0, self.value, "power with non-positive base {!r}", node)
+
+    def real_power(self, c: float) -> "JetStack":
+        v = self.value
+        return self.chain(v**c, c * v ** (c - 1.0), c * (c - 1.0) * v ** (c - 2.0))
+
+
+def _int_power(u: JetStack, n: int, walk: "JetWalker", node: Expr) -> JetStack:
     if n == 0:
-        return walk.cls.constant(1.0, walk.dim)
+        return JetStack.constant(1.0, walk.dim)
     if abs(n) > MAX_UNROLLED_EXPONENT:
         return u.int_power(n, node)
     out = u
@@ -363,11 +198,11 @@ def _int_power(u, n: int, walk: "JetWalker", node: Expr):
     return out
 
 
-def _eval(e: Expr, walk: "JetWalker"):
+def _eval(e: Expr, walk: "JetWalker") -> JetStack:
     """The jet of ``e`` over ``walk``'s coordinate jets; subtrees go through
     ``walk.jet``, so each is walked once per walker."""
     if isinstance(e, Const):
-        return walk.cls.constant(e.value, walk.dim)
+        return JetStack.constant(e.value, walk.dim)
     if isinstance(e, Var):
         try:
             return walk.env[e.name]
@@ -377,7 +212,7 @@ def _eval(e: Expr, walk: "JetWalker"):
         return -walk.jet(e.arg)
     if isinstance(e, Call):
         u = walk.jet(e.arg)
-        return u.chain(*u.fn_table(e.fn, u.value, e))
+        return u.chain(*_stack_fn_table(e.fn, u.value, e))
     if isinstance(e, BinOp):
         if e.op == "^":
             u = walk.jet(e.left)
@@ -388,9 +223,9 @@ def _eval(e: Expr, walk: "JetWalker"):
             if isinstance(e.right, Const):
                 return u.real_power(e.right.value)
             w = walk.jet(e.right)
-            logu = u.chain(*u.fn_table("log", u.value, e))
+            logu = u.chain(*_stack_fn_table("log", u.value, e))
             prod = w * logu
-            return prod.chain(*u.fn_table("exp", prod.value, e))
+            return prod.chain(*_stack_fn_table("exp", prod.value, e))
         a = walk.jet(e.left)
         b = walk.jet(e.right)
         if e.op == "+":
@@ -410,7 +245,8 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class JetWalker:
-    """Jets of any number of expressions over one set of coordinate jets.
+    """Jets of any number of expressions at every row of ``points``, shape
+    ``(N, n)`` with columns in ``coords`` order.
 
     The coordinates are seeded once, at construction, and the jet of every
     subexpression is memoized by structure (``Expr`` equality), so a
@@ -419,54 +255,27 @@ class JetWalker:
     seeds, so the results are those of independent walks, bit for bit.  A
     subtree whose walk raises is not memoized.  The memo lives as long as
     the walker: drop the walker to release it.
-
-    ``cls`` is the jet class (``Dual``, ``HyperDual`` or ``JetStack``) and
-    ``dim`` what ``cls.constant`` takes.  Build one with ``at_point`` (jets
-    at one point) or ``over_stack`` (order-2 jets at N points).
     """
 
-    __slots__ = ("cls", "dim", "env", "_memo")
+    __slots__ = ("dim", "env", "_memo")
 
-    def __init__(self, cls, dim, env: dict):
-        self.cls, self.dim, self.env = cls, dim, env
-        self._memo: dict[Expr, object] = {}
-
-    @classmethod
-    def at_point(
-        cls, point: Mapping[str, float], order: int, coords: Sequence[str]
-    ) -> "JetWalker":
-        """Jets of order 1 (``Dual``) or 2 (``HyperDual``) at one point."""
-        jet = {1: Dual, 2: HyperDual}.get(order)
-        if jet is None:
-            raise ValueError(f"order must be 1 or 2, got {order!r}")
-        n = len(coords)
-        env = {name: jet.seed(float(point[name]), i, n) for i, name in enumerate(coords)}
-        return cls(jet, n, env)
-
-    @classmethod
-    def over_stack(cls, points: np.ndarray, coords: Sequence[str]) -> "JetWalker":
-        """Order-2 jets (``JetStack``) at every row of ``points``, shape
-        ``(N, n)`` with columns in ``coords`` order."""
+    def __init__(self, points: np.ndarray, coords: Sequence[str]):
         points = np.asarray(points, dtype=float)
-        dim = (points.shape[0], len(coords))
-        env = {name: JetStack.seed(points[:, i], i, dim) for i, name in enumerate(coords)}
-        return cls(JetStack, dim, env)
+        self.dim = (points.shape[0], len(coords))
+        self.env = {name: JetStack.seed(points[:, i], i, self.dim) for i, name in enumerate(coords)}
+        self._memo: dict[Expr, JetStack] = {}
 
-    def jet(self, e: Expr):
-        """The jet object of ``e``, walked at most once per walker."""
+    def jet(self, e: Expr) -> JetStack:
+        """The jet of ``e``, walked at most once per walker."""
         out = self._memo.get(e)
         if out is None:
             out = self._memo[e] = _eval(e, self)
         return out
 
-    def jets(self, e: Expr) -> tuple:
-        """``(value, gradient)`` for ``Dual``, ``(value, gradient, hessian)``
-        otherwise; the arrays are read-only, because the memo shares them."""
+    def jets(self, e: Expr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(value, gradient, hessian)`` of ``e``; the arrays are read-only,
+        because the memo shares them."""
         out = self.jet(e)
-        if self.cls is Dual:
-            return (out.value,) + _read_only(out.grad)
-        if self.cls is HyperDual:
-            return (out.value,) + _read_only(out.grad, out.hess)
         return _read_only(out.value, out.grad, out.hess)
 
 
@@ -476,16 +285,26 @@ def eval_jet(
     order: int,
     coords: Sequence[str] | None = None,
 ):
-    """Evaluate with derivatives up to ``order`` (1 or 2).
+    """Evaluate with derivatives up to ``order`` (1 or 2) at one point.
 
     Returns ``(value, gradient)`` for order 1 and
-    ``(value, gradient, hessian)`` for order 2, with derivative components
-    ordered by ``coords`` (sorted point keys when omitted).  A one-expression
-    walk on a fresh ``JetWalker``.
+    ``(value, gradient, hessian)`` for order 2: a float, an ``(n,)`` and an
+    ``(n, n)`` read-only array, with derivative components ordered by
+    ``coords`` (sorted point keys when omitted).  A walk over a stack of one;
+    a ``DomainError`` names no node.
     """
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
     if coords is None:
         coords = sorted(point)
-    return JetWalker.at_point(point, order, coords).jets(e)
+    row = np.array([[float(point[name]) for name in coords]])
+    try:
+        value, grad, hess = eval_jet_stack(e, row, coords)
+    except DomainError as exc:
+        err = DomainError(exc.reason)
+        err.node, err.reason = exc.node, exc.reason
+        raise err from None
+    return (float(value[0]), grad[0], hess[0])[: order + 1]
 
 
 def eval_jet_stack(e: Expr, points: np.ndarray, coords: Sequence[str]):
@@ -495,4 +314,4 @@ def eval_jet_stack(e: Expr, points: np.ndarray, coords: Sequence[str]):
 
     Raises ``DomainError`` naming the first row that leaves a domain.
     """
-    return JetWalker.over_stack(points, coords).jets(e)
+    return JetWalker(points, coords).jets(e)

@@ -502,8 +502,8 @@ class TestCli:
         assert re.search(r"proposition1_i2 residual is not finite at sample \d \[1\.0", err), err
 
     def test_metric_derivative_overflowing_in_the_scalar_jets_exit_code(self, tmp_path, capsys):
-        # at one point the jets are scalars: the value of h^2 stays finite,
-        # its second derivatives overflow in numpy
+        # a stack of one walks the jets every stack walks: the value of h^2
+        # stays finite, its second derivatives overflow to inf
         path = self._large_ssst_spec(tmp_path, "exp(340*x)")
         err = self._one_line_exit_2(capsys, ["verify", path, "--points", "1"])
         assert "or one of its first two derivatives is not finite at [1.025" in err
@@ -580,7 +580,8 @@ class TestCli:
         path = self._lines_spec(tmp_path, f="exp(800*x)", box={"x": [0.2, 1.2]})
         err = self._one_line_exit_2(capsys, ["verify", path])
         assert "metric of 'a*b*c' is not finite at [0.78" in err
-        # at one point the jets use math.exp, which raises where numpy's gives inf
+        # an overflow is inf at every N, one point included, and exits 2 with
+        # the "not finite" line
         err = self._one_line_exit_2(capsys, ["classify", path, "--at", "x=1.0"])
         assert "is not finite at [1.0, 0.0, 0.0]" in err
         path = self._lines_spec(tmp_path, f="exp(800*x)", box={"x": [0.9, 1.2]})

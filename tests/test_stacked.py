@@ -1,10 +1,8 @@
 """Stacked frames: one ChartFrame or WarpedFrame over N sample points.
 
-Each sample of a stack of N must agree with a stack of one built at that
-sample, which evaluates the scalar jets: bit for bit where the batched jets
-agree with those (``+ - *``, integer powers 0-12, ``sin``, ``cos``,
-``sqrt``), and within 1e-14 normalized where numpy's ``exp``, ``cosh``, real
-powers or the batched reciprocal may move the last ulp.
+Each sample of a stack of N must agree bit for bit with a stack of one built
+at that sample: every sample gets its own arithmetic, in the jets and in the
+stages built from them.
 """
 
 import dataclasses
@@ -37,13 +35,11 @@ from seqwarp.expressions import (
     Call,
     Const,
     DomainError,
-    Neg,
     Var,
     differentiate,
-    integer_exponent,
     to_string,
 )
-from seqwarp.jets import eval_jet, eval_jet_stack
+from seqwarp.jets import eval_jet_stack
 from seqwarp.spacetime import grw_theorem_check, ssst_theorem_check, time_axis
 from seqwarp.specfile import spec_from_dict
 from seqwarp.verify import (
@@ -112,29 +108,6 @@ def load(name: str):
     return catalog_spec(name)
 
 
-def bitwise_safe(e) -> bool:
-    """Whether stacked jets of ``e`` equal the scalar jets bit for bit."""
-    if isinstance(e, (Const, Var)):
-        return True
-    if isinstance(e, Neg):
-        return bitwise_safe(e.arg)
-    if isinstance(e, Call):
-        return e.fn in ("sin", "cos", "sqrt") and bitwise_safe(e.arg)
-    assert isinstance(e, BinOp)
-    if e.op == "/":
-        return False
-    if e.op == "^":
-        n = integer_exponent(e.right)
-        return n is not None and 0 <= n <= 12 and bitwise_safe(e.left)
-    return bitwise_safe(e.left) and bitwise_safe(e.right)
-
-
-def chart_bitwise(chart, fields=()) -> bool:
-    return all(bitwise_safe(e) for row in chart.metric for e in row) and all(
-        bitwise_safe(phi) for phi in fields
-    )
-
-
 def random_chart():
     """A non-diagonal, diagonally dominant (so positive-definite) dim-4 chart."""
     rng = np.random.default_rng(7)
@@ -164,28 +137,15 @@ def chart_case(name: str):
     return flatten_to_chart(product), (product.f, product.h), points
 
 
-def assert_agree(stacked, single, bitwise: bool, what: str) -> None:
+def assert_agree(stacked, single, what: str) -> None:
     stacked, single = np.asarray(stacked), np.asarray(single)
     assert stacked.shape == single.shape, what
-    if bitwise:
-        assert np.array_equal(stacked, single), what
-    else:
-        gap = np.max(np.abs(stacked - single), initial=0.0)
-        assert gap <= 1e-14 * (1.0 + np.max(np.abs(single), initial=0.0)), what
-
-
-def test_bitwise_specs_are_the_expected_ones():
-    safe = {name for name in SPECS if chart_bitwise(flatten_to_chart(load(name).product))}
-    assert safe == {
-        "circle_lambda", "euclidean_product", "flrw_radiation", "planted_qe",
-    }
-    assert chart_bitwise(*random_chart()[:2])
+    assert np.array_equal(stacked, single), what
 
 
 @pytest.mark.parametrize("name", (*SPECS, "random_dim4"))
 def test_stacked_chart_frame_matches_one_point_frames(name):
     chart, fields, points = chart_case(name)
-    bitwise = chart_bitwise(chart, fields)
     stack = ChartFrame(chart, points)
     m = chart.dim
     assert stack.metric.shape == (SAMPLES, m, m)
@@ -193,15 +153,15 @@ def test_stacked_chart_frame_matches_one_point_frames(name):
     for i, point in enumerate(points):
         one = ChartFrame(chart, point[None])
         for stage in STAGES:
-            assert_agree(getattr(stack, stage)[i], getattr(one, stage)[0], bitwise, f"{stage} {i}")
+            assert_agree(getattr(stack, stage)[i], getattr(one, stage)[0], f"{stage} {i}")
         for phi in fields:
             for k, (s, o) in enumerate(zip(stack.field_jets(phi), one.field_jets(phi))):
-                assert_agree(s[i], o[0], bitwise, f"field_jets[{k}] {i}")
+                assert_agree(s[i], o[0], f"field_jets[{k}] {i}")
             for method in FIELD_METHODS:
                 s, o = getattr(stack, method)(phi), getattr(one, method)(phi)
-                assert_agree(s[i], o[0], bitwise, f"{method} {i}")
+                assert_agree(s[i], o[0], f"{method} {i}")
         s, o = stack.div_sym2(chart.metric), one.div_sym2(chart.metric)
-        assert_agree(s[i], o[0], bitwise, f"div_sym2 {i}")
+        assert_agree(s[i], o[0], f"div_sym2 {i}")
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -209,24 +169,18 @@ def test_stacked_warped_frame_matches_one_point_frames(name):
     spec = load(name)
     product = spec.product
     fields = (product.f, product.h)
-    bitwise = all(chart_bitwise(fac) for fac in product.factors) and all(
-        bitwise_safe(phi) for phi in fields
-    )
     points = spec.sample_points(SAMPLES, 0)
     stack = WarpedFrame(product, points)
     for i, point in enumerate(points):
         one = WarpedFrame(product, point[None])
         for stage in WARPED_STAGES:
-            assert_agree(getattr(stack, stage)[i], getattr(one, stage)[0], bitwise, f"{stage} {i}")
+            assert_agree(getattr(stack, stage)[i], getattr(one, stage)[0], f"{stage} {i}")
 
 
 @pytest.mark.parametrize("name", SPECS)
 def test_connection_and_curvature_on_a_stack_match_stacks_of_one(name):
     spec = load(name)
     product = spec.product
-    bitwise = all(chart_bitwise(fac) for fac in product.factors) and all(
-        bitwise_safe(phi) for phi in (product.f, product.h)
-    )
     points = spec.sample_points(3, 0)
     stack = WarpedFrame(product, points)
     rng = np.random.default_rng(9)
@@ -240,41 +194,41 @@ def test_connection_and_curvature_on_a_stack_match_stacks_of_one(name):
         one = WarpedFrame(product, point[None])
         xi, yi, zi = (BlockVector.from_ambient(product, v.ambient[i : i + 1]) for v in (x, y, z))
         o = one.connection(xi, basis).ambient
-        assert_agree(connection[i], o[0], bitwise, f"connection {i}")
+        assert_agree(connection[i], o[0], f"connection {i}")
         o = one.curvature(xi, yi, zi).ambient
-        assert_agree(curvature[i], o[0], bitwise, f"curvature {i}")
+        assert_agree(curvature[i], o[0], f"curvature {i}")
 
 
-def assert_reports_agree(stacked, single, bitwise: bool, what: str) -> None:
+def assert_reports_agree(stacked, single, what: str) -> None:
     assert [r.name for r in stacked] == [r.name for r in single], what
     for s, o in zip(stacked, single):
         where = f"{what} {o.name}"
         assert (s.passed, s.informational, s.points) == (o.passed, o.informational, o.points), where
-        assert_agree(s.max_residual, o.max_residual, bitwise, where)
-        assert_agree(s.tolerance, o.tolerance, bitwise, where)
+        assert_agree(s.max_residual, o.max_residual, where)
+        assert_agree(s.tolerance, o.tolerance, where)
         assert s.details.keys() == o.details.keys(), where
         for key, value in o.details.items():
             if isinstance(value, float):
-                assert_agree(s.details[key], value, bitwise, f"{where} {key}")
+                assert_agree(s.details[key], value, f"{where} {key}")
             else:
                 assert s.details[key] == value, f"{where} {key}"
 
 
-def assert_residuals_agree(stacked, i: int, single, bitwise: bool, what: str) -> None:
+def assert_residuals_agree(stacked, i: int, single, what: str) -> None:
     """Sample ``i`` of the stacked ``Residual`` list against the one sample of ``single``."""
     assert [r.name for r in stacked] == [r.name for r in single], what
     for s, o in zip(stacked, single):
         where = f"{what} {o.name}"
         assert (s.scaled, s.informational, s.cause) == (o.scaled, o.informational, o.cause), where
         assert (s.over is None or s.over[i]) == (o.over is None or o.over[0]), where
-        assert_agree(s.values[i], o.values[0], bitwise, where)
+        assert_agree(s.values[i], o.values[0], where)
         tolerance = np.broadcast_to(s.tolerance, s.values.shape)[i]
-        assert_agree(tolerance, np.broadcast_to(o.tolerance, o.values.shape)[0], bitwise, where)
+        assert_agree(tolerance, np.broadcast_to(o.tolerance, o.values.shape)[0], where)
         assert s.details.keys() == o.details.keys(), where
         for key, value in o.details.items():
             mine, theirs = _plain(s.details[key][i]), _plain(value[0])
             if isinstance(theirs, float):
-                assert_agree(mine, theirs, bitwise, f"{where} {key}")
+                assert_agree(mine, theirs, f"{where} {key}")
             else:
                 assert mine == theirs, f"{where} {key}"
 
@@ -299,9 +253,6 @@ def premise_fits(product, count: int) -> tuple[list, list]:
 def test_evaluators_on_a_stack_match_one_point_calls(name):
     spec = load(name)
     product = spec.product
-    bitwise = all(chart_bitwise(fac) for fac in product.factors) and all(
-        bitwise_safe(phi) for phi in (product.f, product.h)
-    )
     points = spec.sample_points(SAMPLES, 0)
     stack = WarpedFrame(product, points)
     flat = ChartFrame(flatten_to_chart(product), points)
@@ -323,11 +274,11 @@ def test_evaluators_on_a_stack_match_one_point_calls(name):
     for evaluator in (lambda_at, nu_at):
         s = evaluator(product, stack, 0.7)
         o = [evaluator(product, one, 0.7)[0] for one in ones]
-        assert_agree(s, o, bitwise, evaluator.__name__)
+        assert_agree(s, o, evaluator.__name__)
     for qe, qe_of in ((None, lambda i: None), (per_sample, lambda i: decompositions[i])):
         for k, s in enumerate(stack.factor_scalars(qe)):
             o = [one.factor_scalars(qe_of(i))[k][0] for i, one in enumerate(ones)]
-            assert_agree(s, o, bitwise, f"factor_scalars[{k}]")
+            assert_agree(s, o, f"factor_scalars[{k}]")
 
     lam = lambda_at(product, stack, 0.7)
     shared = decompositions[0]
@@ -335,14 +286,14 @@ def test_evaluators_on_a_stack_match_one_point_calls(name):
     conditions = condition_residuals(product, stack, shared, lam)
     for i, one in enumerate(ones):
         single = proposition1_residuals(product, one, decompositions[i])
-        assert_agree([r[i] for r in prop], [r[0] for r in single], bitwise, f"proposition1 {i}")
+        assert_agree([r[i] for r in prop], [r[0] for r in single], f"proposition1 {i}")
         single = condition_residuals(product, one, shared, float(lam[i]))
-        assert_agree([r[i] for r in conditions], [r[0] for r in single], bitwise, f"conditions {i}")
+        assert_agree([r[i] for r in conditions], [r[0] for r in single], f"conditions {i}")
 
     for qe in (None, (1.0, 0.5, None), (-1.0, 0.0, None)):
         reports = theorem2_conditions(product, qe, float(lam[0]), 0.3, stack)
         single = theorem2_conditions(product, qe, float(lam[0]), 0.3, list(points))
-        assert_reports_agree(reports, single, True, "theorem2")
+        assert_reports_agree(reports, single, "theorem2")
 
     if spec.kind in ("ssst", "grw"):
         check = ssst_theorem_check if spec.kind == "ssst" else grw_theorem_check
@@ -350,7 +301,7 @@ def test_evaluators_on_a_stack_match_one_point_calls(name):
             stacked = check(product, stack, qes, qccs, flat=flat)
             for i, one in enumerate(ones):
                 single = check(product, one, [qes[i]], [qccs[i]])
-                assert_residuals_agree(stacked, i, single, bitwise, f"{spec.kind} {i}")
+                assert_residuals_agree(stacked, i, single, f"{spec.kind} {i}")
 
 
 # ---------------------------------------------------------------------------
@@ -455,36 +406,6 @@ def test_stack_errors_name_the_first_failing_sample():
         ChartFrame(overflow, np.array([[1.0], [np.nan]]))
 
 
-def test_one_sample_stack_uses_the_scalar_jets(monkeypatch):
-    spec = catalog_spec("hyperbolic_fiber")
-    chart = flatten_to_chart(spec.product)
-    point = spec.sample_points(1, 0)
-    stack = ChartFrame(chart, point)
-    coords = dict(zip(chart.coords, point[0].tolist()))
-    for i, row in enumerate(chart.metric):
-        for j, entry in enumerate(row[i:], start=i):
-            want = eval_jet(entry, coords, 2, chart.coords)
-            for k, (s, o) in enumerate(zip(stack._metric_jets, want)):
-                assert_agree(s[0][(Ellipsis, i, j)], o, True, f"jet {k} of entry {i}, {j}")
-
-    def no_batched_jets(*args):
-        raise AssertionError("a stack of one walked batched jets")
-
-    walked = set()
-
-    def spy(e, walk):
-        walked.add(walk.cls)
-        return real_eval(e, walk)
-
-    real_eval = jets._eval
-    monkeypatch.setattr(jets.JetWalker, "over_stack", no_batched_jets)
-    monkeypatch.setattr(jets, "_eval", spy)
-    stack = ChartFrame(chart, point)
-    for stage in STAGES:
-        assert getattr(stack, stage).shape[0] == 1, stage
-    assert walked == {jets.HyperDual}
-
-
 def sweep_spec(k: int) -> dict:
     """Three k-dimensional factors with non-diagonal metrics: ambient dim 3k."""
 
@@ -507,10 +428,7 @@ def sweep_spec(k: int) -> dict:
 
 
 def independent_jets(e, chart, points):
-    """Jets of ``e`` from a fresh one-expression walk, shaped as a frame's."""
-    if len(points) == 1:
-        value, grad, hess = eval_jet(e, chart.point_map(points[0]), 2, chart.coords)
-        return np.array([value]), grad[None], hess[None]
+    """Jets of ``e`` from a fresh one-expression walk."""
     return eval_jet_stack(e, points, chart.coords)
 
 
@@ -543,14 +461,14 @@ def test_shared_walk_matches_independent_walks(name, count, monkeypatch):
         for i, j in itertools.product(range(chart.dim), repeat=2):
             entry = chart.metric[i][j]
             for k, (s, o) in enumerate(zip((g, dg, d2g), independent_jets(entry, chart, at))):
-                assert_agree(s[(Ellipsis, i, j)], o, True, f"{chart.name} jet {k} of {i}, {j}")
+                assert_agree(s[(Ellipsis, i, j)], o, f"{chart.name} jet {k} of {i}, {j}")
             for c, cname in enumerate(chart.coords):
                 o = independent_jets(differentiate(entry, cname), chart, at)[2]
-                assert_agree(d3g[..., c, i, j], o, True, f"{chart.name} d_{cname} g_{i}{j}")
+                assert_agree(d3g[..., c, i, j], o, f"{chart.name} d_{cname} g_{i}{j}")
     for frame, phi in ((warped.frame1, product.f), (warped.inner_frame, product.h)):
         want = independent_jets(phi, frame.manifold, frame.point)
         for k, (s, o) in enumerate(zip(frame.field_jets(phi), want)):
-            assert_agree(s, o, True, f"jet {k} of {to_string(phi)}")
+            assert_agree(s, o, f"jet {k} of {to_string(phi)}")
     assert walks and max(walks.values()) == 1
 
 
