@@ -23,9 +23,10 @@ carrying the sample axis first (``christoffel[n, k, i, j]``); one point is a
 stack of one.  The stack is vector forward mode (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., ch. 3 and 13): batched jets and ``...``
 einsums do, for all N samples at once, the arithmetic of one sample at each.
-The jets of a frame, at every N, come from one ``JetWalker`` per stack, which
-seeds the coordinates once and walks each distinct subexpression of the metric
-entries, their derivatives and the fields once; see ``ChartFrame``.
+The jets of a frame, at every N, come from ``JetProgram`` runs, one per
+stage: each stage's expressions are compiled once per structure, and each
+distinct subexpression among them is one node of the program; see
+``ChartFrame``.
 
 The first derivative of the curvature enters the checks only traced, as
 ``dricci``, and ``dricci`` takes each trace before the product it enters:
@@ -47,7 +48,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .expressions import Const, DomainError, Expr, differentiate, parse
-from .jets import JetWalker
+from .jets import JetProgram, jet_program
 
 __all__ = [
     "FactorManifold",
@@ -128,13 +129,6 @@ class FactorManifold:
     def fully_periodic(self) -> bool:
         return self.periods is not None and all(p is not None for p in self.periods)
 
-    def point_map(self, point: Sequence[float]) -> dict[str, float]:
-        if len(point) != self.dim:
-            raise GeometryError(
-                f"{self.name!r} expects {self.dim} coordinates, got {len(point)}"
-            )
-        return {name: float(v) for name, v in zip(self.coords, point)}
-
 
 def factor(
     name: str,
@@ -160,6 +154,46 @@ def _derived(e: Expr, coord: str) -> Expr:
     return differentiate(e, coord)
 
 
+@lru_cache(maxsize=None)
+def _metric_program(manifold: FactorManifold):
+    """The metric entries of ``manifold`` on and above the diagonal, row by
+    row: the (i, j) and value of the constant ones, then ``_varying`` of
+    the others."""
+    metric = manifold.metric
+    upper = _upper(manifold.dim)
+    fixed = [(i, j) for i, j in upper if isinstance(metric[i][j], Const)]
+    values = np.array([metric[i][j].value for i, j in fixed], dtype=float)
+    varying = _varying(upper, [metric[i][j] for i, j in upper], manifold.coords)
+    return (*_columns(fixed, 2), values), varying
+
+
+@lru_cache(maxsize=None)
+def _d3_program(manifold: FactorManifold):
+    """``_varying`` of the derivatives d_c g_ij (i <= j) of the metric
+    entries of ``manifold``, c first."""
+    index = [(c, i, j) for c in range(manifold.dim) for i, j in _upper(manifold.dim)]
+    roots = [_derived(manifold.metric[i][j], manifold.coords[c]) for c, i, j in index]
+    return _varying(index, roots, manifold.coords)
+
+
+def _upper(m: int) -> list[tuple[int, int]]:
+    """The (i, j) with i <= j < m, row by row."""
+    return [(i, j) for i in range(m) for j in range(i, m)]
+
+
+def _varying(index: list[tuple[int, ...]], exprs: list[Expr], coords: tuple[str, ...]):
+    """The program of the ``exprs`` that are not constant, in order (None
+    when there are none), and the columns of their ``index`` tuples.  A
+    constant's derivatives are zero, so a stage leaves it out."""
+    keep = [k for k, e in enumerate(exprs) if not isinstance(e, Const)]
+    program = JetProgram([exprs[k] for k in keep], coords) if keep else None
+    return program, _columns([index[k] for k in keep], len(index[0]))
+
+
+def _columns(rows: list[tuple[int, ...]], width: int) -> tuple[np.ndarray, ...]:
+    return tuple(np.array(rows, dtype=np.intp).reshape(len(rows), width).T)
+
+
 class ChartFrame:
     """All pointwise geometry of one chart at a stack of sample points,
     computed lazily.
@@ -172,12 +206,12 @@ class ChartFrame:
     ``inv`` / ``det`` / ``matmul``), so a stack of N agrees bit for bit with
     N stacks of one.
 
-    Jets: the frame owns one ``JetWalker``, shared by the metric entries,
-    their third derivatives and the fields, so each distinct subexpression
-    is walked once, with ``JetStack`` jets over all samples at once.  A
-    constant expression gives its value and zero derivatives without a walk.
-    The walker's memo is released once ``d3metric``, the last stage that
-    reads the metric entries, is built.
+    Jets: each stage runs one ``JetProgram`` over all samples at once: the
+    metric entries (``_metric_jets``), their first derivatives
+    (``d3metric``), a field (``field_jets``) and its first derivatives
+    (``dhessian``).  A program is compiled on first use and cached by
+    structure, so frames of one chart share it; a run keeps no jets beyond
+    the roots it returns, which are read-only.
 
     A stack raises the error a loop over its samples would raise first:
     ``GeometryError`` (non-finite jets), ``DegenerateMetricError`` and
@@ -199,39 +233,37 @@ class ChartFrame:
         # field jets and their third derivatives, by expression
         self._fields: dict[Expr, tuple] = {}
         self._thirds: dict[Expr, np.ndarray] = {}
-        self._walker: JetWalker | None = None
 
     def _at_first(self, bad) -> np.ndarray:
         """The point of the first sample where ``bad`` holds."""
         return self.point[int(np.argmax(bad))]
 
-    def _jets(self, e: Expr):
-        """Order-2 jets of ``e``: a value, gradient and Hessian per sample.
+    def _run(self, program: JetProgram):
+        """``program.run`` at the frame's samples: per root, a value,
+        gradient and Hessian per sample.
 
         A ``DomainError`` carries ``node``, the failing sample, and
         ``reason``; its message names the sample's point.  An overflow gives
         ``inf`` without a warning: the stages that read the jets check them
         for finiteness.
         """
-        count, m = self.point.shape
-        if isinstance(e, Const):
-            return np.full(count, e.value), np.zeros((count, m)), np.zeros((count, m, m))
-        if self._walker is None:
-            self._walker = JetWalker(self.point, self.manifold.coords)
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return self._walker.jets(e)
+            return program.run(self.point)
         except DomainError as exc:
             err = DomainError(f"{exc.reason} at {self.point[exc.node].tolist()}")
             err.node, err.reason = exc.node, exc.reason
             raise err from None
+
+    def _jets(self, roots: Sequence[Expr]):
+        """``_run`` of the program of ``roots``, compiled once per structure."""
+        return self._run(jet_program(tuple(roots), self.manifold.coords))
 
     # -- metric jets --------------------------------------------------------
 
     @cached_property
     def _metric_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Order-2 jets of the metric entries; unchecked."""
-        return metric_jets(self.manifold, len(self.point), self._jets)
+        return metric_jets(self.manifold, len(self.point), self._run)
 
     @cached_property
     def _finite_metric_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,7 +296,7 @@ class ChartFrame:
         mirrored = [(i, j) for i in range(m) for j in range(i) if metric[i][j] != metric[j][i]]
         try:
             g = self._metric_jets[0]
-            lower = [self._jets(metric[i][j])[0] for i, j in mirrored]
+            lower = self._jets([metric[i][j] for i, j in mirrored])[0] if mirrored else ()
         except DomainError as exc:
             if exc.node:
                 ChartFrame(self.manifold, points[: exc.node]).validate()
@@ -313,18 +345,14 @@ class ChartFrame:
 
     @cached_property
     def d3metric(self) -> np.ndarray:
-        """d3metric[a, b, c, i, j] = d_a d_b d_c g_ij, via one symbolic pass."""
+        """d3metric[a, b, c, i, j] = d_a d_b d_c g_ij: the Hessians of the
+        symbolic first derivatives, from one program run."""
         m = self.manifold.dim
+        program, (c, i, j) = _d3_program(self.manifold)
         d3g = np.zeros(self.point.shape[:-1] + (m, m, m, m, m))
-        for c, cname in enumerate(self.manifold.coords):
-            for i in range(m):
-                for j in range(i, m):
-                    d = _derived(self.manifold.metric[i][j], cname)
-                    if not isinstance(d, Const):
-                        hess = self._jets(d)[2]
-                        d3g[..., :, :, c, i, j] = d3g[..., :, :, c, j, i] = hess
-        # the metric stages are built: release the walker's memo
-        self._walker = None
+        if program is not None:
+            hess = self._run(program)[2].transpose(1, 2, 3, 0)
+            d3g[..., c, i, j] = d3g[..., c, j, i] = hess
         return d3g
 
     @cached_property
@@ -518,7 +546,7 @@ class ChartFrame:
     def field_jets(self, phi: Expr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         jets = self._fields.get(phi)
         if jets is None:
-            jets = self._fields[phi] = self._jets(phi)
+            jets = self._fields[phi] = tuple(a[0] for a in self._jets([phi]))
         return jets
 
     def gradient(self, phi: Expr) -> np.ndarray:
@@ -538,15 +566,11 @@ class ChartFrame:
         return dot(vecmat(dphi, self.inverse), dphi)
 
     def _field_third(self, phi: Expr) -> np.ndarray:
+        """d3[..., a, b, c] = d_a d_b d_c phi."""
         d3 = self._thirds.get(phi)
         if d3 is None:
-            m = self.manifold.dim
-            d3 = np.zeros(self.point.shape[:-1] + (m, m, m))
-            for c, cname in enumerate(self.manifold.coords):
-                d = _derived(phi, cname)
-                if not isinstance(d, Const):
-                    d3[..., :, :, c] = self._jets(d)[2]
-            self._thirds[phi] = d3
+            hess = self._jets([_derived(phi, c) for c in self.manifold.coords])[2]
+            d3 = self._thirds[phi] = hess.transpose(1, 2, 3, 0)
         return d3
 
     def dhessian(self, phi: Expr) -> np.ndarray:
@@ -572,38 +596,34 @@ class ChartFrame:
 
     def div_sym2(self, entries: Sequence[Sequence[Expr]]) -> np.ndarray:
         """Divergence of a symmetric 2-tensor given by expression entries."""
-        m = self.manifold.dim
-        t = np.zeros(self.point.shape[:-1] + (m, m))
-        dt = np.zeros(self.point.shape[:-1] + (m, m, m))
-        for i in range(m):
-            for j in range(m):
-                t[..., i, j], dt[..., :, i, j], _ = self._jets(entries[i][j])
+        count, m = self.point.shape
+        value, grad, _ = self._jets([e for row in entries for e in row])
+        # C order, as the einsums of a frame's own tensors see them
+        t = np.ascontiguousarray(value.T).reshape(count, m, m)
+        dt = np.ascontiguousarray(grad.transpose(1, 2, 0)).reshape(count, m, m, m)
         return self._divergence(dt, t)
 
 
-def metric_jets(manifold: FactorManifold, count: int, jets) -> tuple[np.ndarray, ...]:
+def metric_jets(manifold: FactorManifold, count: int, run) -> tuple[np.ndarray, ...]:
     """Order-2 jets of the metric of ``manifold`` at a stack of ``count``
     points: ``g`` ``(N, m, m)``, ``dg`` ``(N, m, m, m)`` and ``d2g``
     ``(N, m, m, m, m)``, derivative axes first.
 
-    ``jets(e)`` gives the value, gradient and Hessian of one entry.  Only the
-    upper triangle is evaluated and mirrored; a constant entry sets its
-    value, and its derivatives stay zero.
+    ``run(program)`` runs a ``JetProgram`` at the points.  Only the upper
+    triangle is evaluated, and each jet is written to (i, j) and (j, i); a
+    constant entry sets its value, and its derivatives stay zero.
     """
+    (ci, cj, values), (program, (i, j)) = _metric_program(manifold)
     m = manifold.dim
     g = np.zeros((count, m, m))
     dg = np.zeros((count, m, m, m))
     d2g = np.zeros((count, m, m, m, m))
-    for i in range(m):
-        for j in range(i, m):
-            e = manifold.metric[i][j]
-            if isinstance(e, Const):
-                g[:, i, j] = g[:, j, i] = e.value
-                continue
-            v, grad, hess = jets(e)
-            g[:, i, j] = g[:, j, i] = v
-            dg[:, :, i, j] = dg[:, :, j, i] = grad
-            d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = hess
+    g[:, ci, cj] = g[:, cj, ci] = values
+    if program is not None:
+        value, grad, hess = run(program)
+        g[:, i, j] = g[:, j, i] = value.T
+        dg[..., i, j] = dg[..., j, i] = grad.transpose(1, 2, 0)
+        d2g[..., i, j] = d2g[..., j, i] = hess.transpose(1, 2, 3, 0)
     return g, dg, d2g
 
 

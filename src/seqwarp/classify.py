@@ -14,8 +14,9 @@ Three layers live here:
   forms of those fields over fully periodic factors
   (``torus_average_identity``).  The torus quadrature is the one place that
   evaluates geometry at thousands of points; it evaluates the grid in
-  blocks of nodes with batched jets (one ``seqwarp.jets.JetWalker`` per
-  block) and ``(B, ...)`` arrays instead of one ``ChartFrame`` per block;
+  blocks of nodes with batched jets (the ``seqwarp.jets.JetProgram`` runs
+  of ``ChartFrame``, one per stage and block) and ``(B, ...)`` arrays
+  instead of one ``ChartFrame`` per block;
 * hypothesis evaluators for the differential conditions under which the
   scalar fields are forced constant (``condition_residuals``, one ``(N,)``
   residual array per condition) and for the rigidity statements that force
@@ -53,7 +54,7 @@ from .chart import (
     per_sample_power,
 )
 from .expressions import DomainError, Expr, to_string
-from .jets import JetWalker
+from .jets import JetProgram, jet_program
 from .warped import (
     BlockVector,
     PositivityError,
@@ -508,25 +509,24 @@ def _node(manifold: FactorManifold, grid: np.ndarray, i: int) -> str:
 
 
 def _block_jets(manifold: FactorManifold, grid: np.ndarray, start: int, stop: int):
-    """Order-2 jets at grid nodes ``start:stop``, from one ``JetWalker``
-    shared by every expression of the block; a domain error names the grid
-    node."""
-    walker = JetWalker(grid[start:stop], manifold.coords)
+    """A runner of ``JetProgram``s at grid nodes ``start:stop``, as
+    ``ChartFrame._run``; a domain error names the grid node."""
+    points = grid[start:stop]
 
-    def jets(e: Expr):
+    def run(program: JetProgram):
         try:
-            return walker.jets(e)
+            return program.run(points)
         except DomainError as exc:
             raise DomainError(
                 f"{exc.reason} at {_node(manifold, grid, start + exc.node)}"
             ) from None
 
-    return jets
+    return run
 
 
-def _block_metric_jets(manifold: FactorManifold, grid: np.ndarray, start: int, stop: int, jets):
+def _block_metric_jets(manifold: FactorManifold, grid: np.ndarray, start: int, stop: int, run):
     """``ChartFrame._metric_jets`` at grid nodes ``start:stop``, checked finite."""
-    g, dg, d2g = metric_jets(manifold, stop - start, jets)
+    g, dg, d2g = metric_jets(manifold, stop - start, run)
     finite = (
         np.isfinite(g).all(axis=(1, 2))
         & np.isfinite(dg).all(axis=(1, 2, 3))
@@ -554,11 +554,11 @@ def _volume_means(
     integrands.
 
     The grid is evaluated in blocks of at most ``QUADRATURE_BLOCK`` nodes.
-    Per block, one ``JetWalker`` gives the metric, field and warping jets,
-    walking each distinct subexpression once, and is dropped with the
-    block; the inverse metric, Christoffel symbols, covariant
-    Hessian of ``phi``, its Laplacian, ``|grad phi|^2`` and the weights
-    ``sqrt|det g|`` are ``(B, ...)`` arrays.  Each node gets the arithmetic a
+    Per block, the metric, field and warping jets come from the programs a
+    ``ChartFrame`` runs (the metric program, then one per field, each
+    compiled once per structure); the inverse metric, Christoffel symbols,
+    covariant Hessian of ``phi``, its Laplacian, ``|grad phi|^2`` and the
+    weights ``sqrt|det g|`` are ``(B, ...)`` arrays.  Each node gets the arithmetic a
     ``ChartFrame`` there would do, and the weighted sums are accumulated in
     node order, so the means equal those of a per-node loop bit for bit
     (the tests check this on 1- and 2-dimensional charts).
@@ -577,16 +577,16 @@ def _volume_means(
     weight_total = 0.0
     for start in range(0, grid.shape[0], QUADRATURE_BLOCK):
         stop = min(start + QUADRATURE_BLOCK, grid.shape[0])
-        jets = _block_jets(manifold, grid, start, stop)
+        run = _block_jets(manifold, grid, start, stop)
         with np.errstate(over="ignore", invalid="ignore"):
-            g, dg, d2g = _block_metric_jets(manifold, grid, start, stop, jets)
+            g, dg, d2g = _block_metric_jets(manifold, grid, start, stop, run)
             degenerate = is_degenerate(g)
             if degenerate.any():
                 k = int(np.argmax(degenerate))
                 raise DegenerateMetricError(manifold.name, grid[start + k], g[k])
             det = np.linalg.det(g)
 
-            value, dphi, d2phi = jets(phi)
+            value, dphi, d2phi = (a[0] for a in run(jet_program((phi,), manifold.coords)))
             finite = (
                 np.isfinite(value)
                 & np.isfinite(dphi).all(axis=1)
@@ -598,15 +598,13 @@ def _volume_means(
                     f"finite at {_node(manifold, grid, start + int(np.argmin(finite)))}"
                 )
             for label, w in positive:
-                w_value = jets(w)[0]
+                w_value = run(jet_program((w,), manifold.coords))[0][0]
                 if not (w_value > 0.0).all():
                     k = int(np.argmin(w_value > 0.0))
                     raise PositivityError(
                         f"{label} warping is {float(w_value[k])!r} (must be positive) at "
                         f"{_node(manifold, grid, start + k)}"
                     )
-            # the block's walker and its memo go before the block's tensors
-            del jets
 
         inverse = np.linalg.inv(g)
         source = np.einsum("nijl->nlij", dg) + np.einsum("njil->nlij", dg) - dg

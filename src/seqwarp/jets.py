@@ -16,26 +16,34 @@ from symmetric outer-product combinations, and a product adds its cross
 term and that term's transpose as one group, ``(cross + cross.T)``, whose
 entries (i, j) and (j, i) are the same sum.
 
-A walk obeys the domain rules (``log`` and ``sqrt`` of non-positive values,
-division by zero, zero to a negative integer power, a non-positive base
-under a non-integer power) and raises ``DomainError`` at the first point
-that breaks one; overflow gives ``inf``, which the callers check for.
+A ``JetProgram`` is the jet engine: a tuple of root expressions compiled
+once into a straight-line program, the classic AD tape (ch. 13).  Each
+distinct subexpression becomes one node, numbered in the post-order of a
+walk over the roots in order; integer powers up to
+``MAX_UNROLLED_EXPONENT`` unroll into a chain of products.  A node's level
+is one more than its children's highest, and the nodes of one level that
+apply the same operation (the same function, the same exponent) run as one
+``JetStack`` operation on a ``(K, N, ...)`` batch.  Every operation is
+elementwise, so each node gets the arithmetic a walk of its subtree would
+give it, bit for bit.  ``jet_program`` caches programs by structure.
 
-A ``JetWalker`` holds the coordinate jets of one stack, seeded once, and
-memoizes the jet of every subexpression it walks, keyed by structure: the
-metric entries of a chart, their derivatives and the warping fields share
-many subtrees, and each distinct one is walked once per walker.
-``eval_jet_stack`` (a stack) and ``eval_jet`` (one point, order 1 or 2) are
-one-expression walks on a fresh walker, so there is one code path.
+A run obeys the domain rules (``log`` and ``sqrt`` of non-positive values,
+division by zero, zero to a negative integer power, a non-positive base
+under a non-integer power).  It computes through a broken node and then
+raises ``DomainError`` for the first broken node in walk order, at its
+first broken point: the error a walk that stops there would raise.
+Overflow gives ``inf``, which the callers check for.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .expressions import (
+    FUNCTIONS,
     MAX_UNROLLED_EXPONENT,
     BinOp,
     Call,
@@ -49,29 +57,12 @@ from .expressions import (
     to_string,
 )
 
-__all__ = ["JetStack", "JetWalker", "eval_jet", "eval_jet_stack"]
+__all__ = ["JetStack", "JetProgram", "jet_program", "eval_jet", "eval_jet_stack"]
 
 
-def _stack_fail(bad: np.ndarray, x: np.ndarray, reason: str, node: Expr) -> None:
-    """Raise ``DomainError`` at the first node of a stack where ``bad`` holds.
-
-    The error carries ``node`` (that index) and ``reason`` (the message
-    without the node), so a caller that evaluated a slice of a larger grid
-    can name the node in its own numbering.
-    """
-    if bad.any():
-        i = int(np.argmax(bad))
-        why = f"{reason.format(float(x[i]))} in {to_string(node)!r}"
-        err = DomainError(f"{why} at node {i}")
-        err.node, err.reason = i, why
-        raise err
-
-
-def _stack_fn_table(
-    name: str, x: np.ndarray, node: Expr
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fn_table(name: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Value and first two derivatives of a unary function at each entry of
-    ``x``; raises ``DomainError`` at the first entry outside its domain."""
+    ``x``; the domain is checked by the caller."""
     if name == "sin":
         s, c = np.sin(x), np.cos(x)
         return s, c, -s
@@ -96,21 +87,16 @@ def _stack_fn_table(
         e = np.exp(x)
         return e, e, e
     if name == "log":
-        _stack_fail(x <= 0.0, x, "log of non-positive value {!r}", node)
         return np.log(x), 1.0 / x, -1.0 / (x * x)
-    if name == "sqrt":
-        bad = x <= 0.0
-        negative = bad.any() and x[np.argmax(bad)] < 0.0
-        reason = "sqrt of negative value {!r}" if negative else "sqrt derivative at zero"
-        _stack_fail(bad, x, reason, node)
-        r = np.sqrt(x)
-        return r, 0.5 / r, -0.25 / (x * r)
-    raise ExpressionError(f"unknown function {name!r}")
+    r = np.sqrt(x)
+    return r, 0.5 / r, -0.25 / (x * r)
 
 
 class JetStack:
     """Second-order jets at N points: value ``(N,)``, gradient ``(N, n)``,
-    Hessian ``(N, n, n)``.  ``dim`` is the pair ``(N, n)``."""
+    Hessian ``(N, n, n)``.  Leading batch axes are allowed: a ``(K, N)``
+    value with ``(K, N, n)`` and ``(K, N, n, n)`` derivatives is K stacks,
+    each with its own elementwise arithmetic."""
 
     __slots__ = ("value", "grad", "hess")
 
@@ -118,18 +104,6 @@ class JetStack:
         self.value = value
         self.grad = grad
         self.hess = hess
-
-    @classmethod
-    def constant(cls, value: float, dim: tuple[int, int]) -> "JetStack":
-        count, n = dim
-        return cls(np.full(count, value), np.zeros((count, n)), np.zeros((count, n, n)))
-
-    @classmethod
-    def seed(cls, values: np.ndarray, index: int, dim: tuple[int, int]) -> "JetStack":
-        count, n = dim
-        g = np.zeros((count, n))
-        g[:, index] = 1.0
-        return cls(values, g, np.zeros((count, n, n)))
 
     def __add__(self, o: "JetStack") -> "JetStack":
         return JetStack(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
@@ -141,142 +115,281 @@ class JetStack:
         return JetStack(-self.value, -self.grad, -self.hess)
 
     def __mul__(self, o: "JetStack") -> "JetStack":
-        cross = self.grad[:, :, None] * o.grad[:, None, :]
-        a, b = self.value[:, None], o.value[:, None]
+        cross = self.grad[..., :, None] * o.grad[..., None, :]
+        a, b = self.value[..., None], o.value[..., None]
         return JetStack(
             self.value * o.value,
             a * o.grad + b * self.grad,
-            a[:, :, None] * o.hess
-            + b[:, :, None] * self.hess
-            + (cross + cross.transpose(0, 2, 1)),
+            a[..., None] * o.hess
+            + b[..., None] * self.hess
+            + (cross + cross.swapaxes(-1, -2)),
         )
 
-    def reciprocal(self, node: Expr) -> "JetStack":
-        _stack_fail(self.value == 0.0, self.value, "division by zero", node)
+    def reciprocal(self) -> "JetStack":
         v = 1.0 / self.value
-        outer = self.grad[:, :, None] * self.grad[:, None, :]
+        outer = self.grad[..., :, None] * self.grad[..., None, :]
         return JetStack(
             v,
-            (-v * v)[:, None] * self.grad,
-            (-v * v)[:, None, None] * self.hess + (2.0 * v**3)[:, None, None] * outer,
+            (-v * v)[..., None] * self.grad,
+            (-v * v)[..., None, None] * self.hess + (2.0 * v**3)[..., None, None] * outer,
         )
 
     def chain(self, f: np.ndarray, df: np.ndarray, d2f: np.ndarray) -> "JetStack":
-        outer = self.grad[:, :, None] * self.grad[:, None, :]
+        outer = self.grad[..., :, None] * self.grad[..., None, :]
         return JetStack(
             f,
-            df[:, None] * self.grad,
-            df[:, None, None] * self.hess + d2f[:, None, None] * outer,
+            df[..., None] * self.grad,
+            df[..., None, None] * self.hess + d2f[..., None, None] * outer,
         )
 
-    def int_power(self, n: int, node: Expr) -> "JetStack":
+    def int_power(self, n: int) -> "JetStack":
         """Analytic power rule; integer exponents keep negative bases legal."""
-        if n < 0:
-            _stack_fail(self.value == 0.0, self.value, "zero raised to a negative power", node)
         v = self.value
         return self.chain(v**n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
-
-    def require_positive_base(self, node: Expr) -> None:
-        """A non-integer exponent needs a positive base."""
-        _stack_fail(self.value <= 0.0, self.value, "power with non-positive base {!r}", node)
 
     def real_power(self, c: float) -> "JetStack":
         v = self.value
         return self.chain(v**c, c * v ** (c - 1.0), c * (c - 1.0) * v ** (c - 2.0))
 
 
-def _int_power(u: JetStack, n: int, walk: "JetWalker", node: Expr) -> JetStack:
-    if n == 0:
-        return JetStack.constant(1.0, walk.dim)
-    if abs(n) > MAX_UNROLLED_EXPONENT:
-        return u.int_power(n, node)
-    out = u
-    for _ in range(abs(n) - 1):
-        out = out * u
-    if n < 0:
-        out = out.reciprocal(node)
-    return out
+# operation -> JetStack kernel(param, *operands); a function name is an operation
+_KERNELS = {
+    "neg": lambda p, a: -a,
+    "+": lambda p, a, b: a + b,
+    "-": lambda p, a, b: a - b,
+    "*": lambda p, a, b: a * b,
+    "recip": lambda p, a: a.reciprocal(),
+    "ipow": lambda p, a: a.int_power(p),
+    "rpow": lambda p, a: a.real_power(p),
+    **{fn: (lambda p, a, fn=fn: a.chain(*_fn_table(fn, a.value))) for fn in FUNCTIONS},
+}
+
+# operation -> (broken test on the operand's value, reason); "base" checks a
+# non-integer power's base and computes nothing
+_CHECKS = {
+    "log": (np.less_equal, "log of non-positive value {!r}"),
+    "sqrt": (np.less_equal, "sqrt of negative value {!r}"),
+    "recip": (np.equal, "division by zero"),
+    "ipow": (np.equal, "zero raised to a negative power"),
+    "base": (np.less_equal, "power with non-positive base {!r}"),
+}
 
 
-def _eval(e: Expr, walk: "JetWalker") -> JetStack:
-    """The jet of ``e`` over ``walk``'s coordinate jets; subtrees go through
-    ``walk.jet``, so each is walked once per walker."""
-    if isinstance(e, Const):
-        return JetStack.constant(e.value, walk.dim)
-    if isinstance(e, Var):
-        try:
-            return walk.env[e.name]
-        except KeyError:
-            raise ExpressionError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, Neg):
-        return -walk.jet(e.arg)
-    if isinstance(e, Call):
-        u = walk.jet(e.arg)
-        return u.chain(*_stack_fn_table(e.fn, u.value, e))
-    if isinstance(e, BinOp):
+def _reason(op: str, x: float) -> str:
+    if op == "sqrt" and x == 0.0:
+        return "sqrt derivative at zero"
+    return _CHECKS[op][1].format(x)
+
+
+class _Compiler:
+    """Numbers the nodes of a root tuple in walk order, each distinct
+    subexpression once (``expr`` memoizes ``compile`` by structure) and
+    each distinct (operation, parameter, operands) once.  The coordinates
+    are nodes 0 to n - 1, in column order."""
+
+    def __init__(self, coords: Sequence[str]):
+        self.columns = {name: i for i, name in enumerate(coords)}
+        self.nodes: list[tuple[str, object, tuple[int, ...], Expr | None]] = []
+        self.levels: list[int] = []
+        self._keys: dict[tuple, int] = {}
+        self._memo: dict[Expr, int] = {}
+        for i in range(len(coords)):
+            self.node("var", i, ())
+
+    def node(self, op: str, param, args: tuple[int, ...], e: Expr | None = None) -> int:
+        """The index of the node ``op(param)`` of ``args``; ``e`` names it in
+        a domain error."""
+        key = (op, param, args)
+        i = self._keys.get(key)
+        if i is None:
+            i = self._keys[key] = len(self.nodes)
+            self.nodes.append((op, param, args, e))
+            levels = self.levels
+            levels.append(1 + max([levels[a] for a in args], default=-1))
+        return i
+
+    def expr(self, e: Expr) -> int:
+        i = self._memo.get(e)
+        if i is None:
+            i = self._memo[e] = self.compile(e)
+        return i
+
+    def compile(self, e: Expr) -> int:
+        if isinstance(e, BinOp):
+            return self.binop(e)
+        if isinstance(e, Call):
+            if e.fn not in FUNCTIONS:
+                raise ExpressionError(f"unknown function {e.fn!r}")
+            return self.node(e.fn, None, (self.expr(e.arg),), e)
+        if isinstance(e, Const):
+            return self.node("const", e.value, ())
+        if isinstance(e, Var):
+            if e.name not in self.columns:
+                raise ExpressionError(f"unbound variable {e.name!r}")
+            return self.columns[e.name]
+        if isinstance(e, Neg):
+            return self.node("neg", None, (self.expr(e.arg),))
+        raise TypeError(f"not an expression node: {e!r}")
+
+    def binop(self, e: BinOp) -> int:
         if e.op == "^":
-            u = walk.jet(e.left)
+            u = self.expr(e.left)
             n = integer_exponent(e.right)
             if n is not None:
-                return _int_power(u, n, walk, node=e)
-            u.require_positive_base(e)
+                return self.int_power(u, n, e)
+            # the base is checked before the exponent is walked
+            self.node("base", None, (u,), e)
             if isinstance(e.right, Const):
-                return u.real_power(e.right.value)
-            w = walk.jet(e.right)
-            logu = u.chain(*_stack_fn_table("log", u.value, e))
-            prod = w * logu
-            return prod.chain(*_stack_fn_table("exp", prod.value, e))
-        a = walk.jet(e.left)
-        b = walk.jet(e.right)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        return a * b.reciprocal(e)
-    raise TypeError(f"not an expression node: {e!r}")
+                return self.node("rpow", e.right.value, (u,))
+            w = self.expr(e.right)
+            product = self.node("*", None, (w, self.node("log", None, (u,), e)))
+            return self.node("exp", None, (product,))
+        a, b = self.expr(e.left), self.expr(e.right)
+        if e.op in ("+", "-", "*"):
+            return self.node(e.op, None, (a, b))
+        return self.node("*", None, (a, self.node("recip", None, (b,), e)))
+
+    def int_power(self, u: int, n: int, e: Expr) -> int:
+        if n == 0:
+            return self.node("const", 1.0, ())
+        if abs(n) > MAX_UNROLLED_EXPONENT:
+            return self.node("ipow", n, (u,), e)
+        out = u
+        for _ in range(abs(n) - 1):
+            out = self.node("*", None, (out, u))
+        return self.node("recip", None, (out,), e) if n < 0 else out
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+def _index(rows: list[int]) -> slice | np.ndarray:
+    """A slice when ``rows`` is a run of consecutive slots, else an array."""
+    if rows == list(range(rows[0], rows[0] + len(rows))):
+        return slice(rows[0], rows[0] + len(rows))
+    return np.array(rows, dtype=np.intp)
 
 
-class JetWalker:
-    """Jets of any number of expressions at every row of ``points``, shape
-    ``(N, n)`` with columns in ``coords`` order.
+@lru_cache(maxsize=None)
+def _seeds(n: int) -> np.ndarray:
+    """The gradients of the n coordinates at any point, shape ``(n, 1, n)``."""
+    return np.eye(n)[:, None, :]
 
-    The coordinates are seeded once, at construction, and the jet of every
-    subexpression is memoized by structure (``Expr`` equality), so a
-    subtree shared by several expressions, or met twice in one, is walked
-    once per walker.  A jet is a pure function of its subtree and the
-    seeds, so the results are those of independent walks, bit for bit.  A
-    subtree whose walk raises is not memoized.  The memo lives as long as
-    the walker: drop the walker to release it.
+
+def _gather(rows: slice | np.ndarray, value, grad, hess) -> JetStack:
+    """The jets at ``rows``: a view of a run, a copy otherwise."""
+    if isinstance(rows, slice):
+        return JetStack(value[rows], grad[rows], hess[rows])
+    return JetStack(value.take(rows, 0), grad.take(rows, 0), hess.take(rows, 0))
+
+
+class JetProgram:
+    """Order-2 jets of a tuple of root expressions at every row of a points
+    array, shape ``(N, n)`` with columns in ``coords`` order.
+
+    Compiled once (see the module docstring): the nodes that compute a jet
+    get one slot each, grouped by (level, operation, parameter), so a group
+    is a run of consecutive slots.  The coordinates and then the constants
+    fill level 0; every later group is one step, which gathers its
+    operands' jets, applies one ``JetStack`` operation to the batch and
+    writes the run.  A step that checks a domain records its operands'
+    broken points; ``run`` raises for the first broken node in walk order.
     """
 
-    __slots__ = ("dim", "env", "_memo")
+    __slots__ = ("coords", "node_count", "_size", "_consts", "_steps", "_roots")
 
-    def __init__(self, points: np.ndarray, coords: Sequence[str]):
+    def __init__(self, roots: Sequence[Expr], coords: Sequence[str]):
+        self.coords = tuple(coords)
+        compiler = _Compiler(self.coords)
+        root_nodes = [compiler.expr(e) for e in roots]
+        nodes, levels = compiler.nodes, compiler.levels
+        self.node_count = len(nodes)
+        groups: dict[tuple, list[int]] = {}
+        for i, (op, param, _, _) in enumerate(nodes):
+            leaf = op in ("const", "var")
+            groups.setdefault((levels[i], op, None if leaf else param), []).append(i)
+        slot: dict[int, int] = {}
+        steps = []
+        # by level, and in order of first appearance within one
+        for (level, op, param), members in sorted(groups.items(), key=lambda kv: kv[0][0]):
+            out = None
+            if op != "base":
+                out = (len(slot), len(slot) + len(members))
+                slot.update((i, out[0] + k) for k, i in enumerate(members))
+            if not level:
+                continue
+            arity = len(nodes[members[0]][2])
+            args = tuple(_index([slot[nodes[i][2][k]] for i in members]) for k in range(arity))
+            check = None
+            if op in _CHECKS and (op != "ipow" or param < 0):
+                check = (np.array(members), [nodes[i][3] for i in members])
+            steps.append((op, param, out, args, check))
+        consts = [nodes[i][1] for i in groups.get((0, "const", None), [])]
+        self._consts = np.array(consts, dtype=float)[:, None]
+        self._size = len(slot)
+        self._steps = steps
+        self._roots = np.array([slot[i] for i in root_nodes], dtype=np.intp)
+
+    def run(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(value (R, N), gradient (R, N, n), hessian (R, N, n, n))`` of the
+        R roots, root axis first: fresh read-only arrays.
+
+        Raises ``DomainError`` with ``node``, the first broken row, and
+        ``reason``, the message without that row.
+        """
         points = np.asarray(points, dtype=float)
-        self.dim = (points.shape[0], len(coords))
-        self.env = {name: JetStack.seed(points[:, i], i, self.dim) for i, name in enumerate(coords)}
-        self._memo: dict[Expr, JetStack] = {}
+        count, n = points.shape[0], len(self.coords)
+        value = np.empty((self._size, count))
+        grad = np.empty((self._size, count, n))
+        hess = np.empty((self._size, count, n, n))
+        leaves = n + len(self._consts)
+        value[:n] = points.T
+        value[n:leaves] = self._consts
+        grad[:n] = _seeds(n)
+        grad[n:leaves] = 0.0
+        hess[:leaves] = 0.0
+        broken = []
+        with np.errstate(all="ignore"):
+            for op, param, out, args, check in self._steps:
+                if check is not None:
+                    rows = args[0]
+                    x = value[rows] if isinstance(rows, slice) else value.take(rows, 0)
+                    bad = _CHECKS[op][0](x, 0.0)
+                    if bad.any():
+                        broken.append((check, bad, x, op))
+                if out is None:
+                    continue
+                jet = _KERNELS[op](param, *(_gather(a, value, grad, hess) for a in args))
+                start, stop = out
+                value[start:stop] = jet.value
+                grad[start:stop] = jet.grad
+                hess[start:stop] = jet.hess
+        if broken:
+            _raise_first(broken)
+        jets = tuple(a.take(self._roots, 0) for a in (value, grad, hess))
+        for a in jets:
+            a.setflags(write=False)
+        return jets
 
-    def jet(self, e: Expr) -> JetStack:
-        """The jet of ``e``, walked at most once per walker."""
-        out = self._memo.get(e)
-        if out is None:
-            out = self._memo[e] = _eval(e, self)
-        return out
 
-    def jets(self, e: Expr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(value, gradient, hessian)`` of ``e``; the arrays are read-only,
-        because the memo shares them."""
-        out = self.jet(e)
-        return _read_only(out.value, out.grad, out.hess)
+def _raise_first(broken: list) -> None:
+    """Raise ``DomainError`` for the broken node first in walk order, at its
+    first broken row.  A step's nodes are in walk order, so its first broken
+    node is its first row with a broken point."""
+    first = None
+    for (order, exprs), bad, x, op in broken:
+        k = int(np.argmax(bad.any(axis=1)))
+        if first is None or order[k] < first[0]:
+            first = (order[k], exprs[k], bad[k], x[k], op)
+    _, e, bad, x, op = first
+    i = int(np.argmax(bad))
+    why = f"{_reason(op, float(x[i]))} in {to_string(e)!r}"
+    err = DomainError(f"{why} at node {i}")
+    err.node, err.reason = i, why
+    raise err
+
+
+@lru_cache(maxsize=None)
+def jet_program(roots: tuple[Expr, ...], coords: tuple[str, ...]) -> JetProgram:
+    """The ``JetProgram`` of ``roots``, compiled once per structure."""
+    return JetProgram(roots, coords)
 
 
 def eval_jet(
@@ -290,7 +403,7 @@ def eval_jet(
     Returns ``(value, gradient)`` for order 1 and
     ``(value, gradient, hessian)`` for order 2: a float, an ``(n,)`` and an
     ``(n, n)`` read-only array, with derivative components ordered by
-    ``coords`` (sorted point keys when omitted).  A walk over a stack of one;
+    ``coords`` (sorted point keys when omitted).  A run over a stack of one;
     a ``DomainError`` names no node.
     """
     if order not in (1, 2):
@@ -310,8 +423,8 @@ def eval_jet(
 def eval_jet_stack(e: Expr, points: np.ndarray, coords: Sequence[str]):
     """Order-2 jets of ``e`` at every row of ``points`` (shape ``(N, n)``,
     columns in ``coords`` order): ``(value (N,), gradient (N, n), hessian
-    (N, n, n))``.  A one-expression walk on a fresh ``JetWalker``.
+    (N, n, n))``, read-only.  A one-root ``jet_program``.
 
     Raises ``DomainError`` naming the first row that leaves a domain.
     """
-    return JetWalker(points, coords).jets(e)
+    return tuple(a[0] for a in jet_program((e,), tuple(coords)).run(points))

@@ -12,15 +12,21 @@ from conftest import expr_fn, fd_gradient, fd_hessian
 from seqwarp.expressions import (
     FUNCTIONS,
     BinOp,
+    Call,
     Const,
     DomainError,
+    Neg,
     Var,
     differentiate,
     evaluate,
     parse,
 )
 from seqwarp import jets
-from seqwarp.jets import JetWalker, eval_jet, eval_jet_stack
+from seqwarp import factor
+from seqwarp.chart import ChartFrame, FactorManifold
+from seqwarp.classify import _volume_means
+from seqwarp.jets import JetProgram, eval_jet, eval_jet_stack
+from jet_reference import reference_jets
 
 
 class TestFrozenValues:
@@ -281,18 +287,15 @@ def test_stack_domain_rules_match_scalar(text, xs):
 
 
 # ---------------------------------------------------------------------------
-# One walker, many expressions
+# The compiled program against the reference walk
 # ---------------------------------------------------------------------------
 
 SHARED = ("sin(x*y)^2 + exp(x)", "sin(x*y)^2 * (2 + cos(y))", "exp(x)/(2 + cos(y))", "7")
 
 
-def _walkers():
+def _stacks():
     points = _stack_points((0.5, 2.0), (-2.0, 2.0))[:5]
-    return tuple(
-        (JetWalker(p, COORDS), lambda e, p=p: eval_jet_stack(e, p, COORDS))
-        for p in (points[:1], points)
-    )
+    return points[:1], points
 
 
 def _tree_size(e) -> int:
@@ -300,51 +303,71 @@ def _tree_size(e) -> int:
     return 1 + sum(_tree_size(c) for c in children if c is not None)
 
 
-def _spy_walks(monkeypatch) -> Counter:
-    walks = Counter()
-    real_eval = jets._eval
+def _spy_compiles(monkeypatch) -> Counter:
+    compiles = Counter()
+    real_compile = jets._Compiler.compile
 
-    def spy(e, walk):
-        walks[e] += 1
-        return real_eval(e, walk)
+    def spy(compiler, e):
+        compiles[e] += 1
+        return real_compile(compiler, e)
 
-    monkeypatch.setattr(jets, "_eval", spy)
-    return walks
+    monkeypatch.setattr(jets._Compiler, "compile", spy)
+    return compiles
+
+
+def _same_bits(got, want) -> bool:
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_program_matches_reference(roots, points):
+    """A run equals the reference walk of each root, or raises the error the
+    reference walks of the roots in order raise first."""
+    want, error = [], None
+    for e in roots:
+        try:
+            want.append(reference_jets(e, points, COORDS))
+        except DomainError as exc:
+            error = (exc.node, exc.reason, str(exc))
+            break
+    program = JetProgram(roots, COORDS)
+    if error is not None:
+        with pytest.raises(DomainError) as info:
+            program.run(points)
+        assert (info.value.node, info.value.reason, str(info.value)) == error
+        return
+    got = program.run(points)
+    for k, jet in enumerate(want):
+        for a, b in zip((g[k] for g in got), jet):
+            assert _same_bits(a, b), roots[k]
 
 
 @pytest.mark.parametrize("case", range(2), ids=["point", "stack"])
-def test_walker_walks_each_distinct_subtree_once(case, monkeypatch):
-    walker, independent = _walkers()[case]
+def test_program_compiles_each_shared_subtree_once(case, monkeypatch):
+    points = _stacks()[case]
     exprs = [parse(text, COORDS) for text in SHARED]
-    want = [independent(e) for e in exprs]
-    walks = _spy_walks(monkeypatch)
+    compiles = _spy_compiles(monkeypatch)
+    program = JetProgram(exprs, COORDS)
+    assert max(compiles.values()) == 1
+    # sin(x*y)^2, exp(x), 2 + cos(y) and their parts are shared
+    for text in ("sin(x*y)^2", "exp(x)", "2 + cos(y)", "x*y"):
+        assert compiles[parse(text, COORDS)] == 1
+    assert program.node_count < sum(_tree_size(e) for e in exprs)
     for _ in range(2):
-        for e, expected in zip(exprs, want):
-            for got, o in zip(walker.jets(e), expected):
-                assert np.array_equal(got, o)
-    assert max(walks.values()) == 1
-    # sin(x*y) and its parts, exp(x), 2 + cos(y) and theirs are shared
-    assert walks[parse("sin(x*y)^2", COORDS)] == walks[parse("exp(x)", COORDS)] == 1
-    assert sum(walks.values()) < sum(_tree_size(e) for e in exprs)
+        got = program.run(points)
+        for k, e in enumerate(exprs):
+            for a, b in zip((g[k] for g in got), reference_jets(e, points, COORDS)):
+                assert _same_bits(a, b)
 
 
-def test_walker_domain_error_keeps_its_message_and_is_not_memoized(monkeypatch):
+def test_program_domain_error_keeps_its_message():
     points = np.array([[1.0, 0.5], [2.0, 0.5], [-1.0, 0.5], [0.0, 0.5]])
     e = parse("y*y + log(x)", COORDS)
-    with pytest.raises(DomainError) as info:
-        eval_jet_stack(e, points, COORDS)
-    assert info.value.node == 2
-    assert str(info.value) == "log of non-positive value -1.0 in 'log(x)' at node 2"
-    walker = JetWalker(points, COORDS)
-    walks = _spy_walks(monkeypatch)
+    program = JetProgram([e], COORDS)
     for _ in range(2):
-        with pytest.raises(DomainError) as again:
-            walker.jets(e)
-        assert (again.value.node, str(again.value)) == (info.value.node, str(info.value))
-        assert again.value.reason == info.value.reason
-    # the failing subtrees are walked again, the finished y*y is not
-    assert walks[parse("log(x)", COORDS)] == walks[e] == 2
-    assert walks[parse("y*y", COORDS)] == 1
+        with pytest.raises(DomainError) as info:
+            program.run(points)
+        assert (info.value.node, info.value.reason) == (2, "log of non-positive value -1.0 in 'log(x)'")
+        assert str(info.value) == "log of non-positive value -1.0 in 'log(x)' at node 2"
     # one point names no node
     with pytest.raises(DomainError, match=r"^log of non-positive value -1.0 in 'log\(x\)'$"):
         eval_jet(e, {"x": -1.0, "y": 0.5}, 2, COORDS)
@@ -352,12 +375,186 @@ def test_walker_domain_error_keeps_its_message_and_is_not_memoized(monkeypatch):
 
 @pytest.mark.parametrize("case", range(2), ids=["point", "stack"])
 def test_walker_arrays_are_read_only(case):
-    walker, independent = _walkers()[case]
-    for text in ("sin(x*y) + x", "x"):
+    """Every jet a run returns is read-only, constants included, and owns
+    no view of the program's working arrays."""
+    points = _stacks()[case]
+    for text in ("sin(x*y) + x", "x", "7"):
         e = parse(text, COORDS)
         one_point = eval_jet(e, {"x": 1.0, "y": 0.5}, 2, COORDS)[1:]  # and a float value
-        for array in (*walker.jets(e), *one_point):
+        run = JetProgram([e, parse("x*y", COORDS)], COORDS).run(points)
+        frame = ChartFrame(factor("plane", COORDS, [["1", "0"], ["0", "1"]]), points)
+        arrays = (*eval_jet_stack(e, points, COORDS), *one_point, *run, *frame.field_jets(e))
+        for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
-        for got, want in zip(walker.jets(e), independent(e)):
-            assert np.array_equal(got, want)
+        for array in run:
+            assert array.base is None
+        for got, want in zip(eval_jet_stack(e, points, COORDS), reference_jets(e, points, COORDS)):
+            assert _same_bits(got, want)
+
+
+# every kind of node: constants, coordinates, negation, the nine functions,
+# + - * /, and ^ with unrolled, negative, beyond-unrolled (both signs), real
+# constant and general exponents
+EVERY_KIND = (
+    "-x + 0.5*y",
+    "sin(x) * cos(y) - tan(0.3*x) / sinh(y)",
+    "cosh(x*y) + tanh(x) * exp(-y)",
+    "log(2 + x*x) + sqrt(3 + sin(y))",
+    BinOp("^", parse("1 + x*x", COORDS), Const(-3.0)),
+    BinOp("^", parse("sin(x) + 2", COORDS), Const(13.0)),
+    BinOp("^", parse("1 + y*y", COORDS), Const(-14.0)),
+    parse("(2 + cos(x))^2.5 * (2 + sin(x))^(1 + y*y) + x^0 + y^1", COORDS),
+)
+
+
+def _roots(texts):
+    return [e if isinstance(e, BinOp) else parse(e, COORDS) for e in texts]
+
+
+def _kinds(e) -> set:
+    kind = e.fn if isinstance(e, Call) else e.op if isinstance(e, BinOp) else type(e).__name__
+    children = [getattr(e, name, None) for name in ("arg", "left", "right")]
+    return {kind}.union(*(_kinds(c) for c in children if c is not None))
+
+
+def test_cases_cover_every_node_kind():
+    kinds = set().union(*(_kinds(e) for e in _roots(EVERY_KIND)))
+    assert kinds == FUNCTIONS | {"Const", "Var", "Neg", "+", "-", "*", "/", "^"}
+
+
+@pytest.mark.parametrize("count", [1, 3, 7])
+def test_program_matches_reference_on_every_node_kind(count):
+    roots = _roots(EVERY_KIND)
+    points = _stack_points((-1.0, 1.0), (0.2, 1.5))[:count]
+    assert_program_matches_reference(roots, points)
+    assert_program_matches_reference(roots[::-1], points)
+
+
+_LEAF_VALUES = (0.0, 0.5, -1.5, 2.0, 3.0)
+_SAMPLE_VALUES = st.sampled_from((-1.5, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0)) | st.floats(-2.0, 2.0)
+_INT_EXPONENTS = (-3, -2, -1, 0, 1, 2, 3, 5, 12, 13, -13, 15)
+_REAL_EXPONENTS = (0.5, 2.5, -1.5)
+
+
+@st.composite
+def root_sets(draw):
+    """Roots built from a pool of subtrees, each new subtree from earlier
+    ones, so that roots share subtrees."""
+    pool = [Var("x"), Var("y"), Const(draw(st.sampled_from(_LEAF_VALUES)))]
+
+    def pick():
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.integers(2, 10))):
+        kind = draw(st.sampled_from(("neg", "call", "+", "-", "*", "/", "int", "real", "general")))
+        if kind == "neg":
+            e = Neg(pick())
+        elif kind == "call":
+            e = Call(draw(st.sampled_from(sorted(FUNCTIONS))), pick())
+        elif kind == "int":
+            e = BinOp("^", pick(), Const(float(draw(st.sampled_from(_INT_EXPONENTS)))))
+        elif kind == "real":
+            e = BinOp("^", pick(), Const(draw(st.sampled_from(_REAL_EXPONENTS))))
+        elif kind == "general":
+            e = BinOp("^", pick(), pick())
+        else:
+            e = BinOp(kind, pick(), pick())
+        pool.append(e)
+    return draw(st.lists(st.sampled_from(pool[3:]), min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    roots=root_sets(),
+    rows=st.sampled_from((1, 3, 7)).flatmap(
+        lambda n: st.lists(st.tuples(_SAMPLE_VALUES, _SAMPLE_VALUES), min_size=n, max_size=n)
+    ),
+)
+def test_program_matches_reference_walk(roots, rows):
+    assert_program_matches_reference(roots, np.array(rows, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# Which domain error a run raises
+# ---------------------------------------------------------------------------
+
+# x, y at five samples
+DOMAIN_POINTS = np.array([[1.5, 1.0], [2.0, 0.0], [2.5, 2.0], [-1.0, 1.0], [3.0, 1.0]])
+
+# (roots, rule of the error raised); every root set breaks two rules or one
+# rule twice, at different samples and levels
+ORDER_CASES = {
+    "deep log first, shallow division later": (("exp(sin(x)) * log(x*x*x)", "1/y"), "log"),
+    "one level, the second node breaks first": (("log(x + 0.5)", "log(y - 0.5)"), "log"),
+    "one level, two functions": (("sqrt(y - 0.5) + log(x + 0.5)",), "sqrt of negative"),
+    "one level, two functions, swapped": (("log(x + 0.5) + sqrt(y - 0.5)",), "log"),
+    "sqrt derivative at zero": (("sin(x) + sqrt(y - 1)", "1/(x - 2)"), "sqrt derivative"),
+    "division by zero": (("cos(y) + 1/(x - 2.5)", "log(x + 0.5)"), "division by zero"),
+    "zero to a negative power": (
+        (BinOp("^", parse("x - 2.5", COORDS), Const(-13.0)), "sqrt(y - 0.5)"),
+        "zero raised",
+    ),
+    "non-positive base, real exponent": (("y + (x - 1.8)^0.5", "1/y"), "power with"),
+    "non-positive base, general exponent": (("(x - 2.2)^y", "log(x + 0.5)"), "power with"),
+}
+
+
+def _broken(roots, points) -> bool:
+    try:
+        _first_reference_error(roots, points)
+    except AssertionError:
+        return False
+    return True
+
+
+def _first_reference_error(roots, points):
+    for e in roots:
+        try:
+            reference_jets(e, points, COORDS)
+        except DomainError as exc:
+            return exc
+    raise AssertionError("every case breaks a rule")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", ORDER_CASES)
+def test_domain_error_is_the_first_in_walk_order(case):
+    texts, rule = ORDER_CASES[case]
+    roots, points = _roots(texts), DOMAIN_POINTS
+    # eval_jet_stack: one sum of the roots, walked in root order
+    total = roots[0]
+    for e in roots[1:]:
+        total = BinOp("+", total, e)
+    want = _first_reference_error([total], points)
+    assert rule in want.reason
+    assert len(roots) == 1 or want.node != _first_reference_error(roots[::-1], points).node
+    with pytest.raises(DomainError) as info:
+        eval_jet_stack(total, points, COORDS)
+    assert (info.value.node, info.value.reason, str(info.value)) == (want.node, want.reason, str(want))
+    one = _first_reference_error([total], points[want.node : want.node + 1])
+    with pytest.raises(DomainError) as info:
+        eval_jet(total, dict(zip(COORDS, points[want.node])), 2, COORDS)
+    assert str(info.value) == one.reason
+
+    # ChartFrame.validate: the roots as metric entries, positive definite
+    # wherever they are defined
+    pad = roots + [Const(0.0)] * (3 - len(roots))
+    entries = [BinOp("+", Const(2.0), Call("sin", pad[0])), BinOp("*", Const(0.1), Call("sin", pad[1]))]
+    entries.append(BinOp("+", Const(2.0), Call("sin", pad[2])))
+    manifold = FactorManifold("m", COORDS, ((entries[0], entries[1]), (entries[1], entries[2])))
+    # validate raises the error of the first broken sample, as a loop over
+    # the samples would
+    k = next(k for k in range(len(points)) if _broken(entries, points[k : k + 1]))
+    one = _first_reference_error(entries, points[k : k + 1])
+    with pytest.raises(DomainError) as info:
+        ChartFrame(manifold, points).validate()
+    assert str(info.value) == f"metric of 'm': {one.reason} at {points[k].tolist()}"
+
+    # the torus quadrature's blocks: the first broken node in walk order
+    want = _first_reference_error(entries, points)
+    assert rule in want.reason
+    with pytest.raises(DomainError) as info:
+        _volume_means(manifold, points, Var("x"), (), lambda *a: a)
+    where = f"node {want.node} {points[want.node].tolist()} of the 'm' torus grid"
+    assert str(info.value) == f"{want.reason} at {where}"

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from seqwarp import factor, jets
+from seqwarp import chart as chart_module, factor, jets
 from seqwarp.chart import ChartFrame, DegenerateMetricError, GeometryError, max_abs
 from seqwarp.classify import (
     FitInputError,
@@ -39,7 +39,6 @@ from seqwarp.expressions import (
     differentiate,
     to_string,
 )
-from seqwarp.jets import eval_jet_stack
 from seqwarp.spacetime import grw_theorem_check, ssst_theorem_check, time_axis
 from seqwarp.specfile import spec_from_dict
 from seqwarp.verify import (
@@ -50,6 +49,8 @@ from seqwarp.verify import (
     run_verify,
 )
 from seqwarp.warped import BlockVector, PositivityError, WarpedFrame, flatten_to_chart
+
+from jet_reference import reference_jets
 
 STAGES = (
     "metric", "d3metric", "det", "inverse", "dinverse", "d2inverse", "christoffel",
@@ -428,29 +429,31 @@ def sweep_spec(k: int) -> dict:
 
 
 def independent_jets(e, chart, points):
-    """Jets of ``e`` from a fresh one-expression walk."""
-    return eval_jet_stack(e, points, chart.coords)
+    """Jets of ``e`` from the reference walk of its tree alone."""
+    return reference_jets(e, points, chart.coords)
 
 
 @pytest.mark.parametrize("count", [1, SAMPLES])
 @pytest.mark.parametrize("name", (*SPECS, "sweep_dim6", "sweep_dim9", "sweep_dim12"))
 def test_shared_walk_matches_independent_walks(name, count, monkeypatch):
     """Every metric entry, every d_c g_ij and the warpings of the ambient,
-    inner and factor frames equal one-expression walks bit for bit, and a
-    walker walks each distinct subtree once."""
+    inner and factor frames equal walks of each tree alone bit for bit, and
+    each program compiles each distinct subtree once."""
     spec = load(name)
     product = spec.product
     points = spec.sample_points(count, 0)
-    walks = Counter()
-    walkers = []  # kept alive, so that no two walkers share an id
+    compiles = Counter()
+    compilers = []  # kept alive, so that no two compilers share an id
 
-    def spy(e, walk):
-        walkers.append(walk)
-        walks[id(walk), e] += 1
-        return real_eval(e, walk)
+    def spy(compiler, e):
+        compilers.append(compiler)
+        compiles[id(compiler), e] += 1
+        return real_compile(compiler, e)
 
-    real_eval = jets._eval
-    monkeypatch.setattr(jets, "_eval", spy)
+    real_compile = jets._Compiler.compile
+    monkeypatch.setattr(jets._Compiler, "compile", spy)
+    for cached in (jets.jet_program, chart_module._metric_program, chart_module._d3_program):
+        cached.cache_clear()
     warped = WarpedFrame(product, points)
     flat = ChartFrame(flatten_to_chart(product), points)
     frames = (flat, warped.inner_frame, warped.frame1, warped.frame2, warped.frame3)
@@ -469,7 +472,7 @@ def test_shared_walk_matches_independent_walks(name, count, monkeypatch):
         want = independent_jets(phi, frame.manifold, frame.point)
         for k, (s, o) in enumerate(zip(frame.field_jets(phi), want)):
             assert_agree(s, o, f"jet {k} of {to_string(phi)}")
-    assert walks and max(walks.values()) == 1
+    assert compiles and max(compiles.values()) == 1
 
 
 @pytest.mark.parametrize("build", [ChartFrame, WarpedFrame])
