@@ -59,6 +59,7 @@ __all__ = [
     "MetricValidationError",
     "factor",
     "metric_jets",
+    "metric_program",
     "symmetry_residuals",
     "validate_factor_at",
     "sample_box",
@@ -154,17 +155,19 @@ def _derived(e: Expr, coord: str) -> Expr:
     return differentiate(e, coord)
 
 
+def metric_program(manifold: FactorManifold) -> JetProgram | None:
+    """The program ``metric_jets`` runs: the metric entries of ``manifold``
+    on and above the diagonal that are not constant, row by row (None when
+    every entry is constant)."""
+    return _metric_program(manifold)[0]
+
+
 @lru_cache(maxsize=None)
 def _metric_program(manifold: FactorManifold):
-    """The metric entries of ``manifold`` on and above the diagonal, row by
-    row: the (i, j) and value of the constant ones, then ``_varying`` of
-    the others."""
-    metric = manifold.metric
+    """``_varying`` of the metric entries of ``manifold`` on and above the
+    diagonal, row by row."""
     upper = _upper(manifold.dim)
-    fixed = [(i, j) for i, j in upper if isinstance(metric[i][j], Const)]
-    values = np.array([metric[i][j].value for i, j in fixed], dtype=float)
-    varying = _varying(upper, [metric[i][j] for i, j in upper], manifold.coords)
-    return (*_columns(fixed, 2), values), varying
+    return _varying(upper, [manifold.metric[i][j] for i, j in upper], manifold.coords)
 
 
 @lru_cache(maxsize=None)
@@ -182,16 +185,14 @@ def _upper(m: int) -> list[tuple[int, int]]:
 
 
 def _varying(index: list[tuple[int, ...]], exprs: list[Expr], coords: tuple[str, ...]):
-    """The program of the ``exprs`` that are not constant, in order (None
-    when there are none), and the columns of their ``index`` tuples.  A
-    constant's derivatives are zero, so a stage leaves it out."""
+    """The program of the ``exprs`` that are not constant, in order, and the
+    columns of their ``index`` tuples (None and () when every one is
+    constant).  A constant's derivatives are zero, so a stage leaves it
+    out."""
     keep = [k for k, e in enumerate(exprs) if not isinstance(e, Const)]
     program = JetProgram([exprs[k] for k in keep], coords) if keep else None
-    return program, _columns([index[k] for k in keep], len(index[0]))
-
-
-def _columns(rows: list[tuple[int, ...]], width: int) -> tuple[np.ndarray, ...]:
-    return tuple(np.array(rows, dtype=np.intp).reshape(len(rows), width).T)
+    columns = zip(*(index[k] for k in keep))
+    return program, tuple(np.array(column, dtype=np.intp) for column in columns)
 
 
 class ChartFrame:
@@ -248,7 +249,7 @@ class ChartFrame:
         for finiteness.
         """
         try:
-            return program.run(self.point)
+            return program.run(self.point).roots()
         except DomainError as exc:
             err = DomainError(f"{exc.reason} at {self.point[exc.node].tolist()}")
             err.node, err.reason = exc.node, exc.reason
@@ -348,9 +349,10 @@ class ChartFrame:
         """d3metric[a, b, c, i, j] = d_a d_b d_c g_ij: the Hessians of the
         symbolic first derivatives, from one program run."""
         m = self.manifold.dim
-        program, (c, i, j) = _d3_program(self.manifold)
+        program, index = _d3_program(self.manifold)
         d3g = np.zeros(self.point.shape[:-1] + (m, m, m, m, m))
         if program is not None:
+            c, i, j = index
             hess = self._run(program)[2].transpose(1, 2, 3, 0)
             d3g[..., c, i, j] = d3g[..., c, j, i] = hess
         return d3g
@@ -613,13 +615,16 @@ def metric_jets(manifold: FactorManifold, count: int, run) -> tuple[np.ndarray, 
     triangle is evaluated, and each jet is written to (i, j) and (j, i); a
     constant entry sets its value, and its derivatives stay zero.
     """
-    (ci, cj, values), (program, (i, j)) = _metric_program(manifold)
     m = manifold.dim
     g = np.zeros((count, m, m))
     dg = np.zeros((count, m, m, m))
     d2g = np.zeros((count, m, m, m, m))
-    g[:, ci, cj] = g[:, cj, ci] = values
+    for i, j in _upper(m):
+        if isinstance(manifold.metric[i][j], Const):
+            g[:, i, j] = g[:, j, i] = manifold.metric[i][j].value
+    program, index = _metric_program(manifold)
     if program is not None:
+        i, j = index
         value, grad, hess = run(program)
         g[:, i, j] = g[:, j, i] = value.T
         dg[..., i, j] = dg[..., j, i] = grad.transpose(1, 2, 0)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,11 +51,12 @@ from .chart import (
     matvec,
     max_abs,
     metric_jets,
+    metric_program,
     outer,
     per_sample_power,
 )
 from .expressions import DomainError, Expr, to_string
-from .jets import JetProgram, jet_program
+from .jets import JetProgram
 from .warped import (
     BlockVector,
     PositivityError,
@@ -508,20 +510,33 @@ def _node(manifold: FactorManifold, grid: np.ndarray, i: int) -> str:
     return f"node {i} {grid[i].tolist()} of the {manifold.name!r} torus grid"
 
 
-def _block_jets(manifold: FactorManifold, grid: np.ndarray, start: int, stop: int):
-    """A runner of ``JetProgram``s at grid nodes ``start:stop``, as
-    ``ChartFrame._run``; a domain error names the grid node."""
-    points = grid[start:stop]
+@lru_cache(maxsize=None)
+def _block_program(
+    manifold: FactorManifold, phi: Expr, positive: tuple[tuple[str, Expr], ...]
+) -> tuple[JetProgram, int]:
+    """The metric entries of ``manifold`` that vary, then ``phi`` and the
+    warpings in ``positive``, as one program, so that a block evaluates
+    each distinct subexpression among them once; also the number of metric
+    entries."""
+    metric = metric_program(manifold)
+    roots = metric.roots if metric is not None else ()
+    return JetProgram(roots + (phi,) + tuple(w for _, w in positive), manifold.coords), len(roots)
 
-    def run(program: JetProgram):
+
+def _block_roots(manifold: FactorManifold, grid: np.ndarray, start: int, stop: int, program):
+    """``roots(a, b)``: the jets of roots ``a:b`` of one run of ``program``
+    at grid nodes ``start:stop``; a domain error names the grid node."""
+    run = program.run(grid[start:stop])
+
+    def roots(a: int, b: int):
         try:
-            return program.run(points)
+            return run.roots(a, b)
         except DomainError as exc:
             raise DomainError(
                 f"{exc.reason} at {_node(manifold, grid, start + exc.node)}"
             ) from None
 
-    return run
+    return roots
 
 
 def _block_metric_jets(manifold: FactorManifold, grid: np.ndarray, start: int, stop: int, run):
@@ -554,10 +569,10 @@ def _volume_means(
     integrands.
 
     The grid is evaluated in blocks of at most ``QUADRATURE_BLOCK`` nodes.
-    Per block, the metric, field and warping jets come from the programs a
-    ``ChartFrame`` runs (the metric program, then one per field, each
-    compiled once per structure); the inverse metric, Christoffel symbols,
-    covariant Hessian of ``phi``, its Laplacian, ``|grad phi|^2`` and the
+    Per block, one run of ``_block_program`` gives the metric, field and
+    warping jets, and the domain errors of each are raised where a walk of
+    them in that order would meet them; the inverse metric, Christoffel
+    symbols, covariant Hessian of ``phi``, its Laplacian, ``|grad phi|^2`` and the
     weights ``sqrt|det g|`` are ``(B, ...)`` arrays.  Each node gets the arithmetic a
     ``ChartFrame`` there would do, and the weighted sums are accumulated in
     node order, so the means equal those of a per-node loop bit for bit
@@ -575,18 +590,19 @@ def _volume_means(
     """
     sums = None
     weight_total = 0.0
+    program, entries = _block_program(manifold, phi, positive)
     for start in range(0, grid.shape[0], QUADRATURE_BLOCK):
         stop = min(start + QUADRATURE_BLOCK, grid.shape[0])
-        run = _block_jets(manifold, grid, start, stop)
+        roots = _block_roots(manifold, grid, start, stop, program)
         with np.errstate(over="ignore", invalid="ignore"):
-            g, dg, d2g = _block_metric_jets(manifold, grid, start, stop, run)
+            g, dg, d2g = _block_metric_jets(manifold, grid, start, stop, lambda _: roots(0, entries))
             degenerate = is_degenerate(g)
             if degenerate.any():
                 k = int(np.argmax(degenerate))
                 raise DegenerateMetricError(manifold.name, grid[start + k], g[k])
             det = np.linalg.det(g)
 
-            value, dphi, d2phi = (a[0] for a in run(jet_program((phi,), manifold.coords)))
+            value, dphi, d2phi = (a[0] for a in roots(entries, entries + 1))
             finite = (
                 np.isfinite(value)
                 & np.isfinite(dphi).all(axis=1)
@@ -597,8 +613,8 @@ def _volume_means(
                     f"field {to_string(phi)!r} or one of its first two derivatives is not "
                     f"finite at {_node(manifold, grid, start + int(np.argmin(finite)))}"
                 )
-            for label, w in positive:
-                w_value = run(jet_program((w,), manifold.coords))[0][0]
+            for n, (label, _) in enumerate(positive, start=entries + 1):
+                w_value = roots(n, n + 1)[0][0]
                 if not (w_value > 0.0).all():
                     k = int(np.argmin(w_value > 0.0))
                     raise PositivityError(

@@ -57,7 +57,11 @@ from .expressions import (
     to_string,
 )
 
-__all__ = ["JetStack", "JetProgram", "jet_program", "eval_jet", "eval_jet_stack"]
+__all__ = ["JetStack", "JetProgram", "JetRun", "jet_program", "eval_jet", "eval_jet_stack"]
+
+
+# the default ``out`` of a JetStack operation: fresh arrays
+_FRESH = (None, None, None)
 
 
 def _fn_table(name: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,7 +100,11 @@ class JetStack:
     """Second-order jets at N points: value ``(N,)``, gradient ``(N, n)``,
     Hessian ``(N, n, n)``.  Leading batch axes are allowed: a ``(K, N)``
     value with ``(K, N, n)`` and ``(K, N, n, n)`` derivatives is K stacks,
-    each with its own elementwise arithmetic."""
+    each with its own elementwise arithmetic.
+
+    Every operation takes ``out``, three arrays that receive the result's
+    value, gradient and Hessian (fresh arrays by default); the operators
+    give fresh arrays."""
 
     __slots__ = ("value", "grad", "hess")
 
@@ -105,63 +113,92 @@ class JetStack:
         self.grad = grad
         self.hess = hess
 
-    def __add__(self, o: "JetStack") -> "JetStack":
-        return JetStack(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+    def add(self, o: "JetStack", out=_FRESH) -> "JetStack":
+        v, g, h = out
+        return JetStack(
+            np.add(self.value, o.value, out=v),
+            np.add(self.grad, o.grad, out=g),
+            np.add(self.hess, o.hess, out=h),
+        )
 
-    def __sub__(self, o: "JetStack") -> "JetStack":
-        return JetStack(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+    def sub(self, o: "JetStack", out=_FRESH) -> "JetStack":
+        v, g, h = out
+        return JetStack(
+            np.subtract(self.value, o.value, out=v),
+            np.subtract(self.grad, o.grad, out=g),
+            np.subtract(self.hess, o.hess, out=h),
+        )
 
-    def __neg__(self) -> "JetStack":
-        return JetStack(-self.value, -self.grad, -self.hess)
+    def neg(self, out=_FRESH) -> "JetStack":
+        v, g, h = out
+        return JetStack(
+            np.negative(self.value, out=v),
+            np.negative(self.grad, out=g),
+            np.negative(self.hess, out=h),
+        )
 
-    def __mul__(self, o: "JetStack") -> "JetStack":
+    def mul(self, o: "JetStack", out=_FRESH) -> "JetStack":
+        v, g, h = out
         cross = self.grad[..., :, None] * o.grad[..., None, :]
         a, b = self.value[..., None], o.value[..., None]
         return JetStack(
-            self.value * o.value,
-            a * o.grad + b * self.grad,
-            a[..., None] * o.hess
-            + b[..., None] * self.hess
-            + (cross + cross.swapaxes(-1, -2)),
+            np.multiply(self.value, o.value, out=v),
+            np.add(a * o.grad, b * self.grad, out=g),
+            np.add(
+                a[..., None] * o.hess + b[..., None] * self.hess,
+                cross + cross.swapaxes(-1, -2),
+                out=h,
+            ),
         )
 
-    def reciprocal(self) -> "JetStack":
-        v = 1.0 / self.value
+    __add__, __sub__, __neg__, __mul__ = add, sub, neg, mul
+
+    def reciprocal(self, out=_FRESH) -> "JetStack":
+        v, g, h = out
+        v = np.divide(1.0, self.value, out=v)
         outer = self.grad[..., :, None] * self.grad[..., None, :]
         return JetStack(
             v,
-            (-v * v)[..., None] * self.grad,
-            (-v * v)[..., None, None] * self.hess + (2.0 * v**3)[..., None, None] * outer,
+            np.multiply((-v * v)[..., None], self.grad, out=g),
+            np.add(
+                (-v * v)[..., None, None] * self.hess,
+                (2.0 * v**3)[..., None, None] * outer,
+                out=h,
+            ),
         )
 
-    def chain(self, f: np.ndarray, df: np.ndarray, d2f: np.ndarray) -> "JetStack":
+    def chain(self, f: np.ndarray, df: np.ndarray, d2f: np.ndarray, out=_FRESH) -> "JetStack":
+        v, g, h = out
         outer = self.grad[..., :, None] * self.grad[..., None, :]
+        if v is not None:
+            v[...] = f
         return JetStack(
-            f,
-            df[..., None] * self.grad,
-            df[..., None, None] * self.hess + d2f[..., None, None] * outer,
+            f if v is None else v,
+            np.multiply(df[..., None], self.grad, out=g),
+            np.add(df[..., None, None] * self.hess, d2f[..., None, None] * outer, out=h),
         )
 
-    def int_power(self, n: int) -> "JetStack":
+    def int_power(self, n: int, out=_FRESH) -> "JetStack":
         """Analytic power rule; integer exponents keep negative bases legal."""
         v = self.value
-        return self.chain(v**n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
+        return self.chain(v**n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2), out)
 
-    def real_power(self, c: float) -> "JetStack":
+    def real_power(self, c: float, out=_FRESH) -> "JetStack":
         v = self.value
-        return self.chain(v**c, c * v ** (c - 1.0), c * (c - 1.0) * v ** (c - 2.0))
+        return self.chain(v**c, c * v ** (c - 1.0), c * (c - 1.0) * v ** (c - 2.0), out)
 
 
-# operation -> JetStack kernel(param, *operands); a function name is an operation
+# operation -> JetStack kernel(param, *operands, out); a function name is an
+# operation
 _KERNELS = {
-    "neg": lambda p, a: -a,
-    "+": lambda p, a, b: a + b,
-    "-": lambda p, a, b: a - b,
-    "*": lambda p, a, b: a * b,
-    "recip": lambda p, a: a.reciprocal(),
-    "ipow": lambda p, a: a.int_power(p),
-    "rpow": lambda p, a: a.real_power(p),
-    **{fn: (lambda p, a, fn=fn: a.chain(*_fn_table(fn, a.value))) for fn in FUNCTIONS},
+    "neg": lambda p, a, out: a.neg(out),
+    "+": lambda p, a, b, out: a.add(b, out),
+    "-": lambda p, a, b, out: a.sub(b, out),
+    "*": lambda p, a, b, out: a.mul(b, out),
+    "recip": lambda p, a, out: a.reciprocal(out),
+    "ipow": lambda p, a, out: a.int_power(p, out),
+    "rpow": lambda p, a, out: a.real_power(p, out),
+    **{fn: (lambda p, a, out, fn=fn: a.chain(*_fn_table(fn, a.value), out)) for fn in FUNCTIONS},
 }
 
 # operation -> (broken test on the operand's value, reason); "base" checks a
@@ -205,7 +242,7 @@ class _Compiler:
             i = self._keys[key] = len(self.nodes)
             self.nodes.append((op, param, args, e))
             levels = self.levels
-            levels.append(1 + max([levels[a] for a in args], default=-1))
+            levels.append(1 + max([-1] + [levels[a] for a in args]))
         return i
 
     def expr(self, e: Expr) -> int:
@@ -270,7 +307,7 @@ def _index(rows: list[int]) -> slice | np.ndarray:
 @lru_cache(maxsize=None)
 def _seeds(n: int) -> np.ndarray:
     """The gradients of the n coordinates at any point, shape ``(n, 1, n)``."""
-    return np.eye(n)[:, None, :]
+    return np.array([[[float(i == j) for j in range(n)]] for i in range(n)])
 
 
 def _gather(rows: slice | np.ndarray, value, grad, hess) -> JetStack:
@@ -290,50 +327,58 @@ class JetProgram:
     fill level 0; every later group is one step, which gathers its
     operands' jets, applies one ``JetStack`` operation to the batch and
     writes the run.  A step that checks a domain records its operands'
-    broken points; ``run`` raises for the first broken node in walk order.
+    broken points, and ``JetRun.roots`` raises for the first broken node in
+    walk order.
     """
 
-    __slots__ = ("coords", "node_count", "_size", "_consts", "_steps", "_roots")
+    __slots__ = ("roots", "coords", "node_count", "_size", "_consts", "_steps", "_roots", "_ends")
 
     def __init__(self, roots: Sequence[Expr], coords: Sequence[str]):
+        self.roots = tuple(roots)
         self.coords = tuple(coords)
         compiler = _Compiler(self.coords)
-        root_nodes = [compiler.expr(e) for e in roots]
+        root_nodes = []
+        # _ends[k]: the nodes of roots[:k] are the nodes numbered below it
+        self._ends = [len(compiler.nodes)]
+        for e in self.roots:
+            root_nodes.append(compiler.expr(e))
+            self._ends.append(len(compiler.nodes))
         nodes, levels = compiler.nodes, compiler.levels
         self.node_count = len(nodes)
         groups: dict[tuple, list[int]] = {}
         for i, (op, param, _, _) in enumerate(nodes):
-            leaf = op in ("const", "var")
-            groups.setdefault((levels[i], op, None if leaf else param), []).append(i)
-        slot: dict[int, int] = {}
+            key = (levels[i], op, None if op == "const" else param) if op != "var" else 0
+            groups.setdefault(key, []).append(i)
+        slot = [0] * len(nodes)
+        size = 0
         steps = []
-        # by level, and in order of first appearance within one
-        for (level, op, param), members in sorted(groups.items(), key=lambda kv: kv[0][0]):
+        # by level, and in order of first appearance within one: the
+        # coordinates (key 0), the constants, then the steps
+        for key, members in sorted(groups.items(), key=lambda kv: kv[0] and kv[0][0]):
+            op = nodes[members[0]][0]
             out = None
             if op != "base":
-                out = (len(slot), len(slot) + len(members))
-                slot.update((i, out[0] + k) for k, i in enumerate(members))
-            if not level:
+                out = slice(size, size + len(members))
+                for i in members:
+                    slot[i] = size
+                    size += 1
+            if not key or op == "const":
                 continue
-            arity = len(nodes[members[0]][2])
-            args = tuple(_index([slot[nodes[i][2][k]] for i in members]) for k in range(arity))
+            param = key[2]
+            args = tuple(_index([slot[a] for a in operand]) for operand in zip(*(nodes[i][2] for i in members)))
             check = None
             if op in _CHECKS and (op != "ipow" or param < 0):
-                check = (np.array(members), [nodes[i][3] for i in members])
-            steps.append((op, param, out, args, check))
-        consts = [nodes[i][1] for i in groups.get((0, "const", None), [])]
-        self._consts = np.array(consts, dtype=float)[:, None]
-        self._size = len(slot)
+                check = (op, members, [nodes[i][3] for i in members])
+            steps.append((_KERNELS.get(op), param, out, args, check))
+        self._consts = np.array(
+            [[nodes[i][1]] for i in groups.get((0, "const", None), ())], dtype=float
+        ).reshape(-1, 1)
+        self._size = size
         self._steps = steps
         self._roots = np.array([slot[i] for i in root_nodes], dtype=np.intp)
 
-    def run(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(value (R, N), gradient (R, N, n), hessian (R, N, n, n))`` of the
-        R roots, root axis first: fresh read-only arrays.
-
-        Raises ``DomainError`` with ``node``, the first broken row, and
-        ``reason``, the message without that row.
-        """
+    def run(self, points: np.ndarray) -> "JetRun":
+        """Every node's jets at every row of ``points``, broken or not."""
         points = np.asarray(points, dtype=float)
         count, n = points.shape[0], len(self.coords)
         value = np.empty((self._size, count))
@@ -347,37 +392,59 @@ class JetProgram:
         hess[:leaves] = 0.0
         broken = []
         with np.errstate(all="ignore"):
-            for op, param, out, args, check in self._steps:
+            for kernel, param, out, args, check in self._steps:
                 if check is not None:
                     rows = args[0]
                     x = value[rows] if isinstance(rows, slice) else value.take(rows, 0)
-                    bad = _CHECKS[op][0](x, 0.0)
+                    bad = _CHECKS[check[0]][0](x, 0.0)
                     if bad.any():
-                        broken.append((check, bad, x, op))
-                if out is None:
-                    continue
-                jet = _KERNELS[op](param, *(_gather(a, value, grad, hess) for a in args))
-                start, stop = out
-                value[start:stop] = jet.value
-                grad[start:stop] = jet.grad
-                hess[start:stop] = jet.hess
-        if broken:
-            _raise_first(broken)
-        jets = tuple(a.take(self._roots, 0) for a in (value, grad, hess))
+                        broken.append((check, bad, x))
+                if out is not None:
+                    operands = [_gather(a, value, grad, hess) for a in args]
+                    kernel(param, *operands, (value[out], grad[out], hess[out]))
+        return JetRun(self, (value, grad, hess), broken)
+
+
+class JetRun:
+    """The jets of every node of a ``JetProgram`` run, and its broken nodes."""
+
+    __slots__ = ("program", "_jets", "_broken")
+
+    def __init__(self, program: JetProgram, jets: tuple[np.ndarray, ...], broken: list):
+        self.program, self._jets, self._broken = program, jets, broken
+
+    def roots(self, start: int = 0, stop: int | None = None):
+        """``(value (R, N), gradient (R, N, n), hessian (R, N, n, n))`` of
+        roots ``start:stop``, root axis first: fresh read-only arrays.
+
+        First raises ``DomainError`` for the broken node first in walk order
+        among the nodes of roots ``:stop``, as a walk of those roots would:
+        ``node`` is its first broken row, ``reason`` the message without
+        that row.
+        """
+        program = self.program
+        if stop is None:
+            stop = len(program.roots)
+        if self._broken:
+            _raise_first(self._broken, program._ends[stop])
+        jets = tuple(a.take(program._roots[start:stop], 0) for a in self._jets)
         for a in jets:
             a.setflags(write=False)
         return jets
 
 
-def _raise_first(broken: list) -> None:
-    """Raise ``DomainError`` for the broken node first in walk order, at its
-    first broken row.  A step's nodes are in walk order, so its first broken
-    node is its first row with a broken point."""
+def _raise_first(broken: list, end: int) -> None:
+    """Raise ``DomainError`` for the broken node numbered below ``end`` that
+    is first in walk order, at its first broken row.  A step's nodes are in
+    walk order, so its first such node is its first such row."""
     first = None
-    for (order, exprs), bad, x, op in broken:
-        k = int(np.argmax(bad.any(axis=1)))
-        if first is None or order[k] < first[0]:
+    for (op, order, exprs), bad, x in broken:
+        rows = [k for k in np.flatnonzero(bad.any(axis=1)) if order[k] < end]
+        if rows and (first is None or order[rows[0]] < first[0]):
+            k = rows[0]
             first = (order[k], exprs[k], bad[k], x[k], op)
+    if first is None:
+        return
     _, e, bad, x, op = first
     i = int(np.argmax(bad))
     why = f"{_reason(op, float(x[i]))} in {to_string(e)!r}"
@@ -427,4 +494,4 @@ def eval_jet_stack(e: Expr, points: np.ndarray, coords: Sequence[str]):
 
     Raises ``DomainError`` naming the first row that leaves a domain.
     """
-    return tuple(a[0] for a in jet_program((e,), tuple(coords)).run(points))
+    return tuple(a[0] for a in jet_program((e,), tuple(coords)).run(points).roots())

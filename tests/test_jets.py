@@ -23,9 +23,10 @@ from seqwarp.expressions import (
 )
 from seqwarp import jets
 from seqwarp import factor
-from seqwarp.chart import ChartFrame, FactorManifold
+from seqwarp.chart import ChartFrame, DegenerateMetricError, FactorManifold, GeometryError
 from seqwarp.classify import _volume_means
 from seqwarp.jets import JetProgram, eval_jet, eval_jet_stack
+from seqwarp.warped import PositivityError
 from jet_reference import reference_jets
 
 
@@ -332,10 +333,10 @@ def assert_program_matches_reference(roots, points):
     program = JetProgram(roots, COORDS)
     if error is not None:
         with pytest.raises(DomainError) as info:
-            program.run(points)
+            program.run(points).roots()
         assert (info.value.node, info.value.reason, str(info.value)) == error
         return
-    got = program.run(points)
+    got = program.run(points).roots()
     for k, jet in enumerate(want):
         for a, b in zip((g[k] for g in got), jet):
             assert _same_bits(a, b), roots[k]
@@ -353,7 +354,7 @@ def test_program_compiles_each_shared_subtree_once(case, monkeypatch):
         assert compiles[parse(text, COORDS)] == 1
     assert program.node_count < sum(_tree_size(e) for e in exprs)
     for _ in range(2):
-        got = program.run(points)
+        got = program.run(points).roots()
         for k, e in enumerate(exprs):
             for a, b in zip((g[k] for g in got), reference_jets(e, points, COORDS)):
                 assert _same_bits(a, b)
@@ -365,7 +366,7 @@ def test_program_domain_error_keeps_its_message():
     program = JetProgram([e], COORDS)
     for _ in range(2):
         with pytest.raises(DomainError) as info:
-            program.run(points)
+            program.run(points).roots()
         assert (info.value.node, info.value.reason) == (2, "log of non-positive value -1.0 in 'log(x)'")
         assert str(info.value) == "log of non-positive value -1.0 in 'log(x)' at node 2"
     # one point names no node
@@ -381,7 +382,7 @@ def test_walker_arrays_are_read_only(case):
     for text in ("sin(x*y) + x", "x", "7"):
         e = parse(text, COORDS)
         one_point = eval_jet(e, {"x": 1.0, "y": 0.5}, 2, COORDS)[1:]  # and a float value
-        run = JetProgram([e, parse("x*y", COORDS)], COORDS).run(points)
+        run = JetProgram([e, parse("x*y", COORDS)], COORDS).run(points).roots()
         frame = ChartFrame(factor("plane", COORDS, [["1", "0"], ["0", "1"]]), points)
         arrays = (*eval_jet_stack(e, points, COORDS), *one_point, *run, *frame.field_jets(e))
         for array in arrays:
@@ -496,7 +497,7 @@ ORDER_CASES = {
         "zero raised",
     ),
     "non-positive base, real exponent": (("y + (x - 1.8)^0.5", "1/y"), "power with"),
-    "non-positive base, general exponent": (("(x - 2.2)^y", "log(x + 0.5)"), "power with"),
+    "non-positive base before its exponent": (("(x - 2.2)^log(y - 0.5)", "log(x + 0.5)"), "power with"),
 }
 
 
@@ -558,3 +559,35 @@ def test_domain_error_is_the_first_in_walk_order(case):
         _volume_means(manifold, points, Var("x"), (), lambda *a: a)
     where = f"node {want.node} {points[want.node].tolist()} of the 'm' torus grid"
     assert str(info.value) == f"{want.reason} at {where}"
+
+
+# (metric entries, field, warpings, error): each case breaks a later stage
+# at an earlier sample than the stage that raises
+BLOCK_CASES = {
+    "degenerate metric before the field's domain": (
+        ("1", "0", "y*y"), "log(x - 1.6)", (), DegenerateMetricError,
+    ),
+    "field not finite before a warping's domain": (
+        ("1", "0", "1"), "exp(1000*x)", ("sqrt(y - 0.5)",), GeometryError,
+    ),
+    "field's domain before a warping's domain": (
+        ("1", "0", "1"), "y + log(x + 0.5)", ("sqrt(y - 0.5)",), DomainError,
+    ),
+    "non-positive warping before a later warping's domain": (
+        ("1", "0", "1"), "x", ("y - 0.5", "sqrt(y - 1.5)"), PositivityError,
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_quadrature_block_raises_in_walk_order(case):
+    """One program run serves a whole quadrature block, and its stages
+    raise in the order a walk of them would: the metric's domain, the
+    metric's checks, the field's domain and checks, then each warping's."""
+    (g00, g01, g11), phi, warpings, error = BLOCK_CASES[case]
+    manifold = factor("m", COORDS, [[g00, g01], [g01, g11]])
+    positive = tuple((f"w{k}", parse(w, COORDS)) for k, w in enumerate(warpings))
+    with pytest.raises(error) as info:
+        _volume_means(manifold, DOMAIN_POINTS, parse(phi, COORDS), positive, lambda *a: a)
+    assert type(info.value) is error
