@@ -14,9 +14,9 @@ Three layers live here:
   forms of those fields over fully periodic factors
   (``torus_average_identity``).  The torus quadrature is the one place that
   evaluates geometry at thousands of points; it evaluates the grid in
-  blocks of nodes with batched jets (the ``seqwarp.jets.JetProgram`` runs
-  of ``ChartFrame``, one per stage and block) and ``(B, ...)`` arrays
-  instead of one ``ChartFrame`` per block;
+  blocks of nodes with batched jets (one ``seqwarp.jets.JetProgram`` run
+  per block) and ``(B, ...)`` arrays instead of one ``ChartFrame`` per
+  block;
 * hypothesis evaluators for the differential conditions under which the
   scalar fields are forced constant (``condition_residuals``, one ``(N,)``
   residual array per condition) and for the rigidity statements that force
@@ -539,9 +539,13 @@ def _block_roots(manifold: FactorManifold, grid: np.ndarray, start: int, stop: i
     return roots
 
 
-def _block_metric_jets(manifold: FactorManifold, grid: np.ndarray, start: int, stop: int, run):
-    """``ChartFrame._metric_jets`` at grid nodes ``start:stop``, checked finite."""
-    g, dg, d2g = metric_jets(manifold, stop - start, run)
+def _block_metric_jets(
+    manifold: FactorManifold, grid: np.ndarray, start: int, stop: int, roots, entries: int
+):
+    """``ChartFrame._metric_jets`` at grid nodes ``start:stop``, checked
+    finite: the first ``entries`` roots of a ``_block_program`` run are
+    those of the metric program."""
+    g, dg, d2g = metric_jets(manifold, stop - start, lambda _: roots(0, entries))
     finite = (
         np.isfinite(g).all(axis=(1, 2))
         & np.isfinite(dg).all(axis=(1, 2, 3))
@@ -572,11 +576,11 @@ def _volume_means(
     Per block, one run of ``_block_program`` gives the metric, field and
     warping jets, and the domain errors of each are raised where a walk of
     them in that order would meet them; the inverse metric, Christoffel
-    symbols, covariant Hessian of ``phi``, its Laplacian, ``|grad phi|^2`` and the
-    weights ``sqrt|det g|`` are ``(B, ...)`` arrays.  Each node gets the arithmetic a
-    ``ChartFrame`` there would do, and the weighted sums are accumulated in
-    node order, so the means equal those of a per-node loop bit for bit
-    (the tests check this on 1- and 2-dimensional charts).
+    symbols, covariant Hessian of ``phi``, its Laplacian, ``|grad phi|^2``
+    and the weights ``sqrt|det g|`` are ``(B, ...)`` arrays.  Each node gets
+    the arithmetic a ``ChartFrame`` there would do, and the weighted sums
+    are accumulated in node order, so the means equal those of a per-node
+    loop bit for bit (the tests check this on 1- and 2-dimensional charts).
     ``integrand(value, lap, grad_norm2)`` maps the field data of a block to
     a tuple of arrays.
 
@@ -595,7 +599,7 @@ def _volume_means(
         stop = min(start + QUADRATURE_BLOCK, grid.shape[0])
         roots = _block_roots(manifold, grid, start, stop, program)
         with np.errstate(over="ignore", invalid="ignore"):
-            g, dg, d2g = _block_metric_jets(manifold, grid, start, stop, lambda _: roots(0, entries))
+            g, dg, d2g = _block_metric_jets(manifold, grid, start, stop, roots, entries)
             degenerate = is_degenerate(g)
             if degenerate.any():
                 k = int(np.argmax(degenerate))

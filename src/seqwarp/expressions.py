@@ -69,9 +69,9 @@ class ParseError(ExpressionError):
 class DomainError(ExpressionError):
     """Evaluation left a function's domain (log of a negative, 1/0, ...).
 
-    Raised by a jet walk (``seqwarp.jets``), it always carries ``node``, the
-    index of the first offending point of the stack, and ``reason``, the
-    message without that index.
+    Raised by a jet program run (``seqwarp.jets``), it always carries
+    ``node``, the index of the first offending point of the stack, and
+    ``reason``, the message without that index.
     """
 
 
@@ -80,7 +80,7 @@ class Expr:
 
     Equality and hashing are structural.  A node keeps its hash once
     computed, so hashing a tree whose subtrees were hashed before costs one
-    step, not a walk: jets are memoized by subtree.
+    step, not a walk: jet programs are compiled and cached by structure.
     """
 
     __slots__ = ("_hash",)

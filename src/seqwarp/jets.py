@@ -29,10 +29,13 @@ give it, bit for bit.  ``jet_program`` caches programs by structure.
 
 A run obeys the domain rules (``log`` and ``sqrt`` of non-positive values,
 division by zero, zero to a negative integer power, a non-positive base
-under a non-integer power).  It computes through a broken node and then
-raises ``DomainError`` for the first broken node in walk order, at its
-first broken point: the error a walk that stops there would raise.
-Overflow gives ``inf``, which the callers check for.
+under a non-integer power).  It computes through a broken node, with every
+floating-point warning off, and records where each checked node breaks;
+``JetRun.roots`` then raises ``DomainError`` for the first broken node in
+walk order among the nodes of the roots asked for, at its first broken
+point: the error a walk of those roots would raise.  So one run can serve
+stages that a walk would check one after another.  Overflow gives ``inf``,
+which the callers check for.
 """
 
 from __future__ import annotations
@@ -347,32 +350,30 @@ class JetProgram:
         self.node_count = len(nodes)
         groups: dict[tuple, list[int]] = {}
         for i, (op, param, _, _) in enumerate(nodes):
-            key = (levels[i], op, None if op == "const" else param) if op != "var" else 0
-            groups.setdefault(key, []).append(i)
+            leaf = op in ("var", "const")
+            groups.setdefault((levels[i], op, None if leaf else param), []).append(i)
         slot = [0] * len(nodes)
         size = 0
         steps = []
         # by level, and in order of first appearance within one: the
-        # coordinates (key 0), the constants, then the steps
-        for key, members in sorted(groups.items(), key=lambda kv: kv[0] and kv[0][0]):
-            op = nodes[members[0]][0]
+        # coordinates (nodes 0 to n - 1), the constants, then the steps
+        for (level, op, param), members in sorted(groups.items(), key=lambda kv: kv[0][0]):
             out = None
             if op != "base":
                 out = slice(size, size + len(members))
                 for i in members:
                     slot[i] = size
                     size += 1
-            if not key or op == "const":
+            if not level:
                 continue
-            param = key[2]
-            args = tuple(_index([slot[a] for a in operand]) for operand in zip(*(nodes[i][2] for i in members)))
+            operands = zip(*(nodes[i][2] for i in members))
+            args = tuple(_index([slot[a] for a in rows]) for rows in operands)
             check = None
             if op in _CHECKS and (op != "ipow" or param < 0):
                 check = (op, members, [nodes[i][3] for i in members])
             steps.append((_KERNELS.get(op), param, out, args, check))
-        self._consts = np.array(
-            [[nodes[i][1]] for i in groups.get((0, "const", None), ())], dtype=float
-        ).reshape(-1, 1)
+        consts = groups.get((0, "const", None), [])
+        self._consts = np.array([nodes[i][1] for i in consts], dtype=float)[:, None]
         self._size = size
         self._steps = steps
         self._roots = np.array([slot[i] for i in root_nodes], dtype=np.intp)

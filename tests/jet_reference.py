@@ -48,8 +48,8 @@ class _Walk:
         self.points, self.coords = points, coords
 
     def constant(self, value):
-        n = self.n
-        return JetStack(np.full(self.count, value), np.zeros((self.count, n)), np.zeros((self.count, n, n)))
+        count, n = self.count, self.n
+        return JetStack(np.full(count, value), np.zeros((count, n)), np.zeros((count, n, n)))
 
     def jet(self, e) -> JetStack:
         if isinstance(e, Const):
@@ -89,7 +89,8 @@ class _Walk:
         if fn == "sqrt":
             bad = x <= 0.0
             negative = bad.any() and x[np.argmax(bad)] < 0.0
-            _fail(bad, x, "sqrt of negative value {!r}" if negative else "sqrt derivative at zero", e)
+            reason = "sqrt of negative value {!r}" if negative else "sqrt derivative at zero"
+            _fail(bad, x, reason, e)
         return u.chain(*_fn_table(fn, x))
 
     def reciprocal(self, u, e) -> JetStack:

@@ -367,8 +367,9 @@ def test_program_domain_error_keeps_its_message():
     for _ in range(2):
         with pytest.raises(DomainError) as info:
             program.run(points).roots()
-        assert (info.value.node, info.value.reason) == (2, "log of non-positive value -1.0 in 'log(x)'")
-        assert str(info.value) == "log of non-positive value -1.0 in 'log(x)' at node 2"
+        reason = "log of non-positive value -1.0 in 'log(x)'"
+        assert (info.value.node, info.value.reason) == (2, reason)
+        assert str(info.value) == f"{reason} at node 2"
     # one point names no node
     with pytest.raises(DomainError, match=r"^log of non-positive value -1.0 in 'log\(x\)'$"):
         eval_jet(e, {"x": -1.0, "y": 0.5}, 2, COORDS)
@@ -497,7 +498,10 @@ ORDER_CASES = {
         "zero raised",
     ),
     "non-positive base, real exponent": (("y + (x - 1.8)^0.5", "1/y"), "power with"),
-    "non-positive base before its exponent": (("(x - 2.2)^log(y - 0.5)", "log(x + 0.5)"), "power with"),
+    "non-positive base before its exponent": (
+        ("(x - 2.2)^log(y - 0.5)", "log(x + 0.5)"),
+        "power with",
+    ),
 }
 
 
@@ -532,7 +536,8 @@ def test_domain_error_is_the_first_in_walk_order(case):
     assert len(roots) == 1 or want.node != _first_reference_error(roots[::-1], points).node
     with pytest.raises(DomainError) as info:
         eval_jet_stack(total, points, COORDS)
-    assert (info.value.node, info.value.reason, str(info.value)) == (want.node, want.reason, str(want))
+    got = info.value
+    assert (got.node, got.reason, str(got)) == (want.node, want.reason, str(want))
     one = _first_reference_error([total], points[want.node : want.node + 1])
     with pytest.raises(DomainError) as info:
         eval_jet(total, dict(zip(COORDS, points[want.node])), 2, COORDS)
@@ -541,8 +546,11 @@ def test_domain_error_is_the_first_in_walk_order(case):
     # ChartFrame.validate: the roots as metric entries, positive definite
     # wherever they are defined
     pad = roots + [Const(0.0)] * (3 - len(roots))
-    entries = [BinOp("+", Const(2.0), Call("sin", pad[0])), BinOp("*", Const(0.1), Call("sin", pad[1]))]
-    entries.append(BinOp("+", Const(2.0), Call("sin", pad[2])))
+    entries = [
+        BinOp("+", Const(2.0), Call("sin", pad[0])),
+        BinOp("*", Const(0.1), Call("sin", pad[1])),
+        BinOp("+", Const(2.0), Call("sin", pad[2])),
+    ]
     manifold = FactorManifold("m", COORDS, ((entries[0], entries[1]), (entries[1], entries[2])))
     # validate raises the error of the first broken sample, as a loop over
     # the samples would
