@@ -522,9 +522,10 @@ def _first_reference_error(roots, points):
     raise AssertionError("every case breaks a rule")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", ORDER_CASES)
 def test_domain_error_is_the_first_in_walk_order(case):
+    # the suite turns RuntimeWarning into an error (pyproject.toml), so no
+    # nan computed past a broken node may warn
     texts, rule = ORDER_CASES[case]
     roots, points = _roots(texts), DOMAIN_POINTS
     # eval_jet_stack: one sum of the roots, walked in root order
@@ -587,7 +588,6 @@ BLOCK_CASES = {
 }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", BLOCK_CASES)
 def test_quadrature_block_raises_in_walk_order(case):
     """One program run serves a whole quadrature block, and its stages
