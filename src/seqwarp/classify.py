@@ -625,6 +625,8 @@ def _volume_means(
                         f"{label} warping is {float(w_value[k])!r} (must be positive) at "
                         f"{_node(manifold, grid, start + k)}"
                     )
+            # the block's run and its jets go before the block's tensors
+            del roots
 
         inverse = np.linalg.inv(g)
         source = np.einsum("nijl->nlij", dg) + np.einsum("njil->nlij", dg) - dg

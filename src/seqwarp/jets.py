@@ -382,9 +382,12 @@ class JetProgram:
         """Every node's jets at every row of ``points``, broken or not."""
         points = np.asarray(points, dtype=float)
         count, n = points.shape[0], len(self.coords)
-        value = np.empty((self._size, count))
-        grad = np.empty((self._size, count, n))
-        hess = np.empty((self._size, count, n, n))
+        # one allocation, carved into the three arrays
+        size = self._size
+        block = np.empty(size * count * (1 + n + n * n))
+        value = block[: size * count].reshape(size, count)
+        grad = block[size * count : size * count * (1 + n)].reshape(size, count, n)
+        hess = block[size * count * (1 + n) :].reshape(size, count, n, n)
         leaves = n + len(self._consts)
         value[:n] = points.T
         value[n:leaves] = self._consts
