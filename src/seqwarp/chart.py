@@ -159,15 +159,17 @@ def metric_program(manifold: FactorManifold) -> JetProgram | None:
     """The program ``metric_jets`` runs: the metric entries of ``manifold``
     on and above the diagonal that are not constant, row by row (None when
     every entry is constant)."""
-    return _metric_program(manifold)[0]
+    return _metric_program(manifold)[1]
 
 
 @lru_cache(maxsize=None)
 def _metric_program(manifold: FactorManifold):
-    """``_varying`` of the metric entries of ``manifold`` on and above the
-    diagonal, row by row."""
+    """The metric entries of ``manifold`` on and above the diagonal, row by
+    row: the (i, j, value) of the constant ones, then ``_varying`` of all."""
     upper = _upper(manifold.dim)
-    return _varying(upper, [manifold.metric[i][j] for i, j in upper], manifold.coords)
+    entries = [manifold.metric[i][j] for i, j in upper]
+    fixed = [(i, j, e.value) for (i, j), e in zip(upper, entries) if isinstance(e, Const)]
+    return (fixed, *_varying(upper, entries, manifold.coords))
 
 
 @lru_cache(maxsize=None)
@@ -619,10 +621,9 @@ def metric_jets(manifold: FactorManifold, count: int, run) -> tuple[np.ndarray, 
     g = np.zeros((count, m, m))
     dg = np.zeros((count, m, m, m))
     d2g = np.zeros((count, m, m, m, m))
-    for i, j in _upper(m):
-        if isinstance(manifold.metric[i][j], Const):
-            g[:, i, j] = g[:, j, i] = manifold.metric[i][j].value
-    program, index = _metric_program(manifold)
+    fixed, program, index = _metric_program(manifold)
+    for i, j, value in fixed:
+        g[:, i, j] = g[:, j, i] = value
     if program is not None:
         i, j = index
         value, grad, hess = run(program)

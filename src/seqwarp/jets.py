@@ -307,12 +307,6 @@ def _index(rows: list[int]) -> slice | np.ndarray:
     return np.array(rows, dtype=np.intp)
 
 
-@lru_cache(maxsize=None)
-def _seeds(n: int) -> np.ndarray:
-    """The gradients of the n coordinates at any point, shape ``(n, 1, n)``."""
-    return np.array([[[float(i == j) for j in range(n)]] for i in range(n)])
-
-
 def _gather(rows: slice | np.ndarray, value, grad, hess) -> JetStack:
     """The jets at ``rows``: a view of a run, a copy otherwise."""
     if isinstance(rows, slice):
@@ -334,7 +328,9 @@ class JetProgram:
     walk order.
     """
 
-    __slots__ = ("roots", "coords", "node_count", "_size", "_consts", "_steps", "_roots", "_ends")
+    __slots__ = (
+        "roots", "coords", "node_count", "_size", "_consts", "_seeds", "_steps", "_roots", "_ends"
+    )
 
     def __init__(self, roots: Sequence[Expr], coords: Sequence[str]):
         self.roots = tuple(roots)
@@ -372,8 +368,12 @@ class JetProgram:
             if op in _CHECKS and (op != "ipow" or param < 0):
                 check = (op, members, [nodes[i][3] for i in members])
             steps.append((_KERNELS.get(op), param, out, args, check))
-        consts = groups.get((0, "const", None), [])
-        self._consts = np.array([nodes[i][1] for i in consts], dtype=float)[:, None]
+        consts = [nodes[i][1] for i in groups.get((0, "const", None), [])]
+        n = len(self.coords)
+        self._consts = np.array(consts, dtype=float)[:, None]
+        # the gradients of the coordinates, then of the constants
+        seeds = [[float(i == j) for j in range(n)] for i in range(n)] + [[0.0] * n] * len(consts)
+        self._seeds = np.array(seeds).reshape(-1, 1, n)
         self._size = size
         self._steps = steps
         self._roots = np.array([slot[i] for i in root_nodes], dtype=np.intp)
@@ -391,8 +391,7 @@ class JetProgram:
         leaves = n + len(self._consts)
         value[:n] = points.T
         value[n:leaves] = self._consts
-        grad[:n] = _seeds(n)
-        grad[n:leaves] = 0.0
+        grad[:leaves] = self._seeds
         hess[:leaves] = 0.0
         broken = []
         with np.errstate(all="ignore"):
