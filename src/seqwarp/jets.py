@@ -322,10 +322,10 @@ class JetProgram:
     get one slot each, grouped by (level, operation, parameter), so a group
     is a run of consecutive slots.  The coordinates and then the constants
     fill level 0; every later group is one step, which gathers its
-    operands' jets, applies one ``JetStack`` operation to the batch and
-    writes the run.  A step that checks a domain records its operands'
-    broken points, and ``JetRun.roots`` raises for the first broken node in
-    walk order.
+    operands' jets and applies one ``JetStack`` operation to the batch,
+    writing into the group's slots.  A step that checks a domain records
+    its operands' broken points, and ``JetRun.roots`` raises for the first
+    broken node in walk order.
     """
 
     __slots__ = (
