@@ -566,8 +566,7 @@ class ChartFrame:
 
     def grad_norm2(self, phi: Expr) -> np.ndarray:
         _, dphi, _ = self.field_jets(phi)
-        # (dphi @ inverse) @ dphi per sample, in the order an ``@`` chain takes
-        return dot(vecmat(dphi, self.inverse), dphi)
+        return dot(dphi, self.gradient(phi))
 
     def _field_third(self, phi: Expr) -> np.ndarray:
         """d3[..., a, b, c] = d_a d_b d_c phi."""

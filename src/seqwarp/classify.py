@@ -28,10 +28,9 @@ conclusion holds numerically".  ``Residual`` carries one identity's
 per-sample residuals to ``seqwarp.verify``, which reduces each to one
 ``IdentityReport``.
 
-Every evaluator that takes sample points, shape ``(N, d)``, also accepts a
-``WarpedFrame`` already built there, and returns per sample an ``(N,)``
-array or a list of N results; one frame serves all of them, and one point
-is a stack of one.
+Every evaluator takes the ``WarpedFrame`` it reads, built at sample points
+of shape ``(N, d)``, and returns per sample an ``(N,)`` array or a list of
+N results; one frame serves all of them, and one point is a stack of one.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from .warped import (
     BlockVector,
     PositivityError,
     SequentialWarpedProduct,
-    _as_frame,
+    WarpedFrame,
     _per_sample,
     inner_chart,
 )
@@ -420,9 +419,7 @@ def check_quasi_constant_curvature(
 # ---------------------------------------------------------------------------
 
 def proposition1_residuals(
-    product: SequentialWarpedProduct,
-    point,
-    qe: tuple[float, float, object],
+    frame: WarpedFrame, qe: tuple[float, float, object]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residuals of the three factor Ricci identities implied by an
     ambient decomposition Ric = alpha g + beta A (x) A.
@@ -432,12 +429,10 @@ def proposition1_residuals(
     max |Ric_i - rhs_i| of each sample, with ``alpha``, ``beta`` and ``U``
     given once or per sample.
     """
-    frame = _as_frame(product, point)
     alpha, beta, u = qe
-    ub = BlockVector.from_ambient(product, u)
-    m1, m2, m3 = product.dims
+    ub = BlockVector.from_ambient(frame.product, u)
+    d1, m2, m3 = frame.product.dims
     f, h = frame.f_value, frame.h_value
-    d1 = m1
 
     g1, g2, g3 = frame.frame1.metric, frame.frame2.metric, frame.frame3.metric
     hh = frame.hess_h
@@ -453,27 +448,24 @@ def proposition1_residuals(
 
     a2 = matvec(g2, ub.x2)
     rhs2 = (
-        _per_sample(
-            alpha * per_sample_power(f, 2) + f * frame.lap_f + (m2 - 1) * frame.grad_f_norm2, 2
-        )
-        * g2
+        _per_sample(lambda_at(frame, alpha), 2) * g2
         + _per_sample(beta * per_sample_power(f, 4), 2) * outer(a2, a2)
         + _per_sample(m3 / h, 2) * hh[..., d1:, d1:]
     )
     res2 = max_abs(frame.frame2.ricci - rhs2, 2)
 
     a3 = matvec(g3, ub.x3)
-    rhs3 = _per_sample(
-        alpha * per_sample_power(h, 2) + h * frame.lap_h + (m3 - 1) * frame.grad_h_norm2, 2
-    ) * g3 + _per_sample(beta * per_sample_power(h, 4), 2) * outer(a3, a3)
+    rhs3 = _per_sample(nu_at(frame, alpha), 2) * g3 + _per_sample(
+        beta * per_sample_power(h, 4), 2
+    ) * outer(a3, a3)
     res3 = max_abs(frame.frame3.ricci - rhs3, 2)
     return res1, res2, res3
 
 
-def lambda_at(product: SequentialWarpedProduct, points, alpha: float) -> np.ndarray:
-    """alpha f^2 + f (Lap f on the first factor) + (m2 - 1) |grad f|^2, per sample."""
-    frame = _as_frame(product, points)
-    m2 = product.m2.dim
+def lambda_at(frame: WarpedFrame, alpha: float | np.ndarray) -> np.ndarray:
+    """alpha f^2 + f (Lap f on the first factor) + (m2 - 1) |grad f|^2, per
+    sample, with ``alpha`` given once or per sample."""
+    m2 = frame.product.m2.dim
     return (
         alpha * per_sample_power(frame.f_value, 2)
         + frame.f_value * frame.lap_f
@@ -481,10 +473,10 @@ def lambda_at(product: SequentialWarpedProduct, points, alpha: float) -> np.ndar
     )
 
 
-def nu_at(product: SequentialWarpedProduct, points, alpha: float) -> np.ndarray:
-    """alpha h^2 + h (Lap h on the inner chart) + (m3 - 1) |grad h|^2, per sample."""
-    frame = _as_frame(product, points)
-    m3 = product.m3.dim
+def nu_at(frame: WarpedFrame, alpha: float | np.ndarray) -> np.ndarray:
+    """alpha h^2 + h (Lap h on the inner chart) + (m3 - 1) |grad h|^2, per
+    sample, with ``alpha`` given once or per sample."""
+    m3 = frame.product.m3.dim
     return (
         alpha * per_sample_power(frame.h_value, 2)
         + frame.h_value * frame.lap_h
@@ -693,14 +685,6 @@ def torus_average_identity(
     elif field_name == "nu":
         manifold, phi, fiber_dim = inner_chart(product), product.h, product.m3.dim
         positive = (("inner", product.f), ("outer", product.h))
-        if product.m1.fully_periodic and product.m2.fully_periodic:
-            manifold = FactorManifold(
-                name=manifold.name,
-                coords=manifold.coords,
-                metric=manifold.metric,
-                signature=manifold.signature,
-                periods=product.m1.periods + product.m2.periods,
-            )
     else:
         raise ValueError(f"field_name must be 'lambda' or 'nu', got {field_name!r}")
 
@@ -732,10 +716,7 @@ def torus_average_identity(
 # ---------------------------------------------------------------------------
 
 def condition_residuals(
-    product: SequentialWarpedProduct,
-    point,
-    qe: tuple[float, float, object],
-    lam: float,
+    frame: WarpedFrame, qe: tuple[float, float, object], lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise residuals of the two displayed differential conditions.
 
@@ -748,7 +729,7 @@ def condition_residuals(
     the probed directions at each sample; a nonzero residual means the
     condition does not hold there.
     """
-    frame = _as_frame(product, point)
+    product = frame.product
     alpha, beta, u = qe
     ub = BlockVector.from_ambient(product, u)
     m1, m2, m3 = product.dims
@@ -808,35 +789,31 @@ def condition_residuals(
 # ---------------------------------------------------------------------------
 
 def theorem2_conditions(
-    product: SequentialWarpedProduct,
+    frame: WarpedFrame,
     qe: tuple[float, float, object] | None,
     lam: float,
     nu: float,
-    points,
     tol: float = DEFAULT_FIT_TOL,
 ) -> list[IdentityReport]:
     """Evaluate the three constancy-forcing hypothesis bundles over samples.
 
-    ``points`` is a stack of sample points or a ``WarpedFrame`` built there.
     Each report passes when the hypothesis fails somewhere (vacuous) or
     the conclusion - a vanishing warping gradient - holds numerically at
     every sample.  ``qe = None`` marks the rank-one decomposition itself
     unavailable, which voids every hypothesis.
     """
+    product = frame.product
     alpha, beta = (qe[0], qe[1]) if qe is not None else (None, None)
     m2, m3 = product.m2.dim, product.m3.dim
     # the rigidity statements concern compact Riemannian factors; indefinite
     # gradient norms would make the hypotheses meaningless
     riemannian = all(fac.signature == "riemannian" for fac in product.factors)
-    frame = _as_frame(product, points)
     n = len(frame.point)
 
     scal3 = frame.frame3.scalar
     lap_h = frame.lap_h
     gradf2 = frame.grad_f_norm2
     gradh2 = frame.grad_h_norm2
-
-    out = []
 
     hyp1 = bool(
         riemannian
@@ -847,18 +824,6 @@ def theorem2_conditions(
         and np.all(scal3 <= tol)
         and np.all(lap_h >= -tol)
     )
-    res1 = np.max(np.abs(gradh2)) if hyp1 else 0.0
-    out.append(
-        IdentityReport.from_residual(
-            "theorem2_i",
-            res1,
-            tol,
-            points=n,
-            informational=True,
-            details={"hypothesis_holds": hyp1},
-        )
-    )
-
     gaps = lam - alpha * per_sample_power(frame.f_value, 2) if alpha is not None else None
     hyp2 = bool(
         riemannian
@@ -866,18 +831,6 @@ def theorem2_conditions(
         and gaps is not None
         and (np.all(gaps > tol) or np.all(gaps < -tol))
     )
-    res2 = np.max(np.abs(gradf2)) if hyp2 else 0.0
-    out.append(
-        IdentityReport.from_residual(
-            "theorem2_ii",
-            res2,
-            tol,
-            points=n,
-            informational=True,
-            details={"hypothesis_holds": hyp2},
-        )
-    )
-
     hyp3 = bool(
         riemannian
         and alpha is not None
@@ -887,15 +840,20 @@ def theorem2_conditions(
         and np.all(gradf2 >= lam / (m2 - 1) - tol)
         and np.all(gradh2 >= nu / (m3 - 1) - tol)
     )
-    res3 = max(np.max(np.abs(gradf2)), np.max(np.abs(gradh2))) if hyp3 else 0.0
-    out.append(
+    # each conclusion: the gradients named vanish at every sample
+    bundles = (
+        ("theorem2_i", hyp1, (gradh2,)),
+        ("theorem2_ii", hyp2, (gradf2,)),
+        ("theorem2_iii", hyp3, (gradf2, gradh2)),
+    )
+    return [
         IdentityReport.from_residual(
-            "theorem2_iii",
-            res3,
+            name,
+            max(np.max(np.abs(g)) for g in gradients) if holds else 0.0,
             tol,
             points=n,
             informational=True,
-            details={"hypothesis_holds": hyp3},
+            details={"hypothesis_holds": holds},
         )
-    )
-    return out
+        for name, holds, gradients in bundles
+    ]

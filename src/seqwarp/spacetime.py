@@ -9,10 +9,12 @@ Two spacetime families are assembled as sequential warped products:
 
 The chart and closed-form machinery is signature-agnostic, so the only
 Lorentzian-specific work is signature validation plus the condition
-evaluators below.  Condition evaluators take a stack of sample points (or a
-``WarpedFrame`` built there) with one structure fit per sample, and return
-one scaled ``Residual`` per identity: its residuals, tolerances and premise
-mask, one entry per sample, and the per-sample details its report quotes.
+evaluators below.  Condition evaluators take the ``WarpedFrame`` of the
+closed forms and the flattened-chart ``ChartFrame`` of the oracle, both
+built at the same stack of sample points, with one structure fit per
+sample, and return one scaled ``Residual`` per identity: its residuals,
+tolerances and premise mask, one entry per sample, and the per-sample
+details its report quotes.
 A sample where a premise (a successful structure fit, a unit time
 component of U) fails does not gate the identity.
 
@@ -47,12 +49,7 @@ from .classify import (
     fit_quasi_einstein,
 )
 from .expressions import Const, Expr, free_variables
-from .warped import (
-    SequentialWarpedProduct,
-    _as_frame,
-    _per_sample,
-    flatten_to_chart,
-)
+from .warped import SequentialWarpedProduct, WarpedFrame, _per_sample
 
 __all__ = [
     "SSSTSpec",
@@ -85,7 +82,6 @@ class SSSTSpec:
     f: Expr
     h: Expr
     time_coord: str = "t"
-    interval: tuple[float, float] = (-1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,6 @@ class GRWSpec:
     f: Expr
     h: Expr
     time_coord: str = "t"
-    interval: tuple[float, float] = (-1.0, 1.0)
 
 
 def build_ssst(spec: SSSTSpec) -> SequentialWarpedProduct:
@@ -208,14 +203,12 @@ def _factor_conclusions(
 
 
 def ssst_theorem_check(
-    product: SequentialWarpedProduct,
-    points,
+    frame: WarpedFrame,
+    flat: ChartFrame,
     qes: list[QEFit | None],
     qccs: list[QCCFit | None],
     tol: float = DEFAULT_FIT_TOL,
     d3_tol: float = D3_TOL,
-    *,
-    flat: ChartFrame | None = None,
 ) -> list[Residual]:
     """Per-sample residuals of the static-form curvature conditions.
 
@@ -223,17 +216,15 @@ def ssst_theorem_check(
     recorded, the two mixed Ricci identities specialized to a
     1-dimensional fiber, the rank-one consequences of a successful
     ambient fit, and the Hessian forms tied to a two-coefficient
-    curvature fit.  ``points`` may be a ``WarpedFrame``; ``flat`` is the
-    flattened-chart frame at the same samples, built here when not given.
-    ``qes`` and ``qccs`` hold each sample's fits (``None`` for no fit).
+    curvature fit.  ``flat`` is the flattened-chart frame at the samples
+    of ``frame``; ``qes`` and ``qccs`` hold each sample's fits (``None``
+    for no fit).
     The result is one scaled ``Residual`` per identity, in report order;
     its details carry, per sample, ``ricci_tt``, ``h_lap_h`` and
     ``recorded_sign`` (``ssst_d3``), the premise and its note, the
     coefficient sign of the Hessian forms and the factor fits.
     """
-    frame = _as_frame(product, points)
-    if flat is None:
-        flat = ChartFrame(flatten_to_chart(product), frame.point)
+    product = frame.product
     axis = time_axis(product)
     d1 = product.m1.dim
     s1, s2, _ = product.block_slices
@@ -312,28 +303,24 @@ def ssst_theorem_check(
 
 
 def grw_theorem_check(
-    product: SequentialWarpedProduct,
-    points,
+    frame: WarpedFrame,
+    flat: ChartFrame,
     qes: list[QEFit | None],
     qccs: list[QCCFit | None],
     tol: float = DEFAULT_FIT_TOL,
-    *,
-    flat: ChartFrame | None = None,
 ) -> list[Residual]:
     """Per-sample residuals of the Robertson-Walker-form conditions.
 
     The relation between beta - alpha and the second time derivatives of
     the warpings is printed with conflicting signs in the source
     statements; both variants are evaluated and the supported one is
-    named, per sample, in the details of ``grw_beta_alpha``.  ``points``,
+    named, per sample, in the details of ``grw_beta_alpha``.  ``frame``,
     ``flat``, ``qes`` and ``qccs`` are as in ``ssst_theorem_check``, and
     so is the result; the details carry the supported sign of the
     time-time formula, the coefficient sign of the Hessian form and the
     factor fits too.
     """
-    frame = _as_frame(product, points)
-    if flat is None:
-        flat = ChartFrame(flatten_to_chart(product), frame.point)
+    product = frame.product
     axis = time_axis(product)
     assert axis == 0, "Robertson-Walker form keeps time as the first coordinate"
     d1 = product.m1.dim

@@ -262,7 +262,6 @@ def spec_from_dict(data: dict, name: str = "spec") -> ManifoldSpec:
                     f=f_expr,
                     h=h_expr,
                     time_coord=tcoord,
-                    interval=interval,
                 )
             )
             time_box = {tcoord: interval}
@@ -277,7 +276,6 @@ def spec_from_dict(data: dict, name: str = "spec") -> ManifoldSpec:
                     f=f_expr,
                     h=h_expr,
                     time_coord=tcoord,
-                    interval=interval,
                 )
             )
             time_box = {tcoord: interval}

@@ -302,7 +302,7 @@ class _Context:
         return self._field("nu", nu_at)
 
     def _field(self, label: str, evaluator) -> np.ndarray:
-        values = evaluator(self.spec.product, self.warped, self.qe_used[0])
+        values = evaluator(self.warped, self.qe_used[0])
         _check_finite(f"lambda_nu_fields {label}", values, self.samples, FIT_OVERFLOW)
         if not math.isfinite(sum(values.tolist())):
             raise VerificationInputError(
@@ -372,7 +372,7 @@ def _fit_identities(ctx: _Context):
 
     residuals = (np.zeros(n),) * 3
     if fitted.any():
-        residuals = proposition1_residuals(spec.product, ctx.warped, ctx.decomposition)
+        residuals = proposition1_residuals(ctx.warped, ctx.decomposition)
     for k, values in enumerate(residuals, start=1):
         yield Residual(
             f"proposition1_i{k}",
@@ -455,7 +455,7 @@ def _hypotheses(ctx: _Context):
     """The differential conditions, probed at the first five samples, and
     the rigidity hypotheses."""
     tol, n = ctx.tol["fit"], len(ctx.samples)
-    conditions = condition_residuals(ctx.spec.product, ctx.warped, ctx.qe_used, ctx.lambda_values)
+    conditions = condition_residuals(ctx.warped, ctx.qe_used, ctx.lambda_values)
     for name, values in zip(("condition1", "condition2"), conditions):
         yield Residual(
             name,
@@ -472,26 +472,23 @@ def _hypotheses(ctx: _Context):
         )
     available = ctx.spec.planted is not None or bool(ctx.fitted.any())
     yield from theorem2_conditions(
-        ctx.spec.product,
+        ctx.warped,
         ctx.qe_used if available else None,
         sum(ctx.lambda_values.tolist()) / n,
         sum(ctx.nu_values.tolist()) / n,
-        ctx.warped,
         tol,
     )
 
 
 def _spacetime(ctx: _Context):
     """The static or Robertson-Walker conditions of a Lorentzian kind."""
-    (qe_fits, qcc_fits), product, tol = ctx.fits, ctx.spec.product, ctx.tol
+    (qe_fits, qcc_fits), tol = ctx.fits, ctx.tol
     if ctx.spec.kind == "ssst":
         yield from ssst_theorem_check(
-            product, ctx.warped, qe_fits, qcc_fits, tol["fit"], tol["d3"], flat=ctx.flat
+            ctx.warped, ctx.flat, qe_fits, qcc_fits, tol["fit"], tol["d3"]
         )
     elif ctx.spec.kind == "grw":
-        yield from grw_theorem_check(
-            product, ctx.warped, qe_fits, qcc_fits, tol["fit"], flat=ctx.flat
-        )
+        yield from grw_theorem_check(ctx.warped, ctx.flat, qe_fits, qcc_fits, tol["fit"])
 
 
 CHECKS = (_oracle_checks, _fit_identities, _fields, _hypotheses, _spacetime)
@@ -605,7 +602,7 @@ def run_classify(spec: ManifoldSpec, at: dict | None = None) -> dict:
         raise VerificationInputError(f"{exc.reason} at {point.tolist()}") from exc
     # factors of one dimension are fitted as one stack; a fit error gets the point here
     try:
-        tol = spec.tolerances.get("fit", 1e-6)
+        tol = {**DEFAULT_TOLERANCES, **spec.tolerances}["fit"]
         qe = fit_quasi_einstein(flat.metric, flat.ricci, tol)[0]
         qcc = check_quasi_constant_curvature(flat.metric, flat.riemann, tol)[0]
         frames, fits = {"m1": wf.frame1, "m2": wf.frame2, "m3": wf.frame3}, {}
@@ -614,7 +611,7 @@ def run_classify(spec: ManifoldSpec, at: dict | None = None) -> dict:
             g, ric = (
                 np.concatenate([getattr(frames[k], t) for k in same]) for t in ("metric", "ricci")
             )
-            fits.update(zip(same, fit_quasi_einstein(g, ric)))
+            fits.update(zip(same, fit_quasi_einstein(g, ric, tol)))
         factor_fits = {
             k: {"manifold": f.manifold.name, **fits[k].summary()} for k, f in frames.items()
         }

@@ -41,7 +41,6 @@ from .chart import (
     FactorManifold,
     GeometryError,
     dot,
-    matvec,
     per_sample_power,
     vecmat,
 )
@@ -222,7 +221,8 @@ def flatten_to_chart(product: SequentialWarpedProduct) -> FactorManifold:
 
 
 def inner_chart(product: SequentialWarpedProduct) -> FactorManifold:
-    """The first two factors as one chart with metric g1 (+) f^2 g2."""
+    """The first two factors as one chart with metric g1 (+) f^2 g2; it keeps
+    their periods when both factors have them."""
     m1, m2 = product.m1, product.m2
     f2 = _squared(product.f)
     dim = m1.dim + m2.dim
@@ -235,11 +235,15 @@ def inner_chart(product: SequentialWarpedProduct) -> FactorManifold:
         for j in range(m2.dim):
             rows[m1.dim + i][m1.dim + j] = _scaled(f2, m2.metric[i][j])
     signature = "lorentzian" if "lorentzian" in (m1.signature, m2.signature) else "riemannian"
+    periods = None
+    if m1.periods is not None and m2.periods is not None:
+        periods = m1.periods + m2.periods
     return FactorManifold(
         name=f"{m1.name}*{m2.name}",
         coords=m1.coords + m2.coords,
         metric=tuple(tuple(row) for row in rows),
         signature=signature,
+        periods=periods,
     )
 
 
@@ -262,8 +266,9 @@ class WarpedFrame:
     first failing sample.
 
     The evaluators in :mod:`seqwarp.classify` and :mod:`seqwarp.spacetime`
-    accept a frame wherever they take points and return results per sample,
-    so one frame serves all of them.
+    take the frame they read and return results per sample, so one frame
+    serves all of them.  The gradient, Laplacian and |grad|^2 of each
+    warping are the factor or inner frame's own.
     """
 
     def __init__(self, product: SequentialWarpedProduct, points):
@@ -322,7 +327,7 @@ class WarpedFrame:
 
     @cached_property
     def grad_f(self) -> np.ndarray:
-        return matvec(self.frame1.inverse, self.df)
+        return self.frame1.gradient(self.product.f)
 
     @cached_property
     def hess_f(self) -> np.ndarray:
@@ -330,11 +335,11 @@ class WarpedFrame:
 
     @cached_property
     def lap_f(self) -> np.ndarray:
-        return np.einsum("...ij,...ij->...", self.frame1.inverse, self.hess_f)
+        return self.frame1.laplacian(self.product.f)
 
     @cached_property
     def grad_f_norm2(self) -> np.ndarray:
-        return dot(self.df, self.grad_f)
+        return self.frame1.grad_norm2(self.product.f)
 
     @cached_property
     def dh(self) -> np.ndarray:
@@ -342,7 +347,7 @@ class WarpedFrame:
 
     @cached_property
     def grad_h(self) -> np.ndarray:
-        return matvec(self.inner_frame.inverse, self.dh)
+        return self.inner_frame.gradient(self.product.h)
 
     @cached_property
     def hess_h(self) -> np.ndarray:
@@ -350,11 +355,11 @@ class WarpedFrame:
 
     @cached_property
     def lap_h(self) -> np.ndarray:
-        return np.einsum("...ij,...ij->...", self.inner_frame.inverse, self.hess_h)
+        return self.inner_frame.laplacian(self.product.h)
 
     @cached_property
     def grad_h_norm2(self) -> np.ndarray:
-        return dot(self.dh, self.grad_h)
+        return self.inner_frame.grad_norm2(self.product.h)
 
     @cached_property
     def raised_hess_f(self) -> np.ndarray:
@@ -543,15 +548,3 @@ class WarpedFrame:
         ) * m3 + beta * per_sample_power(h, 4) * g3u
         return s1, s2, s3
 
-
-def _as_frame(product: SequentialWarpedProduct, point) -> WarpedFrame:
-    """``point`` itself when it is an already-built frame, else a new frame there.
-
-    Evaluators that take points accept a frame through this, so a caller
-    holding one frame shares it across every check.
-    """
-    if isinstance(point, WarpedFrame):
-        if point.product != product:
-            raise GeometryError("frame belongs to a different product")
-        return point
-    return WarpedFrame(product, point)

@@ -225,7 +225,7 @@ def test_criterion_7_torus_quadrature():
         parse("1", []),
     )
     alpha = 1.7
-    value = lambda_at(product, np.array([[0.3, 0.0, 0.0]]), alpha)[0]
+    value = lambda_at(WarpedFrame(product, np.array([[0.3, 0.0, 0.0]])), alpha)[0]
     assert value == alpha * 9.0
     announce(
         7,
@@ -266,7 +266,8 @@ def test_criterion_9_rank_one_feedback(catalog_reports):
         frame = ChartFrame(flatten_to_chart(spec.product), [point])
         fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
         assert fit.verdict == "quasi-einstein"
-        residuals = proposition1_residuals(spec.product, [point], (fit.alpha, fit.beta, fit.U))
+        warped = WarpedFrame(spec.product, [point])
+        residuals = proposition1_residuals(warped, (fit.alpha, fit.beta, fit.U))
         for (residual,) in residuals:
             assert residual <= 1e-6
             worst = max(worst, residual)

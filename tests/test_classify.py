@@ -25,7 +25,7 @@ from seqwarp.classify import (
     torus_divergence_residual,
 )
 from seqwarp.expressions import DomainError, parse
-from seqwarp.warped import PositivityError, flatten_to_chart, inner_chart
+from seqwarp.warped import PositivityError, WarpedFrame, flatten_to_chart, inner_chart
 
 TWO_PI = 2.0 * math.pi
 
@@ -210,7 +210,9 @@ class TestProposition1:
         assert fit.verdict == "quasi-einstein"
         assert fit.alpha == pytest.approx(1.0, abs=1e-10)
         assert fit.beta == pytest.approx(-1.0, abs=1e-10)
-        residuals = proposition1_residuals(product, [point], (fit.alpha, fit.beta, fit.U))
+        residuals = proposition1_residuals(
+            WarpedFrame(product, [point]), (fit.alpha, fit.beta, fit.U)
+        )
         for residual in residuals:
             assert residual.shape == (1,) and residual[0] <= 1e-6
         # second factor carries no component of U here
@@ -226,7 +228,8 @@ class TestProposition1:
             parse("1", []),
             parse("1", []),
         )
-        residuals = proposition1_residuals(product, np.zeros((1, 3)), (0.0, 0.0, np.zeros(3)))
+        frame = WarpedFrame(product, np.zeros((1, 3)))
+        residuals = proposition1_residuals(frame, (0.0, 0.0, np.zeros(3)))
         assert all(residual[0] == 0.0 for residual in residuals)
 
 
@@ -247,7 +250,7 @@ class TestLambdaNu:
     def test_circle_value(self):
         product = circle_lambda_product()
         point = np.array([0.0, 0.3, 0.6, 0.1])
-        assert lambda_at(product, [point], 1.0)[0] == pytest.approx(5.0, abs=1e-14)
+        assert lambda_at(WarpedFrame(product, [point]), 1.0)[0] == pytest.approx(5.0, abs=1e-14)
 
     def test_constant_warping_exact(self):
         product = SequentialWarpedProduct(
@@ -259,8 +262,9 @@ class TestLambdaNu:
         )
         point = np.array([0.7, -0.4, 0.2])
         alpha = 1.25
-        assert lambda_at(product, [point], alpha)[0] == alpha * 9.0
-        assert nu_at(product, [point], alpha)[0] == alpha * 4.0
+        frame = WarpedFrame(product, [point])
+        assert lambda_at(frame, alpha)[0] == alpha * 9.0
+        assert nu_at(frame, alpha)[0] == alpha * 4.0
 
 
 class TestTorusQuadrature:
@@ -347,12 +351,7 @@ def per_node_average(product, alpha, nodes, field_name):
     if field_name == "lambda":
         manifold, phi, fiber_dim = product.m1, product.f, product.m2.dim
     else:
-        inner = inner_chart(product)
-        phi, fiber_dim = product.h, product.m3.dim
-        manifold = FactorManifold(
-            inner.name, inner.coords, inner.metric, inner.signature,
-            periods=product.m1.periods + product.m2.periods,
-        )
+        manifold, phi, fiber_dim = inner_chart(product), product.h, product.m3.dim
 
     def fields(frame):
         value, dphi = (jet[0] for jet in frame.field_jets(phi)[:2])
@@ -452,7 +451,8 @@ class TestConditions:
             parse("3", []),
         )
         point = np.array([0.3, 0.1, -0.2])
-        res1, res2 = condition_residuals(product, [point], (1.0, 0.5, np.zeros(3)), lam=4.0)
+        frame = WarpedFrame(product, [point])
+        res1, res2 = condition_residuals(frame, (1.0, 0.5, np.zeros(3)), lam=4.0)
         assert res1[0] == 0.0
         assert res2[0] == 0.0
 
@@ -462,8 +462,9 @@ class TestConditions:
         product = circle_lambda_product()
         x = 0.7
         point = np.array([x, 0.2, 0.4, 0.0])
-        lam = lambda_at(product, [point], 1.0)[0]
-        res1, _ = condition_residuals(product, [point], (1.0, 0.0, np.zeros(4)), lam)
+        frame = WarpedFrame(product, [point])
+        lam = lambda_at(frame, 1.0)[0]
+        res1, _ = condition_residuals(frame, (1.0, 0.0, np.zeros(4)), lam)
         expected = abs((2.0 * 2 / (2.0 + math.sin(x))) * (-math.cos(x)))
         assert res1[0] == pytest.approx(expected, rel=1e-12)
         assert res1[0] > DEFAULT_FIT_TOL  # condition not satisfied: it is a hypothesis
@@ -473,11 +474,12 @@ class TestConditions:
         product = circle_lambda_product()
         for x in (0.3, 1.2, 2.5):
             point = np.array([x, 0.1, 0.2, 0.0])
-            lam = lambda_at(product, [point], 1.0)[0]
+            frame = WarpedFrame(product, [point])
+            lam = lambda_at(frame, 1.0)[0]
             dlam = abs(
                 2.0 * (2.0 - 2.0 * math.sin(x)) * math.cos(x) / 2.0
             )  # (2 - 2 sin x) cos x
-            res1, _ = condition_residuals(product, [point], (1.0, 0.0, np.zeros(4)), lam)
+            res1, _ = condition_residuals(frame, (1.0, 0.0, np.zeros(4)), lam)
             if dlam > 1e-6:
                 assert res1[0] > 1e-6
 
@@ -495,9 +497,9 @@ class TestTheorem2:
     def test_constant_warpings_pass_all(self):
         product = self.constant_product()
         points = [np.array([1.0, 0.2, 0.9, 0.3, 0.0]), np.array([1.4, 0.5, 1.2, 0.7, 0.4])]
-        lam = lambda_at(product, [points[0]], 1.0)[0]
-        nu = nu_at(product, [points[0]], 1.0)[0]
-        reports = theorem2_conditions(product, (1.0, 0.5, None), lam, nu, points)
+        first = WarpedFrame(product, [points[0]])
+        lam, nu = lambda_at(first, 1.0)[0], nu_at(first, 1.0)[0]
+        reports = theorem2_conditions(WarpedFrame(product, points), (1.0, 0.5, None), lam, nu)
         assert [r.name for r in reports] == ["theorem2_i", "theorem2_ii", "theorem2_iii"]
         for rep in reports:
             assert rep.passed  # conclusions hold: both gradients vanish
@@ -512,13 +514,14 @@ class TestTheorem2:
             parse("2 + sin(x)", ["x"]),
         )
         points = [np.array([x, 0.0, 0.0]) for x in (0.5, math.pi + 0.5)]
-        reports = theorem2_conditions(product, (1.0, 1.0, None), 1.0, 1.0, points)
+        reports = theorem2_conditions(WarpedFrame(product, points), (1.0, 1.0, None), 1.0, 1.0)
         assert reports[0].details["hypothesis_holds"] is False
         assert reports[0].passed
 
     def test_unavailable_decomposition_voids_everything(self):
         product = self.constant_product()
-        reports = theorem2_conditions(product, None, 1.0, 1.0, [np.array([1.0, 0.2, 0.9, 0.3, 0.0])])
+        frame = WarpedFrame(product, [np.array([1.0, 0.2, 0.9, 0.3, 0.0])])
+        reports = theorem2_conditions(frame, None, 1.0, 1.0)
         assert all(not r.details["hypothesis_holds"] and r.passed for r in reports)
 
 

@@ -183,7 +183,9 @@ class TestStaticTheorem:
         for point in sample_box(
             {"x": (-1, 1), "y": (-1, 1), "t": (-1, 1)}, product.coords, 10, rng
         ):
-            reports = by_name(ssst_theorem_check(product, [point], [None], [None]))
+            warped = WarpedFrame(product, [point])
+            flat = ChartFrame(flatten_to_chart(product), [point])
+            reports = by_name(ssst_theorem_check(warped, flat, [None], [None]))
             d3 = reports["ssst_d3"]
             assert passed(d3) and d3.values[0] <= 1e-7
             assert d3.details["recorded_sign"][0] == 1
@@ -204,7 +206,7 @@ class TestStaticTheorem:
         assert fit.unit_sign == 1
         # U is spacelike, so the time-part premise is not met: informational
         qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
-        reports = by_name(ssst_theorem_check(product, [point], [fit], [qcc]))
+        reports = by_name(ssst_theorem_check(WarpedFrame(product, [point]), frame, [fit], [qcc]))
         assert not gates(reports["ssst_d4"])
         assert not gates(reports["ssst_condition_i"])
         assert not gates(reports["ssst_hessian_form_f"])
@@ -223,7 +225,7 @@ class TestStaticTheorem:
         fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
         qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
         assert fit.verdict == "einstein" and qcc.passed and abs(qcc.b) <= 1e-12
-        reports = by_name(ssst_theorem_check(product, [point], [fit], [qcc]))
+        reports = by_name(ssst_theorem_check(WarpedFrame(product, [point]), frame, [fit], [qcc]))
         form = reports["ssst_hessian_form_f"]
         assert not gates(form)
         assert "constant-curvature case" in form.details["note"][0]
@@ -249,7 +251,7 @@ class TestRobertsonWalkerTheorem:
         frame = ChartFrame(flatten_to_chart(product), [point])
         fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
         qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
-        reports = by_name(grw_theorem_check(product, [point], [fit], [qcc]))
+        reports = by_name(grw_theorem_check(WarpedFrame(product, [point]), frame, [fit], [qcc]))
         rel = reports["grw_beta_alpha"]
         assert passed(rel) and gates(rel)
         assert rel.details["supported_variant"][0] == "statement"
@@ -273,7 +275,7 @@ class TestRobertsonWalkerTheorem:
         assert frame.ricci[0][0, 0] == pytest.approx(-2.0, rel=1e-10)
         fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
         qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
-        reports = by_name(grw_theorem_check(product, [point], [fit], [qcc]))
+        reports = by_name(grw_theorem_check(WarpedFrame(product, [point]), frame, [fit], [qcc]))
         e1 = reports["grw_e1_sign"]
         assert passed(e1)
         assert e1.details["supported_sign"][0] == "negated"
@@ -316,7 +318,7 @@ class TestRobertsonWalkerTheorem:
         frame = ChartFrame(flatten_to_chart(product), [point])
         fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
         qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
-        reports = by_name(grw_theorem_check(product, [point], [fit], [qcc]))
+        reports = by_name(grw_theorem_check(WarpedFrame(product, [point]), frame, [fit], [qcc]))
         m3 = reports["grw_m3_einstein"].details["fit"][0].summary()
         assert m3["verdict"] == "einstein"
         assert m3["alpha"] == pytest.approx(1.0, abs=1e-10)
@@ -337,7 +339,7 @@ class TestRobertsonWalkerTheorem:
             assert fit.beta == pytest.approx(1.0 / (2.0 * t * t), rel=1e-8)
             qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
             assert qcc.passed and abs(qcc.b) > 1e-3
-            reports = by_name(grw_theorem_check(product, [point], [fit], [qcc]))
+            reports = by_name(grw_theorem_check(WarpedFrame(product, [point]), frame, [fit], [qcc]))
             rel = reports["grw_beta_alpha"]
             assert passed(rel) and gates(rel)
             e5 = reports["grw_e5_hessian_form"]

@@ -8,7 +8,6 @@ import warnings
 import numpy as np
 import pytest
 
-from seqwarp.chart import GeometryError
 from seqwarp.cli import catalog_names, catalog_path, catalog_spec, main
 from seqwarp.expressions import Const
 from seqwarp.specfile import SpecError, load_spec, spec_from_dict
@@ -235,26 +234,6 @@ def test_run_verify_builds_one_warped_frame_per_sample(name, monkeypatch):
     )
 
 
-def test_evaluators_accept_a_shared_frame():
-    from seqwarp.classify import lambda_at, nu_at, proposition1_residuals
-    from seqwarp.warped import WarpedFrame
-
-    spec = catalog_spec("planted_qe")
-    point = spec.center_point()[None]
-    frame = WarpedFrame(spec.product, point)
-    assert lambda_at(spec.product, frame, 0.7)[0] == lambda_at(spec.product, point, 0.7)[0]
-    assert nu_at(spec.product, frame, 0.7)[0] == nu_at(spec.product, point, 0.7)[0]
-    qe = spec.planted
-    by_frame = [r[0] for r in proposition1_residuals(spec.product, frame, qe)]
-    by_point = [r[0] for r in proposition1_residuals(spec.product, point, qe)]
-    assert by_frame == by_point
-    other = catalog_spec("planted_qe").product
-    assert other == spec.product and other is not spec.product
-    assert lambda_at(other, frame, 0.7)[0] == lambda_at(spec.product, frame, 0.7)[0]
-    with pytest.raises(GeometryError, match="different product"):
-        lambda_at(catalog_spec("exp_warp").product, frame, 0.7)
-
-
 class TestRunClassify:
     def test_sphere_fiber_factor_fit(self):
         result = run_classify(catalog_spec("sphere_fiber"))
@@ -281,6 +260,28 @@ class TestRunClassify:
         assert result["point"]["x"] == 0.25
         with pytest.raises(VerificationInputError, match="unknown coordinate"):
             run_classify(spec, {"zz": 1.0})
+
+    def test_spec_fit_tolerance_reaches_every_fit(self, monkeypatch):
+        import seqwarp.verify as verify
+
+        received = []
+        for name in ("fit_quasi_einstein", "check_quasi_constant_curvature"):
+
+            def recording(g, tensor, tol=None, _name=name, _original=getattr(verify, name)):
+                received.append((_name, tol))
+                return _original(g, tensor) if tol is None else _original(g, tensor, tol)
+
+            monkeypatch.setattr(verify, name, recording)
+        data = json.loads(catalog_path("sphere_fiber").read_text())
+        data["tolerances"] = {"fit": 1e-3}
+        run_classify(spec_from_dict(data))
+        # the ambient fits, then one per factor dimension (1 and 2)
+        assert received == [
+            ("fit_quasi_einstein", 1e-3),
+            ("check_quasi_constant_curvature", 1e-3),
+            ("fit_quasi_einstein", 1e-3),
+            ("fit_quasi_einstein", 1e-3),
+        ]
 
 
 class TestCli:

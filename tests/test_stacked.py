@@ -273,35 +273,36 @@ def test_evaluators_on_a_stack_match_one_point_calls(name):
     per_sample = tuple(np.array(column) for column in zip(*decompositions))
 
     for evaluator in (lambda_at, nu_at):
-        s = evaluator(product, stack, 0.7)
-        o = [evaluator(product, one, 0.7)[0] for one in ones]
+        s = evaluator(stack, 0.7)
+        o = [evaluator(one, 0.7)[0] for one in ones]
         assert_agree(s, o, evaluator.__name__)
     for qe, qe_of in ((None, lambda i: None), (per_sample, lambda i: decompositions[i])):
         for k, s in enumerate(stack.factor_scalars(qe)):
             o = [one.factor_scalars(qe_of(i))[k][0] for i, one in enumerate(ones)]
             assert_agree(s, o, f"factor_scalars[{k}]")
 
-    lam = lambda_at(product, stack, 0.7)
+    lam = lambda_at(stack, 0.7)
     shared = decompositions[0]
-    prop = proposition1_residuals(product, stack, per_sample)
-    conditions = condition_residuals(product, stack, shared, lam)
+    prop = proposition1_residuals(stack, per_sample)
+    conditions = condition_residuals(stack, shared, lam)
     for i, one in enumerate(ones):
-        single = proposition1_residuals(product, one, decompositions[i])
+        single = proposition1_residuals(one, decompositions[i])
         assert_agree([r[i] for r in prop], [r[0] for r in single], f"proposition1 {i}")
-        single = condition_residuals(product, one, shared, float(lam[i]))
+        single = condition_residuals(one, shared, float(lam[i]))
         assert_agree([r[i] for r in conditions], [r[0] for r in single], f"conditions {i}")
 
     for qe in (None, (1.0, 0.5, None), (-1.0, 0.0, None)):
-        reports = theorem2_conditions(product, qe, float(lam[0]), 0.3, stack)
-        single = theorem2_conditions(product, qe, float(lam[0]), 0.3, list(points))
+        reports = theorem2_conditions(stack, qe, float(lam[0]), 0.3)
+        single = theorem2_conditions(WarpedFrame(product, points), qe, float(lam[0]), 0.3)
         assert_reports_agree(reports, single, "theorem2")
 
     if spec.kind in ("ssst", "grw"):
         check = ssst_theorem_check if spec.kind == "ssst" else grw_theorem_check
         for qes, qccs in ((qe_fits, qcc_fits), premise_fits(product, SAMPLES)):
-            stacked = check(product, stack, qes, qccs, flat=flat)
+            stacked = check(stack, flat, qes, qccs)
             for i, one in enumerate(ones):
-                single = check(product, one, [qes[i]], [qccs[i]])
+                one_flat = ChartFrame(flatten_to_chart(product), one.point)
+                single = check(one, one_flat, [qes[i]], [qccs[i]])
                 assert_residuals_agree(stacked, i, single, f"{spec.kind} {i}")
 
 

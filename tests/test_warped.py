@@ -305,6 +305,15 @@ class TestFactorScalars:
         pm = dict(zip(chart.coords, [0.5, 0.0]))
         assert evaluate(chart.metric[1][1], pm) == pytest.approx(math.e, rel=1e-14)
 
+    def test_inner_chart_keeps_the_factor_periods(self):
+        from seqwarp import factor
+
+        circle = factor("circle", ["x"], [["1"]], periods={"x": 2.0 * math.pi})
+        loop = factor("loop", ["u"], [["1"]], periods={"u": 3.0})
+        for m2, periods in ((loop, (2.0 * math.pi, 3.0)), (line_factor("b", "u"), None)):
+            product = trivially_warped(circle, m2, line_factor("c", "v"))
+            assert inner_chart(product).periods == periods
+
 
 class TestSpecExampleSweeps:
     def test_large_integer_exponent_in_metric(self):
