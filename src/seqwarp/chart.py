@@ -23,10 +23,12 @@ carrying the sample axis first (``christoffel[n, k, i, j]``); one point is a
 stack of one.  The stack is vector forward mode (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., ch. 3 and 13): batched jets and ``...``
 einsums do, for all N samples at once, the arithmetic of one sample at each.
-The jets of a frame, at every N, come from ``JetProgram`` runs, one per
-stage: each stage's expressions are compiled once per structure, and each
-distinct subexpression among them is one node of the program; see
-``ChartFrame``.
+The jets of a frame, at every N, come from ``JetProgram`` runs: one for
+the metric entries together with the scalar fields the frame was built
+with (``fields``), one for ``d3metric``, and one per other field stage.
+Each program is compiled once per structure, and each distinct
+subexpression among its roots is one node; see ``ChartFrame``.  An error
+names its failing sample through one method, ``ChartFrame.where``.
 
 The first derivative of the curvature enters the checks only traced, as
 ``dricci``, and ``dricci`` takes each trace before the product it enters:
@@ -42,13 +44,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, cached_property
+from functools import cached_property, lru_cache, wraps
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .expressions import Const, DomainError, Expr, differentiate, parse
-from .jets import JetProgram, jet_program
+from .jets import JetProgram, JetRun, jet_program
 
 __all__ = [
     "FactorManifold",
@@ -58,8 +60,6 @@ __all__ = [
     "SignatureError",
     "MetricValidationError",
     "factor",
-    "metric_jets",
-    "metric_program",
     "symmetry_residuals",
     "validate_factor_at",
     "sample_box",
@@ -155,21 +155,15 @@ def _derived(e: Expr, coord: str) -> Expr:
     return differentiate(e, coord)
 
 
-def metric_program(manifold: FactorManifold) -> JetProgram | None:
-    """The program ``metric_jets`` runs: the metric entries of ``manifold``
-    on and above the diagonal that are not constant, row by row (None when
-    every entry is constant)."""
-    return _metric_program(manifold)[1]
-
-
 @lru_cache(maxsize=None)
-def _metric_program(manifold: FactorManifold):
-    """The metric entries of ``manifold`` on and above the diagonal, row by
-    row: the (i, j, value) of the constant ones, then ``_varying`` of all."""
+def _frame_program(manifold: FactorManifold, fields: tuple[Expr, ...]):
+    """The one program of a frame's metric and ``fields``: the (i, j, value)
+    of the constant metric entries on and above the diagonal, then
+    ``_varying`` of all of them, row by row, with ``fields`` after them."""
     upper = _upper(manifold.dim)
     entries = [manifold.metric[i][j] for i, j in upper]
     fixed = [(i, j, e.value) for (i, j), e in zip(upper, entries) if isinstance(e, Const)]
-    return (fixed, *_varying(upper, entries, manifold.coords))
+    return (fixed, *_varying(upper, entries, manifold.coords, fields))
 
 
 @lru_cache(maxsize=None)
@@ -186,15 +180,38 @@ def _upper(m: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(m) for j in range(i, m)]
 
 
-def _varying(index: list[tuple[int, ...]], exprs: list[Expr], coords: tuple[str, ...]):
-    """The program of the ``exprs`` that are not constant, in order, and the
-    columns of their ``index`` tuples (None and () when every one is
-    constant).  A constant's derivatives are zero, so a stage leaves it
-    out."""
+def _varying(
+    index: list[tuple[int, ...]],
+    exprs: list[Expr],
+    coords: tuple[str, ...],
+    extra: tuple[Expr, ...] = (),
+):
+    """The program of the ``exprs`` that are not constant, in order, then of
+    the ``extra`` roots, and the columns of the kept ``index`` tuples (None
+    when there is no root).  A constant's derivatives are zero, so a stage
+    leaves it out."""
     keep = [k for k, e in enumerate(exprs) if not isinstance(e, Const)]
-    program = JetProgram([exprs[k] for k in keep], coords) if keep else None
-    columns = zip(*(index[k] for k in keep))
+    roots = [exprs[k] for k in keep] + list(extra)
+    program = JetProgram(roots, coords) if roots else None
+    columns = [[index[k][a] for k in keep] for a in range(len(index[0]))]
     return program, tuple(np.array(column, dtype=np.intp) for column in columns)
+
+
+def _per_field(method):
+    """``method(self, phi)``, computed once per frame and field and returned
+    read-only.  The computation is ``__wrapped__``, looked up at each call."""
+
+    @wraps(method)
+    def memoized(self, phi: Expr):
+        key = (method.__name__, phi)
+        out = self._per_field.get(key)
+        if out is None:
+            out = self._per_field[key] = memoized.__wrapped__(self, phi)
+            for a in out if isinstance(out, tuple) else (out,):
+                a.setflags(write=False)
+        return out
+
+    return memoized
 
 
 class ChartFrame:
@@ -209,20 +226,32 @@ class ChartFrame:
     ``inv`` / ``det`` / ``matmul``), so a stack of N agrees bit for bit with
     N stacks of one.
 
-    Jets: each stage runs one ``JetProgram`` over all samples at once: the
-    metric entries (``_metric_jets``), their first derivatives
-    (``d3metric``), a field (``field_jets``) and its first derivatives
-    (``dhessian``).  A program is compiled on first use and cached by
-    structure, so frames of one chart share it; a run keeps no jets beyond
-    the roots it returns, which are read-only.
+    Jets: one ``JetProgram`` run over all samples gives the metric entries
+    (``_metric_jets``) and the scalar fields named in ``fields``, so that
+    each subexpression they share is evaluated once; the run is read stage
+    by stage, the metric first and then each field in order, and dropped
+    once all of them have been read.  ``d3metric``, any other field
+    (``field_jets``) and the third derivatives of a field (``dhessian``)
+    run programs of their own.  A program is compiled on first use and
+    cached by structure, so frames of one chart share it.  The jets and the
+    field methods ``gradient``, ``hessian`` and ``dhessian`` are computed
+    once per field and are read-only.
 
     A stack raises the error a loop over its samples would raise first:
     ``GeometryError`` (non-finite jets), ``DegenerateMetricError`` and
-    ``DomainError`` name the point of the first failing sample.  ``validate``
-    checks the metric values themselves.
+    ``DomainError`` name the first failing sample through ``where``, which
+    a subclass may override (the torus quadrature's blocks name a grid
+    node).  A stage that reads the shared run also raises the domain errors
+    of the roots before its own.  ``validate`` checks the metric values
+    themselves.
     """
 
-    def __init__(self, manifold: FactorManifold, points: Sequence[Sequence[float]] | np.ndarray):
+    def __init__(
+        self,
+        manifold: FactorManifold,
+        points: Sequence[Sequence[float]] | np.ndarray,
+        fields: Sequence[Expr] = (),
+    ):
         self.manifold = manifold
         self.point = np.asarray(points, dtype=float)
         if self.point.ndim != 2 or self.point.shape[-1] != manifold.dim:
@@ -232,41 +261,80 @@ class ChartFrame:
             )
         if not np.isfinite(self.point).all():
             finite = np.isfinite(self.point).all(axis=-1)
-            raise GeometryError(f"non-finite point {self._at_first(~finite).tolist()}")
-        # field jets and their third derivatives, by expression
-        self._fields: dict[Expr, tuple] = {}
-        self._thirds: dict[Expr, np.ndarray] = {}
+            raise GeometryError(f"non-finite point {self.where(int(np.argmin(finite)))}")
+        self.fields = tuple(dict.fromkeys(fields))
+        # reads of the shared run still to come: the metric's and one per field
+        self._unread = 1 + len(self.fields)
+        # what ``_per_field`` methods computed, by (method name, expression)
+        self._per_field: dict[tuple[str, Expr], object] = {}
 
-    def _at_first(self, bad) -> np.ndarray:
-        """The point of the first sample where ``bad`` holds."""
-        return self.point[int(np.argmax(bad))]
+    def where(self, k: int) -> str:
+        """Sample ``k`` as an error message names it: its point."""
+        return str(self.point[k].tolist())
 
-    def _run(self, program: JetProgram):
-        """``program.run`` at the frame's samples: per root, a value,
-        gradient and Hessian per sample.
+    def _roots(self, run: JetRun, start: int = 0, stop: int | None = None):
+        """``run.roots(start, stop)``: per root, a value, gradient and Hessian
+        per sample.
 
         A ``DomainError`` carries ``node``, the failing sample, and
-        ``reason``; its message names the sample's point.  An overflow gives
-        ``inf`` without a warning: the stages that read the jets check them
-        for finiteness.
+        ``reason``; its message names the sample.  An overflow gives ``inf``
+        without a warning: the stages that read the jets check them for
+        finiteness.
         """
         try:
-            return program.run(self.point).roots()
+            return run.roots(start, stop)
         except DomainError as exc:
-            err = DomainError(f"{exc.reason} at {self.point[exc.node].tolist()}")
+            err = DomainError(f"{exc.reason} at {self.where(exc.node)}")
             err.node, err.reason = exc.node, exc.reason
             raise err from None
 
     def _jets(self, roots: Sequence[Expr]):
-        """``_run`` of the program of ``roots``, compiled once per structure."""
-        return self._run(jet_program(tuple(roots), self.manifold.coords))
+        """``_roots`` of a run of the program of ``roots``, compiled once per structure."""
+        return self._roots(jet_program(tuple(roots), self.manifold.coords).run(self.point))
 
     # -- metric jets --------------------------------------------------------
 
     @cached_property
+    def _program(self) -> tuple:
+        """``_frame_program`` of the chart and ``fields``."""
+        return _frame_program(self.manifold, self.fields)
+
+    @cached_property
+    def _shared_run(self) -> JetRun:
+        """The one run of the metric entries and ``fields``; see ``_read``."""
+        return self._program[1].run(self.point)
+
+    def _read(self, start: int, stop: int):
+        """``_roots`` of the shared run; the run goes after its last read."""
+        jets = self._roots(self._shared_run, start, stop)
+        self._unread -= 1
+        if not self._unread:
+            del self._shared_run
+        return jets
+
+    @cached_property
     def _metric_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Order-2 jets of the metric entries; unchecked."""
-        return metric_jets(self.manifold, len(self.point), self._run)
+        """Order-2 jets of the metric entries, unchecked: ``g`` ``(N, m, m)``,
+        ``dg`` ``(N, m, m, m)`` and ``d2g`` ``(N, m, m, m, m)``, derivative
+        axes first.
+
+        Only the upper triangle is evaluated, and each jet is written to
+        (i, j) and (j, i); a constant entry sets its value, and its
+        derivatives stay zero.
+        """
+        count, m = self.point.shape
+        g = np.zeros((count, m, m))
+        dg = np.zeros((count, m, m, m))
+        d2g = np.zeros((count, m, m, m, m))
+        fixed, program, (i, j) = self._program
+        for a, b, value in fixed:
+            g[:, a, b] = g[:, b, a] = value
+        if program is not None:
+            value, grad, hess = self._read(0, len(i))
+            g[:, i, j] = g[:, j, i] = value.T
+            dg[..., i, j] = dg[..., j, i] = grad.transpose(1, 2, 0)
+            d2g[..., i, j] = d2g[..., j, i] = hess.transpose(1, 2, 3, 0)
+        return g, dg, d2g
 
     @cached_property
     def _finite_metric_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,7 +348,7 @@ class ChartFrame:
         if not finite.all():
             raise GeometryError(
                 f"metric of {self.manifold.name!r} or one of its first two derivatives "
-                f"is not finite at {self._at_first(~finite).tolist()}"
+                f"is not finite at {self.where(int(np.argmin(finite)))}"
             )
         return g, dg, d2g
 
@@ -304,7 +372,7 @@ class ChartFrame:
             if exc.node:
                 ChartFrame(self.manifold, points[: exc.node]).validate()
             raise DomainError(
-                f"metric of {name!r}: {exc.reason} at {points[exc.node].tolist()}"
+                f"metric of {name!r}: {exc.reason} at {self.where(exc.node)}"
             ) from None
         finite = np.isfinite(g).all(axis=(1, 2))
         asymmetric = np.zeros(len(points), dtype=bool)
@@ -319,7 +387,7 @@ class ChartFrame:
         if not bad.any():
             return
         k = int(np.argmax(bad))
-        where = points[k].tolist()
+        where = self.where(k)
         if not finite[k]:
             raise GeometryError(f"metric of {name!r} is not finite at {where}")
         if asymmetric[k]:
@@ -355,7 +423,7 @@ class ChartFrame:
         d3g = np.zeros(self.point.shape[:-1] + (m, m, m, m, m))
         if program is not None:
             c, i, j = index
-            hess = self._run(program)[2].transpose(1, 2, 3, 0)
+            hess = self._roots(program.run(self.point))[2].transpose(1, 2, 3, 0)
             d3g[..., c, i, j] = d3g[..., c, j, i] = hess
         return d3g
 
@@ -547,16 +615,25 @@ class ChartFrame:
 
     # -- scalar fields -------------------------------------------------------
 
+    @_per_field
     def field_jets(self, phi: Expr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        jets = self._fields.get(phi)
-        if jets is None:
-            jets = self._fields[phi] = tuple(a[0] for a in self._jets([phi]))
-        return jets
+        """Order-2 jets of ``phi``: value ``(N,)``, gradient ``(N, m)`` and
+        Hessian ``(N, m, m)``.  A field named in ``fields`` is read from the
+        shared run, any other from a run of its own."""
+        if phi in self.fields:
+            # the metric's varying entries come first
+            k = len(self._program[2][0]) + self.fields.index(phi)
+            jets = self._read(k, k + 1)
+        else:
+            jets = self._jets([phi])
+        return tuple(a[0] for a in jets)
 
+    @_per_field
     def gradient(self, phi: Expr) -> np.ndarray:
         _, dphi, _ = self.field_jets(phi)
         return matvec(self.inverse, dphi)
 
+    @_per_field
     def hessian(self, phi: Expr) -> np.ndarray:
         _, dphi, d2phi = self.field_jets(phi)
         return d2phi - np.einsum("...kij,...k->...ij", self.christoffel, dphi)
@@ -568,14 +645,13 @@ class ChartFrame:
         _, dphi, _ = self.field_jets(phi)
         return dot(dphi, self.gradient(phi))
 
+    @_per_field
     def _field_third(self, phi: Expr) -> np.ndarray:
         """d3[..., a, b, c] = d_a d_b d_c phi."""
-        d3 = self._thirds.get(phi)
-        if d3 is None:
-            hess = self._jets([_derived(phi, c) for c in self.manifold.coords])[2]
-            d3 = self._thirds[phi] = hess.transpose(1, 2, 3, 0)
-        return d3
+        hess = self._jets([_derived(phi, c) for c in self.manifold.coords])[2]
+        return hess.transpose(1, 2, 3, 0)
 
+    @_per_field
     def dhessian(self, phi: Expr) -> np.ndarray:
         """dhessian[a, i, j] = d_a of the covariant Hessian component H_ij."""
         _, dphi, d2phi = self.field_jets(phi)
@@ -605,31 +681,6 @@ class ChartFrame:
         t = np.ascontiguousarray(value.T).reshape(count, m, m)
         dt = np.ascontiguousarray(grad.transpose(1, 2, 0)).reshape(count, m, m, m)
         return self._divergence(dt, t)
-
-
-def metric_jets(manifold: FactorManifold, count: int, run) -> tuple[np.ndarray, ...]:
-    """Order-2 jets of the metric of ``manifold`` at a stack of ``count``
-    points: ``g`` ``(N, m, m)``, ``dg`` ``(N, m, m, m)`` and ``d2g``
-    ``(N, m, m, m, m)``, derivative axes first.
-
-    ``run(program)`` runs a ``JetProgram`` at the points.  Only the upper
-    triangle is evaluated, and each jet is written to (i, j) and (j, i); a
-    constant entry sets its value, and its derivatives stay zero.
-    """
-    m = manifold.dim
-    g = np.zeros((count, m, m))
-    dg = np.zeros((count, m, m, m))
-    d2g = np.zeros((count, m, m, m, m))
-    fixed, program, index = _metric_program(manifold)
-    for i, j, value in fixed:
-        g[:, i, j] = g[:, j, i] = value
-    if program is not None:
-        i, j = index
-        value, grad, hess = run(program)
-        g[:, i, j] = g[:, j, i] = value.T
-        dg[..., i, j] = dg[..., j, i] = grad.transpose(1, 2, 0)
-        d2g[..., i, j] = d2g[..., j, i] = hess.transpose(1, 2, 3, 0)
-    return g, dg, d2g
 
 
 def is_degenerate(metric: np.ndarray) -> np.ndarray:

@@ -14,9 +14,9 @@ Three layers live here:
   forms of those fields over fully periodic factors
   (``torus_average_identity``).  The torus quadrature is the one place that
   evaluates geometry at thousands of points; it evaluates the grid in
-  blocks of nodes with batched jets (one ``seqwarp.jets.JetProgram`` run
-  per block) and ``(B, ...)`` arrays instead of one ``ChartFrame`` per
-  block;
+  blocks of nodes, one ``ChartFrame`` per block that carries the averaged
+  field and the warpings as its fields (one ``seqwarp.jets.JetProgram`` run
+  per block), and names a failing node by its index in the grid;
 * hypothesis evaluators for the differential conditions under which the
   scalar fields are forced constant (``condition_residuals``, one ``(N,)``
   residual array per condition) and for the rigidity statements that force
@@ -37,25 +37,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .chart import (
-    DegenerateMetricError,
+    ChartFrame,
     FactorManifold,
     GeometryError,
     dot,
-    is_degenerate,
     matvec,
     max_abs,
-    metric_jets,
-    metric_program,
     outer,
     per_sample_power,
 )
-from .expressions import DomainError, Expr, to_string
-from .jets import JetProgram
+from .expressions import Expr, to_string
 from .warped import (
     BlockVector,
     PositivityError,
@@ -498,57 +493,21 @@ def _torus_grid(manifold: FactorManifold, nodes: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _node(manifold: FactorManifold, grid: np.ndarray, i: int) -> str:
-    return f"node {i} {grid[i].tolist()} of the {manifold.name!r} torus grid"
+class _GridBlock(ChartFrame):
+    """Nodes ``start:stop`` of a torus grid as one frame; an error names a
+    failing node by its index in the grid."""
 
+    def __init__(
+        self, manifold: FactorManifold, grid: np.ndarray, start: int, stop: int, fields: tuple
+    ):
+        self.start = start
+        super().__init__(manifold, grid[start:stop], fields)
 
-@lru_cache(maxsize=None)
-def _block_program(
-    manifold: FactorManifold, phi: Expr, positive: tuple[tuple[str, Expr], ...]
-) -> tuple[JetProgram, int]:
-    """The metric entries of ``manifold`` that vary, then ``phi`` and the
-    warpings in ``positive``, as one program, so that a block evaluates
-    each distinct subexpression among them once; also the number of metric
-    entries."""
-    metric = metric_program(manifold)
-    roots = metric.roots if metric is not None else ()
-    return JetProgram(roots + (phi,) + tuple(w for _, w in positive), manifold.coords), len(roots)
-
-
-def _block_roots(manifold: FactorManifold, grid: np.ndarray, start: int, stop: int, program):
-    """``roots(a, b)``: the jets of roots ``a:b`` of one run of ``program``
-    at grid nodes ``start:stop``; a domain error names the grid node."""
-    run = program.run(grid[start:stop])
-
-    def roots(a: int, b: int):
-        try:
-            return run.roots(a, b)
-        except DomainError as exc:
-            raise DomainError(
-                f"{exc.reason} at {_node(manifold, grid, start + exc.node)}"
-            ) from None
-
-    return roots
-
-
-def _block_metric_jets(
-    manifold: FactorManifold, grid: np.ndarray, start: int, stop: int, roots, entries: int
-):
-    """``ChartFrame._metric_jets`` at grid nodes ``start:stop``, checked
-    finite: the first ``entries`` roots of a ``_block_program`` run are
-    those of the metric program."""
-    g, dg, d2g = metric_jets(manifold, stop - start, lambda _: roots(0, entries))
-    finite = (
-        np.isfinite(g).all(axis=(1, 2))
-        & np.isfinite(dg).all(axis=(1, 2, 3))
-        & np.isfinite(d2g).all(axis=(1, 2, 3, 4))
-    )
-    if not finite.all():
-        raise GeometryError(
-            f"metric of {manifold.name!r} or one of its first two derivatives is not "
-            f"finite at {_node(manifold, grid, start + int(np.argmin(finite)))}"
+    def where(self, k: int) -> str:
+        return (
+            f"node {self.start + k} {self.point[k].tolist()} "
+            f"of the {self.manifold.name!r} torus grid"
         )
-    return g, dg, d2g
 
 
 def _volume_means(
@@ -564,41 +523,34 @@ def _volume_means(
     trapezoid rule, exact in the limit and spectrally accurate for smooth
     integrands.
 
-    The grid is evaluated in blocks of at most ``QUADRATURE_BLOCK`` nodes.
-    Per block, one run of ``_block_program`` gives the metric, field and
-    warping jets, and the domain errors of each are raised where a walk of
-    them in that order would meet them; the inverse metric, Christoffel
-    symbols, covariant Hessian of ``phi``, its Laplacian, ``|grad phi|^2``
-    and the weights ``sqrt|det g|`` are ``(B, ...)`` arrays.  Each node gets
-    the arithmetic a ``ChartFrame`` there would do, and the weighted sums
-    are accumulated in node order, so the means equal those of a per-node
-    loop bit for bit (the tests check this on 1- and 2-dimensional charts).
+    The grid is evaluated in blocks of at most ``QUADRATURE_BLOCK`` nodes,
+    each one ``ChartFrame`` built with ``phi`` and the warpings as its
+    fields, so that one program run per block gives the metric, field and
+    warping jets; the frame drops the run once they are read, before the
+    block's tensors are built.  The frame's ``det``, Laplacian of ``phi`` and
+    ``|grad phi|^2`` are those of a per-node loop of frames bit for bit, and
+    the weighted sums are accumulated in node order, so the means are too
+    (the tests check this on 1- and 2-dimensional charts).
     ``integrand(value, lap, grad_norm2)`` maps the field data of a block to
     a tuple of arrays.
 
-    Each node is checked as a ``ChartFrame`` would check it: the metric and
-    its first two derivatives must be finite (``GeometryError``) and the
-    metric nondegenerate (``is_degenerate``, ``DegenerateMetricError``).
-    The jets of ``phi`` must be finite too (``GeometryError``), every
-    warping in ``positive`` (``(label, expr)`` pairs) positive
-    (``PositivityError``), and every expression in its domain
-    (``DomainError``).  The error names the first node that fails.
+    Each node is checked in the order a walk of the block's stages would
+    meet the failures: the metric's domain and the finiteness of its first
+    two derivatives, its degeneracy (``DegenerateMetricError``), the domain
+    and finiteness of the jets of ``phi`` (``GeometryError``), then the
+    domain of each warping in ``positive`` (``(label, expr)`` pairs) and its
+    positivity (``PositivityError``).  The error names the first node that
+    fails.
     """
     sums = None
     weight_total = 0.0
-    program, entries = _block_program(manifold, phi, positive)
+    fields = (phi, *(w for _, w in positive))
     for start in range(0, grid.shape[0], QUADRATURE_BLOCK):
-        stop = min(start + QUADRATURE_BLOCK, grid.shape[0])
-        roots = _block_roots(manifold, grid, start, stop, program)
+        frame = _GridBlock(manifold, grid, start, start + QUADRATURE_BLOCK, fields)
         with np.errstate(over="ignore", invalid="ignore"):
-            g, dg, d2g = _block_metric_jets(manifold, grid, start, stop, roots, entries)
-            degenerate = is_degenerate(g)
-            if degenerate.any():
-                k = int(np.argmax(degenerate))
-                raise DegenerateMetricError(manifold.name, grid[start + k], g[k])
-            det = np.linalg.det(g)
-
-            value, dphi, d2phi = (a[0] for a in roots(entries, entries + 1))
+            frame.inverse  # raises for a degenerate metric
+            det = frame.det
+            value, dphi, d2phi = frame.field_jets(phi)
             finite = (
                 np.isfinite(value)
                 & np.isfinite(dphi).all(axis=1)
@@ -607,28 +559,19 @@ def _volume_means(
             if not finite.all():
                 raise GeometryError(
                     f"field {to_string(phi)!r} or one of its first two derivatives is not "
-                    f"finite at {_node(manifold, grid, start + int(np.argmin(finite)))}"
+                    f"finite at {frame.where(int(np.argmin(finite)))}"
                 )
-            for n, (label, _) in enumerate(positive, start=entries + 1):
-                w_value = roots(n, n + 1)[0][0]
+            for label, w in positive:
+                w_value = frame.field_jets(w)[0]
                 if not (w_value > 0.0).all():
                     k = int(np.argmin(w_value > 0.0))
                     raise PositivityError(
                         f"{label} warping is {float(w_value[k])!r} (must be positive) at "
-                        f"{_node(manifold, grid, start + k)}"
+                        f"{frame.where(k)}"
                     )
-            # the block's run and its jets go before the block's tensors
-            del roots
 
-        inverse = np.linalg.inv(g)
-        source = np.einsum("nijl->nlij", dg) + np.einsum("njil->nlij", dg) - dg
-        christoffel = 0.5 * np.einsum("nkl,nlij->nkij", inverse, source)
-        hess = d2phi - np.einsum("nkij,nk->nij", christoffel, dphi)
-        lap = np.einsum("nij,nij->n", inverse, hess)
-        grad_norm2 = np.matmul(dphi[:, None, :], np.matmul(inverse, dphi[:, :, None]))[:, 0, 0]
         weight = np.sqrt(np.abs(det))
-
-        values = integrand(value, lap, grad_norm2)
+        values = integrand(value, frame.laplacian(phi), frame.grad_norm2(phi))
         if sums is None:
             sums = [0.0] * len(values)
         for k, q in enumerate(values):

@@ -160,11 +160,6 @@ class BlockVector:
     x3: np.ndarray
 
     @classmethod
-    def zeros(cls, product: SequentialWarpedProduct) -> "BlockVector":
-        d1, d2, d3 = product.dims
-        return cls(np.zeros(d1), np.zeros(d2), np.zeros(d3))
-
-    @classmethod
     def basis(cls, product: SequentialWarpedProduct, index: int) -> "BlockVector":
         vec = np.zeros(product.dim)
         vec[index] = 1.0

@@ -441,6 +441,47 @@ class TestBatchedQuadrature:
             torus_average_identity(product, 1.0, 128, "lambda")
 
 
+    def test_each_block_is_one_program_run(self, monkeypatch):
+        """The metric, the averaged field and the warpings of a block come
+        from one run: 37^2 = 1369 nodes are two blocks, so two runs."""
+        from seqwarp.jets import JetProgram
+
+        runs = []
+        real_run = JetProgram.run
+
+        def spy(program, points):
+            runs.append(np.shape(points))
+            return real_run(program, points)
+
+        monkeypatch.setattr(JetProgram, "run", spy)
+        torus_average_identity(torus_1p1_product(), 0.7, 37, "nu")
+        assert runs == [(1024, 2), (345, 2)]
+
+    def test_grid_blocks_are_freed_by_reference_counting(self, monkeypatch):
+        """A block's frame holds no reference cycle, so it and its arrays go
+        when the next block replaces it, without the cycle collector."""
+        import gc
+        import weakref
+
+        from seqwarp import classify
+
+        blocks = []
+        real_init = classify._GridBlock.__init__
+
+        def tracking(self, *args):
+            blocks.append(weakref.ref(self))
+            real_init(self, *args)
+
+        monkeypatch.setattr(classify._GridBlock, "__init__", tracking)
+        gc.disable()
+        try:
+            torus_average_identity(torus_1p1_product(), 0.7, 37, "nu")
+            assert len(blocks) == 2
+            assert all(ref() is None for ref in blocks)
+        finally:
+            gc.enable()
+
+
 class TestConditions:
     def test_constant_warpings_reduce_to_zero(self):
         product = SequentialWarpedProduct(

@@ -211,27 +211,30 @@ class TestRunVerify:
 @pytest.mark.parametrize("name", CATALOG)
 def test_run_verify_builds_one_warped_frame_per_sample(name, monkeypatch):
     """One stacked warped frame and one stacked frame per chart over all
-    samples serve every check: no one-point frame is built."""
+    samples serve every check: no one-point frame is built.  The torus
+    quadrature's grid blocks are the only other frames."""
     from seqwarp.chart import ChartFrame
     from seqwarp.warped import WarpedFrame, flatten_to_chart, inner_chart
 
     built = {WarpedFrame: [], ChartFrame: []}
     for cls in built:
 
-        def counting_init(self, owner, points, _cls=cls, _original=cls.__init__):
-            built[_cls].append((owner, np.shape(points)))
-            _original(self, owner, points)
+        def counting_init(self, owner, points, *args, _cls=cls, _original=cls.__init__):
+            built[_cls].append((type(self), owner, np.shape(points)))
+            _original(self, owner, points, *args)
 
         monkeypatch.setattr(cls, "__init__", counting_init)
     spec = catalog_spec(name)
     product = spec.product
     report = run_verify(spec, points=4)
     assert report.points == 4
-    assert [shape for _, shape in built[WarpedFrame]] == [(4, product.dim)]
+    assert [shape for _, _, shape in built[WarpedFrame]] == [(4, product.dim)]
+    samples = [(o.name, shape) for t, o, shape in built[ChartFrame] if t is ChartFrame]
+    blocks = [(o.name, shape) for t, o, shape in built[ChartFrame] if t is not ChartFrame]
     charts = [flatten_to_chart(product), inner_chart(product), *product.factors]
-    assert sorted((owner.name, shape) for owner, shape in built[ChartFrame]) == sorted(
-        (chart.name, (4, chart.dim)) for chart in charts
-    )
+    assert sorted(samples) == sorted((chart.name, (4, chart.dim)) for chart in charts)
+    # circle_lambda's lambda average: 128 nodes of its circle, one block
+    assert blocks == ([("circle", (128, 1))] if name == "circle_lambda" else [])
 
 
 class TestRunClassify:

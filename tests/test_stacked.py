@@ -165,6 +165,52 @@ def test_stacked_chart_frame_matches_one_point_frames(name):
         assert_agree(s[i], o[0], f"div_sym2 {i}")
 
 
+@pytest.mark.parametrize("name", (*SPECS, "random_dim4"))
+def test_fields_read_from_the_shared_run_match_runs_of_their_own(name):
+    """A frame built with its fields reads them from the run of its metric:
+    every stage and field method agrees bit for bit with a frame that runs
+    each field on its own, and the run is dropped after the last read."""
+    chart, fields, points = chart_case(name)
+    shared, alone = ChartFrame(chart, points, fields), ChartFrame(chart, points)
+    for stage in STAGES:
+        assert_agree(getattr(shared, stage), getattr(alone, stage), stage)
+    for phi in fields:
+        for k, (s, o) in enumerate(zip(shared.field_jets(phi), alone.field_jets(phi))):
+            assert_agree(s, o, f"field_jets[{k}]")
+        for method in FIELD_METHODS:
+            assert_agree(getattr(shared, method)(phi), getattr(alone, method)(phi), method)
+    assert "_shared_run" not in vars(shared)
+
+
+def test_field_derivatives_are_computed_once_per_frame_and_field(monkeypatch):
+    """``gradient``, ``hessian`` and ``dhessian`` are memoized like the field
+    jets: across one ``run_verify`` each runs once per (frame, field), and
+    what they return is read-only."""
+    computed = Counter()
+    frames = []  # kept alive, so that no two frames share an id
+    for method in ("gradient", "hessian", "dhessian"):
+        memoized = getattr(ChartFrame, method)
+
+        def counting(frame, phi, _method=method, _compute=memoized.__wrapped__):
+            frames.append(frame)
+            computed[_method, id(frame), phi] += 1
+            return _compute(frame, phi)
+
+        monkeypatch.setattr(memoized, "__wrapped__", counting)
+    spec = catalog_spec("sphere_fiber")
+    run_verify(spec, points=10)
+    # two (frame, field) pairs: f on the first factor, h on the inner chart
+    assert Counter(method for method, _, _ in computed) == {
+        "gradient": 2, "hessian": 2, "dhessian": 2
+    }
+    assert set(computed.values()) == {1}
+    frame = WarpedFrame(spec.product, spec.sample_points(3, 0)).inner_frame
+    for method in ("field_jets", "gradient", "hessian", "dhessian"):
+        out = getattr(frame, method)(spec.product.h)
+        assert out is getattr(frame, method)(spec.product.h)
+        assert not any(a.flags.writeable for a in (out if isinstance(out, tuple) else (out,)))
+
+
 @pytest.mark.parametrize("name", SPECS)
 def test_stacked_warped_frame_matches_one_point_frames(name):
     spec = load(name)
@@ -453,7 +499,7 @@ def test_shared_walk_matches_independent_walks(name, count, monkeypatch):
 
     real_compile = jets._Compiler.compile
     monkeypatch.setattr(jets._Compiler, "compile", spy)
-    for cached in (jets.jet_program, chart_module._metric_program, chart_module._d3_program):
+    for cached in (jets.jet_program, chart_module._frame_program, chart_module._d3_program):
         cached.cache_clear()
     warped = WarpedFrame(product, points)
     flat = ChartFrame(flatten_to_chart(product), points)
