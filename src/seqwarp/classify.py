@@ -15,8 +15,12 @@ Three layers live here:
   (``torus_average_identity``).  The torus quadrature is the one place that
   evaluates geometry at thousands of points; it evaluates the grid in
   blocks of nodes, one ``ChartFrame`` per block that carries the averaged
-  field and the warpings as its fields (one ``seqwarp.jets.JetProgram`` run
-  per block), and names a failing node by its index in the grid;
+  field and the warpings as its fields.  When the metric does not mention
+  every coordinate, a block takes its metric stages from a second frame at
+  one node per distinct value of the coordinates it does mention, so the
+  metric, its inverse and Christoffel symbols are computed once per
+  distinct metric, not once per node.  An error names a failing node by its
+  index in the grid;
 * hypothesis evaluators for the differential conditions under which the
   scalar fields are forced constant (``condition_residuals``, one ``(N,)``
   residual array per condition) and for the rigidity statements that force
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +55,8 @@ from .chart import (
     outer,
     per_sample_power,
 )
-from .expressions import Expr, to_string
+from .expressions import Expr, free_variables, to_string
+from .jets import jet_program
 from .warped import (
     BlockVector,
     PositivityError,
@@ -484,6 +490,9 @@ def nu_at(frame: WarpedFrame, alpha: float | np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _torus_grid(manifold: FactorManifold, nodes: int) -> np.ndarray:
+    """The ``nodes``-per-period grid of a fully periodic chart, one node per row."""
+    if isinstance(nodes, bool) or not isinstance(nodes, (int, np.integer)) or nodes < 1:
+        raise ValueError(f"nodes must be an integer >= 1, got {nodes!r}")
     if not manifold.fully_periodic:
         raise GeometryError(
             f"{manifold.name!r} is not fully periodic; torus quadrature undefined"
@@ -493,21 +502,80 @@ def _torus_grid(manifold: FactorManifold, nodes: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-class _GridBlock(ChartFrame):
-    """Nodes ``start:stop`` of a torus grid as one frame; an error names a
-    failing node by its index in the grid."""
+class _GridFrame(ChartFrame):
+    """Grid nodes ``nodes`` of a torus grid, at ``points``, as one frame:
+    sample k is node ``nodes[k]``, and an error names a failing node by that
+    index."""
 
     def __init__(
-        self, manifold: FactorManifold, grid: np.ndarray, start: int, stop: int, fields: tuple
+        self,
+        manifold: FactorManifold,
+        points: np.ndarray,
+        nodes: range | np.ndarray,
+        fields: tuple = (),
     ):
-        self.start = start
-        super().__init__(manifold, grid[start:stop], fields)
+        self.nodes = nodes
+        super().__init__(manifold, points, fields)
 
     def where(self, k: int) -> str:
         return (
-            f"node {self.start + k} {self.point[k].tolist()} "
+            f"node {self.nodes[k]} {self.point[k].tolist()} "
             f"of the {self.manifold.name!r} torus grid"
         )
+
+
+class _GridBlock(_GridFrame):
+    """A block of grid nodes on a chart whose metric mentions only the
+    coordinates ``columns``.
+
+    Its metric stages are those of ``rows``, a ``_GridFrame`` at the first
+    node of each distinct value of those coordinates (distinct by bit
+    pattern, in order of first appearance), taken per node through
+    ``row_of``: the metric jets, ``inverse``, ``det`` and ``christoffel``.
+    Its own program run carries only its fields.  The first failing row is
+    the row of the first failing node, and names that node, so the errors
+    are the block's own.
+    """
+
+    def __init__(
+        self,
+        manifold: FactorManifold,
+        points: np.ndarray,
+        nodes: range,
+        fields: tuple,
+        columns: list[int],
+    ):
+        super().__init__(manifold, points, nodes, fields)
+        self._unread -= 1  # the metric is read from ``rows``, not from this run
+        keys = self.point[:, columns].view(np.int64)
+        if len(columns) == 1:
+            keys = keys[:, 0]  # np.unique is faster on a 1-D array than by rows
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the distinct values by first appearance
+        self.row_of = np.argsort(order)[inverse.ravel()]
+        first = first[order]
+        self.rows = _GridFrame(manifold, self.point[first], nodes.start + first)
+
+    @cached_property
+    def _program(self) -> tuple:
+        """No metric entries, and the program of ``fields`` alone."""
+        return (), jet_program(self.fields, self.manifold.coords), ((), ())
+
+    @cached_property
+    def _metric_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(a[self.row_of] for a in self.rows._metric_jets)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        return self.rows.inverse[self.row_of]
+
+    @cached_property
+    def det(self) -> np.ndarray:
+        return self.rows.det[self.row_of]
+
+    @cached_property
+    def christoffel(self) -> np.ndarray:
+        return self.rows.christoffel[self.row_of]
 
 
 def _volume_means(
@@ -524,10 +592,15 @@ def _volume_means(
     integrands.
 
     The grid is evaluated in blocks of at most ``QUADRATURE_BLOCK`` nodes,
-    each one ``ChartFrame`` built with ``phi`` and the warpings as its
-    fields, so that one program run per block gives the metric, field and
-    warping jets; the frame drops the run once they are read, before the
-    block's tensors are built.  The frame's ``det``, Laplacian of ``phi`` and
+    each one frame built with ``phi`` and the warpings as its fields.  When
+    the metric mentions every chart coordinate, a block is one
+    ``_GridFrame``, and one program run gives its metric, field and warping
+    jets.  Otherwise it is a ``_GridBlock``: the metric stages are computed
+    once per distinct value of the coordinates the metric mentions (a
+    1,024-node block of the ``nu`` grid of a 1+1 product at 128 nodes per
+    period holds 8 metrics) and gathered per node, and the block's own run carries only
+    the fields.  A frame drops its run once it is read, before the block's
+    tensors are built.  The frame's ``det``, Laplacian of ``phi`` and
     ``|grad phi|^2`` are those of a per-node loop of frames bit for bit, and
     the weighted sums are accumulated in node order, so the means are too
     (the tests check this on 1- and 2-dimensional charts).
@@ -545,8 +618,13 @@ def _volume_means(
     sums = None
     weight_total = 0.0
     fields = (phi, *(w for _, w in positive))
-    for start in range(0, grid.shape[0], QUADRATURE_BLOCK):
-        frame = _GridBlock(manifold, grid, start, start + QUADRATURE_BLOCK, fields)
+    mentioned = frozenset().union(*(free_variables(e) for row in manifold.metric for e in row))
+    columns = [k for k, c in enumerate(manifold.coords) if c in mentioned]
+    count = grid.shape[0]
+    for start in range(0, count, QUADRATURE_BLOCK):
+        stop = min(start + QUADRATURE_BLOCK, count)
+        block = (manifold, grid[start:stop], range(start, stop), fields)
+        frame = _GridFrame(*block) if len(columns) == manifold.dim else _GridBlock(*block, columns)
         with np.errstate(over="ignore", invalid="ignore"):
             frame.inverse  # raises for a degenerate metric
             det = frame.det

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import line_factor, sphere_factor
-from seqwarp import SequentialWarpedProduct, factor
+from seqwarp import SequentialWarpedProduct, classify, factor
 from seqwarp.chart import ChartFrame, DegenerateMetricError, FactorManifold, GeometryError
 from seqwarp.classify import (
     DEFAULT_FIT_TOL,
@@ -328,14 +328,29 @@ def skew_torus() -> FactorManifold:
     )
 
 
-def per_node_means(manifold, nodes, fns):
-    """The quadrature as one ChartFrame per node, which the batched blocks replaced."""
+def pinched_torus(column: int, nodes: int) -> FactorManifold:
+    """A 2-torus whose metric, diag(1, 1 - cos(x - x_c)), mentions x only and
+    is degenerate on the grid column x_c = column * 2 pi / nodes only."""
+    x_c = column * (TWO_PI / nodes)
+    return factor(
+        "pinched",
+        ["x", "u"],
+        [["1", "0"], ["0", f"1 - cos(x - {x_c!r})"]],
+        periods={"x": TWO_PI, "u": TWO_PI},
+    )
+
+
+def torus_grid(manifold, nodes):
     axes = [np.arange(nodes) * (period / nodes) for period in manifold.periods]
     mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=-1)
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def per_node_means(manifold, nodes, fns):
+    """The quadrature as one ChartFrame per node, which the batched blocks replaced."""
     sums = None
     weight_total = 0.0
-    for row in grid:
+    for row in torus_grid(manifold, nodes):
         frame = ChartFrame(manifold, [row])
         weight = math.sqrt(abs(frame.det[0]))
         values = fns(frame)
@@ -393,17 +408,11 @@ class TestBatchedQuadrature:
         assert torus_divergence_residual(manifold, phi, nodes) == abs(mean)
 
     def test_degenerate_node_in_a_later_block(self):
-        # g_uu = 1 - cos(x - x30) vanishes on the grid column x = x30 only;
-        # its first node, 30 * 37 = 1110, lies in the second block
+        # g_uu vanishes on the grid column x = x30 only; its first node,
+        # 30 * 37 = 1110, lies in the second block
         x30 = 30 * (TWO_PI / 37)
-        manifold = factor(
-            "pinched",
-            ["x", "u"],
-            [["1", "0"], ["0", f"1 - cos(x - {x30!r})"]],
-            periods={"x": TWO_PI, "u": TWO_PI},
-        )
         with pytest.raises(DegenerateMetricError) as info:
-            torus_divergence_residual(manifold, parse("sin(u)", ["u"]), 37)
+            torus_divergence_residual(pinched_torus(30, 37), parse("sin(u)", ["u"]), 37)
         assert info.value.point == (x30, 0.0)
 
     def test_nonpositive_warping_names_node(self):
@@ -441,9 +450,10 @@ class TestBatchedQuadrature:
             torus_average_identity(product, 1.0, 128, "lambda")
 
 
-    def test_each_block_is_one_program_run(self, monkeypatch):
-        """The metric, the averaged field and the warpings of a block come
-        from one run: 37^2 = 1369 nodes are two blocks, so two runs."""
+    def test_block_runs_its_metric_rows_then_its_fields(self, monkeypatch):
+        """The nu chart's metric mentions only x: each block runs the metric
+        once per distinct x (28 in nodes 0-1023, 10 in 1024-1368), then its
+        field and warpings at every node, and drops both runs."""
         from seqwarp.jets import JetProgram
 
         runs = []
@@ -453,9 +463,76 @@ class TestBatchedQuadrature:
             runs.append(np.shape(points))
             return real_run(program, points)
 
+        blocks = []
+        real_init = classify._GridBlock.__init__
+
+        def keeping(self, *args):
+            blocks.append(self)
+            real_init(self, *args)
+
         monkeypatch.setattr(JetProgram, "run", spy)
+        monkeypatch.setattr(classify._GridBlock, "__init__", keeping)
         torus_average_identity(torus_1p1_product(), 0.7, 37, "nu")
+        assert runs == [(28, 2), (1024, 2), (10, 2), (345, 2)]
+        assert [len(block.rows.point) for block in blocks] == [28, 10]
+        assert not any("_shared_run" in vars(f) for b in blocks for f in (b, b.rows))
+        # a metric that mentions every coordinate runs with the field, once a block
+        runs.clear()
+        torus_divergence_residual(skew_torus(), parse("sin(x)*cos(u)", ["x", "u"]), 37)
         assert runs == [(1024, 2), (345, 2)]
+
+    @pytest.mark.parametrize("chart", ["nu_chart", "skew_torus", "flat_torus"])
+    def test_means_match_per_node_loop_whatever_the_metric_mentions(self, chart):
+        # the metric mentions x only, both coordinates, or neither
+        manifold = {
+            "nu_chart": lambda: inner_chart(torus_1p1_product()),
+            "skew_torus": skew_torus,
+            "flat_torus": lambda: factor(
+                "flat_torus", ["x", "u"], [["1", "0"], ["0", "1"]],
+                periods={"x": TWO_PI, "u": TWO_PI},
+            ),
+        }[chart]()
+        phi = parse("(2 + sin(x))*(2 + cos(u)) + sin(x + u)", ["x", "u"])
+
+        def fields(frame):
+            value = frame.field_jets(phi)[0][0]
+            return (value, frame.laplacian(phi)[0], frame.grad_norm2(phi)[0])
+
+        means = classify._volume_means(
+            manifold, torus_grid(manifold, 37), phi, (), lambda *block: block
+        )
+        assert means == per_node_means(manifold, 37, fields)
+
+    def test_field_failure_in_an_earlier_block_than_a_metric_failure(self):
+        # the metric is degenerate on the column x = x30 only, first at node
+        # 1110 in the second block; the field leaves its domain at node 0
+        with pytest.raises(DomainError, match=r"log of non-positive .* at node 0 \[0\.0, 0\.0\] "):
+            torus_divergence_residual(pinched_torus(30, 37), parse("log(u - 0.5)", ["u"]), 37)
+
+    def test_metric_failure_after_a_field_failure_in_one_block(self):
+        # 16^2 nodes are one block: the metric is degenerate first at node
+        # 10 * 16 = 160, the field leaves its domain at node 0
+        with pytest.raises(DegenerateMetricError) as info:
+            torus_divergence_residual(pinched_torus(10, 16), parse("log(u - 0.5)", ["u"]), 16)
+        assert info.value.point == (10 * (TWO_PI / 16), 0.0)
+
+    @pytest.mark.parametrize("nodes", [0, -3, 2.5, True, "8", None])
+    def test_nodes_must_be_a_positive_integer(self, nodes):
+        product = torus_1p1_product()
+        for call in (
+            lambda: torus_average_identity(product, 0.7, nodes, "nu"),
+            lambda: torus_divergence_residual(product.m1, product.f, nodes),
+        ):
+            with pytest.raises(ValueError, match=r"^nodes must be an integer >= 1, got "):
+                call()
+
+    def test_nodes_may_be_a_numpy_integer(self):
+        product = torus_1p1_product()
+        rep = torus_average_identity(product, 0.7, np.int64(16), "nu")
+        assert rep == torus_average_identity(product, 0.7, 16, "nu")
+        assert torus_divergence_residual(product.m1, product.f, np.int32(16)) == (
+            torus_divergence_residual(product.m1, product.f, 16)
+        )
 
     def test_grid_blocks_are_freed_by_reference_counting(self, monkeypatch):
         """A block's frame holds no reference cycle, so it and its arrays go

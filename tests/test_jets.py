@@ -570,6 +570,47 @@ def test_domain_error_is_the_first_in_walk_order(case):
     assert str(info.value) == f"{want.reason} at {where}"
 
 
+def test_quadrature_keeps_signed_zeros_apart(monkeypatch):
+    """A quadrature block's metric rows are distinct by bit pattern: x = 0.0
+    and x = -0.0 are two rows of a metric that mentions x only, and the means
+    are those of one frame per point, bit for bit."""
+    manifold = factor("m", COORDS, [["2 + sin(x)", "0"], ["0", "1"]])
+    points = np.array([[0.0, 0.5], [-0.0, 1.0], [0.7, 1.5], [0.0, 2.0], [-0.0, 2.5]])
+    phi = parse("sin(x)*cos(y) + y*y", COORDS)
+    runs = []
+    real_run = JetProgram.run
+
+    def spy(program, at):
+        runs.append(np.shape(at))
+        return real_run(program, at)
+
+    monkeypatch.setattr(JetProgram, "run", spy)
+    means = _volume_means(manifold, points, phi, (), lambda *block: block)
+    # the metric at 0.0, -0.0 and 0.7, then the field at every point
+    assert runs == [(3, 2), (5, 2)]
+    monkeypatch.undo()
+    sums, total = [0.0, 0.0, 0.0], 0.0
+    for row in points:
+        frame = ChartFrame(manifold, [row])
+        weight = math.sqrt(abs(frame.det[0]))
+        data = (frame.field_jets(phi)[0][0], frame.laplacian(phi)[0], frame.grad_norm2(phi)[0])
+        for k, q in enumerate(data):
+            sums[k] += weight * q
+        total += weight
+    assert [m.hex() for m in means] == [(s / total).hex() for s in sums]
+
+
+def test_quadrature_rows_keep_the_order_of_their_points():
+    """A quadrature block's metric rows are in order of first appearance, so
+    the first failing row is the row of the first failing point, whatever
+    the order of the values."""
+    manifold = factor("m", COORDS, [["1", "0"], ["0", "y*y*(y - 2)*(y - 2)"]])
+    points = np.array([[0.5, 1.0], [0.1, 2.0], [0.2, 0.0], [0.3, 1.0]])
+    with pytest.raises(DegenerateMetricError) as info:
+        _volume_means(manifold, points, parse("x", COORDS), (), lambda *block: block)
+    assert info.value.point == (0.1, 2.0)
+
+
 # (metric entries, field, warpings, error): each case breaks a later stage
 # at an earlier sample than the stage that raises
 BLOCK_CASES = {

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +173,15 @@ class TestRunVerify:
         with pytest.raises(VerificationInputError, match="positive"):
             run_verify(spec)
 
+    def test_torus_spec_file_averages_over_a_2d_grid(self):
+        # tests/data/torus_1p1.json: the spec CI checks for bytes across processes
+        path = Path(__file__).parent / "data" / "torus_1p1.json"
+        report = run_verify(load_spec(path), points=4)
+        assert report.overall_pass
+        by_name = {r.name: r for r in report.identities}
+        assert by_name["torus_average_lambda"].points == 128
+        assert by_name["torus_average_nu"].points == 128**2
+
     def test_point_and_seed_overrides(self):
         spec = catalog_spec("euclidean_product")
         report = run_verify(spec, points=7, seed=99)
@@ -233,8 +243,11 @@ def test_run_verify_builds_one_warped_frame_per_sample(name, monkeypatch):
     blocks = [(o.name, shape) for t, o, shape in built[ChartFrame] if t is not ChartFrame]
     charts = [flatten_to_chart(product), inner_chart(product), *product.factors]
     assert sorted(samples) == sorted((chart.name, (4, chart.dim)) for chart in charts)
-    # circle_lambda's lambda average: 128 nodes of its circle, one block
-    assert blocks == ([("circle", (128, 1))] if name == "circle_lambda" else [])
+    # circle_lambda's lambda average: 128 nodes of its circle, one block, and
+    # the block's constant metric computed once, at its first node
+    assert blocks == (
+        [("circle", (128, 1)), ("circle", (1, 1))] if name == "circle_lambda" else []
+    )
 
 
 class TestRunClassify:
