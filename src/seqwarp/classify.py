@@ -15,12 +15,9 @@ Three layers live here:
   (``torus_average_identity``).  The torus quadrature is the one place that
   evaluates geometry at thousands of points; it evaluates the grid in
   blocks of nodes, one ``ChartFrame`` per block that carries the averaged
-  field and the warpings as its fields.  When the metric does not mention
-  every coordinate, a block takes its metric stages from a second frame at
-  one node per distinct value of the coordinates it does mention, so the
-  metric, its inverse and Christoffel symbols are computed once per
-  distinct metric, not once per node.  An error names a failing node by its
-  index in the grid;
+  field and the warpings as its fields, computes the metric stages once per
+  distinct value of the coordinates the metric mentions, and names a
+  failing node by its index in the grid;
 * hypothesis evaluators for the differential conditions under which the
   scalar fields are forced constant (``condition_residuals``, one ``(N,)``
   residual array per condition) and for the rigidity statements that force
@@ -508,11 +505,7 @@ class _GridFrame(ChartFrame):
     index."""
 
     def __init__(
-        self,
-        manifold: FactorManifold,
-        points: np.ndarray,
-        nodes: range | np.ndarray,
-        fields: tuple = (),
+        self, manifold: FactorManifold, points: np.ndarray, nodes: range | np.ndarray, fields=()
     ):
         self.nodes = nodes
         super().__init__(manifold, points, fields)
@@ -538,12 +531,7 @@ class _GridBlock(_GridFrame):
     """
 
     def __init__(
-        self,
-        manifold: FactorManifold,
-        points: np.ndarray,
-        nodes: range,
-        fields: tuple,
-        columns: list[int],
+        self, manifold: FactorManifold, points: np.ndarray, nodes: range, fields, columns: list
     ):
         super().__init__(manifold, points, nodes, fields)
         self._unread -= 1  # the metric is read from ``rows``, not from this run
@@ -596,10 +584,10 @@ def _volume_means(
     the metric mentions every chart coordinate, a block is one
     ``_GridFrame``, and one program run gives its metric, field and warping
     jets.  Otherwise it is a ``_GridBlock``: the metric stages are computed
-    once per distinct value of the coordinates the metric mentions (a
+    once per distinct value of the coordinates the metric mentions (8 in a
     1,024-node block of the ``nu`` grid of a 1+1 product at 128 nodes per
-    period holds 8 metrics) and gathered per node, and the block's own run carries only
-    the fields.  A frame drops its run once it is read, before the block's
+    period) and gathered per node, and the block's own run carries only the
+    fields.  A frame drops its run once it is read, before the block's
     tensors are built.  The frame's ``det``, Laplacian of ``phi`` and
     ``|grad phi|^2`` are those of a per-node loop of frames bit for bit, and
     the weighted sums are accumulated in node order, so the means are too
