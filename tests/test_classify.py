@@ -340,17 +340,11 @@ def pinched_torus(column: int, nodes: int) -> FactorManifold:
     )
 
 
-def torus_grid(manifold, nodes):
-    axes = [np.arange(nodes) * (period / nodes) for period in manifold.periods]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def per_node_means(manifold, nodes, fns):
     """The quadrature as one ChartFrame per node, which the batched blocks replaced."""
     sums = None
     weight_total = 0.0
-    for row in torus_grid(manifold, nodes):
+    for row in classify._torus_grid(manifold, nodes):
         frame = ChartFrame(manifold, [row])
         weight = math.sqrt(abs(frame.det[0]))
         values = fns(frame)
@@ -499,7 +493,7 @@ class TestBatchedQuadrature:
             return (value, frame.laplacian(phi)[0], frame.grad_norm2(phi)[0])
 
         means = classify._volume_means(
-            manifold, torus_grid(manifold, 37), phi, (), lambda *block: block
+            manifold, classify._torus_grid(manifold, 37), phi, (), lambda *block: block
         )
         assert means == per_node_means(manifold, 37, fields)
 
