@@ -6,18 +6,18 @@ Three layers live here:
   Ricci tensor (``fit_quasi_einstein``) and the two-coefficient
   quasi-constant-curvature ansatz for a full curvature tensor
   (``check_quasi_constant_curvature``), batched: an ``(N, ...)`` stack in,
-  one fit per sample out;
+  one fit per sample out; the curvature fit takes its one-form from the
+  quasi-Einstein fit of the same stack;
 * identity evaluators tying factor curvature to a rank-one ambient
   decomposition (``proposition1_residuals``, one ``(N,)`` residual array
-  per factor), the scalar fields carrying
-  the warping energies (``lambda_at`` / ``nu_at``), and volume-averaged
-  forms of those fields over fully periodic factors
-  (``torus_average_identity``).  The torus quadrature is the one place that
-  evaluates geometry at thousands of points; it evaluates the grid in
-  blocks of nodes, one ``ChartFrame`` per block that carries the averaged
-  field and the warpings as its fields, computes the metric stages once per
-  distinct value of the coordinates the metric mentions, and names a
-  failing node by its index in the grid;
+  per factor), the scalar fields carrying the warping energies
+  (``lambda_at`` / ``nu_at``), and volume-averaged forms of those fields
+  over fully periodic factors (``torus_average_identity``).  The torus
+  quadrature is the one place that evaluates geometry at thousands of
+  points; it evaluates the grid in blocks of nodes, one ``ChartFrame`` per
+  block that carries the averaged field and the warpings as its fields,
+  computes the metric stages once per distinct value of the coordinates the
+  metric mentions, and names a failing node by its index in the grid;
 * hypothesis evaluators for the differential conditions under which the
   scalar fields are forced constant (``condition_residuals``, one ``(N,)``
   residual array per condition) and for the rigidity statements that force
@@ -81,6 +81,7 @@ __all__ = [
 ]
 
 DEFAULT_FIT_TOL = 1e-6
+TORUS_TOL = 1e-10
 # Grid nodes per batched torus-quadrature block: bounds the (B, ...) jet and
 # curvature arrays, and so peak memory, whatever the grid size.
 QUADRATURE_BLOCK = 1024
@@ -209,14 +210,14 @@ class QEFit:
 
 @dataclass(frozen=True)
 class QCCFit:
-    """Two-coefficient curvature ansatz fit: R = a G1 + b G2(A)."""
+    """Two-coefficient curvature ansatz fit R = a G1 + b G2(A): the curvature fit
+    takes its one-form from the quasi-Einstein fit of the same stack."""
 
     passed: bool
     a: float | None
     b: float | None
     A: np.ndarray | None
     residual: float
-    ricci_fit: QEFit | None
     reason: str = ""
 
     def summary(self) -> dict:
@@ -340,23 +341,26 @@ def _qcc_basis(g: np.ndarray, a_form: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def check_quasi_constant_curvature(
-    g: np.ndarray, riemann: np.ndarray, tol: float = DEFAULT_FIT_TOL
+    g: np.ndarray, riemann: np.ndarray, qe_fits: list[QEFit], tol: float = DEFAULT_FIT_TOL
 ) -> list[QCCFit]:
     """Least-squares fit of the lowered curvature tensor to the ansatz
 
         R[i,j,k,l] = a (g_jk g_il - g_ik g_jl)
                    + b (g_il A_j A_k - g_ik A_j A_l + g_jk A_i A_l - g_jl A_i A_k)
 
-    with A taken from the quasi-Einstein fit of the Ricci contraction.
+    The curvature fit takes its one-form from the quasi-Einstein fit of the
+    same stack: A is ``qe_fits[i].A`` at sample i.
 
-    ``g`` and ``riemann`` are ``(N, m, m)`` and ``(N, m, m, m, m)`` stacks,
-    giving a list of N fits; all but each sample's two-column ``lstsq`` runs
-    batched.  Raises ``FitInputError`` at the first sample whose metric or
-    curvature tensor is not finite, that lacks curvature symmetries, or whose
-    Ricci contraction or fit basis is not finite, checked in that order
-    sample by sample; a failed structure fit is reported, not raised.
+    ``g`` and ``riemann`` are ``(N, m, m)`` and ``(N, m, m, m, m)`` stacks and
+    ``qe_fits`` N fits (else ``ValueError``), giving a list of N fits; all but
+    each sample's two-column ``lstsq`` runs batched.  Raises ``FitInputError``
+    at the first sample whose metric or curvature tensor is not finite, that
+    lacks curvature symmetries, or whose fit basis is not finite, checked in
+    that order sample by sample; a failed quasi-Einstein fit is reported.
     """
     g, r = np.asarray(g, dtype=float), np.asarray(riemann, dtype=float)
+    if len(qe_fits) != len(g):
+        raise ValueError(f"expected {len(g)} quasi-Einstein fits, got {len(qe_fits)}")
     m = g.shape[-1]
     # each check runs on the samples before the first one an earlier check failed
     n = stop = len(g)
@@ -376,17 +380,11 @@ def check_quasi_constant_curvature(
         stop = int(np.argmax(asymmetric))
         error = f"input tensor lacks curvature symmetries (residual {worst[stop]:.3e})"
         g, r = g[:stop], r[:stop]
-    ricci = np.einsum("nil,nijkl->njk", np.linalg.inv(g), r)
-    if not np.isfinite(ricci).all():
-        stop = _first_bad(ricci)
-        error = "quasi-Einstein fit input (metric or Ricci tensor) is not finite"
-        g, r, ricci = g[:stop], r[:stop], ricci[:stop]
-    ricci_fits = fit_quasi_einstein(g, ricci, tol) if stop else []
 
-    # a failed Ricci fit is reported with max |R|; the basis is built, with
-    # zeros for those samples, only if some sample's fit succeeded
-    ok = np.array([fit.succeeded for fit in ricci_fits], dtype=bool)
-    a_form = np.array([fit.A if fit.succeeded else np.zeros(m) for fit in ricci_fits])
+    # a failed quasi-Einstein fit is reported with max |R|; the basis is built,
+    # with zeros for those samples, only if some sample's fit succeeded
+    ok = np.array([fit.succeeded for fit in qe_fits[:stop]], dtype=bool)
+    a_form = np.array([fit.A if fit.succeeded else np.zeros(m) for fit in qe_fits[:stop]])
     coeffs, residual = np.zeros((stop, 2)), r_size[:stop]
     if ok.any():
         with np.errstate(over="ignore", invalid="ignore"):
@@ -402,12 +400,12 @@ def check_quasi_constant_curvature(
     if stop < n:
         raise FitInputError(error, stop)
     return [
-        QCCFit(res <= tol * sc, a_i, b_i, a_form[i], res, fit)
+        QCCFit(res <= tol * sc, a_i, b_i, a_form[i], res)
         if fit.succeeded
-        else QCCFit(False, None, None, None, res, fit,
+        else QCCFit(False, None, None, None, res,
                     "Ricci contraction admits no rank-one decomposition")
         for i, (fit, (a_i, b_i), res, sc) in enumerate(
-            zip(ricci_fits, coeffs.tolist(), residual.tolist(), scale.tolist())
+            zip(qe_fits, coeffs.tolist(), residual.tolist(), scale.tolist())
         )
     ]
 
@@ -675,7 +673,7 @@ def torus_average_identity(
     alpha: float,
     nodes: int,
     field_name: str = "lambda",
-    tol: float = 1e-10,
+    tol: float = TORUS_TOL,
 ) -> IdentityReport:
     """Volume-averaged form of the lambda (or nu) field over a torus.
 

@@ -143,7 +143,7 @@ def time_axis(product: SequentialWarpedProduct) -> int:
 
 def _unit_time_component(qe: QEFit, axis: int) -> tuple[bool, str]:
     """Whether the fitted U has unit time part (so A(dt)^2 = g_tt^2)."""
-    if qe is None or not qe.succeeded:
+    if not qe.succeeded:
         return False, "no rank-one Ricci structure at this point"
     if qe.verdict == "einstein":
         return True, "Einstein case: the rank-one part vanishes"
@@ -159,14 +159,12 @@ def _premises(qes, qccs, axis: int, tol: float):
     saying why not (empty where it holds)."""
     premises = [_unit_time_component(qe, axis) for qe in qes]
     premise = np.array([p for p, _ in premises])
-    qcc_premise = premise & np.array(
-        [q is not None and q.passed and q.b is not None and abs(q.b) > tol for q in qccs]
-    )
+    qcc_premise = premise & np.array([q.passed and abs(q.b) > tol for q in qccs])
     qcc_notes = [
         ""
         if met
         else "degenerate two-coefficient fit (b = 0): constant-curvature case, conditions vacuous"
-        if qcc is not None and qcc.passed and not (qcc.b and abs(qcc.b) > tol)
+        if qcc.passed and abs(qcc.b) <= tol
         else "premise not met (need a two-coefficient fit with unit time part of U)"
         for qcc, met in zip(qccs, qcc_premise)
     ]
@@ -205,24 +203,24 @@ def _factor_conclusions(
 def ssst_theorem_check(
     frame: WarpedFrame,
     flat: ChartFrame,
-    qes: list[QEFit | None],
-    qccs: list[QCCFit | None],
+    qes: list[QEFit],
+    qccs: list[QCCFit],
     tol: float = DEFAULT_FIT_TOL,
     d3_tol: float = D3_TOL,
 ) -> list[Residual]:
     """Per-sample residuals of the static-form curvature conditions.
 
     Includes the time-time identity Ric(dt, dt) = h Lap h with its sign
-    recorded, the two mixed Ricci identities specialized to a
-    1-dimensional fiber, the rank-one consequences of a successful
-    ambient fit, and the Hessian forms tied to a two-coefficient
-    curvature fit.  ``flat`` is the flattened-chart frame at the samples
-    of ``frame``; ``qes`` and ``qccs`` hold each sample's fits (``None``
-    for no fit).
-    The result is one scaled ``Residual`` per identity, in report order;
-    its details carry, per sample, ``ricci_tt``, ``h_lap_h`` and
-    ``recorded_sign`` (``ssst_d3``), the premise and its note, the
-    coefficient sign of the Hessian forms and the factor fits.
+    recorded, the two mixed Ricci identities specialized to a 1-dimensional
+    fiber, the rank-one consequences of a successful ambient fit, and the
+    Hessian forms tied to a two-coefficient curvature fit.  ``flat`` is the
+    flattened-chart frame at the samples of ``frame``; ``qes`` and ``qccs``
+    hold each sample's fits of the flat stack, a failed fit where there is
+    none (the curvature fit takes its one-form from the quasi-Einstein fit
+    of the same stack).  The result is one scaled ``Residual`` per identity,
+    in report order; its details carry, per sample, ``ricci_tt``,
+    ``h_lap_h`` and ``recorded_sign`` (``ssst_d3``), the premise and its
+    note, the coefficient sign of the Hessian forms and the factor fits.
     """
     product = frame.product
     axis = time_axis(product)
@@ -305,8 +303,8 @@ def ssst_theorem_check(
 def grw_theorem_check(
     frame: WarpedFrame,
     flat: ChartFrame,
-    qes: list[QEFit | None],
-    qccs: list[QCCFit | None],
+    qes: list[QEFit],
+    qccs: list[QCCFit],
     tol: float = DEFAULT_FIT_TOL,
 ) -> list[Residual]:
     """Per-sample residuals of the Robertson-Walker-form conditions.

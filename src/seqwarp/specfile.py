@@ -39,8 +39,9 @@ from pathlib import Path
 import numpy as np
 
 from .chart import FactorManifold, GeometryError
+from .classify import DEFAULT_FIT_TOL, TORUS_TOL
 from .expressions import Expr, ExpressionError, parse
-from .spacetime import GRWSpec, SSSTSpec, build_grw, build_ssst
+from .spacetime import D3_TOL, GRWSpec, SSSTSpec, build_grw, build_ssst
 from .warped import SequentialWarpedProduct
 
 __all__ = [
@@ -62,9 +63,9 @@ DEFAULT_TOLERANCES = {
     "bianchi": 1e-7,  # contracted Bianchi and Hessian divergence, normalized
     "cross_ricci": 1e-10,  # off-block ambient Ricci entries, absolute
     "reduction": 1e-12,  # constant-warping block reduction, absolute
-    "fit": 1e-6,  # structure fits and derived factor identities
-    "torus": 1e-10,  # torus-averaged field identities
-    "d3": 1e-7,  # time-time curvature identity of the static form
+    "fit": DEFAULT_FIT_TOL,  # structure fits and derived factor identities
+    "torus": TORUS_TOL,  # torus-averaged field identities
+    "d3": D3_TOL,  # time-time curvature identity of the static form
 }
 
 
@@ -132,9 +133,8 @@ def _expect(data: dict, key: str, kind, path: str, default=None, required: bool 
             raise SpecError(f"{path}.{key}" if path else key, "missing required field")
         return default
     value = data[key]
-    if kind is not None and not isinstance(value, kind):
-        names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
-        raise SpecError(f"{path}.{key}" if path else key, f"expected {names}")
+    if kind is not None and (not isinstance(value, kind) or kind is int and isinstance(value, bool)):
+        raise SpecError(f"{path}.{key}" if path else key, f"expected {kind.__name__}")
     return value
 
 
@@ -174,10 +174,13 @@ def _parse_factor(data, index: int) -> FactorManifold:
     periodic = _expect(data, "periodic", dict, path)
     if periodic:
         for cname, period in periodic.items():
+            where = f"{path}.periodic.{cname}"
             if cname not in coords:
-                raise SpecError(f"{path}.periodic.{cname}", "not a coordinate of this factor")
-            if not isinstance(period, (int, float)) or period <= 0:
-                raise SpecError(f"{path}.periodic.{cname}", "period must be positive")
+                raise SpecError(where, "not a coordinate of this factor")
+            if not _finite_number(period):
+                raise SpecError(where, f"expected a positive finite number, got {period!r}")
+            if period <= 0:
+                raise SpecError(where, "period must be positive")
         periods = tuple(float(periodic[c]) if c in periodic else None for c in coords)
     try:
         return FactorManifold(

@@ -188,7 +188,7 @@ def _structure_fits(flat: ChartFrame, samples: np.ndarray, tol: float) -> tuple[
     """Both fits of the flat stack, all quasi-Einstein ones first; input errors name the sample."""
     try:
         qe_fits = fit_quasi_einstein(flat.metric, flat.ricci, tol)
-        return qe_fits, check_quasi_constant_curvature(flat.metric, flat.riemann, tol)
+        return qe_fits, check_quasi_constant_curvature(flat.metric, flat.riemann, qe_fits, tol)
     except FitInputError as exc:
         i = exc.sample
         raise VerificationInputError(f"{exc} at sample {i} {samples[i].tolist()}") from exc
@@ -604,7 +604,7 @@ def run_classify(spec: ManifoldSpec, at: dict | None = None) -> dict:
     try:
         tol = {**DEFAULT_TOLERANCES, **spec.tolerances}["fit"]
         qe = fit_quasi_einstein(flat.metric, flat.ricci, tol)[0]
-        qcc = check_quasi_constant_curvature(flat.metric, flat.riemann, tol)[0]
+        qcc = check_quasi_constant_curvature(flat.metric, flat.riemann, [qe], tol)[0]
         frames, fits = {"m1": wf.frame1, "m2": wf.frame2, "m3": wf.frame3}, {}
         for m in sorted({frame.manifold.dim for frame in frames.values()}):
             same = [k for k, frame in frames.items() if frame.manifold.dim == m]

@@ -12,6 +12,7 @@ import pytest
 
 from seqwarp import factor
 from seqwarp.chart import ChartFrame, FactorManifold
+from seqwarp.classify import fit_quasi_einstein
 from seqwarp.expressions import Expr, evaluate
 
 
@@ -25,6 +26,14 @@ def sphere_factor(name: str = "sphere", theta: str = "theta", phi: str = "phi") 
 
 def halfplane_factor(name: str = "halfplane", p: str = "p", q: str = "q") -> FactorManifold:
     return factor(name, [p, q], [["1/q^2", "0"], ["0", "1/q^2"]])
+
+
+def contracted_fits(g, riemann) -> list:
+    """Quasi-Einstein fits of the Ricci contractions of an ``(N, m, m, m, m)``
+    curvature stack: the fits ``check_quasi_constant_curvature`` takes its
+    one-form from."""
+    g = np.asarray(g, dtype=float)
+    return fit_quasi_einstein(g, np.einsum("nil,nijkl->njk", np.linalg.inv(g), riemann))
 
 
 # ---------------------------------------------------------------------------

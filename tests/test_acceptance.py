@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import halfplane_factor, line_factor, sphere_factor
+from conftest import contracted_fits, halfplane_factor, line_factor, sphere_factor
 from seqwarp import SequentialWarpedProduct, WarpedFrame, factor, flatten_to_chart
 from seqwarp.chart import ChartFrame, sample_box
 from seqwarp.classify import (
@@ -195,8 +195,10 @@ def test_criterion_6_qcc_implies_qe(catalog_reports):
         t1, t2 = _qcc_basis(g, g @ u)
         a = float(rng.uniform(-2.0, 2.0))
         b = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0))
-        qcc = check_quasi_constant_curvature([g], [a * t1 + b * t2])[0]
-        assert qcc.passed and qcc.ricci_fit.succeeded, trial
+        r = [a * t1 + b * t2]
+        qe_fits = contracted_fits([g], r)
+        qcc = check_quasi_constant_curvature([g], r, qe_fits)[0]
+        assert qcc.passed and qe_fits[0].succeeded, trial
         checked += 1
     # over the catalog the implication is checked pointwise by the suite
     for name, report in catalog_reports.items():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import line_factor, sphere_factor
+from conftest import contracted_fits, line_factor, sphere_factor
 from seqwarp import SequentialWarpedProduct, classify, factor
 from seqwarp.chart import ChartFrame, DegenerateMetricError, FactorManifold, GeometryError
 from seqwarp.classify import (
@@ -139,14 +139,16 @@ class TestQuasiEinsteinFit:
 class TestQuasiConstantCurvature:
     def test_unit_sphere(self):
         frame = ChartFrame(sphere_factor(), [(1.2, 0.4)])
-        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
+        qe_fits = fit_quasi_einstein(frame.metric, frame.ricci)
+        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann, qe_fits)[0]
         assert qcc.passed
         assert qcc.a == pytest.approx(1.0, abs=1e-9)
         assert qcc.b == pytest.approx(0.0, abs=1e-9)
         assert qcc.residual <= 1e-9
 
     def test_flat_space(self):
-        qcc = check_quasi_constant_curvature([np.eye(4)], [np.zeros((4, 4, 4, 4))])[0]
+        g, r = [np.eye(4)], [np.zeros((4, 4, 4, 4))]
+        qcc = check_quasi_constant_curvature(g, r, contracted_fits(g, r))[0]
         assert qcc.passed
         assert qcc.a == pytest.approx(0.0, abs=1e-14)
         assert qcc.b == pytest.approx(0.0, abs=1e-14)
@@ -157,7 +159,8 @@ class TestQuasiConstantCurvature:
         g = np.eye(4)
         a_form = np.array([1.0, 0.0, 0.0, 0.0])
         t1, t2 = _qcc_basis(g, a_form)
-        qcc = check_quasi_constant_curvature([g], [2.0 * t1 + 0.5 * t2])[0]
+        r = [2.0 * t1 + 0.5 * t2]
+        qcc = check_quasi_constant_curvature([g], r, contracted_fits([g], r))[0]
         assert qcc.passed
         assert qcc.a == pytest.approx(2.0, abs=1e-10)
         assert qcc.b == pytest.approx(0.5, abs=1e-10)
@@ -167,7 +170,29 @@ class TestQuasiConstantCurvature:
         bad = np.zeros((3, 3, 3, 3))
         bad[0, 1, 0, 1] = 1.0  # no antisymmetric partner entries
         with pytest.raises(GeometryError, match="symmetries"):
-            check_quasi_constant_curvature([np.eye(3)], [bad])
+            check_quasi_constant_curvature([np.eye(3)], [bad], contracted_fits([np.eye(3)], [bad]))
+
+    def test_failed_quasi_einstein_fit_has_no_curvature_fit(self):
+        g = np.eye(3)
+        r = np.zeros((3, 3, 3, 3))
+        r[0, 1, 0, 1] = r[1, 0, 1, 0] = 2.0
+        r[0, 1, 1, 0] = r[1, 0, 0, 1] = -2.0
+        # a Ricci tensor with three distinct eigenvalues admits no rank-one fit
+        (qe,) = fit_quasi_einstein([g], [np.diag([1.0, 2.0, 3.0])])
+        assert not qe.succeeded
+        (qcc,) = check_quasi_constant_curvature([g], [r], [qe])
+        assert not qcc.passed
+        assert (qcc.a, qcc.b, qcc.A) == (None, None, None)
+        assert qcc.residual == 2.0
+        assert qcc.reason == "Ricci contraction admits no rank-one decomposition"
+
+    def test_one_quasi_einstein_fit_per_sample(self):
+        g, r = np.array([np.eye(3)] * 2), np.zeros((2, 3, 3, 3, 3))
+        qe_fits = contracted_fits(g, r)
+        for given in (qe_fits[:1], qe_fits * 2, []):
+            message = f"expected 2 quasi-Einstein fits, got {len(given)}"
+            with pytest.raises(ValueError, match=message):
+                check_quasi_constant_curvature(g, r, given)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -187,12 +212,14 @@ class TestQuasiConstantCurvature:
         u = rng.normal(size=dim)
         u = u / math.sqrt(u @ g @ u)
         t1, t2 = _qcc_basis(g, g @ u)
-        qcc = check_quasi_constant_curvature([g], [a * t1 + b * t2])[0]
+        r = [a * t1 + b * t2]
+        qe_fits = contracted_fits([g], r)
+        # the Ricci contraction of a two-coefficient tensor fits
+        assert qe_fits[0].succeeded
+        qcc = check_quasi_constant_curvature([g], r, qe_fits)[0]
         assert qcc.passed
         assert qcc.a == pytest.approx(a, abs=1e-8)
         assert qcc.b == pytest.approx(b, abs=1e-8)
-        # the Ricci contraction of a passing two-coefficient tensor fits
-        assert qcc.ricci_fit is not None and qcc.ricci_fit.succeeded
 
 
 class TestProposition1:
@@ -650,10 +677,11 @@ def test_fits_reject_input_that_is_not_finite():
     ric[0, 0] = np.inf
     with pytest.raises(GeometryError, match="quasi-Einstein fit input .* not finite"):
         fit_quasi_einstein([g], [ric])
+    einstein = fit_quasi_einstein([g], [np.zeros((3, 3))])
     with pytest.raises(GeometryError, match="curvature fit input .* not finite"):
-        check_quasi_constant_curvature([g], [np.full((3, 3, 3, 3), np.nan)])
+        check_quasi_constant_curvature([g], [np.full((3, 3, 3, 3), np.nan)], einstein)
     # finite input whose g (x) g basis overflows: a flat metric near the float limit
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(GeometryError, match="curvature basis .* not finite"):
-            check_quasi_constant_curvature([1e200 * np.eye(3)], [np.zeros((3, 3, 3, 3))])
+            check_quasi_constant_curvature([1e200 * np.eye(3)], [np.zeros((3, 3, 3, 3))], einstein)

@@ -8,7 +8,7 @@ import pytest
 from conftest import line_factor, sphere_factor
 from seqwarp import factor
 from seqwarp.chart import ChartFrame, SignatureError, sample_box, symmetry_residuals
-from seqwarp.classify import check_quasi_constant_curvature, fit_quasi_einstein
+from seqwarp.classify import QCCFit, QEFit, check_quasi_constant_curvature, fit_quasi_einstein
 from seqwarp.expressions import parse
 from seqwarp.spacetime import (
     GRWSpec,
@@ -20,6 +20,11 @@ from seqwarp.spacetime import (
     time_axis,
 )
 from seqwarp.warped import WarpedFrame, flatten_to_chart
+
+
+# a sample without a fit: its quasi-Einstein and curvature fits failed
+NO_QE = QEFit("neither", None, None, None, None, None, 1.0, float("inf"), (), "no fit")
+NO_QCC = QCCFit(False, None, None, None, 1.0, "no fit")
 
 
 def by_name(residuals) -> dict:
@@ -185,7 +190,7 @@ class TestStaticTheorem:
         ):
             warped = WarpedFrame(product, [point])
             flat = ChartFrame(flatten_to_chart(product), [point])
-            reports = by_name(ssst_theorem_check(warped, flat, [None], [None]))
+            reports = by_name(ssst_theorem_check(warped, flat, [NO_QE], [NO_QCC]))
             d3 = reports["ssst_d3"]
             assert passed(d3) and d3.values[0] <= 1e-7
             assert d3.details["recorded_sign"][0] == 1
@@ -205,7 +210,7 @@ class TestStaticTheorem:
         assert fit.beta == pytest.approx(1.0, abs=1e-10)
         assert fit.unit_sign == 1
         # U is spacelike, so the time-part premise is not met: informational
-        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
+        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann, [fit])[0]
         reports = by_name(ssst_theorem_check(WarpedFrame(product, [point]), frame, [fit], [qcc]))
         assert not gates(reports["ssst_d4"])
         assert not gates(reports["ssst_condition_i"])
@@ -223,7 +228,7 @@ class TestStaticTheorem:
         point = np.array([0.1, 0.2, 0.3])
         frame = ChartFrame(flatten_to_chart(product), [point])
         fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
-        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
+        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann, [fit])[0]
         assert fit.verdict == "einstein" and qcc.passed and abs(qcc.b) <= 1e-12
         reports = by_name(ssst_theorem_check(WarpedFrame(product, [point]), frame, [fit], [qcc]))
         form = reports["ssst_hessian_form_f"]
@@ -250,7 +255,7 @@ class TestRobertsonWalkerTheorem:
         point = np.array([0.3, 1.2, 0.4, 0.9])
         frame = ChartFrame(flatten_to_chart(product), [point])
         fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
-        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
+        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann, [fit])[0]
         reports = by_name(grw_theorem_check(WarpedFrame(product, [point]), frame, [fit], [qcc]))
         rel = reports["grw_beta_alpha"]
         assert passed(rel) and gates(rel)
@@ -274,7 +279,7 @@ class TestRobertsonWalkerTheorem:
         frame = ChartFrame(flatten_to_chart(product), [point])
         assert frame.ricci[0][0, 0] == pytest.approx(-2.0, rel=1e-10)
         fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
-        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
+        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann, [fit])[0]
         reports = by_name(grw_theorem_check(WarpedFrame(product, [point]), frame, [fit], [qcc]))
         e1 = reports["grw_e1_sign"]
         assert passed(e1)
@@ -317,7 +322,7 @@ class TestRobertsonWalkerTheorem:
         point = np.array([0.1, 0.4, 1.2, 0.3])
         frame = ChartFrame(flatten_to_chart(product), [point])
         fit = fit_quasi_einstein(frame.metric, frame.ricci)[0]
-        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
+        qcc = check_quasi_constant_curvature(frame.metric, frame.riemann, [fit])[0]
         reports = by_name(grw_theorem_check(WarpedFrame(product, [point]), frame, [fit], [qcc]))
         m3 = reports["grw_m3_einstein"].details["fit"][0].summary()
         assert m3["verdict"] == "einstein"
@@ -337,7 +342,7 @@ class TestRobertsonWalkerTheorem:
             assert fit.unit_sign == -1  # timelike direction field
             assert fit.alpha == pytest.approx(0.0, abs=1e-10)
             assert fit.beta == pytest.approx(1.0 / (2.0 * t * t), rel=1e-8)
-            qcc = check_quasi_constant_curvature(frame.metric, frame.riemann)[0]
+            qcc = check_quasi_constant_curvature(frame.metric, frame.riemann, [fit])[0]
             assert qcc.passed and abs(qcc.b) > 1e-3
             reports = by_name(grw_theorem_check(WarpedFrame(product, [point]), frame, [fit], [qcc]))
             rel = reports["grw_beta_alpha"]

@@ -218,6 +218,29 @@ class TestRunVerify:
         assert any("sign: negated" in n for n in report.convention_notes)
 
 
+@pytest.mark.parametrize("name", ["exp_warp", "planted_qe", "sphere_fiber"])
+def test_run_verify_fits_the_flat_stack_once(name, monkeypatch):
+    """The curvature fit takes its one-form from the quasi-Einstein fit of
+    the same stack: no second fit of the flat stack runs."""
+    import seqwarp.classify as classify
+    import seqwarp.verify as verify
+
+    shapes = []
+    original = classify.fit_quasi_einstein
+
+    def spy(g, ric, *rest):
+        shapes.append(np.shape(g))
+        return original(g, ric, *rest)
+
+    for module in (classify, verify):
+        monkeypatch.setattr(module, "fit_quasi_einstein", spy)
+    spec = catalog_spec(name)
+    assert spec.kind == "swp"
+    run_verify(spec, points=4)
+    dim = spec.product.dim
+    assert shapes.count((4, dim, dim)) == 1
+
+
 @pytest.mark.parametrize("name", CATALOG)
 def test_run_verify_builds_one_warped_frame_per_sample(name, monkeypatch):
     """One stacked warped frame and one stacked frame per chart over all
@@ -283,9 +306,10 @@ class TestRunClassify:
         received = []
         for name in ("fit_quasi_einstein", "check_quasi_constant_curvature"):
 
-            def recording(g, tensor, tol=None, _name=name, _original=getattr(verify, name)):
-                received.append((_name, tol))
-                return _original(g, tensor) if tol is None else _original(g, tensor, tol)
+            def recording(g, tensor, *rest, _name=name, _original=getattr(verify, name)):
+                # the tolerance: what follows the tensor, but the curvature fit's QE fits
+                received.append((_name, *[x for x in rest if not isinstance(x, list)]))
+                return _original(g, tensor, *rest)
 
             monkeypatch.setattr(verify, name, recording)
         data = json.loads(catalog_path("sphere_fiber").read_text())
@@ -449,6 +473,25 @@ class TestCli:
         path = self._planted_spec(tmp_path, "exp_warp", planted)
         err = self._one_line_exit_2(capsys, ["verify", path])
         assert err.startswith(f"error: {field}: expected a finite number, got ")
+
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("periodic", "true", "periodic.x: expected a positive finite number, got True"),
+            ("periodic", "NaN", "periodic.x: expected a positive finite number, got nan"),
+            ("periodic", "Infinity", "periodic.x: expected a positive finite number, got inf"),
+            ("periodic", "1e400", "periodic.x: expected a positive finite number, got inf"),
+            ("dim", "true", "dim: expected int"),
+        ],
+        ids=["period-true", "period-nan", "period-infinity", "period-1e400", "dim-true"],
+    )
+    def test_factor_field_not_a_number_exit_code(self, tmp_path, capsys, key, raw, message):
+        data = json.loads(catalog_path("circle_lambda").read_text())
+        data["factors"][0][key] = {"x": "@"} if key == "periodic" else "@"
+        path = tmp_path / "circle_lambda.json"
+        path.write_text(json.dumps(data).replace('"@"', raw))
+        err = self._one_line_exit_2(capsys, ["verify", str(path)])
+        assert err == f"error: factors[0].{message}\n"
 
     @pytest.mark.parametrize(
         "name, planted, message",

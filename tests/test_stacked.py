@@ -50,6 +50,7 @@ from seqwarp.verify import (
 )
 from seqwarp.warped import BlockVector, PositivityError, WarpedFrame, flatten_to_chart
 
+from conftest import contracted_fits
 from jet_reference import reference_jets
 
 STAGES = (
@@ -292,7 +293,7 @@ def premise_fits(product, count: int) -> tuple[list, list]:
             qes.append(QEFit("quasi-einstein", 0.2 * i - 0.5, 0.1 * i + 0.3, u, u, 1, 0.0, 1.0, ()))
         else:
             qes.append(QEFit("neither", None, None, None, None, None, 1.0, float("inf"), ()))
-        qccs.append(QCCFit(True, 0.4 - 0.1 * i, 0.2 + 0.05 * i, u, 0.0, None))
+        qccs.append(QCCFit(True, 0.4 - 0.1 * i, 0.2 + 0.05 * i, u, 0.0))
     return qes, qccs
 
 
@@ -306,8 +307,8 @@ def test_evaluators_on_a_stack_match_one_point_calls(name):
     ones = [WarpedFrame(product, point[None]) for point in points]
     qe_fits = [fit_quasi_einstein(g[None], ric[None])[0] for g, ric in zip(flat.metric, flat.ricci)]
     qcc_fits = [
-        check_quasi_constant_curvature(g[None], r[None])[0]
-        for g, r in zip(flat.metric, flat.riemann)
+        check_quasi_constant_curvature(g[None], r[None], [qe])[0]
+        for g, r, qe in zip(flat.metric, flat.riemann, qe_fits)
     ]
     # per-sample decompositions, and a made-up one where the fit failed
     decompositions = [
@@ -587,7 +588,7 @@ def reference_qe(g: np.ndarray, ric: np.ndarray, tol: float = 1e-6) -> QEFit:
                  1 if causal > 0 else -1, residual, abs(sigma), eigenvalues)
 
 
-def reference_qcc(g: np.ndarray, r: np.ndarray, tol: float = 1e-6) -> QCCFit:
+def reference_qcc(g: np.ndarray, r: np.ndarray, qe: QEFit, tol: float = 1e-6) -> QCCFit:
     if not (np.isfinite(g).all() and np.isfinite(r).all()):
         raise GeometryError("curvature fit input (metric or curvature tensor) is not finite")
     scale = 1.0 + float(np.max(np.abs(r)))
@@ -598,11 +599,10 @@ def reference_qcc(g: np.ndarray, r: np.ndarray, tol: float = 1e-6) -> QCCFit:
     )
     if worst > 1e-6 * scale:
         raise GeometryError(f"input tensor lacks curvature symmetries (residual {worst:.3e})")
-    ricci_fit = reference_qe(g, np.einsum("il,ijkl->jk", np.linalg.inv(g), r), tol)
-    if not ricci_fit.succeeded:
-        return QCCFit(False, None, None, None, float(np.max(np.abs(r))), ricci_fit,
+    if not qe.succeeded:
+        return QCCFit(False, None, None, None, float(np.max(np.abs(r))),
                       "Ricci contraction admits no rank-one decomposition")
-    a_form = ricci_fit.A
+    a_form = qe.A
     with np.errstate(over="ignore", invalid="ignore"):
         t1 = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
         t2 = (
@@ -619,7 +619,7 @@ def reference_qcc(g: np.ndarray, r: np.ndarray, tol: float = 1e-6) -> QCCFit:
     coeffs, *_ = np.linalg.lstsq(design, r.ravel(), rcond=None)
     a, b = float(coeffs[0]), float(coeffs[1])
     residual = float(np.max(np.abs(r - a * t1 - b * t2)))
-    return QCCFit(bool(residual <= tol * scale), a, b, a_form, residual, ricci_fit)
+    return QCCFit(bool(residual <= tol * scale), a, b, a_form, residual)
 
 
 def assert_same_fit(stacked, reference, what: str) -> None:
@@ -628,22 +628,24 @@ def assert_same_fit(stacked, reference, what: str) -> None:
     for fld in dataclasses.fields(reference):
         x, y = getattr(stacked, fld.name), getattr(reference, fld.name)
         where = f"{what}.{fld.name}"
-        if isinstance(y, QEFit):
-            assert_same_fit(x, y, where)
-        elif isinstance(y, (float, tuple, np.ndarray)):
+        if isinstance(y, (float, tuple, np.ndarray)):
             assert type(x) is type(y) and np.shape(x) == np.shape(y), where
             assert np.asarray(x, float).tobytes() == np.asarray(y, float).tobytes(), where
         else:
             assert type(x) is type(y) and x == y, where
 
 
-def assert_fits_match_reference(fit, reference, g, tensor, tol, what: str) -> None:
-    """``fit(g, tensor, tol)`` on the stack against ``reference`` sample by sample,
-    and a stack of one against the reference at the first sample."""
-    for i, stacked in enumerate(fit(g, tensor, tol)):
-        assert_same_fit(stacked, reference(g[i], tensor[i], tol), f"{what} sample {i}")
-    (one,) = fit(g[:1], tensor[:1], tol)
-    assert_same_fit(one, reference(g[0], tensor[0], tol), f"{what} one point")
+def assert_fits_match_reference(fit, reference, g, tensor, tol, what: str, *given) -> None:
+    """``fit(g, tensor, *given, tol)`` on the stack against ``reference`` sample
+    by sample, and a stack of one against the reference at the first sample;
+    each of ``given`` holds one entry per sample."""
+    def per_point(i: int):
+        return reference(g[i], tensor[i], *(x[i] for x in given), tol)
+
+    for i, stacked in enumerate(fit(g, tensor, *given, tol)):
+        assert_same_fit(stacked, per_point(i), f"{what} sample {i}")
+    (one,) = fit(g[:1], tensor[:1], *(x[:1] for x in given), tol)
+    assert_same_fit(one, per_point(0), f"{what} one point")
 
 
 @pytest.mark.parametrize("name", (*SPECS, "non_diagonal"))
@@ -655,8 +657,10 @@ def test_stacked_fits_match_the_per_point_fits(name):
     assert_fits_match_reference(
         fit_quasi_einstein, reference_qe, flat.metric, flat.ricci, 1e-6, f"{name} ambient"
     )
+    qe_fits = fit_quasi_einstein(flat.metric, flat.ricci, 1e-6)
     assert_fits_match_reference(
-        check_quasi_constant_curvature, reference_qcc, flat.metric, flat.riemann, 1e-6, name
+        check_quasi_constant_curvature, reference_qcc, flat.metric, flat.riemann, 1e-6, name,
+        qe_fits,
     )
     for frame in (warped.frame1, warped.frame2, warped.frame3):
         m = frame.manifold.dim
@@ -754,30 +758,34 @@ def qcc_branch_stack() -> tuple[np.ndarray, np.ndarray, list]:
 
 def test_stacked_curvature_fits_match_the_per_point_fits_on_every_branch():
     g, r, expected = qcc_branch_stack()
-    fits = check_quasi_constant_curvature(g, r)
+    qe_fits = contracted_fits(g, r)
+    assert [fit.succeeded for fit in qe_fits] == [True, True, True, False, True]
+    fits = check_quasi_constant_curvature(g, r, qe_fits)
     assert [fit.passed for fit in fits] == expected
-    assert [fit.ricci_fit.succeeded for fit in fits] == [True, True, True, False, True]
-    assert_fits_match_reference(check_quasi_constant_curvature, reference_qcc, g, r, 1e-6, "QCC")
     assert_fits_match_reference(
-        check_quasi_constant_curvature, reference_qcc, g[::-1], r[::-1], 1e-6, "reordered"
+        check_quasi_constant_curvature, reference_qcc, g, r, 1e-6, "QCC", qe_fits
+    )
+    assert_fits_match_reference(
+        check_quasi_constant_curvature, reference_qcc, g[::-1], r[::-1], 1e-6, "reordered",
+        qe_fits[::-1],
     )
 
 
-def first_reference_error(reference, g, tensor) -> tuple[int, str]:
+def first_reference_error(reference, g, tensor, *given) -> tuple[int, str]:
     """The sample and message of the first error a loop of per-point fits raises."""
     for i in range(len(g)):
         try:
-            reference(g[i], tensor[i])
+            reference(g[i], tensor[i], *(x[i] for x in given))
         except GeometryError as exc:
             return i, str(exc)
     raise AssertionError("no sample fails")
 
 
-def assert_raises_like_the_loop(fit, reference, g, tensor, sample: int) -> str:
-    expected = first_reference_error(reference, g, tensor)
+def assert_raises_like_the_loop(fit, reference, g, tensor, sample: int, *given) -> str:
+    expected = first_reference_error(reference, g, tensor, *given)
     assert expected[0] == sample
     with pytest.raises(FitInputError) as raised:
-        fit(g, tensor)
+        fit(g, tensor, *given)
     assert (raised.value.sample, str(raised.value)) == expected
     return expected[1]
 
@@ -790,11 +798,12 @@ def test_fit_input_errors_name_the_first_failing_sample():
     assert message == "quasi-Einstein fit input (metric or Ricci tensor) is not finite"
 
     g, r, _ = qcc_branch_stack()
+    qe_fits = contracted_fits(g, r)
     not_finite, asymmetric, huge, huge_r = r.copy(), r.copy(), g.copy(), r.copy()
     not_finite[2, 0, 1, 0, 1] = np.inf
     asymmetric[1, 0, 1, 0, 1] += 1.0
-    # finite, but g (x) g overflows; at sample 3 the Ricci fit fails, so no
-    # basis is built there
+    # finite, but g (x) g overflows; at sample 3 the quasi-Einstein fit
+    # fails, so no basis is built there
     huge[3:] *= 1e200
     huge_r[3] *= 1e200
     for metric, tensor, sample, text in (
@@ -803,14 +812,16 @@ def test_fit_input_errors_name_the_first_failing_sample():
         (huge, huge_r, 4, "two-coefficient curvature basis (products of metric entries) is not finite"),
     ):
         message = assert_raises_like_the_loop(
-            check_quasi_constant_curvature, reference_qcc, metric, tensor, sample
+            check_quasi_constant_curvature, reference_qcc, metric, tensor, sample, qe_fits
         )
         assert message == text
     # each sample is checked in full before the next: a basis overflow at
     # sample 1 comes before a tensor that is not finite at sample 2
     early = g.copy()
     early[1] *= 1e200
-    assert_raises_like_the_loop(check_quasi_constant_curvature, reference_qcc, early, not_finite, 1)
+    assert_raises_like_the_loop(
+        check_quasi_constant_curvature, reference_qcc, early, not_finite, 1, qe_fits
+    )
 
 
 def test_quasi_einstein_input_errors_come_before_curvature_ones():
