@@ -371,15 +371,15 @@ class ChartFrame:
         except DomainError as exc:
             if exc.node:
                 ChartFrame(self.manifold, points[: exc.node]).validate()
-            raise DomainError(
-                f"metric of {name!r}: {exc.reason} at {self.where(exc.node)}"
-            ) from None
+            err = DomainError(f"metric of {name!r}: {exc.reason} at {self.where(exc.node)}")
+            err.node, err.reason = exc.node, f"metric of {name!r}: {exc.reason}"
+            raise err from None
         finite = np.isfinite(g).all(axis=(1, 2))
         asymmetric = np.zeros(len(points), dtype=bool)
         for (i, j), values in zip(mirrored, lower):
             asymmetric |= values != g[:, j, i]
-        safe = np.where(finite[:, None, None], g, np.eye(m))
-        degenerate = is_degenerate(safe)
+        safe = g if finite.all() else np.where(finite[:, None, None], g, np.eye(m))
+        degenerate = self._degenerate if finite.all() else is_degenerate(safe)
         eigs = np.linalg.eigvalsh(safe)
         negatives = np.sum(eigs < 0.0, axis=1)
         lorentzian = self.manifold.signature == "lorentzian"
@@ -432,12 +432,17 @@ class ChartFrame:
         return np.linalg.det(self.metric)
 
     @cached_property
+    def _degenerate(self) -> np.ndarray:
+        """``is_degenerate`` of the metric values, read by ``inverse`` and ``validate``."""
+        return is_degenerate(self._metric_jets[0])
+
+    @cached_property
     def inverse(self) -> np.ndarray:
-        degenerate = is_degenerate(self.metric)
+        g, degenerate = self.metric, self._degenerate
         if degenerate.any():
             k = int(np.argmax(degenerate))
-            raise DegenerateMetricError(self.manifold.name, self.point[k], self.metric[k])
-        return np.linalg.inv(self.metric)
+            raise DegenerateMetricError(self.manifold.name, self.point[k], g[k])
+        return np.linalg.inv(g)
 
     @cached_property
     def dinverse(self) -> np.ndarray:

@@ -10,9 +10,10 @@ Three layers live here:
   quasi-Einstein fit of the same stack;
 * identity evaluators tying factor curvature to a rank-one ambient
   decomposition (``proposition1_residuals``, one ``(N,)`` residual array
-  per factor), the scalar fields carrying the warping energies
-  (``lambda_at`` / ``nu_at``), and volume-averaged forms of those fields
-  over fully periodic factors (``torus_average_identity``).  The torus
+  per factor: the closed Ricci tensor of the frame against the
+  decomposition, block by block), the scalar fields carrying the warping
+  energies (``lambda_at`` / ``nu_at``), and volume-averaged forms of those
+  fields over fully periodic factors (``torus_average_identity``).  The torus
   quadrature is the one place that evaluates geometry at thousands of
   points; it evaluates the grid in blocks of nodes, one ``ChartFrame`` per
   block that carries the averaged field and the warpings as its fields,
@@ -32,6 +33,10 @@ per-sample residuals to ``seqwarp.verify``, which reduces each to one
 Every evaluator takes the ``WarpedFrame`` it reads, built at sample points
 of shape ``(N, d)``, and returns per sample an ``(N,)`` array or a list of
 N results; one frame serves all of them, and one point is a stack of one.
+Proposition 1 and the lambda and nu fields read Lemma 3's warping terms
+(``(m2/f) H^f``, ``(m3/h) H^h`` and the energies ``f_energy`` and
+``h_energy``) from the frame, which computes each once; only the torus
+integrand, which works on grid arrays rather than a frame, writes its own.
 """
 
 from __future__ import annotations
@@ -420,64 +425,42 @@ def proposition1_residuals(
     """Residuals of the three factor Ricci identities implied by an
     ambient decomposition Ric = alpha g + beta A (x) A.
 
-    Factor Ricci tensors come from the factor charts; warping terms from
-    the closed-form frame.  One ``(N,)`` array per factor, M1, M2, M3: the
-    max |Ric_i - rhs_i| of each sample, with ``alpha``, ``beta`` and ``U``
-    given once or per sample.
+    On the block of factor k the decomposition reads
+    alpha w_k^2 g_k + beta w_k^4 a_k (x) a_k, with w = (1, f, h) and
+    a_k = g_k U_k, and the identity is that it equals the closed Ricci
+    tensor of ``frame`` there: the factor's own Ricci tensor minus its
+    warping terms.  One ``(N,)`` array per factor, M1, M2, M3: the max
+    |Ric_kk - (alpha w_k^2 g_k + beta w_k^4 a_k (x) a_k)| of each sample,
+    with ``alpha``, ``beta`` and ``U`` given once or per sample.
     """
     alpha, beta, u = qe
     ub = BlockVector.from_ambient(frame.product, u)
-    d1, m2, m3 = frame.product.dims
-    f, h = frame.f_value, frame.h_value
-
-    g1, g2, g3 = frame.frame1.metric, frame.frame2.metric, frame.frame3.metric
-    hh = frame.hess_h
-
-    a1 = matvec(g1, ub.x1)
-    rhs1 = (
-        _per_sample(alpha, 2) * g1
-        + _per_sample(beta, 2) * outer(a1, a1)
-        + _per_sample(m2 / f, 2) * frame.hess_f
-        + _per_sample(m3 / h, 2) * hh[..., :d1, :d1]
-    )
-    res1 = max_abs(frame.frame1.ricci - rhs1, 2)
-
-    a2 = matvec(g2, ub.x2)
-    rhs2 = (
-        _per_sample(lambda_at(frame, alpha), 2) * g2
-        + _per_sample(beta * per_sample_power(f, 4), 2) * outer(a2, a2)
-        + _per_sample(m3 / h, 2) * hh[..., d1:, d1:]
-    )
-    res2 = max_abs(frame.frame2.ricci - rhs2, 2)
-
-    a3 = matvec(g3, ub.x3)
-    rhs3 = _per_sample(nu_at(frame, alpha), 2) * g3 + _per_sample(
-        beta * per_sample_power(h, 4), 2
-    ) * outer(a3, a3)
-    res3 = max_abs(frame.frame3.ricci - rhs3, 2)
-    return res1, res2, res3
+    residuals = []
+    for sl, factor, w, u_k in zip(
+        frame.product.block_slices,
+        (frame.frame1, frame.frame2, frame.frame3),
+        (np.ones_like(frame.f_value), frame.f_value, frame.h_value),
+        (ub.x1, ub.x2, ub.x3),
+    ):
+        g = factor.metric
+        a = matvec(g, u_k)
+        stated = _per_sample(alpha * per_sample_power(w, 2), 2) * g + _per_sample(
+            beta * per_sample_power(w, 4), 2
+        ) * outer(a, a)
+        residuals.append(max_abs(frame.ricci[..., sl, sl] - stated, 2))
+    return tuple(residuals)
 
 
 def lambda_at(frame: WarpedFrame, alpha: float | np.ndarray) -> np.ndarray:
-    """alpha f^2 + f (Lap f on the first factor) + (m2 - 1) |grad f|^2, per
-    sample, with ``alpha`` given once or per sample."""
-    m2 = frame.product.m2.dim
-    return (
-        alpha * per_sample_power(frame.f_value, 2)
-        + frame.f_value * frame.lap_f
-        + (m2 - 1) * frame.grad_f_norm2
-    )
+    """alpha f^2 + ``frame.f_energy`` per sample, with ``alpha`` given once
+    or per sample."""
+    return alpha * per_sample_power(frame.f_value, 2) + frame.f_energy
 
 
 def nu_at(frame: WarpedFrame, alpha: float | np.ndarray) -> np.ndarray:
-    """alpha h^2 + h (Lap h on the inner chart) + (m3 - 1) |grad h|^2, per
-    sample, with ``alpha`` given once or per sample."""
-    m3 = frame.product.m3.dim
-    return (
-        alpha * per_sample_power(frame.h_value, 2)
-        + frame.h_value * frame.lap_h
-        + (m3 - 1) * frame.grad_h_norm2
-    )
+    """alpha h^2 + ``frame.h_energy`` per sample, with ``alpha`` given once
+    or per sample."""
+    return alpha * per_sample_power(frame.h_value, 2) + frame.h_energy
 
 
 # ---------------------------------------------------------------------------

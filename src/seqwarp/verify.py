@@ -389,10 +389,10 @@ def _fit_identities(ctx: _Context):
     gaps, covered = np.zeros(n), np.zeros(n, dtype=bool)
     if applicable:
         covered = fitted if spec.planted is None else np.ones(n, dtype=bool)
-        stated = ctx.warped.factor_scalars(
-            ctx.decomposition if spec.planted is None else spec.planted
-        )
-        gaps = np.max([abs(a - b) for a, b in zip(ctx.warped.factor_scalars(), stated)], axis=0)
+        warped = ctx.warped
+        stated = warped.factor_scalars(ctx.decomposition if spec.planted is None else spec.planted)
+        scalars = (warped.frame1.scalar, warped.frame2.scalar, warped.frame3.scalar)
+        gaps = np.max([abs(a - b) for a, b in zip(scalars, stated)], axis=0)
     note = (
         ""
         if applicable
@@ -517,6 +517,18 @@ def _convention_notes(reports: dict[str, IdentityReport]) -> list[str]:
     return notes
 
 
+def _validate(warped: WarpedFrame, flat: ChartFrame) -> None:
+    """Raise ``GeometryError`` or ``DomainError`` at the first domain problem
+    of the input (schema problems were caught at load time): each factor
+    metric, then the flat metric, as ``ChartFrame.validate`` checks it; the
+    warpings' positivity; an overflow in the jets of the flat metric, which
+    carries every factor metric and both warpings."""
+    for frame in (warped.frame1, warped.frame2, warped.frame3, flat):
+        frame.validate()
+    _ = (warped.f_value, warped.h_value)
+    _ = flat.metric
+
+
 def run_verify(
     spec: ManifoldSpec,
     points: int | None = None,
@@ -538,18 +550,10 @@ def run_verify(
     product = spec.product
     samples = spec.sample_points(n_points, seed_used)
 
-    # input validation: schema problems were caught at load time, domain
-    # problems (degeneracy, signature, positivity, an expression outside its
-    # domain, overflow) surface here
     try:
         warped = WarpedFrame(product, samples)
         flat = ChartFrame(flatten_to_chart(product), samples)
-        for frame in (warped.frame1, warped.frame2, warped.frame3, flat):
-            frame.validate()
-        _ = (warped.f_value, warped.h_value)
-        # the flat metric carries every factor metric and both warpings, so
-        # its jets are where an overflow anywhere in the spec shows
-        _ = flat.metric
+        _validate(warped, flat)
     except (GeometryError, DomainError) as exc:
         raise VerificationInputError(str(exc)) from exc
 
@@ -595,6 +599,9 @@ def run_classify(spec: ManifoldSpec, at: dict | None = None) -> dict:
         wf = WarpedFrame(product, point[None])
         _ = (wf.f_value, wf.h_value)
         _ = (flat.ricci, flat.riemann, wf.frame1.ricci, wf.frame2.ricci, wf.frame3.ricci)
+        # after the reads above, whose errors name the whole point: what
+        # they leave unchecked (signature, asymmetry) exits 2 as in verify
+        _validate(wf, flat)
     except GeometryError as exc:
         raise VerificationInputError(str(exc)) from exc
     except DomainError as exc:

@@ -357,6 +357,18 @@ class WarpedFrame:
         return self.inner_frame.grad_norm2(self.product.h)
 
     @cached_property
+    def f_energy(self) -> np.ndarray:
+        """f Lap f + (m2 - 1) |grad f|^2 per sample: the warping term of the
+        M2 block of the Ricci tensor, and of lambda."""
+        return self.f_value * self.lap_f + (self.product.m2.dim - 1) * self.grad_f_norm2
+
+    @cached_property
+    def h_energy(self) -> np.ndarray:
+        """h Lap h + (m3 - 1) |grad h|^2 per sample: the warping term of the
+        M3 block of the Ricci tensor, and of nu."""
+        return self.h_value * self.lap_h + (self.product.m3.dim - 1) * self.grad_h_norm2
+
+    @cached_property
     def raised_hess_f(self) -> np.ndarray:
         """(nabla grad f)^k_a on the first factor."""
         return self.frame1.inverse @ self.hess_f
@@ -487,25 +499,19 @@ class WarpedFrame:
 
     @cached_property
     def ricci(self) -> np.ndarray:
-        m2, m3 = self.product.m2.dim, self.product.m3.dim
+        """The Ricci tensor of Lemma 3, block by block: each factor's Ricci
+        tensor minus (m2/f) H^f on M1, (m3/h) H^h on the inner blocks, and
+        the energies ``f_energy`` g2 and ``h_energy`` g3 on M2 and M3."""
+        d1, m2, m3 = self.product.dims
         f, h = _per_sample(self.f_value, 2), _per_sample(self.h_value, 2)
-        d1 = self.product.m1.dim
-
-        hh = self.hess_h
-        b11 = (
-            self.frame1.ricci
-            - (m2 / f) * self.hess_f
-            - (m3 / h) * hh[..., :d1, :d1]
-        )
+        outer_hess = (m3 / h) * self.hess_h
+        b11 = self.frame1.ricci - (m2 / f) * self.hess_f - outer_hess[..., :d1, :d1]
         b22 = (
             self.frame2.ricci
-            - _per_sample(self.f_value * self.lap_f + (m2 - 1) * self.grad_f_norm2, 2)
-            * self.frame2.metric
-            - (m3 / h) * hh[..., d1:, d1:]
+            - _per_sample(self.f_energy, 2) * self.frame2.metric
+            - outer_hess[..., d1:, d1:]
         )
-        b33 = self.frame3.ricci - _per_sample(
-            self.h_value * self.lap_h + (m3 - 1) * self.grad_h_norm2, 2
-        ) * self.frame3.metric
+        b33 = self.frame3.ricci - _per_sample(self.h_energy, 2) * self.frame3.metric
 
         d = self.product.dim
         out = np.zeros(self._lead + (d, d))
@@ -519,12 +525,10 @@ class WarpedFrame:
     def scalar(self) -> np.ndarray:
         return np.einsum("...ij,...ij->...", self.ambient_inverse, self.ricci)
 
-    def factor_scalars(self, qe=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Factor scalar curvatures per sample by contraction, or the closed
-        rank-one decomposition values when ``qe = (alpha, beta, U)`` is
-        supplied, each given once or per sample."""
-        if qe is None:
-            return (self.frame1.scalar, self.frame2.scalar, self.frame3.scalar)
+    def factor_scalars(self, qe) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The factor scalar curvatures per sample that the printed corollary
+        states for the decomposition ``qe = (alpha, beta, U)``, each given
+        once or per sample."""
         alpha, beta, u = qe
         u = BlockVector.from_ambient(self.product, u)
         m1, m2, m3 = self.product.dims
@@ -534,12 +538,11 @@ class WarpedFrame:
         g3u = dot(vecmat(u.x3, self.frame3.metric), u.x3)
         s1 = alpha * m1 + beta * g1u + (m2 / f) * self.lap_f + (m3 / h) * self.lap_h
         s2 = (
-            (alpha * per_sample_power(f, 2) + f * self.lap_f + (m2 - 1) * self.grad_f_norm2) * m2
+            (alpha * per_sample_power(f, 2) + self.f_energy) * m2
             + beta * per_sample_power(f, 4) * g2u
             + (m3 / h) * self.lap_h
         )
         s3 = (
-            alpha * per_sample_power(h, 2) + h * self.lap_h + (m3 - 1) * self.grad_h_norm2
+            alpha * per_sample_power(h, 2) + self.h_energy
         ) * m3 + beta * per_sample_power(h, 4) * g3u
         return s1, s2, s3
-

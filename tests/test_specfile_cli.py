@@ -636,6 +636,45 @@ class TestCli:
         err = self._one_line_exit_2(capsys, ["classify", str(path), "--at", "x=0"])
         assert err.endswith("is degenerate at [0.0, 0.0, 0.0]: |det g| = 0.000e+00\n")
 
+    @pytest.mark.parametrize(
+        "factor, box, message",
+        [
+            # negative definite at the box centre, the point classify takes
+            (
+                {"metric": [["x"]]},
+                {"x": [-1.0, -0.5]},
+                "'a': expected positive-definite metric, eigenvalues [-0.75] at [-0.75]",
+            ),
+            # the curvature of an asymmetric metric reads its upper triangle
+            (
+                {"coords": ["x", "y"], "metric": [["1", "0.5"], ["0", "1"]]},
+                {},
+                "'a': metric entries asymmetric at [0.0, 0.0]",
+            ),
+            (
+                {"metric": [["-1"]]},
+                {},
+                "'a': expected positive-definite metric, eigenvalues [-1.] at [0.0]",
+            ),
+            # only validation evaluates a lower entry that differs from its mirror
+            (
+                {"coords": ["x", "y"], "metric": [["1", "0"], ["sqrt(y)", "1"]]},
+                {"y": [-1.0, -0.5]},
+                "metric of 'a': sqrt of negative value -0.75 in 'sqrt(y)' "
+                "at [0.0, -0.75, 0.0, 0.0]",
+            ),
+        ],
+        ids=["negative_definite", "asymmetric", "riemannian_minus_one", "lower_entry_domain"],
+    )
+    def test_invalid_factor_metric_classify_exit_code(self, tmp_path, capsys, factor, box, message):
+        data = minimal_spec()
+        data["factors"][0].update(factor)
+        data["sampling"]["boxes"] = box
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(data))
+        assert self._one_line_exit_2(capsys, ["classify", str(path)]) == f"error: {message}\n"
+        self._one_line_exit_2(capsys, ["verify", str(path)])
+
     def test_metric_overflowing_at_a_sample_exit_code(self, tmp_path, capsys):
         path = self._lines_spec(tmp_path, f="exp(800*x)", box={"x": [0.2, 1.2]})
         err = self._one_line_exit_2(capsys, ["verify", path])

@@ -64,8 +64,8 @@ FIELD_METHODS = (
 )
 WARPED_STAGES = (
     "f_value", "h_value", "df", "grad_f", "hess_f", "lap_f", "grad_f_norm2", "dh",
-    "grad_h", "hess_h", "lap_h", "grad_h_norm2", "christoffel", "riemann_up", "ricci",
-    "scalar",
+    "grad_h", "hess_h", "lap_h", "grad_h_norm2", "f_energy", "h_energy", "christoffel",
+    "riemann_up", "ricci", "scalar",
 )
 SAMPLES = 6
 
@@ -323,10 +323,9 @@ def test_evaluators_on_a_stack_match_one_point_calls(name):
         s = evaluator(stack, 0.7)
         o = [evaluator(one, 0.7)[0] for one in ones]
         assert_agree(s, o, evaluator.__name__)
-    for qe, qe_of in ((None, lambda i: None), (per_sample, lambda i: decompositions[i])):
-        for k, s in enumerate(stack.factor_scalars(qe)):
-            o = [one.factor_scalars(qe_of(i))[k][0] for i, one in enumerate(ones)]
-            assert_agree(s, o, f"factor_scalars[{k}]")
+    for k, s in enumerate(stack.factor_scalars(per_sample)):
+        o = [one.factor_scalars(decompositions[i])[k][0] for i, one in enumerate(ones)]
+        assert_agree(s, o, f"factor_scalars[{k}]")
 
     lam = lambda_at(stack, 0.7)
     shared = decompositions[0]
@@ -351,6 +350,75 @@ def test_evaluators_on_a_stack_match_one_point_calls(name):
                 one_flat = ChartFrame(flatten_to_chart(product), one.point)
                 single = check(one, one_flat, [qes[i]], [qccs[i]])
                 assert_residuals_agree(stacked, i, single, f"{spec.kind} {i}")
+
+
+def printed_proposition1(frame: WarpedFrame, qe) -> list[np.ndarray]:
+    """Proposition 1 in its printed form, the warping terms on the side of
+    the decomposition, each written out from the frame's warping jets:
+
+        Ric_1 = alpha g1 + beta a1 (x) a1 + (m2/f) H^f + (m3/h) H^h|_11
+        Ric_2 = lambda g2 + beta f^4 a2 (x) a2 + (m3/h) H^h|_22
+        Ric_3 = nu g3 + beta h^4 a3 (x) a3
+
+    with a_k = g_k U_k, lambda = alpha f^2 + f Lap f + (m2 - 1)|grad f|^2 and
+    nu = alpha h^2 + h Lap h + (m3 - 1)|grad h|^2.  Per factor, the max
+    |Ric_k - rhs_k| of each sample."""
+    alpha, beta, u = (np.asarray(x, dtype=float) for x in qe)
+    n = len(frame.point)
+    alpha, beta = np.broadcast_to(alpha, (n,)), np.broadcast_to(beta, (n,))
+    u = np.broadcast_to(u, (n, frame.product.dim))
+    d1, m2, m3 = frame.product.dims
+    f, h = frame.f_value, frame.h_value
+    lam = alpha * f**2 + f * frame.lap_f + (m2 - 1) * frame.grad_f_norm2
+    nu = alpha * h**2 + h * frame.lap_h + (m3 - 1) * frame.grad_h_norm2
+    hh = frame.hess_h
+    factors = (frame.frame1, frame.frame2, frame.frame3)
+    g1, g2, g3 = (fr.metric for fr in factors)
+    a1, a2, a3 = (
+        np.einsum("nij,nj->ni", fr.metric, u[:, sl])
+        for fr, sl in zip(factors, frame.product.block_slices)
+    )
+
+    def aa(a):
+        return np.einsum("ni,nj->nij", a, a)
+
+    rhs = (
+        alpha[:, None, None] * g1
+        + beta[:, None, None] * aa(a1)
+        + (m2 / f)[:, None, None] * frame.hess_f
+        + (m3 / h)[:, None, None] * hh[:, :d1, :d1],
+        lam[:, None, None] * g2
+        + (beta * f**4)[:, None, None] * aa(a2)
+        + (m3 / h)[:, None, None] * hh[:, d1:, d1:],
+        nu[:, None, None] * g3 + (beta * h**4)[:, None, None] * aa(a3),
+    )
+    return [np.abs(fr.ricci - r).max(axis=(1, 2)) for fr, r in zip(factors, rhs)]
+
+
+@pytest.mark.parametrize("name", (*SPECS, "sweep_dim6", "non_diagonal"))
+def test_proposition1_matches_its_printed_form(name):
+    # with an arbitrary (alpha, beta, U) the residuals are O(1), so a sign
+    # slip in one block of the closed Ricci or of the decomposition shows
+    spec = load(name)
+    product, points = spec.product, spec.sample_points(SAMPLES, 0)
+    rng = np.random.default_rng(11)
+    per_sample = (
+        rng.uniform(-2.0, 2.0, SAMPLES),
+        rng.uniform(-2.0, 2.0, SAMPLES),
+        rng.uniform(-1.0, 1.0, (SAMPLES, product.dim)),
+    )
+    shared = (0.7, -1.3, rng.uniform(-1.0, 1.0, product.dim))
+    for frame, qe in (
+        (WarpedFrame(product, points), per_sample),
+        (WarpedFrame(product, points), shared),
+        (WarpedFrame(product, points[:1]), shared),
+    ):
+        closed = proposition1_residuals(frame, qe)
+        printed = printed_proposition1(frame, qe)
+        for k, (c, p) in enumerate(zip(closed, printed), start=1):
+            assert c.shape == p.shape == (len(frame.point),)
+            assert np.all(p > 1e-3), f"M{k}: the residual should be O(1), got {p}"
+            np.testing.assert_allclose(c, p, rtol=1e-12, atol=0.0, err_msg=f"M{k}")
 
 
 # ---------------------------------------------------------------------------

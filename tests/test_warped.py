@@ -287,17 +287,18 @@ class TestFactorScalars:
         product = trivially_warped(
             line_factor("a", "x"), line_factor("b", "u"), line_factor("c", "v")
         )
-        point = np.zeros(3)
-        assert [s[0] for s in WarpedFrame(product, [point]).factor_scalars()] == [0.0, 0.0, 0.0]
-        stated = WarpedFrame(product, [point]).factor_scalars((0.0, 0.0, np.zeros(3)))
+        frame = WarpedFrame(product, [np.zeros(3)])
+        scalars = (frame.frame1.scalar, frame.frame2.scalar, frame.frame3.scalar)
+        assert [s[0] for s in scalars] == [0.0, 0.0, 0.0]
+        stated = frame.factor_scalars((0.0, 0.0, np.zeros(3)))
         assert [s[0] for s in stated] == [0.0, 0.0, 0.0]
 
     def test_sphere_fiber_scalar(self):
         product = trivially_warped(
             line_factor("a", "x"), line_factor("b", "u"), sphere_factor()
         )
-        scalars = WarpedFrame(product, np.array([[0.0, 0.0, 1.2, 0.3]])).factor_scalars()
-        assert scalars[2][0] == pytest.approx(2.0, abs=1e-12)
+        frame = WarpedFrame(product, np.array([[0.0, 0.0, 1.2, 0.3]]))
+        assert frame.frame3.scalar[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_inner_chart_carries_inner_warping(self):
         product = exp_warp_product()
