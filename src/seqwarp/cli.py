@@ -73,7 +73,10 @@ def _parse_at(text: str | None) -> dict[str, float]:
 
 def _write_report(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise SpecError("--output", f"cannot write {out}: {exc}") from exc
 
 
 def _verify_one(spec: ManifoldSpec, args) -> int:

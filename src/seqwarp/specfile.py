@@ -70,10 +70,11 @@ DEFAULT_TOLERANCES = {
 
 
 class SpecError(ValueError):
-    """Invalid spec file; the message starts with the offending field path."""
+    """Invalid spec file; the message starts with the offending field path,
+    if there is one."""
 
     def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
         self.path = path
 
 
@@ -221,7 +222,15 @@ def _parse_time(data: dict) -> tuple[str, tuple[float, float]]:
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise SpecError("time.interval", "expected lo < hi")
-    return coord, (lo, hi)
+    return coord, _finite_span(lo, hi, "time.interval")
+
+
+def _finite_span(lo: float, hi: float, path: str) -> tuple[float, float]:
+    """``(lo, hi)``, or ``SpecError(path)`` when its width or midpoint
+    overflows: sampling reads ``hi - lo`` and ``lo + hi``."""
+    if not (math.isfinite(hi - lo) and math.isfinite(lo + hi)):
+        raise SpecError(path, "hi - lo or lo + hi overflows the float range")
+    return lo, hi
 
 
 def spec_from_dict(data: dict, name: str = "spec") -> ManifoldSpec:
@@ -242,46 +251,22 @@ def spec_from_dict(data: dict, name: str = "spec") -> ManifoldSpec:
     f_text = _expect(warpings, "f", str, "warpings", required=True)
     h_text = _expect(warpings, "h", str, "warpings", required=True)
 
+    time_box = {}
+    f_coords, h_coords = factors[0].coords, factors[0].coords + factors[1].coords
+    if kind != "swp":
+        tcoord, interval = _parse_time(data)
+        time_box = {tcoord: interval}
+        if kind == "grw":
+            f_coords, h_coords = (tcoord,), (tcoord,) + factors[0].coords
+    f_expr = _parse_expr(f_text, f_coords, "warpings.f")
+    h_expr = _parse_expr(h_text, h_coords, "warpings.h")
     try:
         if kind == "swp":
-            f_expr = _parse_expr(f_text, factors[0].coords, "warpings.f")
-            h_expr = _parse_expr(
-                h_text, factors[0].coords + factors[1].coords, "warpings.h"
-            )
-            product = SequentialWarpedProduct(
-                m1=factors[0], m2=factors[1], m3=factors[2], f=f_expr, h=h_expr
-            )
-            time_box = {}
+            product = SequentialWarpedProduct(*factors, f=f_expr, h=h_expr)
         elif kind == "ssst":
-            tcoord, interval = _parse_time(data)
-            f_expr = _parse_expr(f_text, factors[0].coords, "warpings.f")
-            h_expr = _parse_expr(
-                h_text, factors[0].coords + factors[1].coords, "warpings.h"
-            )
-            product = build_ssst(
-                SSSTSpec(
-                    space1=factors[0],
-                    space2=factors[1],
-                    f=f_expr,
-                    h=h_expr,
-                    time_coord=tcoord,
-                )
-            )
-            time_box = {tcoord: interval}
+            product = build_ssst(SSSTSpec(*factors, f=f_expr, h=h_expr, time_coord=tcoord))
         else:
-            tcoord, interval = _parse_time(data)
-            f_expr = _parse_expr(f_text, (tcoord,), "warpings.f")
-            h_expr = _parse_expr(h_text, (tcoord,) + factors[0].coords, "warpings.h")
-            product = build_grw(
-                GRWSpec(
-                    space2=factors[0],
-                    space3=factors[1],
-                    f=f_expr,
-                    h=h_expr,
-                    time_coord=tcoord,
-                )
-            )
-            time_box = {tcoord: interval}
+            product = build_grw(GRWSpec(*factors, f=f_expr, h=h_expr, time_coord=tcoord))
     except GeometryError as exc:
         raise SpecError("factors", str(exc)) from exc
 
@@ -304,7 +289,7 @@ def spec_from_dict(data: dict, name: str = "spec") -> ManifoldSpec:
                 raise SpecError(
                     f"sampling.boxes.{cname}", "expected [lo, hi] of finite numbers with lo < hi"
                 )
-            boxes[cname] = (float(box[0]), float(box[1]))
+            boxes[cname] = _finite_span(float(box[0]), float(box[1]), f"sampling.boxes.{cname}")
         elif cname in time_box:
             boxes[cname] = time_box[cname]
         else:

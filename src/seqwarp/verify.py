@@ -20,8 +20,9 @@ the stack.  One reducer, ``_reduce``, turns each ``Residual`` into its
 report: the worst residual over the samples it covers, or the worst
 residual/tolerance ratio where a premise held; a residual that is not
 finite there is an input error naming the first such sample.  So a report
-holds one object per identity, whatever N is.  ``run_classify`` fits at
-one point, a stack of one.
+holds one object per identity, whatever N is.  ``run_classify`` reads
+the same context at one sample, its point, and adds the fits of the
+factor metrics there.
 
 The report is a plain dict rendered to JSON with stable ordering and no
 timestamps, so identical spec + seed gives byte-identical output.  The
@@ -240,7 +241,8 @@ def _reduce(residual: Residual, samples: np.ndarray) -> IdentityReport:
 
 @dataclass
 class _Context:
-    """What every check reads, made once per ``run_verify`` call.
+    """What every check reads, made once per ``run_verify`` or
+    ``run_classify`` call by ``_context``.
 
     The fits and the values derived from them are computed on first use, so
     their input errors surface in report order: after every error of the
@@ -529,6 +531,18 @@ def _validate(warped: WarpedFrame, flat: ChartFrame) -> None:
     _ = flat.metric
 
 
+def _context(spec: ManifoldSpec, tol: dict, samples: np.ndarray) -> _Context:
+    """The validated context of ``samples``; an input problem the frames or
+    ``_validate`` raise is a ``VerificationInputError``."""
+    try:
+        warped = WarpedFrame(spec.product, samples)
+        flat = ChartFrame(flatten_to_chart(spec.product), samples)
+        _validate(warped, flat)
+    except (GeometryError, DomainError) as exc:
+        raise VerificationInputError(str(exc)) from exc
+    return _Context(spec, tol, samples, warped, flat)
+
+
 def run_verify(
     spec: ManifoldSpec,
     points: int | None = None,
@@ -547,19 +561,10 @@ def run_verify(
     n_points = spec.points if points is None else check_run_parameter("points", points, "points")
     seed_used = spec.seed if seed is None else check_run_parameter("seed", seed, "seed")
 
-    product = spec.product
     samples = spec.sample_points(n_points, seed_used)
-
-    try:
-        warped = WarpedFrame(product, samples)
-        flat = ChartFrame(flatten_to_chart(product), samples)
-        _validate(warped, flat)
-    except (GeometryError, DomainError) as exc:
-        raise VerificationInputError(str(exc)) from exc
-
+    ctx = _context(spec, tol, samples)
     # an overflow in a check is not warned about: a residual it leaves
     # non-finite is an input error naming the first such sample
-    ctx = _Context(spec, tol, samples, warped, flat)
     with np.errstate(over="ignore", invalid="ignore"):
         identities = [
             _reduce(entry, samples) if isinstance(entry, Residual) else entry
@@ -585,7 +590,9 @@ def run_verify(
 
 
 def run_classify(spec: ManifoldSpec, at: dict | None = None) -> dict:
-    """Structure fits at one point, a stack of one: ambient and per factor."""
+    """Structure fits at one point, ambient and per factor: the fits of
+    ``run_verify``'s context at one sample, the spec's box centre unless
+    ``at`` moves it."""
     product = spec.product
     point = spec.center_point()
     if at:
@@ -594,36 +601,19 @@ def run_classify(spec: ManifoldSpec, at: dict | None = None) -> dict:
             if cname not in coords:
                 raise VerificationInputError(f"--at: unknown coordinate {cname!r}")
             point[coords.index(cname)] = float(value)
-    try:
-        flat = ChartFrame(flatten_to_chart(product), point[None])
-        wf = WarpedFrame(product, point[None])
-        _ = (wf.f_value, wf.h_value)
-        _ = (flat.ricci, flat.riemann, wf.frame1.ricci, wf.frame2.ricci, wf.frame3.ricci)
-        # after the reads above, whose errors name the whole point: what
-        # they leave unchecked (signature, asymmetry) exits 2 as in verify
-        _validate(wf, flat)
-    except GeometryError as exc:
-        raise VerificationInputError(str(exc)) from exc
-    except DomainError as exc:
-        # a factor frame names its own coordinates; name the whole point
-        raise VerificationInputError(f"{exc.reason} at {point.tolist()}") from exc
-    # factors of one dimension are fitted as one stack; a fit error gets the point here
-    try:
-        tol = {**DEFAULT_TOLERANCES, **spec.tolerances}["fit"]
-        qe = fit_quasi_einstein(flat.metric, flat.ricci, tol)[0]
-        qcc = check_quasi_constant_curvature(flat.metric, flat.riemann, [qe], tol)[0]
-        frames, fits = {"m1": wf.frame1, "m2": wf.frame2, "m3": wf.frame3}, {}
-        for m in sorted({frame.manifold.dim for frame in frames.values()}):
-            same = [k for k, frame in frames.items() if frame.manifold.dim == m]
-            g, ric = (
-                np.concatenate([getattr(frames[k], t) for k in same]) for t in ("metric", "ricci")
-            )
+    ctx = _context(spec, {**DEFAULT_TOLERANCES, **spec.tolerances}, point[None])
+    (qe,), (qcc,) = ctx.fits
+    # factors of one dimension are fitted as one stack
+    warped, tol, fits = ctx.warped, ctx.tol["fit"], {}
+    frames = {"m1": warped.frame1, "m2": warped.frame2, "m3": warped.frame3}
+    for m in sorted({frame.manifold.dim for frame in frames.values()}):
+        same = [k for k, frame in frames.items() if frame.manifold.dim == m]
+        g = np.concatenate([frames[k].metric for k in same])
+        ric = np.concatenate([frames[k].ricci for k in same])
+        try:
             fits.update(zip(same, fit_quasi_einstein(g, ric, tol)))
-        factor_fits = {
-            k: {"manifold": f.manifold.name, **fits[k].summary()} for k, f in frames.items()
-        }
-    except GeometryError as exc:
-        raise VerificationInputError(f"{exc} at {point.tolist()}") from exc
+        except FitInputError as exc:
+            raise VerificationInputError(f"{exc} at sample 0 {point.tolist()}") from exc
     return {
         "spec": spec.name,
         "point": {c: float(v) for c, v in zip(product.coords, point)},
@@ -631,5 +621,8 @@ def run_classify(spec: ManifoldSpec, at: dict | None = None) -> dict:
             "quasi_einstein": qe.summary(),
             "quasi_constant_curvature": qcc.summary(),
         },
-        "factors": factor_fits,
+        "factors": {
+            k: {"manifold": frame.manifold.name, **fits[k].summary()}
+            for k, frame in frames.items()
+        },
     }

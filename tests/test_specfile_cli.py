@@ -241,13 +241,13 @@ def test_run_verify_fits_the_flat_stack_once(name, monkeypatch):
     assert shapes.count((4, dim, dim)) == 1
 
 
-@pytest.mark.parametrize("name", CATALOG)
-def test_run_verify_builds_one_warped_frame_per_sample(name, monkeypatch):
-    """One stacked warped frame and one stacked frame per chart over all
-    samples serve every check: no one-point frame is built.  The torus
-    quadrature's grid blocks are the only other frames."""
+@pytest.fixture
+def frames_built(monkeypatch):
+    """A function of what the test has built: the point shapes of its warped
+    frames, and the ``(chart name, point shape)`` of its chart frames and of
+    its torus grid blocks (subclasses of ``ChartFrame``)."""
     from seqwarp.chart import ChartFrame
-    from seqwarp.warped import WarpedFrame, flatten_to_chart, inner_chart
+    from seqwarp.warped import WarpedFrame
 
     built = {WarpedFrame: [], ChartFrame: []}
     for cls in built:
@@ -257,20 +257,50 @@ def test_run_verify_builds_one_warped_frame_per_sample(name, monkeypatch):
             _original(self, owner, points, *args)
 
         monkeypatch.setattr(cls, "__init__", counting_init)
+    return lambda: (
+        [shape for _, _, shape in built[WarpedFrame]],
+        [(o.name, shape) for t, o, shape in built[ChartFrame] if t is ChartFrame],
+        [(o.name, shape) for t, o, shape in built[ChartFrame] if t is not ChartFrame],
+    )
+
+
+def _one_frame_per_chart(product, n: int) -> list:
+    """One frame of ``n`` points for the flat, the inner and each factor chart."""
+    from seqwarp.warped import flatten_to_chart, inner_chart
+
+    charts = [flatten_to_chart(product), inner_chart(product), *product.factors]
+    return sorted((chart.name, (n, chart.dim)) for chart in charts)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_run_verify_builds_one_warped_frame_per_sample(name, frames_built):
+    """One stacked warped frame and one stacked frame per chart over all
+    samples serve every check: no one-point frame is built.  The torus
+    quadrature's grid blocks are the only other frames."""
     spec = catalog_spec(name)
-    product = spec.product
     report = run_verify(spec, points=4)
     assert report.points == 4
-    assert [shape for _, _, shape in built[WarpedFrame]] == [(4, product.dim)]
-    samples = [(o.name, shape) for t, o, shape in built[ChartFrame] if t is ChartFrame]
-    blocks = [(o.name, shape) for t, o, shape in built[ChartFrame] if t is not ChartFrame]
-    charts = [flatten_to_chart(product), inner_chart(product), *product.factors]
-    assert sorted(samples) == sorted((chart.name, (4, chart.dim)) for chart in charts)
+    warped, frames, blocks = frames_built()
+    assert warped == [(4, spec.product.dim)]
+    assert sorted(frames) == _one_frame_per_chart(spec.product, 4)
     # circle_lambda's lambda average: 128 nodes of its circle, one block, and
     # the block's constant metric computed once, at its first node
     assert blocks == (
         [("circle", (128, 1)), ("circle", (1, 1))] if name == "circle_lambda" else []
     )
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_run_classify_builds_one_warped_frame(name, frames_built):
+    """``run_classify`` reads ``run_verify``'s context at one sample: one
+    warped frame and one flat frame of one point, and no frame beyond the
+    factor and inner frames the warped frame makes."""
+    spec = catalog_spec(name)
+    run_classify(spec)
+    warped, frames, blocks = frames_built()
+    assert warped == [(1, spec.product.dim)]
+    assert sorted(frames) == _one_frame_per_chart(spec.product, 1)
+    assert blocks == []
 
 
 class TestRunClassify:
@@ -586,7 +616,8 @@ class TestCli:
         path = self._lines_spec(tmp_path, f="exp(340*x)", sampling=sampling)
         err = self._one_line_exit_2(capsys, ["classify", path, "--at", "x=1.0034"])
         assert err.endswith(
-            "curvature basis (products of metric entries) is not finite at [1.0034, 0.0, 0.0]\n"
+            "curvature basis (products of metric entries) is not finite at sample 0 "
+            "[1.0034, 0.0, 0.0]\n"
         )
 
     @staticmethod
@@ -634,7 +665,7 @@ class TestCli:
         path = tmp_path / "linear.json"
         path.write_text(json.dumps(data))
         err = self._one_line_exit_2(capsys, ["classify", str(path), "--at", "x=0"])
-        assert err.endswith("is degenerate at [0.0, 0.0, 0.0]: |det g| = 0.000e+00\n")
+        assert err.endswith("metric of 'a' is degenerate at [0.0]: |det g| = 0.000e+00\n")
 
     @pytest.mark.parametrize(
         "factor, box, message",
@@ -660,8 +691,7 @@ class TestCli:
             (
                 {"coords": ["x", "y"], "metric": [["1", "0"], ["sqrt(y)", "1"]]},
                 {"y": [-1.0, -0.5]},
-                "metric of 'a': sqrt of negative value -0.75 in 'sqrt(y)' "
-                "at [0.0, -0.75, 0.0, 0.0]",
+                "metric of 'a': sqrt of negative value -0.75 in 'sqrt(y)' at [0.0, -0.75]",
             ),
         ],
         ids=["negative_definite", "asymmetric", "riemannian_minus_one", "lower_entry_domain"],
@@ -672,8 +702,14 @@ class TestCli:
         data["sampling"]["boxes"] = box
         path = tmp_path / "invalid.json"
         path.write_text(json.dumps(data))
-        assert self._one_line_exit_2(capsys, ["classify", str(path)]) == f"error: {message}\n"
-        self._one_line_exit_2(capsys, ["verify", str(path)])
+        err = self._one_line_exit_2(capsys, ["classify", str(path)])
+        assert err == f"error: {message}\n"
+        # classify reads verify's context at one sample: the same line, at
+        # another point
+        number = r"-?\d+\.?\d*(e[-+]?\d+)?"
+        assert re.sub(number, "#", self._one_line_exit_2(capsys, ["verify", str(path)])) == (
+            re.sub(number, "#", err)
+        )
 
     def test_metric_overflowing_at_a_sample_exit_code(self, tmp_path, capsys):
         path = self._lines_spec(tmp_path, f="exp(800*x)", box={"x": [0.2, 1.2]})
@@ -732,6 +768,9 @@ class TestCli:
             ("tolerances", {"nosuch": 1e-3}, "tolerances.nosuch: unknown tolerance 'nosuch'"),
             ("boxes", {"x1": [0.0, math.inf]}, "sampling.boxes.x1: expected [lo, hi] of finite"),
             ("boxes", {"x1": [-math.inf, 0.0]}, "sampling.boxes.x1: expected [lo, hi] of finite"),
+            # the width overflows in sampling, the midpoint in classify's centre
+            ("boxes", {"x1": [-1e308, 1e308]}, "sampling.boxes.x1: hi - lo or lo + hi overflows"),
+            ("boxes", {"x1": [1e308, 1.5e308]}, "sampling.boxes.x1: hi - lo or lo + hi overflows"),
         ],
     )
     def test_invalid_spec_run_parameter_exit_code(self, tmp_path, capsys, field, value, message):
@@ -745,6 +784,48 @@ class TestCli:
         for command in ("verify", "classify"):
             err = self._one_line_exit_2(capsys, [command, str(path)])
             assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("interval", [[-1e308, 1e308], [1e308, 1.5e308]])
+    def test_overflowing_time_interval_exit_code(self, tmp_path, capsys, interval):
+        data = json.loads(catalog_path("ssst_basic").read_text())
+        data["time"]["interval"] = interval
+        path = tmp_path / "huge_time.json"
+        path.write_text(json.dumps(data))
+        for command in ("verify", "classify"):
+            err = self._one_line_exit_2(capsys, [command, str(path)])
+            assert err == "error: time.interval: hi - lo or lo + hi overflows the float range\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["verify", str(catalog_path("exp_warp"))],
+            ["classify", str(catalog_path("exp_warp"))],
+            ["examples", "run", "exp_warp"],
+        ],
+        ids=["verify", "classify", "examples_run"],
+    )
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --output: cannot write {out}: ") and err.count("\n") == 1
+
+    def test_input_error_without_a_field_path(self, tmp_path, capsys):
+        # an error of the whole file, or of no file, has no field path to name
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert self._one_line_exit_2(capsys, ["verify", str(path)]) == (
+            "error: spec must be a JSON object\n"
+        )
+        err = self._one_line_exit_2(capsys, ["classify", str(tmp_path)])
+        assert err.startswith(f"error: cannot read {tmp_path}: ")
+        path.write_text("{")
+        err = self._one_line_exit_2(capsys, ["verify", str(path)])
+        assert err.startswith("error: invalid JSON: ")
+        err = self._one_line_exit_2(capsys, ["examples", "run", "nope"])
+        assert err.startswith("error: unknown example 'nope'; available: circle_lambda, ")
 
     def test_non_finite_point_exit_code(self, tmp_path, capsys):
         path = str(catalog_path("exp_warp"))
