@@ -21,8 +21,9 @@ Under these conventions the unit sphere has Ric = +g.
 A ``ChartFrame`` holds a stack of N sample points, with every tensor above
 carrying the sample axis first (``christoffel[n, k, i, j]``); one point is a
 stack of one.  The stack is vector forward mode (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., ch. 3 and 13): batched jets and ``...``
-einsums do, for all N samples at once, the arithmetic of one sample at each.
+*Evaluating Derivatives*, 2nd ed., ch. 3 and 13): batched jets, and batched
+matmuls over flattened index pairs, do for all N samples at once the
+arithmetic of one sample at each.
 The jets of a frame, at every N, come from ``JetProgram`` runs: one for
 the metric entries together with the scalar fields the frame was built
 with (``fields``), one for ``d3metric``, and one per other field stage.
@@ -222,9 +223,9 @@ class ChartFrame:
     1-D point raises ``GeometryError``.  Every stage and field method carries
     the sample axis first: ``metric`` is ``(N, m, m)``, ``christoffel``
     ``(N, m, m, m)``, ``det``, ``scalar`` and ``laplacian`` are ``(N,)``
-    arrays.  Each sample gets its own arithmetic (``...`` einsums, batched
-    ``inv`` / ``det`` / ``matmul``), so a stack of N agrees bit for bit with
-    N stacks of one.
+    arrays.  Each sample gets its own arithmetic (batched ``matmul`` /
+    ``inv`` / ``det``, broadcasts and ``...`` einsums), so a stack of N
+    agrees bit for bit with N stacks of one.
 
     Jets: one ``JetProgram`` run over all samples gives the metric entries
     (``_metric_jets``) and the scalar fields named in ``fields``, so that
@@ -446,7 +447,10 @@ class ChartFrame:
 
     @cached_property
     def dinverse(self) -> np.ndarray:
-        return -np.einsum("...km,...amn,...nl->...akl", self.inverse, self.dmetric, self.inverse)
+        """dinverse[a, k, l] = d_a g^kl = -(g^-1 d_a g g^-1), one batched
+        matmul pair with the inverse broadcast over a."""
+        gi = self.inverse[..., None, :, :]
+        return -(gi @ self.dmetric @ gi)
 
     @cached_property
     def d2inverse(self) -> np.ndarray:
@@ -455,8 +459,7 @@ class ChartFrame:
         Batched matmuls over the (a, b) pairs, O(m^5) per sample: the
         mixed term g^-1 dg_a g^-1 dg_b g^-1 reuses the cached
         ``dinverse`` (= -g^-1 dg_a g^-1), and g^-1 d_a d_b g g^-1 takes the
-        inverse broadcast over (a, b).  Written as einsums, the mixed term
-        without a contraction path cost O(m^9) and the last O(m^6).
+        inverse broadcast over (a, b).
         """
         gi, dg, d2g = self.inverse, self.dmetric, self.d2metric
         dg_gi = dg @ gi[..., None, :, :]
@@ -468,29 +471,31 @@ class ChartFrame:
 
     @cached_property
     def _gamma_source(self) -> np.ndarray:
-        """T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij."""
+        """T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, in C order."""
         dg = self.dmetric
-        return (
+        return np.ascontiguousarray(
             np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
         )
 
     @cached_property
     def christoffel(self) -> np.ndarray:
-        return 0.5 * np.einsum("...kl,...lij->...kij", self.inverse, self._gamma_source)
+        """Gamma^k_ij = g^kl T_lij / 2, one matmul over the flattened (i, j) axis."""
+        return 0.5 * _contract_first(self.inverse, self._gamma_source)
 
     @cached_property
     def _dgamma_source(self) -> np.ndarray:
+        """d_a T_lij, in C order, as the matmuls that read it want it."""
         d2g = self.d2metric
-        return (
+        return np.ascontiguousarray(
             np.einsum("...aijl->...alij", d2g) + np.einsum("...ajil->...alij", d2g) - d2g
         )
 
     @cached_property
     def dchristoffel(self) -> np.ndarray:
-        """dchristoffel[a, k, i, j] = d_a Gamma^k_ij."""
+        """dchristoffel[a, k, i, j] = d_a Gamma^k_ij = (d_a g^kl T_lij + g^kl d_a T_lij) / 2."""
         return 0.5 * (
-            np.einsum("...akl,...lij->...akij", self.dinverse, self._gamma_source)
-            + np.einsum("...kl,...alij->...akij", self.inverse, self._dgamma_source)
+            _contract_first(self.dinverse, self._gamma_source[..., None, :, :, :])
+            + _contract_first(self.inverse[..., None, :, :], self._dgamma_source)
         )
 
     @cached_property
@@ -517,13 +522,13 @@ class ChartFrame:
 
     @cached_property
     def riemann_up(self) -> np.ndarray:
-        ga, dga = self.christoffel, self.dchristoffel
-        return (
-            np.einsum("...iljk->...lijk", dga)
-            - np.einsum("...jlik->...lijk", dga)
-            + np.einsum("...lim,...mjk->...lijk", ga, ga)
-            - np.einsum("...ljm,...mik->...lijk", ga, ga)
-        )
+        """d_i Gamma^l_jk - d_j Gamma^l_ik + Q[l, i, j, k] - Q[l, j, i, k], with
+        Q[l, i, j, k] = Gamma^l_im Gamma^m_jk one matmul over m."""
+        ga, lead, m = self.christoffel, self.christoffel.shape[:-3], self.christoffel.shape[-1]
+        dga = np.swapaxes(self.dchristoffel, -4, -3)  # dga[l, i, j, k] = d_i Gamma^l_jk
+        q = ga.reshape(lead + (m * m, m)) @ ga.reshape(lead + (m, m * m))
+        q = q.reshape(ga.shape + (m,))
+        return dga - np.swapaxes(dga, -3, -2) + q - np.swapaxes(q, -3, -2)
 
     @cached_property
     def riemann(self) -> np.ndarray:
@@ -567,33 +572,46 @@ class ChartFrame:
         2 d_a d_b Gamma^k_ij = d_a d_b g^kl T_lij + d_a g^kl d_b T_lij
         + d_b g^kl d_a T_lij + g^kl d_a d_b T_lij (T is ``_gamma_source``);
         in the second, 2 Gamma^i_ik = g^il d_k g_il, as the other two terms of
-        T cancel against the symmetric g^il.  The third metric derivatives
-        are contracted where they lie, so every einsum has two operands and
-        costs at most O(m^5) per sample, and no (N, m^5) array is formed
-        beyond ``d3metric``.  The last product is the one before it with j
-        and k swapped, Gamma being symmetric in its lower indices.
+        T cancel against the symmetric g^il.  Each contraction is a batched
+        matmul over a flattened index pair, except g^il d_a d_i d_j g_kl,
+        a two-operand einsum: its pair (i, l) is not contiguous in
+        ``d3metric``, and a transposed copy costs more than the einsum.  Every
+        one is O(m^5) per sample, and no (N, m^5) array is formed beyond
+        ``d3metric``.  The last product is the one before it with j and k
+        swapped, Gamma being symmetric in its lower indices.
         """
         gi, dgi, d2gi = self.inverse, self.dinverse, self.d2inverse
         t, dt, d3g = self._gamma_source, self._dgamma_source, self.d3metric
         ga, dga = self.christoffel, self.dchristoffel
+        shape = ga.shape  # (..., a, j, k), as every term
+        lead, m = shape[:-3], shape[-1]
+        mm = m * m
+        gi_col = gi.reshape(lead + (mm, 1))
+        dgi_flat = dgi.reshape(lead + (m, mm))
         # 2 sum_i d_a d_i Gamma^i_jk
-        out = np.einsum("...al,...ljk->...ajk", np.einsum("...aiil->...al", d2gi), t)
-        out += np.einsum("...ail,...iljk->...ajk", dgi, dt)
-        out += np.einsum("...l,...aljk->...ajk", np.einsum("...iil->...l", dgi), dt)
+        out = _contract_first(np.einsum("...aiil->...al", d2gi), t)
+        out += (dgi_flat @ dt.reshape(lead + (mm, mm))).reshape(shape)
+        traced_dgi = np.einsum("...iil->...l", dgi)[..., None, :]
+        out += vecmat(traced_dgi, dt.reshape(lead + (m, m, mm))).reshape(shape)
         d3_traced = np.einsum("...il,...aijkl->...ajk", gi, d3g)
         out += d3_traced
         out += np.swapaxes(d3_traced, -2, -1)
-        out -= np.einsum("...il,...ailjk->...ajk", gi, d3g)
+        out -= (gi.reshape(lead + (1, 1, mm)) @ d3g.reshape(lead + (m, mm, mm))).reshape(shape)
         # - 2 sum_i d_a d_j Gamma^i_ik
-        out -= np.einsum("...ajil,...kil->...ajk", d2gi, self.dmetric)
-        cross = np.einsum("...ail,...jkil->...ajk", dgi, self.d2metric)
+        dg_rows = np.swapaxes(self.dmetric.reshape(lead + (m, mm)), -2, -1)
+        out -= (d2gi.reshape(lead + (mm, mm)) @ dg_rows).reshape(shape)
+        d2g_rows = np.swapaxes(self.d2metric.reshape(lead + (mm, mm)), -2, -1)
+        cross = (dgi_flat @ d2g_rows).reshape(shape)
         out -= cross
         out -= np.swapaxes(cross, -3, -2)
-        out -= np.einsum("...il,...ajkil->...ajk", gi, d3g)
+        out -= (d3g.reshape(lead + (m * mm, mm)) @ gi_col).reshape(shape)
         out *= 0.5
-        out += np.einsum("...am,...mjk->...ajk", np.einsum("...aiim->...am", dga), ga)
-        out += np.einsum("...m,...amjk->...ajk", np.einsum("...iim->...m", ga), dga)
-        quadratic = np.einsum("...aijm,...mik->...ajk", dga, ga)
+        out += _contract_first(np.einsum("...aiim->...am", dga), ga)
+        traced_ga = np.einsum("...iim->...m", ga)[..., None, :]
+        out += vecmat(traced_ga, dga.reshape(lead + (m, m, mm))).reshape(shape)
+        # d_a Gamma^i_jm Gamma^m_ik, one matmul over the flattened (i, m)
+        dga_jim = np.swapaxes(dga, -3, -2).reshape(lead + (mm, mm))
+        quadratic = (dga_jim @ np.swapaxes(ga, -3, -2).reshape(lead + (mm, m))).reshape(shape)
         out -= quadratic
         out -= np.swapaxes(quadratic, -2, -1)
         return out
@@ -610,12 +628,18 @@ class ChartFrame:
         return self._divergence(self.dricci, self.ricci)
 
     def _divergence(self, dt: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Divergence of a symmetric 2-tensor ``t`` with partials ``dt[a, i, j]``."""
+        """Divergence of a symmetric 2-tensor ``t`` with partials ``dt[a, i, j]``:
+        g^ik d_i t_kj, less (g^ik Gamma^m_ik) t_mj as a matvec then a vecmat,
+        less (g^-1 t)[i, m] Gamma^m_ij as a vecmat over the flattened (m, i)."""
         gi, ga = self.inverse, self.christoffel
+        lead, m = t.shape[:-2], t.shape[-1]
+        gi_flat = gi.reshape(lead + (m * m,))
+        traced = matvec(ga.reshape(lead + (m, m * m)), gi_flat)
+        git = np.swapaxes(gi @ t, -2, -1).reshape(lead + (m * m,))
         return (
-            np.einsum("...ik,...ikj->...j", gi, dt)
-            - np.einsum("...ik,...mik,...mj->...j", gi, ga, t)
-            - np.einsum("...ik,...mij,...km->...j", gi, ga, t)
+            vecmat(gi_flat, dt.reshape(lead + (m * m, m)))
+            - vecmat(traced, t)
+            - vecmat(git, ga.reshape(lead + (m * m, m)))
         )
 
     # -- scalar fields -------------------------------------------------------
@@ -702,6 +726,13 @@ def is_degenerate(metric: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log_rows = np.sum(np.log(np.hypot.reduce(np.abs(metric), axis=-1)), axis=-1)
         return np.linalg.slogdet(metric)[1] <= np.log(DEGENERACY_THRESHOLD) + log_rows
+
+
+def _contract_first(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """out[..., k, i, j] = sum_l a[..., k, l] t[..., l, i, j]: one batched
+    matmul over the flattened (i, j) axis, leading axes broadcast."""
+    out = a @ t.reshape(t.shape[:-2] + (-1,))
+    return out.reshape(out.shape[:-1] + t.shape[-2:])
 
 
 def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:

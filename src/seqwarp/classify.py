@@ -335,13 +335,15 @@ def fit_quasi_einstein(
 
 
 def _qcc_basis(g: np.ndarray, a_form: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t1 = np.einsum("...jk,...il->...ijkl", g, g) - np.einsum("...ik,...jl->...ijkl", g, g)
-    t2 = (
-        np.einsum("...il,...j,...k->...ijkl", g, a_form, a_form)
-        - np.einsum("...ik,...j,...l->...ijkl", g, a_form, a_form)
-        + np.einsum("...jk,...i,...l->...ijkl", g, a_form, a_form)
-        - np.einsum("...jl,...i,...k->...ijkl", g, a_form, a_form)
-    )
+    """The two basis tensors of the curvature fit, as broadcast outer
+    products: t1[i, j, k, l] = g_jk g_il - g_ik g_jl and
+    t2[i, j, k, l] = g_il A_j A_k - g_ik A_j A_l + g_jk A_i A_l - g_jl A_i A_k."""
+    g_ik, g_il = g[..., :, None, :, None], g[..., :, None, None, :]
+    g_jk, g_jl = g[..., None, :, :, None], g[..., None, :, None, :]
+    a_i, a_j = a_form[..., :, None, None, None], a_form[..., None, :, None, None]
+    a_k, a_l = a_form[..., None, None, :, None], a_form[..., None, None, None, :]
+    t1 = g_jk * g_il - g_ik * g_jl
+    t2 = g_il * a_j * a_k - g_ik * a_j * a_l + g_jk * a_i * a_l - g_jl * a_i * a_k
     return t1, t2
 
 

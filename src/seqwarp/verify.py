@@ -263,8 +263,12 @@ class _Context:
     @cached_property
     def fits(self) -> tuple[list[QEFit], list[QCCFit]]:
         """The quasi-Einstein and the quasi-constant-curvature fit of every sample."""
-        # the checks run with numpy's overflow warnings off; the fits keep
-        # theirs, since a valid metric must fit without any
+        # the curvature the fits read is computed as the checks compute it,
+        # with numpy's overflow warnings off: a value that overflows there is
+        # the fits' own input error.  The fits keep the warnings, since a
+        # valid metric must fit without any
+        with np.errstate(over="ignore", invalid="ignore"):
+            _ = (self.flat.ricci, self.flat.riemann)
         with np.errstate(over="warn", invalid="warn"):
             return _structure_fits(self.flat, self.samples, self.tol["fit"])
 
@@ -522,12 +526,14 @@ def _convention_notes(reports: dict[str, IdentityReport]) -> list[str]:
 def _validate(warped: WarpedFrame, flat: ChartFrame) -> None:
     """Raise ``GeometryError`` or ``DomainError`` at the first domain problem
     of the input (schema problems were caught at load time): each factor
-    metric, then the flat metric, as ``ChartFrame.validate`` checks it; the
-    warpings' positivity; an overflow in the jets of the flat metric, which
-    carries every factor metric and both warpings."""
-    for frame in (warped.frame1, warped.frame2, warped.frame3, flat):
+    metric, as ``ChartFrame.validate`` checks it; the warpings' positivity;
+    the flat metric, which a warping that is not positive makes degenerate,
+    so it is checked after them; an overflow in the jets of the flat metric,
+    which carries every factor metric and both warpings."""
+    for frame in (warped.frame1, warped.frame2, warped.frame3):
         frame.validate()
     _ = (warped.f_value, warped.h_value)
+    flat.validate()
     _ = flat.metric
 
 

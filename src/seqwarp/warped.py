@@ -41,6 +41,7 @@ from .chart import (
     FactorManifold,
     GeometryError,
     dot,
+    matvec,
     per_sample_power,
     vecmat,
 )
@@ -143,6 +144,11 @@ def _embed(dim: int, sl: slice, tensor: np.ndarray, lead: tuple[int, ...] = ()) 
     out = np.zeros(lead + (dim,) * rank)
     out[(Ellipsis,) + (sl,) * rank] = tensor
     return out
+
+
+def _ac_lb(ac: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """out[..., l, a, b, c] = ac[..., a, c] lb[..., l, b], by broadcasting."""
+    return ac[..., None, :, None, :] * lb[..., :, None, :, None]
 
 
 def _per_sample(value, rank: int):
@@ -422,16 +428,17 @@ class WarpedFrame:
         out = np.zeros(lead + (d, d, d))
         for sl, fr in zip((s1, s2, s3), (self.frame1, self.frame2, self.frame3)):
             out[..., sl, sl, sl] = fr.christoffel
-        out -= np.einsum(
-            "...k,...ab->...kab", _embed(d, s1, self.grad_f, lead), _per_sample(f, 2) * g2
-        ) + np.einsum(
-            "...k,...ab->...kab", _embed(d, inner, self.grad_h, lead), _per_sample(h, 2) * g3
+        grad_f, grad_h = _embed(d, s1, self.grad_f, lead), _embed(d, inner, self.grad_h, lead)
+        out -= (
+            grad_f[..., :, None, None] * (_per_sample(f, 2) * g2)[..., None, :, :]
+            + grad_h[..., :, None, None] * (_per_sample(h, 2) * g3)[..., None, :, :]
         )
         # t[k, a, b] = X(ln w) Y^k for X = e_a, Y = e_b; the connection adds t + t(a<->b)
-        t = np.einsum(
-            "...a,...kb->...kab", _embed(d, s1, self.df / _per_sample(f, 1), lead), p2
-        ) + np.einsum(
-            "...a,...kb->...kab", _embed(d, inner, self.dh / _per_sample(h, 1), lead), p3
+        dlog_f = _embed(d, s1, self.df / _per_sample(f, 1), lead)
+        dlog_h = _embed(d, inner, self.dh / _per_sample(h, 1), lead)
+        t = (
+            dlog_f[..., None, :, None] * p2[..., :, None, :]
+            + dlog_h[..., None, :, None] * p3[..., :, None, :]
         )
         return out + (t + np.swapaxes(t, -2, -1))
 
@@ -454,16 +461,10 @@ class WarpedFrame:
             out[..., sl, sl, sl, sl] = fr.riemann_up
         g2, g3, p2, p3 = self._fiber_blocks
         t = (
-            np.einsum(
-                "...ac,...lb->...labc", gf2 * g2 + _embed(d, s1, self.hess_f, lead) / f, p2
-            )
-            + np.einsum("...ac,...lb->...labc", f * g2, _embed(d, s1, self.raised_hess_f, lead))
-            + np.einsum(
-                "...ac,...lb->...labc", _embed(d, inner, self.hess_h, lead) / h + gh2 * g3, p3
-            )
-            + np.einsum(
-                "...ac,...lb->...labc", h * g3, _embed(d, inner, self.raised_hess_h, lead)
-            )
+            _ac_lb(gf2 * g2 + _embed(d, s1, self.hess_f, lead) / f, p2)
+            + _ac_lb(f * g2, _embed(d, s1, self.raised_hess_f, lead))
+            + _ac_lb(_embed(d, inner, self.hess_h, lead) / h + gh2 * g3, p3)
+            + _ac_lb(h * g3, _embed(d, inner, self.raised_hess_h, lead))
         )
         return out + (t - np.swapaxes(t, -3, -2))
 
@@ -483,19 +484,14 @@ class WarpedFrame:
     def connection(self, x: BlockVector, y: BlockVector) -> BlockVector:
         """Levi-Civita derivative of constant-component block fields, per
         sample; each vector is one for all samples or one per sample."""
-        return BlockVector.from_ambient(
-            self.product,
-            np.einsum("...kab,...a,...b->...k", self.christoffel, x.ambient, y.ambient),
-        )
+        gamma_y = (self.christoffel @ y.ambient[..., None, :, None])[..., 0]
+        return BlockVector.from_ambient(self.product, matvec(gamma_y, x.ambient))
 
     def curvature(self, x: BlockVector, y: BlockVector, z: BlockVector) -> BlockVector:
         """Curvature operator R(X, Y)Z per sample, vectors as in ``connection``."""
-        return BlockVector.from_ambient(
-            self.product,
-            np.einsum(
-                "...labc,...a,...b,...c->...l", self.riemann_up, x.ambient, y.ambient, z.ambient
-            ),
-        )
+        r_z = (self.riemann_up @ z.ambient[..., None, None, :, None])[..., 0]
+        r_yz = (r_z @ y.ambient[..., None, :, None])[..., 0]
+        return BlockVector.from_ambient(self.product, matvec(r_yz, x.ambient))
 
     @cached_property
     def ricci(self) -> np.ndarray:

@@ -454,8 +454,10 @@ class TestCli:
         path = self._lines_spec(tmp_path, f="2 + log(x)", box={"x": [-0.5, 1.0]})
         err = self._one_line_exit_2(capsys, ["verify", path])
         assert re.search(r"log of non-positive value -0\.37\d* in 'log\(x\)' at \[-0\.37", err)
+        # the warpings are read before the flat metric, so the warping's own
+        # frame names the point
         err = self._one_line_exit_2(capsys, ["classify", path, "--at", "x=-0.3"])
-        assert "log of non-positive value -0.3 in 'log(x)' at [-0.3, 0.0, 0.0]" in err
+        assert "log of non-positive value -0.3 in 'log(x)' at [-0.3]" in err
 
     def test_factor_metric_outside_its_domain_exit_code(self, tmp_path, capsys):
         path = self._lines_spec(tmp_path, metric_w="1 + sqrt(w)", box={"w": [-1.0, 1.0]})
@@ -666,6 +668,34 @@ class TestCli:
         path.write_text(json.dumps(data))
         err = self._one_line_exit_2(capsys, ["classify", str(path), "--at", "x=0"])
         assert err.endswith("metric of 'a' is degenerate at [0.0]: |det g| = 0.000e+00\n")
+
+    def test_zero_warping_is_named_before_the_degenerate_flat_metric_exit_code(
+        self, tmp_path, capsys
+    ):
+        # f = 0 makes the flat metric degenerate too; the line names the cause
+        path = self._lines_spec(tmp_path, f="x")
+        err = self._one_line_exit_2(capsys, ["classify", path, "--at", "x=0"])
+        assert err == "error: inner warping is 0.0 (must be positive) at [0.0]\n"
+
+    def test_overflowing_curvature_is_the_fits_input_error_exit_code(self, tmp_path, capsys):
+        # finite metric jets whose curvature overflows: classify reads it first
+        # inside the fits, verify inside the oracle checks; neither may warn
+        data = minimal_spec(warpings={"f": "2 + sin(x)", "h": "1"})
+        data["factors"] = [
+            {"name": "a", "coords": ["x"], "metric": [["1e-300"]]},
+            {"name": "b", "coords": ["y"], "metric": [["1e300"]]},
+            {"name": "c", "coords": ["c551"], "metric": [["1/c551"]]},
+        ]
+        data["sampling"]["boxes"] = {"c551": [100, 101]}
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(data))
+        err = self._one_line_exit_2(capsys, ["classify", str(path)])
+        assert err == (
+            "error: quasi-Einstein fit input (metric or Ricci tensor) is not finite"
+            " at sample 0 [0.0, 0.0, 100.5]\n"
+        )
+        err = self._one_line_exit_2(capsys, ["verify", str(path)])
+        assert "oracle_lemma1_connection residual is not finite at sample 0 [" in err
 
     @pytest.mark.parametrize(
         "factor, box, message",
