@@ -472,10 +472,7 @@ class ChartFrame:
     @cached_property
     def _gamma_source(self) -> np.ndarray:
         """T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, in C order."""
-        dg = self.dmetric
-        return np.ascontiguousarray(
-            np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
-        )
+        return _christoffel_source(self.dmetric)
 
     @cached_property
     def christoffel(self) -> np.ndarray:
@@ -484,19 +481,16 @@ class ChartFrame:
 
     @cached_property
     def _dgamma_source(self) -> np.ndarray:
-        """d_a T_lij, in C order, as the matmuls that read it want it."""
-        d2g = self.d2metric
-        return np.ascontiguousarray(
-            np.einsum("...aijl->...alij", d2g) + np.einsum("...ajil->...alij", d2g) - d2g
-        )
+        """d_a T_lij, in C order."""
+        return _christoffel_source(self.d2metric)
 
     @cached_property
     def dchristoffel(self) -> np.ndarray:
         """dchristoffel[a, k, i, j] = d_a Gamma^k_ij = (d_a g^kl T_lij + g^kl d_a T_lij) / 2."""
-        return 0.5 * (
-            _contract_first(self.dinverse, self._gamma_source[..., None, :, :, :])
-            + _contract_first(self.inverse[..., None, :, :], self._dgamma_source)
-        )
+        out = _contract_first(self.dinverse, self._gamma_source[..., None, :, :, :])
+        out += _contract_first(self.inverse[..., None, :, :], self._dgamma_source)
+        out *= 0.5
+        return out
 
     @cached_property
     def d2christoffel(self) -> np.ndarray:
@@ -528,7 +522,10 @@ class ChartFrame:
         dga = np.swapaxes(self.dchristoffel, -4, -3)  # dga[l, i, j, k] = d_i Gamma^l_jk
         q = ga.reshape(lead + (m * m, m)) @ ga.reshape(lead + (m, m * m))
         q = q.reshape(ga.shape + (m,))
-        return dga - np.swapaxes(dga, -3, -2) + q - np.swapaxes(q, -3, -2)
+        out = dga - np.swapaxes(dga, -3, -2)
+        out += q
+        out -= np.swapaxes(q, -3, -2)
+        return out
 
     @cached_property
     def riemann(self) -> np.ndarray:
@@ -588,7 +585,8 @@ class ChartFrame:
         mm = m * m
         gi_col = gi.reshape(lead + (mm, 1))
         dgi_flat = dgi.reshape(lead + (m, mm))
-        # 2 sum_i d_a d_i Gamma^i_jk
+        # 2 sum_i d_a d_i Gamma^i_jk: d_a d_i g^il T_ljk, d_a g^il d_i T_ljk,
+        # d_i g^il d_a T_ljk, then g^il d_a d_i T_ljk term by term
         out = _contract_first(np.einsum("...aiil->...al", d2gi), t)
         out += (dgi_flat @ dt.reshape(lead + (mm, mm))).reshape(shape)
         traced_dgi = np.einsum("...iil->...l", dgi)[..., None, :]
@@ -597,7 +595,8 @@ class ChartFrame:
         out += d3_traced
         out += np.swapaxes(d3_traced, -2, -1)
         out -= (gi.reshape(lead + (1, 1, mm)) @ d3g.reshape(lead + (m, mm, mm))).reshape(shape)
-        # - 2 sum_i d_a d_j Gamma^i_ik
+        # - 2 sum_i d_a d_j Gamma^i_ik: d_a d_j g^il d_k g_il, d_a g^il d_j d_k g_il
+        # and its a <-> j swap, g^il d_a d_j d_k g_il
         dg_rows = np.swapaxes(self.dmetric.reshape(lead + (m, mm)), -2, -1)
         out -= (d2gi.reshape(lead + (mm, mm)) @ dg_rows).reshape(shape)
         d2g_rows = np.swapaxes(self.d2metric.reshape(lead + (mm, mm)), -2, -1)
@@ -726,6 +725,18 @@ def is_degenerate(metric: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log_rows = np.sum(np.log(np.hypot.reduce(np.abs(metric), axis=-1)), axis=-1)
         return np.linalg.slogdet(metric)[1] <= np.log(DEGENERACY_THRESHOLD) + log_rows
+
+
+def _christoffel_source(dg: np.ndarray) -> np.ndarray:
+    """T[..., l, i, j] = dg[..., i, j, l] + dg[..., j, i, l] - dg[..., l, i, j]
+    for the metric derivatives ``dg[..., c, i, j]`` = d_c g_ij (``dg`` may
+    carry further derivative axes first), written into one C-order array:
+    the matmuls that read T then see it without a copy."""
+    out = np.empty_like(dg, order="C")
+    lij = np.moveaxis(dg, -1, -3)  # lij[l, i, j] = dg[i, j, l]
+    np.add(lij, np.swapaxes(lij, -2, -1), out=out)
+    out -= dg
+    return out
 
 
 def _contract_first(a: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -484,13 +484,13 @@ class WarpedFrame:
     def connection(self, x: BlockVector, y: BlockVector) -> BlockVector:
         """Levi-Civita derivative of constant-component block fields, per
         sample; each vector is one for all samples or one per sample."""
-        gamma_y = (self.christoffel @ y.ambient[..., None, :, None])[..., 0]
+        gamma_y = matvec(self.christoffel, y.ambient[..., None, :])  # Gamma^k_ab Y^b
         return BlockVector.from_ambient(self.product, matvec(gamma_y, x.ambient))
 
     def curvature(self, x: BlockVector, y: BlockVector, z: BlockVector) -> BlockVector:
         """Curvature operator R(X, Y)Z per sample, vectors as in ``connection``."""
-        r_z = (self.riemann_up @ z.ambient[..., None, None, :, None])[..., 0]
-        r_yz = (r_z @ y.ambient[..., None, :, None])[..., 0]
+        r_z = matvec(self.riemann_up, z.ambient[..., None, None, :])  # R^l_abc Z^c
+        r_yz = matvec(r_z, y.ambient[..., None, :])
         return BlockVector.from_ambient(self.product, matvec(r_yz, x.ambient))
 
     @cached_property

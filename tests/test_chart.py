@@ -23,7 +23,10 @@ from seqwarp.chart import (
     symmetry_residuals,
     validate_factor_at,
 )
+from seqwarp.classify import _qcc_basis
 from seqwarp.expressions import parse
+from seqwarp.warped import WarpedFrame
+from test_stacked import chart_case, load
 
 SPHERE_BOX = {"theta": (0.35, 2.75), "phi": (0.1, 6.2)}
 HALF_BOX = {"p": (-1.0, 1.0), "q": (0.6, 2.4)}
@@ -217,3 +220,153 @@ def test_d2inverse_matches_five_operand_einsum():
         "km,abmn,nl->abkl", gi, d2g, gi
     )
     assert np.max(np.abs(frame.d2inverse[0] - old)) <= 1e-12 * (1.0 + np.max(np.abs(old)))
+
+
+# The contractions of the oracle, the closed forms and the curvature-fit basis
+# as einsums, index for index: test-only references for the batched matmul and
+# broadcast kernels.  Each reads the same cached inputs as the stage it checks.
+
+def einsum_dinverse(frame):
+    gi = frame.inverse
+    return -np.einsum("...km,...amn,...nl->...akl", gi, frame.dmetric, gi)
+
+
+def einsum_christoffel(frame):
+    return 0.5 * np.einsum("...kl,...lij->...kij", frame.inverse, frame._gamma_source)
+
+
+def einsum_dchristoffel(frame):
+    return 0.5 * (
+        np.einsum("...akl,...lij->...akij", frame.dinverse, frame._gamma_source)
+        + np.einsum("...kl,...alij->...akij", frame.inverse, frame._dgamma_source)
+    )
+
+
+def einsum_riemann_up(frame):
+    ga, dga = frame.christoffel, frame.dchristoffel
+    return (
+        np.einsum("...iljk->...lijk", dga)
+        - np.einsum("...jlik->...lijk", dga)
+        + np.einsum("...lim,...mjk->...lijk", ga, ga)
+        - np.einsum("...ljm,...mik->...lijk", ga, ga)
+    )
+
+
+def einsum_dricci(frame):
+    gi, dgi, d2gi = frame.inverse, frame.dinverse, frame.d2inverse
+    t, dt, d3g = frame._gamma_source, frame._dgamma_source, frame.d3metric
+    ga, dga = frame.christoffel, frame.dchristoffel
+    out = np.einsum("...al,...ljk->...ajk", np.einsum("...aiil->...al", d2gi), t)
+    out += np.einsum("...ail,...iljk->...ajk", dgi, dt)
+    out += np.einsum("...l,...aljk->...ajk", np.einsum("...iil->...l", dgi), dt)
+    d3_traced = np.einsum("...il,...aijkl->...ajk", gi, d3g)
+    out += d3_traced + np.swapaxes(d3_traced, -2, -1)
+    out -= np.einsum("...il,...ailjk->...ajk", gi, d3g)
+    out -= np.einsum("...ajil,...kil->...ajk", d2gi, frame.dmetric)
+    cross = np.einsum("...ail,...jkil->...ajk", dgi, frame.d2metric)
+    out -= cross + np.swapaxes(cross, -3, -2)
+    out -= np.einsum("...il,...ajkil->...ajk", gi, d3g)
+    out *= 0.5
+    out += np.einsum("...am,...mjk->...ajk", np.einsum("...aiim->...am", dga), ga)
+    out += np.einsum("...m,...amjk->...ajk", np.einsum("...iim->...m", ga), dga)
+    quadratic = np.einsum("...aijm,...mik->...ajk", dga, ga)
+    return out - quadratic - np.swapaxes(quadratic, -2, -1)
+
+
+def einsum_divergence(frame, dt, t):
+    gi, ga = frame.inverse, frame.christoffel
+    return (
+        np.einsum("...ik,...ikj->...j", gi, dt)
+        - np.einsum("...ik,...mik,...mj->...j", gi, ga, t)
+        - np.einsum("...ik,...mij,...km->...j", gi, ga, t)
+    )
+
+
+def einsum_warped_christoffel(w):
+    from seqwarp.warped import _embed, _per_sample
+
+    d, lead = w.product.dim, w._lead
+    s1, s2, s3 = w.product.block_slices
+    inner = slice(0, s3.start)
+    f, h = w.f_value, w.h_value
+    g2, g3, p2, p3 = w._fiber_blocks
+    out = np.zeros(lead + (d, d, d))
+    for sl, fr in zip((s1, s2, s3), (w.frame1, w.frame2, w.frame3)):
+        out[..., sl, sl, sl] = fr.christoffel
+    out -= np.einsum(
+        "...k,...ab->...kab", _embed(d, s1, w.grad_f, lead), _per_sample(f, 2) * g2
+    ) + np.einsum(
+        "...k,...ab->...kab", _embed(d, inner, w.grad_h, lead), _per_sample(h, 2) * g3
+    )
+    t = np.einsum(
+        "...a,...kb->...kab", _embed(d, s1, w.df / _per_sample(f, 1), lead), p2
+    ) + np.einsum("...a,...kb->...kab", _embed(d, inner, w.dh / _per_sample(h, 1), lead), p3)
+    return out + (t + np.swapaxes(t, -2, -1))
+
+
+def einsum_warped_riemann_up(w):
+    from seqwarp.warped import _embed, _per_sample
+
+    d, lead = w.product.dim, w._lead
+    s1, s2, s3 = w.product.block_slices
+    inner = slice(0, s3.start)
+    f, h = _per_sample(w.f_value, 2), _per_sample(w.h_value, 2)
+    gf2, gh2 = _per_sample(w.grad_f_norm2, 2), _per_sample(w.grad_h_norm2, 2)
+    out = np.zeros(lead + (d, d, d, d))
+    for sl, fr in zip((s1, s2, s3), (w.frame1, w.frame2, w.frame3)):
+        out[..., sl, sl, sl, sl] = fr.riemann_up
+    g2, g3, p2, p3 = w._fiber_blocks
+    outer = "...ac,...lb->...labc"
+    t = (
+        np.einsum(outer, gf2 * g2 + _embed(d, s1, w.hess_f, lead) / f, p2)
+        + np.einsum(outer, f * g2, _embed(d, s1, w.raised_hess_f, lead))
+        + np.einsum(outer, _embed(d, inner, w.hess_h, lead) / h + gh2 * g3, p3)
+        + np.einsum(outer, h * g3, _embed(d, inner, w.raised_hess_h, lead))
+    )
+    return out + (t - np.swapaxes(t, -3, -2))
+
+
+def einsum_qcc_basis(g, a_form):
+    t1 = np.einsum("...jk,...il->...ijkl", g, g) - np.einsum("...ik,...jl->...ijkl", g, g)
+    t2 = (
+        np.einsum("...il,...j,...k->...ijkl", g, a_form, a_form)
+        - np.einsum("...ik,...j,...l->...ijkl", g, a_form, a_form)
+        + np.einsum("...jk,...i,...l->...ijkl", g, a_form, a_form)
+        - np.einsum("...jl,...i,...k->...ijkl", g, a_form, a_form)
+    )
+    return t1, t2
+
+
+def kernel_cases(frame, fields, warped):
+    """(name, kernel output, einsum reference) of every rewritten contraction."""
+    cases = [
+        ("dinverse", frame.dinverse, einsum_dinverse(frame)),
+        ("christoffel", frame.christoffel, einsum_christoffel(frame)),
+        ("dchristoffel", frame.dchristoffel, einsum_dchristoffel(frame)),
+        ("riemann_up", frame.riemann_up, einsum_riemann_up(frame)),
+        ("dricci", frame.dricci, einsum_dricci(frame)),
+        ("div_ricci", frame.div_ricci, einsum_divergence(frame, frame.dricci, frame.ricci)),
+    ]
+    for phi in fields:
+        reference = einsum_divergence(frame, frame.dhessian(phi), frame.hessian(phi))
+        cases.append((f"div_hessian {phi}", frame.div_hessian(phi), reference))
+    if warped is not None:
+        cases.append(("warped christoffel", warped.christoffel, einsum_warped_christoffel(warped)))
+        cases.append(("warped riemann_up", warped.riemann_up, einsum_warped_riemann_up(warped)))
+    a_form = np.sin(np.arange(1.0, frame.manifold.dim + 1.0) + frame.point[:, :1])
+    for k, (t, reference) in enumerate(zip(_qcc_basis(frame.metric, a_form),
+                                           einsum_qcc_basis(frame.metric, a_form))):
+        cases.append((f"_qcc_basis t{k + 1}", t, reference))
+    return cases
+
+
+@pytest.mark.parametrize("count", [1, 6])
+@pytest.mark.parametrize("name", ["random_dim4", "sweep_dim12", "grw_exponential"])
+def test_contractions_match_their_einsum_references(name, count):
+    chart, fields, points = chart_case(name)
+    frame = ChartFrame(chart, points[:count])
+    warped = None if name == "random_dim4" else WarpedFrame(load(name).product, points[:count])
+    for what, kernel, reference in kernel_cases(frame, fields, warped):
+        assert kernel.shape == reference.shape, what
+        scale = max(1.0, float(np.max(np.abs(reference))))
+        assert np.max(np.abs(kernel - reference)) <= 1e-13 * scale, what

@@ -23,9 +23,12 @@ anything but 0, or an op's verdict failed an identity that
 on stderr.  An exception an op raises ends the tool with its traceback, so
 under ``PYTHONWARNINGS=error::RuntimeWarning`` a numpy warning does too.
 
-The package is imported from this checkout's ``src``.  Two checkouts, or one
-checkout under two values of ``PYTHONHASHSEED``, print the same lines
-exactly where their outputs are the same bytes; ``diff`` names the rest.
+The package is imported from this checkout's ``src``, or from the ``src``
+(and the benchmark from the ``perfbench``) of ``--root CHECKOUT``.  Two
+checkouts, or one checkout under two values of ``PYTHONHASHSEED``, print the
+same lines exactly where their outputs are the same bytes; ``diff`` names
+the rest.  ``--dump DIR`` also writes each output's bytes to ``DIR/<name>``;
+``tools/report_diff.py`` reads those to print the fields that moved.
 """
 
 from __future__ import annotations
@@ -39,9 +42,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-from seqwarp.cli import catalog_names, catalog_path  # noqa: E402
 
 MAIN = "import sys; from seqwarp.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -50,11 +50,14 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _cli(name: str, argv: list[str], tmp: Path, problems: list[str]) -> list[str]:
-    """The report and console lines of ``seqwarp <argv> -o <file>``, run in a
-    new process; an exit code other than 0 is added to ``problems``."""
+def _cli(
+    name: str, argv: list[str], root: Path, tmp: Path, problems: list[str]
+) -> list[tuple[str, bytes | None]]:
+    """The report and console outputs of ``seqwarp <argv> -o <file>``, run in
+    a new process on the package of ``root``; the report is None when no file
+    was written, and an exit code other than 0 is added to ``problems``."""
     report = tmp / f"{name.replace('/', '.')}.json"
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-c", MAIN, *argv, "-o", str(report)],
         capture_output=True,
@@ -63,34 +66,40 @@ def _cli(name: str, argv: list[str], tmp: Path, problems: list[str]) -> list[str
     if run.returncode != 0:
         problems.append(f"{name}: exit {run.returncode}\n{run.stderr.decode(errors='replace')}")
     console = b"exit %d\n%b\0%b" % (run.returncode, run.stdout, run.stderr)
-    written = _sha(report.read_bytes()) if report.exists() else "-"
-    return [f"{name}.report {written}", f"{name}.console {_sha(console)}"]
+    written = report.read_bytes() if report.exists() else None
+    return [(f"{name}.report", written), (f"{name}.console", console)]
 
 
-def cli_lines(tmp: Path, problems: list[str]) -> list[str]:
-    lines = []
+def cli_outputs(root: Path, tmp: Path, problems: list[str]) -> list[tuple[str, bytes | None]]:
+    from seqwarp.cli import catalog_names, catalog_path
+
+    outputs = []
     for name in catalog_names():
         path = str(catalog_path(name))
-        lines += _cli(f"examples_run/{name}", ["examples", "run", name], tmp, problems)
-        lines += _cli(f"classify/{name}", ["classify", path], tmp, problems)
-        lines += _cli(f"verify_points_1/{name}", ["verify", path, "--points", "1"], tmp, problems)
-    torus = str(ROOT / "tests" / "data" / "torus_1p1.json")
-    lines += _cli("verify_points_4/torus_1p1", ["verify", torus, "--points", "4"], tmp, problems)
-    return lines
+        outputs += _cli(f"examples_run/{name}", ["examples", "run", name], root, tmp, problems)
+        outputs += _cli(f"classify/{name}", ["classify", path], root, tmp, problems)
+        outputs += _cli(
+            f"verify_points_1/{name}", ["verify", path, "--points", "1"], root, tmp, problems
+        )
+    torus = str(root / "tests" / "data" / "torus_1p1.json")
+    outputs += _cli(
+        "verify_points_4/torus_1p1", ["verify", torus, "--points", "4"], root, tmp, problems
+    )
+    return outputs
 
 
-def benchmark_lines(seed: int, problems: list[str]) -> list[str]:
+def benchmark_outputs(seed: int, problems: list[str]) -> list[tuple[str, bytes]]:
     import workloads
 
-    lines = []
+    outputs = []
     for workload in ("catalog", "dim_sweep", "torus", "classify"):
         for op in workloads.build(workload, seed):
             name = f"bench/{workload}/seed{seed}/{op.input_id}"
             text, failing = op.check(op.run())
             if failing and workloads.unexpected(op.input_id, failing):
                 problems.append(f"{name}: fails {', '.join(failing)}")
-            lines.append(f"{name} {_sha(text.encode())}")
-    return lines
+            outputs.append((name, text.encode()))
+    return outputs
 
 
 def main_digests(argv: list[str] | None = None) -> int:
@@ -98,13 +107,23 @@ def main_digests(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--seed", type=int, action="append", default=[], help="benchmark seed (repeatable)"
     )
+    parser.add_argument(
+        "--root", type=Path, default=ROOT, help="checkout whose package runs (default: this one)"
+    )
+    parser.add_argument("--dump", type=Path, help="also write each output's bytes under DIR")
     args = parser.parse_args(argv)
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     problems: list[str] = []
     with tempfile.TemporaryDirectory() as tmp:
-        lines = cli_lines(Path(tmp), problems)
+        outputs = cli_outputs(root, Path(tmp), problems)
     for seed in args.seed:
-        lines += benchmark_lines(seed, problems)
-    print("\n".join(lines))
+        outputs += benchmark_outputs(seed, problems)
+    print("\n".join(f"{name} {'-' if data is None else _sha(data)}" for name, data in outputs))
+    for name, data in outputs if args.dump else ():
+        if data is not None:
+            (args.dump / name).parent.mkdir(parents=True, exist_ok=True)
+            (args.dump / name).write_bytes(data)
     for problem in problems:
         print(f"report_digests: {problem}", file=sys.stderr)
     return 1 if problems else 0
