@@ -472,7 +472,10 @@ class ChartFrame:
     @cached_property
     def _gamma_source(self) -> np.ndarray:
         """T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, in C order."""
-        return _christoffel_source(self.dmetric)
+        dg = self.dmetric
+        return np.ascontiguousarray(
+            np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
+        )
 
     @cached_property
     def christoffel(self) -> np.ndarray:
@@ -482,15 +485,18 @@ class ChartFrame:
     @cached_property
     def _dgamma_source(self) -> np.ndarray:
         """d_a T_lij, in C order."""
-        return _christoffel_source(self.d2metric)
+        d2g = self.d2metric
+        return np.ascontiguousarray(
+            np.einsum("...aijl->...alij", d2g) + np.einsum("...ajil->...alij", d2g) - d2g
+        )
 
     @cached_property
     def dchristoffel(self) -> np.ndarray:
         """dchristoffel[a, k, i, j] = d_a Gamma^k_ij = (d_a g^kl T_lij + g^kl d_a T_lij) / 2."""
-        out = _contract_first(self.dinverse, self._gamma_source[..., None, :, :, :])
-        out += _contract_first(self.inverse[..., None, :, :], self._dgamma_source)
-        out *= 0.5
-        return out
+        return 0.5 * (
+            _contract_first(self.dinverse, self._gamma_source[..., None, :, :, :])
+            + _contract_first(self.inverse[..., None, :, :], self._dgamma_source)
+        )
 
     @cached_property
     def d2christoffel(self) -> np.ndarray:
@@ -522,10 +528,7 @@ class ChartFrame:
         dga = np.swapaxes(self.dchristoffel, -4, -3)  # dga[l, i, j, k] = d_i Gamma^l_jk
         q = ga.reshape(lead + (m * m, m)) @ ga.reshape(lead + (m, m * m))
         q = q.reshape(ga.shape + (m,))
-        out = dga - np.swapaxes(dga, -3, -2)
-        out += q
-        out -= np.swapaxes(q, -3, -2)
-        return out
+        return dga - np.swapaxes(dga, -3, -2) + q - np.swapaxes(q, -3, -2)
 
     @cached_property
     def riemann(self) -> np.ndarray:
@@ -725,18 +728,6 @@ def is_degenerate(metric: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log_rows = np.sum(np.log(np.hypot.reduce(np.abs(metric), axis=-1)), axis=-1)
         return np.linalg.slogdet(metric)[1] <= np.log(DEGENERACY_THRESHOLD) + log_rows
-
-
-def _christoffel_source(dg: np.ndarray) -> np.ndarray:
-    """T[..., l, i, j] = dg[..., i, j, l] + dg[..., j, i, l] - dg[..., l, i, j]
-    for the metric derivatives ``dg[..., c, i, j]`` = d_c g_ij (``dg`` may
-    carry further derivative axes first), written into one C-order array:
-    the matmuls that read T then see it without a copy."""
-    out = np.empty_like(dg, order="C")
-    lij = np.moveaxis(dg, -1, -3)  # lij[l, i, j] = dg[i, j, l]
-    np.add(lij, np.swapaxes(lij, -2, -1), out=out)
-    out -= dg
-    return out
 
 
 def _contract_first(a: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from seqwarp.chart import (
 )
 from seqwarp.classify import _qcc_basis
 from seqwarp.expressions import parse
-from seqwarp.warped import WarpedFrame
+from seqwarp.warped import WarpedFrame, _embed, _per_sample
 from test_stacked import chart_case, load
 
 SPHERE_BOX = {"theta": (0.35, 2.75), "phi": (0.1, 6.2)}
@@ -283,8 +283,6 @@ def einsum_divergence(frame, dt, t):
 
 
 def einsum_warped_christoffel(w):
-    from seqwarp.warped import _embed, _per_sample
-
     d, lead = w.product.dim, w._lead
     s1, s2, s3 = w.product.block_slices
     inner = slice(0, s3.start)
@@ -305,8 +303,6 @@ def einsum_warped_christoffel(w):
 
 
 def einsum_warped_riemann_up(w):
-    from seqwarp.warped import _embed, _per_sample
-
     d, lead = w.product.dim, w._lead
     s1, s2, s3 = w.product.block_slices
     inner = slice(0, s3.start)
