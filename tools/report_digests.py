@@ -23,8 +23,8 @@ anything but 0, or an op's verdict failed an identity that
 on stderr.  An exception an op raises ends the tool with its traceback, so
 under ``PYTHONWARNINGS=error::RuntimeWarning`` a numpy warning does too.
 
-The package is imported from this checkout's ``src``, or from the ``src``
-(and the benchmark from the ``perfbench``) of ``--root CHECKOUT``.  Two
+The package and the benchmark are imported from this checkout's ``src`` and
+``perfbench``, or from those of ``--root CHECKOUT``.  Two
 checkouts, or one checkout under two values of ``PYTHONHASHSEED``, print the
 same lines exactly where their outputs are the same bytes; ``diff`` names
 the rest.  ``--dump DIR`` also writes each output's bytes to ``DIR/<name>``;
