@@ -25,11 +25,11 @@ stack of one.  The stack is vector forward mode (Griewank & Walther,
 matmuls over flattened index pairs, do for all N samples at once the
 arithmetic of one sample at each.
 The jets of a frame, at every N, come from ``JetProgram`` runs: one for
-the metric entries together with the scalar fields the frame was built
-with (``fields``), one for ``d3metric``, and one per other field stage.
-Each program is compiled once per structure, and each distinct
-subexpression among its roots is one node; see ``ChartFrame``.  An error
-names its failing sample through one method, ``ChartFrame.where``.
+the metric entries, one for the scalar fields the frame was built with
+(``fields``), one for ``d3metric``, and one per other field stage.  Each
+program is compiled once per structure, and each distinct subexpression
+among its roots is one node; see ``ChartFrame``.  An error names its
+failing sample through one method, ``ChartFrame.where``.
 
 The first derivative of the curvature enters the checks only traced, as
 ``dricci``, and ``dricci`` takes each trace before the product it enters:
@@ -157,14 +157,14 @@ def _derived(e: Expr, coord: str) -> Expr:
 
 
 @lru_cache(maxsize=None)
-def _frame_program(manifold: FactorManifold, fields: tuple[Expr, ...]):
-    """The one program of a frame's metric and ``fields``: the (i, j, value)
-    of the constant metric entries on and above the diagonal, then
-    ``_varying`` of all of them, row by row, with ``fields`` after them."""
+def _frame_program(manifold: FactorManifold):
+    """The program of a frame's metric: the (i, j, value) of the constant
+    metric entries on and above the diagonal, then ``_varying`` of all of
+    them, row by row."""
     upper = _upper(manifold.dim)
     entries = [manifold.metric[i][j] for i, j in upper]
     fixed = [(i, j, e.value) for (i, j), e in zip(upper, entries) if isinstance(e, Const)]
-    return (fixed, *_varying(upper, entries, manifold.coords, fields))
+    return (fixed, *_varying(upper, entries, manifold.coords))
 
 
 @lru_cache(maxsize=None)
@@ -181,18 +181,12 @@ def _upper(m: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(m) for j in range(i, m)]
 
 
-def _varying(
-    index: list[tuple[int, ...]],
-    exprs: list[Expr],
-    coords: tuple[str, ...],
-    extra: tuple[Expr, ...] = (),
-):
-    """The program of the ``exprs`` that are not constant, in order, then of
-    the ``extra`` roots, and the columns of the kept ``index`` tuples (None
-    when there is no root).  A constant's derivatives are zero, so a stage
-    leaves it out."""
+def _varying(index: list[tuple[int, ...]], exprs: list[Expr], coords: tuple[str, ...]):
+    """The program of the ``exprs`` that are not constant, in order, and the
+    columns of the kept ``index`` tuples (None when there is no root).  A
+    constant's derivatives are zero, so a stage leaves it out."""
     keep = [k for k, e in enumerate(exprs) if not isinstance(e, Const)]
-    roots = [exprs[k] for k in keep] + list(extra)
+    roots = [exprs[k] for k in keep]
     program = JetProgram(roots, coords) if roots else None
     columns = [[index[k][a] for k in keep] for a in range(len(index[0]))]
     return program, tuple(np.array(column, dtype=np.intp) for column in columns)
@@ -227,23 +221,23 @@ class ChartFrame:
     ``inv`` / ``det``, broadcasts and ``...`` einsums), so a stack of N
     agrees bit for bit with N stacks of one.
 
-    Jets: one ``JetProgram`` run over all samples gives the metric entries
-    (``_metric_jets``) and the scalar fields named in ``fields``, so that
-    each subexpression they share is evaluated once; the run is read stage
-    by stage, the metric first and then each field in order, and dropped
-    once all of them have been read.  ``d3metric``, any other field
-    (``field_jets``) and the third derivatives of a field (``dhessian``)
-    run programs of their own.  A program is compiled on first use and
-    cached by structure, so frames of one chart share it.  The jets and the
-    field methods ``gradient``, ``hessian`` and ``dhessian`` are computed
-    once per field and are read-only.
+    Jets: each stage runs one ``JetProgram`` over all samples and reads
+    it once.  The metric entries (``_metric_jets``) and ``d3metric`` run
+    programs of their own.  The scalar fields named in ``fields`` run as
+    one program, so that each subexpression they share is evaluated once;
+    ``field_jets`` reads that run field by field and drops it after the
+    last read.  Any other field, and the third derivatives of a field
+    (``dhessian``), run programs of their own.  A program is compiled on
+    first use and cached by structure, so frames of one chart share it.
+    The jets and the field methods ``gradient``, ``hessian`` and
+    ``dhessian`` are computed once per field and are read-only.
 
     A stack raises the error a loop over its samples would raise first:
     ``GeometryError`` (non-finite jets), ``DegenerateMetricError`` and
     ``DomainError`` name the first failing sample through ``where``, which
     a subclass may override (the torus quadrature's blocks name a grid
-    node).  A stage that reads the shared run also raises the domain errors
-    of the roots before its own.  ``validate`` checks the metric values
+    node).  A field read from the run of ``fields`` also raises the domain
+    errors of the fields before it.  ``validate`` checks the metric values
     themselves.
     """
 
@@ -264,8 +258,8 @@ class ChartFrame:
             finite = np.isfinite(self.point).all(axis=-1)
             raise GeometryError(f"non-finite point {self.where(int(np.argmin(finite)))}")
         self.fields = tuple(dict.fromkeys(fields))
-        # reads of the shared run still to come: the metric's and one per field
-        self._unread = 1 + len(self.fields)
+        # reads of the run of ``fields`` still to come, one per field
+        self._unread = len(self.fields)
         # what ``_per_field`` methods computed, by (method name, expression)
         self._per_field: dict[tuple[str, Expr], object] = {}
 
@@ -296,24 +290,6 @@ class ChartFrame:
     # -- metric jets --------------------------------------------------------
 
     @cached_property
-    def _program(self) -> tuple:
-        """``_frame_program`` of the chart and ``fields``."""
-        return _frame_program(self.manifold, self.fields)
-
-    @cached_property
-    def _shared_run(self) -> JetRun:
-        """The one run of the metric entries and ``fields``; see ``_read``."""
-        return self._program[1].run(self.point)
-
-    def _read(self, start: int, stop: int):
-        """``_roots`` of the shared run; the run goes after its last read."""
-        jets = self._roots(self._shared_run, start, stop)
-        self._unread -= 1
-        if not self._unread:
-            del self._shared_run
-        return jets
-
-    @cached_property
     def _metric_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Order-2 jets of the metric entries, unchecked: ``g`` ``(N, m, m)``,
         ``dg`` ``(N, m, m, m)`` and ``d2g`` ``(N, m, m, m, m)``, derivative
@@ -327,11 +303,11 @@ class ChartFrame:
         g = np.zeros((count, m, m))
         dg = np.zeros((count, m, m, m))
         d2g = np.zeros((count, m, m, m, m))
-        fixed, program, (i, j) = self._program
+        fixed, program, (i, j) = _frame_program(self.manifold)
         for a, b, value in fixed:
             g[:, a, b] = g[:, b, a] = value
         if program is not None:
-            value, grad, hess = self._read(0, len(i))
+            value, grad, hess = self._roots(program.run(self.point))
             g[:, i, j] = g[:, j, i] = value.T
             dg[..., i, j] = dg[..., j, i] = grad.transpose(1, 2, 0)
             d2g[..., i, j] = d2g[..., j, i] = hess.transpose(1, 2, 3, 0)
@@ -646,15 +622,22 @@ class ChartFrame:
 
     # -- scalar fields -------------------------------------------------------
 
+    @cached_property
+    def _fields_run(self) -> JetRun:
+        """The one run of ``fields``; ``field_jets`` drops it after its last read."""
+        return jet_program(self.fields, self.manifold.coords).run(self.point)
+
     @_per_field
     def field_jets(self, phi: Expr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Order-2 jets of ``phi``: value ``(N,)``, gradient ``(N, m)`` and
         Hessian ``(N, m, m)``.  A field named in ``fields`` is read from the
-        shared run, any other from a run of its own."""
+        run of ``fields``, any other from a run of its own."""
         if phi in self.fields:
-            # the metric's varying entries come first
-            k = len(self._program[2][0]) + self.fields.index(phi)
-            jets = self._read(k, k + 1)
+            k = self.fields.index(phi)
+            jets = self._roots(self._fields_run, k, k + 1)
+            self._unread -= 1
+            if not self._unread:
+                del self._fields_run
         else:
             jets = self._jets([phi])
         return tuple(a[0] for a in jets)

@@ -16,9 +16,9 @@ Three layers live here:
   fields over fully periodic factors (``torus_average_identity``).  The torus
   quadrature is the one place that evaluates geometry at thousands of
   points; it evaluates the grid in blocks of nodes, one ``ChartFrame`` per
-  block that carries the averaged field and the warpings as its fields,
-  computes the metric stages once per distinct value of the coordinates the
-  metric mentions, and names a failing node by its index in the grid;
+  block whose averaged field and warpings run as one program, computes and
+  validates the metric stages once per distinct value of the coordinates
+  the metric mentions, and names a failing node by its index in the grid;
 * hypothesis evaluators for the differential conditions under which the
   scalar fields are forced constant (``condition_residuals``, one ``(N,)``
   residual array per condition) and for the rigidity statements that force
@@ -58,7 +58,6 @@ from .chart import (
     per_sample_power,
 )
 from .expressions import Expr, free_variables, to_string
-from .jets import jet_program
 from .warped import (
     BlockVector,
     PositivityError,
@@ -501,23 +500,21 @@ class _GridFrame(ChartFrame):
 
 
 class _GridBlock(_GridFrame):
-    """A block of grid nodes on a chart whose metric mentions only the
+    """A block of grid nodes on a chart whose metric mentions the
     coordinates ``columns``.
 
     Its metric stages are those of ``rows``, a ``_GridFrame`` at the first
     node of each distinct value of those coordinates (distinct by bit
     pattern, in order of first appearance), taken per node through
-    ``row_of``: the metric jets, ``inverse``, ``det`` and ``christoffel``.
-    Its own program run carries only its fields.  The first failing row is
-    the row of the first failing node, and names that node, so the errors
-    are the block's own.
+    ``row_of``: ``inverse``, ``det`` and ``christoffel``.  The first failing
+    row is the row of the first failing node, and names that node, so the
+    errors are the block's own.
     """
 
     def __init__(
         self, manifold: FactorManifold, points: np.ndarray, nodes: range, fields, columns: list
     ):
         super().__init__(manifold, points, nodes, fields)
-        self._unread -= 1  # the metric is read from ``rows``, not from this run
         keys = self.point[:, columns].view(np.int64)
         if len(columns) == 1:
             keys = keys[:, 0]  # np.unique is faster on a 1-D array than by rows
@@ -526,15 +523,6 @@ class _GridBlock(_GridFrame):
         self.row_of = np.argsort(order)[inverse.ravel()]
         first = first[order]
         self.rows = _GridFrame(manifold, self.point[first], nodes.start + first)
-
-    @cached_property
-    def _program(self) -> tuple:
-        """No metric entries, and the program of ``fields`` alone."""
-        return (), jet_program(self.fields, self.manifold.coords), ((), ())
-
-    @cached_property
-    def _metric_jets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(a[self.row_of] for a in self.rows._metric_jets)
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -563,18 +551,16 @@ def _volume_means(
     integrands.
 
     The grid is evaluated in blocks of at most ``QUADRATURE_BLOCK`` nodes,
-    each one frame built with ``phi`` and the warpings as its fields.  When
-    the metric mentions every chart coordinate, a block is one
-    ``_GridFrame``, and one program run gives its metric, field and warping
-    jets.  Otherwise it is a ``_GridBlock``: the metric stages are computed
-    once per distinct value of the coordinates the metric mentions (8 in a
-    1,024-node block of the ``nu`` grid of a 1+1 product at 128 nodes per
-    period) and gathered per node, and the block's own run carries only the
-    fields.  A frame drops its run once it is read, before the block's
-    tensors are built.  The frame's ``det``, Laplacian of ``phi`` and
-    ``|grad phi|^2`` are those of a per-node loop of frames bit for bit, and
-    the weighted sums are accumulated in node order, so the means are too
-    (the tests check this on 1- and 2-dimensional charts).
+    each one ``_GridBlock`` built with ``phi`` and the warpings as its
+    fields: the metric stages are computed once per distinct value of the
+    coordinates the metric mentions (8 in a 1,024-node block of the ``nu``
+    grid of a 1+1 product at 128 nodes per period) and gathered per node,
+    and the fields run as one program.  A frame drops each run once it is
+    read, before the block's tensors are built.  The frame's ``det``,
+    Laplacian of ``phi`` and ``|grad phi|^2`` are those of a per-node loop
+    of frames bit for bit, and the weighted sums are accumulated in node
+    order, so the means are too (the tests check this on 1- and
+    2-dimensional charts).
     ``integrand(value, lap, grad_norm2)`` maps the field data of a block to
     a tuple of arrays.
 
@@ -583,8 +569,9 @@ def _volume_means(
     two derivatives, its degeneracy (``DegenerateMetricError``), the domain
     and finiteness of the jets of ``phi`` (``GeometryError``), then the
     domain of each warping in ``positive`` (``(label, expr)`` pairs) and its
-    positivity (``PositivityError``).  The error names the first node that
-    fails.
+    positivity (``PositivityError``), then the metric values of its row as
+    ``ChartFrame.validate`` checks them.  The error names the first failing
+    node.
     """
     sums = None
     weight_total = 0.0
@@ -594,8 +581,7 @@ def _volume_means(
     count = grid.shape[0]
     for start in range(0, count, QUADRATURE_BLOCK):
         stop = min(start + QUADRATURE_BLOCK, count)
-        block = (manifold, grid[start:stop], range(start, stop), fields)
-        frame = _GridFrame(*block) if len(columns) == manifold.dim else _GridBlock(*block, columns)
+        frame = _GridBlock(manifold, grid[start:stop], range(start, stop), fields, columns)
         with np.errstate(over="ignore", invalid="ignore"):
             frame.inverse  # raises for a degenerate metric
             det = frame.det
@@ -618,6 +604,7 @@ def _volume_means(
                         f"{label} warping is {float(w_value[k])!r} (must be positive) at "
                         f"{frame.where(k)}"
                     )
+            frame.rows.validate()
 
         weight = np.sqrt(np.abs(det))
         values = integrand(value, frame.laplacian(phi), frame.grad_norm2(phi))

@@ -18,7 +18,9 @@ Grammar (whitespace-insensitive)::
 ``^`` binds tightest and is right-associative; unary minus sits between
 ``^`` and ``*``.  Integer exponents with magnitude <= 12 are evaluated by
 repeated multiplication so that negative bases stay legal and derivatives
-stay smooth; any other exponent requires a positive base.
+stay smooth; any other exponent requires a positive base.  An expression
+nests at most ``MAX_NESTING`` levels: each operator of a chain, unary minus,
+exponent, call and pair of parentheses is one level above what it holds.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ FUNCTIONS = frozenset(
 
 # Integer exponents up to this magnitude are unrolled to products.
 MAX_UNROLLED_EXPONENT = 12
+
+# Parsing, hashing, compiling and differentiating recurse per level (a
+# derivative can be twice as deep); every shape of nesting still ran 150
+# levels deep under Python's default recursion limit.
+MAX_NESTING = 100
 
 
 class ExpressionError(ValueError):
@@ -179,6 +186,7 @@ class _Parser:
         self.coords = coords
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0  # open calls of ``factor``: never more than the tree's height
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -195,44 +203,60 @@ class _Parser:
             f"expected {expected} but found {got} at offset {offset}", offset=offset
         )
 
+    def level(self, *heights: int) -> int:
+        """The height of a node over subtrees of ``heights``, at most ``MAX_NESTING``."""
+        if max(heights) >= MAX_NESTING:
+            at = self.peek()[2]
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels at offset {at}", at)
+        return 1 + max(heights)
+
+    # each rule returns its tree and the tree's height
     def parse(self) -> Expr:
-        node = self.expr()
+        node, _ = self.expr()
         if self.peek()[0] != "end":
             raise self.fail("end of input")
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self) -> tuple[Expr, int]:
+        node, height = self.term()
         while self.peek()[1] in ("+", "-"):
             op = self.advance()[1]
-            node = BinOp(op, node, self.term())
-        return node
+            right, h = self.term()
+            node, height = BinOp(op, node, right), self.level(height, h)
+        return node, height
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        node, height = self.factor()
         while self.peek()[1] in ("*", "/"):
             op = self.advance()[1]
-            node = BinOp(op, node, self.factor())
-        return node
+            right, h = self.factor()
+            node, height = BinOp(op, node, right), self.level(height, h)
+        return node, height
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple[Expr, int]:
+        self.open = self.level(self.open)  # bounds the parser's own recursion
         if self.peek()[1] == "-":
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            node, height = self.factor()
+            node, height = Neg(node), self.level(height)
+        else:
+            node, height = self.power()
+        self.open -= 1
+        return node, height
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self) -> tuple[Expr, int]:
+        base, height = self.atom()
         if self.peek()[1] == "^":
             self.advance()
-            return BinOp("^", base, self.factor())
-        return base
+            exponent, h = self.factor()
+            return BinOp("^", base, exponent), self.level(height, h)
+        return base, height
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         kind, text, offset = self.peek()
         if kind == "number":
             self.advance()
-            return Const(float(text))
+            return Const(float(text)), 1
         if kind == "ident":
             self.advance()
             if self.peek()[1] == "(":
@@ -241,23 +265,23 @@ class _Parser:
                         f"unknown function {text!r} at offset {offset}", offset=offset
                     )
                 self.advance()
-                arg = self.expr()
+                arg, height = self.expr()
                 if self.peek()[1] != ")":
                     raise self.fail("')'")
                 self.advance()
-                return Call(text, arg)
+                return Call(text, arg), self.level(height)
             if text not in self.coords:
                 raise ParseError(
                     f"unknown identifier {text!r} at offset {offset}", offset=offset
                 )
-            return Var(text)
+            return Var(text), 1
         if text == "(":
             self.advance()
-            node = self.expr()
+            node, height = self.expr()
             if self.peek()[1] != ")":
                 raise self.fail("')'")
             self.advance()
-            return node
+            return node, self.level(height)
         raise self.fail("a number, name, or '('")
 
 

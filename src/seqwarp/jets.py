@@ -184,7 +184,11 @@ class JetStack:
     def int_power(self, n: int, out=_FRESH) -> "JetStack":
         """Analytic power rule; integer exponents keep negative bases legal."""
         v = self.value
-        return self.chain(v**n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2), out)
+        try:
+            second = float(n * (n - 1))
+        except OverflowError:  # |n| above about 1.3e154
+            second = np.inf
+        return self.chain(v**n, n * v ** (n - 1), second * v ** (n - 2), out)
 
     def real_power(self, c: float, out=_FRESH) -> "JetStack":
         v = self.value

@@ -436,8 +436,9 @@ def _fields(ctx: _Context):
             "nu": _stats(nu_values),
         },
     )
+    # a torus grid holds TORUS_NODES**dim nodes: each average needs dim <= MAX_TORUS_DIM
     fields = []
-    if product.m1.fully_periodic:
+    if product.m1.fully_periodic and product.m1.dim <= MAX_TORUS_DIM:
         fields.append("lambda")
         if product.m2.fully_periodic and product.m1.dim + product.m2.dim <= MAX_TORUS_DIM:
             fields.append("nu")

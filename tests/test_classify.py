@@ -474,7 +474,8 @@ class TestBatchedQuadrature:
     def test_block_runs_its_metric_rows_then_its_fields(self, monkeypatch):
         """The nu chart's metric mentions only x: each block runs the metric
         once per distinct x (28 in nodes 0-1023, 10 in 1024-1368), then its
-        field and warpings at every node, and drops both runs."""
+        field and warpings at every node, and drops both runs; a metric that
+        mentions every coordinate runs at every node, as the fields do."""
         from seqwarp.jets import JetProgram
 
         runs = []
@@ -496,11 +497,11 @@ class TestBatchedQuadrature:
         torus_average_identity(torus_1p1_product(), 0.7, 37, "nu")
         assert runs == [(28, 2), (1024, 2), (10, 2), (345, 2)]
         assert [len(block.rows.point) for block in blocks] == [28, 10]
-        assert not any("_shared_run" in vars(f) for b in blocks for f in (b, b.rows))
-        # a metric that mentions every coordinate runs with the field, once a block
+        assert not any("_fields_run" in vars(f) for b in blocks for f in (b, b.rows))
+        # a metric that mentions every coordinate has one row per node
         runs.clear()
         torus_divergence_residual(skew_torus(), parse("sin(x)*cos(u)", ["x", "u"]), 37)
-        assert runs == [(1024, 2), (345, 2)]
+        assert runs == [(1024, 2), (1024, 2), (345, 2), (345, 2)]
 
     @pytest.mark.parametrize("chart", ["nu_chart", "skew_torus", "flat_torus"])
     def test_means_match_per_node_loop_whatever_the_metric_mentions(self, chart):

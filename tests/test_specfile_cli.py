@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from seqwarp.cli import catalog_names, catalog_path, catalog_spec, main
-from seqwarp.expressions import Const
+from seqwarp.expressions import MAX_NESTING, Const
 from seqwarp.specfile import SpecError, load_spec, spec_from_dict
 from seqwarp.verify import VerificationInputError, run_classify, run_verify
 
@@ -174,13 +174,15 @@ class TestRunVerify:
             run_verify(spec)
 
     def test_torus_spec_file_averages_over_a_2d_grid(self):
-        # tests/data/torus_1p1.json: the spec CI checks for bytes across processes
-        path = Path(__file__).parent / "data" / "torus_1p1.json"
-        report = run_verify(load_spec(path), points=4)
-        assert report.overall_pass
-        by_name = {r.name: r for r in report.identities}
-        assert by_name["torus_average_lambda"].points == 128
-        assert by_name["torus_average_nu"].points == 128**2
+        # the specs CI checks for bytes across processes; in torus_skew the
+        # inner chart's metric mentions both grid coordinates
+        for name in ("torus_1p1", "torus_skew"):
+            path = Path(__file__).parent / "data" / f"{name}.json"
+            report = run_verify(load_spec(path), points=4)
+            assert report.overall_pass
+            by_name = {r.name: r for r in report.identities}
+            assert by_name["torus_average_lambda"].points == 128
+            assert by_name["torus_average_nu"].points == 128**2
 
     def test_point_and_seed_overrides(self):
         spec = catalog_spec("euclidean_product")
@@ -449,6 +451,67 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         return err
+
+    # a warping of nesting height d, per shape of nesting
+    NESTED = {
+        "sum": lambda d: "2" + "+0*x" * (d - 2),
+        "product": lambda d: "2" + "*(1+0.001*x)" * (d - 4),
+        "minus": lambda d: "2+" + "-" * (d - 2) + "x",
+        "parentheses": lambda d: "2+" + "(" * (d - 2) + "x" + ")" * (d - 2),
+        "exponent": lambda d: "2+0*x^" + "^".join(["1"] * (d - 3)),
+        "call": lambda d: "2+" + "sin(" * (d - 2) + "x" + ")" * (d - 2),
+    }
+
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_nesting_limit_exit_code(self, tmp_path, capsys, shape):
+        # past the limit, hashing, compiling or differentiating the tree used
+        # to end in a RecursionError traceback
+        text = self.NESTED[shape]
+        path = self._lines_spec(tmp_path, f=text(MAX_NESTING), box={"x": [0.5, 0.9]})
+        for command in ("verify", "classify"):
+            assert main([command, path]) == 0
+        capsys.readouterr()
+        path = self._lines_spec(tmp_path, f=text(MAX_NESTING + 1), box={"x": [0.5, 0.9]})
+        for command in ("verify", "classify"):
+            err = self._one_line_exit_2(capsys, [command, path])
+            assert err.startswith(f"error: warpings.f: expression nested deeper than {MAX_NESTING}")
+
+    @pytest.mark.parametrize("exponent", ["1e300", "1e160"])
+    def test_huge_integer_exponent_exit_code(self, tmp_path, capsys, exponent):
+        # n (n - 1) of the power rule passes the float range: the Hessian of
+        # 0*x^n is 0 * inf, not an OverflowError traceback
+        path = self._lines_spec(tmp_path, f=f"2 + 0*x^{exponent}", box={"x": [0.5, 0.9]})
+        for command in ("verify", "classify"):
+            err = self._one_line_exit_2(capsys, [command, path])
+            assert "or one of its first two derivatives is not finite at [" in err
+
+    def test_metric_of_the_wrong_signature_on_torus_grid_exit_code(self, tmp_path, capsys):
+        # 1 + 2 cos(x) is positive on the sampling box, negative on the far
+        # side of the circle, where the lambda grid used to integrate it
+        data = minimal_spec(warpings={"f": "2 + sin(x)", "h": "1"})
+        data["factors"][0].update(metric=[["1 + 2*cos(x)"]], periodic={"x": 2.0 * math.pi})
+        data["sampling"]["boxes"] = {"x": [-0.5, 0.5]}
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(data))
+        err = self._one_line_exit_2(capsys, ["verify", str(path)])
+        assert err.startswith("error: 'a': expected positive-definite metric, eigenvalues [-0.0")
+        assert re.search(r"at node 43 \[2\.11\d*\] of the 'a' torus grid\n$", err)
+
+    @pytest.mark.parametrize("dim,averaged", [(2, True), (4, False)])
+    def test_torus_averages_only_up_to_two_dimensions(self, tmp_path, capsys, dim, averaged):
+        # a 4-dim grid of 128 nodes a period would hold 268M nodes
+        coords = [f"x{i}" for i in range(dim)]
+        data = minimal_spec(warpings={"f": "2 + sin(x0)", "h": "1"})
+        data["factors"][0] = {
+            "name": "a",
+            "coords": coords,
+            "metric": [["1" if i == j else "0" for j in range(dim)] for i in range(dim)],
+            "periodic": {c: 2.0 * math.pi for c in coords},
+        }
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path)]) == 0
+        assert ("torus_average_lambda" in capsys.readouterr().out) == averaged
 
     def test_warping_outside_its_domain_exit_code(self, tmp_path, capsys):
         path = self._lines_spec(tmp_path, f="2 + log(x)", box={"x": [-0.5, 1.0]})

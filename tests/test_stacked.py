@@ -168,7 +168,7 @@ def test_stacked_chart_frame_matches_one_point_frames(name):
 
 @pytest.mark.parametrize("name", (*SPECS, "random_dim4"))
 def test_fields_read_from_the_shared_run_match_runs_of_their_own(name):
-    """A frame built with its fields reads them from the run of its metric:
+    """A frame built with its fields reads them from the one run they share:
     every stage and field method agrees bit for bit with a frame that runs
     each field on its own, and the run is dropped after the last read."""
     chart, fields, points = chart_case(name)
@@ -180,7 +180,7 @@ def test_fields_read_from_the_shared_run_match_runs_of_their_own(name):
             assert_agree(s, o, f"field_jets[{k}]")
         for method in FIELD_METHODS:
             assert_agree(getattr(shared, method)(phi), getattr(alone, method)(phi), method)
-    assert "_shared_run" not in vars(shared)
+    assert "_fields_run" not in vars(shared)
 
 
 def test_field_derivatives_are_computed_once_per_frame_and_field(monkeypatch):

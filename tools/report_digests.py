@@ -7,7 +7,9 @@ Run from a checkout, with the numpy the package needs:
 The outputs are:
 
 * ``examples run``, ``classify`` and ``verify --points 1`` of every catalog
-  spec, and ``verify tests/data/torus_1p1.json --points 4``;
+  spec, and ``verify --points 4`` of ``tests/data/torus_1p1.json`` and of
+  ``tests/data/torus_skew.json``, whose inner chart's metric mentions both
+  grid coordinates;
 * the output text of every op of the four benchmark workloads
   (``perfbench/workloads.py``) at each ``--seed``.
 
@@ -24,10 +26,11 @@ on stderr.  An exception an op raises ends the tool with its traceback, so
 under ``PYTHONWARNINGS=error::RuntimeWarning`` a numpy warning does too.
 
 The package and the benchmark are imported from this checkout's ``src`` and
-``perfbench``, or from those of ``--root CHECKOUT``.  Two
-checkouts, or one checkout under two values of ``PYTHONHASHSEED``, print the
-same lines exactly where their outputs are the same bytes; ``diff`` names
-the rest.  ``--dump DIR`` also writes each output's bytes to ``DIR/<name>``;
+``perfbench``, or from those of ``--root CHECKOUT``; the spec files of
+``tests/data`` are always this checkout's, so that an older checkout runs
+the same specs.  Two checkouts, or one checkout under two values of
+``PYTHONHASHSEED``, print the same lines exactly where their outputs are
+the same bytes; ``diff`` names the rest.  ``--dump DIR`` also writes each output's bytes to ``DIR/<name>``;
 ``tools/report_diff.py`` reads those to print the fields that moved.
 """
 
@@ -81,10 +84,11 @@ def cli_outputs(root: Path, tmp: Path, problems: list[str]) -> list[tuple[str, b
         outputs += _cli(
             f"verify_points_1/{name}", ["verify", path, "--points", "1"], root, tmp, problems
         )
-    torus = str(root / "tests" / "data" / "torus_1p1.json")
-    outputs += _cli(
-        "verify_points_4/torus_1p1", ["verify", torus, "--points", "4"], root, tmp, problems
-    )
+    for torus in ("torus_1p1", "torus_skew"):
+        path = str(ROOT / "tests" / "data" / f"{torus}.json")
+        outputs += _cli(
+            f"verify_points_4/{torus}", ["verify", path, "--points", "4"], root, tmp, problems
+        )
     return outputs
 
 
