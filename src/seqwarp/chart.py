@@ -43,7 +43,6 @@ every stage by name.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from typing import Iterable, Mapping, Sequence
@@ -75,12 +74,13 @@ class GeometryError(ValueError):
 
 
 class DegenerateMetricError(GeometryError):
-    def __init__(self, name: str, point: Sequence[float], metric: np.ndarray):
+    """The metric is degenerate at ``point``, a sample that ``where`` names
+    as the frame's errors do."""
+
+    def __init__(self, name: str, where: str, point: Sequence[float], metric: np.ndarray):
         with np.errstate(over="ignore"):
             det = abs(float(np.linalg.det(metric)))
-        super().__init__(
-            f"metric of {name!r} is degenerate at {list(map(float, point))}: |det g| = {det:.3e}"
-        )
+        super().__init__(f"metric of {name!r} is degenerate at {where}: |det g| = {det:.3e}")
         self.point = tuple(float(v) for v in point)
 
 
@@ -370,7 +370,7 @@ class ChartFrame:
         if asymmetric[k]:
             raise MetricValidationError(f"{name!r}: metric entries asymmetric at {where}")
         if degenerate[k]:
-            raise DegenerateMetricError(name, points[k], safe[k])
+            raise DegenerateMetricError(name, where, points[k], safe[k])
         if lorentzian:
             raise SignatureError(
                 f"{name!r}: expected exactly one negative eigenvalue, got {eigs[k]} at {where}"
@@ -418,7 +418,7 @@ class ChartFrame:
         g, degenerate = self.metric, self._degenerate
         if degenerate.any():
             k = int(np.argmax(degenerate))
-            raise DegenerateMetricError(self.manifold.name, self.point[k], g[k])
+            raise DegenerateMetricError(self.manifold.name, self.where(k), self.point[k], g[k])
         return np.linalg.inv(g)
 
     @cached_property
@@ -747,20 +747,6 @@ def outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def max_abs(x: np.ndarray, rank: int):
     """max |x| per sample, over the ``rank`` trailing axes."""
     return np.max(np.abs(x), axis=tuple(range(-rank, 0)))
-
-
-def per_sample_power(value: np.ndarray, n: int) -> np.ndarray:
-    """``value**n`` with Python's float power, sample by sample: numpy's
-    power can differ from it in the last bit.  A power beyond the float
-    range is ``inf`` with its sign, as numpy's would be, not ``OverflowError``."""
-    return np.reshape([_float_power(v, n) for v in np.ravel(value).tolist()], np.shape(value))
-
-
-def _float_power(v: float, n: int) -> float:
-    try:
-        return v**n
-    except OverflowError:
-        return math.copysign(math.inf, v) if n % 2 else math.inf
 
 
 def symmetry_residuals(frame: ChartFrame) -> dict[str, float]:

@@ -55,7 +55,7 @@ from .chart import (
     matvec,
     max_abs,
     outer,
-    per_sample_power,
+    vecmat,
 )
 from .expressions import Expr, free_variables, to_string
 from .warped import (
@@ -445,8 +445,8 @@ def proposition1_residuals(
     ):
         g = factor.metric
         a = matvec(g, u_k)
-        stated = _per_sample(alpha * per_sample_power(w, 2), 2) * g + _per_sample(
-            beta * per_sample_power(w, 4), 2
+        stated = _per_sample(alpha * (w * w), 2) * g + _per_sample(
+            beta * (w * w * w * w), 2
         ) * outer(a, a)
         residuals.append(max_abs(frame.ricci[..., sl, sl] - stated, 2))
     return tuple(residuals)
@@ -455,13 +455,15 @@ def proposition1_residuals(
 def lambda_at(frame: WarpedFrame, alpha: float | np.ndarray) -> np.ndarray:
     """alpha f^2 + ``frame.f_energy`` per sample, with ``alpha`` given once
     or per sample."""
-    return alpha * per_sample_power(frame.f_value, 2) + frame.f_energy
+    f = frame.f_value
+    return alpha * (f * f) + frame.f_energy
 
 
 def nu_at(frame: WarpedFrame, alpha: float | np.ndarray) -> np.ndarray:
     """alpha h^2 + ``frame.h_energy`` per sample, with ``alpha`` given once
     or per sample."""
-    return alpha * per_sample_power(frame.h_value, 2) + frame.h_energy
+    h = frame.h_value
+    return alpha * (h * h) + frame.h_energy
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +717,6 @@ def condition_residuals(
     f, h = frame.f_value, frame.h_value
     inner = frame.inner_frame
     d1 = m1
-    dim = d1 + m2
 
     def extended(x: np.ndarray) -> np.ndarray:
         """A first-factor vector, padded with zeros on the second factor."""
@@ -732,13 +733,13 @@ def condition_residuals(
     hess_h = frame.hess_h
     dh = frame.dh
     f_, h_ = _per_sample(f, 1), _per_sample(h, 1)
-    h2 = _per_sample(per_sample_power(h, 2), 1)
+    h2 = _per_sample(h * h, 1)
 
     # condition forcing constant lambda, per inner direction j
     gradf_u1 = _per_sample(dot(frame.df, ub.x1), 1)
     div_hh_over_h = div_hess_h / h_ - matvec(hess_h, frame.grad_h) / h2
     dlap_h_over_h = dlap_h / h_ - _per_sample(frame.lap_h, 1) * dh / h2
-    grad_f_hess_h = np.stack([dot(grad_f_ext, hess_h[..., :, j]) for j in range(dim)], axis=-1)
+    grad_f_hess_h = vecmat(grad_f_ext, hess_h)
     lhs = (
         (m2 * beta / f_) * gradf_u1 * extended(g1u1)
         + (m2 * m3 / (f_ * h_)) * grad_f_hess_h
@@ -751,12 +752,12 @@ def condition_residuals(
     g2u2u2 = _per_sample(dot(ub.x2, g2u2), 1)
     gradh2_u2 = _per_sample(dot(grad_h2, g2u2), 1)
     g2xu = np.concatenate([np.zeros(g2u2.shape[:-1] + (d1,)), g2u2], axis=-1)
-    f3 = _per_sample(per_sample_power(f, 3), 1)
+    f3 = _per_sample(f * f * f, 1)
     df4 = 4.0 * f3 * df_ext
     lhs = (
         (m3 / h_) * (_per_sample(lam, 1) - alpha) * dh
-        + beta * df4 * per_sample_power(g2xu, 2)
-        + (m3 * beta / h_) * _per_sample(per_sample_power(f, 4), 1) * gradh2_u2 * g2xu
+        + beta * df4 * (g2xu * g2xu)
+        + (m3 * beta / h_) * _per_sample(f * f * f * f, 1) * gradh2_u2 * g2xu
     )
     rhs = (2.0 * m3 / h_) * dlap_h + 2.0 * beta * f3 * df_ext * g2u2u2
     res2 = max_abs(lhs - rhs, 1)
@@ -803,7 +804,8 @@ def theorem2_conditions(
         and np.all(scal3 <= tol)
         and np.all(lap_h >= -tol)
     )
-    gaps = lam - alpha * per_sample_power(frame.f_value, 2) if alpha is not None else None
+    f = frame.f_value
+    gaps = lam - alpha * (f * f) if alpha is not None else None
     hyp2 = bool(
         riemannian
         and m2 == 1

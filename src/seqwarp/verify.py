@@ -65,7 +65,7 @@ from .classify import (
 from .expressions import DomainError, free_variables
 from .spacetime import grw_theorem_check, ssst_theorem_check
 from .specfile import DEFAULT_TOLERANCES, ManifoldSpec, check_run_parameter
-from .warped import WarpedFrame, flatten_to_chart
+from .warped import WarpedFrame, _embed, flatten_to_chart
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -348,9 +348,8 @@ def _oracle_checks(ctx: _Context):
         cross[sl, sl] = False
     yield Residual("ricci_cross_blocks", max_abs(flat.ricci[:, cross], 1), tol["cross_ricci"])
     if ctx.constant_warpings:
-        block = np.zeros_like(flat.ricci)
-        for sl, frame in zip(product.block_slices, (warped.frame1, warped.frame2, warped.frame3)):
-            block[:, sl, sl] = frame.ricci
+        factors = (warped.frame1.ricci, warped.frame2.ricci, warped.frame3.ricci)
+        block = _embed(product.dim, flat.point.shape[:-1], *zip(product.block_slices, factors))
         reduction = _worst(max_abs(ricci - block, 2) for ricci in (flat.ricci, warped.ricci))
         yield Residual("trivial_warping_reduction", reduction, tol["reduction"])
     divergence = _worst(

@@ -9,11 +9,19 @@ diagonal: ``g1 (+) f^2 g2 (+) h^2 g3``.
 Two routes to the ambient curvature live side by side:
 
 * ``flatten_to_chart`` assembles the ambient metric as one chart and hands
-  it to the brute-force machinery in :mod:`seqwarp.chart`;
+  it to the brute-force machinery in :mod:`seqwarp.chart`; it and
+  ``inner_chart`` (``g1 (+) f^2 g2``) are each one call of one block-chart
+  builder;
 * ``WarpedFrame`` builds the same objects from factor geometry plus warping
   corrections, block by block, never touching the ambient chart: the
   Christoffel and curvature tensors ``christoffel[k, a, b]`` and
-  ``riemann_up[l, a, b, c]``, and the Ricci tensor.
+  ``riemann_up[l, a, b, c]``, and the Ricci tensor.  One block embedder,
+  ``_embed``, writes their diagonal blocks.
+
+A warping power is written as the product chain the jets compile for
+``f^2`` or ``f^4`` (``f * f``, ``f * f * f * f``), here and in the checks
+that read a ``WarpedFrame``, so the closed metric equals the chart's bit for
+bit.
 
 Disagreement between the routes is a bug by definition; the verification
 suite compares the closed tensors with the chart's, whole, at every sample.
@@ -42,7 +50,6 @@ from .chart import (
     GeometryError,
     dot,
     matvec,
-    per_sample_power,
     vecmat,
 )
 from .expressions import BinOp, Const, Expr, free_variables
@@ -64,16 +71,6 @@ class PositivityError(GeometryError):
 
 class CoordinateCollisionError(GeometryError):
     """Factor charts share a coordinate name."""
-
-
-def _squared(e: Expr) -> Expr:
-    return BinOp("^", e, Const(2.0))
-
-
-def _scaled(scale: Expr, entry: Expr) -> Expr:
-    if isinstance(entry, Const) and entry.value == 0.0:
-        return entry
-    return BinOp("*", scale, entry)
 
 
 @dataclass(frozen=True)
@@ -137,12 +134,14 @@ class SequentialWarpedProduct:
         return p[:, s1], p[:, s2], p[:, s3]
 
 
-def _embed(dim: int, sl: slice, tensor: np.ndarray, lead: tuple[int, ...] = ()) -> np.ndarray:
-    """``tensor`` on the block ``sl`` of every ambient index, zeros elsewhere;
-    ``lead`` is the shape of the sample axes the tensor carries first."""
-    rank = np.ndim(tensor) - len(lead)
+def _embed(dim: int, lead: tuple[int, ...], *blocks: tuple[slice, np.ndarray]) -> np.ndarray:
+    """Each ``(sl, tensor)`` of ``blocks`` on the block ``sl`` of every
+    ambient index, zeros elsewhere; ``lead`` is the shape of the sample axes
+    the tensors carry first."""
+    rank = np.ndim(blocks[0][1]) - len(lead)
     out = np.zeros(lead + (dim,) * rank)
-    out[(Ellipsis,) + (sl,) * rank] = tensor
+    for sl, tensor in blocks:
+        out[(Ellipsis,) + (sl,) * rank] = tensor
     return out
 
 
@@ -190,62 +189,48 @@ class BlockVector:
         return np.concatenate([self.x1, self.x2], axis=-1)
 
 
-def flatten_to_chart(product: SequentialWarpedProduct) -> FactorManifold:
-    """The ambient metric as a single chart (input to the brute-force route)."""
-    m1, m2, m3 = product.factors
-    f2, h2 = _squared(product.f), _squared(product.h)
-    dim = product.dim
+def _block_chart(
+    factors: tuple[FactorManifold, ...], warpings: tuple[Expr | None, ...]
+) -> FactorManifold:
+    """The block-diagonal chart of ``factors``, each factor's metric entries
+    times the square of its warping (``None`` for none): zero off the
+    diagonal blocks, Lorentzian when a factor is, and periodic when every
+    factor has periods."""
+    coords = tuple(c for fac in factors for c in fac.coords)
+    dim = len(coords)
     zero = Const(0.0)
     rows = [[zero] * dim for _ in range(dim)]
-    offsets = (0, m1.dim, m1.dim + m2.dim)
-    scales: tuple[Expr | None, ...] = (None, f2, h2)
-    for fac, off, scale in zip(product.factors, offsets, scales):
-        for i in range(fac.dim):
-            for j in range(fac.dim):
-                entry = fac.metric[i][j]
-                rows[off + i][off + j] = entry if scale is None else _scaled(scale, entry)
-    signature = (
-        "lorentzian"
-        if any(fac.signature == "lorentzian" for fac in product.factors)
-        else "riemannian"
-    )
+    off = 0
+    for fac, w in zip(factors, warpings):
+        scale = None if w is None else BinOp("^", w, Const(2.0))
+        for i, row in enumerate(fac.metric, off):
+            for j, e in enumerate(row, off):
+                zero_entry = isinstance(e, Const) and e.value == 0.0
+                rows[i][j] = e if scale is None or zero_entry else BinOp("*", scale, e)
+        off += len(fac.metric)
     periods = None
-    if all(fac.periods is not None for fac in product.factors):
-        periods = tuple(p for fac in product.factors for p in fac.periods)
+    if all(fac.periods is not None for fac in factors):
+        periods = tuple(p for fac in factors for p in fac.periods)
+    lorentzian = any(fac.signature == "lorentzian" for fac in factors)
     return FactorManifold(
-        name=f"{m1.name}*{m2.name}*{m3.name}",
-        coords=product.coords,
+        name="*".join(fac.name for fac in factors),
+        coords=coords,
         metric=tuple(tuple(row) for row in rows),
-        signature=signature,
+        signature="lorentzian" if lorentzian else "riemannian",
         periods=periods,
     )
+
+
+def flatten_to_chart(product: SequentialWarpedProduct) -> FactorManifold:
+    """The ambient metric g1 (+) f^2 g2 (+) h^2 g3 as a single chart (input
+    to the brute-force route)."""
+    return _block_chart(product.factors, (None, product.f, product.h))
 
 
 def inner_chart(product: SequentialWarpedProduct) -> FactorManifold:
     """The first two factors as one chart with metric g1 (+) f^2 g2; it keeps
     their periods when both factors have them."""
-    m1, m2 = product.m1, product.m2
-    f2 = _squared(product.f)
-    dim = m1.dim + m2.dim
-    zero = Const(0.0)
-    rows = [[zero] * dim for _ in range(dim)]
-    for i in range(m1.dim):
-        for j in range(m1.dim):
-            rows[i][j] = m1.metric[i][j]
-    for i in range(m2.dim):
-        for j in range(m2.dim):
-            rows[m1.dim + i][m1.dim + j] = _scaled(f2, m2.metric[i][j])
-    signature = "lorentzian" if "lorentzian" in (m1.signature, m2.signature) else "riemannian"
-    periods = None
-    if m1.periods is not None and m2.periods is not None:
-        periods = m1.periods + m2.periods
-    return FactorManifold(
-        name=f"{m1.name}*{m2.name}",
-        coords=m1.coords + m2.coords,
-        metric=tuple(tuple(row) for row in rows),
-        signature=signature,
-        periods=periods,
-    )
+    return _block_chart((product.m1, product.m2), (None, product.f))
 
 
 class WarpedFrame:
@@ -388,23 +373,29 @@ class WarpedFrame:
 
     @cached_property
     def ambient_metric(self) -> np.ndarray:
-        d = self.product.dim
-        out = np.zeros(self._lead + (d, d))
+        """g1 (+) f^2 g2 (+) h^2 g3, each square the product ``w * w`` that
+        the jets of ``flatten_to_chart`` compute, so the two agree bit for bit."""
+        f, h = _per_sample(self.f_value, 2), _per_sample(self.h_value, 2)
         s1, s2, s3 = self.product.block_slices
-        out[..., s1, s1] = self.frame1.metric
-        out[..., s2, s2] = _per_sample(per_sample_power(self.f_value, 2), 2) * self.frame2.metric
-        out[..., s3, s3] = _per_sample(per_sample_power(self.h_value, 2), 2) * self.frame3.metric
-        return out
+        return _embed(
+            self.product.dim,
+            self._lead,
+            (s1, self.frame1.metric),
+            (s2, f * f * self.frame2.metric),
+            (s3, h * h * self.frame3.metric),
+        )
 
     @cached_property
     def ambient_inverse(self) -> np.ndarray:
-        d = self.product.dim
-        out = np.zeros(self._lead + (d, d))
+        f, h = _per_sample(self.f_value, 2), _per_sample(self.h_value, 2)
         s1, s2, s3 = self.product.block_slices
-        out[..., s1, s1] = self.frame1.inverse
-        out[..., s2, s2] = self.frame2.inverse / _per_sample(per_sample_power(self.f_value, 2), 2)
-        out[..., s3, s3] = self.frame3.inverse / _per_sample(per_sample_power(self.h_value, 2), 2)
-        return out
+        return _embed(
+            self.product.dim,
+            self._lead,
+            (s1, self.frame1.inverse),
+            (s2, self.frame2.inverse / (f * f)),
+            (s3, self.frame3.inverse / (h * h)),
+        )
 
     def split_inner(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d1 = self.product.m1.dim
@@ -421,21 +412,20 @@ class WarpedFrame:
         terms X(ln f) Y2 + Y(ln f) X2 and X(ln h) Y3 + Y(ln h) X3.
         """
         d, lead = self.product.dim, self._lead
-        s1, s2, s3 = self.product.block_slices
+        s1, _, s3 = slices = self.product.block_slices
         inner = slice(0, s3.start)
         f, h = self.f_value, self.h_value
         g2, g3, p2, p3 = self._fiber_blocks
-        out = np.zeros(lead + (d, d, d))
-        for sl, fr in zip((s1, s2, s3), (self.frame1, self.frame2, self.frame3)):
-            out[..., sl, sl, sl] = fr.christoffel
-        grad_f, grad_h = _embed(d, s1, self.grad_f, lead), _embed(d, inner, self.grad_h, lead)
+        frames = (self.frame1, self.frame2, self.frame3)
+        out = _embed(d, lead, *((sl, fr.christoffel) for sl, fr in zip(slices, frames)))
+        grad_f, grad_h = _embed(d, lead, (s1, self.grad_f)), _embed(d, lead, (inner, self.grad_h))
         out -= (
             grad_f[..., :, None, None] * (_per_sample(f, 2) * g2)[..., None, :, :]
             + grad_h[..., :, None, None] * (_per_sample(h, 2) * g3)[..., None, :, :]
         )
         # t[k, a, b] = X(ln w) Y^k for X = e_a, Y = e_b; the connection adds t + t(a<->b)
-        dlog_f = _embed(d, s1, self.df / _per_sample(f, 1), lead)
-        dlog_h = _embed(d, inner, self.dh / _per_sample(h, 1), lead)
+        dlog_f = _embed(d, lead, (s1, self.df / _per_sample(f, 1)))
+        dlog_h = _embed(d, lead, (inner, self.dh / _per_sample(h, 1)))
         t = (
             dlog_f[..., None, :, None] * p2[..., :, None, :]
             + dlog_h[..., None, :, None] * p3[..., :, None, :]
@@ -452,19 +442,18 @@ class WarpedFrame:
         (H^h / h + |grad h|^2 g3)(X, Z) Y3 and h g3(X, Z) (nabla grad h)(Y12).
         """
         d, lead = self.product.dim, self._lead
-        s1, s2, s3 = self.product.block_slices
+        s1, _, s3 = slices = self.product.block_slices
         inner = slice(0, s3.start)
         f, h = _per_sample(self.f_value, 2), _per_sample(self.h_value, 2)
         gf2, gh2 = _per_sample(self.grad_f_norm2, 2), _per_sample(self.grad_h_norm2, 2)
-        out = np.zeros(lead + (d, d, d, d))
-        for sl, fr in zip((s1, s2, s3), (self.frame1, self.frame2, self.frame3)):
-            out[..., sl, sl, sl, sl] = fr.riemann_up
+        frames = (self.frame1, self.frame2, self.frame3)
+        out = _embed(d, lead, *((sl, fr.riemann_up) for sl, fr in zip(slices, frames)))
         g2, g3, p2, p3 = self._fiber_blocks
         t = (
-            _ac_lb(gf2 * g2 + _embed(d, s1, self.hess_f, lead) / f, p2)
-            + _ac_lb(f * g2, _embed(d, s1, self.raised_hess_f, lead))
-            + _ac_lb(_embed(d, inner, self.hess_h, lead) / h + gh2 * g3, p3)
-            + _ac_lb(h * g3, _embed(d, inner, self.raised_hess_h, lead))
+            _ac_lb(gf2 * g2 + _embed(d, lead, (s1, self.hess_f)) / f, p2)
+            + _ac_lb(f * g2, _embed(d, lead, (s1, self.raised_hess_f)))
+            + _ac_lb(_embed(d, lead, (inner, self.hess_h)) / h + gh2 * g3, p3)
+            + _ac_lb(h * g3, _embed(d, lead, (inner, self.raised_hess_h)))
         )
         return out + (t - np.swapaxes(t, -3, -2))
 
@@ -475,10 +464,10 @@ class WarpedFrame:
         _, s2, s3 = self.product.block_slices
         m2, m3 = self.product.m2.dim, self.product.m3.dim
         return (
-            _embed(d, s2, self.frame2.metric, lead),
-            _embed(d, s3, self.frame3.metric, lead),
-            np.broadcast_to(_embed(d, s2, np.eye(m2)), lead + (d, d)),
-            np.broadcast_to(_embed(d, s3, np.eye(m3)), lead + (d, d)),
+            _embed(d, lead, (s2, self.frame2.metric)),
+            _embed(d, lead, (s3, self.frame3.metric)),
+            np.broadcast_to(_embed(d, (), (s2, np.eye(m2))), lead + (d, d)),
+            np.broadcast_to(_embed(d, (), (s3, np.eye(m3))), lead + (d, d)),
         )
 
     def connection(self, x: BlockVector, y: BlockVector) -> BlockVector:
@@ -508,14 +497,8 @@ class WarpedFrame:
             - outer_hess[..., d1:, d1:]
         )
         b33 = self.frame3.ricci - _per_sample(self.h_energy, 2) * self.frame3.metric
-
-        d = self.product.dim
-        out = np.zeros(self._lead + (d, d))
         s1, s2, s3 = self.product.block_slices
-        out[..., s1, s1] = b11
-        out[..., s2, s2] = b22
-        out[..., s3, s3] = b33
-        return out
+        return _embed(self.product.dim, self._lead, (s1, b11), (s2, b22), (s3, b33))
 
     @cached_property
     def scalar(self) -> np.ndarray:
@@ -534,11 +517,9 @@ class WarpedFrame:
         g3u = dot(vecmat(u.x3, self.frame3.metric), u.x3)
         s1 = alpha * m1 + beta * g1u + (m2 / f) * self.lap_f + (m3 / h) * self.lap_h
         s2 = (
-            (alpha * per_sample_power(f, 2) + self.f_energy) * m2
-            + beta * per_sample_power(f, 4) * g2u
+            (alpha * (f * f) + self.f_energy) * m2
+            + beta * (f * f * f * f) * g2u
             + (m3 / h) * self.lap_h
         )
-        s3 = (
-            alpha * per_sample_power(h, 2) + self.h_energy
-        ) * m3 + beta * per_sample_power(h, 4) * g3u
+        s3 = (alpha * (h * h) + self.h_energy) * m3 + beta * (h * h * h * h) * g3u
         return s1, s2, s3

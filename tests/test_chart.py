@@ -288,17 +288,16 @@ def einsum_warped_christoffel(w):
     inner = slice(0, s3.start)
     f, h = w.f_value, w.h_value
     g2, g3, p2, p3 = w._fiber_blocks
-    out = np.zeros(lead + (d, d, d))
-    for sl, fr in zip((s1, s2, s3), (w.frame1, w.frame2, w.frame3)):
-        out[..., sl, sl, sl] = fr.christoffel
+    frames = (w.frame1, w.frame2, w.frame3)
+    out = _embed(d, lead, *((sl, fr.christoffel) for sl, fr in zip((s1, s2, s3), frames)))
     out -= np.einsum(
-        "...k,...ab->...kab", _embed(d, s1, w.grad_f, lead), _per_sample(f, 2) * g2
+        "...k,...ab->...kab", _embed(d, lead, (s1, w.grad_f)), _per_sample(f, 2) * g2
     ) + np.einsum(
-        "...k,...ab->...kab", _embed(d, inner, w.grad_h, lead), _per_sample(h, 2) * g3
+        "...k,...ab->...kab", _embed(d, lead, (inner, w.grad_h)), _per_sample(h, 2) * g3
     )
     t = np.einsum(
-        "...a,...kb->...kab", _embed(d, s1, w.df / _per_sample(f, 1), lead), p2
-    ) + np.einsum("...a,...kb->...kab", _embed(d, inner, w.dh / _per_sample(h, 1), lead), p3)
+        "...a,...kb->...kab", _embed(d, lead, (s1, w.df / _per_sample(f, 1))), p2
+    ) + np.einsum("...a,...kb->...kab", _embed(d, lead, (inner, w.dh / _per_sample(h, 1))), p3)
     return out + (t + np.swapaxes(t, -2, -1))
 
 
@@ -308,16 +307,15 @@ def einsum_warped_riemann_up(w):
     inner = slice(0, s3.start)
     f, h = _per_sample(w.f_value, 2), _per_sample(w.h_value, 2)
     gf2, gh2 = _per_sample(w.grad_f_norm2, 2), _per_sample(w.grad_h_norm2, 2)
-    out = np.zeros(lead + (d, d, d, d))
-    for sl, fr in zip((s1, s2, s3), (w.frame1, w.frame2, w.frame3)):
-        out[..., sl, sl, sl, sl] = fr.riemann_up
+    frames = (w.frame1, w.frame2, w.frame3)
+    out = _embed(d, lead, *((sl, fr.riemann_up) for sl, fr in zip((s1, s2, s3), frames)))
     g2, g3, p2, p3 = w._fiber_blocks
     outer = "...ac,...lb->...labc"
     t = (
-        np.einsum(outer, gf2 * g2 + _embed(d, s1, w.hess_f, lead) / f, p2)
-        + np.einsum(outer, f * g2, _embed(d, s1, w.raised_hess_f, lead))
-        + np.einsum(outer, _embed(d, inner, w.hess_h, lead) / h + gh2 * g3, p3)
-        + np.einsum(outer, h * g3, _embed(d, inner, w.raised_hess_h, lead))
+        np.einsum(outer, gf2 * g2 + _embed(d, lead, (s1, w.hess_f)) / f, p2)
+        + np.einsum(outer, f * g2, _embed(d, lead, (s1, w.raised_hess_f)))
+        + np.einsum(outer, _embed(d, lead, (inner, w.hess_h)) / h + gh2 * g3, p3)
+        + np.einsum(outer, h * g3, _embed(d, lead, (inner, w.raised_hess_h)))
     )
     return out + (t - np.swapaxes(t, -3, -2))
 

@@ -432,7 +432,8 @@ class TestBatchedQuadrature:
         # g_uu vanishes on the grid column x = x30 only; its first node,
         # 30 * 37 = 1110, lies in the second block
         x30 = 30 * (TWO_PI / 37)
-        with pytest.raises(DegenerateMetricError) as info:
+        where = r"at node 1110 \[.*\] of the 'pinched' torus grid"
+        with pytest.raises(DegenerateMetricError, match=where) as info:
             torus_divergence_residual(pinched_torus(30, 37), parse("sin(u)", ["u"]), 37)
         assert info.value.point == (x30, 0.0)
 

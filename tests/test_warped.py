@@ -15,8 +15,10 @@ from seqwarp import (
     inner_chart,
 )
 from seqwarp.chart import ChartFrame, sample_box
+from seqwarp.cli import catalog_names
 from seqwarp.expressions import evaluate, parse
 from seqwarp.warped import CoordinateCollisionError
+from test_stacked import load
 
 
 def exp_warp_product() -> SequentialWarpedProduct:
@@ -587,3 +589,12 @@ def test_closed_curvature_contracts_to_closed_ricci(name):
         frame = WarpedFrame(spec.product, [point])
         contracted = np.einsum("iijk->jk", frame.riemann_up[0])
         assert normalized_gap(frame.ricci[0], contracted) <= 1e-10, point
+
+
+@pytest.mark.parametrize("name", (*catalog_names(), "generic_outer_warp", "sweep_dim6"))
+def test_closed_metric_is_the_oracle_metric_bit_for_bit(name):
+    # f^2 and h^2 are the products f * f and h * h on both routes
+    spec = load(name)
+    points = spec.sample_points(30, 0)
+    closed = WarpedFrame(spec.product, points).ambient_metric
+    assert np.array_equal(closed, ChartFrame(flatten_to_chart(spec.product), points).metric)
