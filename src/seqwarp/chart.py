@@ -26,23 +26,29 @@ matmuls over flattened index pairs, do for all N samples at once the
 arithmetic of one sample at each.
 The jets of a frame, at every N, come from ``JetProgram`` runs: one for
 the metric entries, one for the scalar fields the frame was built with
-(``fields``), one for ``d3metric``, and one per other field stage.  Each
-program is compiled once per structure, and each distinct subexpression
-among its roots is one node; see ``ChartFrame``.  An error names its
-failing sample through one method, ``ChartFrame.where``.
+(``fields``), one for the third derivatives of the metric (the d3
+program), and one per other field stage.  Each program is compiled once
+per structure, and each distinct subexpression among its roots is one
+node; see ``ChartFrame``.  An error names its failing sample through one
+method, ``ChartFrame.where``.
 
 The first derivative of the curvature enters the checks only traced, as
 ``dricci``, and ``dricci`` takes each trace before the product it enters:
-no stage a check reads costs more than O(m^5) per sample.  The full
-second derivatives ``d2christoffel`` and ``driemann_up``, (N, m^5) arrays
-built with O(m^6) einsums, are reference stages only: nothing in the
-package reads them.  They stay because the tests compare ``dricci`` with
-the trace of ``driemann_up``, and because the benchmark's tracer wraps
-every stage by name.
+no stage a check reads costs more than O(m^5) per sample.  The metric's
+third derivatives reach it only as two traces with g^-1, contracted from
+the d3 program's roots as the run yields them, so no array a check reads
+is (N, m^5).  ``d3metric``, the dense (N, m^5) array of those
+derivatives, and the full second derivatives ``d2christoffel`` and
+``driemann_up``, built with O(m^6) einsums, are reference stages only:
+nothing in the package reads them.  They stay because the tests compare
+``dricci`` with the trace of ``driemann_up`` and with an einsum over
+``d3metric``, and because the benchmark's tracer wraps every stage by
+name.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from typing import Iterable, Mapping, Sequence
@@ -170,10 +176,46 @@ def _frame_program(manifold: FactorManifold):
 @lru_cache(maxsize=None)
 def _d3_program(manifold: FactorManifold):
     """``_varying`` of the derivatives d_c g_ij (i <= j) of the metric
-    entries of ``manifold``, c first."""
-    index = [(c, i, j) for c in range(manifold.dim) for i, j in _upper(manifold.dim)]
+    entries of ``manifold``, c first, and ``_d3_scatter`` of its roots."""
+    m = manifold.dim
+    index = [(c, i, j) for c in range(m) for i, j in _upper(m)]
     roots = [_derived(manifold.metric[i][j], manifold.coords[c]) for c, i, j in index]
-    return _varying(index, roots, manifold.coords)
+    program, columns = _varying(index, roots, manifold.coords)
+    return program, columns, _d3_scatter(m, *columns)
+
+
+def _d3_scatter(m: int, c: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """The fixed maps ``(take, put, slot)`` from the roots of ``_d3_program``
+    into the two traces of ``ChartFrame._d3_traces``.
+
+    Root r = (c, i, j), i <= j, carries the Hessian H_r[a, b] = d_a d_b d_c g_ij;
+    let P_r = H_r g^-1.  With S[a, p, q] = g^bl d_a d_b d_p g_ql and
+    U[a, p, q] = g^bl d_a d_b d_l g_pq, the first trace is
+    g^bl d_a d_b T_lpq = S[a, p, q] + S[a, q, p] - U[a, p, q].  Root r adds
+    P_r[a, j] to S at (c, i) and, for i != j, P_r[a, i] to S at (c, j); it
+    adds P_r[a, c] to U at (i, j) and at (j, i).  ``take`` ``(m, K)`` indexes,
+    for each a, the K distinct P_r[a, l] in P flattened per sample; row k of
+    ``put`` ``(K, m * m)`` is the net sign of pick k at each (p, q).
+
+    ``slot`` ``(m, R)`` is 1 where c_r = c: the second trace,
+    g^ij d_a d_b d_c g_ij, sums w_r H_r[a, b] over the roots at c, with
+    w_r = g^ij + g^ji for i != j and g^ii for i = j.
+    """
+    signs = defaultdict(Counter)  # (r, l) -> {flattened slot: net sign}
+    for r, (cr, ir, jr) in enumerate(zip(c.tolist(), i.tolist(), j.tolist())):
+        for k, l in dict.fromkeys(((ir, jr), (jr, ir))):
+            signs[r, l][cr * m + k] += 1
+            signs[r, l][k * m + cr] += 1
+            signs[r, cr][k * m + l] -= 1
+    picks = [(key, at) for key, at in signs.items() if any(at.values())]
+    take = np.array(
+        [[(r * m + a) * m + l for (r, l), _ in picks] for a in range(m)], dtype=np.intp
+    )
+    put = np.zeros((len(picks), m * m))
+    for k, (_, at) in enumerate(picks):
+        put[k, list(at)] = list(at.values())
+    slot = (c == np.arange(m)[:, None]).astype(float)
+    return take, put, slot
 
 
 def _upper(m: int) -> list[tuple[int, int]]:
@@ -222,7 +264,9 @@ class ChartFrame:
     agrees bit for bit with N stacks of one.
 
     Jets: each stage runs one ``JetProgram`` over all samples and reads
-    it once.  The metric entries (``_metric_jets``) and ``d3metric`` run
+    it once.  The metric entries (``_metric_jets``) and their first
+    derivatives (the d3 program, which ``dricci`` reads through
+    ``_d3_traces`` and the reference stage ``d3metric`` reads whole) run
     programs of their own.  The scalar fields named in ``fields`` run as
     one program, so that each subexpression they share is evaluated once;
     ``field_jets`` reads that run field by field and drops it after the
@@ -347,7 +391,10 @@ class ChartFrame:
             lower = self._jets([metric[i][j] for i, j in mirrored])[0] if mirrored else ()
         except DomainError as exc:
             if exc.node:
-                ChartFrame(self.manifold, points[: exc.node]).validate()
+                # the samples before, named as this frame names them
+                head = ChartFrame(self.manifold, points[: exc.node])
+                head.where = self.where
+                head.validate()
             err = DomainError(f"metric of {name!r}: {exc.reason} at {self.where(exc.node)}")
             err.node, err.reason = exc.node, f"metric of {name!r}: {exc.reason}"
             raise err from None
@@ -394,15 +441,46 @@ class ChartFrame:
     @cached_property
     def d3metric(self) -> np.ndarray:
         """d3metric[a, b, c, i, j] = d_a d_b d_c g_ij: the Hessians of the
-        symbolic first derivatives, from one program run."""
+        symbolic first derivatives, from one program run.
+
+        A reference stage, as ``d2christoffel`` is: ``dricci`` reads the
+        same run through ``_d3_traces``, with no (N, m^5) array.
+        """
         m = self.manifold.dim
-        program, index = _d3_program(self.manifold)
+        program, (c, i, j), _ = _d3_program(self.manifold)
         d3g = np.zeros(self.point.shape[:-1] + (m, m, m, m, m))
         if program is not None:
-            c, i, j = index
             hess = self._roots(program.run(self.point))[2].transpose(1, 2, 3, 0)
             d3g[..., c, i, j] = d3g[..., c, j, i] = hess
         return d3g
+
+    def _d3_traces(self) -> tuple[np.ndarray, np.ndarray]:
+        """The traces of the metric's third derivatives that ``dricci``
+        reads, ``(N, m, m, m)`` each: ``[a, j, k]`` of g^bl d_a d_b T_ljk and
+        of g^il d_a d_j d_k g_il.
+
+        Both come from one run of the d3 program through ``_d3_scatter``:
+        for the first, P = H g^-1 per root (one matmul per sample), a gather
+        of P and one matmul with ``put``; for the second, one matmul of the
+        weighted ``slot`` with the root Hessians.  For R roots that vary,
+        each sample holds O(R m^2) floats and costs O(R m^3): far below the
+        m^5 of ``d3metric`` when each metric entry mentions a few
+        coordinates, as in a product chart.
+        """
+        count, m = self.point.shape
+        program, (c, i, j), (take, put, slot) = _d3_program(self.manifold)
+        if program is None:
+            zero = np.zeros((count, m, m, m))
+            return zero, zero
+        hess = self._roots(program.run(self.point))[2]
+        # (N, R, m, m): the root Hessians H_r[a, b] per sample, in C order
+        hess = np.ascontiguousarray(np.swapaxes(hess, 0, 1))
+        gi = self.inverse
+        picked = (hess.reshape(count, -1, m) @ gi).reshape(count, -1)[:, take]
+        traced_d2t = (picked @ put).reshape(count, m, m, m)
+        weights = gi[:, i, j] + np.where(i == j, 0.0, gi[:, j, i])
+        traced = (weights[:, None, :] * slot) @ hess.reshape(count, len(c), m * m)
+        return traced_d2t, np.moveaxis(traced.reshape(count, m, m, m), 1, -1)
 
     @cached_property
     def det(self) -> np.ndarray:
@@ -548,32 +626,28 @@ class ChartFrame:
         2 d_a d_b Gamma^k_ij = d_a d_b g^kl T_lij + d_a g^kl d_b T_lij
         + d_b g^kl d_a T_lij + g^kl d_a d_b T_lij (T is ``_gamma_source``);
         in the second, 2 Gamma^i_ik = g^il d_k g_il, as the other two terms of
-        T cancel against the symmetric g^il.  Each contraction is a batched
-        matmul over a flattened index pair, except g^il d_a d_i d_j g_kl,
-        a two-operand einsum: its pair (i, l) is not contiguous in
-        ``d3metric``, and a transposed copy costs more than the einsum.  Every
-        one is O(m^5) per sample, and no (N, m^5) array is formed beyond
-        ``d3metric``.  The last product is the one before it with j and k
-        swapped, Gamma being symmetric in its lower indices.
+        T cancel against the symmetric g^il.  The two terms in the metric's
+        third derivatives, g^il d_a d_i T_ljk and g^il d_a d_j d_k g_il, come
+        from ``_d3_traces``, not from ``d3metric``; every other contraction
+        is a batched matmul over a flattened index pair, O(m^5) per sample.
+        No (N, m^5) array is formed.  The last product is the one before it
+        with j and k swapped, Gamma being symmetric in its lower indices.
         """
-        gi, dgi, d2gi = self.inverse, self.dinverse, self.d2inverse
-        t, dt, d3g = self._gamma_source, self._dgamma_source, self.d3metric
+        dgi, d2gi = self.dinverse, self.d2inverse
+        t, dt = self._gamma_source, self._dgamma_source
         ga, dga = self.christoffel, self.dchristoffel
+        traced_d2t, traced_d3g = self._d3_traces()
         shape = ga.shape  # (..., a, j, k), as every term
         lead, m = shape[:-3], shape[-1]
         mm = m * m
-        gi_col = gi.reshape(lead + (mm, 1))
         dgi_flat = dgi.reshape(lead + (m, mm))
         # 2 sum_i d_a d_i Gamma^i_jk: d_a d_i g^il T_ljk, d_a g^il d_i T_ljk,
-        # d_i g^il d_a T_ljk, then g^il d_a d_i T_ljk term by term
+        # d_i g^il d_a T_ljk, g^il d_a d_i T_ljk
         out = _contract_first(np.einsum("...aiil->...al", d2gi), t)
         out += (dgi_flat @ dt.reshape(lead + (mm, mm))).reshape(shape)
         traced_dgi = np.einsum("...iil->...l", dgi)[..., None, :]
         out += vecmat(traced_dgi, dt.reshape(lead + (m, m, mm))).reshape(shape)
-        d3_traced = np.einsum("...il,...aijkl->...ajk", gi, d3g)
-        out += d3_traced
-        out += np.swapaxes(d3_traced, -2, -1)
-        out -= (gi.reshape(lead + (1, 1, mm)) @ d3g.reshape(lead + (m, mm, mm))).reshape(shape)
+        out += traced_d2t
         # - 2 sum_i d_a d_j Gamma^i_ik: d_a d_j g^il d_k g_il, d_a g^il d_j d_k g_il
         # and its a <-> j swap, g^il d_a d_j d_k g_il
         dg_rows = np.swapaxes(self.dmetric.reshape(lead + (m, mm)), -2, -1)
@@ -582,7 +656,7 @@ class ChartFrame:
         cross = (dgi_flat @ d2g_rows).reshape(shape)
         out -= cross
         out -= np.swapaxes(cross, -3, -2)
-        out -= (d3g.reshape(lead + (m * mm, mm)) @ gi_col).reshape(shape)
+        out -= traced_d3g
         out *= 0.5
         out += _contract_first(np.einsum("...aiim->...am", dga), ga)
         traced_ga = np.einsum("...iim->...m", ga)[..., None, :]

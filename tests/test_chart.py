@@ -19,6 +19,7 @@ from seqwarp.chart import (
     DegenerateMetricError,
     MetricValidationError,
     SignatureError,
+    _d3_program,
     sample_box,
     symmetry_residuals,
     validate_factor_at,
@@ -364,3 +365,57 @@ def test_contractions_match_their_einsum_references(name, count):
         assert kernel.shape == reference.shape, what
         scale = max(1.0, float(np.max(np.abs(reference))))
         assert np.max(np.abs(kernel - reference)) <= 1e-13 * scale, what
+
+
+def trace_chart(name: str):
+    """Charts at the edges of the d3 program's sparsity, with six points:
+    every entry mentioning every coordinate, only constant entries, and a
+    Lorentzian chart."""
+    if name == "dense_dim4":
+        coords = ["p", "q", "r", "s"]
+        mix = "p + 2*q - r + 0.5*s"
+        entries = [
+            [
+                f"3 + 0.3*sin({mix} + {i})^2" if i == j
+                else f"0.2*cos(p*q + r*s + {i + j}*p*s)"
+                for j in range(4)
+            ]
+            for i in range(4)
+        ]
+        chart = factor(name, coords, entries)
+    elif name == "constant_dim3":
+        entries = [["2", "0.5", "0"], ["0.5", "3", "-0.25"], ["0", "-0.25", "1"]]
+        chart = factor(name, ["x", "y", "z"], entries)
+    else:
+        chart = factor(
+            name,
+            ["t", "x", "y"],
+            [
+                ["-(2 + 0.5*sin(t + x))", "0.3*cos(t*y)", "0"],
+                ["0.3*cos(t*y)", "1.5 + 0.2*sin(x*y)", "0.1*sin(t + y)"],
+                ["0", "0.1*sin(t + y)", "exp(0.3*t)"],
+            ],
+            signature="lorentzian",
+        )
+    return chart, np.random.default_rng(11).uniform(-1.0, 1.0, (6, chart.dim))
+
+
+@pytest.mark.parametrize("name", ["dense_dim4", "constant_dim3", "lorentzian_dim3"])
+def test_dricci_contracts_the_third_derivatives_as_they_are_produced(name):
+    """``dricci`` reads the metric's third derivatives only as traces: it
+    builds no ``d3metric``, matches ``einsum_dricci`` over the full array,
+    and a stack of six agrees bit for bit with six stacks of one."""
+    chart, points = trace_chart(name)
+    frame = ChartFrame(chart, points)
+    frame.validate()
+    frame.div_ricci
+    assert "d3metric" not in vars(frame)
+    reference = einsum_dricci(frame)
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    assert np.max(np.abs(frame.dricci - reference)) <= 1e-13 * scale
+    if name == "constant_dim3":
+        assert _d3_program(chart)[0] is None and not frame.dricci.any()
+    for k, point in enumerate(points):
+        one = ChartFrame(chart, point[None])
+        for stage in ("dricci", "div_ricci"):
+            assert np.array_equal(getattr(frame, stage)[k], getattr(one, stage)[0]), (stage, k)

@@ -10,7 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import contracted_fits, line_factor, sphere_factor
 from seqwarp import SequentialWarpedProduct, classify, factor
-from seqwarp.chart import ChartFrame, DegenerateMetricError, FactorManifold, GeometryError
+from seqwarp.chart import (
+    ChartFrame,
+    DegenerateMetricError,
+    FactorManifold,
+    GeometryError,
+    SignatureError,
+)
 from seqwarp.classify import (
     DEFAULT_FIT_TOL,
     IdentityReport,
@@ -436,6 +442,18 @@ class TestBatchedQuadrature:
         with pytest.raises(DegenerateMetricError, match=where) as info:
             torus_divergence_residual(pinched_torus(30, 37), parse("sin(u)", ["u"]), 37)
         assert info.value.point == (x30, 0.0)
+
+    @pytest.mark.parametrize("below", ["0", "0*log(4.5 - x)"])
+    def test_earlier_row_of_a_mirrored_entry_names_its_node(self, below):
+        # g_xx < 0 first at x = 6 * 2 pi / 16 (node 96); log(4.5 - x) fails
+        # later, which re-validates the rows before it
+        manifold = factor(
+            "tor", ["x", "u"], [["2 + 3*cos(x)", "0"], [below, "1"]],
+            periods={"x": TWO_PI, "u": TWO_PI},
+        )
+        where = r"at node 96 \[2.356194490192345, 0.0\] of the 'tor' torus grid$"
+        with pytest.raises(SignatureError, match=where):
+            torus_divergence_residual(manifold, parse("sin(u)", ["u"]), 16)
 
     def test_nonpositive_warping_names_node(self):
         product = SequentialWarpedProduct(

@@ -956,12 +956,14 @@ def test_dricci_matches_the_traced_riemann_derivative(name, count):
 
 
 def test_verify_and_classify_never_build_the_reference_stages(monkeypatch):
-    """``d2christoffel`` and ``driemann_up`` are reference stages for the
-    tests: no check of ``run_verify`` or ``run_classify`` reads them."""
+    """``d3metric``, ``d2christoffel`` and ``driemann_up`` are reference
+    stages for the tests: no check of ``run_verify`` or ``run_classify``
+    reads them."""
 
     def refuse(frame):
         raise AssertionError(f"a reference stage was built for {frame.manifold.name!r}")
 
+    monkeypatch.setattr(ChartFrame.d3metric, "func", refuse)
     monkeypatch.setattr(ChartFrame.d2christoffel, "func", refuse)
     monkeypatch.setattr(ChartFrame.driemann_up, "func", refuse)
     for name in catalog_names():

@@ -1,13 +1,32 @@
-"""The reducer that turns each check's per-sample residuals into one report."""
+"""The reducer that turns each check's per-sample residuals into one report,
+and the memory one ``run_verify`` needs at dim 12."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqwarp
 from seqwarp.classify import FIT_OVERFLOW, IdentityReport, QEFit, Residual
 from seqwarp.cli import catalog_names, catalog_spec
 from seqwarp.verify import VerificationInputError, _reduce, run_verify
+from test_stacked import sweep_spec
 
 SAMPLES = np.arange(12.0).reshape(6, 2)
+SWEEP_DIM12 = Path(__file__).parent / "data" / "sweep_dim12.json"
+
+# run_verify of SWEEP_DIM12 at 100 samples, in a process of its own: its
+# overall pass and peak resident set in kB (Linux reports ru_maxrss in kB)
+PEAK_RSS_CHILD = """
+import resource, sys
+from seqwarp import load_spec, run_verify
+report = run_verify(load_spec(sys.argv[1]), points=100)
+print(report.overall_pass, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
 
 
 def test_residual_is_the_worst_sample():
@@ -114,3 +133,22 @@ def test_one_report_object_per_identity(points, monkeypatch):
         built.clear()
         report = run_verify(catalog_spec(name), points=points)
         assert len(built) == len(report.identities), name
+
+
+def test_sweep_dim12_data_is_the_sweep_spec():
+    assert json.loads(SWEEP_DIM12.read_text()) == sweep_spec(4)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kB is Linux's")
+def test_dim12_verify_at_100_samples_stays_below_300_mb():
+    """The checks build no (N, m^5) array: at dim 12 and 100 samples the
+    run peaks near 230 MB; the dense d3metric alone would hold 200 MB."""
+    src = str(Path(seqwarp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    run = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, str(SWEEP_DIM12)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    passed, peak_kb = run.stdout.split()
+    assert passed == "True"
+    assert int(peak_kb) / 1024 < 300, f"peak RSS {int(peak_kb) / 1024:.0f} MB"
