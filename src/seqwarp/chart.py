@@ -264,25 +264,26 @@ class ChartFrame:
     agrees bit for bit with N stacks of one.
 
     Jets: each stage runs one ``JetProgram`` over all samples and reads
-    it once.  The metric entries (``_metric_jets``) and their first
-    derivatives (the d3 program, which ``dricci`` reads through
-    ``_d3_traces`` and the reference stage ``d3metric`` reads whole) run
-    programs of their own.  The scalar fields named in ``fields`` run as
-    one program, so that each subexpression they share is evaluated once;
-    ``field_jets`` reads that run field by field and drops it after the
-    last read.  Any other field, and the third derivatives of a field
-    (``dhessian``), run programs of their own.  A program is compiled on
-    first use and cached by structure, so frames of one chart share it.
-    The jets and the field methods ``gradient``, ``hessian`` and
-    ``dhessian`` are computed once per field and are read-only.
+    every root of the run at once.  The metric entries (``_metric_jets``)
+    and their first derivatives (the d3 program, which ``dricci`` reads
+    through ``_d3_traces`` and the reference stage ``d3metric`` reads
+    whole) run programs of their own.  The scalar fields named in
+    ``fields`` run as one program, so that each subexpression they share is
+    evaluated once: the first ``field_jets`` call for any of them reads
+    that run and keeps each field's jets.  Any other field, and the third
+    derivatives of a field (``dhessian``), run programs of their own.  A
+    program is compiled on first use and cached by structure, so frames of
+    one chart share it.  The jets and the field methods ``gradient``,
+    ``hessian`` and ``dhessian`` are computed once per field and are
+    read-only.
 
     A stack raises the error a loop over its samples would raise first:
     ``GeometryError`` (non-finite jets), ``DegenerateMetricError`` and
     ``DomainError`` name the first failing sample through ``where``, which
     a subclass may override (the torus quadrature's blocks name a grid
-    node).  A field read from the run of ``fields`` also raises the domain
-    errors of the fields before it.  ``validate`` checks the metric values
-    themselves.
+    node).  The first read of a field named in ``fields`` raises the first
+    domain error, in walk order, among all of them.  ``validate`` checks the
+    metric values themselves.
     """
 
     def __init__(
@@ -302,8 +303,6 @@ class ChartFrame:
             finite = np.isfinite(self.point).all(axis=-1)
             raise GeometryError(f"non-finite point {self.where(int(np.argmin(finite)))}")
         self.fields = tuple(dict.fromkeys(fields))
-        # reads of the run of ``fields`` still to come, one per field
-        self._unread = len(self.fields)
         # what ``_per_field`` methods computed, by (method name, expression)
         self._per_field: dict[tuple[str, Expr], object] = {}
 
@@ -311,9 +310,9 @@ class ChartFrame:
         """Sample ``k`` as an error message names it: its point."""
         return str(self.point[k].tolist())
 
-    def _roots(self, run: JetRun, start: int = 0, stop: int | None = None):
-        """``run.roots(start, stop)``: per root, a value, gradient and Hessian
-        per sample.
+    def _roots(self, run: JetRun):
+        """``run.roots()``: per root, a value, gradient and Hessian per
+        sample.
 
         A ``DomainError`` carries ``node``, the failing sample, and
         ``reason``; its message names the sample.  An overflow gives ``inf``
@@ -321,7 +320,7 @@ class ChartFrame:
         finiteness.
         """
         try:
-            return run.roots(start, stop)
+            return run.roots()
         except DomainError as exc:
             err = DomainError(f"{exc.reason} at {self.where(exc.node)}")
             err.node, err.reason = exc.node, exc.reason
@@ -697,9 +696,10 @@ class ChartFrame:
     # -- scalar fields -------------------------------------------------------
 
     @cached_property
-    def _fields_run(self) -> JetRun:
-        """The one run of ``fields``; ``field_jets`` drops it after its last read."""
-        return jet_program(self.fields, self.manifold.coords).run(self.point)
+    def _shared_field_jets(self) -> dict[Expr, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The jets of each of ``fields``, by field, from their one run."""
+        jets = self._jets(self.fields)
+        return {phi: tuple(a[k] for a in jets) for k, phi in enumerate(self.fields)}
 
     @_per_field
     def field_jets(self, phi: Expr) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -707,14 +707,8 @@ class ChartFrame:
         Hessian ``(N, m, m)``.  A field named in ``fields`` is read from the
         run of ``fields``, any other from a run of its own."""
         if phi in self.fields:
-            k = self.fields.index(phi)
-            jets = self._roots(self._fields_run, k, k + 1)
-            self._unread -= 1
-            if not self._unread:
-                del self._fields_run
-        else:
-            jets = self._jets([phi])
-        return tuple(a[0] for a in jets)
+            return self._shared_field_jets[phi]
+        return tuple(a[0] for a in self._jets([phi]))
 
     @_per_field
     def gradient(self, phi: Expr) -> np.ndarray:
@@ -823,6 +817,15 @@ def max_abs(x: np.ndarray, rank: int):
     return np.max(np.abs(x), axis=tuple(range(-rank, 0)))
 
 
+def relative_gap(gap: np.ndarray, *terms: np.ndarray) -> np.ndarray:
+    """max |gap| per sample over 1 + that sample's largest |term|: each
+    array has the sample axis first, and its other axes are reduced."""
+    scale = max_abs(terms[0], terms[0].ndim - 1)
+    for t in terms[1:]:
+        scale = np.maximum(scale, max_abs(t, t.ndim - 1))
+    return max_abs(gap, gap.ndim - 1) / (1.0 + scale)
+
+
 def symmetry_residuals(frame: ChartFrame) -> dict[str, float]:
     """Curvature symmetry residuals, normalized by (max |R| + 1).
 
@@ -830,16 +833,16 @@ def symmetry_residuals(frame: ChartFrame) -> dict[str, float]:
     max |R|.
     """
     r = frame.riemann
-    scale = max_abs(r, 4) + 1.0
+    size = max_abs(r, 4)  # reduced once for the six residuals
     first_bianchi = r + np.einsum("...iklj->...ijkl", r) + np.einsum("...iljk->...ijkl", r)
     ga, ric = frame.christoffel, frame.ricci
     return {
-        "christoffel_symmetry": max_abs(ga - np.einsum("...kji->...kij", ga), 3) / scale,
-        "antisymmetry_first_pair": max_abs(r + np.einsum("...jikl->...ijkl", r), 4) / scale,
-        "antisymmetry_second_pair": max_abs(r + np.einsum("...ijlk->...ijkl", r), 4) / scale,
-        "pair_exchange": max_abs(r - np.einsum("...klij->...ijkl", r), 4) / scale,
-        "first_bianchi": max_abs(first_bianchi, 4) / scale,
-        "ricci_symmetry": max_abs(ric - np.swapaxes(ric, -1, -2), 2) / scale,
+        "christoffel_symmetry": relative_gap(ga - np.einsum("...kji->...kij", ga), size),
+        "antisymmetry_first_pair": relative_gap(r + np.einsum("...jikl->...ijkl", r), size),
+        "antisymmetry_second_pair": relative_gap(r + np.einsum("...ijlk->...ijkl", r), size),
+        "pair_exchange": relative_gap(r - np.einsum("...klij->...ijkl", r), size),
+        "first_bianchi": relative_gap(first_bianchi, size),
+        "ricci_symmetry": relative_gap(ric - np.swapaxes(ric, -1, -2), size),
     }
 
 

@@ -566,14 +566,14 @@ def _volume_means(
     ``integrand(value, lap, grad_norm2)`` maps the field data of a block to
     a tuple of arrays.
 
-    Each node is checked in the order a walk of the block's stages would
-    meet the failures: the metric's domain and the finiteness of its first
-    two derivatives, its degeneracy (``DegenerateMetricError``), the domain
-    and finiteness of the jets of ``phi`` (``GeometryError``), then the
-    domain of each warping in ``positive`` (``(label, expr)`` pairs) and its
-    positivity (``PositivityError``), then the metric values of its row as
-    ``ChartFrame.validate`` checks them.  The error names the first failing
-    node.
+    A block is checked stage by stage, and the error names the first node
+    that fails the first failing stage: the metric's domain and the
+    finiteness of its first two derivatives, its degeneracy
+    (``DegenerateMetricError``), the domain of ``phi`` and of each warping
+    in ``positive`` (``(label, expr)`` pairs), in walk order, as they share
+    one run, the finiteness of the jets of ``phi`` (``GeometryError``),
+    each warping's positivity (``PositivityError``), then the metric values
+    of its rows as ``ChartFrame.validate`` checks them.
     """
     sums = None
     weight_total = 0.0
@@ -584,38 +584,44 @@ def _volume_means(
     for start in range(0, count, QUADRATURE_BLOCK):
         stop = min(start + QUADRATURE_BLOCK, count)
         frame = _GridBlock(manifold, grid[start:stop], range(start, stop), fields, columns)
-        with np.errstate(over="ignore", invalid="ignore"):
-            frame.inverse  # raises for a degenerate metric
-            det = frame.det
-            value, dphi, d2phi = frame.field_jets(phi)
-            finite = (
-                np.isfinite(value)
-                & np.isfinite(dphi).all(axis=1)
-                & np.isfinite(d2phi).all(axis=(1, 2))
-            )
-            if not finite.all():
-                raise GeometryError(
-                    f"field {to_string(phi)!r} or one of its first two derivatives is not "
-                    f"finite at {frame.where(int(np.argmin(finite)))}"
-                )
-            for label, w in positive:
-                w_value = frame.field_jets(w)[0]
-                if not (w_value > 0.0).all():
-                    k = int(np.argmin(w_value > 0.0))
-                    raise PositivityError(
-                        f"{label} warping is {float(w_value[k])!r} (must be positive) at "
-                        f"{frame.where(k)}"
-                    )
-            frame.rows.validate()
-
-        weight = np.sqrt(np.abs(det))
-        values = integrand(value, frame.laplacian(phi), frame.grad_norm2(phi))
+        weight, values = _block_terms(frame, phi, positive, integrand)
         if sums is None:
             sums = [0.0] * len(values)
         for k, q in enumerate(values):
             sums[k] = _running_sum(sums[k], weight * q)
         weight_total = _running_sum(weight_total, weight)
     return [s / weight_total for s in sums]
+
+
+def _block_terms(frame: _GridBlock, phi: Expr, positive, integrand):
+    """The volume weights and the integrand values of one block of
+    ``_volume_means``, checked in the order it gives.  The block's jets die
+    with the call, so they do not live on through the next block's runs."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        frame.inverse  # raises for a degenerate metric
+        det = frame.det
+        value, dphi, d2phi = frame.field_jets(phi)
+        finite = (
+            np.isfinite(value)
+            & np.isfinite(dphi).all(axis=1)
+            & np.isfinite(d2phi).all(axis=(1, 2))
+        )
+        if not finite.all():
+            raise GeometryError(
+                f"field {to_string(phi)!r} or one of its first two derivatives is not "
+                f"finite at {frame.where(int(np.argmin(finite)))}"
+            )
+        for label, w in positive:
+            w_value = frame.field_jets(w)[0]
+            if not (w_value > 0.0).all():
+                k = int(np.argmin(w_value > 0.0))
+                raise PositivityError(
+                    f"{label} warping is {float(w_value[k])!r} (must be positive) at "
+                    f"{frame.where(k)}"
+                )
+        frame.rows.validate()
+
+    return np.sqrt(np.abs(det)), integrand(value, frame.laplacian(phi), frame.grad_norm2(phi))
 
 
 def _running_sum(total: float, terms: np.ndarray) -> float:

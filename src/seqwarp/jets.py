@@ -31,11 +31,10 @@ A run obeys the domain rules (``log`` and ``sqrt`` of non-positive values,
 division by zero, zero to a negative integer power, a non-positive base
 under a non-integer power).  It computes through a broken node, with every
 floating-point warning off, and records where each checked node breaks;
-``JetRun.roots`` then raises ``DomainError`` for the first broken node in
-walk order among the nodes of the roots asked for, at its first broken
-point: the error a walk of those roots would raise.  So one run can serve
-stages that a walk would check one after another.  Overflow gives ``inf``,
-which the callers check for.
+``JetRun.roots`` reads every root at once, and first raises
+``DomainError`` for the first broken node in walk order, at its first
+broken point: the error a walk of the roots would raise.  Overflow gives
+``inf``, which the callers check for.
 """
 
 from __future__ import annotations
@@ -332,20 +331,13 @@ class JetProgram:
     broken node in walk order.
     """
 
-    __slots__ = (
-        "roots", "coords", "node_count", "_size", "_consts", "_seeds", "_steps", "_roots", "_ends"
-    )
+    __slots__ = ("roots", "coords", "node_count", "_size", "_consts", "_seeds", "_steps", "_roots")
 
     def __init__(self, roots: Sequence[Expr], coords: Sequence[str]):
         self.roots = tuple(roots)
         self.coords = tuple(coords)
         compiler = _Compiler(self.coords)
-        root_nodes = []
-        # _ends[k]: the nodes of roots[:k] are the nodes numbered below it
-        self._ends = [len(compiler.nodes)]
-        for e in self.roots:
-            root_nodes.append(compiler.expr(e))
-            self._ends.append(len(compiler.nodes))
+        root_nodes = [compiler.expr(e) for e in self.roots]
         nodes, levels = compiler.nodes, compiler.levels
         self.node_count = len(nodes)
         groups: dict[tuple, list[int]] = {}
@@ -420,39 +412,31 @@ class JetRun:
     def __init__(self, program: JetProgram, jets: tuple[np.ndarray, ...], broken: list):
         self.program, self._jets, self._broken = program, jets, broken
 
-    def roots(self, start: int = 0, stop: int | None = None):
+    def roots(self):
         """``(value (R, N), gradient (R, N, n), hessian (R, N, n, n))`` of
-        roots ``start:stop``, root axis first: fresh read-only arrays.
+        every root, root axis first: fresh read-only arrays.
 
-        First raises ``DomainError`` for the broken node first in walk order
-        among the nodes of roots ``:stop``, as a walk of those roots would:
-        ``node`` is its first broken row, ``reason`` the message without
-        that row.
+        First raises ``DomainError`` for the broken node first in walk
+        order, as a walk of the roots would: ``node`` is its first broken
+        row, ``reason`` the message without that row.
         """
-        program = self.program
-        if stop is None:
-            stop = len(program.roots)
         if self._broken:
-            _raise_first(self._broken, program._ends[stop])
-        jets = tuple(a.take(program._roots[start:stop], 0) for a in self._jets)
+            _raise_first(self._broken)
+        jets = tuple(a.take(self.program._roots, 0) for a in self._jets)
         for a in jets:
             a.setflags(write=False)
         return jets
 
 
-def _raise_first(broken: list, end: int) -> None:
-    """Raise ``DomainError`` for the broken node numbered below ``end`` that
-    is first in walk order, at its first broken row.  A step's nodes are in
-    walk order, so its first such node is its first such row."""
-    first = None
+def _raise_first(broken: list) -> None:
+    """Raise ``DomainError`` for the broken node first in walk order, at its
+    first broken row.  A step's nodes are in walk order, so its first broken
+    node is its first broken row."""
+    firsts = []  # each step's first broken node
     for (op, order, exprs), bad, x in broken:
-        rows = [k for k in np.flatnonzero(bad.any(axis=1)) if order[k] < end]
-        if rows and (first is None or order[rows[0]] < first[0]):
-            k = rows[0]
-            first = (order[k], exprs[k], bad[k], x[k], op)
-    if first is None:
-        return
-    _, e, bad, x, op = first
+        k = int(np.argmax(bad.any(axis=1)))
+        firsts.append((order[k], exprs[k], bad[k], x[k], op))
+    _, e, bad, x, op = min(firsts, key=lambda node: node[0])
     i = int(np.argmax(bad))
     why = f"{_reason(op, float(x[i]))} in {to_string(e)!r}"
     err = DomainError(f"{why} at node {i}")

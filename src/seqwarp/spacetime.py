@@ -37,6 +37,7 @@ from .chart import (
     matvec,
     max_abs,
     outer,
+    relative_gap,
 )
 from .classify import (
     DEFAULT_FIT_TOL,
@@ -236,9 +237,8 @@ def ssst_theorem_check(
     sign = np.where(abs(rhs) > 1e-12, np.where(ric_tt * rhs > 0, 1, -1), 0)
 
     # mixed Ricci identities with a 1-dimensional fiber: closed vs oracle blocks
-    scale = 1.0 + max_abs(flat_ricci, 2)
-    res_d1 = max_abs(flat_ricci[..., s1, s1] - closed[..., s1, s1], 2) / scale
-    res_d2 = max_abs(flat_ricci[..., s2, s2] - closed[..., s2, s2], 2) / scale
+    res_d1 = relative_gap(flat_ricci[..., s1, s1] - closed[..., s1, s1], flat_ricci)
+    res_d2 = relative_gap(flat_ricci[..., s2, s2] - closed[..., s2, s2], flat_ricci)
 
     # rank-one consequences at the time direction
     premise, why, qcc_premise, qcc_notes = _premises(qes, qccs, axis, tol)

@@ -339,7 +339,7 @@ def load_spec(path) -> ManifoldSpec:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError("", f"cannot read {p}: {exc}") from exc
     try:
         data = json.loads(text)

@@ -44,6 +44,7 @@ from .chart import (
     GeometryError,
     matvec,
     max_abs,
+    relative_gap,
     symmetry_residuals,
 )
 from .classify import (
@@ -168,16 +169,9 @@ def _qcc_summary(fits: list[QCCFit]) -> dict:
     }
 
 
-def _normalized_gap(closed: np.ndarray, oracle: np.ndarray) -> np.ndarray:
-    """max |closed - oracle| per sample, normalized by that sample's 1 + max |oracle|."""
-    rank = oracle.ndim - 1
-    return max_abs(closed - oracle, rank) / (1.0 + max_abs(oracle, rank))
-
-
 def _balance_gap(lhs: np.ndarray, *terms: np.ndarray) -> np.ndarray:
     """max |lhs - sum(terms)| per sample, over 1 + that sample's largest |lhs| or |term|."""
-    scale = np.max([max_abs(t, 1) for t in (lhs, *terms)], axis=0)
-    return max_abs(lhs - sum(terms), 1) / (1.0 + scale)
+    return relative_gap(lhs - sum(terms), lhs, *terms)
 
 
 def _worst(per_sample) -> np.ndarray:
@@ -337,7 +331,7 @@ def _oracle_checks(ctx: _Context):
         ("oracle_lemma3_ricci", warped.ricci, flat.ricci),
         ("oracle_scalar_curvature", warped.scalar, flat.scalar),
     ):
-        yield Residual(name, _normalized_gap(closed, oracle), tol["oracle"])
+        yield Residual(name, relative_gap(closed - oracle, oracle), tol["oracle"])
     symmetries = _worst(symmetry_residuals(flat).values())
     yield Residual("curvature_symmetries", symmetries, tol["symmetry"])
     frames = (flat, warped.frame1, warped.frame2, warped.frame3)
@@ -567,7 +561,10 @@ def run_verify(
     n_points = spec.points if points is None else check_run_parameter("points", points, "points")
     seed_used = spec.seed if seed is None else check_run_parameter("seed", seed, "seed")
 
-    samples = spec.sample_points(n_points, seed_used)
+    try:
+        samples = spec.sample_points(n_points, seed_used)
+    except (ValueError, MemoryError) as exc:
+        raise VerificationInputError(f"cannot draw {n_points} sample points: {exc}") from exc
     ctx = _context(spec, tol, samples)
     # an overflow in a check is not warned about: a residual it leaves
     # non-finite is an input error naming the first such sample

@@ -611,32 +611,54 @@ def test_quadrature_rows_keep_the_order_of_their_points():
     assert info.value.point == (0.1, 2.0)
 
 
-# (metric entries, field, warpings, error): each case breaks a later stage
-# at an earlier sample than the stage that raises
+# (metric entries, field, warpings, error, a part of its message): each case
+# breaks a later stage at an earlier sample than the stage that raises
 BLOCK_CASES = {
     "degenerate metric before the field's domain": (
-        ("1", "0", "y*y"), "log(x - 1.6)", (), DegenerateMetricError,
+        ("1", "0", "y*y"), "log(x - 1.6)", (), DegenerateMetricError, "degenerate",
     ),
-    "field not finite before a warping's domain": (
-        ("1", "0", "1"), "exp(1000*x)", ("sqrt(y - 0.5)",), GeometryError,
+    "a warping's domain before the field's finiteness": (
+        ("1", "0", "1"), "exp(1000*x)", ("sqrt(y - 0.5)",),
+        DomainError, "'sqrt(y - 0.5)' at node 1",
     ),
     "field's domain before a warping's domain": (
-        ("1", "0", "1"), "y + log(x + 0.5)", ("sqrt(y - 0.5)",), DomainError,
+        ("1", "0", "1"), "y + log(x + 0.5)", ("sqrt(y - 0.5)",),
+        DomainError, "'log(x + 0.5)' at node 3",
     ),
-    "non-positive warping before a later warping's domain": (
-        ("1", "0", "1"), "x", ("y - 0.5", "sqrt(y - 1.5)"), PositivityError,
+    "field's finiteness before a warping's positivity": (
+        ("1", "0", "1"), "exp(400*x)", ("x - 1.6",), GeometryError, "not finite at node 1",
+    ),
+    "a later warping's domain before an earlier warping's positivity": (
+        ("1", "0", "1"), "x", ("y - 1.5", "sqrt(y - 0.5)"),
+        DomainError, "'sqrt(y - 0.5)' at node 1",
     ),
 }
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES)
 def test_quadrature_block_raises_in_walk_order(case):
-    """One program run serves a whole quadrature block, and its stages
-    raise in the order a walk of them would: the metric's domain, the
-    metric's checks, the field's domain and checks, then each warping's."""
-    (g00, g01, g11), phi, warpings, error = BLOCK_CASES[case]
+    """One program run serves a quadrature block's field and warpings, and
+    the block's stages raise in this order: the metric's domain, the
+    metric's checks, the domain of the field and of each warping in walk
+    order, the field's finiteness, then each warping's positivity."""
+    (g00, g01, g11), phi, warpings, error, message = BLOCK_CASES[case]
     manifold = factor("m", COORDS, [[g00, g01], [g01, g11]])
     positive = tuple((f"w{k}", parse(w, COORDS)) for k, w in enumerate(warpings))
     with pytest.raises(error) as info:
         _volume_means(manifold, DOMAIN_POINTS, parse(phi, COORDS), positive, lambda *a: a)
     assert type(info.value) is error
+    assert message in str(info.value)
+
+
+def test_first_field_read_raises_the_first_broken_node_among_all_fields():
+    """The first read of any of a frame's ``fields`` reads their one run
+    whole: whichever field it reads, it raises the first broken node in walk
+    order among all of them, here at a later sample than the next field's."""
+    manifold = factor("m", COORDS, [["1", "0"], ["0", "1"]])
+    fields = [parse(t, COORDS) for t in ("x", "log(x + 0.5)", "sqrt(y - 0.5)")]
+    for phi in fields:
+        frame = ChartFrame(manifold, DOMAIN_POINTS, fields)
+        with pytest.raises(DomainError, match=r"'log\(x \+ 0\.5\)' at \[-1\.0, 1\.0\]$"):
+            frame.field_jets(phi)
+    # a field not among them runs on its own
+    assert frame.field_jets(parse("y", COORDS))[0].tolist() == DOMAIN_POINTS[:, 1].tolist()

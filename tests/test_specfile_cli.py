@@ -925,6 +925,25 @@ class TestCli:
         err = self._one_line_exit_2(capsys, ["classify", path, "--at", "x1=nan"])
         assert re.fullmatch(r"error: non-finite point \[nan, [-0-9.e]+, [-0-9.e]+\]\n", err)
 
+    def test_spec_file_not_utf8_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        err = self._one_line_exit_2(capsys, ["verify", str(path)])
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_points_too_many_to_draw_exit_code(self, tmp_path, capsys):
+        # numpy rejects a sample array of this size before it allocates it
+        points = 10**18
+        spec = catalog_path("sphere_fiber")
+        err = self._one_line_exit_2(capsys, ["verify", str(spec), "--points", str(points)])
+        assert err.startswith(f"error: cannot draw {points} sample points: ")
+        data = json.loads(spec.read_text())
+        data.setdefault("sampling", {})["points"] = points
+        path = tmp_path / "huge_points.json"
+        path.write_text(json.dumps(data))
+        err = self._one_line_exit_2(capsys, ["verify", str(path)])
+        assert err.startswith(f"error: cannot draw {points} sample points: ")
+
     def test_cli_report_bytes_deterministic(self, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["examples", "run", "exp_warp", "-o", str(first), "--points", "6"]) == 0
